@@ -25,7 +25,7 @@ def main() -> None:
         print(f"{label}:")
         print(f"  goodput            {res.aggregate_goodput_mbps:7.1f} Mbps")
         print(f"  collisions         {res.medium_frames_collided:7d}")
-        driver = res.driver_stats["C1"]
+        driver = res.world.drivers["C1"].stats
         print(f"  vanilla TCP ACKs   {driver.vanilla_acks_sent:7d}")
         print(f"  HACK frames        {driver.hack_frames_attached:7d} "
               f"({driver.hack_frame_bytes} bytes on LL ACKs)")

@@ -26,7 +26,7 @@ def main() -> None:
             file_bytes=megabytes * 1_000_000,
             duration_ns=60 * SEC, warmup_ns=100 * MS, stagger_ns=0))
         completion = res.completion_times_ns[1]
-        ap_driver = res.driver_stats["AP"]
+        ap_driver = res.world.drivers["AP"].stats
         print(f"{label}: {megabytes} MB backup")
         if completion is None:
             print("  did not complete within 60 s of simulated time")

@@ -378,8 +378,7 @@ resolution (`tests/stats/test_fct_merge.py`).
 
 **Registered scenarios**: `multi-ap`, `multi-ap-vanilla`,
 `multi-ap-churn`.  The `multi_ap` experiment sweeps 1/2/3 cells x
-HACK on/off x static/churn workloads; `bench_kernel_hotpath.py` runs
-a `2cell-contention` topology.
+HACK on/off x static/churn workloads.
 
 ```text
 python -m repro.cli simulate --clients 2 --cells 2
@@ -405,28 +404,34 @@ Because cells on different channels share nothing — per-channel RNG
 loss streams, per-cell traffic namespaces, global-index-derived
 addresses, flow-id ranges and wired `10.<cell>/16` subnets — a
 multi-channel scenario *factors exactly* into one independent
-sub-scenario per channel.  The channel-shard pipeline
-(`repro.workloads.sharding`) turns that into execution:
+sub-scenario per channel.  Every `run_scenario` call is the same three
+steps; only the plan differs:
 
-* **plan** — `ShardPlan.from_config` partitions cells by channel;
-* **shard** — each shard rebuilds its cells in a fresh `Simulator`
-  through the same `CellBuilder` path, serially (`shard_jobs=1`) or
-  over a process pool (`shard_jobs=N`);
-* **merge** — `merge_outcomes` reassembles one `ScenarioResult`:
-  per-flow goodputs restored to unsharded insertion order (so
-  order-sensitive float reductions — aggregate goodput, Jain — stay
-  bit-identical), FCT collectors merged in cell order via the exact
+* **plan** — `ShardPlan.from_config`: one shard holding every cell
+  (`shard_jobs=None`, a single simulator spanning all channels) or
+  one shard per channel (`shard_jobs=N`);
+* **run** — each shard is `build_simulation` (a fresh `Simulator`
+  with its cells wired by `CellBuilder`), `run()`, then `collect`,
+  which flattens the live world into a plain-data `ShardOutcome`;
+  shards run in-process (one shard, or `shard_jobs=1`) or over a
+  process pool (`shard_jobs=N`);
+* **merge** — `merge_outcomes`, the only assembler of a
+  `ScenarioResult`: per-flow goodputs in whole-scenario insertion
+  order (so order-sensitive float reductions — aggregate goodput,
+  Jain — are bit-identical however the cells were split), FCT
+  collectors merged in cell order via the exact
   `FctCollector.merge`/`FctAggregator.merge`, MAC/driver/ROHC
-  counters summed, per-cell and per-channel blocks reordered
-  globally.
+  counters summed, per-cell and per-channel blocks ordered globally.
 
 Everything in `metrics_dict()` is identical across
-`shard_jobs=None/1/N` *except* the kernel view: a merged result's own
-`kernel_stats` is empty and each shard simulator's counters ride
-verbatim under `metrics_dict()["shards"]` (per-shard snapshot events
-make equality with the shared kernel impossible and meaningless, and
-summing them used to fake a kernel that never existed) — the one
-documented exception, pinned by `tests/workloads/test_sharding.py`
+`shard_jobs=None/1/N` *except* the kernel view: when one simulator ran
+everything its counters are the result's `kernel_stats` (and its live
+objects are `result.world`); a multi-shard result's own `kernel_stats`
+is empty and each shard simulator's counters ride verbatim under
+`metrics_dict()["shards"]` (every shard schedules its own snapshot
+events, so summing them would describe a kernel that never existed) —
+the one documented exception, pinned by
+`tests/workloads/test_sharding.py`
 alongside the stronger isolation oracle: N cells on N distinct
 channels reproduce N isolated single-cell runs bit-for-bit, static
 and churn.
@@ -446,9 +451,11 @@ per-channel summaries and shard wall-clocks; `--shard-jobs` on
 point through the pipeline (an execution knob — cache signatures and
 metrics are unchanged); the `city_scale` experiment sweeps 12/20-cell
 cities x HACK on/off over 3 channels; the registered `city-20cell`
-scenario is the benchmark topology (`bench_kernel_hotpath.py` runs it
-unsharded, serial-sharded, and pooled — see the `pr7_city_scale`
-block in `BENCH_kernel.json`).  Progress/ETA lines weight each point
+scenario is the benchmark topology (`bench/run.py --trace` runs its
+`churn_city_20cell` workload as one shard and as serial per-channel
+shards — the `workloads.sharding.serial_wall_ratio` and
+`digest_match` rows of `bench/ledger.json`).  Progress/ETA lines
+weight each point
 by its shard count (`shard-units`), so a sweep mixing flat and
 fan-out points does not extrapolate the cheap points' pace.
 
@@ -469,12 +476,12 @@ signatures, golden rows and every scenario metric stay bit-identical
 whether the sampler is on or off (`tests/obs/test_telemetry.py` pins
 this for static, churn and sharded runs; the only thing that moves is
 `kernel_stats`, because the sampler schedules its own events).  With
-telemetry off, the kernel checks one attribute and takes the
-historical run loop — the `pr8_observability` block in
-``BENCH_kernel.json`` re-confirms bit-identical event counts, and the
-sampler-on path costs ~1.2-1.3x wall on a single cell, ~1.0-1.1x on
-the 20-cell city grid (``bench_kernel_hotpath.py
---telemetry-overhead``).
+telemetry off, the kernel's one run loop tests a local per event
+and never reads the clock; event counts are bit-identical either way,
+and the sampler-on cost is the ``obs.telemetry_overhead_ratio`` row of
+``bench/ledger.json`` (``python3 bench/run.py --trace``; measured at
+~1.2-1.3x wall on a single cell, ~1.0-1.1x on the 20-cell city grid
+when the layer landed).
 
 Three products per instrumented run:
 
@@ -523,20 +530,19 @@ sampler shards fine.
 ## Kernel performance
 
 The discrete-event kernel's hot path is measured by
-``PYTHONPATH=src python benchmarks/bench_kernel_hotpath.py``
-(``--quick`` for 1.5 s windows, ``--out`` for a JSON artifact,
-``--baseline BENCH_kernel.json`` to print ratios against the committed
-before/after record).  It runs nine topologies — ``quickstart``,
-``lossy-link``, the Fig 10 four-client MORE DATA cell, the Fig 10
-ten-client stock-TCP cell, (since the multi-AP PR) the two-cell
-``2cell-contention`` overlap, and (since the city-scale PR) the
-20-cell/3-channel ``city-20cell`` city run unsharded, serially
-sharded, and across 2- and 3-worker pools — and reports the kernel
-counters every
-``ScenarioResult`` carries in ``kernel_stats`` (also printed by
-``repro simulate --kernel-stats``): events scheduled / executed /
-cancelled and heap compactions, plus wall-clock and events per
-wall-second.
+``python3 bench/run.py`` (``--trace`` adds the per-layer rows,
+``--out`` writes a ledger, ``python3 bench/compare.py a.json b.json``
+gives a verdict per row; the committed numbers are
+``bench/ledger.json`` and ``bench/README.md`` defines every row).  It
+times four workloads — the Fig 10 ten-client cell on stock TCP and
+with MORE DATA HACK, flow churn over the 20-cell/3-channel
+``city-20cell`` city, and a quick sweep of four experiments — and
+reports the kernel counters every ``ScenarioResult`` carries in
+``kernel_stats`` (also printed by ``repro simulate --kernel-stats``)
+as ``sim.engine.events_executed`` / ``events_scheduled`` /
+``cancelled_ratio`` / ``heap_compactions``, plus
+``sim.engine.us_per_event`` and the dispatch micro-loop
+``sim.engine.noop_ns_per_event``.
 
 Three hot-path reworks landed together, none of which moves a single
 output digit (pinned by ``tests/experiments/test_golden_rows.py`` and
@@ -558,16 +564,19 @@ test_kernel_equivalence.py``):
   whenever dead entries outnumber live ones, so timer-heavy runs stay
   bounded (regression-tested with a 10^6-cancel run).
 
-Committed before/after numbers live in ``BENCH_kernel.json``.
-Headline (quick windows, seed 1): the ten-client stock-TCP Fig 10
+Headline of the PR 2 measurement (1.5 s windows, seed 1; a historical
+record from the per-PR benchmark file the ledger replaced): the
+ten-client stock-TCP Fig 10
 cell drops from 93 348 to 45 591 executed events (2.05x) and from
 1.29 s to 0.61 s wall (2.1x); pure kernel-overhead events (slot ticks,
 per-slot polls, serialisation bookkeeping) drop 50 464 -> 2 707
 (18.6x).  The surviving event budget is behavioural — wired-packet
 deliveries, host-stack processing, frame boundaries — which is why
 total-event ratios sit near 2x while the goodput tables are
-bit-identical.  CI's benchmark-smoke job re-runs the quick benchmark
-on every push and uploads the JSON.
+bit-identical.  CI's benchmark-smoke job runs
+``python3 -m pytest bench -q`` and one
+``bench/run.py --repeats 1 --trace 0`` pass on every push and uploads
+the ledger.
 
 ## Data-plane performance (PR 4)
 
@@ -602,9 +611,10 @@ churn-row pins as PR 2, green without re-pinning):
   `Simulator.new_frame_id()` scopes them so back-to-back identical
   runs produce identical ids (`tests/sim/test_frame_ids.py`).
 
-Committed numbers live in the ``pr4_data_plane`` block of
-``BENCH_kernel.json`` (same machine and seed as the PR 2 numbers;
-events and goodputs identical, only wall time moves):
+PR 4's measurement, kept as a historical record (same machine and
+seed as the PR 2 numbers; events and goodputs identical, only wall
+time moves; today's per-event cost is ``sim.engine.us_per_event`` in
+``bench/ledger.json``):
 
 ```text
 topology        quick wall (s)   full wall (s)    events/s (quick)
@@ -617,22 +627,23 @@ fig10-10c-tcp   0.78    0.44     1.49    1.24     58,125  103,470
 
 The HACK cell — the paper's headline mechanism, and the cell whose
 events/s *regressed* under PR 2 — is 2.06x (quick) / 2.34x (full)
-faster.  The isolated ROHC path (``benchmarks/bench_hack_path.py``,
-committed under ``pr4_data_plane.hack_path``) encodes 193k ACKs/s and
-decodes 199k ACKs/s vs 24k/25k before (8.2x / 8.1x) at identical
-bytes-per-ACK.  ``bench_kernel_hotpath.py --profile out.json`` dumps
-the top-25 cumulative functions per topology (a separate profiled
-pass, so timing numbers stay honest); CI uploads it as the
-``bench-profile`` artifact.
+faster.  The isolated ROHC path (a 20k-ACK steady stream, today the
+``rohc.encode_acks_per_s`` / ``decode_acks_per_s`` / ``bytes_per_ack``
+rows of ``bench/run.py --trace``) encoded 193k ACKs/s and decoded
+199k ACKs/s vs 24k/25k before (8.2x / 8.1x) at identical
+bytes-per-ACK.  ``bench/run.py --trace`` profiles each scenario
+workload in a separate pass (so timing numbers stay honest) and
+reports self time per layer as the ``*.self_share`` rows.
 
-**Perf-regression gate**: CI's benchmark-smoke job runs
-``scripts/check_bench_regression.py``, which fails the build when any
-topology's events/s drops below 75% of the newest committed reference
-block in ``BENCH_kernel.json`` (currently ``pr8_observability``; its
-rows re-confirm every topology's event counts are bit-identical with
-the telemetry hooks compiled out).  For noisy containers:
-``BENCH_GATE_TOLERANCE=0.5`` widens the floor,
-``BENCH_GATE_SKIP=1`` skips the gate (loudly).
+**Perf gate**: ``python3 bench/compare.py parent.json change.json``
+reads two ledgers written by ``bench/run.py --out`` and marks each
+end-to-end metric (``wall_s``, ``peak_rss_mb``, ``setup_s``) on each
+workload ``same`` / ``better`` / ``worse`` / ``unresolved`` against
+the bound ``BENCHMARK.json`` fixes, demands that ``sim_digest`` and
+every exact (``R``) row — event counts, frames, goodput — repeat
+bit-for-bit, and exits 1 on any ``worse`` row.  Every child is
+preceded by a same-host calibration loop (``host.calib_ns_per_op``)
+that marks noisy repeats, so there is no skip switch.
 
 ## Streaming FCT statistics (``stream_stats=True``)
 

@@ -38,6 +38,7 @@ from typing import List, Optional
 from .adversary import AdversaryConfig
 from .core.policies import HackPolicy
 from .experiments import runner as experiments_runner
+from .experiments.runner import positive_int
 from .experiments.batch import SweepCache, SweepInterrupted, \
     SweepResult
 from .experiments.common import format_table
@@ -49,14 +50,6 @@ from .workloads.registry import UnknownScenarioError
 from .workloads.scenarios import LossSpec, ScenarioConfig, run_scenario
 
 SCENARIO_PREFIX = "scenario:"
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,16 +68,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="PHY data rate in Mbps")
     sim.add_argument("--clients", type=int, default=1,
                      help="clients per cell")
-    sim.add_argument("--cells", type=_positive_int, default=1,
+    sim.add_argument("--cells", type=positive_int, default=1,
                      help="co-channel overlapping cells (each a full "
                           "AP + clients BSS on the one medium)")
-    sim.add_argument("--channels", type=_positive_int, default=1,
+    sim.add_argument("--channels", type=positive_int, default=1,
                      help="non-overlapping channels; cells are "
                           "assigned round-robin (cell i -> channel "
                           "i %% channels), and cells on different "
                           "channels never contend")
-    sim.add_argument("--shard-jobs", type=_positive_int, default=None,
-                     metavar="N",
+    sim.add_argument("--shard-jobs", type=positive_int,
+                     default=None, metavar="N",
                      help="execute a multi-channel run as one shard "
                           "per channel: 1 = serial shards, N > 1 = "
                           "process pool (metrics identical either "
@@ -254,13 +247,13 @@ def _simulate(args: argparse.Namespace) -> int:
                       "jammer/mutator", file=sys.stderr)
                 return 2
             adv_kwargs[mode_field] = args.adversary_mode
-        adversary = AdversaryConfig(**adv_kwargs)
-        try:
-            adversary.validate()
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        config = dataclasses.replace(config, adversary=adversary)
+        config = dataclasses.replace(
+            config, adversary=AdversaryConfig(**adv_kwargs))
+    try:
+        config.validate()
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     telemetry = None
     if args.telemetry or args.trace_export:
         from .obs import TelemetryConfig

@@ -49,6 +49,15 @@ EXPERIMENTS = {
 DEFAULT_CACHE_DIR = ".sweep-cache"
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     """The sweep-execution flags shared with ``repro.cli sweep``."""
     parser.add_argument("--quick", action="store_true",
@@ -71,8 +80,8 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                         help="live progress lines on stderr (points "
                              "done/cached/failed, points/s, ETA; "
                              "shard-unit weighted with --shard-jobs)")
-    parser.add_argument("--shard-jobs", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--shard-jobs", type=positive_int,
+                        default=None, metavar="N",
                         help="run each multi-channel point as one "
                              "shard per channel: 1 = serial shards, "
                              "N > 1 = shard worker pool (metrics are "

@@ -10,8 +10,8 @@ Entry point for simulations: pass ``telemetry=TelemetryConfig(...)``
 to :func:`repro.workloads.scenarios.run_scenario` (CLI:
 ``repro simulate --telemetry PATH --trace-export PATH
 --sample-interval MS``).  Telemetry is an execution knob — disabled
-(the default) it costs one branch per ``Simulator.run`` call and
-leaves every metric and cache signature bit-identical.
+(the default) it costs one local test per dispatched event and leaves
+every metric and cache signature bit-identical.
 """
 
 from .export import chrome_trace, write_chrome_trace

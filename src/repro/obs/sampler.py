@@ -89,10 +89,15 @@ class TelemetryConfig:
                 f"got {self.sample_interval_ns}")
 
     def without_paths(self) -> "TelemetryConfig":
-        """The per-shard variant: shards sample and time, but only the
-        parent process writes artifacts (after the merge)."""
-        return dataclasses.replace(self, telemetry_path=None,
-                                   trace_export_path=None)
+        """The per-shard variant for a multi-shard run: shards sample
+        and time, but only the parent process writes artifacts (after
+        the merge).  ``max_samples`` caps the run, not the shard, and
+        never the JSONL stream — so a shard of a run that writes one
+        retains every sample for the parent to write."""
+        return dataclasses.replace(
+            self, telemetry_path=None, trace_export_path=None,
+            max_samples=(None if self.telemetry_path
+                         else self.max_samples))
 
 
 def telemetry_meta(cfg, config: TelemetryConfig,
@@ -145,8 +150,8 @@ def write_telemetry_file(path: str, meta: Dict[str, Any],
                          samples: Sequence[Dict[str, Any]],
                          summary: Dict[str, Any],
                          spans: Optional[Dict[str, Any]]) -> None:
-    """Write a complete JSONL artifact in one pass (the shard-merge
-    path; unsharded runs stream the same bytes incrementally)."""
+    """Write a complete JSONL artifact in one pass (a multi-shard
+    merge; a single simulator streams the same bytes incrementally)."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -162,10 +167,10 @@ def write_telemetry_file(path: str, meta: Dict[str, Any],
 class TelemetrySession:
     """One run's live observability state (sampler + registry + spans).
 
-    Wired by ``_run_cells``; the shard pipeline ships the session's
-    plain-data products (samples, registry, span block) through
-    :class:`~repro.workloads.sharding.ShardOutcome` and merges them in
-    the parent.
+    Wired by :func:`~repro.workloads.scenarios.build_simulation`; its
+    plain-data products (samples, registry, span block) travel in the
+    :class:`~repro.workloads.sharding.ShardOutcome` and are merged by
+    :func:`~repro.workloads.sharding.merge_outcomes`.
     """
 
     def __init__(self, cfg, config: TelemetryConfig, sim, media,

@@ -22,6 +22,7 @@ kernel overhead (events per simulated exchange) alongside goodput.
 from __future__ import annotations
 
 import heapq
+from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional
 
 from .units import SEC
@@ -124,9 +125,6 @@ class Simulator:
         self._stopped = False
         self._frame_ids: int = 0
         #: Optional observability hook (see :mod:`repro.obs.spans`).
-        #: None routes :meth:`run` through the original uninstrumented
-        #: loop — the disabled mode costs one check per ``run()`` call,
-        #: never per event.
         self._instrument = None
 
     def set_instrument(self, instrument) -> None:
@@ -210,8 +208,6 @@ class Simulator:
         ``until`` is exclusive: an event at exactly ``until`` does not run,
         and ``now`` is advanced to ``until`` when the horizon is hit.
         """
-        if self._instrument is not None:
-            return self._run_instrumented(until, max_events)
         if until is None:
             until = _FOREVER
         if max_events is None:
@@ -221,6 +217,11 @@ class Simulator:
         self._stopped = False
         heap = self._heap
         pop = heapq.heappop
+        # Bound once: the per-event cost of the disabled mode is one
+        # local ``is None`` test (measured on bench/ledger.json's
+        # ``sim.engine.noop_ns_per_event``).
+        instrument = self._instrument
+        record = instrument.record if instrument is not None else None
         try:
             while heap:
                 if self._stopped:
@@ -238,63 +239,16 @@ class Simulator:
                 event.sim = None
                 self._live -= 1
                 self.now = event.time
-                event.callback(*event.args)
+                if record is None:
+                    event.callback(*event.args)
+                else:
+                    started = perf_counter_ns()
+                    event.callback(*event.args)
+                    record(event.callback, event.time,
+                           perf_counter_ns() - started)
                 executed += 1
             else:
                 # Heap drained; advance the clock to the horizon if finite.
-                if until < _FOREVER:
-                    self.now = max(self.now, until)
-        finally:
-            self._running = False
-            self.stats.executed += executed
-        return executed
-
-    def _run_instrumented(self, until: Optional[int],
-                          max_events: Optional[int]) -> int:
-        """:meth:`run` with per-event span timing.
-
-        A deliberate duplicate of the hot loop rather than a per-event
-        ``if instrument`` branch inside it: the uninstrumented path
-        must stay byte-for-byte what the perf gate measured.  Event
-        selection, clock advance and bookkeeping are identical — only
-        the ``perf_counter_ns`` bracket around the callback is new, so
-        the simulated timeline cannot diverge.
-        """
-        from time import perf_counter_ns
-
-        instrument = self._instrument
-        if until is None:
-            until = _FOREVER
-        if max_events is None:
-            max_events = float("inf")
-        executed = 0
-        self._running = True
-        self._stopped = False
-        heap = self._heap
-        pop = heapq.heappop
-        try:
-            while heap:
-                if self._stopped:
-                    break
-                if executed >= max_events:
-                    break
-                event = heap[0]
-                if event.cancelled:
-                    pop(heap)
-                    continue
-                if event.time >= until:
-                    self.now = until
-                    break
-                pop(heap)
-                event.sim = None
-                self._live -= 1
-                self.now = event.time
-                started = perf_counter_ns()
-                event.callback(*event.args)
-                instrument.record(event.callback, event.time,
-                                  perf_counter_ns() - started)
-                executed += 1
-            else:
                 if until < _FOREVER:
                     self.now = max(self.now, until)
         finally:

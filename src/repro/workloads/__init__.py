@@ -1,9 +1,10 @@
 """Workloads: the high-level scenario builder + named registry."""
 
 from .scenarios import LossSpec, ScenarioConfig, ScenarioResult, \
-    run_scenario
+    build_simulation, run_scenario
 from . import registry
 from .registry import UnknownScenarioError
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "LossSpec",
-           "run_scenario", "registry", "UnknownScenarioError"]
+           "build_simulation", "run_scenario", "registry",
+           "UnknownScenarioError"]

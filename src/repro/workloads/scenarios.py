@@ -5,7 +5,9 @@ use.  A :class:`ScenarioConfig` describes the paper's experimental
 setups declaratively (PHY mode, rate, clients, HACK policy, loss
 model, traffic); :func:`run_scenario` wires up the server, wired link,
 AP, clients, drivers and flows, runs the event loop, and returns a
-:class:`ScenarioResult` with goodputs and all collected statistics.
+:class:`ScenarioResult` with goodputs and all collected statistics;
+:func:`build_simulation` stops after the wiring and hands back the
+live world.
 
 Beyond the paper's static workloads, ``traffic="dynamic"`` plus an
 :class:`~repro.traffic.arrivals.ArrivalSpec` drives the scenario with
@@ -26,11 +28,17 @@ to what they always were.
 ``channels=C`` spreads the cells over C independent collision domains
 (one :class:`~repro.sim.medium.Medium` each; assignment via
 ``cell_channel`` or round-robin).  Cells on different channels never
-interact, which is what lets :func:`run_scenario`'s ``shard_jobs``
-knob hand each channel's cells to its own simulator — serially or
-across worker processes — and merge the shard results back into one
-:class:`ScenarioResult` (see :mod:`repro.workloads.sharding`); results
-gain per-channel blocks either way.
+interact; results gain per-channel blocks.
+
+Every run takes one path: :func:`run_scenario` plans the shards
+(:class:`~repro.workloads.sharding.ShardPlan` — every cell in one
+simulator, or with ``shard_jobs`` one simulator per channel), and for
+each shard :func:`build_simulation` builds the live world
+(:class:`CellBuilder`), ``world.run()`` executes it and
+:func:`collect` flattens it to plain data;
+:func:`~repro.workloads.sharding.merge_outcomes` assembles the one
+:class:`ScenarioResult`.  Those three steps are the seams for anything
+that wants to inspect or instrument a run.
 """
 
 from __future__ import annotations
@@ -39,7 +47,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..adversary import AdversaryConfig, GreedyDcfMac
-from ..adversary.runtime import adversary_block, install_adversary
+from ..adversary.runtime import AdversaryRuntime, adversary_block, \
+    install_adversary
 from ..core.driver import HackDriver
 from ..core.policies import HackConfig, HackPolicy
 from ..mac.dcf import DcfMac
@@ -67,6 +76,7 @@ from ..tcp.segment import FiveTuple
 from ..nodes.ap import ApNode
 from ..nodes.client import ClientNode
 from ..nodes.server import ServerNode, UdpSource
+from .sharding import ShardOutcome, ShardPlan, merge_outcomes, run_shards
 
 
 @dataclass
@@ -212,6 +222,26 @@ class ScenarioConfig:
     def client_names(self) -> List[str]:
         return [f"C{i + 1}" for i in range(self.n_clients)]
 
+    def validate(self) -> None:
+        """Reject a config no run can honour."""
+        self.validate_cells()
+        if self.traffic not in ("tcp_download", "tcp_upload",
+                                "udp_download", "dynamic"):
+            raise ValueError(f"unknown traffic {self.traffic!r}")
+        if self.traffic == "dynamic" and self.arrivals is None:
+            raise ValueError("traffic='dynamic' requires an "
+                             "ArrivalSpec in cfg.arrivals")
+        if self.udp_background_mbps > 0 \
+                and self.traffic == "udp_download":
+            raise ValueError(
+                "udp_background_mbps composes with TCP traffic; use "
+                "udp_rate_mbps for udp_download")
+        if not 0 <= self.warmup_ns < self.duration_ns:
+            raise ValueError(
+                f"need 0 <= warmup_ns < duration_ns (the measurement "
+                f"window), got warmup_ns={self.warmup_ns}, "
+                f"duration_ns={self.duration_ns}")
+
     # -- multi-cell helpers -------------------------------------------
     def validate_cells(self) -> None:
         if self.cells < 1:
@@ -314,25 +344,30 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    """Everything a benchmark needs to print a paper table/figure row."""
+    """Everything a benchmark needs to print a paper table/figure row.
+
+    Plain data throughout — assembled by
+    :func:`~repro.workloads.sharding.merge_outcomes` and nowhere else
+    — except ``world``, the live simulation for in-process consumers.
+    """
 
     config: ScenarioConfig
     per_flow_goodput_mbps: Dict[int, float]
     mac_stats: MacStats
-    driver_stats: Dict[str, Any]
+    #: The ``metrics_dict()["drivers"]`` payload (per-station HACK
+    #: driver counters, see :func:`driver_metrics_dict`).
+    driver_metrics: Dict[str, Dict[str, int]]
     decomp_counters: Dict[str, int]
     medium_frames_sent: int
     medium_frames_collided: int
     medium_utilisation: float
-    flows: List[TcpFlow] = field(default_factory=list)
     completion_times_ns: Dict[int, Optional[int]] = field(
         default_factory=dict)
     sender_counters: Dict[int, Dict[str, int]] = field(
         default_factory=dict)
-    clients: Dict[str, Any] = field(default_factory=dict)
-    drivers: Dict[str, Any] = field(default_factory=dict)
-    trace: Optional[MediumTracer] = None
-    #: Event-kernel counters for this run (see ``SimStats.as_dict``).
+    #: Event-kernel counters (see ``SimStats.as_dict``) of the one
+    #: simulator that ran everything; ``{}`` when several did (their
+    #: counters are under ``shard_blocks``).
     kernel_stats: Dict[str, int] = field(default_factory=dict)
     #: ROHC robustness/containment counters (``metrics_dict()["rohc"]``)
     #: summed across drivers — desyncs, recoveries, aborted frames,
@@ -354,29 +389,16 @@ class ScenarioResult:
     #: workload's aggregate goodput.
     udp_background_goodput_mbps: Dict[str, float] = field(
         default_factory=dict)
-    #: The live FlowManager (in-process consumers/tests; not metrics).
-    #: Multi-cell runs keep cell 1's here; see ``traffic_managers``.
-    traffic_manager: Optional[FlowManager] = None
     #: Per-cell result blocks (plain data; one per cell, "cell1"
     #: first).  Single-cell runs have exactly one block.
     cell_blocks: List[Dict[str, Any]] = field(default_factory=list)
-    #: One FlowManager per cell (None where the cell has no arrivals).
-    traffic_managers: List[Optional[FlowManager]] = field(
-        default_factory=list)
     #: Per-channel result blocks (plain data; one per channel used, in
     #: first-appearance order).  Single-channel runs have exactly one.
     channel_blocks: List[Dict[str, Any]] = field(default_factory=list)
-    #: Precomputed ``metrics_dict()["drivers"]`` payload.  Set on
-    #: results merged from shards (whose live driver objects never
-    #: cross the process boundary); None means "read ``drivers``".
-    driver_metrics: Optional[Dict[str, Dict[str, int]]] = None
-    #: How this result was executed when it came from the shard
-    #: pipeline (plan + per-shard wall clock; not part of metrics).
-    #: None for ordinary single-simulator runs.
+    #: How a multi-shard run was executed (plan + per-shard wall
+    #: clock; not part of metrics).  None when one simulator ran
+    #: everything.
     shard_info: Optional[Dict[str, Any]] = None
-    #: The live per-cell nets, in build order (in-process consumers —
-    #: the shard pipeline reads per-cell flow ordering off these).
-    cell_nets: List[Any] = field(default_factory=list, repr=False)
     #: The ``metrics_dict()["telemetry"]`` block — present only when
     #: the run was executed with ``telemetry=TelemetryConfig(...)``
     #: (an execution knob: never in ScenarioConfig, never in sweep
@@ -384,15 +406,16 @@ class ScenarioResult:
     #: ``"spans"`` sub-block (host wall times).
     telemetry: Optional[Dict[str, Any]] = None
     #: Per-shard kernel/telemetry blocks (``metrics_dict()["shards"]``)
-    #: for results merged from the shard pipeline: one entry per shard
-    #: in plan order, each ``{channel, cells, kernel_stats,
-    #: telemetry}``.  Replaces the old summed ``kernel_stats`` (the
-    #: merged result's own ``kernel_stats`` is ``{}`` — summing
-    #: counters across independent simulators was never meaningful).
+    #: of a multi-shard run: one entry per shard in plan order, each
+    #: ``{channel, cells, kernel_stats, telemetry}``.  None when one
+    #: simulator ran everything.
     shard_blocks: Optional[List[Dict[str, Any]]] = None
-    #: The live TelemetrySession (in-process consumers/tests; not
-    #: metrics).  None for shard-merged results.
-    telemetry_session: Optional[Any] = field(default=None, repr=False)
+    #: The live simulation (:func:`build_simulation`'s return value,
+    #: after the run): flows, clients, drivers, flow managers, frame
+    #: trace, telemetry session.  Set when one simulator ran
+    #: everything in this process; None for a multi-shard run, whose
+    #: live objects never cross the shard boundary.
+    world: Optional["CellBuilder"] = field(default=None, repr=False)
 
     @property
     def aggregate_goodput_mbps(self) -> float:
@@ -419,11 +442,6 @@ class ScenarioResult:
         cacheable and identical across serial and parallel execution
         (all dict keys are strings so a JSON round-trip is lossless).
         """
-        if self.driver_metrics is not None:
-            drivers = {name: dict(stats)
-                       for name, stats in self.driver_metrics.items()}
-        else:
-            drivers = driver_metrics_dict(self.drivers)
         out = {
             "aggregate_goodput_mbps": self.aggregate_goodput_mbps,
             "per_flow_goodput_mbps": {
@@ -444,7 +462,8 @@ class ScenarioResult:
             "retry_table": {dst: dict(data) for dst, data
                             in self.mac_stats.retry_table().items()},
             "time_breakdown_ms": self.mac_stats.time_breakdown_ms(),
-            "drivers": drivers,
+            "drivers": {name: dict(stats) for name, stats
+                        in self.driver_metrics.items()},
             "kernel_stats": dict(self.kernel_stats),
             "fct": self.fct,
             "udp_background_goodput_mbps":
@@ -511,7 +530,7 @@ class _CellNet:
     """One BSS's live objects while a scenario is being built/run."""
 
     __slots__ = ("index", "ap_name", "client_names", "server", "ap",
-                 "clients", "drivers", "flows", "udp_names",
+                 "clients", "drivers", "flows", "udp_sinks",
                  "background_names", "flow_manager")
 
     def __init__(self, index: int, ap_name: str,
@@ -524,17 +543,15 @@ class _CellNet:
         self.clients: Dict[str, ClientNode] = {}
         self.drivers: Dict[str, HackDriver] = {}
         self.flows: List[TcpFlow] = []
-        self.udp_names: List[str] = []          # udp_download sinks
+        #: udp_download sinks: (pseudo-flow id, client).
+        self.udp_sinks: List[Tuple[int, str]] = []
         self.background_names: List[str] = []   # CBR noise sinks
         self.flow_manager: Optional[FlowManager] = None
 
 
 def driver_metrics_dict(
         drivers: Dict[str, HackDriver]) -> Dict[str, Dict[str, int]]:
-    """The ``metrics_dict()["drivers"]`` payload from live drivers.
-
-    Shared with the shard pipeline, which flattens each shard's
-    drivers to plain data before crossing the process boundary."""
+    """The ``metrics_dict()["drivers"]`` payload from live drivers."""
     out: Dict[str, Dict[str, int]] = {}
     for name, driver in drivers.items():
         stats = driver.stats
@@ -549,19 +566,6 @@ def driver_metrics_dict(
     return out
 
 
-def _validate_traffic(cfg: ScenarioConfig) -> None:
-    """Traffic-shape validation (shared by every cell)."""
-    if cfg.traffic not in ("tcp_download", "tcp_upload",
-                           "udp_download", "dynamic"):
-        raise ValueError(f"unknown traffic {cfg.traffic!r}")
-    if cfg.traffic == "dynamic" and cfg.arrivals is None:
-        raise ValueError(
-            "traffic='dynamic' requires an ArrivalSpec in cfg.arrivals")
-    if cfg.udp_background_mbps > 0 and cfg.traffic == "udp_download":
-        raise ValueError("udp_background_mbps composes with TCP "
-                         "traffic; use udp_rate_mbps for udp_download")
-
-
 def _loss_stream_name(channel: int) -> str:
     """Channel 0 keeps the historical "phy-loss" stream (bit-identity
     for every single-channel scenario); other channels draw from their
@@ -574,29 +578,37 @@ def _loss_stream_name(channel: int) -> str:
 
 
 class CellBuilder:
-    """Builds one cell's BSS — nodes, wiring and traffic — into a
-    shared simulator, accumulating the run-wide collections.
+    """The live world of one simulator: :func:`build_simulation` wires
+    the given cells' BSSs — nodes, wiring and traffic — into it,
+    :meth:`run` executes it, :func:`collect` flattens it.
 
     Everything id-like (station addresses, wired /16s, static flow
     ids, UDP pseudo-flow ids, RNG stream names) derives from the
     *global* cell index, never from build-order counters.  Building
     cells 0..N-1 in one simulator and building any subset of them in a
     fresh simulator therefore mint identical ids and draw identical
-    random streams — the property the channel-shard pipeline
-    (:mod:`repro.workloads.sharding`) rests on.
+    random streams — which is what lets a scenario be split into
+    per-channel shards (:mod:`repro.workloads.sharding`).
     """
 
-    def __init__(self, cfg: ScenarioConfig, sim: Simulator,
-                 rngs: RngRegistry, mac_stats: MacStats):
+    def __init__(self, cfg: ScenarioConfig,
+                 cell_indices: Tuple[int, ...],
+                 telemetry: Optional[TelemetryConfig] = None):
         self.cfg = cfg
-        self.sim = sim
-        self.rngs = rngs
-        self.mac_stats = mac_stats
+        self.cell_indices = cell_indices
+        self.telemetry = telemetry
+        self.sim = Simulator()
+        self.rngs = RngRegistry(cfg.seed)
+        self.mac_stats = MacStats()
+        self.channels = cfg.ordered_channels(cell_indices)
+        self.media = ChannelizedMedium(self.sim)
+        #: Frame trace (``cfg.trace`` or the Chrome-trace export).
+        self.trace: Optional[MediumTracer] = None
+        self.adversary_runtime: Optional[AdversaryRuntime] = None
+        self.telemetry_session: Optional[TelemetrySession] = None
         # Run-wide collections, in build order.
         self.cells: List[_CellNet] = []
         self.flows: List[TcpFlow] = []
-        self.udp_sources: List[tuple] = []  # (pseudo id, name, source)
-        self.udp_background: List[tuple] = []   # (name, source)
         self.clients: Dict[str, ClientNode] = {}
         self.drivers: Dict[str, HackDriver] = {}
         # Active greedy plan: which station addresses cheat (the first
@@ -609,9 +621,19 @@ class CellBuilder:
                 names[:adv.greedy_stations])
         self.greedy_macs: List[GreedyDcfMac] = []
 
+    @property
+    def traffic_managers(self) -> List[Optional[FlowManager]]:
+        """One FlowManager per cell (None where the cell has no
+        arrivals)."""
+        return [net.flow_manager for net in self.cells]
+
+    @property
+    def traffic_manager(self) -> Optional[FlowManager]:
+        """The first cell's FlowManager."""
+        return self.cells[0].flow_manager
+
     def make_mac(self, address: str, queue_limit: Optional[int],
-                 cell: int, medium: Medium,
-                 loss_model: LossModel) -> DcfMac:
+                 cell: int, medium: Medium) -> DcfMac:
         cfg = self.cfg
         phy = cfg.phy
         params = MacParams(
@@ -634,21 +656,22 @@ class CellBuilder:
             mac = GreedyDcfMac(
                 self.sim, medium, phy, address, params,
                 self.rngs.stream(f"mac-{address}"),
-                stats=self.mac_stats, loss_model=loss_model,
+                stats=self.mac_stats, loss_model=medium.loss_model,
                 rate_control_factory=factory, cell=cell,
                 cheat=cfg.adversary.intensity)
             self.greedy_macs.append(mac)
             return mac
         return DcfMac(self.sim, medium, phy, address, params,
                       self.rngs.stream(f"mac-{address}"),
-                      stats=self.mac_stats, loss_model=loss_model,
+                      stats=self.mac_stats,
+                      loss_model=medium.loss_model,
                       rate_control_factory=factory, cell=cell)
 
-    def build(self, cell_index: int, medium: Medium,
-              loss_model: LossModel) -> _CellNet:
+    def build(self, cell_index: int) -> _CellNet:
         """Wire one cell (global index) onto its channel's medium."""
         cfg = self.cfg
         sim = self.sim
+        medium = self.media.medium(cfg.channel_of(cell_index))
         net = _CellNet(cell_index, cfg.cell_ap_name(cell_index),
                        cfg.cell_client_names(cell_index))
         self.cells.append(net)
@@ -657,7 +680,7 @@ class CellBuilder:
         ap_mac = self.make_mac(
             net.ap_name,
             cfg.ap_queue_per_client * max(1, cfg.flows_per_client),
-            cell_index, medium, loss_model)
+            cell_index, medium)
         ap_driver = HackDriver(sim, ap_mac, _hack_config(cfg))
         ap = ApNode(sim, ap_driver, name=net.ap_name)
         net.ap = ap
@@ -672,8 +695,7 @@ class CellBuilder:
         self.drivers[net.ap_name] = ap_driver
 
         for name in net.client_names:
-            mac = self.make_mac(name, None, cell_index, medium,
-                                loss_model)
+            mac = self.make_mac(name, None, cell_index, medium)
             driver = HackDriver(sim, mac, _hack_config(cfg))
             client = ClientNode(sim, driver, name,
                                 ap_name=net.ap_name,
@@ -711,9 +733,8 @@ class CellBuilder:
                 source = UdpSource(sim, server, name,
                                    cfg.udp_rate_mbps)
                 pseudo_id = -(cfg.udp_index_base(net.index)
-                              + len(net.udp_names) + 1)
-                self.udp_sources.append((pseudo_id, name, source))
-                net.udp_names.append(name)
+                              + len(net.udp_sinks) + 1)
+                net.udp_sinks.append((pseudo_id, name))
                 sim.schedule(start_at, source.start)
                 continue
             flow_id = next_flow_id
@@ -779,7 +800,7 @@ class CellBuilder:
 
     def _build_background(self, net: _CellNet,
                           server: ServerNode) -> None:
-        # Kept out of ``udp_sources``/``per_flow``: noise is
+        # Kept out of ``udp_sinks``/per-flow goodput: noise is
         # environment, not workload — it must not inflate aggregate
         # goodput the way ``udp_download``'s sinks (the measured
         # traffic) legitimately do.
@@ -789,9 +810,188 @@ class CellBuilder:
         for name in net.client_names:
             source = UdpSource(self.sim, server, name,
                                cfg.udp_background_mbps)
-            self.udp_background.append((name, source))
             net.background_names.append(name)
             self.sim.schedule(0, source.start)
+
+
+    def snapshot_all(self) -> None:
+        """One edge of the measurement window."""
+        for flow in self.flows:
+            flow.snapshot(self.sim.now)
+        for client in self.clients.values():
+            client.snapshot_udp()
+
+    def run(self) -> None:
+        """Schedule the warm-up and end-of-run snapshots, run to the
+        horizon, then close the run: flush the telemetry artifacts and
+        censor the churn flows still live."""
+        cfg = self.cfg
+        self.sim.schedule(cfg.warmup_ns, self.snapshot_all)
+        self.sim.schedule(cfg.duration_ns, self.snapshot_all,
+                          priority=10)
+        self.sim.run(until=cfg.duration_ns + 1)
+
+        session = self.telemetry_session
+        if session is not None:
+            session.finish()
+            if self.telemetry.trace_export_path is not None:
+                write_chrome_trace(
+                    self.telemetry.trace_export_path,
+                    chrome_trace(
+                        frames=self.trace.records,
+                        spans=(session.instrument.spans
+                               if session.instrument is not None
+                               else ()),
+                        samples=session.samples,
+                        meta=session.meta()))
+        for net in self.cells:
+            if net.flow_manager is not None:
+                net.flow_manager.finalize()
+
+
+def build_simulation(cfg: ScenarioConfig,
+                     cell_indices: Optional[Tuple[int, ...]] = None,
+                     telemetry: Optional[TelemetryConfig] = None
+                     ) -> CellBuilder:
+    """Build the given cells (global indices; default: every cell) in
+    one fresh simulator and return the live world, ready to
+    :meth:`~CellBuilder.run`.
+
+    Construction order fixes the kernel's event sequence numbers, so
+    it is part of the contract: per-channel loss models and media,
+    then cells ascending, then the adversary, then the telemetry
+    session.
+    """
+    cfg.validate()
+    if cell_indices is None:
+        cell_indices = range(cfg.cells)
+    world = CellBuilder(cfg, tuple(cell_indices), telemetry)
+    for channel in world.channels:
+        world.media.add_channel(channel, cfg.loss.build(
+            world.rngs.stream(_loss_stream_name(channel))))
+    # One tracer serves both cfg.trace and the telemetry layer's
+    # Chrome-trace export; the channelized tracer tags every record
+    # with its channel id.
+    if cfg.trace:
+        world.trace = MediumTracer(world.media, cfg.trace_max_records)
+    elif telemetry is not None \
+            and telemetry.trace_export_path is not None:
+        world.trace = MediumTracer(world.media,
+                                   telemetry.trace_max_records)
+    for cell_index in world.cell_indices:
+        world.build(cell_index)
+
+    # Adversarial actors (inactive plans install nothing at all, so
+    # zero-intensity runs stay bit-identical to adversary=None runs;
+    # greedy stations were already substituted at MAC build time).
+    world.adversary_runtime = install_adversary(
+        cfg.adversary, world.sim, world.rngs, world.media,
+        world.channels, cfg.duration_ns)
+    if world.adversary_runtime is not None:
+        world.adversary_runtime.greedy_macs = world.greedy_macs
+
+    if telemetry is not None:
+        world.telemetry_session = TelemetrySession(
+            cfg, telemetry, world.sim, world.media, world.channels,
+            world.cells)
+        world.telemetry_session.start()
+    return world
+
+
+def _sink_mbps(client: ClientNode) -> Optional[float]:
+    """A UDP sink's goodput over the measurement window."""
+    snaps = client.udp_snapshots
+    if len(snaps) < 2:
+        return None
+    (t0, b0), (t1, b1) = snaps[0], snaps[-1]
+    return throughput_mbps(b1 - b0, t1 - t0)
+
+
+def collect(world: CellBuilder) -> ShardOutcome:
+    """Flatten a finished world to plain data — the one place live
+    simulation objects are read for results."""
+    cfg = world.cfg
+    drivers = world.drivers
+
+    tcp_flows: Dict[int, List[Tuple[int, float]]] = {}
+    udp_flows: Dict[int, List[Tuple[int, float]]] = {}
+    completion: Dict[int, Optional[int]] = {}
+    sender_counters: Dict[int, Dict[str, int]] = {}
+    background_mbps: Dict[str, float] = {}
+    cell_blocks: List[Tuple[int, Dict[str, Any]]] = []
+    for net in world.cells:
+        tcp = tcp_flows[net.index] = []
+        for flow in net.flows:
+            if cfg.file_bytes is not None \
+                    and flow.completed_at is not None:
+                mbps = throughput_mbps(
+                    cfg.file_bytes,
+                    flow.completed_at - (flow.started_at or 0))
+            else:
+                mbps = flow.stats.goodput_mbps(cfg.warmup_ns,
+                                               cfg.duration_ns)
+            tcp.append((flow.flow_id, mbps))
+            completion[flow.flow_id] = flow.completion_time_ns()
+            sender_counters[flow.flow_id] = {
+                "timeouts": flow.sender.timeouts,
+                "fast_retransmits": flow.sender.fast_retransmits,
+                "retransmits": flow.sender.retransmits,
+                "segments_sent": flow.sender.segments_sent,
+            }
+        udp = udp_flows[net.index] = [
+            (pseudo_id, mbps) for pseudo_id, name in net.udp_sinks
+            if (mbps := _sink_mbps(net.clients[name])) is not None]
+        noise = {
+            name: mbps for name in net.background_names
+            if (mbps := _sink_mbps(net.clients[name])) is not None}
+        background_mbps.update(noise)
+        cell_blocks.append((net.index, _cell_block(
+            cfg, net, world.media.medium(cfg.channel_of(net.index)),
+            dict(tcp + udp), noise)))
+
+    decomp: Dict[str, int] = {
+        "acks_reconstructed": 0, "crc_failures": 0, "unknown_cid": 0,
+        "duplicates_skipped": 0, "damaged_skips": 0, "parse_errors": 0}
+    rohc: Dict[str, int] = dict.fromkeys(
+        HackDriver.ROHC_ROBUSTNESS_KEYS, 0)
+    for driver in drivers.values():
+        for key, value in driver.decompressor_counters().items():
+            decomp[key] += value
+        for key, value in driver.rohc_robustness_counters().items():
+            rohc[key] = rohc.get(key, 0) + value
+
+    session = world.telemetry_session
+    telemetry_products = {} if session is None else dict(
+        telemetry_block=session.block(),
+        telemetry_samples=session.samples,
+        telemetry_registry=session.registry)
+    return ShardOutcome(
+        channels=world.channels,
+        cell_indices=world.cell_indices,
+        tcp_flows_by_cell=tcp_flows,
+        udp_flows_by_cell=udp_flows,
+        completion_times_ns=completion,
+        sender_counters=sender_counters,
+        mac_stats=world.mac_stats,
+        driver_metrics=driver_metrics_dict(drivers),
+        decomp_counters=decomp,
+        kernel_stats=world.sim.stats.as_dict(),
+        udp_background_goodput_mbps=background_mbps,
+        rohc_counters=rohc,
+        aqm_counters=merge_aqm_blocks(driver.mac.aqm_stats()
+                                      for driver in drivers.values()),
+        adversary_counters=(
+            adversary_block(cfg.adversary, world.adversary_runtime)
+            if cfg.adversary is not None else None),
+        cell_blocks=cell_blocks,
+        channel_blocks=[
+            _channel_block(cfg, world.media.medium(channel),
+                           world.cell_indices)
+            for channel in world.channels],
+        collectors=[(net.index, net.flow_manager.collector)
+                    for net in world.cells
+                    if net.flow_manager is not None],
+        **telemetry_products)
 
 
 def run_scenario(cfg: ScenarioConfig,
@@ -800,21 +1000,17 @@ def run_scenario(cfg: ScenarioConfig,
                  ) -> ScenarioResult:
     """Build the WLAN(s) described by ``cfg``, run, collect results.
 
-    With ``cells=1`` (the default) this wires the paper's single-BSS
-    topology exactly as it always did; ``cells=N`` repeats the whole
-    wiring per cell (see the module docstring), spreading the cells
-    over ``cfg.channels`` independent collision domains.
-
-    ``shard_jobs`` opts a multi-channel config into the channel-shard
-    pipeline (:mod:`repro.workloads.sharding`): cells are partitioned
-    by channel into independent simulators — ``1`` runs the shards
-    serially in-process, ``N > 1`` fans them over a process pool — and
-    the shard results are merged into one :class:`ScenarioResult`.
-    ``None`` (the default) runs everything in a single simulator
-    regardless of channel count.  Merged metrics are identical to the
-    single-simulator run, with the merged ``kernel_stats`` empty and
-    the per-shard kernel counters carried under ``metrics_dict()
-    ["shards"]`` instead.
+    Every run is plan -> run each shard -> merge.  ``shard_jobs=None``
+    (the default) plans one shard holding every cell: a single
+    simulator spanning all ``cfg.channels``.  An integer plans one
+    shard per channel in use — ``1`` runs them serially in-process,
+    ``N > 1`` fans them over a process pool (see
+    :mod:`repro.workloads.sharding`).  Metrics are identical however
+    the cells were split, except the kernel view: when one simulator
+    ran everything its counters are the result's ``kernel_stats`` and
+    its live objects are ``result.world``; when several did,
+    ``kernel_stats`` is empty, each shard's counters ride under
+    ``metrics_dict()["shards"]`` and ``world`` is None.
 
     ``telemetry`` (a :class:`~repro.obs.TelemetryConfig`) turns on the
     observability layer — kernel span timing, the periodic time-series
@@ -824,210 +1020,22 @@ def run_scenario(cfg: ScenarioConfig,
     and every scenario metric except ``kernel_stats`` stays
     bit-identical to a telemetry-off run.
     """
-    cfg.validate_cells()
-    _validate_traffic(cfg)
-    if shard_jobs is not None:
-        from .sharding import ShardPlan, run_sharded
-        plan = ShardPlan.from_config(cfg)
-        if plan.shard_count > 1:
-            return run_sharded(cfg, plan, shard_jobs,
-                               telemetry=telemetry)
-    return _run_cells(cfg, tuple(range(cfg.cells)),
-                      telemetry=telemetry)
-
-
-def _run_cells(cfg: ScenarioConfig, cell_indices: Tuple[int, ...],
-               telemetry: Optional[TelemetryConfig] = None
-               ) -> ScenarioResult:
-    """Build and run the given cells (global indices) in one simulator.
-
-    Called with every cell for ordinary runs, or with one channel's
-    cells for a shard.  Single-channel full runs take the exact
-    historical construction order (bit-identity with the pre-channel
-    code path)."""
-    sim = Simulator()
-    rngs = RngRegistry(cfg.seed)
-    channels = cfg.ordered_channels(cell_indices)
-    media = ChannelizedMedium(sim)
-    loss_models: Dict[int, LossModel] = {}
-    for channel in channels:
-        loss_models[channel] = cfg.loss.build(
-            rngs.stream(_loss_stream_name(channel)))
-        media.add_channel(channel, loss_models[channel])
-    # One tracer serves both cfg.trace (the result's in-process trace)
-    # and the telemetry layer's Chrome-trace export; the channelized
-    # tracer tags every record with its channel id.
-    want_export_trace = (telemetry is not None
-                         and telemetry.trace_export_path is not None)
-    tracer = None
-    if cfg.trace:
-        tracer = MediumTracer(media, cfg.trace_max_records)
-    elif want_export_trace:
-        tracer = MediumTracer(media, telemetry.trace_max_records)
-    mac_stats = MacStats()
-
-    builder = CellBuilder(cfg, sim, rngs, mac_stats)
-    for cell_index in cell_indices:
-        channel = cfg.channel_of(cell_index)
-        builder.build(cell_index, media.medium(channel),
-                      loss_models[channel])
-
-    cells = builder.cells
-    flows = builder.flows
-    clients = builder.clients
-    drivers = builder.drivers
-
-    # Adversarial actors (inactive plans install nothing at all, so
-    # zero-intensity runs stay bit-identical to adversary=None runs;
-    # greedy stations were already substituted at MAC build time).
-    adversary_runtime = install_adversary(
-        cfg.adversary, sim, rngs, media, channels, cfg.duration_ns)
-    if adversary_runtime is not None:
-        adversary_runtime.greedy_macs = builder.greedy_macs
-
-    session: Optional[TelemetrySession] = None
-    if telemetry is not None:
-        session = TelemetrySession(cfg, telemetry, sim, media,
-                                   channels, cells)
-        session.start()
-
-    # --- Measurement windows -----------------------------------------
-    def snapshot_all() -> None:
-        for flow in flows:
-            flow.snapshot(sim.now)
-        for client in clients.values():
-            client.snapshot_udp()
-
-    sim.schedule(cfg.warmup_ns, snapshot_all)
-    sim.schedule(cfg.duration_ns, snapshot_all, priority=10)
-
-    sim.run(until=cfg.duration_ns + 1)
-
-    telemetry_block: Optional[Dict[str, Any]] = None
-    if session is not None:
-        telemetry_block = session.finish()
-        if want_export_trace:
-            document = chrome_trace(
-                frames=tracer.records if tracer is not None else (),
-                spans=(session.instrument.spans
-                       if session.instrument is not None else ()),
-                samples=session.samples,
-                meta=session.meta())
-            write_chrome_trace(telemetry.trace_export_path, document)
-
-    # --- Results -------------------------------------------------------
-    per_flow: Dict[int, float] = {}
-    completion: Dict[int, Optional[int]] = {}
-    sender_counters: Dict[int, Dict[str, int]] = {}
-    for flow in flows:
-        if cfg.file_bytes is not None and flow.completed_at is not None:
-            duration = flow.completed_at - (flow.started_at or 0)
-            per_flow[flow.flow_id] = throughput_mbps(cfg.file_bytes,
-                                                     duration)
-        else:
-            per_flow[flow.flow_id] = flow.stats.goodput_mbps(
-                cfg.warmup_ns, cfg.duration_ns)
-        completion[flow.flow_id] = flow.completion_time_ns()
-        sender_counters[flow.flow_id] = {
-            "timeouts": flow.sender.timeouts,
-            "fast_retransmits": flow.sender.fast_retransmits,
-            "retransmits": flow.sender.retransmits,
-            "segments_sent": flow.sender.segments_sent,
-        }
-
-    def sink_mbps(name: str) -> Optional[float]:
-        snaps = clients[name].udp_snapshots
-        if len(snaps) < 2:
-            return None
-        (t0, b0), (t1, b1) = snaps[0], snaps[-1]
-        return throughput_mbps(b1 - b0, t1 - t0)
-
-    udp_ids: Dict[int, str] = {}        # pseudo-flow id -> client
-    for pseudo_id, name, source in builder.udp_sources:
-        mbps = sink_mbps(name)
-        if mbps is not None:
-            per_flow[pseudo_id] = mbps
-            udp_ids[pseudo_id] = name
-
-    background_mbps: Dict[str, float] = {}
-    for name, source in builder.udp_background:
-        mbps = sink_mbps(name)
-        if mbps is not None:
-            background_mbps[name] = mbps
-
-    for net in cells:
-        if net.flow_manager is not None:
-            net.flow_manager.finalize()
-
-    fct_summary: Optional[Dict[str, Any]] = None
-    managers = [net.flow_manager for net in cells
-                if net.flow_manager is not None]
-    if len(managers) == 1:
-        fct_summary = managers[0].collector.summary(cfg.duration_ns)
-    elif managers:
-        merged = type(managers[0].collector)()
-        for manager in managers:
-            merged.merge(manager.collector)
-        fct_summary = merged.summary(cfg.duration_ns)
-
-    decomp: Dict[str, int] = {
-        "acks_reconstructed": 0, "crc_failures": 0, "unknown_cid": 0,
-        "duplicates_skipped": 0, "damaged_skips": 0, "parse_errors": 0}
-    for driver in drivers.values():
-        for key, value in driver.decompressor_counters().items():
-            decomp[key] += value
-
-    rohc: Dict[str, int] = dict.fromkeys(
-        HackDriver.ROHC_ROBUSTNESS_KEYS, 0)
-    for driver in drivers.values():
-        for key, value in driver.rohc_robustness_counters().items():
-            rohc[key] = rohc.get(key, 0) + value
-
-    adversary_counters = None
-    if cfg.adversary is not None:
-        adversary_counters = adversary_block(cfg.adversary,
-                                             adversary_runtime)
-
-    aqm = merge_aqm_blocks(driver.mac.aqm_stats()
-                           for driver in drivers.values())
-
-    cell_blocks = [
-        _cell_block(cfg, net, media.medium(cfg.channel_of(net.index)),
-                    per_flow, udp_ids, background_mbps)
-        for net in cells]
-    channel_blocks = [
-        _channel_block(cfg, media.medium(channel), cell_indices)
-        for channel in channels]
-
-    return ScenarioResult(
-        config=cfg,
-        per_flow_goodput_mbps=per_flow,
-        mac_stats=mac_stats,
-        driver_stats={name: d.stats for name, d in drivers.items()},
-        decomp_counters=decomp,
-        medium_frames_sent=media.frames_sent,
-        medium_frames_collided=media.frames_collided,
-        medium_utilisation=media.utilisation(cfg.duration_ns),
-        flows=flows,
-        completion_times_ns=completion,
-        sender_counters=sender_counters,
-        clients=clients,
-        drivers=drivers,
-        trace=tracer if cfg.trace else None,
-        kernel_stats=sim.stats.as_dict(),
-        rohc_counters=rohc,
-        aqm_counters=aqm,
-        adversary_counters=adversary_counters,
-        fct=fct_summary,
-        traffic_manager=cells[0].flow_manager,
-        traffic_managers=[net.flow_manager for net in cells],
-        udp_background_goodput_mbps=background_mbps,
-        cell_blocks=cell_blocks,
-        channel_blocks=channel_blocks,
-        cell_nets=cells,
-        telemetry=telemetry_block,
-        telemetry_session=session,
-    )
+    cfg.validate()
+    if shard_jobs is not None and shard_jobs < 1:
+        raise ValueError(f"shard_jobs must be >= 1, got {shard_jobs}")
+    plan = ShardPlan.from_config(cfg, by_channel=shard_jobs is not None)
+    if plan.shard_count > 1:
+        outcomes, shard_info = run_shards(cfg, plan, shard_jobs,
+                                          telemetry)
+        return merge_outcomes(cfg, plan, outcomes, shard_info,
+                              telemetry)
+    (channel, cells), = plan.shards()
+    world = build_simulation(cfg, cells, telemetry)
+    world.run()
+    result = merge_outcomes(cfg, plan, {channel: collect(world)},
+                            telemetry=telemetry)
+    result.world = world
+    return result
 
 
 def _channel_block(cfg: ScenarioConfig, medium: Medium,
@@ -1052,15 +1060,11 @@ def _channel_block(cfg: ScenarioConfig, medium: Medium,
 
 
 def _cell_block(cfg: ScenarioConfig, net: _CellNet, medium: Medium,
-                per_flow: Dict[int, float], udp_ids: Dict[int, str],
+                cell_flow: Dict[int, float],
                 background_mbps: Dict[str, float]) -> Dict[str, Any]:
-    """One cell's JSON-able metrics block (``metrics_dict()["cells"]``)."""
-    cell_flow: Dict[int, float] = {
-        flow.flow_id: per_flow[flow.flow_id]
-        for flow in net.flows if flow.flow_id in per_flow}
-    for pseudo_id, name in udp_ids.items():
-        if name in net.udp_names:
-            cell_flow[pseudo_id] = per_flow[pseudo_id]
+    """One cell's JSON-able metrics block (``metrics_dict()["cells"]``)
+    from its per-flow goodputs (static TCP flows, then UDP sinks) and
+    its measured background noise."""
     aggregate = sum(cell_flow.values())
     fct: Optional[Dict[str, Any]] = None
     carried = aggregate
@@ -1086,8 +1090,5 @@ def _cell_block(cfg: ScenarioConfig, net: _CellNet, medium: Medium,
         "frames_sent": stats["frames_sent"],
         "frames_collided": stats["frames_collided"],
         "fct": fct,
-        "udp_background_goodput_mbps": {
-            name: background_mbps[name]
-            for name in net.background_names
-            if name in background_mbps},
+        "udp_background_goodput_mbps": background_mbps,
     }

@@ -1,58 +1,55 @@
-"""Channel sharding: plan -> shard -> merge for city-scale scenarios.
+"""Plan -> run each shard -> merge: how every scenario is executed.
 
 Cells on different channels share nothing — not carrier sense, not
 collisions, not loss draws (per-channel RNG streams), not flow ids,
-not wired /16s.  A multi-channel scenario therefore *factors exactly*
-into one independent sub-scenario per channel, and this module turns
-that observation into the execution pipeline behind
-``run_scenario(cfg, shard_jobs=...)``:
+not wired /16s — so a multi-channel scenario *factors exactly* into
+one independent sub-scenario per channel.
+:func:`~repro.workloads.scenarios.run_scenario` is built on that:
 
-* **plan** — :class:`ShardPlan` partitions the cells by channel
-  (:meth:`ShardPlan.from_config`); one shard per channel in use.
-* **shard** — each shard rebuilds *its* cells in a fresh
-  :class:`~repro.sim.engine.Simulator` via the same
-  :class:`~repro.workloads.scenarios.CellBuilder` path the unsharded
-  run takes.  Because every id (addresses, static flow ids, UDP
-  pseudo-ids, RNG stream names, IP prefixes) derives from the global
-  cell index, the shard's event sequence is identical to the unsharded
-  run's sub-sequence for those cells.  Shards run serially
-  (``shard_jobs=1``) or across a process pool (``shard_jobs=N``) with
-  the same submit/poll shape the sweep engine uses; each shard ships a
-  plain-data :class:`ShardOutcome` back.
-* **merge** — :func:`merge_outcomes` reassembles one
+* **plan** — :class:`ShardPlan` splits the cells into shards: one
+  shard holding every cell (a single simulator spanning all
+  channels), or one shard per channel in use.
+* **run** — a shard is :func:`~repro.workloads.scenarios.
+  build_simulation` (a fresh :class:`~repro.sim.engine.Simulator`
+  with the shard's cells wired in), ``run()``, then
+  :func:`~repro.workloads.scenarios.collect`, which flattens the live
+  world into a plain-data :class:`ShardOutcome`.  Because every id
+  (addresses, static flow ids, UDP pseudo-ids, RNG stream names, IP
+  prefixes) derives from the global cell index, a shard's event
+  sequence is the whole scenario's sub-sequence for those cells.  A
+  one-shard plan runs in-process; :func:`run_shards` runs several
+  serially or across a process pool (:func:`execute_shard` is the
+  pool's work function), with the same submit/poll shape the sweep
+  engine uses.
+* **merge** — :func:`merge_outcomes` is the only assembler of a
   :class:`~repro.workloads.scenarios.ScenarioResult`: per-flow
-  goodputs in the unsharded insertion order (so order-sensitive float
-  reductions — aggregate goodput, Jain — are bit-identical),
-  per-cell FCT collectors merged in cell order through the existing
+  goodputs in whole-scenario insertion order (so order-sensitive
+  float reductions — aggregate goodput, Jain — do not depend on the
+  plan), per-cell FCT collectors merged in cell order through
   ``FctCollector.merge`` / ``FctAggregator.merge``, MAC/driver/
   decompressor counters summed, and per-cell / per-channel blocks
-  reordered globally.
+  ordered globally.
 
-``kernel_stats`` is handled per shard rather than summed: a merged
-result's own ``kernel_stats`` is empty (summing counters across
-independent simulators never equalled the single shared kernel of an
-unsharded run — e.g. the two snapshot events are scheduled once per
-shard) and each shard's counters are carried verbatim under
-``metrics_dict()["shards"]`` (one ``{channel, cells, kernel_stats,
-telemetry}`` block per shard, plan order).  Everything else in
-``metrics_dict()`` is identical across ``shard_jobs=None`` / ``1`` /
-``N``.
+Everything in ``metrics_dict()`` is identical whichever plan ran,
+except the kernel view: counters of independent simulators are never
+summed (each schedules its own two snapshot events, for one), so a
+one-shard result carries its simulator's ``kernel_stats`` and a
+multi-shard result carries ``{}`` plus one ``{channel, cells,
+kernel_stats, telemetry}`` block per shard under
+``metrics_dict()["shards"]``.
 
-Telemetry (``run_scenario(..., telemetry=...)``) shards cleanly too:
-each shard runs its own sampler and kernel instrument
-(``TelemetryConfig.without_paths()`` — only the parent writes
-artifacts), and the merge reassembles the unsharded stream exactly —
-samples sorted by ``(t_ns, plan channel order)`` are line-identical to
-the unsharded JSONL, and the disjointly-named per-channel/per-cell
-registry entries union back into the unsharded registry.
+Telemetry (``run_scenario(..., telemetry=...)``) follows the same
+law: every tick emits one sample record per channel and metric names
+are disjoint per channel/cell, so samples sorted by ``(t_ns, plan
+channel order)`` and the union of the registries are the same stream
+and the same registry under any plan.  A one-shard world streams the
+JSONL artifact itself; shards of a wider plan run with
+``TelemetryConfig.without_paths()`` and the merge writes it once.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
-    wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -65,34 +62,45 @@ from ..stats.collectors import MacStats
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """The cells-by-channel partition of one scenario.
+    """How one scenario's cells are split into shards.
 
     ``channels`` lists the channels in use in first-appearance order
     over ascending cell index (for round-robin assignment that is
     simply 0, 1, ..., C-1); ``cells_by_channel`` is aligned with it,
     each entry the ascending global cell indices on that channel.
+    ``by_channel`` says whether each channel is its own shard or all
+    of them share one.
     """
 
     channels: Tuple[int, ...]
     cells_by_channel: Tuple[Tuple[int, ...], ...]
+    #: False = one shard holding every cell: a single simulator
+    #: spanning all channels (``run_scenario``'s ``shard_jobs=None``).
+    by_channel: bool = True
 
     @classmethod
-    def from_config(cls, cfg) -> "ShardPlan":
+    def from_config(cls, cfg, by_channel: bool = True) -> "ShardPlan":
         cfg.validate_cells()
         channels: Dict[int, List[int]] = {}
         for cell in range(cfg.cells):
             channels.setdefault(cfg.channel_of(cell), []).append(cell)
         return cls(channels=tuple(channels),
                    cells_by_channel=tuple(
-                       tuple(cells) for cells in channels.values()))
+                       tuple(cells) for cells in channels.values()),
+                   by_channel=by_channel)
 
     @property
     def shard_count(self) -> int:
-        return len(self.channels)
+        return len(self.channels) if self.by_channel else 1
 
     def shards(self) -> List[Tuple[int, Tuple[int, ...]]]:
-        """(channel, cells) pairs, one per shard, in channel order."""
-        return list(zip(self.channels, self.cells_by_channel))
+        """(first channel, ascending cells) pairs, one per shard, in
+        channel order.  The first channel keys the shard's outcome."""
+        if self.by_channel:
+            return list(zip(self.channels, self.cells_by_channel))
+        return [(self.channels[0],
+                 tuple(sorted(cell for cells in self.cells_by_channel
+                              for cell in cells)))]
 
     def describe(self) -> Dict[str, Any]:
         """JSON-able plan summary (CLI output, ``shard_info``)."""
@@ -101,7 +109,8 @@ class ShardPlan:
             "channels": list(self.channels),
             "cells_by_channel": {
                 str(channel): list(cells)
-                for channel, cells in self.shards()},
+                for channel, cells in zip(self.channels,
+                                          self.cells_by_channel)},
         }
 
 
@@ -110,20 +119,20 @@ class ShardOutcome:
     """One shard's results, flattened to picklable plain data.
 
     Live simulation objects (flows, clients, drivers, managers) never
-    cross the process boundary; everything a merged
-    ``ScenarioResult.metrics_dict()`` needs is extracted here, keyed
-    by *global* cell index so the merge can restore unsharded
+    cross the process boundary; everything ``merge_outcomes`` needs is
+    extracted by :func:`~repro.workloads.scenarios.collect`, keyed by
+    *global* cell index so the merge can restore whole-scenario
     ordering.  The FCT collectors themselves (plain-data record lists
-    / histograms) do ship — the merge reuses their exact ``merge``
-    methods.
+    / histograms) do ship — the merge uses their ``merge`` methods.
     """
 
-    channel: int
+    #: The shard's channels, first-appearance order over its cells.
+    channels: Tuple[int, ...]
     cell_indices: Tuple[int, ...]
     #: cell -> [(flow id, goodput)] for static TCP flows, build order.
     tcp_flows_by_cell: Dict[int, List[Tuple[int, float]]]
-    #: cell -> [(pseudo id, goodput, client)] for udp_download sinks.
-    udp_flows_by_cell: Dict[int, List[Tuple[int, float, str]]]
+    #: cell -> [(pseudo id, goodput)] for udp_download sinks.
+    udp_flows_by_cell: Dict[int, List[Tuple[int, float]]]
     completion_times_ns: Dict[int, Optional[int]]
     sender_counters: Dict[int, Dict[str, int]]
     mac_stats: MacStats
@@ -142,20 +151,19 @@ class ShardOutcome:
     #: (cell index, cell block) in build (= ascending-cell) order.
     cell_blocks: List[Tuple[int, Dict[str, Any]]] = field(
         default_factory=list)
-    channel_block: Dict[str, Any] = field(default_factory=dict)
+    #: One block per entry of ``channels``, same order.
+    channel_blocks: List[Dict[str, Any]] = field(default_factory=list)
     #: (cell index, FctCollector | FctAggregator) where churn ran.
     collectors: List[Tuple[int, Any]] = field(default_factory=list)
     wall_s: float = 0.0
     #: Telemetry products (None/empty when the run had no telemetry):
-    #: the shard's ``metrics_dict()["telemetry"]`` block, its retained
-    #: sample records (time order), and its live registry (merged by
-    #: the parent — disjoint names make the union exact).
+    #: the shard's own ``"telemetry"`` block, its retained sample
+    #: records (time order), and its registry (disjoint names make the
+    #: merged union exact).
     telemetry_block: Optional[Dict[str, Any]] = None
     telemetry_samples: List[Dict[str, Any]] = field(
         default_factory=list)
     telemetry_registry: Optional[MetricsRegistry] = None
-    telemetry_emitted: int = 0
-    telemetry_dropped: int = 0
 
 
 class ShardExecutionError(RuntimeError):
@@ -173,80 +181,35 @@ class ShardExecutionError(RuntimeError):
 def execute_shard(cfg, cell_indices: Tuple[int, ...],
                   telemetry: Optional[TelemetryConfig] = None
                   ) -> ShardOutcome:
-    """Run one channel's cells in a fresh simulator (the pool work
-    function — module-level so it pickles)."""
-    from .scenarios import _run_cells, driver_metrics_dict
+    """Build, run and collect the given cells in a fresh simulator
+    (the pool work function — module-level so it pickles)."""
+    from .scenarios import build_simulation, collect
 
     started = time.perf_counter()
-    result = _run_cells(cfg, tuple(cell_indices), telemetry=telemetry)
-    per_flow = result.per_flow_goodput_mbps
-    tcp_flows: Dict[int, List[Tuple[int, float]]] = {}
-    udp_flows: Dict[int, List[Tuple[int, float, str]]] = {}
-    collectors: List[Tuple[int, Any]] = []
-    blocks: List[Tuple[int, Dict[str, Any]]] = []
-    for net, block in zip(result.cell_nets, result.cell_blocks):
-        tcp_flows[net.index] = [
-            (flow.flow_id, per_flow[flow.flow_id])
-            for flow in net.flows if flow.flow_id in per_flow]
-        udp_flows[net.index] = [
-            (pseudo_id, per_flow[pseudo_id], name)
-            for local, name in enumerate(net.udp_names)
-            for pseudo_id in (-(cfg.udp_index_base(net.index)
-                                + local + 1),)
-            if pseudo_id in per_flow]
-        if net.flow_manager is not None:
-            collectors.append((net.index, net.flow_manager.collector))
-        blocks.append((net.index, block))
-    channel = cfg.channel_of(cell_indices[0])
-    session = result.telemetry_session
-    return ShardOutcome(
-        channel=channel,
-        cell_indices=tuple(cell_indices),
-        tcp_flows_by_cell=tcp_flows,
-        udp_flows_by_cell=udp_flows,
-        completion_times_ns=dict(result.completion_times_ns),
-        sender_counters={k: dict(v)
-                         for k, v in result.sender_counters.items()},
-        mac_stats=result.mac_stats,
-        driver_metrics=driver_metrics_dict(result.drivers),
-        decomp_counters=dict(result.decomp_counters),
-        kernel_stats=dict(result.kernel_stats),
-        udp_background_goodput_mbps=dict(
-            result.udp_background_goodput_mbps),
-        rohc_counters=dict(result.rohc_counters),
-        aqm_counters=dict(result.aqm_counters),
-        adversary_counters=(dict(result.adversary_counters)
-                            if result.adversary_counters is not None
-                            else None),
-        cell_blocks=blocks,
-        channel_block=dict(result.channel_blocks[0]),
-        collectors=collectors,
-        wall_s=time.perf_counter() - started,
-        telemetry_block=result.telemetry,
-        telemetry_samples=(list(session.samples)
-                           if session is not None else []),
-        telemetry_registry=(session.registry
-                            if session is not None else None),
-        telemetry_emitted=(session.emitted
-                           if session is not None else 0),
-        telemetry_dropped=(session.dropped_samples
-                           if session is not None else 0),
-    )
+    world = build_simulation(cfg, cell_indices, telemetry)
+    world.run()
+    outcome = collect(world)
+    outcome.wall_s = time.perf_counter() - started
+    return outcome
 
 
 def _effective_jobs(shard_jobs: int, shard_count: int) -> int:
     """Clamp the worker count; fall back to serial shards inside a
     daemonic worker (a sweep pool's child cannot spawn its own pool —
     serial shards produce identical metrics anyway)."""
-    jobs = min(max(1, shard_jobs), shard_count)
-    if jobs > 1 and multiprocessing.current_process().daemon:
-        return 1
+    jobs = min(shard_jobs, shard_count)
+    if jobs > 1:
+        import multiprocessing
+        if multiprocessing.current_process().daemon:
+            return 1
     return jobs
 
 
-def run_sharded(cfg, plan: ShardPlan, shard_jobs: int,
-                telemetry: Optional[TelemetryConfig] = None):
-    """Execute every shard of ``plan`` and merge the outcomes.
+def run_shards(cfg, plan: ShardPlan, shard_jobs: int,
+               telemetry: Optional[TelemetryConfig] = None
+               ) -> Tuple[Dict[int, ShardOutcome], Dict[str, Any]]:
+    """Execute every shard of a multi-shard ``plan``; returns the
+    outcomes (keyed as ``plan.shards()``) and the ``shard_info``.
 
     ``shard_jobs=1`` runs shards serially in-process; ``N > 1`` fans
     them over a process pool with the sweep engine's submit/poll
@@ -255,11 +218,10 @@ def run_sharded(cfg, plan: ShardPlan, shard_jobs: int,
     :class:`ShardExecutionError` naming the channel and cells.
 
     With ``telemetry`` set, each shard samples and times its own
-    kernel (``without_paths()`` — shards never write files); the merge
-    rebuilds the unsharded sample stream and registry and the *parent*
-    writes the JSONL artifact.  ``trace_export_path`` is refused: a
-    Chrome trace records one simulator's frames and cannot span
-    shards.
+    kernel (``without_paths()`` — shards never write files) and
+    :func:`merge_outcomes` writes the JSONL artifact.  Frame traces
+    are refused: one records a single simulator's frames and cannot
+    span shards.
     """
     if cfg.trace:
         raise ValueError(
@@ -272,7 +234,7 @@ def run_sharded(cfg, plan: ShardPlan, shard_jobs: int,
     shard_telemetry = (telemetry.without_paths()
                        if telemetry is not None else None)
     shards = plan.shards()
-    jobs = _effective_jobs(shard_jobs, plan.shard_count)
+    jobs = _effective_jobs(shard_jobs, len(shards))
     started = time.perf_counter()
     outcomes: Dict[int, ShardOutcome] = {}
     if jobs <= 1:
@@ -282,8 +244,11 @@ def run_sharded(cfg, plan: ShardPlan, shard_jobs: int,
                                                   shard_telemetry)
             except Exception as exc:
                 raise ShardExecutionError(channel, cells, exc) from exc
-        mode = "serial"
     else:
+        # Imported here only: a process pool's imports cost ~25 ms,
+        # which every serial run would otherwise pay at start-up.
+        from concurrent.futures import FIRST_COMPLETED, \
+            ProcessPoolExecutor, wait
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
                 pool.submit(execute_shard, cfg, cells,
@@ -300,9 +265,8 @@ def run_sharded(cfg, plan: ShardPlan, shard_jobs: int,
                     except Exception as exc:
                         raise ShardExecutionError(channel, cells,
                                                   exc) from exc
-        mode = "parallel"
     shard_info = {
-        "mode": mode,
+        "mode": "serial" if jobs <= 1 else "parallel",
         "jobs": jobs,
         "requested_jobs": shard_jobs,
         "wall_s": time.perf_counter() - started,
@@ -311,44 +275,42 @@ def run_sharded(cfg, plan: ShardPlan, shard_jobs: int,
             for channel, _ in shards},
         "plan": plan.describe(),
     }
-    return merge_outcomes(cfg, plan, outcomes, shard_info,
-                          telemetry=telemetry)
+    return outcomes, shard_info
 
 
 def merge_outcomes(cfg, plan: ShardPlan,
                    outcomes: Dict[int, ShardOutcome],
                    shard_info: Optional[Dict[str, Any]] = None,
                    telemetry: Optional[TelemetryConfig] = None):
-    """Reassemble one ScenarioResult from per-channel outcomes.
+    """Assemble the ScenarioResult from a plan's shard outcomes.
 
-    Ordering discipline: everything order-sensitive is rebuilt in the
-    *unsharded* run's order — static flows across all cells (ascending
+    Ordering discipline: everything order-sensitive is rebuilt in
+    whole-scenario order — static flows across all cells (ascending
     cell), then UDP sinks across all cells; cell blocks ascending;
     channel blocks in plan order; FCT collectors merged ascending by
     cell.  Float reductions over those sequences are then bit-identical
-    to the single-simulator run.
+    however the cells were split into shards.
 
-    Per-shard kernel counters (and telemetry blocks, when sampling
-    ran) are preserved verbatim as ``ScenarioResult.shard_blocks``;
-    the merged result's own ``kernel_stats`` is empty.
+    Kernel view: a one-shard plan reports that shard's counters as
+    the result's ``kernel_stats``.  Independent simulators' counters
+    are never summed — a multi-shard result's own ``kernel_stats`` is
+    empty and each shard's counters (and telemetry block, when
+    sampling ran) ride verbatim under ``ScenarioResult.shard_blocks``.
     """
     from .scenarios import ScenarioResult
 
-    ordered = [outcomes[channel] for channel in plan.channels]
+    ordered = [outcomes[channel] for channel, _ in plan.shards()]
     by_cell_tcp: Dict[int, List[Tuple[int, float]]] = {}
-    by_cell_udp: Dict[int, List[Tuple[int, float, str]]] = {}
+    by_cell_udp: Dict[int, List[Tuple[int, float]]] = {}
     for outcome in ordered:
         by_cell_tcp.update(outcome.tcp_flows_by_cell)
         by_cell_udp.update(outcome.udp_flows_by_cell)
     all_cells = sorted(by_cell_tcp)
 
     per_flow: Dict[int, float] = {}
-    for cell in all_cells:
-        for flow_id, mbps in by_cell_tcp[cell]:
-            per_flow[flow_id] = mbps
-    for cell in all_cells:
-        for pseudo_id, mbps, _name in by_cell_udp[cell]:
-            per_flow[pseudo_id] = mbps
+    for by_cell in (by_cell_tcp, by_cell_udp):
+        for cell in all_cells:
+            per_flow.update(by_cell[cell])
 
     completion: Dict[int, Optional[int]] = {}
     sender_counters: Dict[int, Dict[str, int]] = {}
@@ -367,24 +329,22 @@ def merge_outcomes(cfg, plan: ShardPlan,
             decomp[key] = decomp.get(key, 0) + value
         for key, value in outcome.rohc_counters.items():
             rohc[key] = rohc.get(key, 0) + value
-    adversary_counters = merge_adversary_blocks(
-        outcome.adversary_counters for outcome in ordered)
-    aqm = merge_aqm_blocks(outcome.aqm_counters
-                           for outcome in ordered
-                           if outcome.aqm_counters)
 
-    # Per-shard kernel/telemetry blocks, plan order: independent
-    # simulators' counters are reported, never summed.
-    shard_blocks = [
-        {
-            "channel": outcome.channel,
-            "cells": list(outcome.cell_indices),
-            "kernel_stats": dict(outcome.kernel_stats),
-            "telemetry": (dict(outcome.telemetry_block)
-                          if outcome.telemetry_block is not None
-                          else None),
-        }
-        for outcome in ordered]
+    if len(ordered) == 1:
+        kernel_stats = dict(ordered[0].kernel_stats)
+        shard_blocks = None
+    else:
+        kernel_stats = {}
+        shard_blocks = [
+            {
+                "channel": outcome.channels[0],
+                "cells": list(outcome.cell_indices),
+                "kernel_stats": dict(outcome.kernel_stats),
+                "telemetry": (dict(outcome.telemetry_block)
+                              if outcome.telemetry_block is not None
+                              else None),
+            }
+            for outcome in ordered]
 
     collectors = sorted(
         (pair for outcome in ordered for pair in outcome.collectors),
@@ -403,42 +363,39 @@ def merge_outcomes(cfg, plan: ShardPlan,
             (pair for outcome in ordered for pair in
              outcome.cell_blocks),
             key=lambda pair: pair[0])]
-    channel_blocks = [dict(outcome.channel_block)
-                      for outcome in ordered]
-    utilisation = sum(
-        block["utilisation"] for block in channel_blocks) \
-        / len(channel_blocks) if channel_blocks else 0.0
-
-    telemetry_block: Optional[Dict[str, Any]] = None
-    if telemetry is not None:
-        telemetry_block = _merge_telemetry(cfg, plan, ordered,
-                                           all_cells, telemetry)
+    channel_blocks = [dict(block) for outcome in ordered
+                      for block in outcome.channel_blocks]
 
     return ScenarioResult(
         config=cfg,
         per_flow_goodput_mbps=per_flow,
         mac_stats=mac_stats,
-        driver_stats={},
+        driver_metrics=driver_metrics,
         decomp_counters=decomp,
-        medium_frames_sent=sum(o.channel_block["frames_sent"]
-                               for o in ordered),
-        medium_frames_collided=sum(o.channel_block["frames_collided"]
-                                   for o in ordered),
-        medium_utilisation=utilisation,
+        medium_frames_sent=sum(block["frames_sent"]
+                               for block in channel_blocks),
+        medium_frames_collided=sum(block["frames_collided"]
+                                   for block in channel_blocks),
+        medium_utilisation=sum(
+            block["utilisation"] for block in channel_blocks)
+        / len(channel_blocks),
         completion_times_ns=completion,
         sender_counters=sender_counters,
-        kernel_stats={},
+        kernel_stats=kernel_stats,
         fct=fct_summary,
         udp_background_goodput_mbps=background,
         cell_blocks=cell_blocks,
         channel_blocks=channel_blocks,
-        driver_metrics=driver_metrics,
         shard_info=shard_info,
         shard_blocks=shard_blocks,
-        telemetry=telemetry_block,
+        telemetry=(_merge_telemetry(cfg, plan, ordered, all_cells,
+                                    telemetry)
+                   if telemetry is not None else None),
         rohc_counters=rohc,
-        aqm_counters=aqm,
-        adversary_counters=adversary_counters,
+        aqm_counters=merge_aqm_blocks(
+            outcome.aqm_counters for outcome in ordered),
+        adversary_counters=merge_adversary_blocks(
+            outcome.adversary_counters for outcome in ordered),
     )
 
 
@@ -446,13 +403,15 @@ def _merge_telemetry(cfg, plan: ShardPlan,
                      ordered: List[ShardOutcome],
                      all_cells: List[int],
                      telemetry: TelemetryConfig) -> Dict[str, Any]:
-    """Rebuild the unsharded telemetry block (and artifact) from the
-    per-shard products.
+    """The run's telemetry block (and, for a multi-shard plan, its
+    artifact) from the per-shard products.
 
-    * Samples: every shard emitted exactly the per-channel records the
-      unsharded run would have for its channel, so sorting the union
-      by ``(t_ns, plan channel order)`` restores the unsharded stream
-      line-for-line.
+    * Samples: every tick emits one record per channel, each shard
+      those of its own channels, so sorting the union by ``(t_ns,
+      plan channel order)`` gives the same stream however the cells
+      were split.  ``max_samples`` caps the run, not the shard: the
+      artifact carries the whole stream, the block counts the first
+      ``max_samples`` of it as retained and the rest as dropped.
     * Registry: per-channel/per-cell metric names are disjoint across
       shards, so merging is a disjoint union (plus the ``samples``
       counter, which genuinely sums).
@@ -468,36 +427,31 @@ def _merge_telemetry(cfg, plan: ShardPlan,
                             channel_order[record["channel"]]))
     registry = MetricsRegistry()
     for outcome in ordered:
-        if outcome.telemetry_registry is not None:
-            registry.merge(outcome.telemetry_registry)
-    span_blocks = [outcome.telemetry_block.get("spans")
-                   for outcome in ordered
-                   if outcome.telemetry_block is not None]
-    spans = (merge_span_blocks([b for b in span_blocks if b])
+        registry.merge(outcome.telemetry_registry)
+    span_blocks = [outcome.telemetry_block["spans"]
+                   for outcome in ordered]
+    spans = (merge_span_blocks(span_blocks)
              if any(span_blocks) else None)
-    emitted = sum(o.telemetry_emitted for o in ordered)
-    dropped = sum(o.telemetry_dropped for o in ordered)
-    block: Dict[str, Any] = {
+    emitted = sum(outcome.telemetry_block["samples"]
+                  for outcome in ordered)
+    retained = len(samples) if telemetry.max_samples is None \
+        else min(len(samples), telemetry.max_samples)
+    summary = {
+        "type": "summary",
         "sample_interval_ns": telemetry.sample_interval_ns,
         "samples": emitted,
-        "retained_samples": len(samples),
-        "dropped_samples": dropped,
+        "retained_samples": retained,
+        "dropped_samples": emitted - retained,
         "metrics": registry.as_dict(),
-        "enabled": True,
-        "spans": spans,
     }
-    if telemetry.telemetry_path:
-        summary = {
-            "type": "summary",
-            "sample_interval_ns": telemetry.sample_interval_ns,
-            "samples": emitted,
-            "retained_samples": len(samples),
-            "dropped_samples": dropped,
-            "metrics": registry.as_dict(),
-        }
+    # A one-shard plan ran with the caller's paths and streamed the
+    # artifact itself; shards of a wider plan never write files.
+    if telemetry.telemetry_path and len(ordered) > 1:
         write_telemetry_file(
             telemetry.telemetry_path,
             telemetry_meta(cfg, telemetry, list(plan.channels),
                            all_cells),
             samples, summary, spans)
+    block = dict(summary, enabled=True, spans=spans)
+    del block["type"]
     return block

@@ -134,7 +134,7 @@ class TestEndToEnd:
             traffic="tcp_download", policy=HackPolicy.TS_ECHO,
             duration_ns=1500 * MS, warmup_ns=700 * MS, stagger_ns=0))
         assert res.aggregate_goodput_mbps > 100
-        assert res.driver_stats["C1"].hack_frames_attached > 0
+        assert res.driver_metrics["C1"]["hack_frames_attached"] > 0
         assert res.decomp_counters["crc_failures"] == 0
         assert all(c["timeouts"] == 0
                    for c in res.sender_counters.values())

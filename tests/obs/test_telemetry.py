@@ -141,6 +141,29 @@ class TestShardEquivalence:
         assert sum(b["telemetry"]["samples"] for b in blocks) == \
             merged["samples"]
 
+    def test_max_samples_caps_the_run_not_the_shard(self, tmp_path):
+        """The cap is run-wide and never truncates the streamed
+        artifact, however the cells were split into shards."""
+        cfg = base_config(cells=2, channels=2, n_clients=1, seed=3)
+        streams, blocks = [], []
+        for jobs in (None, 1, 2):
+            path = tmp_path / f"jobs-{jobs}.jsonl"
+            result = run_scenario(cfg, shard_jobs=jobs,
+                                  telemetry=telemetry_config(
+                                      telemetry_path=str(path),
+                                      max_samples=5))
+            streams.append([line for line
+                            in path.read_text().splitlines()
+                            if json.loads(line)["type"] != "spans"])
+            blocks.append(deterministic_block(result.telemetry))
+        assert streams[0] == streams[1] == streams[2]
+        assert blocks[0] == blocks[1] == blocks[2]
+        # duration 900 ms, interval 50 ms -> 19 ticks x 2 channels.
+        assert len(load_telemetry(str(path))["samples"]) == 38
+        assert blocks[0]["samples"] == 38
+        assert blocks[0]["retained_samples"] == 5
+        assert blocks[0]["dropped_samples"] == 33
+
     def test_trace_export_refuses_to_shard(self, tmp_path):
         cfg = base_config(cells=2, channels=2, n_clients=1)
         with pytest.raises(ValueError, match="trace_export"):

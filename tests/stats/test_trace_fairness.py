@@ -166,7 +166,7 @@ class TestTimelineRendering:
         res = run_scenario(ScenarioConfig(
             duration_ns=400 * MS, warmup_ns=200 * MS,
             policy=HackPolicy.MORE_DATA, trace=True, stagger_ns=0))
-        text = res.trace.render_timeline(limit=100_000)
+        text = res.world.trace.render_timeline(limit=100_000)
         assert "ampdu" in text
         assert "block_ack" in text
         # MORE DATA and HACK-payload flags appear once the queue builds.
@@ -179,7 +179,7 @@ class TestTimelineRendering:
         res = run_scenario(ScenarioConfig(
             duration_ns=400 * MS, warmup_ns=200 * MS, trace=True,
             stagger_ns=0))
-        text = res.trace.render_timeline(limit=5)
+        text = res.world.trace.render_timeline(limit=5)
         assert len(text.splitlines()) <= 6
 
     def test_window_selection(self, sim):
@@ -188,6 +188,6 @@ class TestTimelineRendering:
         res = run_scenario(ScenarioConfig(
             duration_ns=400 * MS, warmup_ns=200 * MS, trace=True,
             stagger_ns=0))
-        early = res.trace.render_timeline(end_ns=50 * MS, limit=1000)
-        late = res.trace.render_timeline(start_ns=300 * MS, limit=1000)
+        early = res.world.trace.render_timeline(end_ns=50 * MS, limit=1000)
+        late = res.world.trace.render_timeline(start_ns=300 * MS, limit=1000)
         assert early and late and early != late

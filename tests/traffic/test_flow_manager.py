@@ -27,13 +27,13 @@ def churn_config(**overrides):
 class TestLifecycle:
     def test_flows_complete_and_are_torn_down(self):
         res = run_scenario(churn_config())
-        manager = res.traffic_manager
+        manager = res.world.traffic_manager
         assert manager.flows_spawned == 3
         assert manager.flows_completed == 3
         assert manager.live == {}
         # Endpoint maps are empty again: state was reclaimed.
-        assert res.clients["C1"].receivers == {}
-        assert res.clients["C2"].receivers == {}
+        assert res.world.clients["C1"].receivers == {}
+        assert res.world.clients["C2"].receivers == {}
         assert res.fct["flows_completed"] == 3
         assert res.fct["flows_censored"] == 0
         for record in res.fct["flows"]:
@@ -53,7 +53,7 @@ class TestLifecycle:
         assert 0 < record["bytes_delivered"] < 50_000_000
         assert res.fct["fct_ms"]["flows"] == 0   # zero-count block
         # Still live at run end, so nothing was reclaimed yet.
-        assert len(res.traffic_manager.live) == 1
+        assert len(res.world.traffic_manager.live) == 1
         assert res.fct["carried_load_mbps"] < \
             res.fct["offered_load_mbps"]
 
@@ -63,9 +63,9 @@ class TestLifecycle:
                 kind="trace", direction="upload",
                 trace=((0.0, 0, 100_000), (10.0, 1, 100_000)))))
         assert res.fct["flows_completed"] == 2
-        assert res.clients["C1"].senders == {}
+        assert res.world.clients["C1"].senders == {}
         # The server-side receiver map was reclaimed too.
-        assert res.traffic_manager.server.receivers == {}
+        assert res.world.traffic_manager.server.receivers == {}
 
     def test_hack_contexts_released_after_churn(self):
         res = run_scenario(churn_config(
@@ -74,8 +74,8 @@ class TestLifecycle:
                 size=SizeSpec(kind="fixed", bytes=30_000)),
             duration_ns=1 * SEC))
         assert res.fct["flows_completed"] > 20
-        live = len(res.traffic_manager.live)
-        for driver in res.drivers.values():
+        live = len(res.world.traffic_manager.live)
+        for driver in res.world.drivers.values():
             for ps in driver._peers.values():
                 assert len(ps.compressor.contexts) <= live
                 assert len(ps.decompressor.contexts) <= live
@@ -83,7 +83,7 @@ class TestLifecycle:
     def test_spawn_rejects_bad_size(self):
         res = run_scenario(churn_config())
         with pytest.raises(ValueError, match="size must be positive"):
-            res.traffic_manager.spawn(0, "C1")
+            res.world.traffic_manager.spawn(0, "C1")
 
     def test_dynamic_requires_arrivals(self):
         with pytest.raises(ValueError, match="requires an ArrivalSpec"):

@@ -189,13 +189,14 @@ class TestMultiCellChurn:
         assert has_completions(merged["fct_ms"])
 
     def test_per_cell_managers_tracked(self, result):
-        assert len(result.traffic_managers) == 2
-        assert result.traffic_manager is result.traffic_managers[0]
+        assert len(result.world.traffic_managers) == 2
+        assert result.world.traffic_manager is \
+            result.world.traffic_managers[0]
         # Disjoint dynamic-flow id ranges per cell.
         ids_a = {r.flow_id for r
-                 in result.traffic_managers[0].collector.records}
+                 in result.world.traffic_managers[0].collector.records}
         ids_b = {r.flow_id for r
-                 in result.traffic_managers[1].collector.records}
+                 in result.world.traffic_managers[1].collector.records}
         assert ids_a and ids_b
         assert not ids_a & ids_b
         # Cell ranges are strided far apart: cell A can spawn ten

@@ -4,6 +4,7 @@ import pytest
 
 from repro import HackPolicy, ScenarioConfig, run_scenario
 from repro.cli import main as cli_main
+from repro.experiments.runner import main as runner_main
 from repro.sim.units import MS, SEC
 
 
@@ -40,7 +41,7 @@ class TestFlowsPerClient:
             phy_mode="11n", n_clients=1, flows_per_client=2,
             duration_ns=600 * MS, warmup_ns=300 * MS,
             stagger_ns=10 * MS))
-        tuples = {f.sender.five_tuple.key() for f in res.flows}
+        tuples = {f.sender.five_tuple.key() for f in res.world.flows}
         assert len(tuples) == 2
 
 
@@ -96,3 +97,21 @@ class TestCli:
     def test_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
             cli_main(["bogus"])
+
+    def test_simulate_rejects_warmup_past_duration(self, capsys):
+        code = cli_main(["simulate", "--duration", "1", "--warmup", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "warmup_ns" in captured.err
+
+    @pytest.mark.parametrize("main, argv", [
+        (cli_main, ["simulate", "--shard-jobs", "0"]),
+        (runner_main, ["fig01", "--quick", "--shard-jobs", "-2"])])
+    def test_shard_jobs_must_be_positive(self, main, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "positive integer" in capsys.readouterr().err

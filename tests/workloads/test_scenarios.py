@@ -50,7 +50,7 @@ class TestTcpDownload11n:
 
     def test_hack_attaches_payloads(self):
         res = run_scenario(quick(HackPolicy.MORE_DATA))
-        assert res.driver_stats["C1"].hack_frames_attached > 0
+        assert res.driver_metrics["C1"]["hack_frames_attached"] > 0
         assert res.decomp_counters["acks_reconstructed"] > 100
 
     def test_augmented_acks_fit_aifs(self):
@@ -114,7 +114,7 @@ class TestUpload:
         assert vanilla.aggregate_goodput_mbps > 50
         assert hack.aggregate_goodput_mbps > \
             vanilla.aggregate_goodput_mbps
-        assert hack.driver_stats["AP"].hack_frames_attached > 0
+        assert hack.driver_metrics["AP"]["hack_frames_attached"] > 0
 
 
 class TestLossy:
@@ -163,3 +163,11 @@ class TestDeterminism:
         a = run_scenario(quick(HackPolicy.MORE_DATA, seed=5))
         b = run_scenario(quick(HackPolicy.MORE_DATA, seed=6))
         assert a.medium_frames_sent != b.medium_frames_sent
+
+
+class TestValidation:
+    @pytest.mark.parametrize("warmup_ns", [300 * MS, 600 * MS, -1])
+    def test_empty_measurement_window_rejected(self, warmup_ns):
+        with pytest.raises(ValueError, match="warmup_ns"):
+            run_scenario(ScenarioConfig(duration_ns=300 * MS,
+                                        warmup_ns=warmup_ns))

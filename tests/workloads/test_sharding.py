@@ -20,12 +20,13 @@ existed.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ScenarioConfig, run_scenario
 from repro.sim.units import MS
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 from repro.workloads.sharding import ShardExecutionError, ShardPlan, \
-    execute_shard
+    execute_shard, merge_outcomes
 
 from tests.workloads.test_multi_cell import base_config, normalised
 
@@ -73,6 +74,14 @@ class TestShardPlan:
         with pytest.raises(ValueError, match="channel"):
             ShardPlan.from_config(
                 base_config(cells=2, channels=2, cell_channel=(0, 5)))
+
+    def test_one_shard_plan_holds_every_cell(self):
+        plan = ShardPlan.from_config(
+            base_config(cells=4, channels=3,
+                        cell_channel=(2, 0, 2, 1)), by_channel=False)
+        assert plan.channels == (2, 0, 1)
+        assert plan.shard_count == 1
+        assert plan.shards() == [(2, (0, 1, 2, 3))]
 
 
 class TestShardEquivalence:
@@ -128,14 +137,71 @@ class TestShardEquivalence:
         assert parallel.shard_info["mode"] == "parallel"
 
     def test_single_channel_sharding_is_identity(self):
-        """One channel -> one shard -> run_scenario's plain path: the
-        shard machinery must not even engage."""
+        """One channel -> a one-shard plan whatever ``shard_jobs``
+        says: the same in-process run, live world included."""
         cfg = base_config(cells=2, n_clients=1, seed=2)
         plain = run_scenario(cfg)
         routed = run_scenario(cfg, shard_jobs=4)
         assert normalised(plain.metrics_dict()) == \
             normalised(routed.metrics_dict())
         assert routed.shard_info is None
+
+
+    def test_world_is_live_iff_one_simulator_ran(self, static_runs):
+        unsharded, sharded = static_runs
+        assert sharded.world is None
+        world = unsharded.world
+        assert [net.index for net in world.cells] == [0, 1, 2, 3]
+        assert world.sim.stats.as_dict() == unsharded.kernel_stats
+        assert set(world.drivers) == set(unsharded.driver_metrics)
+        # One channel is one shard whatever shard_jobs asks for.
+        single = run_scenario(base_config(cells=2, n_clients=1, seed=2),
+                              shard_jobs=4)
+        assert single.world.channels == (0,)
+
+    def test_one_shard_spans_every_channel(self):
+        cfg = base_config(cells=4, channels=3, n_clients=1, seed=3,
+                          cell_channel=(2, 0, 2, 1))
+        result = run_scenario(cfg)
+        metrics = result.metrics_dict()
+        assert metrics["kernel_stats"]["events_executed"] > 0
+        assert "shards" not in metrics
+        assert result.shard_info is None
+        assert [block["channel"] for block in metrics["channels"]] \
+            == list(cfg.ordered_channels()) == [2, 0, 1]
+        assert metrics_except_kernel(result) == \
+            metrics_except_kernel(run_scenario(cfg, shard_jobs=1))
+
+    def test_shard_jobs_below_one_rejected(self):
+        cfg = base_config(cells=2, channels=2)
+        for jobs in (0, -2):
+            with pytest.raises(ValueError, match="shard_jobs"):
+                run_scenario(cfg, shard_jobs=jobs)
+
+
+class TestMergeOrder:
+    """A pool completes shards in any order; the merge must not care
+    how its ``outcomes`` mapping was filled."""
+
+    @pytest.fixture(scope="class")
+    def shards(self):
+        cfg = base_config(cells=3, channels=3, n_clients=1, seed=5,
+                          duration_ns=1200 * MS, warmup_ns=400 * MS,
+                          arrivals=CHURN["arrivals"])
+        plan = ShardPlan.from_config(cfg)
+        outcomes = {channel: execute_shard(cfg, cells)
+                    for channel, cells in plan.shards()}
+        reference = normalised(
+            merge_outcomes(cfg, plan, outcomes).metrics_dict())
+        return cfg, plan, outcomes, reference
+
+    @given(order=st.permutations([0, 1, 2]))
+    @settings(max_examples=6, deadline=None)
+    def test_merge_ignores_insertion_order(self, shards, order):
+        cfg, plan, outcomes, reference = shards
+        shuffled = {channel: outcomes[channel] for channel in order}
+        merged = merge_outcomes(cfg, plan, shuffled).metrics_dict()
+        assert normalised(merged) == reference
 
 
 class TestIsolationOracle:
@@ -151,7 +217,7 @@ class TestIsolationOracle:
             block = dict(combined.cell_blocks[cell])
             shard_block = dict(outcome.cell_blocks[0][1])
             assert normalised(block) == normalised(shard_block)
-            assert outcome.channel_block == \
+            assert outcome.channel_blocks[0] == \
                 combined.channel_blocks[plan.channels.index(channel)]
 
     def test_static_cells_isolated(self):
@@ -176,8 +242,9 @@ class TestShardGuards:
         tracer tags records with their channel id."""
         cfg = base_config(cells=2, channels=2, trace=True)
         result = run_scenario(cfg)
-        assert result.trace is not None
-        channels = {record.channel for record in result.trace.records}
+        assert result.world.trace is not None
+        channels = {record.channel
+                    for record in result.world.trace.records}
         assert channels == {0, 1}
 
     def test_shard_failure_names_the_shard(self):
