@@ -60,7 +60,7 @@ python -m repro.cli scenarios          # list registered scenarios
   maps each experiment name to a document of the form:
 
 ```json
-{{"format": "repro-sweep-result", "version": 2, "engine": 2,
+{{"format": "repro-sweep-result", "version": 2, "engine": 3,
   "spec": "fig10", "executed": 79, "cache_hits": 0,
   "failed": 1, "interrupted": false,
   "records": [{{"key": [1, "TCP/802.11"], "seed": 1,
@@ -541,8 +541,12 @@ reports the kernel counters every ``ScenarioResult`` carries in
 ``kernel_stats`` (also printed by ``repro simulate --kernel-stats``)
 as ``sim.engine.events_executed`` / ``events_scheduled`` /
 ``cancelled_ratio`` / ``heap_compactions``, plus
-``sim.engine.us_per_event`` and the dispatch micro-loop
-``sim.engine.noop_ns_per_event``.
+``sim.engine.us_per_event`` and the micro-loops
+``sim.engine.noop_ns_per_event`` (dispatch) and
+``sim.engine.rearm_ns_per_op`` (cancel-and-reschedule of one event).
+``kernel_stats`` also carries ``timer_rearms``; the exact counts of the
+quick ten-client cell are pinned in
+``tests/workloads/test_kernel_counts.py``.
 
 Three hot-path reworks landed together, none of which moves a single
 output digit (pinned by ``tests/experiments/test_golden_rows.py`` and
@@ -562,7 +566,45 @@ test_kernel_equivalence.py``):
 * Plus heap hygiene: cancelled events are counted out in O(1)
   (``pending_events`` no longer scans) and the heap compacts in place
   whenever dead entries outnumber live ones, so timer-heavy runs stay
-  bounded (regression-tested with a 10^6-cancel run).
+  bounded (regression-tested with a 10^6-cancel run).  Heap entries
+  are plain ``(time, priority, seq, item)`` tuples, so every sift
+  comparison is done in C and never reaches the item.
+
+A fourth landed in PR 13, again without moving a digit (a hypothesis
+differential oracle in ``tests/sim/test_timer.py`` holds it to the
+cancel-and-``schedule`` idiom it replaced):
+
+* **Re-armable timers** — TCP's RTO is pushed back by every ACK and
+  the delayed-ACK timer disarmed by every second segment, so on the
+  ten-client stock-TCP benchmark cell 95 612 of 449 974 scheduled
+  events (47 826 RTO + 47 786 delayed-ACK, all but 15 cancelled)
+  existed only to be thrown away.  ``sim.engine.Timer`` keeps at most
+  one useful heap entry per logical timer.  The **reserved-sequence
+  rule** is what makes it exact: ``arm()`` takes a sequence number
+  exactly where ``schedule()`` would have and writes ``(deadline,
+  seq)`` into the timer; nothing is pushed while the entry already
+  queued is not later than the new deadline.  When that entry pops it
+  is re-queued under the reserved ``(deadline, 0, seq)`` key if the
+  timer is still armed, dropped if not — without touching the clock
+  or ``events_executed`` — and only a deadline that moved *earlier*
+  pushes afresh.  The callback therefore runs under the very key an
+  eager cancel + ``schedule`` would have given it.  The sender's RTO,
+  pacing and persist timers, the receiver's delayed-ACK timer and the
+  HACK driver's per-peer flush timer use it; closing a flow drops the
+  timer's callback, so an entry left queued never keeps a finished
+  sender or receiver alive.  Counts: ``events_scheduled`` is heap
+  pushes, ``events_cancelled`` entries that will never dispatch (an
+  event when it is cancelled; a timer's entry when an earlier one
+  supersedes it, when the timer is closed, or when it pops as a mere
+  stand-in), ``timer_rearms`` the arms that needed no push.  On that cell
+  (10.5 s, seed 1): scheduled 449 974 -> 355 960, cancelled / scheduled
+  0.296 -> 0.111, heap compactions 2 125 -> 0, 94 691 re-arms absorbed,
+  executed unchanged at 316 479.  DCF's defer/backoff/response timers
+  stay plain events: their deadlines are tens of microseconds away,
+  the stale entry would pop before the next arm, and laziness would
+  only turn a cancel into a no-op pop (on the churn city 72 084 of
+  120 674 ``_defer_done`` events are still cancelled — the open share
+  of the cancelled ratio).
 
 Headline of the PR 2 measurement (1.5 s windows, seed 1; a historical
 record from the per-PR benchmark file the ledger replaced): the

@@ -385,6 +385,8 @@ def _simulate(args: argparse.Namespace) -> int:
                   f"{kernel['events_cancelled']} cancelled, "
                   f"{kernel['events_scheduled']} scheduled")
             print(f"heap compactions  : {kernel['heap_compactions']}")
+            print(f"timer re-arms     : {kernel['timer_rearms']} "
+                  f"absorbed without a heap push")
         if result.shard_blocks:
             # Sharded runs: each shard ran its own kernel, so the
             # counters are per shard, never summed.
@@ -396,7 +398,8 @@ def _simulate(args: argparse.Namespace) -> int:
                       f"{shard_kernel['events_cancelled']} cancelled, "
                       f"{shard_kernel['events_scheduled']} scheduled, "
                       f"{shard_kernel['heap_compactions']} "
-                      f"compactions")
+                      f"compactions, "
+                      f"{shard_kernel['timer_rearms']} timer re-arms")
     if result.telemetry is not None:
         tele = result.telemetry
         print(f"telemetry         : {tele['samples']} samples @ "

@@ -36,7 +36,7 @@ from ..mac.frames import AmpduFrame, BarFrame, Mpdu
 from ..rohc.compressor import Compressor
 from ..rohc.decompressor import Decompressor
 from ..rohc.packets import CompressedAck, build_frame
-from ..sim.engine import Simulator
+from ..sim.engine import Simulator, Timer
 from ..tcp.segment import TcpSegment
 from .policies import HackConfig, HackPolicy
 
@@ -67,16 +67,21 @@ class _PeerState:
     """Per-peer HACK state (a client has one peer: its AP)."""
 
     __slots__ = ("more_data_latched", "buffer", "last_seen_seq",
-                 "compressor", "decompressor", "flush_event",
-                 "flush_after_response", "ack_ts_sent", "echo_seen")
+                 "compressor", "decompressor", "flush_timer",
+                 "flush_reason", "flush_after_response", "ack_ts_sent",
+                 "echo_seen")
 
-    def __init__(self, init_vanilla_acks: int, clock=None):
+    def __init__(self, init_vanilla_acks: int, flush_timer: Timer,
+                 clock=None):
         self.more_data_latched = False
         self.buffer: List[CompressedAck] = []
         self.last_seen_seq = -1
         self.compressor = Compressor(init_threshold=init_vanilla_acks)
         self.decompressor = Decompressor(clock=clock)
-        self.flush_event = None
+        #: Flush-to-vanilla timer and why it was armed ("timer" /
+        #: "stall_guard": the first to arm it wins).
+        self.flush_timer = flush_timer
+        self.flush_reason = ""
         self.flush_after_response = False
         # TS_ECHO state: per flow, the ts_val of the newest ACK we sent
         # and the newest ts_ecr observed on arriving data (§5).
@@ -104,8 +109,10 @@ class HackDriver(MacUpper):
 
     def peer(self, name: str) -> _PeerState:
         if name not in self._peers:
-            self._peers[name] = _PeerState(self.config.init_vanilla_acks,
-                                           clock=self._clock)
+            self._peers[name] = _PeerState(
+                self.config.init_vanilla_acks,
+                Timer(self.sim, lambda: self._flush_fires(name)),
+                clock=self._clock)
         return self._peers[name]
 
     def buffered_acks(self) -> int:
@@ -152,8 +159,7 @@ class HackDriver(MacUpper):
         if policy is HackPolicy.EXPLICIT_TIMER:
             if ps.compressor.can_compress(ack):
                 self._buffer_compressed(ps, ack, peer_name)
-                self._arm_flush(ps, peer_name,
-                                self.config.flush_after_ns, "timer")
+                self._arm_flush(ps, self.config.flush_after_ns, "timer")
                 return True
             return self._send_vanilla(ps, ack, peer_name)
         # OPPORTUNISTIC: queue normally; compression happens when the
@@ -180,25 +186,24 @@ class HackDriver(MacUpper):
             self._flush_buffer(ps, peer_name)
         ps.buffer.append(ps.compressor.compress(ack))
         if self.config.stall_guard_ns is not None:
-            self._arm_flush(ps, peer_name, self.config.stall_guard_ns,
+            self._arm_flush(ps, self.config.stall_guard_ns,
                             "stall_guard")
 
     # ------------------------------------------------------------------
     # Flush-to-vanilla machinery (explicit timer / stall guard / caps)
     # ------------------------------------------------------------------
-    def _arm_flush(self, ps: _PeerState, peer_name: str,
-                   delay_ns: Optional[int], reason: str) -> None:
-        if delay_ns is None or ps.flush_event is not None:
+    def _arm_flush(self, ps: _PeerState, delay_ns: Optional[int],
+                   reason: str) -> None:
+        if delay_ns is None or ps.flush_timer.armed:
             return
-        ps.flush_event = self.sim.schedule(
-            delay_ns, self._flush_fires, ps, peer_name, reason)
+        ps.flush_reason = reason
+        ps.flush_timer.arm(delay_ns)
 
-    def _flush_fires(self, ps: _PeerState, peer_name: str,
-                     reason: str) -> None:
-        ps.flush_event = None
+    def _flush_fires(self, peer_name: str) -> None:
+        ps = self._peers[peer_name]
         if not ps.buffer:
             return
-        if reason == "timer":
+        if ps.flush_reason == "timer":
             self.stats.timer_flushes += 1
         else:
             self.stats.stall_guard_flushes += 1
@@ -211,9 +216,7 @@ class HackDriver(MacUpper):
         the compressor is rebased because the decompressor may have
         never seen the discarded deltas."""
         entries, ps.buffer = ps.buffer, []
-        if ps.flush_event is not None:
-            ps.flush_event.cancel()
-            ps.flush_event = None
+        ps.flush_timer.cancel()
         ps.compressor.rebase_all()
         for entry in entries:
             if entry.segment is not None:

@@ -65,7 +65,9 @@ from .progress import SweepProgress
 
 #: Bump to invalidate every cached cell (simulator semantics changed).
 #: 2: lazy-backoff kernel + kernel_stats in every metrics record.
-ENGINE_VERSION = 2
+#: 3: re-armable timers — rows unchanged, but the cached kernel_stats
+#:    (fewer scheduled/cancelled events, new timer_rearms) are not.
+ENGINE_VERSION = 3
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``

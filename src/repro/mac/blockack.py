@@ -174,8 +174,10 @@ class BlockAckRecipient:
 
     def acked_set(self, start: int) -> FrozenSet[int]:
         """Scoreboard bitmap covering [start, start + window)."""
-        end = start + self.window
-        return frozenset(s for s in self._seen if start <= s < end)
+        # Walk the window against the history, not the (up to
+        # 2 * history entries of) history against the window.
+        return frozenset(self._seen.intersection(
+            range(start, start + self.window)))
 
     def has_seen(self, seq: int) -> bool:
         return seq in self._seen

@@ -35,6 +35,10 @@ noticing the busy medium); the remainder resumes after the next
 idle + IFS.  This produces bit-identical behaviour to the historical
 slotted countdown (kept verbatim in ``tests/mac/slotted_reference.py``
 as an oracle) at a fraction of the event cost.
+
+The defer, backoff and response-timeout timers are plain cancellable
+events, not :class:`~repro.sim.engine.Timer` objects: see that module's
+docstring for why laziness would not pay at these time scales.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate: engine, medium, wired links."""
 
-from .engine import Event, Simulator
+from .engine import Event, Simulator, Timer
 from .medium import Medium, MediumListener, Transmission
 from .rng import RngRegistry
 from .units import MS, NS, SEC, US, msec, sec, throughput_mbps, to_msec, \
@@ -8,7 +8,8 @@ from .units import MS, NS, SEC, US, msec, sec, throughput_mbps, to_msec, \
 from .wired import WiredLink, WiredPipe
 
 __all__ = [
-    "Event", "Simulator", "Medium", "MediumListener", "Transmission",
+    "Event", "Simulator", "Timer", "Medium", "MediumListener",
+    "Transmission",
     "RngRegistry", "WiredLink", "WiredPipe",
     "NS", "US", "MS", "SEC", "usec", "msec", "sec",
     "to_usec", "to_msec", "to_sec", "transmission_time_ns",

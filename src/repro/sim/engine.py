@@ -1,29 +1,57 @@
 """Discrete-event simulation engine.
 
-A minimal but complete event scheduler: events are ``(time, priority,
-sequence, callback)`` tuples kept in a binary heap.  Ties on time are
-broken first by an explicit priority (lower runs first) and then by
-insertion order, which makes runs fully deterministic.
+A minimal but complete event scheduler: the heap holds plain
+``(time, priority, sequence, item)`` tuples, so every sift comparison
+is a C tuple comparison that never reaches ``item`` (sequence numbers
+are unique).  Ties on time are broken first by an explicit priority
+(lower runs first) and then by insertion order, which makes runs fully
+deterministic.
 
-Events can be cancelled; cancellation is O(1) (the heap entry is marked
-dead and skipped when popped), which matters because the MAC layer
-cancels timers constantly (ACK timeouts, backoff expiries).  The heap
-is kept hygienic under heavy cancellation: a live-event counter makes
-:attr:`Simulator.pending_events` O(1), and the heap is compacted in
-place whenever dead entries outnumber live ones, so a long run that
-schedules and cancels millions of timers keeps a bounded heap instead
-of accreting garbage until the run ends.
+Two kinds of item sit in the heap:
 
-:attr:`Simulator.stats` counts scheduled/executed/cancelled events and
-compactions; scenario results surface it so benchmarks can report
-kernel overhead (events per simulated exchange) alongside goodput.
+* an :class:`Event` — one callback at one fixed time.  Cancelling it is
+  O(1): the entry is marked dead and skipped when popped.  The MAC's
+  defer/backoff/response timers are plain events: their deadlines are
+  tens of microseconds away, so a cancelled one pops before the next is
+  armed and there is nothing for laziness to absorb (on the
+  ``churn_city_20cell`` benchmark cell 72 084 of 120 674 ``_defer_done``
+  events are cancelled, and each would merely turn into a stale pop).
+* a :class:`Timer` — a logical timer that is re-armed far more often
+  than it fires (TCP's RTO is pushed back by every ACK, the delayed-ACK
+  timer is disarmed by every second segment).  It keeps at most one
+  useful heap entry: :meth:`Timer.arm` takes a sequence number exactly
+  where ``schedule()`` would have and writes ``(deadline, seq)`` into
+  the timer; as long as the queued entry is not later than the new
+  deadline nothing is pushed.  When that entry pops, the run loop
+  re-queues it under the reserved ``(deadline, 0, seq)`` key if the
+  timer is still armed, or drops it.  The timer therefore fires under
+  the very key an eager cancel-and-``schedule`` would have used, and
+  execution order is identical by construction.  On the ten-client
+  bulk cell this removes 94 014 of 449 974 heap pushes and all 2 125
+  heap compactions.
+
+The heap is kept hygienic under heavy cancellation: a live counter
+makes :attr:`Simulator.pending_events` O(1), and the heap is compacted
+in place whenever dead entries (cancelled events, stale timer entries)
+outnumber live ones, so a long run that schedules and cancels millions
+of timers keeps a bounded heap instead of accreting garbage until the
+run ends.
+
+:attr:`Simulator.stats` counts heap pushes (``scheduled``), dispatched
+callbacks (``executed``), entries that will never dispatch
+(``cancelled``: an event when it is cancelled; a timer's entry when an
+earlier one supersedes it, when the timer is closed, or when it pops
+as a mere stand-in), compactions and the timer arms that needed no
+push (``timer_rearms``), so ``scheduled`` always equals ``executed`` +
+``cancelled`` + the entries still of use; scenario results surface it
+so benchmarks can report kernel overhead alongside goodput.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .units import SEC
 
@@ -43,7 +71,7 @@ class Event:
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args",
-                 "cancelled", "sim", "sort_key")
+                 "cancelled", "sim")
 
     def __init__(self, time: int, priority: int, seq: int,
                  callback: Callable[..., Any], args: tuple,
@@ -57,10 +85,6 @@ class Event:
         #: Owning simulator while the event sits in the heap (cleared
         #: when popped, so late cancels cannot corrupt live counts).
         self.sim = sim
-        #: Precomputed ordering key: heap sift comparisons dominate
-        #: scheduling cost, and building two tuples per ``__lt__`` was
-        #: measurable at hundreds of thousands of comparisons per run.
-        self.sort_key = (time, priority, seq)
 
     def cancel(self) -> None:
         """Mark this event dead; it will be skipped by the main loop."""
@@ -72,24 +96,137 @@ class Event:
             self.sim = None
             sim._event_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key < other.sort_key
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time} prio={self.priority} {state}>"
 
 
+class Timer:
+    """A re-armable timer with at most one useful heap entry.
+
+    ``arm(delay)`` behaves exactly like cancelling the previous
+    deadline and calling ``sim.schedule(delay, callback)`` — the same
+    sequence number is consumed, so the callback runs in the same
+    position — but while the entry already queued is not later than
+    the new deadline it is a field write, not a heap push.  The timer
+    disarms itself just before its callback runs, so the callback may
+    re-arm it.
+
+    A cancelled timer's entry stays queued until its old time (or the
+    next compaction); :meth:`close` additionally drops the callback so
+    that entry no longer keeps the timer's owner alive.
+    """
+
+    __slots__ = ("sim", "callback", "deadline", "_seq",
+                 "_queued_time", "_queued_seq")
+
+    #: What tells the run loop and compaction that a heap item is a
+    #: timer: an :class:`Event`'s ``args`` is always a tuple, and its
+    #: ``cancelled`` flag is what they test first.
+    args = None
+    cancelled = False
+
+    def __init__(self, sim: "Simulator", callback: Callable[[], Any]):
+        self.sim = sim
+        self.callback: Optional[Callable[[], Any]] = callback
+        #: Absolute time the timer fires at; None while disarmed.
+        self.deadline: Optional[int] = None
+        #: Sequence number reserved by the current arm (0: disarmed).
+        self._seq = 0
+        #: Key of the heap entry standing in for this timer (seq 0:
+        #: none).  Older entries it superseded are dropped when popped.
+        self._queued_time = 0
+        self._queued_seq = 0
+
+    @property
+    def armed(self) -> bool:
+        return self._seq != 0
+
+    def arm(self, delay: int) -> None:
+        """(Re)start the timer to fire ``delay`` ns from now."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        if self.callback is None:
+            raise RuntimeError("cannot arm a closed timer")
+        sim = self.sim
+        sim._seq += 1
+        if not self._seq:
+            sim._live += 1
+            if self._queued_seq:
+                sim._parked -= 1
+        self._seq = sim._seq
+        self.deadline = deadline = sim.now + delay
+        if self._queued_seq and self._queued_time <= deadline:
+            sim.stats.timer_rearms += 1
+        else:
+            self._push()
+
+    def cancel(self) -> None:
+        """Disarm; harmless when not armed (e.g. after firing).  The
+        queued entry stays parked, ready to absorb the next arm."""
+        if self._seq:
+            self._seq = 0
+            self.deadline = None
+            sim = self.sim
+            sim._live -= 1
+            sim._parked += 1
+
+    def close(self) -> None:
+        """Cancel for good and let go of the callback's owner; a
+        parked entry becomes dead weight compaction may reclaim."""
+        self.cancel()
+        if self._queued_seq:
+            self._queued_seq = 0
+            self.sim._parked -= 1
+            self.sim.stats.cancelled += 1
+        self.callback = None
+
+    def _push(self) -> None:
+        """Queue an entry under the current arm's reserved key; an
+        entry it supersedes (it is later) is dead from here on."""
+        sim = self.sim
+        if self._queued_seq:
+            sim.stats.cancelled += 1
+        self._queued_time = self.deadline
+        self._queued_seq = self._seq
+        heappush(sim._heap, (self.deadline, 0, self._seq, self))
+        sim.stats.scheduled += 1
+
+    def _popped(self, seq: int) -> bool:
+        """The run loop popped this timer's entry ``seq``.  True if it
+        is the armed deadline (the timer is then disarmed, ready to
+        fire); otherwise a stand-in, re-queued under the current arm's
+        key if there is one, or an already dead entry."""
+        if seq == self._seq:
+            self._seq = self._queued_seq = 0
+            self.deadline = None
+            return True
+        if seq == self._queued_seq:
+            self._queued_seq = 0
+            if self._seq:
+                self._push()
+            else:
+                self.sim._parked -= 1
+            self.sim.stats.cancelled += 1
+        return False
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = f"armed t={self.deadline}" if self._seq else "disarmed"
+        return f"<Timer {state}>"
+
+
 class SimStats:
     """Kernel counters, cheap enough to keep always-on."""
 
-    __slots__ = ("scheduled", "executed", "cancelled", "compactions")
+    __slots__ = ("scheduled", "executed", "cancelled", "compactions",
+                 "timer_rearms")
 
     def __init__(self) -> None:
         self.scheduled = 0
         self.executed = 0
         self.cancelled = 0
         self.compactions = 0
+        self.timer_rearms = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -97,12 +234,14 @@ class SimStats:
             "events_executed": self.executed,
             "events_cancelled": self.cancelled,
             "heap_compactions": self.compactions,
+            "timer_rearms": self.timer_rearms,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SimStats scheduled={self.scheduled} "
                 f"executed={self.executed} cancelled={self.cancelled} "
-                f"compactions={self.compactions}>")
+                f"compactions={self.compactions} "
+                f"timer_rearms={self.timer_rearms}>")
 
 
 class Simulator:
@@ -118,9 +257,12 @@ class Simulator:
     def __init__(self) -> None:
         self.now: int = 0
         self.stats = SimStats()
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[int, int, int, Any]] = []
         self._seq: int = 0
+        #: Pending events plus armed timers, and the disarmed timers
+        #: whose entry is parked: what compaction must keep.
         self._live: int = 0
+        self._parked: int = 0
         self._running = False
         self._stopped = False
         self._frame_ids: int = 0
@@ -156,8 +298,15 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self.schedule_at(self.now + delay, callback, *args,
-                                priority=priority)
+        # Same push as schedule_at, inlined: this is the hottest call
+        # in the kernel and forwarding would re-pack ``args``.
+        time = self.now + delay
+        self._seq = seq = self._seq + 1
+        event = Event(time, priority, seq, callback, args, self)
+        heappush(self._heap, (time, priority, seq, event))
+        self._live += 1
+        self.stats.scheduled += 1
+        return event
 
     def schedule_at(self, time: int, callback: Callable[..., Any],
                     *args: Any, priority: int = 0) -> Event:
@@ -165,9 +314,9 @@ class Simulator:
         if time < self.now:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self.now}")
-        self._seq += 1
-        event = Event(time, priority, self._seq, callback, args, self)
-        heapq.heappush(self._heap, event)
+        self._seq = seq = self._seq + 1
+        event = Event(time, priority, seq, callback, args, self)
+        heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         self.stats.scheduled += 1
         return event
@@ -179,9 +328,9 @@ class Simulator:
         """Bookkeeping callback from :meth:`Event.cancel`."""
         self._live -= 1
         self.stats.cancelled += 1
-        heap = self._heap
-        if (len(heap) > _COMPACT_MIN_SIZE
-                and (len(heap) - self._live) * 2 > len(heap)):
+        size = len(self._heap)
+        if (size > _COMPACT_MIN_SIZE
+                and (size - self._live - self._parked) * 2 > size):
             self._compact()
 
     def _compact(self) -> None:
@@ -193,8 +342,11 @@ class Simulator:
         rebuilding the heap cannot reorder execution.
         """
         heap = self._heap
-        heap[:] = [event for event in heap if not event.cancelled]
-        heapq.heapify(heap)
+        heap[:] = [entry for entry in heap
+                   if not entry[3].cancelled
+                   and (entry[3].args is not None
+                        or entry[2] == entry[3]._queued_seq)]
+        heapify(heap)
         self.stats.compactions += 1
 
     # ------------------------------------------------------------------
@@ -206,7 +358,9 @@ class Simulator:
         ``max_events`` have executed.  Returns the number of events run.
 
         ``until`` is exclusive: an event at exactly ``until`` does not run,
-        and ``now`` is advanced to ``until`` when the horizon is hit.
+        and ``now`` is advanced to ``until`` when the horizon is hit (the
+        clock never moves backwards: a horizon already passed leaves it
+        alone).
         """
         if until is None:
             until = _FOREVER
@@ -216,7 +370,6 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
-        pop = heapq.heappop
         # Bound once: the per-event cost of the disabled mode is one
         # local ``is None`` test (measured on bench/ledger.json's
         # ``sim.engine.noop_ns_per_event``).
@@ -228,24 +381,33 @@ class Simulator:
                     break
                 if executed >= max_events:
                     break
-                event = heap[0]
+                time, _, seq, event = heap[0]
                 if event.cancelled:
-                    pop(heap)
+                    heappop(heap)
                     continue
-                if event.time >= until:
-                    self.now = until
+                if time >= until:
+                    self.now = max(self.now, until)
                     break
-                pop(heap)
-                event.sim = None
+                heappop(heap)
+                args = event.args
+                if args is None:
+                    # A Timer's entry: fires only if it is the armed
+                    # deadline, else it was re-queued or dropped —
+                    # without touching the clock or the event count.
+                    if not event._popped(seq):
+                        continue
+                    args = ()
+                else:
+                    event.sim = None
                 self._live -= 1
-                self.now = event.time
+                self.now = time
+                callback = event.callback
                 if record is None:
-                    event.callback(*event.args)
+                    callback(*args)
                 else:
                     started = perf_counter_ns()
-                    event.callback(*event.args)
-                    record(event.callback, event.time,
-                           perf_counter_ns() - started)
+                    callback(*args)
+                    record(callback, time, perf_counter_ns() - started)
                 executed += 1
             else:
                 # Heap drained; advance the clock to the horizon if finite.
@@ -262,7 +424,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still queued.  O(1)."""
+        """Number of not-yet-cancelled events and armed timers still
+        queued.  O(1)."""
         return self._live
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim.engine import Simulator
+from ..sim.engine import Simulator, Timer
 from ..sim.units import MS
 from .segment import FiveTuple, TcpSegment
 
@@ -46,7 +46,7 @@ class TcpReceiver:
         self.rcv_nxt = 0
         self._ooo: Dict[int, int] = {}     # seq -> length
         self._pending_ack_segments = 0
-        self._delack_event = None
+        self._delack_timer = Timer(sim, self._delack_fires)
         self._last_ts_val = 0
 
         # Counters.
@@ -87,8 +87,8 @@ class TcpReceiver:
         self._pending_ack_segments += 1
         if not self.delayed_ack or self._pending_ack_segments >= 2:
             self._send_ack(immediate=True)
-        else:
-            self._arm_delack()
+        elif not self._delack_timer.armed:
+            self._delack_timer.arm(self.delack_timeout_ns)
 
     def _drain_ooo(self) -> None:
         moved = 0
@@ -127,9 +127,7 @@ class TcpReceiver:
 
     def _send_ack(self, immediate: bool = False) -> None:
         self._pending_ack_segments = 0
-        if self._delack_event is not None:
-            self._delack_event.cancel()
-            self._delack_event = None
+        self._delack_timer.cancel()
         ack = TcpSegment(
             flow_id=self.flow_id, src=self.src, dst=self.dst,
             seq=0, payload_bytes=0, ack=self.rcv_nxt,
@@ -141,18 +139,11 @@ class TcpReceiver:
         self.output(ack)
 
     def close(self) -> None:
-        """Tear down: cancel the delayed-ACK timer (flow reclaim)."""
-        if self._delack_event is not None:
-            self._delack_event.cancel()
-            self._delack_event = None
+        """Tear down: close the delayed-ACK timer (flow reclaim), so
+        no heap entry left behind keeps this receiver alive."""
+        self._delack_timer.close()
         self._pending_ack_segments = 0
 
-    def _arm_delack(self) -> None:
-        if self._delack_event is None:
-            self._delack_event = self.sim.schedule(
-                self.delack_timeout_ns, self._delack_fires)
-
     def _delack_fires(self) -> None:
-        self._delack_event = None
         if self._pending_ack_segments > 0:
             self._send_ack()

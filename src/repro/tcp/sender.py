@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..sim.engine import Simulator
+from ..sim.engine import Simulator, Timer
 from ..sim.units import MS, SEC
 from .cubic import CubicState
 from .segment import FiveTuple, TcpSegment
@@ -85,7 +85,7 @@ class TcpSender:
         self.srtt_ns: Optional[int] = None
         self.rttvar_ns: Optional[int] = None
         self.rto_ns = 1 * SEC
-        self._rto_event = None
+        self._rto_timer = Timer(sim, self._on_rto)
         self._backoff = 1
 
         # Congestion-control flavour.  "reno" keeps the classic loop
@@ -100,13 +100,13 @@ class TcpSender:
         # (nothing to pace against) and for retransmissions (loss
         # repair should not wait behind the gate).
         self.pacing = pacing
-        self._pacing_event = None
+        self._pacing_timer = Timer(sim, self._on_pacing_timer)
         self._next_pace_ns = 0
 
         # Zero-window persist state: when the peer advertises rwnd=0
         # we probe with one byte on an exponential-backoff timer until
         # a nonzero window reopens the flow (RFC 9293 §3.8.6.1 style).
-        self._persist_event = None
+        self._persist_timer = Timer(sim, self._on_persist)
         self._persist_backoff = 1
 
         # Counters.
@@ -162,7 +162,7 @@ class TcpSender:
             self.snd_nxt += length
             if self.pacing:
                 self._note_paced_send()
-        if self.flight_size > 0 and self._rto_event is None:
+        if self.flight_size > 0 and not self._rto_timer.armed:
             self._arm_rto()
 
     def _emit(self, seq: int, length: int) -> None:
@@ -191,7 +191,7 @@ class TcpSender:
                 self._arm_persist()
         else:
             self._persist_backoff = 1
-            self._cancel_persist()
+            self._persist_timer.cancel()
         if self.use_sack and ack_segment.sack_blocks:
             self._register_sack(ack_segment.sack_blocks)
         ack = ack_segment.ack
@@ -313,9 +313,9 @@ class TcpSender:
             self._grow_cwnd(newly_acked)
 
         if self.flight_size > 0:
-            self._arm_rto(reset=True)
+            self._arm_rto()
         else:
-            self._cancel_rto()
+            self._rto_timer.cancel()
 
     def _grow_cwnd(self, newly_acked: int) -> None:
         if self.cwnd < self.ssthresh:
@@ -363,7 +363,7 @@ class TcpSender:
         else:
             self.cwnd = self.ssthresh + 3 * self.mss
             self._retransmit_head()
-        self._arm_rto(reset=True)
+        self._arm_rto()
 
     def _retransmit_head(self) -> None:
         length = self._segment_length(self.snd_una)
@@ -386,9 +386,8 @@ class TcpSender:
             return True
         if self.sim.now >= self._next_pace_ns:
             return True
-        if self._pacing_event is None:
-            self._pacing_event = self.sim.schedule(
-                self._next_pace_ns - self.sim.now, self._on_pacing_timer)
+        if not self._pacing_timer.armed:
+            self._pacing_timer.arm(self._next_pace_ns - self.sim.now)
         return False
 
     def _note_paced_send(self) -> None:
@@ -398,33 +397,19 @@ class TcpSender:
         self._next_pace_ns = base + self._pace_gap_ns()
 
     def _on_pacing_timer(self) -> None:
-        self._pacing_event = None
         if self.completed:
             return
         self._try_send()
-
-    def _cancel_pacing(self) -> None:
-        if self._pacing_event is not None:
-            self._pacing_event.cancel()
-            self._pacing_event = None
 
     # ------------------------------------------------------------------
     # Zero-window persist probes
     # ------------------------------------------------------------------
     def _arm_persist(self) -> None:
-        if self._persist_event is None and not self.completed:
-            delay = min(self.rto_ns * self._persist_backoff,
-                        self.max_rto_ns)
-            self._persist_event = self.sim.schedule(
-                delay, self._on_persist)
-
-    def _cancel_persist(self) -> None:
-        if self._persist_event is not None:
-            self._persist_event.cancel()
-            self._persist_event = None
+        if not self._persist_timer.armed and not self.completed:
+            self._persist_timer.arm(min(
+                self.rto_ns * self._persist_backoff, self.max_rto_ns))
 
     def _on_persist(self) -> None:
-        self._persist_event = None
         if self.completed or self.peer_rwnd > 0:
             return
         if self._has_data_at(self.snd_una):
@@ -454,24 +439,15 @@ class TcpSender:
         rto = self.srtt_ns + max(4 * self.rttvar_ns, MS)
         self.rto_ns = min(max(rto, self.min_rto_ns), self.max_rto_ns)
 
-    def _arm_rto(self, reset: bool = False) -> None:
-        if reset:
-            self._cancel_rto()
-        if self._rto_event is None:
-            # The backed-off product must respect the RTO ceiling too
-            # (RFC 6298 §5.5) — rto_ns alone is clamped, but
-            # rto_ns * backoff can reach 60 s * 64 otherwise.
-            self._rto_event = self.sim.schedule(
-                min(self.rto_ns * self._backoff, self.max_rto_ns),
-                self._on_rto)
-
-    def _cancel_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+    def _arm_rto(self) -> None:
+        """(Re)start the retransmission timer from now."""
+        # The backed-off product must respect the RTO ceiling too
+        # (RFC 6298 §5.5) — rto_ns alone is clamped, but
+        # rto_ns * backoff can reach 60 s * 64 otherwise.
+        self._rto_timer.arm(
+            min(self.rto_ns * self._backoff, self.max_rto_ns))
 
     def _on_rto(self) -> None:
-        self._rto_event = None
         if self.flight_size == 0 or self.completed:
             return
         self.timeouts += 1
@@ -496,17 +472,16 @@ class TcpSender:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear down: cancel all timers (flow lifecycle reclaim)."""
-        self._cancel_rto()
-        self._cancel_pacing()
-        self._cancel_persist()
+        """Tear down: close all timers (flow lifecycle reclaim), so no
+        heap entry left behind keeps this sender alive."""
+        self._rto_timer.close()
+        self._pacing_timer.close()
+        self._persist_timer.close()
 
     def _check_complete(self) -> None:
         if (not self.completed and self.total_bytes is not None
                 and self.snd_una >= self.total_bytes):
             self.completed = True
-            self._cancel_rto()
-            self._cancel_pacing()
-            self._cancel_persist()
+            self.close()
             if self.on_complete is not None:
                 self.on_complete()

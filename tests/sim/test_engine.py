@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timer
 from repro.sim.units import SEC, usec
 
 
@@ -124,6 +124,17 @@ class TestRunControl:
         sim.run(until=1 * SEC)
         assert sim.now == 1 * SEC
 
+    def test_until_never_moves_the_clock_backwards(self, sim):
+        # Regression: the horizon branch set now = until unclamped.
+        sim.schedule(200, lambda: None)
+        sim.run(until=100)
+        assert sim.now == 100
+        sim.run(until=50)
+        assert sim.now == 100
+        with pytest.raises(ValueError, match="in the past"):
+            sim.schedule_at(60, lambda: None)
+        assert sim.run() == 1 and sim.now == 200
+
     def test_run_returns_event_count(self, sim):
         for i in range(5):
             sim.schedule(i + 1, lambda: None)
@@ -131,7 +142,15 @@ class TestRunControl:
 
 
 def brute_force_pending(sim):
-    return sum(1 for e in sim._heap if not e.cancelled)
+    """Live heap entries: uncancelled events, plus the one entry that
+    stands in for each armed timer."""
+    live = 0
+    for _, _, seq, item in sim._heap:
+        if isinstance(item, Timer):
+            live += item.armed and seq == item._queued_seq
+        else:
+            live += not item.cancelled
+    return live
 
 
 class TestHeapHygiene:

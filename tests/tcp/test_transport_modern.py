@@ -45,8 +45,8 @@ class TestRtoBackoffCeiling:
         sender.start()
         sim.run(until=10 * SEC)
         assert sender.timeouts >= 2
-        assert sender._rto_event is not None
-        assert sender._rto_event.time - sim.now <= sender.max_rto_ns
+        assert sender._rto_timer.armed
+        assert sender._rto_timer.deadline - sim.now <= sender.max_rto_ns
 
 
 class TestZeroWindowPersist:
@@ -64,7 +64,7 @@ class TestZeroWindowPersist:
         sender, sent = self.prime(sim)
         assert len(sent) == 10          # nothing released past the ACK
         assert sender.peer_rwnd == 0
-        assert sender._persist_event is not None
+        assert sender._persist_timer.armed
 
     def test_probe_is_one_byte_at_una(self, sim):
         sender, sent = self.prime(sim)
@@ -87,7 +87,7 @@ class TestZeroWindowPersist:
         count = len(sent)
         sender.on_ack(ack_for(10 * MSS))
         assert len(sent) > count            # new data flows again
-        assert sender._persist_event is None
+        assert not sender._persist_timer.armed
         assert sender._persist_backoff == 1
 
     def test_no_probe_when_no_data_pending(self, sim):
@@ -95,7 +95,7 @@ class TestZeroWindowPersist:
         sender.start()
         sender.on_ack(ack_for(2 * MSS, rwnd=0))
         assert sender.completed
-        assert sender._persist_event is None
+        assert not sender._persist_timer.armed
         sim.run(until=10 * SEC)
         assert sender.persist_probes == 0
 
@@ -180,7 +180,8 @@ class TestPacing:
         sim.run(until=SEC)
         sender.on_ack(ack_for(12 * MSS))
         assert sender.completed
-        assert sender._pacing_event is None
+        assert not sender._pacing_timer.armed
+        assert sim.pending_events == 0
 
     def test_paced_transfer_still_completes(self, sim):
         done = []
