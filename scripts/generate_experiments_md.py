@@ -60,7 +60,7 @@ python -m repro.cli scenarios          # list registered scenarios
   maps each experiment name to a document of the form:
 
 ```json
-{{"format": "repro-sweep-result", "version": 2, "engine": 3,
+{{"format": "repro-sweep-result", "version": 2, "engine": 4,
   "spec": "fig10", "executed": 79, "cache_hits": 0,
   "failed": 1, "interrupted": false,
   "records": [{{"key": [1, "TCP/802.11"], "seed": 1,
@@ -487,7 +487,8 @@ Three products per instrumented run:
 
 * **Kernel spans** — `Simulator.set_instrument` times every callback
   dispatch (`perf_counter_ns` around the handler) and aggregates by
-  owner (`DcfMac.with_medium_idle`, `WiredLink._deliver`, ...): count,
+  owner (`Medium._ifs_wake`, `DcfMac._backoff_expired`,
+  `WiredPipe._delivered`, ...): count,
   total/max wall, plus a bounded buffer of raw spans for trace export.
 * **Time-series samples** — a simulated-time ticker (default 10 ms)
   records per-channel medium utilisation and per-cell AP MAC backlog,
@@ -599,12 +600,44 @@ cancel-and-``schedule`` idiom it replaced):
   stand-in), ``timer_rearms`` the arms that needed no push.  On that cell
   (10.5 s, seed 1): scheduled 449 974 -> 355 960, cancelled / scheduled
   0.296 -> 0.111, heap compactions 2 125 -> 0, 94 691 re-arms absorbed,
-  executed unchanged at 316 479.  DCF's defer/backoff/response timers
+  executed unchanged at 316 479.  DCF's backoff and response timers
   stay plain events: their deadlines are tens of microseconds away,
   the stale entry would pop before the next arm, and laziness would
-  only turn a cancel into a no-op pop (on the churn city 72 084 of
-  120 674 ``_defer_done`` events are still cancelled — the open share
-  of the cancelled ratio).
+  only turn a cancel into a no-op pop.
+
+A fifth changes *when* DCF schedules rather than how the kernel queues
+(``tests/mac/test_carrier_sense.py`` holds worlds mixing it with the
+eager station of ``tests/mac/slotted_reference.py`` to the air of an
+all-eager world: same senders, instants and frame ids):
+
+* **Carrier sense owned by the medium** — every busy/idle edge used to
+  call every station on the channel, and every contender pushed a
+  defer event at each idle edge only to cancel it 16 us later when the
+  SIFS response started.  ``Medium.idle_since`` is now the one idle
+  clock; a station is visited on an edge only while it holds a job or
+  an undrawn-down backoff outside its own exchange (idle edge) or has
+  a countdown to freeze (busy edge), and all stations whose IFS ends
+  at the same instant share one heap entry, ``Medium._ifs_wake``,
+  which runs their ``_defer_done`` in join order.  The **consecutive-
+  sequence rule** is what makes it exact: the defers pushed on one
+  idle edge held consecutive sequence numbers, so one entry in their
+  place dispatches them where they ran; a station that starts waiting
+  later rides an open wake only if the kernel's sequence counter has
+  not moved since the medium's latest push, and otherwise gets its own
+  entry behind whatever was scheduled in between.  A wake due exactly
+  at a busy edge still fires (same-slot collisions); a later one dies
+  with one cancellation and no visit to its members.  On the churn
+  city (2.8 s, seed 1; 24 926 transmissions, ~20 stations a channel):
+  969 003 carrier-sense callbacks -> 26 060, 120 674 defer events ->
+  40 011 wakes, scheduled 310 434 -> 229 771, executed 198 010 ->
+  167 552, cancelled / scheduled 0.362 -> 0.270; on the ten-client
+  stock-TCP cell scheduled 355 960 -> 331 654, executed 316 479 ->
+  301 044, cancelled / scheduled 0.111 -> 0.092.  What is still
+  cancelled on the city: 25 291 of 37 871 backoff countdowns (frozen
+  by a busy edge, each station's own because it has slots to be
+  credited), 21 879 of 40 011 wakes (one per idle period a SIFS
+  response cuts short, however many stations waited) and 12 403 of
+  25 630 response timeouts (met by their response).
 
 Headline of the PR 2 measurement (1.5 s windows, seed 1; a historical
 record from the per-PR benchmark file the ledger replaced): the

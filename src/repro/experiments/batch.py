@@ -67,7 +67,9 @@ from .progress import SweepProgress
 #: 2: lazy-backoff kernel + kernel_stats in every metrics record.
 #: 3: re-armable timers — rows unchanged, but the cached kernel_stats
 #:    (fewer scheduled/cancelled events, new timer_rearms) are not.
-ENGINE_VERSION = 3
+#: 4: carrier sense owned by the medium — rows unchanged again, the
+#:    cached kernel_stats (one IFS wake per idle period) are not.
+ENGINE_VERSION = 4
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``

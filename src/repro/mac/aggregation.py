@@ -14,12 +14,37 @@ Retried MPDUs (lowest sequence numbers) are always placed first.
 
 from __future__ import annotations
 
-from typing import Callable, Deque, List
+from functools import lru_cache
+from typing import Callable, Deque, List, Optional
 
 from ..phy.params import PhyParams
 from .blockack import BlockAckOriginator
 from .frames import Mpdu, mpdu_byte_length
 from .params import MacParams, mpdu_subframe_bytes
+
+
+@lru_cache(maxsize=None)
+def ampdu_byte_budget(phy: PhyParams, rate_mbps: float,
+                      txop_limit_ns: Optional[int],
+                      max_bytes: int) -> int:
+    """Largest A-MPDU length within ``max_bytes`` whose PPDU at
+    ``rate_mbps`` also fits the TXOP limit (-1: not even an empty one).
+
+    Airtime never shrinks as bytes are added, so the per-MPDU airtime
+    test is a comparison against this one number, found by bisection
+    over :meth:`PhyParams.frame_duration_ns` once per distinct input.
+    """
+    if (txop_limit_ns is None
+            or phy.frame_duration_ns(max_bytes, rate_mbps) <= txop_limit_ns):
+        return max_bytes
+    fits, too_long = -1, max_bytes
+    while too_long - fits > 1:
+        middle = (fits + too_long) // 2
+        if phy.frame_duration_ns(middle, rate_mbps) <= txop_limit_ns:
+            fits = middle
+        else:
+            too_long = middle
+    return fits
 
 
 def build_batch(originator: BlockAckOriginator,
@@ -37,13 +62,8 @@ def build_batch(originator: BlockAckOriginator,
     batch: List[Mpdu] = []
     total_bytes = 0
     window_limit = originator.window_limit
-
-    def airtime_ok(extra_bytes: int) -> bool:
-        if params.txop_limit_ns is None:
-            return True
-        duration = phy.frame_duration_ns(total_bytes + extra_bytes,
-                                         rate_mbps)
-        return duration <= params.txop_limit_ns
+    byte_budget = ampdu_byte_budget(phy, rate_mbps, params.txop_limit_ns,
+                                    params.ampdu_max_bytes)
 
     # Retries first (they carry the oldest sequence numbers).
     while originator.retry_queue:
@@ -51,9 +71,7 @@ def build_batch(originator: BlockAckOriginator,
         sub = mpdu_subframe_bytes(mpdu.byte_length)
         if len(batch) >= params.ampdu_max_mpdus:
             break
-        if total_bytes + sub > params.ampdu_max_bytes:
-            break
-        if not airtime_ok(sub):
+        if total_bytes + sub > byte_budget:
             break
         originator.retry_queue.pop(0)
         batch.append(mpdu)
@@ -67,9 +85,7 @@ def build_batch(originator: BlockAckOriginator,
         if len(batch) >= params.ampdu_max_mpdus:
             break
         sub = mpdu_subframe_bytes(mpdu_byte_length(payload))
-        if total_bytes + sub > params.ampdu_max_bytes:
-            break
-        if not airtime_ok(sub):
+        if total_bytes + sub > byte_budget:
             break
         new_queue.popleft()
         mpdu = make_mpdu(payload, originator.allocate_seq())
@@ -86,14 +102,6 @@ def max_mpdus_for_txop(mpdu_bytes: int, params: MacParams,
     Used by the analytical capacity model (Fig 1) and tests.
     """
     sub = mpdu_subframe_bytes(mpdu_bytes)
-    by_bytes = params.ampdu_max_bytes // sub
-    best = min(params.ampdu_max_mpdus, by_bytes)
-    if params.txop_limit_ns is None:
-        return max(1, best)
-    n = best
-    while n > 1:
-        duration = phy.frame_duration_ns(n * sub, rate_mbps)
-        if duration <= params.txop_limit_ns:
-            break
-        n -= 1
-    return max(1, n)
+    byte_budget = ampdu_byte_budget(phy, rate_mbps, params.txop_limit_ns,
+                                    params.ampdu_max_bytes)
+    return max(1, min(params.ampdu_max_mpdus, byte_budget // sub))

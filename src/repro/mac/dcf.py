@@ -20,10 +20,25 @@ The upper layer (a HACK driver or a plain node) implements
 MAC treats HACK payloads as opaque bytes, matching the paper's design
 goal of NIC simplicity.
 
-Event-ordering subtlety: a station whose backoff expires in the same
-slot as another station's transmission start must still transmit (both
-committed before carrier could be sensed), so busy notifications only
-cancel countdown events scheduled strictly later than "now".
+Carrier sense belongs to the medium, not to the station.  The idle
+clock is ``Medium.idle_since``; a station asks ``Medium.defer`` to be
+woken once the channel has been idle for its IFS (DIFS, or EIFS after a
+bad frame), and the medium answers every station whose wait ends at the
+same instant with one heap entry.  The station is visited on a busy or
+idle edge only while the edge concerns it: ``_contending`` says it holds
+a job or an undrawn-down backoff and is outside its own exchange (the
+idle edge then makes it wait), a running ``_backoff_event`` says it has
+a countdown to freeze (the busy edge then calls ``on_channel_busy``).
+A station with nothing to send, or one transmitting or awaiting its
+response, costs the medium an attribute test per edge; ``_has_work`` is
+consulted when a packet arrives at a jobless station and when an
+exchange ends, never on an edge.
+
+Event-ordering subtlety: a station whose IFS wait or backoff ends in
+the same slot as another station's transmission start must still
+transmit (both committed before carrier could be sensed), so a busy
+edge only cancels wakes and countdown events due strictly later than
+"now".
 
 The backoff countdown is *lazy*: instead of one simulator event per
 slot, a single expiry event is scheduled ``slots * slot_ns`` ahead when
@@ -33,18 +48,18 @@ number of fully elapsed slots (a boundary landing exactly on "now"
 counts, exactly as the per-slot timer would have decremented before
 noticing the busy medium); the remainder resumes after the next
 idle + IFS.  This produces bit-identical behaviour to the historical
-slotted countdown (kept verbatim in ``tests/mac/slotted_reference.py``
-as an oracle) at a fraction of the event cost.
+slotted countdown, and the medium's wake to the historical one defer
+event per station; both are kept verbatim in
+``tests/mac/slotted_reference.py`` as oracles.
 
-The defer, backoff and response-timeout timers are plain cancellable
-events, not :class:`~repro.sim.engine.Timer` objects: see that module's
+The backoff and response-timeout timers are plain cancellable events,
+not :class:`~repro.sim.engine.Timer` objects: see that module's
 docstring for why laziness would not pay at these time scales.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..phy.params import PhyParams
 from ..sim.engine import Simulator
@@ -101,7 +116,7 @@ class _Job:
 
     def __init__(self, kind: str, dst: str, is_batch: bool,
                  ready_at: int):
-        self.kind = kind          # "data" or "bar"
+        self.kind = kind          # "data"; "bar" once a Block ACK is missed
         self.dst = dst
         self.mpdus: List[Mpdu] = []
         self.is_batch = is_batch
@@ -109,7 +124,7 @@ class _Job:
         self.bar_retries = 0
         self.ready_at = ready_at
         self.stat_kind = "control"
-        self.materialized = kind == "bar"
+        self.materialized = False
 
 
 def _payload_kind(mpdu: Mpdu) -> str:
@@ -140,7 +155,7 @@ class DcfMac(MediumListener):
         #: Per-destination transmit-rate policy (FixedRate by default).
         self.rate_control_factory = rate_control_factory
         self._rate_controllers: Dict[str, Any] = {}
-        medium.attach(self, cell=cell)
+        self._attach()
 
         # Transmit-side state.  Per-destination queues are built by the
         # configured queue discipline (drop-tail / CoDel / FQ-CoDel);
@@ -152,15 +167,16 @@ class DcfMac(MediumListener):
         self._originators: Dict[str, BlockAckOriginator] = {}
         self._recipients: Dict[str, BlockAckRecipient] = {}
         self._sync_pending: Dict[str, bool] = {}
-        self._pending_bars: Deque[str] = deque()
 
         # Contention state
         self._cw = phy.cw_min
         self._backoff_slots: Optional[int] = None
-        self._defer_event = None
+        #: Whether a busy/idle edge concerns this station: the medium
+        #: reads it, ``_use_eifs`` and ``_backoff_event`` on an edge.
+        self._contending = False
+        self._ifs_wake = None        # the medium's wake we wait in
         self._backoff_event = None   # the single lazy expiry event
         self._backoff_anchor = 0     # when the running countdown started
-        self._idle_since = 0
         self._use_eifs = False
 
         # Exchange state
@@ -174,6 +190,11 @@ class DcfMac(MediumListener):
         self.queue_drops = 0
         self.mpdus_delivered = 0
         self.mpdus_dropped = 0
+
+    def _attach(self) -> None:
+        # Overridden by the eager oracle in tests/mac/slotted_reference.py,
+        # which does its own carrier sense as a plain listener.
+        self.medium.attach(self, cell=self.cell, contender=True)
 
     # ==================================================================
     # Upper-layer API
@@ -259,8 +280,6 @@ class DcfMac(MediumListener):
     # Contention
     # ==================================================================
     def _has_work(self) -> bool:
-        if self._pending_bars:
-            return True
         for dst in self._dest_order:
             if self._queues[dst]:
                 return True
@@ -275,18 +294,20 @@ class DcfMac(MediumListener):
         if self._current_job is None and self._has_work():
             self._build_job()
         if self._current_job is None and self._backoff_slots is None:
+            self._contending = False
             return
+        self._contending = True
         if self.medium.busy:
             return
-        if self._defer_event is not None or self._backoff_event is not None:
+        if self._deferring() or self._backoff_event is not None:
             return
-        ifs = self.phy.eifs_ns if self._use_eifs else self.phy.difs_ns
-        elapsed = self.sim.now - self._idle_since
-        remaining = max(0, ifs - elapsed)
-        self._defer_event = self.sim.schedule(remaining, self._defer_done)
+        self.medium.defer(self)
+
+    def _deferring(self) -> bool:
+        wake = self._ifs_wake
+        return wake is not None and wake.members is not None
 
     def _defer_done(self) -> None:
-        self._defer_event = None
         if self._backoff_slots is None or self._backoff_slots == 0:
             # Committing to transmit at this instant is legitimate even
             # if another station commits at the same timestamp (neither
@@ -295,6 +316,8 @@ class DcfMac(MediumListener):
             self._backoff_slots = None
             if self._current_job is not None:
                 self._transmit_job()
+            else:
+                self._contending = False
             return
         if self.medium.busy:
             # The medium became busy at this very instant; freeze the
@@ -313,6 +336,8 @@ class DcfMac(MediumListener):
         self._backoff_slots = None
         if self._current_job is not None:
             self._transmit_job()
+        else:
+            self._contending = False
 
     def _current_cw(self) -> int:
         """The window backoff is drawn from.  A hook: adversarial
@@ -330,16 +355,13 @@ class DcfMac(MediumListener):
     def _reset_cw(self) -> None:
         self._cw = self.phy.cw_min
 
-    def _cancel_countdown(self, now: int) -> None:
-        # Events firing exactly "now" are same-slot commitments: let
-        # them run (this is what produces realistic same-slot
-        # collisions between desynchronised-but-unlucky stations).
-        if self._defer_event is not None:
-            if self._defer_event.time > now:
-                self._defer_event.cancel()
-                self._defer_event = None
+    def on_channel_busy(self, now: int) -> None:
+        # Reached only while the countdown runs.  An expiry firing
+        # exactly "now" is a same-slot commitment: let it run (this is
+        # what produces realistic same-slot collisions between
+        # desynchronised-but-unlucky stations).
         event = self._backoff_event
-        if event is not None and event.time > now:
+        if event.time > now:
             event.cancel()
             self._backoff_event = None
             # Credit the fully elapsed slots.  A slot boundary landing
@@ -356,11 +378,6 @@ class DcfMac(MediumListener):
     # ==================================================================
     def _build_job(self) -> None:
         now = self.sim.now
-        if self._pending_bars:
-            dst = self._pending_bars.popleft()
-            self._current_job = _Job("bar", dst, is_batch=True,
-                                     ready_at=now)
-            return
         n = len(self._dest_order)
         for offset in range(n):
             dst = self._dest_order[(self._rr_index + offset) % n]
@@ -451,6 +468,7 @@ class DcfMac(MediumListener):
             self.stats.on_tx_start(self.address, job, frame, duration,
                                    wait_ns=self.sim.now - job.ready_at)
         self._transmitting = True
+        self._contending = False
         self.medium.transmit(self, frame, duration)
         self.sim.schedule(duration, self._tx_done, job)
 
@@ -556,22 +574,18 @@ class DcfMac(MediumListener):
     # ==================================================================
     # Reception
     # ==================================================================
-    def on_channel_busy(self, now: int) -> None:
-        self._cancel_countdown(now)
-
-    def on_channel_idle(self, now: int) -> None:
-        self._idle_since = now
-        self._maybe_start_contention()
+    def _set_eifs(self, use_eifs: bool) -> None:
+        self._use_eifs = use_eifs
+        # A defer already running under the other IFS is re-based.
+        if self._deferring():
+            self.medium.cancel_defer(self)
+            self.medium.defer(self)
 
     def on_frame_error(self, frame: Any, sender: Any) -> None:
         if self._transmitting:
             return
-        self._use_eifs = True
         # A defer already scheduled with DIFS must be stretched to EIFS.
-        if self._defer_event is not None:
-            self._defer_event.cancel()
-            self._defer_event = None
-            self._maybe_start_contention()
+        self._set_eifs(True)
         if self._awaiting_response:
             self._resolve_awaited(None, None)
 
@@ -584,11 +598,7 @@ class DcfMac(MediumListener):
         if self._use_eifs:
             # The previous frame was bad but this one is fine: a defer
             # scheduled with EIFS shrinks back to DIFS.
-            self._use_eifs = False
-            if self._defer_event is not None:
-                self._defer_event.cancel()
-                self._defer_event = None
-                self._maybe_start_contention()
+            self._set_eifs(False)
         if self._awaiting_response:
             self._resolve_awaited(None, getattr(sender, "address", sender))
 
@@ -600,11 +610,7 @@ class DcfMac(MediumListener):
         if self._use_eifs:
             # The previous frame was bad but this one is fine: a defer
             # scheduled with EIFS shrinks back to DIFS.
-            self._use_eifs = False
-            if self._defer_event is not None:
-                self._defer_event.cancel()
-                self._defer_event = None
-                self._maybe_start_contention()
+            self._set_eifs(False)
         sender_addr = getattr(sender, "address", sender)
 
         if self._awaiting_response:

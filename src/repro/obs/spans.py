@@ -3,15 +3,17 @@
 A :class:`KernelInstrument` installed on a
 :class:`~repro.sim.engine.Simulator` (``sim.set_instrument``) times
 every event callback with ``perf_counter_ns`` and aggregates by
-*callback owner* — ``DcfMac._backoff_expires``, ``WiredPipe._delivered``
-— giving a per-subsystem event-type histogram and wall-time table
-without touching event semantics (the simulated timeline is read-only
-to the instrument, so golden rows stay bit-identical).
+*callback owner* — ``DcfMac._backoff_expired``, ``Medium._ifs_wake``
+(the IFS wait the medium runs for its contenders: the stations'
+``_defer_done`` and whatever they go on to transmit are accounted
+there), ``WiredPipe._delivered`` — giving a per-subsystem event-type
+histogram and wall-time table without touching event semantics (the
+simulated timeline is read-only to the instrument, so golden rows stay
+bit-identical).
 
-When no instrument is installed the simulator runs its original
-uninstrumented loop — the disabled mode costs one attribute check per
-``run()`` call, not per event, which is what keeps the CI events/s
-perf gate honest.
+The kernel has one run loop.  With no instrument installed it tests a
+local per event and never reads the clock; that loop's cost is the
+``sim.engine.noop_ns_per_event`` row of ``bench/ledger.json``.
 
 Besides the always-on aggregates, the instrument can retain up to
 ``max_spans`` individual spans (simulated timestamp, owner, wall ns)

@@ -11,11 +11,14 @@ Two kinds of item sit in the heap:
 
 * an :class:`Event` — one callback at one fixed time.  Cancelling it is
   O(1): the entry is marked dead and skipped when popped.  The MAC's
-  defer/backoff/response timers are plain events: their deadlines are
-  tens of microseconds away, so a cancelled one pops before the next is
-  armed and there is nothing for laziness to absorb (on the
-  ``churn_city_20cell`` benchmark cell 72 084 of 120 674 ``_defer_done``
-  events are cancelled, and each would merely turn into a stale pop).
+  backoff and response timers and the medium's IFS wake are plain
+  events: their deadlines are tens of microseconds away, so a cancelled
+  one pops before the next is armed and there is nothing for laziness
+  to absorb.  What pays there is pushing fewer of them — the medium
+  queues one wake per idle period and deadline, not one defer per
+  station (on the ``churn_city_20cell`` benchmark cell, 40 011 wakes
+  where there were 120 674 ``_defer_done`` events, 72 084 of them
+  cancelled).
 * a :class:`Timer` — a logical timer that is re-armed far more often
   than it fires (TCP's RTO is pushed back by every ACK, the delayed-ACK
   timer is disarmed by every second segment).  It keeps at most one
@@ -421,6 +424,13 @@ class Simulator:
     def stop(self) -> None:
         """Request the run loop to stop after the current event."""
         self._stopped = True
+
+    @property
+    def sequence(self) -> int:
+        """Sequence number of the latest ``schedule`` / ``Timer.arm``.
+        Unchanged between two instants means nothing can sort between
+        an entry pushed at the first and one pushed at the second."""
+        return self._seq
 
     @property
     def pending_events(self) -> int:

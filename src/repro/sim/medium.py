@@ -31,9 +31,9 @@ O(stations in the transmitter's cell) no matter how many co-channel
 cells exist.  Inter-cell coupling happens exactly where 802.11's
 physical carrier sense lives:
 
-* busy/idle transitions are broadcast to *every* listener, so a cell-B
-  AP defers (DIFS + frozen backoff) while a cell-A transmission is in
-  flight;
+* busy/idle transitions concern *every* station on the channel, so a
+  cell-B AP defers (DIFS + frozen backoff) while a cell-A transmission
+  is in flight (how they reach it: "Carrier sense" below);
 * overlapping transmissions collide regardless of cell, and the
   resulting :meth:`MediumListener.on_frame_error` is delivered to all
   cells (every station heard garbage, so everyone pays EIFS);
@@ -48,6 +48,50 @@ physical carrier sense lives:
 A single-cell simulation (everything attached to the default cell)
 takes exactly the historical code paths in the same order, which is
 what keeps the paper's scenarios bit-identical.
+
+**Carrier sense.**  The medium is the one place that knows when the
+channel fell idle, so it keeps that clock (:attr:`Medium.idle_since`)
+and runs the IFS wait for the stations, instead of telling each of N
+stations about every edge and letting each push — and, 16 us later when
+the SIFS response starts, cancel — a defer event of its own:
+
+* *Plain listeners* (``attach(listener)``: the reactive jammer,
+  tracers, test doubles, the eager reference station of
+  ``tests/mac/slotted_reference.py``) get ``on_channel_busy`` /
+  ``on_channel_idle`` on every edge, in attach order.
+* *Contenders* (``attach(station, contender=True)``: every
+  :class:`~repro.mac.dcf.DcfMac`) are visited only while an edge
+  concerns them.  On an idle edge the medium makes each station whose
+  ``_contending`` flag is up wait for its IFS (:meth:`Medium.defer`);
+  on a busy edge it calls ``on_channel_busy`` on the stations whose
+  backoff countdown is running, which must be credited the elapsed
+  slots.  Everybody else — nothing to send, transmitting, awaiting a
+  response — costs one attribute test.
+* *One wake per idle period and deadline.*  All stations whose wait
+  ends at the same instant (``idle_since`` + DIFS, or + EIFS for those
+  that heard garbage) share one heap entry; when it fires they run
+  ``_defer_done`` in the order they joined.  A busy edge cancels the
+  entry without visiting its members — the handle a member holds goes
+  stale — unless it is due at that very instant: stations committing
+  in the same slot could not have sensed each other, so that wake
+  still fires (the same-slot collision rule).
+
+Execution order is that of one defer event per station, by
+construction.  On an idle edge the stations are walked in attach
+order and nothing but their own defers used to be scheduled in between,
+so the per-station events of one deadline held *consecutive* sequence
+numbers among the entries of that instant: one entry in their place
+dispatches them exactly where they ran.  A station that starts waiting
+later (a packet arriving mid-idle, an exchange that just ended, a
+switch between EIFS and DIFS on a frame callback) would have taken the
+next sequence number; it may ride an open wake of its deadline only if
+the kernel's sequence counter has not moved since the medium's latest
+push — so nothing can sort between the wake's members and it — and
+otherwise gets an entry of its own, behind whatever was scheduled in
+between.  The counter, not ``stats.scheduled``, is what to watch: a
+``Timer.arm`` takes a sequence number without pushing.  The
+differential oracle in ``tests/mac/test_carrier_sense.py`` holds mixed
+worlds of contenders and eager stations to the air of an all-eager one.
 
 Per-cell airtime is accounted on transmission end: a *non-collided*
 transmission credits its duration to its sender's cell.  Clean
@@ -70,7 +114,7 @@ scenario can legitimately approach the channel count.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .engine import Simulator
 
@@ -155,6 +199,23 @@ class _Cell:
         self.frames_collided: int = 0
 
 
+class _IfsWake:
+    """One heap entry ending the IFS wait of every contender that must
+    have seen the channel idle until ``deadline``."""
+
+    __slots__ = ("deadline", "event", "members", "open")
+
+    def __init__(self, deadline: int, first: Any):
+        self.deadline = deadline
+        self.event: Any = None
+        #: Waiting contenders in join order; None once the wake has
+        #: fired or a busy edge cancelled it (a contender's handle on
+        #: it is then stale, which is how it learns without a visit).
+        self.members: Optional[List[Any]] = [first]
+        #: Whether a further contender may still ride this entry.
+        self.open = True
+
+
 class Medium:
     """Single-channel broadcast medium with collisions and carrier sense.
 
@@ -170,6 +231,17 @@ class Medium:
         #: different channels share nothing but the simulator clock).
         self.channel = channel
         self.listeners: List[MediumListener] = []
+        #: What a busy/idle edge walks: every listener in attach
+        #: order, flagged with whether it is a contender.
+        self._edge_order: List[Tuple[Any, bool]] = []
+        #: When the channel last fell idle: the one clock every IFS
+        #: wait is measured from.
+        self.idle_since: int = 0
+        #: IFS wakes of the current idle period that have not fired.
+        self._ifs_wakes: List[_IfsWake] = []
+        #: The kernel's sequence counter just after the latest wake
+        #: was pushed (see :meth:`defer`).
+        self._wake_seq = -1
         #: cell key -> dispatch group; the default cell always exists.
         self._cells: Dict[Any, _Cell] = {DEFAULT_CELL: _Cell()}
         #: listener -> cell key (senders not in here transmit as the
@@ -193,14 +265,24 @@ class Medium:
 
     # ------------------------------------------------------------------
     def attach(self, listener: MediumListener,
-               cell: Any = DEFAULT_CELL) -> None:
+               cell: Any = DEFAULT_CELL, contender: bool = False) -> None:
         """Register a station; it will hear busy/idle and frame events.
 
         ``cell`` selects the dispatch group the station decodes frames
         in; stations of other cells only share carrier sense (busy/
         idle) and collision corruption with it.
+
+        A ``contender`` leaves its carrier sense to the medium (module
+        docstring, "Carrier sense"): it is woken through :meth:`defer`
+        and visited on an edge only while the edge concerns it.  It
+        must provide ``phy``, ``_contending``, ``_use_eifs``,
+        ``_backoff_event``, ``_ifs_wake``, ``_defer_done()`` and
+        ``on_channel_busy()`` as :class:`~repro.mac.dcf.DcfMac` does.
         """
+        if listener in self._cell_of:
+            raise ValueError(f"{listener!r} is already attached")
         self.listeners.append(listener)
+        self._edge_order.append((listener, contender))
         group = self._cells.get(cell)
         if group is None:
             group = self._cells[cell] = _Cell()
@@ -299,10 +381,88 @@ class Medium:
         self._cells[cell].frames_sent += 1
         if was_idle:
             self._busy_since = now
-            for listener in self.listeners:
-                listener.on_channel_busy(now)
+            self._busy_edge(now)
         self.sim.schedule(duration, self._transmission_ends, tx, priority=-1)
         return tx
+
+    # ------------------------------------------------------------------
+    # Carrier sense
+    # ------------------------------------------------------------------
+    def _busy_edge(self, now: int) -> None:
+        wakes = self._ifs_wakes
+        if wakes:
+            # A wake due at this very instant is a same-slot commitment
+            # (its members could not have sensed this carrier yet) and
+            # still fires; later ones die without a visit to a member.
+            kept = []
+            for wake in wakes:
+                if wake.deadline > now:
+                    wake.event.cancel()
+                    wake.members = None
+                else:
+                    kept.append(wake)
+            self._ifs_wakes = kept
+        for listener, contender in self._edge_order:
+            # A contender has something to freeze only while its
+            # backoff countdown runs.
+            if not contender or listener._backoff_event is not None:
+                listener.on_channel_busy(now)
+
+    def _idle_edge(self, now: int) -> None:
+        self.idle_since = now
+        # Attach order, plain listeners included: one of them may
+        # schedule an event of its own, which then has to sort between
+        # the contenders on either side of it.
+        for listener, contender in self._edge_order:
+            if not contender:
+                listener.on_channel_idle(now)
+            elif listener._contending:
+                self.defer(listener)
+
+    def defer(self, station: Any) -> None:
+        """Call ``station._defer_done()`` as soon as the channel has
+        been idle for the station's IFS — in an event at this instant
+        if it already has.  The channel must be idle."""
+        phy = station.phy
+        deadline = self.idle_since + (
+            phy.eifs_ns if station._use_eifs else phy.difs_ns)
+        sim = self.sim
+        if deadline < sim.now:
+            deadline = sim.now
+        if sim.sequence == self._wake_seq:
+            # Nothing was scheduled since our latest push, so an event
+            # of the station's own pushed now would sort right behind
+            # the last member of any open wake: riding one is the same.
+            for wake in self._ifs_wakes:
+                if wake.deadline == deadline and wake.open:
+                    wake.members.append(station)
+                    station._ifs_wake = wake
+                    return
+        else:
+            # A foreign event may sit between the waiting members and
+            # this station; it has to fire between them.
+            for wake in self._ifs_wakes:
+                wake.open = False
+        wake = station._ifs_wake = _IfsWake(deadline, station)
+        wake.event = sim.schedule(deadline - sim.now, self._ifs_wake, wake)
+        self._wake_seq = wake.event.seq
+        self._ifs_wakes.append(wake)
+
+    def cancel_defer(self, station: Any) -> None:
+        """Withdraw ``station`` from the wake it is waiting in."""
+        wake = station._ifs_wake
+        station._ifs_wake = None
+        wake.members.remove(station)
+        if not wake.members:
+            wake.event.cancel()
+            wake.members = None
+            self._ifs_wakes.remove(wake)
+
+    def _ifs_wake(self, wake: _IfsWake) -> None:
+        self._ifs_wakes.remove(wake)
+        members, wake.members = wake.members, None
+        for station in members:
+            station._defer_done()
 
     # ------------------------------------------------------------------
     def _transmission_ends(self, tx: Transmission) -> None:
@@ -316,8 +476,7 @@ class Medium:
             assert self._busy_since is not None
             self.busy_time += now - self._busy_since
             self._busy_since = None
-            for listener in listeners:
-                listener.on_channel_idle(now)
+            self._idle_edge(now)
         # Deliver to every station of the sender's cell except the
         # sender itself: the addressed station (resolved once, via the
         # cell's address map) takes the full receive path, everyone

@@ -2,12 +2,15 @@
 
 from collections import deque
 
-from repro.mac.aggregation import build_batch, max_mpdus_for_txop
+import pytest
+
+from repro.mac.aggregation import ampdu_byte_budget, build_batch, \
+    max_mpdus_for_txop
 from repro.mac.blockack import BlockAckOriginator
 from repro.mac.frames import Mpdu
 from repro.mac.params import MacParams, mpdu_subframe_bytes
 from repro.phy.params import PHY_11N
-from repro.sim.units import msec
+from repro.sim.units import msec, usec
 
 from tests.helpers import FakePayload
 
@@ -98,3 +101,50 @@ class TestMaxMpdusForTxop:
 def usec_1():
     from repro.sim.units import usec
     return usec(1)
+
+
+class TestByteBudget:
+    """The TXOP airtime test folded into one byte bound."""
+
+    def test_agrees_with_the_airtime_predicate_for_every_length(self):
+        # Every 802.11n rate, every A-MPDU length 0..65535: a length is
+        # within the budget exactly when it was within both old bounds.
+        limit = MacParams().txop_limit_ns
+        for rate in PHY_11N.data_rates:
+            budget = ampdu_byte_budget(PHY_11N, rate, limit, 65_535)
+            fits = [PHY_11N.frame_duration_ns(n, rate) <= limit
+                    for n in range(65_536)]
+            assert fits == [n <= budget for n in range(65_536)], rate
+
+    def test_byte_cap_and_missing_limit(self):
+        assert ampdu_byte_budget(PHY_11N, 150.0, None, 65_535) == 65_535
+        assert ampdu_byte_budget(PHY_11N, 150.0, msec(4), 1_000) == 1_000
+        # Shorter than the preamble: not even an empty PPDU fits.
+        assert ampdu_byte_budget(PHY_11N, 15.0, usec(10), 65_535) == -1
+        params = MacParams(data_rate_mbps=15.0, aggregation=True,
+                           txop_limit_ns=usec(10))
+        batch, queue, _ = build([100] * 3, params=params, rate=15.0)
+        assert batch == [] and len(queue) == 3
+
+    def test_unknown_rate_is_still_refused(self):
+        with pytest.raises(ValueError, match="not a 802.11n data rate"):
+            build([100], rate=54.0)
+
+    def test_max_mpdus_matches_the_stepwise_search(self):
+        def stepwise(mpdu_bytes, params, rate):
+            sub = mpdu_subframe_bytes(mpdu_bytes)
+            n = min(params.ampdu_max_mpdus, params.ampdu_max_bytes // sub)
+            if params.txop_limit_ns is None:
+                return max(1, n)
+            while n > 1 and PHY_11N.frame_duration_ns(
+                    n * sub, rate) > params.txop_limit_ns:
+                n -= 1
+            return max(1, n)
+
+        for limit in (None, usec(10), usec(500), msec(1), msec(4)):
+            params = MacParams(aggregation=True, txop_limit_ns=limit)
+            for rate in PHY_11N.data_rates:
+                for mpdu_bytes in (40, 90, 576, 1536, 4000, 70_000):
+                    assert max_mpdus_for_txop(
+                        mpdu_bytes, params, PHY_11N, rate) == \
+                        stepwise(mpdu_bytes, params, rate)

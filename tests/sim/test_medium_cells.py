@@ -100,6 +100,21 @@ class TestCellDispatch:
 
 
 class TestCellAccounting:
+    def test_attaching_a_listener_twice_is_refused(self, sim):
+        # A second attach used to double every callback and silently
+        # move the listener to the new cell.
+        medium, (ap_a, _), _ = two_cells(sim)
+        with pytest.raises(ValueError, match="already attached"):
+            medium.attach(ap_a, cell=1)
+        with pytest.raises(ValueError, match=repr(ap_a)):
+            medium.attach(ap_a, cell=0)
+        assert medium.cell_of(ap_a) == 0
+        assert medium.listeners.count(ap_a) == 1
+        medium.transmit(object(), FakeFrame(dst="nobody"), usec(10))
+        sim.run()
+        assert len(ap_a.of_kind("busy")) == 1
+        assert len(ap_a.of_kind("idle")) == 1
+
     def test_cell_keys_and_cell_of(self, sim):
         medium, (ap_a, _), (ap_b, _) = two_cells(sim)
         assert medium.cell_keys() == [0, 1]

@@ -18,19 +18,23 @@ from repro.workloads.scenarios import run_scenario
 
 PINNED = {
     HackPolicy.VANILLA: {
-        "events_scheduled": 52_142, "events_executed": 45_591,
-        "events_cancelled": 6_468, "heap_compactions": 0,
+        "events_scheduled": 48_236, "events_executed": 43_090,
+        "events_cancelled": 5_063, "heap_compactions": 0,
         "timer_rearms": 13_037},
     HackPolicy.MORE_DATA: {
-        "events_scheduled": 50_404, "events_executed": 46_278,
-        "events_cancelled": 4_045, "heap_compactions": 0,
+        "events_scheduled": 48_631, "events_executed": 44_980,
+        "events_cancelled": 3_570, "heap_compactions": 0,
         "timer_rearms": 14_185},
 }
 
-#: What is still cancelled is the MAC's defer/backoff/response
-#: events (6 283 of the vanilla cell's 6 468), which stay eager; with
-#: every TCP timer on cancel-and-push the ratio was 0.30 / 0.28.
-MAX_CANCELLED_RATIO = 0.13
+#: What is still cancelled, on the vanilla cell: 2 281 backoff
+#: countdowns frozen by a busy edge (each station's own, it has slots
+#: to be credited), 1 307 response timeouts met by their response,
+#: 1 290 of the medium's IFS wakes (one per idle period cut short by a
+#: SIFS response, however many stations waited in it) and 185 stale
+#: TCP timer entries.  With one defer event per station the ratio was
+#: 0.124 / 0.080; with every TCP timer on cancel-and-push, 0.30 / 0.28.
+MAX_CANCELLED_RATIO = 0.11
 
 
 @pytest.mark.parametrize("policy", sorted(PINNED, key=lambda p: p.name))
