@@ -309,13 +309,13 @@ every historical row stays bit-identical (pinned by the golden rows;
   `popleft` / peek / `filter_out`) whatever the discipline.
 
 **Metrics**: every run's `metrics_dict()` carries an `"aqm"` block —
-discipline, head drops, marks, dequeued count, and delivered-sojourn
+discipline, head drops, dequeued count, and delivered-sojourn
 p50/p99 with the underlying log-spaced histogram (recorded for every
 discipline, drop-tail included, so AQM-vs-FIFO tail comparisons need
-no extra plumbing).  Channel shards merge the block exactly
-(`merge_aqm_blocks`: counters summed, histograms added bin-wise,
-percentiles recomputed — associative, so sharded runs stay
-bit-identical).
+no extra plumbing).  Every MAC's `QdiscStats` (drops plus one
+`obs.metrics.Histogram`) is merged across stations and channel shards
+and the block is rendered once from the merged accumulator — merging
+is associative, so sharded runs stay bit-identical.
 
 **Registered scenarios**: `churn-cubic-codel`, `churn-paced`,
 `aqm-fqcodel` (the standing-queue regime: 50 Mbps CBR UDP floor
@@ -496,7 +496,7 @@ Three products per instrumented run:
   occupancy, streamed as JSONL (`meta` / `sample`* / `summary` /
   `spans` lines, `json.dumps(..., sort_keys=True)`).
 * **Metrics registry** — counters / gauges (last/min/max/mean) /
-  power-of-two histograms, surfaced as a `"telemetry"` block in
+  log-binned histograms (100 bins per decade), surfaced as a `"telemetry"` block in
   `metrics_dict()` (excluded from sweep cache signatures and cached
   records).
 

@@ -15,16 +15,15 @@ cooperative ones and never perturb cooperative draws.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
+from ..obs.metrics import merge_counts
 from .config import AdversaryConfig
 from .jammer import Jammer
 from .mutator import AirframeMutator
 
 #: The fixed shape of ``metrics_dict()["adversary"]``; stable across
-#: kinds and intensities so sweep rows and shard merges never see a
-#: shifting schema.  Integers sum across shards; kind/intensity are
-#: invariants carried from the config.
+#: kinds and intensities so sweep rows never see a shifting schema.
 _ZERO_COUNTERS = {
     "greedy_stations": 0,
     "cheated_draws": 0,
@@ -49,42 +48,23 @@ class AdversaryRuntime:
         self.greedy_macs: List[Any] = []
 
     def counters(self) -> Dict[str, int]:
-        out = dict(_ZERO_COUNTERS)
-        out["greedy_stations"] = len(self.greedy_macs)
-        out["cheated_draws"] = sum(mac.cheated_draws
-                                   for mac in self.greedy_macs)
-        for jammer in self.jammers:
-            for key, value in jammer.counters().items():
-                out[key] += value
-        for mutator in self.mutators:
-            for key, value in mutator.counters().items():
-                out[key] += value
+        """This simulator's integer counters (what crosses the shard
+        boundary; summed key-wise by the merge)."""
+        out = {"greedy_stations": len(self.greedy_macs),
+               "cheated_draws": sum(mac.cheated_draws
+                                    for mac in self.greedy_macs)}
+        for actor in self.jammers + self.mutators:
+            merge_counts(out, actor.counters())
         return out
 
 
 def adversary_block(config: AdversaryConfig,
-                    runtime: Optional[AdversaryRuntime]
-                    ) -> Dict[str, Any]:
-    """The ``metrics_dict()["adversary"]`` payload (plain data)."""
-    block: Dict[str, Any] = {"kind": config.kind,
-                             "intensity": config.intensity}
-    block.update(runtime.counters() if runtime is not None
-                 else _ZERO_COUNTERS)
-    return block
-
-
-def merge_adversary_blocks(blocks) -> Optional[Dict[str, Any]]:
-    """Sum per-shard adversary blocks (kind/intensity are invariant)."""
-    blocks = [b for b in blocks if b is not None]
-    if not blocks:
-        return None
-    merged = dict(blocks[0])
-    for block in blocks[1:]:
-        for key, value in block.items():
-            if key in ("kind", "intensity"):
-                continue
-            merged[key] = merged.get(key, 0) + value
-    return merged
+                    counters: Mapping[str, int]) -> Dict[str, Any]:
+    """The ``metrics_dict()["adversary"]`` payload: the run's summed
+    counters (none at all for an inert plan) under the config's kind
+    and intensity."""
+    return {"kind": config.kind, "intensity": config.intensity,
+            **_ZERO_COUNTERS, **counters}
 
 
 def install_adversary(config: Optional[AdversaryConfig], sim, rngs,

@@ -141,6 +141,40 @@ def run(quick: bool = False, transports=TRANSPORTS, qdiscs=QDISCS,
         runner.run(sweep_spec(quick, transports, qdiscs, schemes)))
 
 
+def check_rows(rows: List[Dict]) -> str:
+    """The AQM tier's pass/fail contract, for the tier-1 test (its
+    trimmed grid) and the CI smoke (the full 24-cell artifact) alike.
+
+    Every cell completed flows and delivered packets, drop-tail never
+    head-drops, and under the standing-queue load CoDel holds the
+    stock (reno, TCP/802.11) delivered-sojourn p99 below drop-tail's
+    while actually head-dropping.  Raises ``AssertionError`` with the
+    offending row(s); returns the one-line summary CI prints.
+    """
+    for row in rows:
+        if not (row["flows_completed"] > 0
+                and 0 < row["fct_p50_ms"] <= row["fct_p99_ms"]
+                and 0 < row["sojourn_p50_ms"] <= row["sojourn_p99_ms"]
+                and row["offered_mbps"] > 0
+                and row["carried_mbps"] > 0):
+            raise AssertionError(f"cell did not complete: {row}")
+        if row["qdisc"] == "droptail" and row["aqm_drops"] != 0:
+            raise AssertionError(f"drop-tail head-dropped: {row}")
+    stock = {row["qdisc"]: row for row in rows
+             if (row["transport"], row["scheme"])
+             == ("reno", "TCP/802.11")}
+    tail, codel = stock["droptail"], stock["codel"]
+    if not (codel["sojourn_p99_ms"] < tail["sojourn_p99_ms"]
+            and codel["aqm_drops"] > 0):
+        raise AssertionError(
+            f"CoDel does not beat drop-tail on sojourn p99: "
+            f"{codel} vs {tail}")
+    return (f"aqm smoke: {len(rows)} cells complete; codel p99 "
+            f"{codel['sojourn_p99_ms']:.2f} ms < droptail "
+            f"{tail['sojourn_p99_ms']:.2f} ms "
+            f"({codel['aqm_drops']:.0f} head drops)")
+
+
 def format_rows(rows: List[Dict]) -> str:
     body = []
     for row in rows:

@@ -30,8 +30,8 @@ and executable in parallel:
   reports and a successful re-run clears.
 * :class:`SweepResult` — per-point metric *and error* records plus
   per-cell mean/stdev aggregation, persistable to/reloadable from JSON
-  (artifact ``version`` 2; version-1 artifacts still load, artifacts
-  from a different ``ENGINE_VERSION`` are rejected unless
+  (artifact ``version`` 2, the only schema read; artifacts from a
+  different ``ENGINE_VERSION`` are rejected unless
   ``allow_stale=True``).
 
 Workers rebuild the whole simulation from the (picklable) config, so
@@ -69,12 +69,14 @@ from .progress import SweepProgress
 #:    (fewer scheduled/cancelled events, new timer_rearms) are not.
 #: 4: carrier sense owned by the medium — rows unchanged again, the
 #:    cached kernel_stats (one IFS wake per idle period) are not.
-ENGINE_VERSION = 4
+#: 5: the ``"aqm"`` block has no ``marks`` key and its sojourn
+#:    percentiles follow the FCT law (``obs.metrics.Histogram``;
+#:    they move by at most one bin).
+ENGINE_VERSION = 5
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``
-#: flag (incremental/fault-isolated runner).  Version-1 artifacts are
-#: still readable.
+#: flag (incremental/fault-isolated runner).
 RESULT_VERSION = 2
 
 Key = Tuple[Any, ...]
@@ -532,7 +534,7 @@ class SweepResult:
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any],
                        allow_stale: bool = False) -> "SweepResult":
-        """Reload an artifact (version 1 and 2 schemas both read).
+        """Reload an artifact (schema :data:`RESULT_VERSION` only).
 
         Raises :class:`StaleArtifactError` when the artifact's
         ``engine`` differs from the running :data:`ENGINE_VERSION` —
@@ -542,11 +544,11 @@ class SweepResult:
         """
         if payload.get("format") != "repro-sweep-result":
             raise ValueError("not a sweep-result JSON document")
-        version = payload.get("version", 1)
-        if version not in (1, RESULT_VERSION):
+        version = payload.get("version")
+        if version != RESULT_VERSION:
             raise ValueError(
                 f"unknown sweep-result version {version!r} "
-                f"(this build reads 1..{RESULT_VERSION})")
+                f"(this build reads version {RESULT_VERSION})")
         engine = payload.get("engine")
         if engine != ENGINE_VERSION and not allow_stale:
             raise StaleArtifactError(

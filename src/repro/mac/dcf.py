@@ -248,10 +248,6 @@ class DcfMac(MediumListener):
             self._dest_order.append(dst)
         return self._queues[dst]
 
-    def aqm_stats(self) -> Dict[str, Any]:
-        """This station's queue-discipline counters as a JSON block."""
-        return self.qdisc_stats.block(self.params.queue_discipline)
-
     def _originator_for(self, dst: str) -> BlockAckOriginator:
         if dst not in self._originators:
             self._originators[dst] = BlockAckOriginator(

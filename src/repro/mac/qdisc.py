@@ -28,23 +28,20 @@ MAC hot path (the kernel benchmark gate is the regression net).
 CoDel never drops the last remaining packet (RFC 8289 §4.1), which
 also keeps queue truthiness coherent for the MAC's has-work checks.
 
-Sojourn times are recorded on *successful dequeue* (delivered to the
-MAC) into a log-spaced histogram mirroring ``repro.stats.fct`` so the
-blocks merge exactly across channel shards.
+Sojourn times (milliseconds) are recorded on *successful dequeue*
+(delivered to the MAC) into a :class:`repro.obs.metrics.Histogram`;
+:class:`QdiscStats` objects merge exactly across MACs and channel
+shards and render the ``"aqm"`` block once, after the merge.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
+from ..obs.metrics import Histogram
 from ..sim.units import MS
-
-#: Log-histogram resolution (matches repro.stats.fct.FctAggregator so
-#: percentile semantics are familiar and shard merges are exact).
-BINS_PER_DECADE = 100
-MIN_SOJOURN_MS = 1e-6
 
 #: CoDel defaults (RFC 8289 §4.2-4.3).
 CODEL_TARGET_NS = 5 * MS
@@ -55,84 +52,34 @@ FQ_QUANTUM_BYTES = 1514
 DISCIPLINES = ("droptail", "codel", "fq_codel")
 
 
-_floor = math.floor
-_log10 = math.log10
-
-
-def _bin_index(ms: float) -> int:
-    return _floor(_log10(max(ms, MIN_SOJOURN_MS)) * BINS_PER_DECADE)
-
-
-def _bin_value(index: int) -> float:
-    return 10.0 ** ((index + 0.5) / BINS_PER_DECADE)
-
-
-def _histogram_percentile(bins: Dict[int, int], count: int,
-                          fraction: float) -> Optional[float]:
-    """Rank-interpolated percentile over a sparse {bin: count} dict."""
-    if count <= 0:
-        return None
-    rank = fraction * (count - 1)
-    seen = 0
-    for index in sorted(bins):
-        seen += bins[index]
-        if seen > rank:
-            return _bin_value(index)
-    return _bin_value(max(bins))
-
-
-class SojournHistogram:
-    """Sparse log-histogram of queue sojourn times (milliseconds)."""
-
-    __slots__ = ("bins", "count")
-
-    def __init__(self) -> None:
-        self.bins: Dict[int, int] = {}
-        self.count = 0
-
-    def record_ns(self, sojourn_ns: int) -> None:
-        index = _bin_index(sojourn_ns / MS)
-        self.bins[index] = self.bins.get(index, 0) + 1
-        self.count += 1
-
-    def percentile(self, fraction: float) -> Optional[float]:
-        return _histogram_percentile(self.bins, self.count, fraction)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {str(i): self.bins[i] for i in sorted(self.bins)}
-
-
 class QdiscStats:
     """Counters shared by every per-destination queue of one MAC."""
 
-    __slots__ = ("drops", "marks", "dequeued", "sojourn")
+    __slots__ = ("drops", "sojourn")
 
     def __init__(self) -> None:
         self.drops = 0          # AQM (head) drops; tail drops are MAC's
-        self.marks = 0          # reserved for ECN
-        self.dequeued = 0
-        self.sojourn = SojournHistogram()
+        #: Sojourn (ms) of every packet delivered to the MAC.
+        self.sojourn = Histogram()
+
+    @property
+    def dequeued(self) -> int:
+        return self.sojourn.count
 
     def on_dequeue(self, sojourn_ns: int) -> None:
-        # Hot path (once per delivered MPDU): the histogram update is
-        # inlined rather than delegated through record_ns/_bin_index.
-        self.dequeued += 1
-        ms = sojourn_ns / MS
-        if ms < MIN_SOJOURN_MS:
-            ms = MIN_SOJOURN_MS
-        index = _floor(_log10(ms) * BINS_PER_DECADE)
-        hist = self.sojourn
-        bins = hist.bins
-        bins[index] = bins.get(index, 0) + 1
-        hist.count += 1
+        self.sojourn.observe(sojourn_ns / MS)
+
+    def merge(self, other: "QdiscStats") -> None:
+        self.drops += other.drops
+        self.sojourn.merge(other.sojourn)
 
     def block(self, discipline: str) -> Dict[str, Any]:
+        """The ``metrics_dict()["aqm"]`` payload."""
         return {
             "discipline": discipline,
             "drops": self.drops,
-            "marks": self.marks,
             "dequeued": self.dequeued,
-            "sojourn_bins": self.sojourn.as_dict(),
+            "sojourn_bins": self.sojourn.bins_dict(),
             "sojourn_p50_ms": self.sojourn.percentile(0.50),
             "sojourn_p99_ms": self.sojourn.percentile(0.99),
         }
@@ -403,34 +350,3 @@ def make_queue(sim, params, stats: QdiscStats):
                             params.codel_interval_ns,
                             params.fq_quantum_bytes)
     raise ValueError(f"unknown queue discipline {discipline!r}")
-
-
-# ----------------------------------------------------------------------
-# Aggregation helpers (scenario metrics + shard merge)
-# ----------------------------------------------------------------------
-def merge_aqm_blocks(blocks: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge per-MAC (or per-shard) AQM blocks into one.
-
-    Pure function of the inputs — merged-then-summarised percentiles
-    are bit-identical whether the blocks come from one simulator or
-    from per-channel shards.
-    """
-    blocks = list(blocks)
-    discipline = blocks[0]["discipline"] if blocks else "droptail"
-    merged: Dict[str, Any] = {
-        "discipline": discipline,
-        "drops": 0, "marks": 0, "dequeued": 0,
-    }
-    bins: Dict[int, int] = {}
-    for block in blocks:
-        merged["drops"] += block["drops"]
-        merged["marks"] += block["marks"]
-        merged["dequeued"] += block["dequeued"]
-        for index, count in block["sojourn_bins"].items():
-            index = int(index)
-            bins[index] = bins.get(index, 0) + count
-    count = sum(bins.values())
-    merged["sojourn_bins"] = {str(i): bins[i] for i in sorted(bins)}
-    merged["sojourn_p50_ms"] = _histogram_percentile(bins, count, 0.50)
-    merged["sojourn_p99_ms"] = _histogram_percentile(bins, count, 0.99)
-    return merged

@@ -1,23 +1,60 @@
-"""Metrics registry: counters, gauges and histograms.
+"""The mergeable metrics core: counters, gauges, one histogram.
 
-Subsystems register named metrics into a :class:`MetricsRegistry`
-during a telemetry-enabled run; the registry flattens to the
-``"telemetry"`` block of ``ScenarioResult.metrics_dict()`` and — the
-property the channel-shard pipeline rests on — merges exactly across
-shards.  Metric *names* carry the shard partition: every sampler
-metric is namespaced by channel or cell (``channel0.utilisation``,
-``cell3.ap_queue``), so a merged registry is the disjoint union of the
-per-shard registries and ``as_dict()`` (sorted by name) is
-bit-identical to the unsharded run's.
+**The histogram.**  :class:`Histogram` is the only binned distribution
+in ``src/``: queue sojourn (:mod:`repro.mac.qdisc`), streaming FCT
+(:mod:`repro.stats.fct`) and the telemetry series all record into it.
+Bins are sparse and log-spaced, :data:`BINS_PER_DECADE` = 100 of them
+per decade: bin ``i`` covers ``[10**(i/100), 10**((i+1)/100))`` and
+stands for its log-midpoint ``10**((i+0.5)/100)``; values at or below
+:data:`MIN_VALUE` share the lowest bin (the logarithm stays total).
+``count``, ``total`` (so the mean), ``min`` and ``max`` are exact;
+only percentiles are quantised.  :meth:`Histogram.percentile` is the
+one percentile law: position ``fraction * (count - 1)`` interpolated
+between the midpoints of the bins holding its floor and ceiling ranks
+(as :func:`repro.stats.fct.percentile` interpolates the order
+statistics themselves), then clamped into ``[min, max]`` — so a
+reported percentile is within one bin, a factor ``10**(1/100)`` ≈
+2.33%, of the exact order statistic and never outside the observed
+range.
 
-All three metric kinds hold only plain ints/floats, so registries
-pickle across the shard process boundary and JSON-serialise without
-custom encoders.
+**The merge rule: merge accumulators, render once.**  Whatever crosses
+a shard boundary is an accumulator with an in-place, associative
+``merge(other)`` that leaves ``other`` untouched (the classes here,
+``MacStats``, ``QdiscStats``, ``FctCollector`` / ``FctAggregator``) or
+a flat ``{name: int}`` dict summed by :func:`merge_counts`; a metrics
+block is rendered from the merged accumulator, once.  Merging sums
+counts and bins and pools min/max, so a shard-merged block equals the
+unsharded run's (``tests/obs/test_merge_law.py``).
+
+A :class:`MetricsRegistry` holds a telemetry-enabled run's named
+metrics and flattens to the ``"telemetry"`` block of
+``ScenarioResult.metrics_dict()``.  Metric *names* carry the shard
+partition — every sampler metric is namespaced by channel or cell
+(``channel0.utilisation``, ``cell3.ap_queue``) — so a merged registry
+is the disjoint union of the per-shard ones and ``as_dict()`` (sorted
+by name) is bit-identical to the unsharded run's.  Every metric holds
+only plain ints/floats: they pickle across the shard process boundary
+and JSON-serialise without custom encoders.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import math
+from typing import Any, Dict, Mapping, Optional
+
+#: The one histogram resolution: log-bins per decade.
+BINS_PER_DECADE = 100
+#: Values at or below this floor all land in the lowest bin.
+MIN_VALUE = 1e-6
+
+_floor = math.floor
+_log10 = math.log10
+
+
+def merge_counts(into: Dict[Any, int], other: Mapping[Any, int]) -> None:
+    """Sum a flat ``{key: int}`` counter dict into ``into`` key-wise."""
+    for key, value in other.items():
+        into[key] = into.get(key, 0) + value
 
 
 class Counter:
@@ -75,10 +112,11 @@ class Gauge:
         }
 
     def merge(self, other: "Gauge") -> None:
+        """Pool ``other`` in; ``last`` becomes the right operand's
+        (gauge names are per channel/cell, so two non-empty gauges of
+        one name never meet across shards)."""
         if other.count == 0:
             return
-        if self.count == 0:
-            self.last = other.last
         if self.min is None or (other.min is not None
                                 and other.min < self.min):
             self.min = other.min
@@ -91,43 +129,77 @@ class Gauge:
 
 
 class Histogram:
-    """Power-of-two bucketed distribution of non-negative values.
+    """Sparse log-binned distribution with exact count / total / min /
+    max (the contract is in the module docstring)."""
 
-    Bucket ``k`` counts observations in ``[2^(k-1), 2^k)`` (bucket 0
-    is exactly zero), the same log-bucketing discipline the streaming
-    FCT aggregator uses.  Merging sums bucket counts, so shard-merged
-    distributions equal the unsharded ones exactly.
-    """
-
-    __slots__ = ("buckets", "count", "total")
+    __slots__ = ("bins", "count", "total", "min", "max")
 
     def __init__(self) -> None:
-        self.buckets: Dict[int, int] = {}
+        self.bins: Dict[int, int] = {}
         self.count = 0
         self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
 
     def observe(self, value: float) -> None:
-        bucket = 0
-        if value >= 1:
-            bucket = int(value).bit_length()
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
         self.count += 1
         self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        index = _floor(_log10(value if value > MIN_VALUE else MIN_VALUE)
+                       * BINS_PER_DECADE)
+        bins = self.bins
+        bins[index] = bins.get(index, 0) + 1
+
+    def merge(self, other: "Histogram") -> None:
+        self.count += other.count
+        self.total += other.total
+        if other.min < self.min:
+            self.min = other.min
+        if other.max > self.max:
+            self.max = other.max
+        merge_counts(self.bins, other.bins)
+
+    def percentile(self, fraction: float) -> Optional[float]:
+        """The value at ``fraction`` in [0, 1]; None when empty."""
+        if not self.count:
+            return None
+        position = fraction * (self.count - 1)
+        lower_rank = int(position)
+        weight = position - lower_rank
+        upper_rank = lower_rank + (1 if weight > 0 else 0)
+        lower = upper = None
+        seen = 0
+        for index in sorted(self.bins):
+            seen += self.bins[index]
+            if lower is None and seen > lower_rank:
+                lower = index
+            if seen > upper_rank:
+                upper = index
+                break
+        low, high = (10.0 ** ((index + 0.5) / BINS_PER_DECADE)
+                     for index in (lower, upper))
+        value = low * (1.0 - weight) + high * weight
+        return min(max(value, self.min), self.max)
+
+    def bins_dict(self) -> Dict[str, int]:
+        """The occupied bins, JSON-able: ``{str(index): count}`` in
+        ascending index order."""
+        return {str(index): self.bins[index]
+                for index in sorted(self.bins)}
 
     def as_value(self) -> Dict[str, Any]:
+        empty = not self.count
         return {
             "count": self.count,
             "total": self.total,
-            "mean": self.total / self.count if self.count else 0.0,
-            "buckets": {str(k): self.buckets[k]
-                        for k in sorted(self.buckets)},
+            "mean": 0.0 if empty else self.total / self.count,
+            "min": None if empty else self.min,
+            "max": None if empty else self.max,
+            "bins": self.bins_dict(),
         }
-
-    def merge(self, other: "Histogram") -> None:
-        for bucket, count in other.buckets.items():
-            self.buckets[bucket] = self.buckets.get(bucket, 0) + count
-        self.count += other.count
-        self.total += other.total
 
 
 class MetricsRegistry:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple
 
 from ..sim.units import MS
-from .metrics import MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 from .spans import KernelInstrument
 
 #: Sample-record fields mirrored into per-cell gauges.
@@ -135,11 +135,10 @@ def telemetry_meta(cfg, config: TelemetryConfig,
 def _cell_sojourn_p99(net) -> float:
     """Delivered-packet sojourn p99 (ms) across one cell's stations;
     0.0 until anything has been dequeued (keeps the gauge numeric)."""
-    from ..mac.qdisc import merge_aqm_blocks
-
-    block = merge_aqm_blocks(driver.mac.aqm_stats()
-                             for driver in net.drivers.values())
-    return block["sojourn_p99_ms"] or 0.0
+    sojourn = Histogram()
+    for driver in net.drivers.values():
+        sojourn.merge(driver.mac.qdisc_stats.sojourn)
+    return sojourn.percentile(0.99) or 0.0
 
 
 def _dump_line(handle: IO[str], record: Dict[str, Any]) -> None:

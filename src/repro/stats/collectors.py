@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Dict
 
+from ..obs.metrics import merge_counts
+
 
 class MacStats:
     """Shared accumulator for MAC-level events (one per simulation)."""
@@ -133,9 +135,7 @@ class MacStats:
         channel-shard pipeline to combine per-shard stats.
         """
         for attr in self._DICT_COUNTERS:
-            mine = getattr(self, attr)
-            for key, value in getattr(other, attr).items():
-                mine[key] += value
+            merge_counts(getattr(self, attr), getattr(other, attr))
         for attr in self._SCALAR_COUNTERS:
             setattr(self, attr, getattr(self, attr)
                     + getattr(other, attr))

@@ -28,19 +28,18 @@ Two collection modes share one interface (``open`` / ``close`` /
   ``ScenarioConfig.stream_stats``: completed flows are folded into
   log-spaced histograms and forgotten, so memory is O(live flows +
   occupied bins) — independent of how many flows the run spawns.
-  Percentiles come from the histogram at a documented resolution
-  (:data:`FctAggregator.BINS_PER_DECADE` bins per decade; every
-  reported percentile is within one bin — a factor of
-  ``10 ** (1 / BINS_PER_DECADE)``, about 2.3% — of the exact order
-  statistic).  Counts, means, min/max and load accounting stay exact.
+  Percentiles come from :class:`repro.obs.metrics.Histogram` (every
+  reported percentile is within one bin, about 2.3%, of the exact
+  order statistic; the contract is stated there).  Counts, means,
+  min/max and load accounting stay exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..obs.metrics import BINS_PER_DECADE, Histogram
 from ..sim.units import MS
 
 #: Size-bin upper bounds (bytes) and their stable labels, mice first.
@@ -107,7 +106,9 @@ class FctRecord:
         }
 
 
-def _distribution(fcts_ms: Sequence[float]) -> Dict[str, float]:
+def _distribution(fcts_ms: Sequence[float]) -> Dict[str, Any]:
+    if not fcts_ms:
+        return zero_distribution()
     return {
         "p50": percentile(fcts_ms, 0.50),
         "p95": percentile(fcts_ms, 0.95),
@@ -115,6 +116,21 @@ def _distribution(fcts_ms: Sequence[float]) -> Dict[str, float]:
         "mean": sum(fcts_ms) / len(fcts_ms),
         "min": min(fcts_ms),
         "max": max(fcts_ms),
+    }
+
+
+def _histogram_distribution(histogram: Histogram) -> Dict[str, Any]:
+    """:func:`_distribution` of a streamed population: percentiles at
+    the histogram's resolution, mean/min/max exact."""
+    if not histogram.count:
+        return zero_distribution()
+    return {
+        "p50": histogram.percentile(0.50),
+        "p95": histogram.percentile(0.95),
+        "p99": histogram.percentile(0.99),
+        "mean": histogram.total / histogram.count,
+        "min": histogram.min,
+        "max": histogram.max,
     }
 
 
@@ -144,6 +160,32 @@ def size_bin_label(size_bytes: int) -> str:
         if bound is None or size_bytes <= bound:
             return label
     raise AssertionError("unreachable: last bin is unbounded")
+
+
+def _fct_block(spawned: int, completed: int, fct_ms: Dict[str, Any],
+               by_size: Dict[str, Dict[str, Any]],
+               offered_bytes: int, carried_bytes: int,
+               duration_ns: int) -> Dict[str, Any]:
+    """The ``"fct"`` block both collection modes report.
+
+    ``duration_ns`` is the load-accounting window (the scenario
+    duration); offered load counts every spawned byte, carried load
+    counts delivered bytes (completed flows in full, censored flows
+    up to their last delivered byte).
+    """
+    def mbps(byte_count: int) -> float:
+        return byte_count * 8 * 1_000.0 / duration_ns \
+            if duration_ns > 0 else 0.0
+
+    return {
+        "flows_spawned": spawned,
+        "flows_completed": completed,
+        "flows_censored": spawned - completed,
+        "fct_ms": fct_ms,
+        "fct_by_size_ms": by_size,
+        "offered_load_mbps": mbps(offered_bytes),
+        "carried_load_mbps": mbps(carried_bytes),
+    }
 
 
 class FctCollector:
@@ -189,19 +231,10 @@ class FctCollector:
 
     def summary(self, duration_ns: int,
                 include_flows: bool = True) -> Dict[str, Any]:
-        """The JSON-able block ``metrics_dict`` exposes as ``"fct"``.
-
-        ``duration_ns`` is the load-accounting window (the scenario
-        duration); offered load counts every spawned byte, carried
-        load counts delivered bytes (completed flows in full, censored
-        flows up to their last delivered byte).
-        """
+        """The JSON-able block ``metrics_dict`` exposes as ``"fct"``
+        (see :func:`_fct_block`), plus the per-flow ``"flows"`` list
+        unless ``include_flows`` is off."""
         done = self.completed
-        fcts_ms = [r.fct_ns / MS for r in done]
-        offered_bytes = sum(r.size_bytes for r in self.records)
-        carried_bytes = sum(
-            r.size_bytes if r.completed else r.bytes_delivered
-            for r in self.records)
         by_size: Dict[str, Dict[str, Any]] = {}
         for _, label in SIZE_BINS:
             bin_fcts = [r.fct_ns / MS for r in done
@@ -209,59 +242,16 @@ class FctCollector:
             if bin_fcts:
                 by_size[label] = dict(
                     _distribution(bin_fcts), flows=len(bin_fcts))
-        summary: Dict[str, Any] = {
-            "flows_spawned": self.spawned,
-            "flows_completed": len(done),
-            "flows_censored": self.spawned - len(done),
-            "fct_ms": _distribution(fcts_ms) if fcts_ms
-            else zero_distribution(),
-            "fct_by_size_ms": by_size,
-            "offered_load_mbps":
-                offered_bytes * 8 * 1_000.0 / duration_ns
-                if duration_ns > 0 else 0.0,
-            "carried_load_mbps":
-                carried_bytes * 8 * 1_000.0 / duration_ns
-                if duration_ns > 0 else 0.0,
-        }
+        summary = _fct_block(
+            self.spawned, len(done),
+            _distribution([r.fct_ns / MS for r in done]), by_size,
+            sum(r.size_bytes for r in self.records),
+            sum(r.size_bytes if r.completed else r.bytes_delivered
+                for r in self.records),
+            duration_ns)
         if include_flows:
             summary["flows"] = [r.as_dict() for r in self.records]
         return summary
-
-
-class _StreamBin:
-    """Online accumulator for one population (overall or a size bin)."""
-
-    __slots__ = ("count", "total", "minimum", "maximum", "histogram")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        #: log-bin index -> completed-flow count (sparse).
-        self.histogram: Dict[int, int] = {}
-
-    def add(self, fct_ms: float, bin_index: int) -> None:
-        self.count += 1
-        self.total += fct_ms
-        if fct_ms < self.minimum:
-            self.minimum = fct_ms
-        if fct_ms > self.maximum:
-            self.maximum = fct_ms
-        self.histogram[bin_index] = \
-            self.histogram.get(bin_index, 0) + 1
-
-    def merge(self, other: "_StreamBin") -> None:
-        """Fold another population in; exact fields stay exact."""
-        self.count += other.count
-        self.total += other.total
-        if other.minimum < self.minimum:
-            self.minimum = other.minimum
-        if other.maximum > self.maximum:
-            self.maximum = other.maximum
-        for index, count in other.histogram.items():
-            self.histogram[index] = \
-                self.histogram.get(index, 0) + count
 
 
 class FctAggregator:
@@ -269,40 +259,28 @@ class FctAggregator:
 
     Interface-compatible with :class:`FctCollector` (``open`` /
     ``close`` / ``summary``) but nothing is retained per flow once it
-    closes: completed FCTs are folded into log-spaced histograms
-    (:data:`BINS_PER_DECADE` bins per decade of milliseconds) and the
-    record object is dropped.  Peak memory is therefore
+    closes: completed FCTs (milliseconds) are folded into
+    :class:`~repro.obs.metrics.Histogram` bins and the record object
+    is dropped.  Peak memory is therefore
 
         O(concurrently live flows + occupied histogram bins)
 
     — independent of the total number of flows a run spawns, which is
     what lets million-flow churn cells run inside hundred-cell sweeps.
 
-    **Percentile resolution** (documented contract, tested in
-    ``tests/stats/test_fct_stream.py``): a reported percentile is the
-    log-midpoint of the histogram bin holding the corresponding order
-    statistic (rank interpolation matching :func:`percentile`), so it
-    is within one bin — a multiplicative factor of
-    ``10 ** (1 / BINS_PER_DECADE)`` ≈ 2.33% — of the exact value.
-    Counts, mean, min/max, offered/carried load and size-bin tallies
-    are exact; only percentiles are quantised.
+    **Percentile resolution** (the histogram's contract, tested in
+    ``tests/stats/test_fct_stream.py``): a reported percentile is
+    within one bin — a multiplicative factor of ≈ 2.33% — of the exact
+    value.  Counts, mean, min/max, offered/carried load and size-bin
+    tallies are exact; only percentiles are quantised.
     """
-
-    #: Histogram resolution: 100 log-bins per decade of milliseconds
-    #: (bin edges at 10**(i/100) ms), i.e. ~2.33% relative bin width.
-    BINS_PER_DECADE = 100
-
-    #: FCTs at or below this floor (ms) all land in the lowest bin;
-    #: simulated flows take at least microseconds so this is never hit
-    #: in practice, but it keeps ``log10`` total.
-    MIN_FCT_MS = 1e-6
 
     def __init__(self) -> None:
         self.spawned = 0
         self.offered_bytes = 0
         self.carried_bytes = 0
-        self.overall = _StreamBin()
-        self.by_size: Dict[str, _StreamBin] = {}
+        self.overall = Histogram()
+        self.by_size: Dict[str, Histogram] = {}
         #: Live (open, not yet closed) records — bounded by flow
         #: concurrency, not by total flow count.
         self.live_open = 0
@@ -332,13 +310,14 @@ class FctAggregator:
             return
         self.carried_bytes += record.size_bytes
         fct_ms = record.fct_ns / MS
-        index = self._bin_index(fct_ms)
-        self.overall.add(fct_ms, index)
-        label = size_bin_label(record.size_bytes)
+        self.overall.observe(fct_ms)
+        self._size_bin(size_bin_label(record.size_bytes)).observe(fct_ms)
+
+    def _size_bin(self, label: str) -> Histogram:
         per_size = self.by_size.get(label)
         if per_size is None:
-            per_size = self.by_size[label] = _StreamBin()
-        per_size.add(fct_ms, index)
+            per_size = self.by_size[label] = Histogram()
+        return per_size
 
     def merge(self, other: "FctAggregator") -> None:
         """Fold another aggregator in (multi-cell runs merge per-cell
@@ -362,22 +341,8 @@ class FctAggregator:
         self.live_open += other.live_open
         self.max_live += other.max_live
         self.overall.merge(other.overall)
-        for label, bin_ in other.by_size.items():
-            mine = self.by_size.get(label)
-            if mine is None:
-                mine = self.by_size[label] = _StreamBin()
-            mine.merge(bin_)
-
-    @classmethod
-    def _bin_index(cls, fct_ms: float) -> int:
-        return math.floor(
-            math.log10(max(fct_ms, cls.MIN_FCT_MS))
-            * cls.BINS_PER_DECADE)
-
-    @classmethod
-    def _bin_value(cls, index: int) -> float:
-        """Representative FCT of one bin: its log-midpoint."""
-        return 10.0 ** ((index + 0.5) / cls.BINS_PER_DECADE)
+        for label, histogram in other.by_size.items():
+            self._size_bin(label).merge(histogram)
 
     # -- views ---------------------------------------------------------
     @property
@@ -386,55 +351,8 @@ class FctAggregator:
 
     def occupied_bins(self) -> int:
         """Histogram cells in use (the non-live part of peak memory)."""
-        return (len(self.overall.histogram)
-                + sum(len(b.histogram)
-                      for b in self.by_size.values()))
-
-    @classmethod
-    def _histogram_percentile(cls, histogram: Dict[int, int],
-                              count: int, fraction: float) -> float:
-        """Rank-interpolated percentile over a sparse log histogram.
-
-        Mirrors :func:`percentile`: the target position is
-        ``fraction * (count - 1)``; the values at its floor and
-        ceiling ranks are approximated by their bins' log-midpoints
-        and linearly interpolated."""
-        position = fraction * (count - 1)
-        lower_rank = int(position)
-        weight = position - lower_rank
-        lower_value: Optional[float] = None
-        upper_value: Optional[float] = None
-        seen = 0
-        for index in sorted(histogram):
-            seen += histogram[index]
-            if lower_value is None and seen > lower_rank:
-                lower_value = cls._bin_value(index)
-            if seen > lower_rank + (1 if weight > 0 else 0):
-                upper_value = cls._bin_value(index)
-                break
-        assert lower_value is not None
-        if upper_value is None or weight == 0:
-            return lower_value
-        return lower_value * (1.0 - weight) + upper_value * weight
-
-    @classmethod
-    def _stream_distribution(cls, bin_: _StreamBin) -> Dict[str, float]:
-        def pct(fraction: float) -> float:
-            value = cls._histogram_percentile(
-                bin_.histogram, bin_.count, fraction)
-            # Min/max are exact; clamping the quantised percentile
-            # into their range keeps one summary self-consistent
-            # (never p99 > max) and only ever reduces the error.
-            return min(max(value, bin_.minimum), bin_.maximum)
-
-        return {
-            "p50": pct(0.50),
-            "p95": pct(0.95),
-            "p99": pct(0.99),
-            "mean": bin_.total / bin_.count,
-            "min": bin_.minimum,
-            "max": bin_.maximum,
-        }
+        return (len(self.overall.bins)
+                + sum(len(b.bins) for b in self.by_size.values()))
 
     def summary(self, duration_ns: int,
                 include_flows: bool = True) -> Dict[str, Any]:
@@ -442,31 +360,22 @@ class FctAggregator:
         per-flow ``"flows"`` list is never included (there is nothing
         to list — that is the point) and a ``"streaming"`` block
         documents the percentile resolution."""
-        done = self.overall.count
         by_size: Dict[str, Dict[str, Any]] = {}
         for _, label in SIZE_BINS:
-            bin_ = self.by_size.get(label)
-            if bin_ is not None and bin_.count:
+            histogram = self.by_size.get(label)
+            if histogram is not None and histogram.count:
                 by_size[label] = dict(
-                    self._stream_distribution(bin_), flows=bin_.count)
-        return {
-            "flows_spawned": self.spawned,
-            "flows_completed": done,
-            "flows_censored": self.spawned - done,
-            "fct_ms": self._stream_distribution(self.overall)
-            if done else zero_distribution(),
-            "fct_by_size_ms": by_size,
-            "offered_load_mbps":
-                self.offered_bytes * 8 * 1_000.0 / duration_ns
-                if duration_ns > 0 else 0.0,
-            "carried_load_mbps":
-                self.carried_bytes * 8 * 1_000.0 / duration_ns
-                if duration_ns > 0 else 0.0,
-            "streaming": {
-                "bins_per_decade": self.BINS_PER_DECADE,
-                "relative_resolution":
-                    10.0 ** (1.0 / self.BINS_PER_DECADE) - 1.0,
-                "occupied_bins": self.occupied_bins(),
-                "max_live_records": self.max_live,
-            },
+                    _histogram_distribution(histogram),
+                    flows=histogram.count)
+        summary = _fct_block(
+            self.spawned, self.overall.count,
+            _histogram_distribution(self.overall), by_size,
+            self.offered_bytes, self.carried_bytes, duration_ns)
+        summary["streaming"] = {
+            "bins_per_decade": BINS_PER_DECADE,
+            "relative_resolution":
+                10.0 ** (1.0 / BINS_PER_DECADE) - 1.0,
+            "occupied_bins": self.occupied_bins(),
+            "max_live_records": self.max_live,
         }
+        return summary

@@ -47,16 +47,16 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..adversary import AdversaryConfig, GreedyDcfMac
-from ..adversary.runtime import AdversaryRuntime, adversary_block, \
-    install_adversary
+from ..adversary.runtime import AdversaryRuntime, install_adversary
 from ..core.driver import HackDriver
 from ..core.policies import HackConfig, HackPolicy
 from ..mac.dcf import DcfMac
 from ..mac.params import MacParams
-from ..mac.qdisc import merge_aqm_blocks
+from ..mac.qdisc import QdiscStats
 from ..mac.rate_control import Aarf
 from ..obs import TelemetryConfig, TelemetrySession, chrome_trace, \
     write_chrome_trace
+from ..obs.metrics import merge_counts
 from ..phy.errors import LossModel, NoLoss, SnrLossModel, UniformLossModel
 from ..phy.params import PHY_11A, PHY_11N, PhyParams
 from ..sim.engine import Simulator
@@ -373,9 +373,9 @@ class ScenarioResult:
     #: summed across drivers — desyncs, recoveries, aborted frames,
     #: chain repairs.  All zero in cooperative runs.
     rohc_counters: Dict[str, int] = field(default_factory=dict)
-    #: Queue-discipline block (``metrics_dict()["aqm"]``) merged over
-    #: every station's MAC queues — AQM drops, marks, and delivered-
-    #: packet sojourn percentiles (see ``repro.mac.qdisc``).
+    #: Queue-discipline block (``metrics_dict()["aqm"]``) over every
+    #: station's MAC queues — AQM drops and delivered-packet sojourn
+    #: percentiles (``QdiscStats.block``).
     aqm_counters: Dict[str, Any] = field(default_factory=dict)
     #: The ``metrics_dict()["adversary"]`` block — present exactly when
     #: ``config.adversary`` is set (zeroed counters for inert plans).
@@ -441,6 +441,24 @@ class ScenarioResult:
         keeping it plain data is what makes results picklable,
         cacheable and identical across serial and parallel execution
         (all dict keys are strings so a JSON round-trip is lossless).
+
+        Each block is rendered once, by ``merge_outcomes``, from what
+        the shards shipped (the rule: :mod:`repro.obs.metrics`):
+
+        * ``hack_fit_fraction``, ``retry_table``,
+          ``time_breakdown_ms`` — the merged ``MacStats``;
+        * ``aqm`` — the merged ``QdiscStats`` (``block``);
+        * ``fct`` — the per-cell ``FctCollector`` / ``FctAggregator``
+          merged in cell order (``summary``);
+        * ``decompressor``, ``rohc``, ``adversary`` — counter dicts
+          summed by ``merge_counts`` (``adversary`` under the config's
+          kind / intensity);
+        * ``telemetry`` — the merged ``MetricsRegistry``, the sample
+          stream and the span table (``merge_span_blocks``);
+        * everything else is per-flow / per-station / per-cell /
+          per-channel data that is reordered or totalled, never
+          merged; ``kernel_stats`` / ``shards`` are one simulator's
+          counters, verbatim.
         """
         out = {
             "aggregate_goodput_mbps": self.aggregate_goodput_mbps,
@@ -954,12 +972,13 @@ def collect(world: CellBuilder) -> ShardOutcome:
         "duplicates_skipped": 0, "damaged_skips": 0, "parse_errors": 0}
     rohc: Dict[str, int] = dict.fromkeys(
         HackDriver.ROHC_ROBUSTNESS_KEYS, 0)
+    qdisc_stats = QdiscStats()
     for driver in drivers.values():
-        for key, value in driver.decompressor_counters().items():
-            decomp[key] += value
-        for key, value in driver.rohc_robustness_counters().items():
-            rohc[key] = rohc.get(key, 0) + value
+        merge_counts(decomp, driver.decompressor_counters())
+        merge_counts(rohc, driver.rohc_robustness_counters())
+        qdisc_stats.merge(driver.mac.qdisc_stats)
 
+    runtime = world.adversary_runtime
     session = world.telemetry_session
     telemetry_products = {} if session is None else dict(
         telemetry_block=session.block(),
@@ -978,11 +997,9 @@ def collect(world: CellBuilder) -> ShardOutcome:
         kernel_stats=world.sim.stats.as_dict(),
         udp_background_goodput_mbps=background_mbps,
         rohc_counters=rohc,
-        aqm_counters=merge_aqm_blocks(driver.mac.aqm_stats()
-                                      for driver in drivers.values()),
-        adversary_counters=(
-            adversary_block(cfg.adversary, world.adversary_runtime)
-            if cfg.adversary is not None else None),
+        qdisc_stats=qdisc_stats,
+        adversary_counters=(runtime.counters() if runtime is not None
+                            else {}),
         cell_blocks=cell_blocks,
         channel_blocks=[
             _channel_block(cfg, world.media.medium(channel),

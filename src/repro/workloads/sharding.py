@@ -22,13 +22,21 @@ one independent sub-scenario per channel.
   pool's work function), with the same submit/poll shape the sweep
   engine uses.
 * **merge** — :func:`merge_outcomes` is the only assembler of a
-  :class:`~repro.workloads.scenarios.ScenarioResult`: per-flow
-  goodputs in whole-scenario insertion order (so order-sensitive
-  float reductions — aggregate goodput, Jain — do not depend on the
-  plan), per-cell FCT collectors merged in cell order through
-  ``FctCollector.merge`` / ``FctAggregator.merge``, MAC/driver/
-  decompressor counters summed, and per-cell / per-channel blocks
-  ordered globally.
+  :class:`~repro.workloads.scenarios.ScenarioResult`, under one rule:
+  *merge accumulators, render once* (:mod:`repro.obs.metrics`).  What
+  a shard ships is an accumulator with an associative ``merge``
+  (``MacStats``, ``QdiscStats``, the per-cell FCT collectors, the
+  telemetry registry), a flat ``{name: int}`` dict summed key-wise by
+  ``merge_counts`` (decompressor, ROHC and adversary counters), or
+  data keyed by global cell / channel that is only reordered:
+  per-flow goodputs in whole-scenario insertion order (so
+  order-sensitive float reductions — aggregate goodput, Jain — do not
+  depend on the plan) and per-cell / per-channel blocks.  The
+  ``"aqm"``, ``"adversary"`` and ``"fct"`` blocks are rendered here,
+  from the merged accumulators.  The one rendered block that is
+  merged is the span table (``merge_span_blocks``): a shard's raw
+  span list is host wall times, up to ``max_spans`` tuples of them,
+  and must not cross the process boundary.
 
 Everything in ``metrics_dict()`` is identical whichever plan ran,
 except the kernel view: counters of independent simulators are never
@@ -53,10 +61,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..adversary.runtime import merge_adversary_blocks
-from ..mac.qdisc import merge_aqm_blocks
+from ..adversary.runtime import adversary_block
+from ..mac.qdisc import QdiscStats
 from ..obs import MetricsRegistry, TelemetryConfig, \
     merge_span_blocks, telemetry_meta, write_telemetry_file
+from ..obs.metrics import merge_counts
 from ..stats.collectors import MacStats
 
 
@@ -122,8 +131,9 @@ class ShardOutcome:
     cross the process boundary; everything ``merge_outcomes`` needs is
     extracted by :func:`~repro.workloads.scenarios.collect`, keyed by
     *global* cell index so the merge can restore whole-scenario
-    ordering.  The FCT collectors themselves (plain-data record lists
-    / histograms) do ship — the merge uses their ``merge`` methods.
+    ordering.  Accumulators (``MacStats``, ``QdiscStats``, the FCT
+    collectors, the telemetry registry — plain ints, floats and dicts
+    inside) ship whole: the merge uses their ``merge`` methods.
     """
 
     #: The shard's channels, first-appearance order over its cells.
@@ -140,14 +150,13 @@ class ShardOutcome:
     decomp_counters: Dict[str, int]
     kernel_stats: Dict[str, int]
     udp_background_goodput_mbps: Dict[str, float]
-    #: ROHC robustness counters (metrics_dict()["rohc"]; summed).
+    #: ROHC robustness counters (renders metrics_dict()["rohc"]).
     rohc_counters: Dict[str, int] = field(default_factory=dict)
-    #: AQM block (metrics_dict()["aqm"]; counters summed, sojourn
-    #: histograms merged bin-wise, percentiles recomputed).
-    aqm_counters: Dict[str, Any] = field(default_factory=dict)
-    #: Adversary block (metrics_dict()["adversary"]; None when the
-    #: config has no adversary; integer fields summed on merge).
-    adversary_counters: Optional[Dict[str, Any]] = None
+    #: Every MAC's queue statistics, merged (renders ``"aqm"``).
+    qdisc_stats: QdiscStats = field(default_factory=QdiscStats)
+    #: The shard's attack actors' counters (renders ``"adversary"``);
+    #: empty when nothing was installed.
+    adversary_counters: Dict[str, int] = field(default_factory=dict)
     #: (cell index, cell block) in build (= ascending-cell) order.
     cell_blocks: List[Tuple[int, Dict[str, Any]]] = field(
         default_factory=list)
@@ -289,7 +298,8 @@ def merge_outcomes(cfg, plan: ShardPlan,
     cell), then UDP sinks across all cells; cell blocks ascending;
     channel blocks in plan order; FCT collectors merged ascending by
     cell.  Float reductions over those sequences are then bit-identical
-    however the cells were split into shards.
+    however the cells were split into shards.  Every other block is
+    rendered from a merged accumulator (the module docstring's rule).
 
     Kernel view: a one-shard plan reports that shard's counters as
     the result's ``kernel_stats``.  Independent simulators' counters
@@ -317,18 +327,20 @@ def merge_outcomes(cfg, plan: ShardPlan,
     background: Dict[str, float] = {}
     driver_metrics: Dict[str, Dict[str, int]] = {}
     mac_stats = MacStats()
+    qdisc_stats = QdiscStats()
     decomp: Dict[str, int] = {}
     rohc: Dict[str, int] = {}
+    adversary: Dict[str, int] = {}
     for outcome in ordered:
         completion.update(outcome.completion_times_ns)
         sender_counters.update(outcome.sender_counters)
         background.update(outcome.udp_background_goodput_mbps)
         driver_metrics.update(outcome.driver_metrics)
         mac_stats.merge(outcome.mac_stats)
-        for key, value in outcome.decomp_counters.items():
-            decomp[key] = decomp.get(key, 0) + value
-        for key, value in outcome.rohc_counters.items():
-            rohc[key] = rohc.get(key, 0) + value
+        qdisc_stats.merge(outcome.qdisc_stats)
+        merge_counts(decomp, outcome.decomp_counters)
+        merge_counts(rohc, outcome.rohc_counters)
+        merge_counts(adversary, outcome.adversary_counters)
 
     if len(ordered) == 1:
         kernel_stats = dict(ordered[0].kernel_stats)
@@ -350,9 +362,7 @@ def merge_outcomes(cfg, plan: ShardPlan,
         (pair for outcome in ordered for pair in outcome.collectors),
         key=lambda pair: pair[0])
     fct_summary: Optional[Dict[str, Any]] = None
-    if len(collectors) == 1:
-        fct_summary = collectors[0][1].summary(cfg.duration_ns)
-    elif collectors:
+    if collectors:
         merged = type(collectors[0][1])()
         for _, collector in collectors:
             merged.merge(collector)
@@ -392,10 +402,9 @@ def merge_outcomes(cfg, plan: ShardPlan,
                                     telemetry)
                    if telemetry is not None else None),
         rohc_counters=rohc,
-        aqm_counters=merge_aqm_blocks(
-            outcome.aqm_counters for outcome in ordered),
-        adversary_counters=merge_adversary_blocks(
-            outcome.adversary_counters for outcome in ordered),
+        aqm_counters=qdisc_stats.block(cfg.queue_discipline),
+        adversary_counters=(adversary_block(cfg.adversary, adversary)
+                            if cfg.adversary is not None else None),
     )
 
 

@@ -388,7 +388,10 @@ class TestArtifactVersioning:
         assert payload["interrupted"] is False
         assert payload["records"][0]["error"] is None
 
-    def test_v1_artifact_still_loads(self):
+    def test_v1_artifact_rejected(self):
+        """No build since the v2 schema writes version 1 (and any real
+        v1 file predates the current engine): refused by version, with
+        the version found in the message."""
         v1 = {
             "format": "repro-sweep-result", "version": 1,
             "engine": ENGINE_VERSION, "spec": "old",
@@ -396,10 +399,13 @@ class TestArtifactVersioning:
             "records": [{"key": [1], "seed": 1, "signature": "s",
                          "cached": False, "metrics": {"v": 1.0}}],
         }
-        loaded = SweepResult.from_json_dict(v1)
-        assert loaded.failed == 0 and loaded.interrupted is False
-        assert loaded.records[0].ok
-        assert loaded.records[0].metrics == {"v": 1.0}
+        with pytest.raises(ValueError, match="version 1 "):
+            SweepResult.from_json_dict(v1)
+        with pytest.raises(ValueError, match="version 1 "):
+            SweepResult.from_json_dict(v1, allow_stale=True)
+        del v1["version"]
+        with pytest.raises(ValueError, match="version None"):
+            SweepResult.from_json_dict(v1)
 
     def test_stale_engine_raises(self):
         stale = SweepRunner().run(analytic_spec(n=1)).to_json_dict()

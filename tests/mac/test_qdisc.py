@@ -5,7 +5,7 @@ import pytest
 
 from repro.mac.params import MacParams
 from repro.mac.qdisc import CoDelQueue, DropTailQueue, FqCodelQueue, \
-    QdiscStats, make_queue, merge_aqm_blocks
+    QdiscStats, make_queue
 from repro.sim.units import MS
 
 from tests.helpers import FakePayload
@@ -241,49 +241,41 @@ class TestMakeQueue:
 
 
 class TestStatsAndMerge:
-    def drained_block(self, sim, discipline="droptail", n=5, gap=2 * MS):
+    """Block shape and one worked merge; associativity, the empty
+    identity and ``other`` left untouched are the property in
+    ``tests/obs/test_merge_law.py``."""
+
+    def drained_stats(self, sim, n=5, gap=2 * MS):
         stats = QdiscStats()
         q = DropTailQueue(sim, stats)
         for _ in range(n):
             q.append(FakePayload())
             sim.run(until=sim.now + gap)
             q.popleft()
-        return stats.block(discipline)
+        return stats
 
     def test_block_shape(self, sim):
-        block = self.drained_block(sim)
-        assert set(block) == {"discipline", "drops", "marks",
-                              "dequeued", "sojourn_bins",
-                              "sojourn_p50_ms", "sojourn_p99_ms"}
+        block = self.drained_stats(sim).block("droptail")
+        assert set(block) == {"discipline", "drops", "dequeued",
+                              "sojourn_bins", "sojourn_p50_ms",
+                              "sojourn_p99_ms"}
         assert block["dequeued"] == 5
-        assert block["marks"] == 0
         assert block["sojourn_p50_ms"] <= block["sojourn_p99_ms"]
         assert all(isinstance(k, str) for k in block["sojourn_bins"])
 
     def test_empty_block_has_none_percentiles(self):
         block = QdiscStats().block("codel")
+        assert block["dequeued"] == 0
         assert block["sojourn_p50_ms"] is None
         assert block["sojourn_p99_ms"] is None
 
     def test_merge_sums_and_recomputes(self, sim):
-        a = self.drained_block(sim, n=4, gap=1 * MS)
-        b = self.drained_block(sim, n=4, gap=20 * MS)
-        merged = merge_aqm_blocks([a, b])
+        a = self.drained_stats(sim, n=4, gap=1 * MS)
+        b = self.drained_stats(sim, n=4, gap=20 * MS)
+        alone = a.block("droptail")
+        a.merge(b)
+        merged = a.block("droptail")
         assert merged["dequeued"] == 8
         assert merged["drops"] == 0
-        # The merged p99 reflects the slow half, not block a's alone.
-        assert merged["sojourn_p99_ms"] > a["sojourn_p99_ms"]
-
-    def test_merge_is_associative(self, sim):
-        blocks = [self.drained_block(sim, n=3, gap=g)
-                  for g in (1 * MS, 5 * MS, 25 * MS)]
-        left = merge_aqm_blocks(
-            [merge_aqm_blocks(blocks[:2]), blocks[2]])
-        flat = merge_aqm_blocks(blocks)
-        assert left == flat
-
-    def test_merge_of_nothing_is_empty_droptail(self):
-        merged = merge_aqm_blocks([])
-        assert merged["discipline"] == "droptail"
-        assert merged["dequeued"] == 0
-        assert merged["sojourn_p99_ms"] is None
+        # The merged p99 reflects the slow half, not a's alone.
+        assert merged["sojourn_p99_ms"] > alone["sojourn_p99_ms"]

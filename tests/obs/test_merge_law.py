@@ -1,0 +1,175 @@
+"""The one merge law, checked once over every accumulator.
+
+Everything that crosses the shard boundary is an accumulator with an
+in-place ``merge(other)`` (or a flat counter dict under
+``merge_counts``).  For each of them: a random observation stream cut
+into 1-4 consecutive shards and merged under any parenthesisation
+renders the same block as the accumulator that saw the whole stream,
+an empty accumulator is the identity on both sides, and ``merge``
+leaves ``other`` untouched.
+
+Shards are consecutive runs of the stream and are merged left to right
+(the law is associativity, not commutativity: a collector's flow list
+and a gauge's ``last`` keep stream order, exactly as cells are merged
+in ascending order by ``merge_outcomes``).  Float observations are
+multiples of 1/64, so their sums are exact whatever the grouping and
+the rendered blocks can be compared with ``==``.
+"""
+
+import copy
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.mac.qdisc import QdiscStats
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, \
+    merge_counts
+from repro.stats.collectors import MacStats
+from repro.stats.fct import FctAggregator, FctCollector
+
+#: Exactly representable floats: multiples of 1/64 up to 2**24.
+DYADIC = st.integers(0, 2 ** 30).map(lambda k: k / 64)
+#: Nanosecond spans whose millisecond value is such a float
+#: (1 ms = 64 * 15625 ns).
+DYADIC_MS_AS_NS = st.integers(0, 2 ** 26).map(lambda k: k * 15_625)
+NAMES = st.sampled_from(["a", "b", "cell1.x", "cell2.x"])
+
+
+class Law:
+    """One accumulator kind: how to make, feed, merge and render it."""
+
+    def __init__(self, name, make, ops, feed, render,
+                 merge=lambda into, other: into.merge(other)):
+        self.name, self.make, self.ops = name, make, ops
+        self.feed, self.render, self.merge = feed, render, merge
+
+    def __repr__(self):
+        return self.name
+
+
+def _feed_registry(registry, op):
+    kind, name, value = op
+    if kind == "counter":
+        registry.counter(name).inc(int(value))
+    else:
+        getattr(registry, kind)(name).observe(value)
+
+
+def _feed_mac_stats(stats, op):
+    attr, key, amount = op
+    if attr in MacStats._DICT_COUNTERS:
+        getattr(stats, attr)[key] += amount
+    else:
+        setattr(stats, attr, getattr(stats, attr) + amount)
+
+
+def _render_mac_stats(stats):
+    return {"retry_table": stats.retry_table(),
+            "hack_fit_fraction": stats.hack_fit_fraction(),
+            "time_breakdown_ms": stats.time_breakdown_ms(),
+            "raw": {attr: (dict(value) if isinstance(value, dict)
+                           else value)
+                    for attr, value in vars(stats).items()}}
+
+
+def _feed_qdisc(stats, op):
+    if op is None:
+        stats.drops += 1
+    else:
+        stats.on_dequeue(op)
+
+
+def _feed_fct(collector, op):
+    flow_id, size, fct_ns, delivered = op
+    record = collector.open(flow_id, f"C{flow_id % 3}", "download",
+                            size, now=0)
+    if fct_ns is not None:
+        record.end_ns = fct_ns
+        record.bytes_delivered = size
+    else:
+        record.bytes_delivered = min(delivered, size)
+    collector.close(record)
+
+
+def _render_aggregator(aggregator):
+    summary = aggregator.summary(10 ** 9)
+    # Documented as an upper bound, not a merge-exact field: the sum
+    # of per-shard peaks (shards run concurrently).
+    del summary["streaming"]["max_live_records"]
+    return summary
+
+
+FLOW = st.tuples(st.integers(1, 10 ** 6), st.integers(1_000, 2_000_000),
+                 st.one_of(st.none(), DYADIC_MS_AS_NS),
+                 st.integers(0, 2_000_000))
+
+LAWS = [
+    Law("Histogram", Histogram, DYADIC,
+        Histogram.observe, Histogram.as_value),
+    Law("Counter", Counter, st.integers(0, 10 ** 9),
+        Counter.inc, Counter.as_value),
+    Law("MetricsRegistry", MetricsRegistry,
+        st.tuples(st.sampled_from(["counter", "gauge", "histogram"]),
+                  NAMES, DYADIC),
+        _feed_registry, MetricsRegistry.as_dict),
+    Law("MacStats", MacStats,
+        st.tuples(st.sampled_from(MacStats._DICT_COUNTERS
+                                  + MacStats._SCALAR_COUNTERS),
+                  st.sampled_from(["tcp_ack", "tcp_data", "C1", "AP"]),
+                  st.integers(0, 10 ** 9)),
+        _feed_mac_stats, _render_mac_stats),
+    Law("QdiscStats", QdiscStats,
+        st.one_of(st.none(), st.integers(0, 10 ** 10)),
+        _feed_qdisc, lambda stats: stats.block("fq_codel")),
+    Law("FctAggregator", FctAggregator, FLOW,
+        _feed_fct, _render_aggregator),
+    Law("FctCollector", FctCollector, FLOW,
+        _feed_fct, lambda collector: collector.summary(10 ** 9)),
+    Law("merge_counts", dict,
+        st.tuples(NAMES, st.integers(0, 10 ** 9)),
+        lambda counts, op: merge_counts(counts, dict([op])),
+        dict, merge=merge_counts),
+]
+
+
+def _fed(law, ops):
+    accumulator = law.make()
+    for op in ops:
+        law.feed(accumulator, op)
+    return accumulator
+
+
+def _merged(law, shards, data):
+    """Merge consecutive ``shards`` (op lists) left to right under a
+    drawn parenthesisation; every merge goes into a fresh accumulator
+    (so the empty one is exercised as the left identity) and must
+    leave its right operand rendering as before."""
+    if len(shards) == 1:
+        return _fed(law, shards[0])
+    split = data.draw(st.integers(1, len(shards) - 1), label="split")
+    result = law.make()
+    for part in (shards[:split], shards[split:]):
+        other = _merged(law, part, data)
+        before = copy.deepcopy(law.render(other))
+        law.merge(result, other)
+        assert law.render(other) == before
+    return result
+
+
+@pytest.mark.parametrize("law", LAWS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sharded_merge_renders_the_unsharded_block(law, data):
+    ops = data.draw(st.lists(law.ops, max_size=40), label="ops")
+    cuts = sorted(data.draw(
+        st.lists(st.integers(0, len(ops)), max_size=3), label="cuts"))
+    shards = [ops[lo:hi] for lo, hi in zip([0] + cuts,
+                                           cuts + [len(ops)])]
+    whole = law.render(_fed(law, ops))
+    assert law.render(_merged(law, shards, data)) == whole
+
+    # The empty accumulator is the identity on the right as well.
+    padded = _fed(law, ops)
+    law.merge(padded, law.make())
+    assert law.render(padded) == whole
+

@@ -3,7 +3,8 @@
 The registry's merge laws are what the shard pipeline leans on:
 disjointly-named metrics union exactly, same-named metrics combine the
 way each kind promises (counters sum, gauges pool min/max/mean,
-histograms sum buckets).  The kernel instrument's aggregation key must
+histograms sum bins — the merge law itself is the property in
+``test_merge_law.py``).  The kernel instrument's aggregation key must
 be stable across processes (class + method name, never object ids).
 """
 
@@ -69,23 +70,34 @@ class TestGauge:
 
 
 class TestHistogram:
-    def test_power_of_two_buckets(self):
+    def test_log_bins_and_exact_fields(self):
         h = Histogram()
-        for value in (0, 1, 2, 3, 4, 100):
+        for value in (0, 0.5, 1, 2, 3, 100):
             h.observe(value)
-        buckets = h.as_value()["buckets"]
-        # 0 -> bucket 0; 1 -> 1; 2,3 -> 2; 4 -> 3; 100 -> 7.
-        assert buckets == {"0": 1, "1": 1, "2": 2, "3": 1, "7": 1}
-        assert h.as_value()["count"] == 6
+        rendered = h.as_value()
+        # 100 bins per decade, bin i = [10**(i/100), 10**((i+1)/100));
+        # zero sits on the 1e-6 floor.
+        assert rendered["bins"] == {"-600": 1, "-31": 1, "0": 1,
+                                    "30": 1, "47": 1, "200": 1}
+        assert list(rendered["bins"]) == sorted(rendered["bins"],
+                                                key=int)
+        assert rendered["count"] == 6
+        assert rendered["total"] == 106.5
+        assert rendered["mean"] == 106.5 / 6
+        assert (rendered["min"], rendered["max"]) == (0, 100)
 
-    def test_merge_sums_buckets(self):
-        a, b = Histogram(), Histogram()
-        a.observe(2)
-        b.observe(3)
-        b.observe(0)
-        a.merge(b)
-        assert a.as_value()["buckets"] == {"0": 1, "2": 2}
-        assert a.as_value()["count"] == 3
+    def test_percentile_clamped_into_observed_range(self):
+        h = Histogram()
+        h.observe(2.0)
+        # One sample: the bin midpoint (10**0.305) is not the value,
+        # the exact min/max are.
+        assert h.percentile(0.0) == h.percentile(1.0) == 2.0
+
+    def test_empty(self):
+        h = Histogram()
+        assert h.percentile(0.5) is None
+        assert h.as_value() == {"count": 0, "total": 0.0, "mean": 0.0,
+                                "min": None, "max": None, "bins": {}}
 
 
 class TestRegistry:

@@ -11,11 +11,12 @@ resolution — including the empty-cell and single-flow edge cases.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs.metrics import BINS_PER_DECADE
 from repro.sim.units import MS
 from repro.stats.fct import FctAggregator, FctCollector, \
     has_completions
 
-RESOLUTION = 10 ** (1 / FctAggregator.BINS_PER_DECADE) - 1
+RESOLUTION = 10 ** (1 / BINS_PER_DECADE) - 1
 
 #: (size_bytes, fct_ms or None for censored, delivered_bytes)
 FLOW = st.tuples(

@@ -14,13 +14,14 @@ total flow count.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs.metrics import BINS_PER_DECADE
 from repro.sim.units import MS
 from repro.stats.fct import FctAggregator, FctCollector, \
     has_completions, percentile
 from repro.workloads import registry
 from repro.workloads.scenarios import run_scenario
 
-RESOLUTION = 10.0 ** (1.0 / FctAggregator.BINS_PER_DECADE) - 1.0
+RESOLUTION = 10.0 ** (1.0 / BINS_PER_DECADE) - 1.0
 
 
 def _feed(collector, flows):
@@ -156,8 +157,7 @@ class TestScenarioEquivalence:
         assert "flows" in exact.fct
         assert "flows" not in stream.fct
         block = stream.fct["streaming"]
-        assert block["bins_per_decade"] == \
-            FctAggregator.BINS_PER_DECADE
+        assert block["bins_per_decade"] == BINS_PER_DECADE
         assert block["relative_resolution"] == \
             pytest.approx(RESOLUTION)
         assert block["max_live_records"] >= 1

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ScenarioConfig, run_scenario
+from repro.adversary import AdversaryConfig
 from repro.sim.units import MS
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 from repro.workloads.sharding import ShardExecutionError, ShardPlan, \
@@ -127,6 +128,26 @@ class TestShardEquivalence:
         sharded = run_scenario(cfg, shard_jobs=1)
         assert metrics_except_kernel(unsharded) == \
             metrics_except_kernel(sharded)
+
+    def test_aqm_and_adversary_blocks_identical(self):
+        """Both blocks are rendered once, from accumulators merged
+        over MACs and then over shards: FQ-CoDel queues loaded by
+        churn plus a CBR floor, with a mutator on every channel."""
+        cfg = base_config(cells=4, channels=2, n_clients=1, seed=7,
+                          duration_ns=1200 * MS, warmup_ns=400 * MS,
+                          queue_discipline="fq_codel",
+                          udp_background_mbps=40.0,
+                          adversary=AdversaryConfig(kind="mutator",
+                                                    intensity=0.5),
+                          **CHURN)
+        unsharded = run_scenario(cfg).metrics_dict()
+        sharded = run_scenario(cfg, shard_jobs=1).metrics_dict()
+        assert unsharded["aqm"] == sharded["aqm"]
+        assert unsharded["adversary"] == sharded["adversary"]
+        assert unsharded["aqm"]["discipline"] == "fq_codel"
+        assert unsharded["aqm"]["dequeued"] == \
+            sum(unsharded["aqm"]["sojourn_bins"].values()) > 0
+        assert unsharded["adversary"]["frames_mutated"] > 0
 
     def test_parallel_equals_serial_including_kernel(self):
         cfg = base_config(cells=4, channels=2, n_clients=1, seed=3)
