@@ -8,11 +8,11 @@ payload transmissions, and TCP ACK packets pay it for nothing.
     python examples/analytic_capacity.py
 """
 
-from repro.experiments import fig01
+from repro.experiments import common, fig01
 
 
 def main() -> None:
-    print(fig01.format_rows(fig01.run()))
+    print(fig01.format_rows(common.run(fig01)))
     print()
     print("Reading guide: at 600 Mbps PHY, stock TCP reaches barely")
     print("2/3 of what the channel could carry; removing TCP-ACK")

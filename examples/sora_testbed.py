@@ -9,11 +9,11 @@ Table 1 retry percentages.
     python examples/sora_testbed.py
 """
 
-from repro.experiments import fig09
+from repro.experiments import common, fig09
 
 
 def main() -> None:
-    rows = fig09.run(quick=True)
+    rows = common.run(fig09, quick=True)
     print(fig09.format_rows(rows))
     print()
     one = {r["protocol"]: r["goodput_mbps"] for r in rows

@@ -1,26 +1,29 @@
 #!/usr/bin/env python3
 """Regenerate EXPERIMENTS.md from actual simulation runs.
 
-Runs every experiment harness at paper-fidelity durations (three seeds
-to keep the wall-clock tolerable; pass --seeds 5 for the paper's five)
-and writes the paper-vs-measured record.
+Runs every entry of ``runner.EXPERIMENTS`` (the table's order is the
+document's section order; each module carries its own ``TITLE`` and
+``PAPER_SAYS``) at paper-fidelity durations (three seeds to keep the
+wall-clock tolerable; pass --seeds 5 for the paper's five) and writes
+the paper-vs-measured record.
 """
 
 import argparse
 import sys
 import time
 
-from repro.experiments import ablations, adversarial, aqm_pacing, \
-    city_scale, common, crossval, fct_churn, fig01, fig09, fig10, \
-    fig11, fig12, multi_ap, table2, table3
+from repro.experiments import common
 from repro.experiments.batch import SweepRunner
+from repro.experiments.runner import EXPERIMENTS
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
 Generated by ``python scripts/generate_experiments_md.py`` (simulation
 seeds: {seeds}; {fidelity} steady-state durations).  Regenerate any
-single table/figure with ``pytest benchmarks/<bench>
---benchmark-only`` or ``python -m repro.experiments.runner <name>``.
+single table/figure with ``python -m repro.experiments.runner
+<name>``, and gate an ``--out`` artifact on every experiment's
+paper-shape contract (its module's ``check_rows``) with
+``python -m repro.cli check results.json``.
 
 Absolute numbers are not expected to match the paper (our substrate is
 a from-scratch simulator, not the authors' SoRa testbed or ns-3 build);
@@ -38,6 +41,7 @@ as a ``SweepSpec`` (``repro.experiments.batch``), executed by a shared
 python -m repro.experiments.runner all --quick --jobs 4 --out results.json
 python -m repro.cli sweep fig10 fig11 --jobs 4 --out results.json
 python -m repro.cli sweep scenario:multi-client --seeds 5 --jobs 2
+python -m repro.cli check results.json # paper-shape gate on an artifact
 python -m repro.cli scenarios          # list registered scenarios
 ```
 
@@ -60,7 +64,7 @@ python -m repro.cli scenarios          # list registered scenarios
   maps each experiment name to a document of the form:
 
 ```json
-{{"format": "repro-sweep-result", "version": 2, "engine": 4,
+{{"format": "repro-sweep-result", "version": 2, "engine": 5,
   "spec": "fig10", "executed": 79, "cache_hits": 0,
   "failed": 1, "interrupted": false,
   "records": [{{"key": [1, "TCP/802.11"], "seed": 1,
@@ -75,14 +79,19 @@ python -m repro.cli scenarios          # list registered scenarios
   ``error`` payload — type, message, traceback, attempts — instead.)
   Reload with ``repro.experiments.batch.SweepResult.load`` /
   ``from_json_dict`` and re-aggregate with ``.aggregate(metric)``;
-  version-1 artifacts still load, and artifacts from a different
-  ``ENGINE_VERSION`` are refused (``StaleArtifactError``) unless
-  ``allow_stale=True``.
+  artifacts from a different ``ENGINE_VERSION`` are refused
+  (``StaleArtifactError``) unless ``allow_stale=True``.
+  ``repro check ARTIFACT [NAME ...]`` is the gate built on that
+  loader: it refuses stale or non-artifact files (exit 2), fails
+  record sets with ``failed`` points or ``interrupted`` set, and
+  prints each experiment's ``check_rows(rows_from_sweep(result))``
+  summary — exit 1, one ``FAIL`` line naming the offending row per
+  broken contract, after checking every entry.
 
 """
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, default=3)
     parser.add_argument("--out", default="EXPERIMENTS.md")
@@ -92,146 +101,22 @@ def main() -> int:
                         help="sweep worker processes (0 = per CPU)")
     parser.add_argument("--cache-dir", default=".sweep-cache")
     parser.add_argument("--no-cache", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     common.FULL_SEEDS = tuple(range(1, args.seeds + 1))
     runner = SweepRunner(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir)
     sections = []
-
-    def section(title, module, paper_notes, **kw):
+    for module in EXPERIMENTS.values():
         started = time.time()
-        rows = module.run(quick=args.quick, runner=runner, **kw)
-        text = module.format_rows(rows)
-        elapsed = time.time() - started
-        print(f"[{title}: {elapsed:.0f}s]", flush=True)
+        rows = common.run(module, quick=args.quick, runner=runner)
+        print(f"[{module.TITLE}: {time.time() - started:.0f}s]",
+              flush=True)
         sections.append(
-            f"## {title}\n\n```text\n{text}\n```\n\n"
-            f"**Paper says:** {paper_notes}\n")
-
-    section(
-        "Figure 1 — theoretical goodput", fig01,
-        "Fig 1b: ~8% average HACK gain below 100 Mbps, ~7% at 150 "
-        "Mbps, rising to ~20% at 600 Mbps; Fig 1a shows the same "
-        "divergence on 802.11a (TCP ≈23, HACK ≈27 at 54 Mbps).")
-    section(
-        "Figure 9 + Table 1 — SoRa testbed", fig09,
-        "One client: UDP 26.5, TCP/HACK 25.0, TCP 19.4 Mbps (HACK "
-        "+29%; +32% with two clients).  Table 1: ~99% (UDP) / 97-98% "
-        "(HACK) / 86-88% (TCP) of frames delivered with no retries — "
-        "stock TCP's extra retries are data/ACK collisions.")
-    section(
-        "Table 2 — ACK counts and compression", table2,
-        "25 MB transfer: stock TCP sent 9060 ACKs (471 120 B); HACK "
-        "sent 10 vanilla ACKs and 9050 compressed ones in 39 478 B — "
-        "a 12x compression ratio (~4.4 B per ACK).")
-    section(
-        "Table 3 — TCP ACK time overhead breakdown", table3,
-        "Stock TCP (25 MB): 70 ms TCP-ACK airtime, 1093 ms channel "
-        "acquisition, 456 ms LL-ACK overhead.  TCP/HACK: 0.08 ms / "
-        "1.17 ms / 0.46 ms plus 13.1 ms of ROHC airtime — three "
-        "orders of magnitude less, dominated by channel acquisition "
-        "savings.")
-    section(
-        "§4.2 cross-validation", crossval,
-        "With SoRa's measured loss rates injected: TCP 22.4 Mbps "
-        "(ideal LL ACKs) vs 19.6 on SoRa (22 after adjusting for the "
-        "late-ACK delay); HACK 28 vs 25.5 (27.7 adjusted).")
-    section(
-        "Figure 10 — goodput vs client count", fig10,
-        "150 Mbps 802.11n: UDP flat (~unaffected by client count); "
-        "MORE DATA HACK gains +15% (1 client) to +22% (10 clients) "
-        "over stock TCP; opportunistic HACK does not significantly "
-        "outperform stock.  §3.3.2 footnote: 98.5% of augmented LL "
-        "ACKs fit within AIFS.")
-    section(
-        "Figure 11 — goodput envelope vs SNR", fig11,
-        "HACK improves the ideal-rate-adaptation envelope by 12.6% on "
-        "average across SNRs, slightly more where the TXOP limit "
-        "shrinks batches and past 90 Mbps where acquisition overhead "
-        "dominates; zero decompression CRC failures in lossy regimes.")
-    section(
-        "Figure 12 — theory vs simulation", fig12,
-        "Simulated goodputs fall below the analytic curves (collisions, "
-        "TCP dynamics), but the simulated HACK improvement exceeds the "
-        "analytic prediction: 14% vs 7% at 150 Mbps, because stock TCP "
-        "also suffers data/ACK collisions that HACK eliminates.")
-    section(
-        "Flow churn & FCT (extension; repro.traffic)", fct_churn,
-        "Nothing — the paper only measures long-lived transfers.  "
-        "This extension measures flow completion times under dynamic "
-        "load (Poisson arrivals and closed-loop web users, log-normal "
-        "sizes, HACK on/off x low/high load).  Expectation from the "
-        "paper's mechanism: HACK's gains concentrate where batches "
-        "are large and ACK volume is high, so short-flow/low-load "
-        "churn should show small FCT shifts and high-load tails "
-        "(p95/p99) should benefit most.")
-    section(
-        "Modern transport & AQM (extension; cc/pacing/qdisc)",
-        aqm_pacing,
-        "Nothing — the paper's transport is Reno-era TCP into "
-        "drop-tail MAC queues.  This extension sweeps the modern "
-        "stack (CUBIC congestion control, sender pacing, CoDel and "
-        "FQ-CoDel queue disciplines at the per-client MAC queues) "
-        "under a standing-queue churn load (50 Mbps CBR UDP floor + "
-        "Poisson mice), HACK on/off.  Expectation from the paper's "
-        "mechanism: HACK's ACK-side savings are orthogonal to the "
-        "data-side queue discipline, so its FCT edge should persist "
-        "across transports; CoDel should cut the delivered-sojourn "
-        "tail vs drop-tail for the stock transport, while pacing "
-        "already smooths the queue enough that CoDel has less tail "
-        "left to cut.")
-    section(
-        "Multi-AP overlapping cells (extension; cells=N)", multi_ap,
-        "Nothing — the paper evaluates one BSS in isolation.  This "
-        "extension puts 1/2/3 full BSSes (AP + 2 clients each) on one "
-        "channel: co-channel cells defer/collide through ordinary DCF "
-        "carrier sense while decoding stays per-cell.  Expectation "
-        "from the paper's mechanism: per-cell goodput must drop "
-        "strictly below the isolated baseline once a neighbour "
-        "appears, collisions rise with cell count, and HACK's "
-        "medium-utilisation savings matter more as airtime gets "
-        "scarcer (its relative gain grows under inter-cell "
-        "contention).")
-    section(
-        "City-scale channel sharding (extension; channels=C)",
-        city_scale,
-        "Nothing — the paper evaluates one BSS on one channel.  This "
-        "extension round-robins tens of cells over the three "
-        "non-overlapping 2.4 GHz channels; cells on different "
-        "channels share nothing, so the scenario factors into one "
-        "independent sub-scenario per channel and the channel-shard "
-        "pipeline executes it that way (one simulator per channel, "
-        "serial or process-pool, merged metrics bit-identical to the "
-        "single-simulator run).  Expectation from the paper's "
-        "mechanism: contention binds per channel — per-cell goodput "
-        "tracks cells-per-channel, not city size — and HACK's edge "
-        "persists at every scale because each channel looks like the "
-        "multi-AP experiment.")
-    section(
-        "Ablations (§3.2 policies, §5 TXOP, AP buffering)", ablations,
-        "The MORE DATA bit is crucial (§4.3); no good explicit-timer "
-        "value exists (§3.2); tighter TXOP limits increase HACK's "
-        "relative gain (§5); too-small AP queues starve both schemes "
-        "and erase HACK's edge (§5).")
-    section(
-        "Adversarial robustness (extension; repro.adversary)",
-        adversarial,
-        "Nothing — the paper evaluates cooperative stations only; its "
-        "robustness argument is §3.3's CRC-3 check plus §3.4 "
-        "retention.  This extension stress-tests that argument: a "
-        "CW-cheating greedy station, a periodic/reactive jammer and "
-        "an on-air compressed-ACK mutator (bit flips, CID forgery, "
-        "corruption storms) at three-plus intensities, HACK on vs "
-        "off.  Expectation from the paper's mechanism: HACK adds "
-        "attack surface (the compressed-ACK path), so the mutator "
-        "must cost it goodput/FCT that stock TCP does not pay — but "
-        "every corruption must land in a typed counter, declared "
-        "desyncs must recover (absolute rebase or vanilla-ACK "
-        "re-anchor, recovery time measured), and MAC-layer attacks "
-        "(greedy, jammer) should hit both schemes alike since they "
-        "never touch the HACK payload.")
+            f"## {module.TITLE}\n\n```text\n"
+            f"{module.format_rows(rows)}\n```\n\n"
+            f"**Paper says:** {module.PAPER_SAYS}\n")
 
     with open(args.out, "w") as handle:
         handle.write(HEADER.format(
@@ -321,9 +206,10 @@ is associative, so sharded runs stay bit-identical.
 `aqm-fqcodel` (the standing-queue regime: 50 Mbps CBR UDP floor
 through FQ-CoDel).  The `aqm_pacing` experiment sweeps transport
 (reno / reno+pace / cubic / cubic+pace) x qdisc x HACK on/off under
-that load; CI's sweep-smoke job runs it `--quick --jobs 2` and gates
-on CoDel holding the stock transport's sojourn p99 below drop-tail's
-while actually head-dropping.
+that load; its `check_rows` (run by tier-1 on a trimmed grid and by
+CI's `repro check` on the `--quick` artifact) gates on CoDel holding
+the stock transport's sojourn p99 below drop-tail's while actually
+head-dropping.
 
 ```text
 python -m repro.cli simulate --cc cubic --pacing --qdisc codel
@@ -369,9 +255,9 @@ goodput, per-flow goodputs, intra-cell Jain, carried Mbps, clean
 airtime counts *non-collided* transmissions only; those are disjoint
 by the definition of a collision, so shares across cells always sum
 to <= 1 (property-tested in
-`tests/properties/test_medium_properties.py`, asserted per-run by
-CI's multi-ap smoke).  Multi-cell churn runs keep one FCT collector
-per cell and merge them (`FctCollector.merge` /
+`tests/properties/test_medium_properties.py`, asserted per run in
+`tests/workloads/test_multi_cell.py`).  Multi-cell churn runs keep
+one FCT collector per cell and merge them (`FctCollector.merge` /
 `FctAggregator.merge`) into the combined `fct` block; streaming
 merges stay within the aggregator's documented one-bin percentile
 resolution (`tests/stats/test_fct_merge.py`).
@@ -742,17 +628,19 @@ multiplies that.  ``ScenarioConfig.stream_stats=True`` (CLI:
   ``bins_per_decade``, ``relative_resolution``, ``occupied_bins`` and
   ``max_live_records``.
 
-``benchmarks/bench_stream_sweep.py`` demonstrates the scale claim: a
-216-cell rate x size x policy x loss x load churn grid completes with
-the worst cell holding 48 live records / 74 occupied bins while the
-grid spawns 5 454 flows, and stretching one cell's window 8x (25 ->
-242 flows) moves peak live records only with concurrency (6 -> 12),
-not flow count.
+``tests/stats/test_fct_stream.py::TestBoundedMemory::
+test_scenario_memory_tracks_concurrency_not_flow_count`` pins the
+scale claim: stretching one churn cell's window 8x (25 -> 242 flows)
+moves peak live records only with concurrency (6 -> 12), not flow
+count, and occupied bins stay bounded by bins-per-decade x decades
+(38 -> 149).  (The PR 4 measurement it came from: a 216-cell rate x
+size x policy x loss x load churn grid completed with the worst cell
+holding 48 live records / 74 occupied bins while spawning 5 454
+flows.)
 
 ```text
 python -m repro.cli simulate --scenario churn-web --stream-stats
 python -m repro.cli sweep fct_churn --quick --stream-stats
-python benchmarks/bench_stream_sweep.py --out stream-sweep.json
 ```
 
 ## Resumable sweeps & failure handling
@@ -809,7 +697,7 @@ python -m repro.cli sweep multi_ap --quick --status \\
 python -m repro.experiments.runner multi_ap --quick --jobs 2 \\
     --cache-dir grid-cache --out rows.json   # only missing cells run
 python scripts/ci_interrupt_resume.py --experiment multi_ap \\
-    --baseline multi-ap.json                 # CI's kill/resume smoke
+    --baseline sweep-results.json            # CI's kill/resume smoke
 ```
 
 CI's sweep-smoke job runs exactly that kill/resume cycle on every
@@ -882,9 +770,10 @@ surfaces per-cell `rohc_failures` gauges and the adversary meta line.
 **Registered scenarios**: `adv-greedy`, `adv-jammer`, `adv-mutator`.
 The `adversarial` experiment sweeps attack x intensity x HACK on/off
 churn cells and annotates each row with goodput retention and FCT p99
-inflation vs its own intensity-0 baseline; `resilience_failures()`
-turns the pass/fail criteria (no escaped exceptions, no unexplained
-collapse, desyncs recovered) into CI assertions.
+inflation vs its own intensity-0 baseline; its `check_rows` is the
+pass/fail contract (no escaped exceptions, no unexplained collapse,
+desyncs recovered) that CI applies with `repro check
+adversarial.json`.
 
 ```text
 python -m repro.cli simulate --scenario adv-mutator
@@ -895,6 +784,16 @@ python -m repro.cli sweep adversarial --out adversarial.json
 ```
 
 ## Known fidelity gaps
+
+The experiment modules' `check_rows` contracts bound these bullets'
+*shape* — Fig 10 (MORE DATA > 1.05x stock at every client count, AIFS
+fit > 90%), Fig 11 (mean envelope gain inside 8-30%, zero CRC
+failures), Table 2 (compression ratio inside 8-26x) and Table 3
+(channel acquisition dominates, HACK keeps < 5% of it) — in tier-1 (on
+the pinned golden rows) and in CI (`repro check` on the `--quick`
+artifact); Fig 9's one-client overshoot is bounded from below only
+(> +15%), and the explanations offered for each gap are prose, not
+checked.
 
 * HACK's relative gains run a few points higher here than in the paper
   (e.g. +16-24% vs +15-22% on Fig 10; +44% vs +29% on Fig 9's one-
@@ -920,7 +819,8 @@ python -m repro.cli sweep adversarial --out adversarial.json
 * **TS_ECHO policy** (§5 future work, implemented): performs on par
   with MORE DATA on steady downloads without any AP cooperation, at
   the cost of stall-guard flushes when the echo heuristic mispredicts.
-* **AARF rate adaptation** (`benchmarks/bench_rate_adaptation.py`):
+* **AARF rate adaptation**
+  (`tests/workloads/test_lossy_policies.py::TestRateAdaptation`):
   under stock TCP, AARF is destabilised by data/ACK collisions it
   misreads as channel noise; TCP/HACK removes those collisions and
   makes AARF track the ideal envelope far more closely — an emergent

@@ -1,29 +1,33 @@
 """Top-level command-line interface.
 
-Five subcommands::
+Six subcommands (``experiments`` is an alias of ``sweep``)::
 
     python -m repro.cli simulate --phy 11n --rate 150 --clients 4 \\
         --policy more_data --duration 4 --seed 2
     python -m repro.cli simulate --scenario wireless-backup
-    python -m repro.cli simulate --scenario churn-web --seed 3
+    python -m repro.cli simulate --scenario churn-web --seed 3 \\
+        --qdisc codel
     python -m repro.cli simulate --cells 4 --channels 2 \\
         --telemetry run.jsonl --trace-export run.trace.json
     python -m repro.cli scenarios
     python -m repro.cli experiments fig10 fig11 --quick
     python -m repro.cli sweep all --quick --jobs 4 --out results.json
-    python -m repro.cli sweep fct_churn --quick --jobs 2
     python -m repro.cli sweep scenario:multi-client --seeds 5 --jobs 2
+    python -m repro.cli check results.json
     python -m repro.cli report run.jsonl
 
-``simulate`` runs one scenario (ad-hoc flags or a registry name) and
-prints a human-readable report — ``--telemetry`` / ``--trace-export``
-/ ``--sample-interval`` add the observability layer (time-series JSONL
+``simulate`` runs one scenario — a registry entry (``--scenario``) or
+the ad-hoc default, with every flag given applied on top — and prints
+a human-readable report; ``--telemetry`` / ``--trace-export`` /
+``--sample-interval`` add the observability layer (time-series JSONL
 plus a Chrome-trace JSON loadable in chrome://tracing or Perfetto);
-``scenarios`` lists the registry; ``experiments`` forwards to
-:mod:`repro.experiments.runner`; ``sweep`` executes experiment grids
-or registered scenarios through the parallel sweep engine, with
-per-cell caching, JSON artifacts and per-point telemetry
-(``--telemetry-dir``); ``report`` summarises a telemetry JSONL
+``scenarios`` lists the registry; ``sweep`` / ``experiments`` forward
+their arguments to :func:`repro.experiments.runner.main`, the one
+command loop (experiment grids or ``scenario:<name>`` seed sweeps
+through the parallel sweep engine, with per-cell caching, JSON
+artifacts, ``--status`` audits and per-point telemetry); ``check``
+reloads a ``--out`` artifact and applies every experiment's
+``check_rows`` contract to it; ``report`` summarises a telemetry JSONL
 artifact (kernel hot spots, airtime, queue peaks).
 """
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 import time
 from typing import List, Optional
@@ -38,18 +43,24 @@ from typing import List, Optional
 from .adversary import AdversaryConfig
 from .core.policies import HackPolicy
 from .experiments import runner as experiments_runner
+from .experiments.batch import SweepResult
 from .experiments.runner import positive_int
-from .experiments.batch import SweepCache, SweepInterrupted, \
-    SweepResult
-from .experiments.common import format_table
-from .experiments.progress import format_status, sweep_status
 from .sim.units import MS, SEC, usec
 from .stats.fct import has_completions
 from .workloads import registry
 from .workloads.registry import UnknownScenarioError
 from .workloads.scenarios import LossSpec, ScenarioConfig, run_scenario
 
-SCENARIO_PREFIX = "scenario:"
+#: What ``simulate`` runs when no ``--scenario`` is named.
+AD_HOC = ScenarioConfig(
+    phy_mode="11n", data_rate_mbps=150.0, n_clients=1,
+    policy=HackPolicy.MORE_DATA, traffic="tcp_download",
+    duration_ns=4 * SEC, warmup_ns=2 * SEC, stagger_ns=50 * MS)
+
+
+def _seconds(text: str) -> int:
+    """argparse ``type=``: simulated seconds -> nanoseconds."""
+    return int(float(text) * SEC)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,20 +69,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="TCP/HACK reproduction (USENIX ATC 2014)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Scenario-knob flags default to None and are stored under their
+    # ScenarioConfig field name: _simulate_config applies exactly the
+    # flags given on top of the base config.
     sim = sub.add_parser("simulate", help="run one scenario")
     sim.add_argument("--scenario", default=None,
-                     help="start from a registered scenario "
-                          "(see `repro scenarios`); other flags "
-                          "except --seed are ignored")
-    sim.add_argument("--phy", choices=("11a", "11n"), default="11n")
-    sim.add_argument("--rate", type=float, default=150.0,
+                     help="start from a registered scenario (see "
+                          "`repro scenarios`) instead of the ad-hoc "
+                          "default (11n, 150 Mbps, one client, MORE "
+                          "DATA, 4 s); flags given override its "
+                          "fields, flags left out keep them")
+    sim.add_argument("--phy", dest="phy_mode", choices=("11a", "11n"))
+    sim.add_argument("--rate", dest="data_rate_mbps", type=float,
                      help="PHY data rate in Mbps")
-    sim.add_argument("--clients", type=int, default=1,
+    sim.add_argument("--clients", dest="n_clients", type=int,
                      help="clients per cell")
-    sim.add_argument("--cells", type=positive_int, default=1,
+    sim.add_argument("--cells", type=positive_int,
                      help="co-channel overlapping cells (each a full "
                           "AP + clients BSS on the one medium)")
-    sim.add_argument("--channels", type=positive_int, default=1,
+    sim.add_argument("--channels", type=positive_int,
                      help="non-overlapping channels; cells are "
                           "assigned round-robin (cell i -> channel "
                           "i %% channels), and cells on different "
@@ -82,22 +98,24 @@ def _build_parser() -> argparse.ArgumentParser:
                           "per channel: 1 = serial shards, N > 1 = "
                           "process pool (metrics identical either "
                           "way); prints per-channel shard summaries")
-    sim.add_argument("--flows-per-client", type=int, default=1)
-    sim.add_argument("--policy",
-                     choices=[p.value for p in HackPolicy],
-                     default="more_data")
+    sim.add_argument("--flows-per-client", type=int)
+    sim.add_argument("--policy", type=HackPolicy,
+                     choices=list(HackPolicy),
+                     metavar="{%s}" % ",".join(
+                         p.value for p in HackPolicy))
     sim.add_argument("--traffic",
                      choices=("tcp_download", "tcp_upload",
-                              "udp_download"),
-                     default="tcp_download")
-    sim.add_argument("--duration", type=float, default=4.0,
-                     help="simulated seconds")
-    sim.add_argument("--warmup", type=float, default=None,
-                     help="warm-up seconds (default: duration/2)")
-    sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--loss", type=float, default=0.0,
+                              "udp_download"))
+    sim.add_argument("--duration", dest="duration_ns", type=_seconds,
+                     metavar="S", help="simulated seconds")
+    sim.add_argument("--warmup", dest="warmup_ns", type=_seconds,
+                     metavar="S",
+                     help="warm-up seconds (default: duration/2 "
+                          "when --duration is given)")
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--loss", dest="uniform_loss", type=float,
                      help="uniform per-MPDU loss probability")
-    sim.add_argument("--snr", type=float, default=None,
+    sim.add_argument("--snr", type=float,
                      help="SNR in dB (overrides --loss)")
     sim.add_argument("--aarf", action="store_true",
                      help="enable AARF rate adaptation")
@@ -107,12 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="print event-kernel counters (events "
                           "executed/cancelled, heap compactions, "
                           "events per wall-second)")
-    sim.add_argument("--adversary", default=None,
+    sim.add_argument("--adversary", dest="adversary_kind",
                      choices=("greedy", "jammer", "mutator"),
                      help="inject a misbehaving actor (greedy "
                           "CW-cheating station, energy jammer, or "
                           "compressed-ACK payload mutator)")
-    sim.add_argument("--adversary-intensity", type=float, default=0.5,
+    sim.add_argument("--adversary-intensity", type=float,
                      metavar="X",
                      help="attack severity in [0, 1] (default 0.5); "
                           "0 installs nothing and is bit-identical "
@@ -122,20 +140,19 @@ def _build_parser() -> argparse.ArgumentParser:
                           "the jammer, flip|cid|storm for the mutator "
                           "(defaults: periodic / flip)")
     sim.add_argument("--cc", choices=("reno", "cubic"),
-                     default="reno",
                      help="TCP congestion control (default reno; "
                           "cubic = RFC 8312 window growth)")
-    sim.add_argument("--pacing", action="store_true",
+    sim.add_argument("--pacing", action="store_true", default=None,
                      help="pace TCP senders at ~2*cwnd/SRTT instead "
                           "of bursting the whole window")
-    sim.add_argument("--qdisc",
+    sim.add_argument("--qdisc", dest="queue_discipline",
                      choices=("droptail", "codel", "fq_codel"),
-                     default="droptail",
                      help="per-station MAC queue discipline "
                           "(default droptail; codel = RFC 8289 "
                           "sojourn AQM, fq_codel = RFC 8290 per-flow "
                           "DRR + CoDel)")
     sim.add_argument("--stream-stats", action="store_true",
+                     default=None,
                      help="bounded-memory streaming FCT aggregation "
                           "for churn scenarios (percentiles "
                           "histogram-quantised at ~2.3%% resolution)")
@@ -156,30 +173,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("scenarios", help="list registered scenarios")
 
-    exp = sub.add_parser("experiments",
-                         help="reproduce paper tables/figures")
-    exp.add_argument("names", nargs="+",
-                     choices=sorted(experiments_runner.EXPERIMENTS)
-                     + ["all"])
-    exp.add_argument("--quick", action="store_true")
+    # Listed here for `repro --help` only: main() forwards their argv
+    # to the runner's own parser before this one runs.
+    sub.add_parser(
+        "sweep", aliases=["experiments"], add_help=False,
+        help="reproduce paper tables/figures, run experiment grids "
+             "or scenario seed-sweeps (python -m "
+             "repro.experiments.runner; see `repro sweep --help`)")
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="run experiment grids / scenario seed-sweeps in parallel")
-    sweep.add_argument(
-        "names", nargs="+",
-        help="experiment names, 'all', or "
-             f"'{SCENARIO_PREFIX}<registered-scenario>'")
-    experiments_runner.add_sweep_arguments(sweep)
-    sweep.add_argument("--seeds", type=int, default=5, metavar="N",
-                       help="seeds per scenario sweep (default 5, "
-                            "--quick forces 1; experiments use their "
-                            "own seed policy)")
-    sweep.add_argument("--status", action="store_true",
-                       help="run nothing: audit --cache-dir against "
-                            "the named sweeps and report which cells "
-                            "are complete/missing/failed/corrupt "
-                            "(exit 0 when complete, 3 otherwise)")
+    check = sub.add_parser(
+        "check",
+        help="gate a sweep --out artifact on every experiment's "
+             "check_rows contract")
+    check.add_argument("artifact", help="JSON file written by "
+                                        "`repro sweep ... --out`")
+    check.add_argument("names", nargs="*",
+                       help="entries to check (default: all in the "
+                            "artifact)")
 
     report = sub.add_parser(
         "report",
@@ -193,66 +203,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _simulate_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The base config — the ``--scenario`` registry entry, else
+    :data:`AD_HOC` — with exactly the flags given applied on top."""
+    base = AD_HOC if args.scenario is None \
+        else registry.build(args.scenario)
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ScenarioConfig)
+        if getattr(args, f.name, None) is not None}
+    if "duration_ns" in overrides:
+        overrides.setdefault("warmup_ns", overrides["duration_ns"] // 2)
+    if args.snr is not None:
+        overrides["loss"] = LossSpec(kind="snr", snr_db=args.snr)
+    elif args.uniform_loss is not None:
+        overrides["loss"] = LossSpec(
+            kind="uniform", data_loss=args.uniform_loss) \
+            if args.uniform_loss > 0 else LossSpec()
+    if args.aarf:
+        overrides["rate_adaptation"] = "aarf"
+    if args.sora:
+        overrides.update(extra_response_delay_ns=usec(37),
+                         ack_timeout_extra_ns=usec(60))
+    adversary = {"kind": args.adversary_kind,
+                 "intensity": args.adversary_intensity}
+    if args.adversary_mode is not None:
+        kind = args.adversary_kind or getattr(base.adversary, "kind",
+                                              None)
+        mode_field = {"jammer": "jam_mode",
+                      "mutator": "mutate_mode"}.get(kind)
+        if mode_field is None:
+            raise ValueError("--adversary-mode only applies to "
+                             "jammer/mutator")
+        adversary[mode_field] = args.adversary_mode
+    adversary = {k: v for k, v in adversary.items() if v is not None}
+    if adversary:
+        overrides["adversary"] = dataclasses.replace(
+            base.adversary or AdversaryConfig(intensity=0.5),
+            **adversary)
+    config = dataclasses.replace(base, **overrides)
+    config.validate()
+    return config
+
+
 def _simulate(args: argparse.Namespace) -> int:
-    if args.scenario is not None:
-        # Transport/queue flags override the registry entry only when
-        # set away from their defaults, so e.g. `--scenario
-        # churn-cubic-codel` keeps its registered cc/qdisc.
-        transport_overrides = {}
-        if args.cc != "reno":
-            transport_overrides["cc"] = args.cc
-        if args.pacing:
-            transport_overrides["pacing"] = True
-        if args.qdisc != "droptail":
-            transport_overrides["queue_discipline"] = args.qdisc
-        try:
-            config = registry.build(args.scenario, seed=args.seed,
-                                    stream_stats=args.stream_stats,
-                                    **transport_overrides)
-        except UnknownScenarioError as error:
-            print(f"error: {error.args[0]}", file=sys.stderr)
-            return 2
-    else:
-        duration = int(args.duration * SEC)
-        warmup = int(args.warmup * SEC) if args.warmup is not None \
-            else duration // 2
-        if args.snr is not None:
-            loss = LossSpec(kind="snr", snr_db=args.snr)
-        elif args.loss > 0:
-            loss = LossSpec(kind="uniform", data_loss=args.loss)
-        else:
-            loss = LossSpec()
-        config = ScenarioConfig(
-            phy_mode=args.phy, data_rate_mbps=args.rate,
-            n_clients=args.clients, cells=args.cells,
-            channels=args.channels,
-            flows_per_client=args.flows_per_client,
-            policy=HackPolicy(args.policy), traffic=args.traffic,
-            duration_ns=duration, warmup_ns=warmup, seed=args.seed,
-            loss=loss,
-            rate_adaptation="aarf" if args.aarf else None,
-            extra_response_delay_ns=usec(37) if args.sora else 0,
-            ack_timeout_extra_ns=usec(60) if args.sora else 0,
-            stagger_ns=50 * MS, stream_stats=args.stream_stats,
-            cc=args.cc, pacing=args.pacing,
-            queue_discipline=args.qdisc)
-    if args.adversary is not None:
-        adv_kwargs = {"kind": args.adversary,
-                      "intensity": args.adversary_intensity}
-        if args.adversary_mode:
-            mode_field = {"jammer": "jam_mode",
-                          "mutator": "mutate_mode"}.get(args.adversary)
-            if mode_field is None:
-                print("error: --adversary-mode only applies to "
-                      "jammer/mutator", file=sys.stderr)
-                return 2
-            adv_kwargs[mode_field] = args.adversary_mode
-        config = dataclasses.replace(
-            config, adversary=AdversaryConfig(**adv_kwargs))
     try:
-        config.validate()
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
+        config = _simulate_config(args)
+    except (UnknownScenarioError, ValueError) as error:
+        print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
     telemetry = None
     if args.telemetry or args.trace_export:
@@ -422,141 +420,51 @@ def _scenarios(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_scenario_sweep(name: str, result: SweepResult) -> None:
-    cell = result.cell((name,), "aggregate_goodput_mbps")
-    fairness = result.cell((name,), "fairness_index")
-    headers = ["scenario", "runs", "goodput (Mbps)", "stdev",
-               "fairness"]
-    row = [name, str(cell["runs"]), f"{cell['mean']:.2f}",
-           f"{cell['stdev']:.2f}", f"{fairness['mean']:.4f}"]
-    metrics = result.metrics_for((name,))
-    if metrics and all(m.get("fct") for m in metrics) \
-            and all(has_completions(m["fct"]["fct_ms"])
-                    for m in metrics):
-        flows = result.cell(
-            (name,), lambda m: m["fct"]["flows_completed"])
-        p50 = result.cell((name,), lambda m: m["fct"]["fct_ms"]["p50"])
-        carried = result.cell(
-            (name,), lambda m: m["fct"]["carried_load_mbps"])
-        headers += ["flows", "FCT p50 (ms)", "carried (Mbps)"]
-        row += [f"{flows['mean']:.0f}", f"{p50['mean']:.1f}",
-                f"{carried['mean']:.2f}"]
-    print(format_table(headers, [row], title=f"Sweep: {name}"))
+def _check(args: argparse.Namespace) -> int:
+    """``repro check``: gate a ``sweep --out`` artifact.
 
-
-def _sweep(args: argparse.Namespace) -> int:
-    if args.seeds < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
+    Every named entry (default: all) must hold a complete record set —
+    no ``failed`` points, not ``interrupted``, this build's engine
+    version — and, when it is an experiment, rows that pass the
+    module's ``check_rows``.  Exit 0 all green, 1 after checking all
+    entries if any failed (one ``FAIL`` line each), 2 when the file is
+    not a loadable artifact.
+    """
+    try:
+        with open(args.artifact) as handle:
+            artifacts = json.load(handle)
+        if not isinstance(artifacts, dict):
+            raise ValueError("not a sweep --out artifact")
+        unknown = sorted(set(args.names) - set(artifacts))
+        if unknown:
+            raise ValueError(f"no entry {', '.join(unknown)} (holds: "
+                             f"{', '.join(artifacts)})")
+        results = {name: SweepResult.from_json_dict(artifacts[name])
+                   for name in args.names or artifacts}
+    except (OSError, ValueError, KeyError, TypeError,
+            AttributeError) as error:
+        print(f"error: {args.artifact}: {error}", file=sys.stderr)
         return 2
-    experiment_names: List[str] = []
-    scenario_names: List[str] = []
-    for name in args.names:
-        if name.startswith(SCENARIO_PREFIX):
-            scenario = name[len(SCENARIO_PREFIX):]
-            try:
-                registry.get(scenario)
-            except UnknownScenarioError as error:
-                print(f"error: {error.args[0]}", file=sys.stderr)
-                return 2
-            scenario_names.append(scenario)
-        elif name == "all":
-            experiment_names.extend(
-                sorted(experiments_runner.EXPERIMENTS))
-        elif name in experiments_runner.EXPERIMENTS:
-            experiment_names.append(name)
-        elif name in registry.names():
-            scenario_names.append(name)
-        else:
-            print(f"unknown sweep target {name!r}: expected an "
-                  f"experiment "
-                  f"({', '.join(sorted(experiments_runner.EXPERIMENTS))}"
-                  f", all) or a registered scenario "
-                  f"({', '.join(registry.names())})", file=sys.stderr)
-            return 2
-
-    experiment_names = list(dict.fromkeys(experiment_names))
-    scenario_names = list(dict.fromkeys(scenario_names))
-
-    def scenario_seeds() -> tuple:
-        # --quick keeps its runner meaning for scenarios: one seed
-        # (scenario durations come from the registry, not --quick).
-        return (1,) if args.quick else tuple(range(1, args.seeds + 1))
-
-    def build_spec(name: str, scenario: bool = False):
-        if scenario:
-            spec = registry.sweep_spec(name, scenario_seeds())
-        else:
-            spec = experiments_runner.EXPERIMENTS[name].sweep_spec(
-                quick=args.quick)
-        return experiments_runner.apply_stream_stats(spec, args)
-
-    if args.status:
-        return _sweep_status(args, experiment_names, scenario_names,
-                             build_spec)
-
-    sweep_runner = experiments_runner.make_runner(args)
-    artifacts = {}
-    exit_code = 0
-    for name in experiment_names:
-        module = experiments_runner.EXPERIMENTS[name]
-        started = time.time()
+    failures = 0
+    for name, result in results.items():
+        module = experiments_runner.EXPERIMENTS.get(name)
         try:
-            result = sweep_runner.run(build_spec(name))
-        except SweepInterrupted as stop:
-            return experiments_runner.handle_interrupt(
-                name, stop, artifacts, args.out)
-        elapsed = time.time() - started
-        experiments_runner.print_rows_or_failure_note(
-            name, module, result)
-        print(f"[{name}: {len(result.records)} cells in {elapsed:.1f}s "
-              f"({result.executed} run, {result.cache_hits} cached, "
-              f"{result.failed} failed)]\n")
-        if result.failed:
-            experiments_runner.report_failures(name, result)
-            exit_code = 1
-        artifacts[name] = result.to_json_dict()
-    for name in scenario_names:
-        started = time.time()
-        try:
-            result = sweep_runner.run(build_spec(name, scenario=True))
-        except SweepInterrupted as stop:
-            return experiments_runner.handle_interrupt(
-                f"{SCENARIO_PREFIX}{name}", stop, artifacts, args.out)
-        elapsed = time.time() - started
-        if result.failed:
-            experiments_runner.report_failures(name, result)
-            exit_code = 1
+            if result.failed or result.interrupted:
+                raise AssertionError(
+                    f"incomplete record set ({result.failed} failed "
+                    f"point(s), interrupted={result.interrupted})")
+            if module is None:
+                summary = (f"{name}: {len(result.records)} records "
+                           f"complete (no check_rows contract)")
+            else:
+                summary = module.check_rows(
+                    module.rows_from_sweep(result))
+        except AssertionError as error:
+            failures += 1
+            print(f"FAIL {name}: {error}")
         else:
-            _print_scenario_sweep(name, result)
-        print(f"[{name}: {len(result.records)} cells in {elapsed:.1f}s "
-              f"({result.executed} run, {result.cache_hits} cached, "
-              f"{result.failed} failed)]\n")
-        artifacts[f"{SCENARIO_PREFIX}{name}"] = result.to_json_dict()
-    if args.out:
-        experiments_runner.write_artifacts(args.out, artifacts)
-        print(f"wrote sweep records to {args.out}")
-    return exit_code
-
-
-def _sweep_status(args: argparse.Namespace,
-                  experiment_names: List[str],
-                  scenario_names: List[str], build_spec) -> int:
-    """``repro sweep --status``: audit the cache, simulate nothing."""
-    if args.no_cache:
-        print("error: --status needs a cache directory "
-              "(drop --no-cache)", file=sys.stderr)
-        return 2
-    cache = SweepCache(args.cache_dir)
-    all_complete = True
-    for name in experiment_names:
-        status = sweep_status(build_spec(name), cache)
-        print(format_status(status) + "\n")
-        all_complete = all_complete and status.complete
-    for name in scenario_names:
-        status = sweep_status(build_spec(name, scenario=True), cache)
-        print(format_status(status) + "\n")
-        all_complete = all_complete and status.complete
-    return 0 if all_complete else 3
+            print(f"ok   {summary}")
+    return 1 if failures else 0
 
 
 def _report(args: argparse.Namespace) -> int:
@@ -574,19 +482,13 @@ def _report(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in ("sweep", "experiments"):
+        return experiments_runner.main(argv[1:],
+                                       prog=f"repro {argv[0]}")
     args = _build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return _simulate(args)
-    if args.command == "scenarios":
-        return _scenarios(args)
-    if args.command == "sweep":
-        return _sweep(args)
-    if args.command == "report":
-        return _report(args)
-    forwarded = list(args.names)
-    if args.quick:
-        forwarded.append("--quick")
-    return experiments_runner.main(forwarded)
+    return {"simulate": _simulate, "scenarios": _scenarios,
+            "check": _check, "report": _report}[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,13 +17,21 @@ whole ablation suite fans out across workers in a single batch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.policies import HackPolicy
 from ..sim.units import msec, usec
 from ..workloads.scenarios import ScenarioConfig
-from .batch import SweepResult, SweepRunner, SweepSpec
-from .common import seeds_for, steady_state_durations, format_table
+from .batch import SweepResult, SweepSpec
+from .common import format_table, require, seeds_for, \
+    steady_state_durations
+
+TITLE = "Ablations (§3.2 policies, §5 TXOP, AP buffering)"
+PAPER_SAYS = (
+    "The MORE DATA bit is crucial (§4.3); no good explicit-timer "
+    "value exists (§3.2); tighter TXOP limits increase HACK's "
+    "relative gain (§5); too-small AP queues starve both schemes "
+    "and erase HACK's edge (§5).")
 
 #: (label, config overrides) per policy-ablation variant.
 POLICY_VARIANTS: Tuple[Tuple[str, Dict], ...] = (
@@ -121,39 +129,45 @@ def rows_from_sweep(result: SweepResult) -> List[Dict]:
     return rows
 
 
-def _run_groups(quick: bool, groups: Sequence[str],
-                runner: Optional[SweepRunner]) -> List[Dict]:
-    runner = runner or SweepRunner()
-    return rows_from_sweep(runner.run(sweep_spec(quick, groups)))
-
-
-def run_policy_ablation(quick: bool = False,
-                        runner: Optional[SweepRunner] = None
-                        ) -> List[Dict]:
-    return _run_groups(quick, ("policy",), runner)
-
-
-def run_txop_ablation(quick: bool = False,
-                      runner: Optional[SweepRunner] = None
-                      ) -> List[Dict]:
-    return _run_groups(quick, ("txop",), runner)
-
-
-def run_buffer_ablation(quick: bool = False,
-                        runner: Optional[SweepRunner] = None
-                        ) -> List[Dict]:
-    return _run_groups(quick, ("buffer",), runner)
-
-
-def run_delack_ablation(quick: bool = False,
-                        runner: Optional[SweepRunner] = None
-                        ) -> List[Dict]:
-    return _run_groups(quick, ("delack",), runner)
-
-
-def run(quick: bool = False,
-        runner: Optional[SweepRunner] = None) -> List[Dict]:
-    return _run_groups(quick, ALL_GROUPS, runner)
+def check_rows(rows: List[Dict]) -> str:
+    """The design claims each ablation group present must show: MORE
+    DATA beats stock, opportunistic and short explicit timers, and the
+    stall guard is free (§3.2); tighter TXOP limits widen HACK's gain
+    (§5); tiny AP queues erase it (§5); disabling delayed ACKs widens
+    it (§2.1 footnote)."""
+    groups = sorted({r["ablation"] for r in rows})
+    clauses = 0
+    if "policy" in groups:
+        policy = {r["variant"]: r for r in rows
+                  if r["ablation"] == "policy"}
+        best = policy["MORE DATA"]["goodput_mbps"]
+        clauses += require(
+            policy.values(),
+            (best > 1.05 * policy["stock TCP"]["goodput_mbps"],
+             "MORE DATA is not >5% above stock TCP"),
+            (policy["opportunistic"]["goodput_mbps"] < best,
+             "opportunistic is not below MORE DATA"),
+            (policy["explicit timer 1ms"]["goodput_mbps"] < best,
+             "a 1 ms explicit timer is not below MORE DATA"),
+            (policy["MORE DATA + stall guard"]["goodput_mbps"]
+             > 0.97 * best, "the stall guard costs > 3%"))
+    gain = {(r["ablation"], r["variant"]): r for r in rows
+            if r["ablation"] != "policy"}
+    for group, low, high, broken in (
+            ("txop", TXOP_VARIANTS[0][0], TXOP_VARIANTS[-1][0],
+             "a tighter TXOP limit does not widen HACK's gain"),
+            ("buffer", "16 pkts", "126 pkts",
+             "a tiny AP queue does not erase HACK's edge"),
+            ("delack", "delayed ACKs on", "delayed ACKs off",
+             "disabling delayed ACKs does not widen HACK's gain")):
+        if group in groups:
+            low, high = gain[(group, low)], gain[(group, high)]
+            clauses += require(
+                (low, high),
+                (low["improvement_pct"] < high["improvement_pct"],
+                 broken))
+    return (f"ablations: {clauses} clause(s) hold over "
+            f"{', '.join(groups)}")
 
 
 def format_rows(rows: List[Dict]) -> str:
@@ -176,7 +190,3 @@ def format_rows(rows: List[Dict]) -> str:
                   f"{r['improvement_pct']:+.1f}%"] for r in subset],
                 title=title))
     return "\n\n".join(out)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_rows(run(quick=True)))

@@ -21,13 +21,28 @@ channel count), and the collision fraction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.policies import HackPolicy
 from ..sim.units import MS, SEC
 from ..workloads.scenarios import ScenarioConfig
-from .batch import SweepResult, SweepRunner, SweepSpec
-from .common import format_table, seeds_for
+from .batch import SweepResult, SweepSpec
+from .common import format_table, require, seeds_for
+
+TITLE = "City-scale channel sharding (extension; channels=C)"
+PAPER_SAYS = (
+    "Nothing — the paper evaluates one BSS on one channel.  This "
+    "extension round-robins tens of cells over the three "
+    "non-overlapping 2.4 GHz channels; cells on different "
+    "channels share nothing, so the scenario factors into one "
+    "independent sub-scenario per channel and the channel-shard "
+    "pipeline executes it that way (one simulator per channel, "
+    "serial or process-pool, merged metrics bit-identical to the "
+    "single-simulator run).  Expectation from the paper's "
+    "mechanism: contention binds per channel — per-cell goodput "
+    "tracks cells-per-channel, not city size — and HACK's edge "
+    "persists at every scale because each channel looks like the "
+    "multi-AP experiment.")
 
 SCHEMES = (
     ("TCP/HACK More Data", HackPolicy.MORE_DATA),
@@ -104,10 +119,22 @@ def rows_from_sweep(result: SweepResult) -> List[Dict]:
     return rows
 
 
-def run(quick: bool = False, city_cells=CITY_CELLS,
-        runner: Optional[SweepRunner] = None) -> List[Dict]:
-    runner = runner or SweepRunner()
-    return rows_from_sweep(runner.run(sweep_spec(quick, city_cells)))
+def check_rows(rows: List[Dict]) -> str:
+    """Every channel is its own collision domain: the busiest
+    channel's clean-airtime sum stays in (0, 1] whatever the city
+    size.
+
+    ``max_channel_airtime_sum`` is a per-grid-cell *mean over seeds*;
+    the per-run, per-channel invariant is property-tested in
+    ``tests/properties/test_medium_properties.py::
+    test_airtime_share_sums_bounded_per_channel``.
+    """
+    clauses = sum(require(
+        (row,), (0 < row["max_channel_airtime_sum"] <= 1.0,
+                 "per-channel airtime sum outside (0, 1]"))
+        for row in rows)
+    return (f"city_scale: {clauses} clause(s) hold; per-channel "
+            f"airtime sums all bounded by 1")
 
 
 def format_rows(rows: List[Dict]) -> str:
@@ -146,7 +173,3 @@ def format_rows(rows: List[Dict]) -> str:
                 f"Mbps) — three channels keep contention per-channel, "
                 f"not city-wide")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_rows(run(quick=True)))

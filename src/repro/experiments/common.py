@@ -1,20 +1,25 @@
 """Shared helpers for experiment harnesses.
 
-Every experiment module exposes ``run(quick=False)`` returning a list
-of row dicts, plus ``format_rows(rows)`` producing the paper-style
-table as text.  ``quick=True`` shrinks durations/seeds so the whole
-suite stays runnable in CI; the benchmark harness uses the default
-(full) settings.
+An experiment module *is* its record: ``sweep_spec(quick, **scope)``
+declares the grid, ``rows_from_sweep(result)`` projects records to row
+dicts, ``format_rows(rows)`` renders the paper-style table, ``TITLE`` /
+``PAPER_SAYS`` are its EXPERIMENTS.md heading and paper claim, and
+``check_rows(rows)`` is its pass/fail contract (raises
+``AssertionError`` naming the offending row, returns a one-line
+summary).  :func:`run` is the one way to execute a module;
+``quick=True`` shrinks durations/seeds so the whole suite stays
+runnable in CI, the default is the paper-fidelity grid.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, \
+    Sequence
 
 from ..sim.units import MS, SEC
 from ..workloads.scenarios import ScenarioConfig, ScenarioResult, \
     run_scenario
-from .batch import mean_stdev
+from .batch import SweepRunner, mean_stdev
 
 #: Seeds used for "averaged across five runs" experiments (paper §4).
 FULL_SEEDS = (1, 2, 3, 4, 5)
@@ -30,6 +35,32 @@ def steady_state_durations(quick: bool) -> Dict[str, int]:
     if quick:
         return {"duration_ns": 1500 * MS, "warmup_ns": 700 * MS}
     return {"duration_ns": 4 * SEC, "warmup_ns": 2 * SEC}
+
+
+def run(module: Any, quick: bool = False,
+        runner: Optional[SweepRunner] = None, **scope: Any) -> List[Dict]:
+    """Execute one experiment module's grid and return its rows.
+
+    ``scope`` narrows the grid through ``sweep_spec``'s own keyword
+    arguments (e.g. ``client_counts=(1,)`` for fig10).
+    """
+    runner = runner or SweepRunner()
+    return module.rows_from_sweep(
+        runner.run(module.sweep_spec(quick, **scope)))
+
+
+def require(rows: Iterable[Dict], *claims: Any) -> int:
+    """The clauses of a ``check_rows`` contract about ``rows``: each
+    claim is ``(holds, what it means when it does not)``, or falsy
+    when it does not apply to these rows (``applies and (holds,
+    ...)``).  Raises naming the first broken claim and the row(s),
+    else returns how many claims applied and held."""
+    claims = [claim for claim in claims if claim]
+    for holds, broken in claims:
+        if not holds:
+            raise AssertionError(
+                f"{broken}: " + " vs ".join(str(row) for row in rows))
+    return len(claims)
 
 
 def averaged(configs: Iterable[ScenarioConfig],

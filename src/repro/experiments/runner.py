@@ -4,14 +4,20 @@ Usage::
 
     python -m repro.experiments.runner fig01 fig09 --quick
     python -m repro.experiments.runner all --jobs 4 --out results.json
+    python -m repro.experiments.runner scenario:multi-client --seeds 5
 
-Each experiment declares its grid as a :class:`SweepSpec`; the shared
-:class:`SweepRunner` executes every cell — serially by default, or
-fanned out over ``--jobs`` worker processes — prints the corresponding
-paper table/figure as text, and (with ``--out``) persists the raw
-per-cell sweep records as a JSON artifact.  Cells are content-hash
-cached under ``--cache-dir`` so re-running an unchanged sweep is free;
-``--no-cache`` forces fresh simulation runs.
+:data:`EXPERIMENTS` is the one table of experiments (each module is
+its own record, see :mod:`.common`) and :func:`main` the one command
+loop — ``repro sweep`` and ``repro experiments`` forward their argv
+here.  Each target declares its grid as a :class:`SweepSpec`; the
+shared :class:`SweepRunner` executes every cell — serially by default,
+or fanned out over ``--jobs`` worker processes — prints the
+corresponding paper table/figure as text, and (with ``--out``)
+persists the raw per-cell sweep records as a JSON artifact that
+``repro check`` gates on.  Cells are content-hash cached under
+``--cache-dir`` so re-running an unchanged sweep is free;
+``--no-cache`` forces fresh simulation runs and ``--status`` audits
+the cache without running anything.
 """
 
 from __future__ import annotations
@@ -22,13 +28,20 @@ import signal
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
+from ..stats.fct import has_completions
+from ..workloads import registry
 from . import ablations, adversarial, aqm_pacing, city_scale, \
     crossval, fct_churn, fig01, fig09, fig10, fig11, fig12, multi_ap, \
     table2, table3
-from .batch import SweepInterrupted, SweepResult, SweepRunner
-from .progress import ProgressReporter
+from .batch import SweepCache, SweepInterrupted, SweepResult, \
+    SweepRunner
+from .common import format_table
+from .progress import ProgressReporter, format_status, sweep_status
 
+#: The experiment table, in EXPERIMENTS.md section order ("all" runs
+#: it sorted by name).
 EXPERIMENTS = {
     "fig01": fig01,
     "fig09": fig09,      # also produces Table 1
@@ -38,14 +51,15 @@ EXPERIMENTS = {
     "fig10": fig10,
     "fig11": fig11,
     "fig12": fig12,
-    "ablations": ablations,
     "fct_churn": fct_churn,  # extension: flow churn / FCT
+    "aqm_pacing": aqm_pacing,  # extension: modern transport & AQM tier
     "multi_ap": multi_ap,    # extension: overlapping co-channel cells
     "city_scale": city_scale,  # extension: channel-sharded city grid
+    "ablations": ablations,
     "adversarial": adversarial,  # extension: robustness under attack
-    "aqm_pacing": aqm_pacing,  # extension: modern transport & AQM tier
 }
 
+SCENARIO_PREFIX = "scenario:"
 DEFAULT_CACHE_DIR = ".sweep-cache"
 
 
@@ -58,8 +72,17 @@ def positive_int(text: str) -> int:
     return value
 
 
-def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    """The sweep-execution flags shared with ``repro.cli sweep``."""
+def build_parser(prog=None) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Reproduce the tables and figures of "
+                    "'HACK: Hierarchical ACKs for Efficient Wireless "
+                    "Medium Utilization' (USENIX ATC 2014).")
+    parser.add_argument(
+        "targets", nargs="+", metavar="target",
+        help=f"experiment names ({', '.join(sorted(EXPERIMENTS))}), "
+             f"'all', or '{SCENARIO_PREFIX}<registered-scenario>' "
+             f"for a seed sweep of one scenario")
     parser.add_argument("--quick", action="store_true",
                         help="shorter runs, single seed")
     parser.add_argument("--jobs", type=int, default=None,
@@ -100,25 +123,90 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                              "memory independent of flow count; "
                              "percentiles histogram-quantised at "
                              "~2.3%% resolution)")
+    parser.add_argument("--seeds", type=positive_int, default=5,
+                        metavar="N",
+                        help="seeds per scenario sweep (default 5, "
+                             "--quick forces 1; experiments use their "
+                             "own seed policy)")
+    parser.add_argument("--status", action="store_true",
+                        help="run nothing: audit --cache-dir against "
+                             "the named sweeps and report which cells "
+                             "are complete/missing/failed/corrupt "
+                             "(exit 0 when complete, 3 otherwise)")
+    return parser
 
 
-def apply_stream_stats(spec, args: argparse.Namespace):
-    """Honour ``--stream-stats`` on an already-built sweep spec."""
-    if getattr(args, "stream_stats", False):
-        return spec.with_config_overrides(stream_stats=True)
-    return spec
+#: A scenario sweep's row: column header -> how its value is rendered.
+SCENARIO_COLUMNS = {
+    "scenario": "", "runs": "d", "goodput (Mbps)": ".2f",
+    "stdev": ".2f", "fairness": ".4f",
+    # churn scenarios whose every seed completed flows:
+    "flows": ".0f", "FCT p50 (ms)": ".1f", "carried (Mbps)": ".2f"}
 
 
-def make_runner(args: argparse.Namespace) -> SweepRunner:
-    cache_dir = None if args.no_cache else args.cache_dir
-    progress = ProgressReporter() if getattr(args, "progress", False) \
-        else None
-    return SweepRunner(jobs=args.jobs, cache_dir=cache_dir,
-                       retries=getattr(args, "retries", 0),
-                       progress=progress,
-                       shard_jobs=getattr(args, "shard_jobs", None),
-                       telemetry_dir=getattr(args, "telemetry_dir",
-                                             None))
+def scenario_sweep(name: str, seeds: int) -> SimpleNamespace:
+    """A registered scenario's seed sweep, in the experiment-module
+    shape (``sweep_spec`` / ``rows_from_sweep`` / ``format_rows``)."""
+    key = (name,)
+
+    def sweep_spec(quick: bool = False):
+        # --quick keeps its meaning for scenarios: one seed (scenario
+        # durations come from the registry, not --quick).
+        return registry.sweep_spec(
+            name, (1,) if quick else tuple(range(1, seeds + 1)))
+
+    def rows_from_sweep(result: SweepResult):
+        def mean(metric):
+            return result.cell(key, metric)["mean"]
+
+        goodput = result.cell(key, "aggregate_goodput_mbps")
+        row = {"scenario": name, "runs": goodput["runs"],
+               "goodput (Mbps)": goodput["mean"],
+               "stdev": goodput["stdev"],
+               "fairness": mean("fairness_index")}
+        if all(m.get("fct") and has_completions(m["fct"]["fct_ms"])
+               for m in result.metrics_for(key)):
+            row["flows"] = mean(lambda m: m["fct"]["flows_completed"])
+            row["FCT p50 (ms)"] = mean(lambda m: m["fct"]["fct_ms"]["p50"])
+            row["carried (Mbps)"] = mean(
+                lambda m: m["fct"]["carried_load_mbps"])
+        return [row]
+
+    def format_rows(rows):
+        [row] = rows
+        return format_table(
+            list(row), [[format(value, SCENARIO_COLUMNS[column])
+                         for column, value in row.items()]],
+            title=f"Sweep: {name}")
+
+    return SimpleNamespace(sweep_spec=sweep_spec,
+                           rows_from_sweep=rows_from_sweep,
+                           format_rows=format_rows)
+
+
+def resolve_targets(names, seeds: int) -> dict:
+    """Target names -> ``{artifact label: experiment-shaped module}``
+    in argv order; raises ``KeyError`` with a one-line message."""
+    targets = {}
+    for name in names:
+        if name == "all":
+            targets.update((key, EXPERIMENTS[key])
+                           for key in sorted(EXPERIMENTS))
+        elif name in EXPERIMENTS:
+            targets[name] = EXPERIMENTS[name]
+        elif name.startswith(SCENARIO_PREFIX) \
+                or name in registry.names():
+            scenario = name.removeprefix(SCENARIO_PREFIX)
+            registry.get(scenario)      # UnknownScenarioError
+            targets[SCENARIO_PREFIX + scenario] = \
+                scenario_sweep(scenario, seeds)
+        else:
+            raise KeyError(
+                f"unknown sweep target {name!r}: expected an "
+                f"experiment ({', '.join(sorted(EXPERIMENTS))}, all) "
+                f"or a registered scenario "
+                f"({', '.join(registry.names())})")
+    return targets
 
 
 def write_artifacts(path: str, artifacts: dict) -> None:
@@ -156,8 +244,8 @@ def print_rows_or_failure_note(name: str, module,
 
 def handle_interrupt(name: str, stop: SweepInterrupted,
                      artifacts: dict, out: str) -> int:
-    """Shared SIGINT/SIGTERM epilogue: persist the partial artifact
-    (marked ``interrupted``) and return the conventional exit code."""
+    """SIGINT/SIGTERM epilogue: persist the partial artifact (marked
+    ``interrupted``) and return the conventional exit code."""
     result = stop.result
     artifacts[name] = result.to_json_dict()
     done = result.executed + result.cache_hits
@@ -172,28 +260,44 @@ def handle_interrupt(name: str, stop: SweepInterrupted,
     return 128 + (stop.signum or signal.SIGINT)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Reproduce the tables and figures of "
-                    "'HACK: Hierarchical ACKs for Efficient Wireless "
-                    "Medium Utilization' (USENIX ATC 2014).")
-    parser.add_argument("experiments", nargs="+",
-                        choices=sorted(EXPERIMENTS) + ["all"],
-                        help="which experiments to run")
-    add_sweep_arguments(parser)
+def main(argv=None, prog=None) -> int:
+    parser = build_parser(prog)
     args = parser.parse_args(argv)
+    try:
+        targets = resolve_targets(args.targets, args.seeds)
+    except KeyError as error:
+        parser.exit(2, f"error: {error.args[0]}\n")
 
-    names = sorted(EXPERIMENTS) if "all" in args.experiments else \
-        list(dict.fromkeys(args.experiments))
-    sweep_runner = make_runner(args)
+    def build_spec(module):
+        spec = module.sweep_spec(quick=args.quick)
+        if args.stream_stats:
+            spec = spec.with_config_overrides(stream_stats=True)
+        return spec
+
+    if args.status:
+        if args.no_cache:
+            print("error: --status needs a cache directory "
+                  "(drop --no-cache)", file=sys.stderr)
+            return 2
+        cache = SweepCache(args.cache_dir)
+        statuses = [sweep_status(build_spec(module), cache)
+                    for module in targets.values()]
+        for status in statuses:
+            print(format_status(status) + "\n")
+        return 0 if all(s.complete for s in statuses) else 3
+
+    sweep_runner = SweepRunner(
+        jobs=args.jobs,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        retries=args.retries,
+        progress=ProgressReporter() if args.progress else None,
+        shard_jobs=args.shard_jobs, telemetry_dir=args.telemetry_dir)
     artifacts = {}
     exit_code = 0
-    for name in names:
-        module = EXPERIMENTS[name]
+    for name, module in targets.items():
         started = time.time()
         try:
-            result = sweep_runner.run(apply_stream_stats(
-                module.sweep_spec(quick=args.quick), args))
+            result = sweep_runner.run(build_spec(module))
         except SweepInterrupted as stop:
             return handle_interrupt(name, stop, artifacts, args.out)
         elapsed = time.time() - started
@@ -207,7 +311,7 @@ def main(argv=None) -> int:
         artifacts[name] = result.to_json_dict()
     if args.out:
         write_artifacts(args.out, artifacts)
-        print(f"wrote sweep records for {', '.join(names)} "
+        print(f"wrote sweep records for {', '.join(targets)} "
               f"to {args.out}")
     return exit_code
 

@@ -8,15 +8,21 @@ and read the counters off the drivers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.policies import HackPolicy
 from ..sim.units import MS, SEC
 from ..tcp.segment import IP_HEADER_BYTES, TCP_HEADER_BYTES, \
     TIMESTAMP_OPTION_BYTES
 from ..workloads.scenarios import ScenarioConfig
-from .batch import SweepResult, SweepRunner, SweepSpec
-from .common import format_table
+from .batch import SweepResult, SweepSpec
+from .common import format_table, require
+
+TITLE = "Table 2 — ACK counts and compression"
+PAPER_SAYS = (
+    "25 MB transfer: stock TCP sent 9060 ACKs (471 120 B); HACK "
+    "sent 10 vanilla ACKs and 9050 compressed ones in 39 478 B — "
+    "a 12x compression ratio (~4.4 B per ACK).")
 
 ACK_WIRE_BYTES = IP_HEADER_BYTES + TCP_HEADER_BYTES + \
     TIMESTAMP_OPTION_BYTES  # 52
@@ -66,10 +72,29 @@ def rows_from_sweep(result: SweepResult) -> List[Dict]:
     return rows
 
 
-def run(quick: bool = False,
-        runner: Optional[SweepRunner] = None) -> List[Dict]:
-    runner = runner or SweepRunner()
-    return rows_from_sweep(runner.run(sweep_spec(quick)))
+def check_rows(rows: List[Dict]) -> str:
+    """Table 2's shape: stock TCP sends one 52-byte ACK per two data
+    packets and compresses none; HACK compresses nearly all of them at
+    a ratio near the paper's 12x."""
+    stock = next(r for r in rows if r["protocol"] == "TCP/802.11a")
+    hack = next(r for r in rows if r["protocol"] == "TCP/HACK")
+    expected = stock["transfer_bytes"] / 1460 / 2
+    clauses = require(
+        (stock, hack),
+        (stock["compressed_count"] == 0, "stock TCP compressed ACKs"),
+        (0.8 * expected < stock["ack_count"] < 1.3 * expected,
+         f"stock ACK count far from {expected:.0f}"),
+        (stock["ack_bytes"] == ACK_WIRE_BYTES * stock["ack_count"],
+         "stock ACKs are not 52 bytes each"),
+        (hack["compressed_count"] > 0.9 * expected,
+         "HACK compressed < 90% of the ACKs"),
+        (hack["ack_count"] < 0.05 * expected,
+         "HACK sent > 5% of the ACKs vanilla"),
+        (8 < hack["compression_ratio"] < 26,
+         "compression ratio outside 8-26x"))
+    return (f"table2: {clauses} clause(s) hold; "
+            f"{hack['compressed_count']} ACKs compressed "
+            f"{hack['compression_ratio']:.1f}x (paper: 12x)")
 
 
 def format_rows(rows: List[Dict]) -> str:
@@ -82,7 +107,3 @@ def format_rows(rows: List[Dict]) -> str:
           else "(1)"]
          for r in rows],
         title="Table 2: conventional vs ROHC-compressed TCP ACKs")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_rows(run(quick=True)))

@@ -15,6 +15,7 @@ import pytest
 from repro.adversary import AdversaryConfig
 from repro.core.policies import HackPolicy
 from repro.sim.units import MS
+from repro.workloads import registry
 from repro.workloads.scenarios import ScenarioConfig, run_scenario
 
 
@@ -74,6 +75,18 @@ class TestSeedReplay:
         first = run_scenario(cfg).metrics_dict()
         second = run_scenario(cfg).metrics_dict()
         assert first == second
+
+    @pytest.mark.parametrize("name", ["adv-greedy", "adv-jammer",
+                                      "adv-mutator"])
+    def test_registered_attack_replays_bit_identically(self, name):
+        # The registry entries as registered, on a shortened window.
+        cfg = registry.build(name, duration_ns=400 * MS,
+                             warmup_ns=150 * MS)
+        first = run_scenario(cfg).metrics_dict()
+        second = run_scenario(cfg).metrics_dict()
+        assert first == second
+        assert any(value for key, value in first["adversary"].items()
+                   if key not in ("kind", "intensity"))
 
     def test_attack_randomness_isolated_from_workload(self):
         """Different attack intensities draw from dedicated adversary

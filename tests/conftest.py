@@ -18,6 +18,26 @@ from tests.helpers import FakeFrame, FakePayload, RecordingListener
 __all__ = ["FakeFrame", "FakePayload", "RecordingListener"]
 
 
+@pytest.fixture(scope="session", autouse=True)
+def default_sweep_cache_untouched(request):
+    """Tier-1 must not write ``./.sweep-cache``: a test that runs a
+    CLI on its default cache directory would pass, next run, from
+    whatever numbers the previous commit left there."""
+    cache = request.config.rootpath / ".sweep-cache"
+
+    def snapshot():
+        if not cache.is_dir():
+            return None
+        return {path.name: path.stat().st_mtime_ns
+                for path in cache.iterdir()}
+
+    before = snapshot()
+    yield
+    assert snapshot() == before, (
+        f"the suite created or modified {cache}: pass --cache-dir "
+        f"<tmp_path> or --no-cache to the CLI under test")
+
+
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()

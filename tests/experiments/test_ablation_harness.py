@@ -1,7 +1,7 @@
 """Ablation harness units (cheap synthetic-row checks plus stubbed
 sweep runs exercising the declarative grid end-to-end)."""
 
-from repro.experiments import ablations
+from repro.experiments import ablations, common
 
 from tests.helpers import StubSweepRunner
 
@@ -34,7 +34,8 @@ class TestFormatters:
 class TestRunAll:
     def test_run_includes_every_dimension(self):
         # Stub the sweep execution so run() is instant.
-        rows = ablations.run(quick=True, runner=StubSweepRunner())
+        rows = common.run(ablations, quick=True,
+                          runner=StubSweepRunner())
         dims = {r["ablation"] for r in rows}
         assert dims == {"policy", "txop", "buffer", "delack"}
         policies = [r["variant"] for r in rows
@@ -43,7 +44,8 @@ class TestRunAll:
 
     def test_single_dimension_runners(self):
         stub = StubSweepRunner()
-        rows = ablations.run_txop_ablation(quick=True, runner=stub)
+        rows = common.run(ablations, quick=True, runner=stub,
+                          groups=("txop",))
         assert {r["ablation"] for r in rows} == {"txop"}
         assert all(r["improvement_pct"] == 0.0 for r in rows)
         # One spec, tcp+hack per variant, one quick seed each.

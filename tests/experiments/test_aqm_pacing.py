@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import aqm_pacing, runner
+from repro.experiments import aqm_pacing, common, runner
 from repro.experiments.batch import SweepRunner
 
 SCHEMA = {"figure", "transport", "qdisc", "scheme", "flows_completed",
@@ -18,9 +18,9 @@ TRIM_QDISCS = ("droptail", "codel")
 
 @pytest.fixture(scope="module")
 def quick_rows(sweep_cache_runner):
-    return aqm_pacing.run(quick=True, transports=TRIM_TRANSPORTS,
-                          qdiscs=TRIM_QDISCS,
-                          runner=sweep_cache_runner)
+    return common.run(aqm_pacing, quick=True,
+                      transports=TRIM_TRANSPORTS, qdiscs=TRIM_QDISCS,
+                      runner=sweep_cache_runner)
 
 
 class TestHarness:
@@ -72,16 +72,17 @@ class TestHarness:
                 aqm_pacing.check_rows(rows)
 
     def test_rows_deterministic(self, quick_rows, sweep_cache_runner):
-        again = aqm_pacing.run(quick=True, transports=TRIM_TRANSPORTS,
-                               qdiscs=TRIM_QDISCS,
-                               runner=sweep_cache_runner)
+        again = common.run(aqm_pacing, quick=True,
+                           transports=TRIM_TRANSPORTS,
+                           qdiscs=TRIM_QDISCS,
+                           runner=sweep_cache_runner)
         assert quick_rows == again
 
     def test_parallel_matches_serial(self, quick_rows):
-        parallel = aqm_pacing.run(quick=True,
-                                  transports=TRIM_TRANSPORTS,
-                                  qdiscs=TRIM_QDISCS,
-                                  runner=SweepRunner(jobs=2))
+        parallel = common.run(aqm_pacing, quick=True,
+                              transports=TRIM_TRANSPORTS,
+                              qdiscs=TRIM_QDISCS,
+                              runner=SweepRunner(jobs=2))
         assert parallel == quick_rows
 
     def test_format_rows_renders(self, quick_rows):

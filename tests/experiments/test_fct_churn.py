@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import fct_churn, runner
+from repro.experiments import common, fct_churn, runner
 from repro.experiments.batch import SweepRunner
 
 SCHEMA = {"figure", "shape", "load", "scheme", "flows_completed",
@@ -13,8 +13,8 @@ SCHEMA = {"figure", "shape", "load", "scheme", "flows_completed",
 @pytest.fixture(scope="module")
 def quick_rows(sweep_cache_runner):
     # Trimmed grid: one load level, both shapes, both policies.
-    return fct_churn.run(quick=True, loads=("high",),
-                         runner=sweep_cache_runner)
+    return common.run(fct_churn, quick=True, loads=("high",),
+                      runner=sweep_cache_runner)
 
 
 class TestHarness:
@@ -34,25 +34,27 @@ class TestHarness:
             assert set(row) == SCHEMA
 
     def test_acceptance_cells(self, quick_rows):
-        """>= 4 cells (HACK on/off x 2 shapes) with completions and
-        p50/p95/p99 — the PR's acceptance criterion."""
+        """>= 4 cells (HACK on/off x 2 shapes), each passing the
+        module's contract (completions, ordered p50/p95/p99, load) —
+        which names the row when one does not."""
         cells = {(r["shape"], r["scheme"]) for r in quick_rows}
         assert len(cells) >= 4
-        for row in quick_rows:
-            assert row["flows_completed"] > 0
-            assert 0 < row["fct_p50_ms"] <= row["fct_p95_ms"] \
-                <= row["fct_p99_ms"]
-            assert row["offered_mbps"] > 0
-            assert row["carried_mbps"] > 0
+        assert fct_churn.check_rows(quick_rows).startswith(
+            f"fct_churn: {3 * len(quick_rows)} clause(s) hold")
+        starved = [dict(quick_rows[0], flows_completed=0),
+                   *quick_rows[1:]]
+        with pytest.raises(AssertionError, match="'flows_completed': 0"):
+            fct_churn.check_rows(starved)
 
     def test_rows_deterministic(self, quick_rows, sweep_cache_runner):
-        again = fct_churn.run(quick=True, loads=("high",),
-                              runner=sweep_cache_runner)
+        again = common.run(fct_churn, quick=True, loads=("high",),
+                           runner=sweep_cache_runner)
         assert quick_rows == again
 
     def test_deterministic_without_cache(self):
         kwargs = dict(quick=True, shapes=("web",), loads=("high",))
-        assert fct_churn.run(**kwargs) == fct_churn.run(**kwargs)
+        assert common.run(fct_churn, **kwargs) \
+            == common.run(fct_churn, **kwargs)
 
     def test_format_rows_renders(self, quick_rows):
         text = fct_churn.format_rows(quick_rows)
@@ -61,6 +63,6 @@ class TestHarness:
         assert "HACK changes p50 FCT" in text
 
     def test_parallel_matches_serial(self, quick_rows):
-        parallel = fct_churn.run(quick=True, loads=("high",),
-                                 runner=SweepRunner(jobs=2))
+        parallel = common.run(fct_churn, quick=True, loads=("high",),
+                              runner=SweepRunner(jobs=2))
         assert parallel == quick_rows

@@ -1,104 +1,45 @@
-"""Golden regression tests for every experiment module.
+"""Golden regression tests for every pinned experiment module.
 
-Each module's ``run(quick=True, ...)`` must (a) return rows with a
-stable schema and (b) be deterministic across two invocations with the
-same seeds.  A shared content-hash cache makes the second invocation
-free, and doubles as a check that cache-restored sweeps rebuild the
-exact same tables; one module (fig10) is additionally re-run with the
-cache disabled to pin down simulator-level determinism.
-
-Sweep scopes are trimmed to the smallest slice each module supports so
-the whole file stays tractable in CI.
+Each module's quick rows (at its ``conftest.QUICK_SCOPES`` slice) must
+(a) have a stable schema and (b) be deterministic across two
+invocations with the same seeds.  A shared content-hash cache makes
+the second invocation free, and doubles as a check that cache-restored
+sweeps rebuild the exact same tables; one module (fig10) is
+additionally re-run with the cache disabled to pin down
+simulator-level determinism.
 """
 
 import pytest
 
-from repro.experiments import ablations, crossval, fig01, fig09, \
-    fig10, fig11, fig12, table2, table3
+from repro.experiments.runner import EXPERIMENTS
 
-GOLDEN = {
-    "fig01": (
-        lambda runner: fig01.run(quick=True, runner=runner),
-        {"figure", "phy", "rate_mbps", "tcp_mbps", "hack_mbps",
-         "improvement_pct"}),
-    "fig09": (
-        lambda runner: fig09.run(quick=True, runner=runner),
-        {"figure", "clients", "protocol", "client", "goodput_mbps",
-         "stdev", "no_retry_frac"}),
-    "fig10": (
-        lambda runner: fig10.run(quick=True, client_counts=(1,),
-                                 runner=runner),
-        {"figure", "clients", "scheme", "goodput_mbps", "stdev",
-         "hack_fit_fraction"}),
-    "fig11": (
-        lambda runner: fig11.run(quick=True, snrs=(18.0,),
-                                 rates=(60.0, 150.0), runner=runner),
-        {"figure", "snr_db", "tcp_envelope_mbps",
-         "hack_envelope_mbps", "improvement_pct", "tcp_per_rate",
-         "hack_per_rate", "crc_failures", "hack_timeouts"}),
-    "fig12": (
-        lambda runner: fig12.run(quick=True, rates=(150.0,),
-                                 runner=runner),
-        {"figure", "rate_mbps", "theory_tcp_mbps", "theory_hack_mbps",
-         "sim_tcp_mbps", "sim_hack_mbps", "sim_improvement_pct",
-         "theory_improvement_pct"}),
-    "table2": (
-        lambda runner: table2.run(quick=True, runner=runner),
-        {"table", "protocol", "ack_count", "ack_bytes",
-         "compressed_count", "compressed_bytes", "compression_ratio",
-         "transfer_bytes", "completed"}),
-    "table3": (
-        lambda runner: table3.run(quick=True, runner=runner),
-        {"table", "protocol", "tcp_ack_airtime", "rohc_airtime",
-         "channel_acquisition", "ll_ack_overhead"}),
-    "crossval": (
-        lambda runner: crossval.run(quick=True, runner=runner),
-        {"figure", "protocol", "loss_rate", "ideal_mbps",
-         "sora_mbps"}),
-    "ablations": (
-        lambda runner: ablations.run_delack_ablation(quick=True,
-                                                     runner=runner),
-        {"ablation", "variant", "tcp_mbps", "hack_mbps",
-         "improvement_pct"}),
-}
-
-MODULES = {"fig01": fig01, "fig09": fig09, "fig10": fig10,
-           "fig11": fig11, "fig12": fig12, "table2": table2,
-           "table3": table3, "crossval": crossval,
-           "ablations": ablations}
+from tests.experiments.conftest import QUICK_SCOPES, ROW_SCHEMAS, \
+    pinned_rows
 
 
-@pytest.fixture(scope="module")
-def cached_runner(sweep_cache_runner):
-    return sweep_cache_runner
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_schema_and_determinism(name, cached_runner):
-    run, schema = GOLDEN[name]
-    first = run(cached_runner)
-    second = run(cached_runner)
+@pytest.mark.parametrize("name", sorted(QUICK_SCOPES))
+def test_schema_and_determinism(name, sweep_cache_runner):
+    first = pinned_rows(name, sweep_cache_runner)
+    second = pinned_rows(name, sweep_cache_runner)
     assert first, f"{name}: no rows"
     for row in first:
-        assert set(row) == schema, f"{name}: row schema drifted"
+        assert set(row) == ROW_SCHEMAS[name], \
+            f"{name}: row schema drifted"
     assert first == second, f"{name}: rows not reproducible"
     # Every table renders from golden rows.
-    module = MODULES[name]
+    text = EXPERIMENTS[name].format_rows(first)
+    assert text
     if name == "ablations":
-        assert "delayed ACKs" in module.format_rows(first)
-    else:
-        assert module.format_rows(first)
+        assert "delayed ACKs" in text
 
 
 def test_fig10_deterministic_without_cache():
     """Same seeds => identical rows even when every cell re-simulates."""
-    first = fig10.run(quick=True, client_counts=(1,))
-    second = fig10.run(quick=True, client_counts=(1,))
-    assert first == second
+    assert pinned_rows("fig10") == pinned_rows("fig10")
 
 
 def test_every_experiment_declares_a_sweep():
-    for name, module in MODULES.items():
+    for name, module in EXPERIMENTS.items():
         spec = module.sweep_spec(quick=True)
         assert len(spec) > 0, f"{name}: empty sweep spec"
         assert spec.name == name

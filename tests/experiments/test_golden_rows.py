@@ -7,53 +7,27 @@ rework landed).  The current kernel must reproduce them bit for bit:
 the hot-path optimisations are pure event-count reductions, not
 behaviour changes.
 
-Sweep scopes are the same trimmed slices ``test_golden`` uses, and the
-two files share one session-scoped content-hash cache, so each cell is
-simulated exactly once for both suites.
+Sweep scopes are ``conftest.QUICK_SCOPES``, the trimmed slices
+``test_golden`` uses, and the two files share one session-scoped
+content-hash cache, so each cell is simulated exactly once for both
+suites.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.experiments import ablations, crossval, fig01, fig09, \
-    fig10, fig11, fig12, table2, table3
-
-GOLDEN_PATH = Path(__file__).parent / "golden" / "quick_rows.json"
-
-RUNS = {
-    "fig01": lambda runner: fig01.run(quick=True, runner=runner),
-    "fig09": lambda runner: fig09.run(quick=True, runner=runner),
-    "fig10": lambda runner: fig10.run(quick=True, client_counts=(1,),
-                                      runner=runner),
-    "fig11": lambda runner: fig11.run(quick=True, snrs=(18.0,),
-                                      rates=(60.0, 150.0),
-                                      runner=runner),
-    "fig12": lambda runner: fig12.run(quick=True, rates=(150.0,),
-                                      runner=runner),
-    "table2": lambda runner: table2.run(quick=True, runner=runner),
-    "table3": lambda runner: table3.run(quick=True, runner=runner),
-    "crossval": lambda runner: crossval.run(quick=True, runner=runner),
-    "ablations": lambda runner: ablations.run_delack_ablation(
-        quick=True, runner=runner),
-}
-
-
-@pytest.fixture(scope="module")
-def golden():
-    with open(GOLDEN_PATH) as handle:
-        return json.load(handle)
+from tests.experiments.conftest import QUICK_SCOPES, pinned_rows
 
 
 def test_golden_covers_every_experiment(golden):
-    assert set(golden) == set(RUNS)
+    assert set(golden) == set(QUICK_SCOPES)
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
+@pytest.mark.parametrize("name", sorted(QUICK_SCOPES))
 def test_rows_bit_identical_to_seed_kernel(name, golden,
                                            sweep_cache_runner):
-    rows = RUNS[name](sweep_cache_runner)
+    rows = pinned_rows(name, sweep_cache_runner)
     # JSON round-trip normalises container types exactly as the stored
     # golden rows were normalised.
     assert json.loads(json.dumps(rows)) == golden[name], (

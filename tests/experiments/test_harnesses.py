@@ -1,6 +1,7 @@
 """Experiment harness smoke tests.
 
-Full experiment runs live in ``benchmarks/``; here we verify that the
+Full experiment runs are ``python -m repro.experiments.runner`` (CI's
+sweep-smoke job, gated by ``repro check``); here we verify that the
 harnesses produce well-formed rows and tables on minimal settings.
 """
 
@@ -26,12 +27,12 @@ class TestCommon:
 
 class TestFig01:
     def test_rows_cover_both_figures(self):
-        rows = fig01.run()
+        rows = common.run(fig01)
         assert {r["figure"] for r in rows} == {"1a", "1b"}
         assert all(r["hack_mbps"] > r["tcp_mbps"] for r in rows)
 
     def test_format(self):
-        out = fig01.format_rows(fig01.run())
+        out = fig01.format_rows(common.run(fig01))
         assert "Figure 1a" in out and "Figure 1b" in out
 
 
@@ -39,7 +40,8 @@ class TestSimulationHarnesses:
     """One tiny run through each sim-backed harness."""
 
     def test_fig11_minimal(self):
-        rows = fig11.run(quick=True, snrs=(26.0,), rates=(150.0,))
+        rows = common.run(fig11, quick=True, snrs=(26.0,),
+                          rates=(150.0,))
         assert len(rows) == 1
         row = rows[0]
         assert row["hack_envelope_mbps"] > 0
@@ -47,13 +49,13 @@ class TestSimulationHarnesses:
         assert "improvement" in fig11.format_rows(rows)
 
     def test_fig12_minimal(self):
-        rows = fig12.run(quick=True, rates=(150.0,))
+        rows = common.run(fig12, quick=True, rates=(150.0,))
         assert rows[0]["sim_tcp_mbps"] <= \
             1.05 * rows[0]["theory_tcp_mbps"]
         assert "Figure 12" in fig12.format_rows(rows)
 
     def test_fig10_minimal(self):
-        rows = fig10.run(quick=True, client_counts=(1,))
+        rows = common.run(fig10, quick=True, client_counts=(1,))
         schemes = {r["scheme"] for r in rows}
         assert len(schemes) == 4
         assert "Figure 10" in fig10.format_rows(rows)
@@ -110,8 +112,8 @@ class TestFormatters:
 
 
 class TestRunner:
-    def test_cli_fig01(self, capsys):
-        assert runner.main(["fig01"]) == 0
+    def test_cli_fig01(self, capsys, tmp_path):
+        assert runner.main(["fig01", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Figure 1a" in out
         assert "[fig01:" in out

@@ -11,15 +11,19 @@ scale with flow *concurrency* and histogram occupancy, never with
 total flow count.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.policies import HackPolicy
 from repro.obs.metrics import BINS_PER_DECADE
 from repro.sim.units import MS
 from repro.stats.fct import FctAggregator, FctCollector, \
     has_completions, percentile
+from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 from repro.workloads import registry
-from repro.workloads.scenarios import run_scenario
+from repro.workloads.scenarios import ScenarioConfig, run_scenario
 
 RESOLUTION = 10.0 ** (1.0 / BINS_PER_DECADE) - 1.0
 
@@ -115,6 +119,35 @@ class TestBoundedMemory:
             stream.close(record)
         assert stream.live_open == 0
         assert stream.max_live == 7
+
+    def test_scenario_memory_tracks_concurrency_not_flow_count(self):
+        """The PR 4 scale claim on a real churn cell: an 8x longer
+        window spawns ~10x the flows (25 -> 242), but peak live records
+        move only with concurrency (6 -> 12) and occupied bins are
+        bounded by the FCT range (each flow lands in the overall
+        histogram and one size bin), not by how many flows fed it."""
+        def streaming_fct(duration_ns):
+            return run_scenario(ScenarioConfig(
+                phy_mode="11n", data_rate_mbps=150.0, n_clients=2,
+                traffic="dynamic", policy=HackPolicy.MORE_DATA,
+                arrivals=ArrivalSpec(
+                    kind="poisson", rate_per_s=80.0,
+                    size=SizeSpec(kind="lognormal",
+                                  median_bytes=20_000, sigma=1.0)),
+                duration_ns=duration_ns, warmup_ns=duration_ns // 5,
+                stagger_ns=0, stream_stats=True)).fct
+
+        short, long = streaming_fct(400 * MS), streaming_fct(3200 * MS)
+        assert long["flows_spawned"] >= 8 * short["flows_spawned"]
+        assert long["streaming"]["max_live_records"] \
+            <= 3 * short["streaming"]["max_live_records"]
+        for fct in (short, long):
+            live = fct["streaming"]["max_live_records"]
+            assert live < fct["flows_spawned"] / 4
+            spread = fct["fct_ms"]
+            decades = math.log10(spread["max"] / spread["min"])
+            assert fct["streaming"]["occupied_bins"] \
+                <= 2 * (BINS_PER_DECADE * decades + 1)
 
 
 class TestScenarioEquivalence:

@@ -6,6 +6,8 @@ floor, and no permanently stalled flows — across all HACK policies and
 both loss models.
 """
 
+import statistics
+
 import pytest
 
 from repro import HackPolicy, LossSpec, ScenarioConfig, run_scenario
@@ -45,6 +47,23 @@ class TestSnrLoss:
         res = run_policy(policy, LossSpec(kind="snr", snr_db=23.0))
         assert res.aggregate_goodput_mbps > 20
         assert res.decomp_counters["crc_failures"] == 0
+
+
+class TestRateAdaptation:
+    def test_hack_stabilises_aarf(self):
+        """An emergent synergy the paper does not evaluate: under
+        stock TCP, AARF misreads data/ACK collisions as channel noise
+        (spurious downshifts); TCP/HACK removes those collisions, so
+        the same adapter carries more across the mid-SNR range."""
+        def aarf_goodput(policy, snr):
+            return run_policy(policy, LossSpec(kind="snr", snr_db=snr),
+                              rate_adaptation="aarf"
+                              ).aggregate_goodput_mbps
+
+        assert statistics.fmean(
+            aarf_goodput(HackPolicy.MORE_DATA, snr)
+            - aarf_goodput(HackPolicy.VANILLA, snr)
+            for snr in (18.0, 22.0, 26.0)) > 0
 
 
 class TestSplitUnderLoss:

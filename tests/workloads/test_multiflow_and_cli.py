@@ -3,7 +3,7 @@
 import pytest
 
 from repro import HackPolicy, ScenarioConfig, run_scenario
-from repro.cli import main as cli_main
+from repro.cli import _build_parser, _simulate_config, main as cli_main
 from repro.experiments.runner import main as runner_main
 from repro.sim.units import MS, SEC
 
@@ -90,8 +90,46 @@ class TestCli:
         assert code == 0
         assert "AQM (fq_codel" in capsys.readouterr().out
 
-    def test_experiments_forwarding(self, capsys):
-        assert cli_main(["experiments", "fig01"]) == 0
+    def test_scenario_flags_override_the_registry_entry(self, capsys):
+        # Used to run quickstart untouched: one HACK client for 3 s.
+        code = cli_main(["simulate", "--scenario", "quickstart",
+                         "--clients", "4", "--policy", "vanilla",
+                         "--duration", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("  flow ") == 4
+        assert "HACK ACKs" not in out
+
+    def test_explicit_flag_can_select_the_default_value(self, capsys):
+        # Used to keep the registered cubic/codel: "reno" and
+        # "droptail" were indistinguishable from flags not given.
+        code = cli_main(["simulate", "--scenario", "churn-cubic-codel",
+                         "--cc", "reno", "--qdisc", "droptail"])
+        assert code == 0
+        assert "AQM (" not in capsys.readouterr().out
+
+    def test_simulate_config_is_base_plus_flags_given(self):
+        def config(*argv):
+            return _simulate_config(
+                _build_parser().parse_args(["simulate", *argv]))
+
+        ad_hoc = ScenarioConfig(
+            policy=HackPolicy.MORE_DATA, duration_ns=4 * SEC,
+            warmup_ns=2 * SEC, stagger_ns=50 * MS)
+        assert config() == ad_hoc
+        short = config("--duration", "1", "--seed", "0")
+        assert (short.duration_ns, short.warmup_ns, short.seed) \
+            == (1 * SEC, 500 * MS, 0)
+        registered = config("--scenario", "churn-cubic-codel")
+        assert (registered.cc, registered.queue_discipline) \
+            == ("cubic", "codel")
+        paced = config("--scenario", "churn-cubic-codel", "--pacing")
+        assert paced.pacing and paced.cc == "cubic"
+        assert paced.arrivals == registered.arrivals
+
+    def test_experiments_forwarding(self, capsys, tmp_path):
+        assert cli_main(["experiments", "fig01",
+                         "--cache-dir", str(tmp_path)]) == 0
         assert "Figure 1a" in capsys.readouterr().out
 
     def test_rejects_unknown_command(self):
