@@ -1,100 +1,35 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md from actual simulation runs.
+"""Regenerate EXPERIMENTS.md's measured sections from simulation runs.
 
-Runs every entry of ``runner.EXPERIMENTS`` (the table's order is the
-document's section order; each module carries its own ``TITLE`` and
-``PAPER_SAYS``) at paper-fidelity durations (three seeds to keep the
-wall-clock tolerable; pass --seeds 5 for the paper's five) and writes
-the paper-vs-measured record.
+EXPERIMENTS.md is hand-written prose around one generated region, the
+text between the ``BEGIN`` / ``END`` marker lines.  This script reads
+the committed document, runs every entry of ``runner.EXPERIMENTS`` (the
+table's order is the region's section order; each module carries its
+own ``TITLE`` and ``PAPER_SAYS``) at paper-fidelity durations (three
+seeds to keep the wall-clock tolerable; pass --seeds 5 for the paper's
+five), and writes the document back with only that region replaced —
+in place, or to ``--out``.
 """
 
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from repro.experiments import common
 from repro.experiments.batch import SweepRunner
 from repro.experiments.runner import EXPERIMENTS
 
-HEADER = """# EXPERIMENTS — paper vs. measured
-
-Generated by ``python scripts/generate_experiments_md.py`` (simulation
-seeds: {seeds}; {fidelity} steady-state durations).  Regenerate any
-single table/figure with ``python -m repro.experiments.runner
-<name>``, and gate an ``--out`` artifact on every experiment's
-paper-shape contract (its module's ``check_rows``) with
-``python -m repro.cli check results.json``.
-
-Absolute numbers are not expected to match the paper (our substrate is
-a from-scratch simulator, not the authors' SoRa testbed or ns-3 build);
-the *shape* — who wins, by roughly what factor, where crossovers fall —
-is the reproduction target.  Shape checkpoints from the paper are noted
-inline.
-
-## Running sweeps
-
-Every experiment declares its grid of scenario configurations x seeds
-as a ``SweepSpec`` (``repro.experiments.batch``), executed by a shared
-``SweepRunner``:
-
-```text
-python -m repro.experiments.runner all --quick --jobs 4 --out results.json
-python -m repro.cli sweep fig10 fig11 --jobs 4 --out results.json
-python -m repro.cli sweep scenario:multi-client --seeds 5 --jobs 2
-python -m repro.cli check results.json # paper-shape gate on an artifact
-python -m repro.cli scenarios          # list registered scenarios
-```
-
-* ``--jobs N`` fans simulation cells out over N worker processes
-  (``0`` = one per CPU; default is the serial reference path).  Seeds
-  are fixed per cell, so serial and parallel runs produce identical
-  tables.
-* Cells are content-hash cached (SHA-256 over the canonical JSON of
-  the scenario config + engine version) under ``--cache-dir``
-  (default ``.sweep-cache/``), *checkpointed the moment each cell
-  completes* — a killed grid resumes from its cache (see "Resumable
-  sweeps & failure handling" below); ``--no-cache`` forces fresh
-  simulation.  Corrupt cache entries are quarantined to
-  ``<signature>.json.corrupt`` instead of silently re-missing.
-* ``--retries N`` re-runs failing cells with backoff, ``--progress``
-  prints live done/cached/failed + ETA lines, and ``repro sweep
-  <names> --status`` audits a cache directory without running
-  anything.
-* ``--out results.json`` persists raw per-cell records.  The artifact
-  maps each experiment name to a document of the form:
-
-```json
-{{"format": "repro-sweep-result", "version": 2, "engine": 5,
-  "spec": "fig10", "executed": 79, "cache_hits": 0,
-  "failed": 1, "interrupted": false,
-  "records": [{{"key": [1, "TCP/802.11"], "seed": 1,
-               "signature": "<sha256>", "cached": false,
-               "metrics": {{"aggregate_goodput_mbps": 97.1}},
-               "error": null}}]}}
-```
-
-  (``metrics`` holds the full per-run superset: per-flow goodputs,
-  fairness, MAC retry/airtime tables, ROHC counters, TCP counters;
-  a failed cell's record carries ``"metrics": null`` and an
-  ``error`` payload — type, message, traceback, attempts — instead.)
-  Reload with ``repro.experiments.batch.SweepResult.load`` /
-  ``from_json_dict`` and re-aggregate with ``.aggregate(metric)``;
-  artifacts from a different ``ENGINE_VERSION`` are refused
-  (``StaleArtifactError``) unless ``allow_stale=True``.
-  ``repro check ARTIFACT [NAME ...]`` is the gate built on that
-  loader: it refuses stale or non-artifact files (exit 2), fails
-  record sets with ``failed`` points or ``interrupted`` set, and
-  prints each experiment's ``check_rows(rows_from_sweep(result))``
-  summary — exit 1, one ``FAIL`` line naming the offending row per
-  broken contract, after checking every entry.
-
-"""
+DOCUMENT = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+BEGIN = "<!-- BEGIN GENERATED: scripts/generate_experiments_md.py -->\n"
+END = "<!-- END GENERATED -->\n"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, default=3)
-    parser.add_argument("--out", default="EXPERIMENTS.md")
+    parser.add_argument("--out", default=None,
+                        help="write here instead of in place")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke: short windows, single seed")
     parser.add_argument("--jobs", type=int, default=None,
@@ -102,6 +37,13 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir", default=".sweep-cache")
     parser.add_argument("--no-cache", action="store_true")
     args = parser.parse_args(argv)
+
+    head, begin, rest = DOCUMENT.read_text().partition(BEGIN)
+    _, end, tail = rest.partition(END)
+    if not (begin and end):
+        print(f"error: {DOCUMENT} lacks the {BEGIN.strip()} ... "
+              f"{END.strip()} marker pair", file=sys.stderr)
+        return 2
 
     common.FULL_SEEDS = tuple(range(1, args.seeds + 1))
     runner = SweepRunner(
@@ -118,736 +60,13 @@ def main(argv=None) -> int:
             f"{module.format_rows(rows)}\n```\n\n"
             f"**Paper says:** {module.PAPER_SAYS}\n")
 
-    with open(args.out, "w") as handle:
-        handle.write(HEADER.format(
-            seeds=common.QUICK_SEEDS if args.quick
-            else common.FULL_SEEDS,
-            fidelity="quick" if args.quick else "full"))
-        handle.write("\n".join(sections))
-        handle.write(FOOTER)
-    print(f"wrote {args.out}")
+    out = Path(args.out or DOCUMENT)
+    out.write_text(
+        f"{head}{BEGIN}Simulation seeds: {common.seeds_for(args.quick)}; "
+        f"{'quick' if args.quick else 'full'} steady-state durations."
+        f"\n\n" + "\n".join(sections) + f"\n{END}{tail}")
+    print(f"wrote {out}")
     return 0
-
-
-FOOTER = """
-## Flow churn & FCT (the `repro.traffic` subsystem)
-
-Everything above measures long-lived transfers; `repro.traffic` adds
-*dynamic* workloads — flows that arrive, transfer a finite object and
-are torn down at runtime with their state reclaimed (endpoint maps,
-TCP timers, ROHC contexts/CIDs, buffered compressed ACKs).
-
-**Arrival processes** (`repro.traffic.arrivals`, declared via
-`ArrivalSpec`/`SizeSpec` on `ScenarioConfig.arrivals` with
-`traffic="dynamic"`): open-loop `poisson` arrivals, per-client
-`onoff` bursts, closed-loop `web` request/response users, and
-scripted `trace` arrivals; sizes are fixed, log-normal, or bimodal
-mice/elephants.  Every process draws from its own named RNG stream
-(per client, per web user), so churn rows are bit-identical across
-repeated runs and serial vs. `--jobs N` sweeps.
-
-**Registered scenarios**: `churn-poisson`, `churn-poisson-vanilla`,
-`churn-web`, `churn-web-vanilla`, `churn-bursty`, plus
-`udp-background` (the `udp_background_mbps` knob: per-client CBR UDP
-noise riding alongside any TCP workload).
-
-**Metrics**: every churn run's `metrics_dict()` carries an `"fct"`
-block (`repro.stats.fct`): per-flow records, FCT p50/p95/p99/mean,
-size-binned FCT (<=30KB / 30KB-300KB / >300KB), completed vs.
-censored counts, and offered vs. carried load.
-
-```text
-python -m repro.cli simulate --scenario churn-web --seed 3
-python -m repro.cli sweep fct_churn --quick --jobs 2 --out churn.json
-python -m repro.cli sweep scenario:churn-poisson --seeds 5
-python -m repro.experiments.runner fct_churn --quick
-python examples/flow_churn.py
-```
-
-## Modern transport & AQM (`repro.tcp.cubic`, `repro.mac.qdisc`)
-
-Three orthogonal knobs modernise the transport and queue tier, all
-defaulting to the paper-era stack (Reno, no pacing, drop-tail) so
-every historical row stays bit-identical (pinned by the golden rows;
-`ENGINE_VERSION` unchanged):
-
-* **`cc="reno"|"cubic"`** — RFC 8312 CUBIC behind the sender's
-  existing ACK-clock hooks: W_max tracking with fast convergence,
-  beta-0.7 multiplicative decrease, the cubic regrowth curve
-  (`repro.tcp.cubic.CubicState`, epoch-based, computed on simulated
-  time) and the TCP-friendly W_est floor.  Slow start, loss
-  detection, SACK and recovery are shared with Reno; congestion
-  avoidance falls back to the Reno accumulator until the first RTT
-  sample exists.
-* **`pacing=True`** — a simulator-timer pacing gate at ~2x cwnd/SRTT:
-  `_try_send` stops emitting when the gate is shut and a pacing timer
-  re-opens it.  The first RTT is unpaced (no SRTT yet), and loss
-  repairs (fast retransmit, RTO) bypass the gate — pacing shapes new
-  data, never recovery.
-* **`queue_discipline="droptail"|"codel"|"fq_codel"`** — AQM at the
-  per-client MAC queues (`repro.mac.qdisc`): CoDel (RFC 8289 — 5 ms
-  target, 100 ms interval, head drop at dequeue, the
-  `interval/sqrt(count)` control law, all on simulated time) and
-  FQ-CoDel (RFC 8290 — per-flow sub-queues under DRR with a 1514 B
-  quantum, payloads without a `flow_id` share one bucket).  The DCF
-  MAC is unchanged: it sees the same deque surface (`append` /
-  `popleft` / peek / `filter_out`) whatever the discipline.
-
-**Metrics**: every run's `metrics_dict()` carries an `"aqm"` block —
-discipline, head drops, dequeued count, and delivered-sojourn
-p50/p99 with the underlying log-spaced histogram (recorded for every
-discipline, drop-tail included, so AQM-vs-FIFO tail comparisons need
-no extra plumbing).  Every MAC's `QdiscStats` (drops plus one
-`obs.metrics.Histogram`) is merged across stations and channel shards
-and the block is rendered once from the merged accumulator — merging
-is associative, so sharded runs stay bit-identical.
-
-**Registered scenarios**: `churn-cubic-codel`, `churn-paced`,
-`aqm-fqcodel` (the standing-queue regime: 50 Mbps CBR UDP floor
-through FQ-CoDel).  The `aqm_pacing` experiment sweeps transport
-(reno / reno+pace / cubic / cubic+pace) x qdisc x HACK on/off under
-that load; its `check_rows` (run by tier-1 on a trimmed grid and by
-CI's `repro check` on the `--quick` artifact) gates on CoDel holding
-the stock transport's sojourn p99 below drop-tail's while actually
-head-dropping.
-
-```text
-python -m repro.cli simulate --cc cubic --pacing --qdisc codel
-python -m repro.cli simulate --scenario churn-cubic-codel
-python -m repro.cli simulate --scenario aqm-fqcodel --qdisc codel
-python -m repro.experiments.runner aqm_pacing --quick --jobs 2
-python -m repro.cli sweep aqm_pacing --out aqm-pacing.json
-```
-
-## Multi-AP cells (``ScenarioConfig.cells``)
-
-`cells=N` replicates the whole BSS — AP, wired server and link,
-clients, traffic — N times on one channel: a single
-`repro.sim.medium.Medium` collision domain with per-cell dispatch
-groups.  The inter-cell physics runs through the machinery that was
-already there:
-
-* **carrier sense is global** — busy/idle transitions reach every
-  station, so a cell-B AP defers (DIFS + frozen lazy backoff) under a
-  cell-A transmission;
-* **collisions are global** — overlapping transmissions corrupt each
-  other whatever their cells, and every station hears the garbage
-  (EIFS);
-* **decoding is per-cell** — intact frames dispatch through the
-  transmitter cell's own listener list and address map, so the
-  per-frame hot path stays O(stations in that cell) no matter how
-  many co-channel cells exist (the energy-detect OBSS model: other
-  cells sense energy, never pay the decode path).
-
-Cell 1 keeps the historical addresses ("AP", "C1"...), RNG stream
-names and wiring, which is why every single-cell scenario is
-bit-identical to the pre-multi-AP code (pinned by the golden rows
-plus `tests/workloads/test_multi_cell.py`'s oracle: a 2-cell run
-whose second cell is empty is metric-identical to the single-cell
-run).  Later cells get unique addresses ("AP2", "C1.2"...), their own
-wired subnet (`10.<cell>/16`), disjoint dynamic-flow id ranges and
-their own `cell<k>:traffic:*` RNG namespace.
-
-**Metrics**: `metrics_dict()` gains a `"cells"` list (per cell:
-goodput, per-flow goodputs, intra-cell Jain, carried Mbps, clean
-`airtime_share`, frames sent/collided, a per-cell `fct` block) and
-`cell_fairness_index` (Jain across cells' carried traffic).  Per-cell
-airtime counts *non-collided* transmissions only; those are disjoint
-by the definition of a collision, so shares across cells always sum
-to <= 1 (property-tested in
-`tests/properties/test_medium_properties.py`, asserted per run in
-`tests/workloads/test_multi_cell.py`).  Multi-cell churn runs keep
-one FCT collector per cell and merge them (`FctCollector.merge` /
-`FctAggregator.merge`) into the combined `fct` block; streaming
-merges stay within the aggregator's documented one-bin percentile
-resolution (`tests/stats/test_fct_merge.py`).
-
-**Registered scenarios**: `multi-ap`, `multi-ap-vanilla`,
-`multi-ap-churn`.  The `multi_ap` experiment sweeps 1/2/3 cells x
-HACK on/off x static/churn workloads.
-
-```text
-python -m repro.cli simulate --clients 2 --cells 2
-python -m repro.cli simulate --scenario multi-ap-churn
-python -m repro.experiments.runner multi_ap --quick --jobs 2
-python -m repro.cli sweep multi_ap --out multi-ap.json
-python examples/multi_ap_cells.py 1 2 3
-```
-
-## City-scale & channel sharding (``ScenarioConfig.channels``)
-
-`channels=C` spreads the cells over C non-overlapping channels —
-round-robin (cell *i* on channel *i mod C*) or explicitly via
-`cell_channel=(...)`.  Each channel is its own
-`repro.sim.medium.Medium` (wrapped in a `ChannelizedMedium`), so
-carrier sense, EIFS, collisions and loss draws are scoped per channel
-and cross-channel frames are invisible *by construction* — there is
-no shared state to leak through.  Single-channel configs build the
-exact same one-Medium world as before (bit-identical, pinned by the
-golden rows).
-
-Because cells on different channels share nothing — per-channel RNG
-loss streams, per-cell traffic namespaces, global-index-derived
-addresses, flow-id ranges and wired `10.<cell>/16` subnets — a
-multi-channel scenario *factors exactly* into one independent
-sub-scenario per channel.  Every `run_scenario` call is the same three
-steps; only the plan differs:
-
-* **plan** — `ShardPlan.from_config`: one shard holding every cell
-  (`shard_jobs=None`, a single simulator spanning all channels) or
-  one shard per channel (`shard_jobs=N`);
-* **run** — each shard is `build_simulation` (a fresh `Simulator`
-  with its cells wired by `CellBuilder`), `run()`, then `collect`,
-  which flattens the live world into a plain-data `ShardOutcome`;
-  shards run in-process (one shard, or `shard_jobs=1`) or over a
-  process pool (`shard_jobs=N`);
-* **merge** — `merge_outcomes`, the only assembler of a
-  `ScenarioResult`: per-flow goodputs in whole-scenario insertion
-  order (so order-sensitive float reductions — aggregate goodput,
-  Jain — are bit-identical however the cells were split), FCT
-  collectors merged in cell order via the exact
-  `FctCollector.merge`/`FctAggregator.merge`, MAC/driver/ROHC
-  counters summed, per-cell and per-channel blocks ordered globally.
-
-Everything in `metrics_dict()` is identical across
-`shard_jobs=None/1/N` *except* the kernel view: when one simulator ran
-everything its counters are the result's `kernel_stats` (and its live
-objects are `result.world`); a multi-shard result's own `kernel_stats`
-is empty and each shard simulator's counters ride verbatim under
-`metrics_dict()["shards"]` (every shard schedules its own snapshot
-events, so summing them would describe a kernel that never existed) —
-the one documented exception, pinned by
-`tests/workloads/test_sharding.py`
-alongside the stronger isolation oracle: N cells on N distinct
-channels reproduce N isolated single-cell runs bit-for-bit, static
-and churn.
-
-**Metrics**: `metrics_dict()` gains a `"channels"` list (per channel:
-utilisation, frames sent/collided, `airtime_share_sum`).  The airtime
-disjointness bound is *per channel* — each channel's cell shares sum
-to <= 1, while the city-wide sum may legitimately approach the
-channel count (one fully-busy medium per channel; property-tested in
-`tests/properties/test_medium_properties.py`).  Per-cell blocks gain
-a `"channel"` key; merged results carry `shard_info` (plan, mode,
-per-shard wall clock — execution provenance, not metrics).
-
-**Surfaces**: `repro simulate --channels C --shard-jobs N` prints
-per-channel summaries and shard wall-clocks; `--shard-jobs` on
-`repro sweep` / `repro.experiments.runner` routes every multi-channel
-point through the pipeline (an execution knob — cache signatures and
-metrics are unchanged); the `city_scale` experiment sweeps 12/20-cell
-cities x HACK on/off over 3 channels; the registered `city-20cell`
-scenario is the benchmark topology (`bench/run.py --trace` runs its
-`churn_city_20cell` workload as one shard and as serial per-channel
-shards — the `workloads.sharding.serial_wall_ratio` and
-`digest_match` rows of `bench/ledger.json`).  Progress/ETA lines
-weight each point
-by its shard count (`shard-units`), so a sweep mixing flat and
-fan-out points does not extrapolate the cheap points' pace.
-
-```text
-python -m repro.cli simulate --cells 20 --channels 3 --clients 1 \\
-    --shard-jobs 3
-python -m repro.cli simulate --scenario city-20cell --shard-jobs 2
-python -m repro.experiments.runner city_scale --quick --shard-jobs 2
-python -m repro.cli sweep city_scale --out city-scale.json
-```
-
-## Observability & telemetry (`repro.obs`)
-
-The observability layer watches a run without touching it: telemetry
-is an *execution knob* (`run_scenario(cfg, telemetry=
-TelemetryConfig(...))`), never part of `ScenarioConfig`, so cache
-signatures, golden rows and every scenario metric stay bit-identical
-whether the sampler is on or off (`tests/obs/test_telemetry.py` pins
-this for static, churn and sharded runs; the only thing that moves is
-`kernel_stats`, because the sampler schedules its own events).  With
-telemetry off, the kernel's one run loop tests a local per event
-and never reads the clock; event counts are bit-identical either way,
-and the sampler-on cost is the ``obs.telemetry_overhead_ratio`` row of
-``bench/ledger.json`` (``python3 bench/run.py --trace``; measured at
-~1.2-1.3x wall on a single cell, ~1.0-1.1x on the 20-cell city grid
-when the layer landed).
-
-Three products per instrumented run:
-
-* **Kernel spans** — `Simulator.set_instrument` times every callback
-  dispatch (`perf_counter_ns` around the handler) and aggregates by
-  owner (`Medium._ifs_wake`, `DcfMac._backoff_expired`,
-  `WiredPipe._delivered`, ...): count,
-  total/max wall, plus a bounded buffer of raw spans for trace export.
-* **Time-series samples** — a simulated-time ticker (default 10 ms)
-  records per-channel medium utilisation and per-cell AP MAC backlog,
-  wired queue depths, live flow count, HACK buffer depth and ROHC CID
-  occupancy, streamed as JSONL (`meta` / `sample`* / `summary` /
-  `spans` lines, `json.dumps(..., sort_keys=True)`).
-* **Metrics registry** — counters / gauges (last/min/max/mean) /
-  log-binned histograms (100 bins per decade), surfaced as a `"telemetry"` block in
-  `metrics_dict()` (excluded from sweep cache signatures and cached
-  records).
-
-Sharding law: sample records are per `(tick, channel)`, metric names
-are disjoint per channel/cell, so a channel shard emits *exactly* the
-unsharded run's records for its channel and the merge (samples sorted
-by time then plan-channel order, registries merged, span blocks
-summed) reproduces the unsharded JSONL line for line —
-`tests/obs/test_telemetry.py` pins byte-identical artifacts across
-unsharded / `--shard-jobs 1` / `--shard-jobs 2`.  Per-shard telemetry
-and kernel blocks ride under `metrics_dict()["shards"]`; shards never
-write files (the parent streams the merged artifact).
-
-```text
-python -m repro.cli simulate --clients 2 --telemetry run.jsonl \\
-    --trace-export run.trace.json --sample-interval 10
-python -m repro.cli report run.jsonl          # top kernel consumers,
-                                              # airtime, queue peaks
-python -m repro.cli sweep city_scale --quick \\
-    --telemetry-dir telemetry/                # one JSONL per point
-```
-
-`--trace-export` writes a Chrome-trace/Perfetto JSON document (load
-in `chrome://tracing` or https://ui.perfetto.dev): every transmitted
-frame as a duration event on its channel's process (one thread per
-transmitter — the timeline *is* the medium schedule), kernel spans on
-a `kernel` process at their simulated instant with host-wall
-durations, and sampler counter tracks.  Trace export needs the
-single-simulator path (refused with `--shard-jobs`); the JSONL
-sampler shards fine.
-
-## Kernel performance
-
-The discrete-event kernel's hot path is measured by
-``python3 bench/run.py`` (``--trace`` adds the per-layer rows,
-``--out`` writes a ledger, ``python3 bench/compare.py a.json b.json``
-gives a verdict per row; the committed numbers are
-``bench/ledger.json`` and ``bench/README.md`` defines every row).  It
-times four workloads — the Fig 10 ten-client cell on stock TCP and
-with MORE DATA HACK, flow churn over the 20-cell/3-channel
-``city-20cell`` city, and a quick sweep of four experiments — and
-reports the kernel counters every ``ScenarioResult`` carries in
-``kernel_stats`` (also printed by ``repro simulate --kernel-stats``)
-as ``sim.engine.events_executed`` / ``events_scheduled`` /
-``cancelled_ratio`` / ``heap_compactions``, plus
-``sim.engine.us_per_event`` and the micro-loops
-``sim.engine.noop_ns_per_event`` (dispatch) and
-``sim.engine.rearm_ns_per_op`` (cancel-and-reschedule of one event).
-``kernel_stats`` also carries ``timer_rearms``; the exact counts of the
-quick ten-client cell are pinned in
-``tests/workloads/test_kernel_counts.py``.
-
-Three hot-path reworks landed together, none of which moves a single
-output digit (pinned by ``tests/experiments/test_golden_rows.py`` and
-the lazy-vs-slotted oracle in ``tests/experiments/
-test_kernel_equivalence.py``):
-
-* **Lazy DCF backoff** — one expiry event per countdown instead of one
-  event per 9 us slot; busy transitions freeze the countdown by
-  crediting the integral number of elapsed slots.
-* **Busy-aware response re-poll** — a station whose ACK timeout fires
-  into a busy medium re-checks at the first slot-grid instant the
-  medium can possibly be idle (``Medium.busy_until``) instead of every
-  slot; under a 5 ms A-MPDU that is 1 wakeup instead of ~550.
-* **Single-event wired pipe** — FIFO + fixed rate means every packet's
-  delivery time is known on acceptance, so the serialisation-complete
-  event is replaced by arithmetic.
-* Plus heap hygiene: cancelled events are counted out in O(1)
-  (``pending_events`` no longer scans) and the heap compacts in place
-  whenever dead entries outnumber live ones, so timer-heavy runs stay
-  bounded (regression-tested with a 10^6-cancel run).  Heap entries
-  are plain ``(time, priority, seq, item)`` tuples, so every sift
-  comparison is done in C and never reaches the item.
-
-A fourth landed in PR 13, again without moving a digit (a hypothesis
-differential oracle in ``tests/sim/test_timer.py`` holds it to the
-cancel-and-``schedule`` idiom it replaced):
-
-* **Re-armable timers** — TCP's RTO is pushed back by every ACK and
-  the delayed-ACK timer disarmed by every second segment, so on the
-  ten-client stock-TCP benchmark cell 95 612 of 449 974 scheduled
-  events (47 826 RTO + 47 786 delayed-ACK, all but 15 cancelled)
-  existed only to be thrown away.  ``sim.engine.Timer`` keeps at most
-  one useful heap entry per logical timer.  The **reserved-sequence
-  rule** is what makes it exact: ``arm()`` takes a sequence number
-  exactly where ``schedule()`` would have and writes ``(deadline,
-  seq)`` into the timer; nothing is pushed while the entry already
-  queued is not later than the new deadline.  When that entry pops it
-  is re-queued under the reserved ``(deadline, 0, seq)`` key if the
-  timer is still armed, dropped if not — without touching the clock
-  or ``events_executed`` — and only a deadline that moved *earlier*
-  pushes afresh.  The callback therefore runs under the very key an
-  eager cancel + ``schedule`` would have given it.  The sender's RTO,
-  pacing and persist timers, the receiver's delayed-ACK timer and the
-  HACK driver's per-peer flush timer use it; closing a flow drops the
-  timer's callback, so an entry left queued never keeps a finished
-  sender or receiver alive.  Counts: ``events_scheduled`` is heap
-  pushes, ``events_cancelled`` entries that will never dispatch (an
-  event when it is cancelled; a timer's entry when an earlier one
-  supersedes it, when the timer is closed, or when it pops as a mere
-  stand-in), ``timer_rearms`` the arms that needed no push.  On that cell
-  (10.5 s, seed 1): scheduled 449 974 -> 355 960, cancelled / scheduled
-  0.296 -> 0.111, heap compactions 2 125 -> 0, 94 691 re-arms absorbed,
-  executed unchanged at 316 479.  DCF's backoff and response timers
-  stay plain events: their deadlines are tens of microseconds away,
-  the stale entry would pop before the next arm, and laziness would
-  only turn a cancel into a no-op pop.
-
-A fifth changes *when* DCF schedules rather than how the kernel queues
-(``tests/mac/test_carrier_sense.py`` holds worlds mixing it with the
-eager station of ``tests/mac/slotted_reference.py`` to the air of an
-all-eager world: same senders, instants and frame ids):
-
-* **Carrier sense owned by the medium** — every busy/idle edge used to
-  call every station on the channel, and every contender pushed a
-  defer event at each idle edge only to cancel it 16 us later when the
-  SIFS response started.  ``Medium.idle_since`` is now the one idle
-  clock; a station is visited on an edge only while it holds a job or
-  an undrawn-down backoff outside its own exchange (idle edge) or has
-  a countdown to freeze (busy edge), and all stations whose IFS ends
-  at the same instant share one heap entry, ``Medium._ifs_wake``,
-  which runs their ``_defer_done`` in join order.  The **consecutive-
-  sequence rule** is what makes it exact: the defers pushed on one
-  idle edge held consecutive sequence numbers, so one entry in their
-  place dispatches them where they ran; a station that starts waiting
-  later rides an open wake only if the kernel's sequence counter has
-  not moved since the medium's latest push, and otherwise gets its own
-  entry behind whatever was scheduled in between.  A wake due exactly
-  at a busy edge still fires (same-slot collisions); a later one dies
-  with one cancellation and no visit to its members.  On the churn
-  city (2.8 s, seed 1; 24 926 transmissions, ~20 stations a channel):
-  969 003 carrier-sense callbacks -> 26 060, 120 674 defer events ->
-  40 011 wakes, scheduled 310 434 -> 229 771, executed 198 010 ->
-  167 552, cancelled / scheduled 0.362 -> 0.270; on the ten-client
-  stock-TCP cell scheduled 355 960 -> 331 654, executed 316 479 ->
-  301 044, cancelled / scheduled 0.111 -> 0.092.  What is still
-  cancelled on the city: 25 291 of 37 871 backoff countdowns (frozen
-  by a busy edge, each station's own because it has slots to be
-  credited), 21 879 of 40 011 wakes (one per idle period a SIFS
-  response cuts short, however many stations waited) and 12 403 of
-  25 630 response timeouts (met by their response).
-
-Headline of the PR 2 measurement (1.5 s windows, seed 1; a historical
-record from the per-PR benchmark file the ledger replaced): the
-ten-client stock-TCP Fig 10
-cell drops from 93 348 to 45 591 executed events (2.05x) and from
-1.29 s to 0.61 s wall (2.1x); pure kernel-overhead events (slot ticks,
-per-slot polls, serialisation bookkeeping) drop 50 464 -> 2 707
-(18.6x).  The surviving event budget is behavioural — wired-packet
-deliveries, host-stack processing, frame boundaries — which is why
-total-event ratios sit near 2x while the goodput tables are
-bit-identical.  CI's benchmark-smoke job runs
-``python3 -m pytest bench -q`` and one
-``bench/run.py --repeats 1 --trace 0`` pass on every push and uploads
-the ledger.
-
-## Data-plane performance (PR 4)
-
-PR 2 cut the event *count*; PR 4 cuts the cost *per event*.  The
-per-frame/per-ACK data plane — frame and segment construction, A-MPDU
-geometry, OFDM duration arithmetic, ROHC encode/decode — was rebuilt
-for speed with every output bit-identical (the same golden-row and
-churn-row pins as PR 2, green without re-pinning):
-
-* **``__slots__`` frames with construction-time geometry** — `Mpdu`,
-  `DataFrame`, `AmpduFrame`, the control frames, `TcpSegment` and the
-  ROHC packet/context classes dropped their dataclass `__dict__`s;
-  `byte_length` is computed once at construction instead of re-summed
-  per access (`AmpduFrame.byte_length` was re-walking every MPDU for
-  aggregation, medium, tracer *and* DCF).  The only late-bound length
-  contributor, `hack_payload` on ACK/Block ACK, is a managed property
-  whose setter re-derives the cached length (pinned by
-  `tests/mac/test_frame_cache.py`).
-* **Memoised OFDM airtime** — `PhyParams.frame_airtime_ns(frame,
-  rate)` resolves duration through an `lru_cache` keyed on the exact
-  ceil-division inputs; frame shapes repeat constantly, so repeated
-  transmissions cost one dict hit.  Derived IFS constants (DIFS/EIFS)
-  are precomputed per PHY flavour.
-* **ROHC fast path** — table-driven CRC-3/7/8 (bit-identical to the
-  retained bitwise reference, tested exhaustively), single-buffer
-  entry assembly in `encode_entry` (two header bytes reserved and
-  patched, no body-then-concatenate copy), offset-based `parse_entry`
-  without per-field closure calls, memoised CID derivation, and
-  `struct.pack`-based CRC input serialisation.
-* **Per-Simulator frame ids** — ids used to leak from a process-global
-  counter (run N's ids depended on runs 1..N-1 in the same process);
-  `Simulator.new_frame_id()` scopes them so back-to-back identical
-  runs produce identical ids (`tests/sim/test_frame_ids.py`).
-
-PR 4's measurement, kept as a historical record (same machine and
-seed as the PR 2 numbers; events and goodputs identical, only wall
-time moves; today's per-event cost is ``sim.engine.us_per_event`` in
-``bench/ledger.json``):
-
-```text
-topology        quick wall (s)   full wall (s)    events/s (quick)
-                before  after    before  after    before   after
-quickstart      0.98    0.48     2.16    0.98     44,135   90,272
-lossy-link      0.63    0.33     0.91    0.43     44,147   84,490
-fig10-4c-hack   1.00    0.48     3.12    1.33     45,654   93,907
-fig10-10c-tcp   0.78    0.44     1.49    1.24     58,125  103,470
-```
-
-The HACK cell — the paper's headline mechanism, and the cell whose
-events/s *regressed* under PR 2 — is 2.06x (quick) / 2.34x (full)
-faster.  The isolated ROHC path (a 20k-ACK steady stream, today the
-``rohc.encode_acks_per_s`` / ``decode_acks_per_s`` / ``bytes_per_ack``
-rows of ``bench/run.py --trace``) encoded 193k ACKs/s and decoded
-199k ACKs/s vs 24k/25k before (8.2x / 8.1x) at identical
-bytes-per-ACK.  ``bench/run.py --trace`` profiles each scenario
-workload in a separate pass (so timing numbers stay honest) and
-reports self time per layer as the ``*.self_share`` rows.
-
-**Perf gate**: ``python3 bench/compare.py parent.json change.json``
-reads two ledgers written by ``bench/run.py --out`` and marks each
-end-to-end metric (``wall_s``, ``peak_rss_mb``, ``setup_s``) on each
-workload ``same`` / ``better`` / ``worse`` / ``unresolved`` against
-the bound ``BENCHMARK.json`` fixes, demands that ``sim_digest`` and
-every exact (``R``) row — event counts, frames, goodput — repeat
-bit-for-bit, and exits 1 on any ``worse`` row.  Every child is
-preceded by a same-host calibration loop (``host.calib_ns_per_op``)
-that marks noisy repeats, so there is no skip switch.
-
-## Streaming FCT statistics (``stream_stats=True``)
-
-Exact FCT collection keeps one record per flow — correct, but a
-million-flow churn cell holds a million records, and a 200+ cell sweep
-multiplies that.  ``ScenarioConfig.stream_stats=True`` (CLI:
-``--stream-stats`` on ``repro simulate`` and ``repro sweep`` /
-``repro.experiments.runner``) swaps the collector for an online
-``FctAggregator`` (`repro.stats.fct`):
-
-* completed flows are folded into log-spaced histograms (100 bins per
-  decade of ms) and forgotten — peak FCT-record memory is O(live
-  flows + occupied bins), independent of total flow count;
-* counts, mean, min/max, size-bin tallies and offered/carried load
-  stay **exact**; only percentiles are histogram-quantised, each
-  within one bin (``10**(1/100)`` ≈ **2.33%**) of the exact order
-  statistic — the documented resolution, pinned by
-  ``tests/stats/test_fct_stream.py``;
-* the ``fct`` metrics block keeps its schema (minus the per-flow
-  ``flows`` list) and gains a ``streaming`` sub-block recording
-  ``bins_per_decade``, ``relative_resolution``, ``occupied_bins`` and
-  ``max_live_records``.
-
-``tests/stats/test_fct_stream.py::TestBoundedMemory::
-test_scenario_memory_tracks_concurrency_not_flow_count`` pins the
-scale claim: stretching one churn cell's window 8x (25 -> 242 flows)
-moves peak live records only with concurrency (6 -> 12), not flow
-count, and occupied bins stay bounded by bins-per-decade x decades
-(38 -> 149).  (The PR 4 measurement it came from: a 216-cell rate x
-size x policy x loss x load churn grid completed with the worst cell
-holding 48 live records / 74 occupied bins while spawning 5 454
-flows.)
-
-```text
-python -m repro.cli simulate --scenario churn-web --stream-stats
-python -m repro.cli sweep fct_churn --quick --stream-stats
-```
-
-## Resumable sweeps & failure handling
-
-Sweep execution is incremental and fault-isolated: every point's
-metrics are checkpointed into the content-hash cache *the moment that
-point completes* (serial or ``--jobs N``), so a killed grid — OOM,
-Ctrl-C, ``kill -9``, a crashed CI runner — is resumable by
-construction.  Re-run the same command with the same ``--cache-dir``
-and only unfinished cells re-execute (the artifact's ``executed`` /
-``cache_hits`` record the split); resumed rows are bit-identical to
-an uninterrupted run's.
-
-* **Per-point fault isolation** — a raising point no longer aborts
-  the sweep.  The exception (type, message, traceback, attempt count)
-  becomes that record's ``error`` in the artifact, every other point
-  still completes, per-failure detail goes to stderr (``FAILED cell
-  ...``), the summary line counts failures, and the process exits 1.
-  A failed point leaves a ``<signature>.error.json`` breadcrumb in
-  the cache dir (surfaced by ``--status``, cleared by the next
-  successful run) and is re-executed on the next run — failures are
-  never cached as results.
-* **``--retries N``** — re-run a failing point up to N extra times
-  (serial attempts back off ``0.5 s x attempt``).  A dying worker
-  process (``BrokenProcessPool``) is contained the same way: the
-  pool is rebuilt and each point it took down is charged one attempt.
-* **Graceful SIGINT/SIGTERM** — the first signal stops new work,
-  flushes every completed point (cache + records), persists a partial
-  artifact marked ``"interrupted": true`` when ``--out`` is given,
-  and exits ``128 + signum``; a second Ctrl-C exits immediately.
-* **``--progress``** (``repro sweep`` and
-  ``repro.experiments.runner``) — throttled live lines on stderr:
-  ``[sweep multi_ap] 7/12 points (5 run, 2 cached) 0.8 pts/s ETA 6s``.
-  The rate counts *executed* points only, so cache hits never skew
-  the ETA.  With ``--shard-jobs`` each point is weighted by its
-  channel-shard fan-out (``6/30 shard-units``), so a grid mixing flat
-  and 3-channel points does not extrapolate the cheap points' pace.
-* **``repro sweep <names> --status --cache-dir DIR``** — audits a
-  cache directory against the named sweep specs *without running
-  anything*: a per-cell complete/missing/failed/corrupt table plus
-  totals; exits 0 when every point is complete, 3 otherwise (and
-  refuses ``--no-cache`` with exit 2).  Use it to see what is left
-  before resuming a killed grid.
-
-Exit codes: 0 success/complete, 1 failed points, 2 usage error,
-3 ``--status`` incomplete, ``128+signum`` interrupted.
-
-```text
-python -m repro.experiments.runner multi_ap --quick --jobs 2 \\
-    --cache-dir grid-cache --progress --retries 2
-# ...SIGTERM / OOM / Ctrl-C...
-python -m repro.cli sweep multi_ap --quick --status \\
-    --cache-dir grid-cache
-python -m repro.experiments.runner multi_ap --quick --jobs 2 \\
-    --cache-dir grid-cache --out rows.json   # only missing cells run
-python scripts/ci_interrupt_resume.py --experiment multi_ap \\
-    --baseline sweep-results.json            # CI's kill/resume smoke
-```
-
-CI's sweep-smoke job runs exactly that kill/resume cycle on every
-push (``scripts/ci_interrupt_resume.py``): it SIGTERMs a mid-flight
-``multi_ap`` grid once checkpoints appear, asserts the killed run
-exits nonzero, resumes from the same cache, and asserts
-``cache_hits > 0`` plus row bit-identity against the uninterrupted
-baseline — then ``--status`` must report the resumed grid complete.
-
-## Adversarial scenarios (`repro.adversary`)
-
-Attacks are first-class scenario configuration: a frozen, validated
-`AdversaryConfig` on `ScenarioConfig.adversary` (kind x intensity x
-per-kind knobs), so attacked points cache, shard and replay exactly
-like cooperative ones — same seed, same bytes, every run.  An *inert*
-plan (`kind="none"` or `intensity=0`) installs nothing and is
-**bit-identical** to the cooperative run (pinned by
-`tests/adversary/test_oracle.py`), which keeps every attacked sweep
-row comparable against the cooperative goldens; `ENGINE_VERSION` is
-unchanged.
-
-Three attack families (`repro.adversary`, installed per channel with
-dedicated `adversary:*` RNG streams):
-
-* **greedy** — a CW-cheating station: its `DcfMac` draws backoff from
-  a contention window shrunk by `intensity` (1.0 = always slot 0,
-  never doubles).  Steals uplink airtime from honest stations; only
-  observable under uplink contention.
-* **jammer** — `periodic` injects one energy burst of
-  `intensity x jam_cycle_ns` per cycle (honest stations carrier-sense
-  defer through it, so goodput degrades *gradedly* with intensity);
-  `reactive` fires a short `jam_burst_ns` pulse into detected
-  transmissions (collision-forcing).  Jam frames carry no payload and
-  are never decoded — the attack is pure channel physics.
-* **mutator** — a delivery-time tamper hook on the medium that
-  rewrites HACK payloads on otherwise-clean frames (the frame passes
-  the link-layer FCS; only ROHC's CRC-3 stands between the forged
-  bytes and a wrong TCP ACK).  `flip` = transient single-bit damage,
-  `cid` = CID forgery steering entries into another flow's context,
-  `storm` = `storm_frames` consecutive corruptions to defeat §3.4
-  retention's retry.
-
-The receive path is hardened to match (`repro.rohc.decompressor`):
-every malformed shape — truncation, trailing bytes, broken MSN chain,
-unknown CID, CRC mismatch, even a crash inside the entry machinery —
-is a typed counted drop, never an escaped exception.  The CRC path is
-two-staged: a first mismatch aborts the frame *without consuming the
-MSN* (retention re-offers the same bytes — a free retry), a second
-consecutive mismatch declares a desync, skips delta entries, and
-measures the recovery latency until an absolute entry or snooped
-vanilla ACK re-anchors the context.  A corrupted mid-buffer entry on
-the client side flushes the surviving compressed ACKs to vanilla
-(`chain_repairs`) instead of stalling the chain.  The fuzz harness
-(`tests/properties/test_adversarial_fuzz.py`) enumerates every
-single-bit flip of a valid frame (CRC-3 catches all of them;
-false-accept bound 0.35 guards the coverage) and hypothesis-fuzzes
-`parse_frame`/`parse_entry`/`decompress_frame`/the mutator with
-arbitrary bytes.
-
-**Metrics**: `metrics_dict()["rohc"]` always carries the robustness
-counters (`mid_frame_aborts`, `desync_events`, `recoveries`,
-`open_desyncs`, `recovery_ns_total`, `recovery_frames_total`,
-`chain_repairs`, `internal_errors` — all zero cooperatively); an
-attacked run adds an `"adversary"` block (plan + per-actor activity:
-`cheated_draws`, `jam_bursts`/`jam_airtime_ns`,
-`frames_mutated`/`bit_flips`/`cid_forges`/`storm_bursts`/
-`tamper_errors`).  `repro simulate` prints both; `repro report`
-surfaces per-cell `rohc_failures` gauges and the adversary meta line.
-
-**Registered scenarios**: `adv-greedy`, `adv-jammer`, `adv-mutator`.
-The `adversarial` experiment sweeps attack x intensity x HACK on/off
-churn cells and annotates each row with goodput retention and FCT p99
-inflation vs its own intensity-0 baseline; its `check_rows` is the
-pass/fail contract (no escaped exceptions, no unexplained collapse,
-desyncs recovered) that CI applies with `repro check
-adversarial.json`.
-
-```text
-python -m repro.cli simulate --scenario adv-mutator
-python -m repro.cli simulate --clients 4 --traffic tcp_upload \\
-    --adversary greedy --adversary-intensity 0.8
-python -m repro.experiments.runner adversarial --quick --jobs 2
-python -m repro.cli sweep adversarial --out adversarial.json
-```
-
-## Known fidelity gaps
-
-The experiment modules' `check_rows` contracts bound these bullets'
-*shape* — Fig 10 (MORE DATA > 1.05x stock at every client count, AIFS
-fit > 90%), Fig 11 (mean envelope gain inside 8-30%, zero CRC
-failures), Table 2 (compression ratio inside 8-26x) and Table 3
-(channel acquisition dominates, HACK keeps < 5% of it) — in tier-1 (on
-the pinned golden rows) and in CI (`repro check` on the `--quick`
-artifact); Fig 9's one-client overshoot is bounded from below only
-(> +15%), and the explanations offered for each gap are prose, not
-checked.
-
-* HACK's relative gains run a few points higher here than in the paper
-  (e.g. +16-24% vs +15-22% on Fig 10; +44% vs +29% on Fig 9's one-
-  client case).  Our stock-TCP baseline pays slightly more for
-  collisions than the authors' testbed (which had capture effects and
-  real preamble detection), and our HACK client compresses a slightly
-  larger fraction of ACKs.
-* The compression ratio lands at ~13x vs the paper's 12x: our encoder
-  charges 2 bytes per steady-state ACK (control byte + MSN/flags byte)
-  where RFC 6846 ROHC averages ~4; both round to "a few bytes per ACK".
-* Table 3's stock-TCP "TCP ACK" airtime is larger than the paper's
-  70 ms because we charge the full PPDU (20 us PLCP preamble + padding
-  + symbols) per ACK frame, where the paper appears to count payload
-  serialisation only; the breakdown's *shape* (channel acquisition
-  dominates, HACK removes essentially all of it) is the reproduced
-  claim.
-* Fig 11's mean envelope improvement measures ~15-18% vs the paper's
-  12.6%; the per-SNR shape (slightly larger gains at TXOP-limited low
-  rates and at >90 Mbps) reproduces.
-
-## Extensions beyond the paper (measured here, not in the paper)
-
-* **TS_ECHO policy** (§5 future work, implemented): performs on par
-  with MORE DATA on steady downloads without any AP cooperation, at
-  the cost of stall-guard flushes when the echo heuristic mispredicts.
-* **AARF rate adaptation**
-  (`tests/workloads/test_lossy_policies.py::TestRateAdaptation`):
-  under stock TCP, AARF is destabilised by data/ACK collisions it
-  misreads as channel noise; TCP/HACK removes those collisions and
-  makes AARF track the ideal envelope far more closely — an emergent
-  synergy the paper does not evaluate.
-* **LL-ACK splitting** (§3.3.2 footnote's alternative): bounding each
-  augmented LL ACK to AIFS protection costs nothing measurable in the
-  paper's scenarios (payloads are small), and is available via
-  ``hack_split_to_aifs=True``.
-* **Flow churn / FCT** (`fct_churn`, above): the paper's mechanism
-  evaluated under finite-flow dynamic load — arrival processes, flow
-  lifecycle management and completion-time percentiles the paper
-  never measures.
-* **City-scale channel sharding** (`city_scale`, above): the paper's
-  one-BSS/one-channel evaluation scaled to tens of cells over the
-  three non-overlapping 2.4 GHz channels, with per-channel media and
-  a plan/shard/merge pipeline whose merged results are bit-identical
-  to the single-simulator run.
-* **Adversarial robustness** (`adversarial`, above): the paper's
-  §3.3/§3.4 robustness *argument* turned into measured scenarios —
-  misbehaving stations, jamming and compressed-ACK corruption as
-  registered, seed-replayable attacks with pass/fail resilience
-  criteria and measured context-recovery times.
-* **Modern transport & AQM** (`aqm_pacing`, above): the paper's
-  mechanism re-evaluated under the post-2014 stack — CUBIC, sender
-  pacing and CoDel/FQ-CoDel at the MAC queues — none of which the
-  paper's Reno-into-drop-tail testbed could exercise.
-"""
 
 
 if __name__ == "__main__":

@@ -45,11 +45,14 @@ from .core.policies import HackPolicy
 from .experiments import runner as experiments_runner
 from .experiments.batch import SweepResult
 from .experiments.runner import positive_int
+from .mac.qdisc import DISCIPLINES
 from .sim.units import MS, SEC, usec
 from .stats.fct import has_completions
+from .tcp.sender import CONGESTION_CONTROLS
 from .workloads import registry
 from .workloads.registry import UnknownScenarioError
-from .workloads.scenarios import LossSpec, ScenarioConfig, run_scenario
+from .workloads.scenarios import PHY_MODES, LossSpec, ScenarioConfig, \
+    run_scenario
 
 #: What ``simulate`` runs when no ``--scenario`` is named.
 AD_HOC = ScenarioConfig(
@@ -79,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "default (11n, 150 Mbps, one client, MORE "
                           "DATA, 4 s); flags given override its "
                           "fields, flags left out keep them")
-    sim.add_argument("--phy", dest="phy_mode", choices=("11a", "11n"))
+    sim.add_argument("--phy", dest="phy_mode", choices=tuple(PHY_MODES))
     sim.add_argument("--rate", dest="data_rate_mbps", type=float,
                      help="PHY data rate in Mbps")
     sim.add_argument("--clients", dest="n_clients", type=int,
@@ -139,14 +142,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="discipline variant: periodic|reactive for "
                           "the jammer, flip|cid|storm for the mutator "
                           "(defaults: periodic / flip)")
-    sim.add_argument("--cc", choices=("reno", "cubic"),
+    sim.add_argument("--cc", choices=CONGESTION_CONTROLS,
                      help="TCP congestion control (default reno; "
                           "cubic = RFC 8312 window growth)")
     sim.add_argument("--pacing", action="store_true", default=None,
                      help="pace TCP senders at ~2*cwnd/SRTT instead "
                           "of bursting the whole window")
     sim.add_argument("--qdisc", dest="queue_discipline",
-                     choices=("droptail", "codel", "fq_codel"),
+                     choices=DISCIPLINES,
                      help="per-station MAC queue discipline "
                           "(default droptail; codel = RFC 8289 "
                           "sojourn AQM, fq_codel = RFC 8290 per-flow "
@@ -219,7 +222,7 @@ def _simulate_config(args: argparse.Namespace) -> ScenarioConfig:
     elif args.uniform_loss is not None:
         overrides["loss"] = LossSpec(
             kind="uniform", data_loss=args.uniform_loss) \
-            if args.uniform_loss > 0 else LossSpec()
+            if args.uniform_loss else LossSpec()
     if args.aarf:
         overrides["rate_adaptation"] = "aarf"
     if args.sora:
@@ -355,8 +358,8 @@ def _simulate(args: argparse.Namespace) -> int:
     timeouts = sum(c["timeouts"]
                    for c in result.sender_counters.values())
     print(f"TCP timeouts      : {timeouts}")
-    if result.fct is not None:
-        fct = result.fct
+    fct = result.fct
+    if fct is not None:
         print(f"flows             : {fct['flows_spawned']} spawned, "
               f"{fct['flows_completed']} completed, "
               f"{fct['flows_censored']} censored")

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from ..mac.dcf import DcfMac, MacUpper
 from ..mac.frames import AmpduFrame, BarFrame, Mpdu
+from ..obs.metrics import merge_counts
 from ..rohc.compressor import Compressor
 from ..rohc.decompressor import Decompressor
 from ..rohc.packets import CompressedAck, build_frame
@@ -483,26 +484,29 @@ class HackDriver(MacUpper):
         return sum(p.compressor.compressed_bytes
                    for p in self._peers.values())
 
+    #: Keys of a ``metrics_dict()["drivers"]`` entry (:meth:`metrics`):
+    #: four ``DriverStats`` fields, then the compressors' totals.
+    METRIC_KEYS = ("vanilla_acks_sent", "vanilla_ack_bytes",
+                   "hack_frames_attached", "hack_frame_bytes",
+                   "compressed_acks", "compressed_bytes")
+
+    def metrics(self) -> Dict[str, int]:
+        values = dict(vars(self.stats),
+                      compressed_acks=self.compressed_acks,
+                      compressed_bytes=self.compressed_bytes)
+        return {key: values[key] for key in self.METRIC_KEYS}
+
     def decompressor_counters(self) -> Dict[str, int]:
-        totals = {"acks_reconstructed": 0, "crc_failures": 0,
-                  "unknown_cid": 0, "duplicates_skipped": 0,
-                  "damaged_skips": 0, "parse_errors": 0}
+        """``metrics_dict()["decompressor"]``, summed over peers."""
+        totals = dict.fromkeys(Decompressor.COUNTER_KEYS, 0)
         for ps in self._peers.values():
-            d = ps.decompressor
-            totals["acks_reconstructed"] += d.acks_reconstructed
-            totals["crc_failures"] += d.crc_failures
-            totals["unknown_cid"] += d.unknown_cid
-            totals["duplicates_skipped"] += d.duplicates_skipped
-            totals["damaged_skips"] += d.damaged_skips
-            totals["parse_errors"] += d.parse_errors
+            merge_counts(totals, ps.decompressor.counters())
         return totals
 
-    #: Shape of ``rohc_robustness_counters`` even with zero peers —
-    #: metrics consumers and shard merges rely on a stable key set.
-    ROHC_ROBUSTNESS_KEYS = (
-        "mid_frame_aborts", "desync_events", "recoveries",
-        "open_desyncs", "recovery_ns_total", "recovery_frames_total",
-        "internal_errors", "chain_repairs")
+    #: Keys of ``metrics_dict()["rohc"]`` — a stable set even with zero
+    #: peers (metrics consumers and shard merges rely on it).
+    ROHC_ROBUSTNESS_KEYS = Decompressor.ROBUSTNESS_KEYS + (
+        "chain_repairs",)
 
     def rohc_robustness_counters(self) -> Dict[str, int]:
         """Attack-facing containment counters: every decompressor's
@@ -511,9 +515,7 @@ class HackDriver(MacUpper):
         totals = dict.fromkeys(self.ROHC_ROBUSTNESS_KEYS, 0)
         totals["chain_repairs"] = self.stats.chain_repairs
         for ps in self._peers.values():
-            for key, value in \
-                    ps.decompressor.robustness_counters().items():
-                totals[key] += value
+            merge_counts(totals, ps.decompressor.robustness_counters())
         return totals
 
     def rohc_failure_count(self) -> int:

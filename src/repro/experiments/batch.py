@@ -1,9 +1,9 @@
 """Parallel sweep engine: declarative experiment grids, executed in batch.
 
 Every paper artifact is a *sweep*: a grid of :class:`ScenarioConfig`
-variations crossed with seeds, each cell averaged exactly as
-``common.averaged`` does.  This module makes that structure explicit
-and executable in parallel:
+variations crossed with seeds, each cell reduced to a mean and
+standard deviation (:func:`mean_stdev`).  This module makes that
+structure explicit and executable in parallel:
 
 * :class:`SweepSpec` — a named, ordered collection of
   :class:`SweepPoint`\\ s.  A point is either a **scenario** (one
@@ -59,8 +59,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, \
     Optional, Sequence, Tuple, Union
 
-from ..workloads.scenarios import ScenarioConfig, ScenarioResult, \
-    run_scenario
+from ..workloads.scenarios import ScenarioConfig, run_scenario
 from .progress import SweepProgress
 
 #: Bump to invalidate every cached cell (simulator semantics changed).
@@ -220,11 +219,6 @@ class SweepSpec:
 # ----------------------------------------------------------------------
 # Metric extraction (runs inside the worker process)
 # ----------------------------------------------------------------------
-def scenario_metrics(result: ScenarioResult) -> Metrics:
-    """One run's metrics record (``ScenarioResult.metrics_dict``)."""
-    return result.metrics_dict()
-
-
 def _resolve(dotted: str) -> Callable[..., Metrics]:
     module_name, _, attr = dotted.partition(":")
     if not attr:
@@ -257,9 +251,8 @@ def execute_point(point: SweepPoint,
             from ..obs import TelemetryConfig
             telemetry = TelemetryConfig(telemetry_path=os.path.join(
                 telemetry_dir, point_signature(point) + ".jsonl"))
-        metrics = scenario_metrics(
-            run_scenario(point.config, shard_jobs=shard_jobs,
-                         telemetry=telemetry))
+        metrics = run_scenario(point.config, shard_jobs=shard_jobs,
+                               telemetry=telemetry).metrics_dict()
         metrics.pop("telemetry", None)
         if telemetry is not None:
             # Per-shard telemetry blocks carry host wall times; reset
@@ -446,7 +439,7 @@ def _metric_value(metrics: Metrics, metric: MetricSpec) -> float:
 
 
 def mean_stdev(values: Sequence[float]) -> Dict[str, float]:
-    """Per-cell aggregate, exactly as ``common.averaged`` computes it."""
+    """Per-cell aggregate: mean, sample stdev (0 for one run), runs."""
     return {
         "mean": statistics.fmean(values),
         "stdev": statistics.stdev(values) if len(values) > 1 else 0.0,

@@ -13,13 +13,10 @@ runnable in CI, the default is the paper-fidelity grid.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, \
-    Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..sim.units import MS, SEC
-from ..workloads.scenarios import ScenarioConfig, ScenarioResult, \
-    run_scenario
-from .batch import SweepRunner, mean_stdev
+from .batch import SweepRunner
 
 #: Seeds used for "averaged across five runs" experiments (paper §4).
 FULL_SEEDS = (1, 2, 3, 4, 5)
@@ -61,18 +58,6 @@ def require(rows: Iterable[Dict], *claims: Any) -> int:
             raise AssertionError(
                 f"{broken}: " + " vs ".join(str(row) for row in rows))
     return len(claims)
-
-
-def averaged(configs: Iterable[ScenarioConfig],
-             metric: Callable[[ScenarioResult], float]
-             ) -> Dict[str, float]:
-    """Run per-seed configs, return mean/stdev of a scalar metric.
-
-    Kept as the serial in-process reference; sweep-declared
-    experiments get the same aggregation (``batch.mean_stdev``) with
-    multiprocess execution and caching on top.
-    """
-    return mean_stdev([metric(run_scenario(cfg)) for cfg in configs])
 
 
 def format_table(headers: List[str], rows: List[List[str]],

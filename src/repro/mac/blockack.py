@@ -107,9 +107,6 @@ class BlockAckOriginator:
         self.retry_queue.extend(mpdus)
         self.retry_queue.sort(key=lambda m: m.seq)
 
-    def has_backlog(self) -> bool:
-        return bool(self.retry_queue)
-
 
 class BlockAckRecipient:
     """Receive-side scoreboard, duplicate filter, and reorder buffer.
@@ -162,10 +159,6 @@ class BlockAckRecipient:
                 out.append(self._reorder.pop(self.next_expected))
                 self.next_expected += 1
         return out
-
-    @property
-    def reorder_depth(self) -> int:
-        return len(self._reorder)
 
     def _prune(self) -> None:
         if len(self._seen) > 2 * self.history:

@@ -121,3 +121,8 @@ class Aarf(RateController):
             self.downshifts += 1
             self._failures = 0
             self._success_threshold = self.min_success_threshold
+
+
+#: The adaptive controllers a scenario can name
+#: (``ScenarioConfig.rate_adaptation``; None = :class:`FixedRate`).
+RATE_CONTROLS = {"aarf": Aarf}

@@ -20,11 +20,13 @@ range.
 **The merge rule: merge accumulators, render once.**  Whatever crosses
 a shard boundary is an accumulator with an in-place, associative
 ``merge(other)`` that leaves ``other`` untouched (the classes here,
-``MacStats``, ``QdiscStats``, ``FctCollector`` / ``FctAggregator``) or
-a flat ``{name: int}`` dict summed by :func:`merge_counts`; a metrics
-block is rendered from the merged accumulator, once.  Merging sums
-counts and bins and pools min/max, so a shard-merged block equals the
-unsharded run's (``tests/obs/test_merge_law.py``).
+``MacStats``, ``QdiscStats``, ``FctCollector`` / ``FctAggregator``, and
+``ScenarioResult`` itself, which holds the others) or a flat
+``{name: int}`` dict summed by :func:`merge_counts`; a metrics block is
+rendered from the merged accumulator, once.  Merging sums counts and
+bins and pools min/max, so a shard-merged block equals the unsharded
+run's (``tests/obs/test_merge_law.py``; for the whole result,
+``tests/workloads/test_sharding.py::TestMergeOrder``).
 
 A :class:`MetricsRegistry` holds a telemetry-enabled run's named
 metrics and flattens to the ``"telemetry"`` block of

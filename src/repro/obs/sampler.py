@@ -168,8 +168,9 @@ class TelemetrySession:
 
     Wired by :func:`~repro.workloads.scenarios.build_simulation`; its
     plain-data products (samples, registry, span block) travel in the
-    :class:`~repro.workloads.sharding.ShardOutcome` and are merged by
-    :func:`~repro.workloads.sharding.merge_outcomes`.
+    :class:`~repro.workloads.scenarios.ScenarioResult` and are merged
+    by its ``merge`` and
+    :func:`~repro.workloads.sharding.merge_telemetry`.
     """
 
     def __init__(self, cfg, config: TelemetryConfig, sim, media,
@@ -208,18 +209,16 @@ class TelemetrySession:
             _dump_line(self._stream, self.meta())
         self.sim.schedule(0, self._tick)
 
-    def finish(self) -> Dict[str, Any]:
-        """Flush the artifact (summary + spans lines) and return the
-        ``metrics_dict()["telemetry"]`` block."""
-        block = self.block()
-        if self._stream is not None:
-            _dump_line(self._stream, self.summary_record())
-            if block["spans"] is not None:
-                _dump_line(self._stream,
-                           dict(block["spans"], type="spans"))
-            self._stream.close()
-            self._stream = None
-        return block
+    def finish(self) -> None:
+        """Flush the artifact (summary + spans lines)."""
+        if self._stream is None:
+            return
+        _dump_line(self._stream, self.summary_record())
+        if self.instrument is not None:
+            _dump_line(self._stream,
+                       dict(self.instrument.as_dict(), type="spans"))
+        self._stream.close()
+        self._stream = None
 
     # -- sampling ------------------------------------------------------
     def _tick(self) -> None:

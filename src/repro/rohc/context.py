@@ -155,9 +155,3 @@ class DecompressorContext:
         state.rwnd = segment.rwnd
         state.seq = segment.seq
         self.damaged = False
-
-
-def context_pair_for(segment: TcpSegment
-                     ) -> Tuple[int, FiveTuple]:
-    """(CID, five-tuple) for the flow a pure ACK belongs to."""
-    return cid_for_flow(segment.five_tuple), segment.five_tuple

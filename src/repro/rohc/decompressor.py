@@ -53,6 +53,16 @@ class Decompressor:
     #: Sentinel ``_apply`` returns for a first (retryable) CRC miss.
     _RETRY = object()
 
+    #: Keys of ``metrics_dict()["decompressor"]``: the int attributes
+    #: of that name (:meth:`counters`).
+    COUNTER_KEYS = ("acks_reconstructed", "crc_failures", "unknown_cid",
+                    "duplicates_skipped", "damaged_skips", "parse_errors")
+    #: This class's keys of ``metrics_dict()["rohc"]``, all zero in
+    #: cooperative runs (:meth:`robustness_counters`).
+    ROBUSTNESS_KEYS = ("mid_frame_aborts", "desync_events", "recoveries",
+                       "open_desyncs", "recovery_ns_total",
+                       "recovery_frames_total", "internal_errors")
+
     def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
         self.contexts: Dict[int, DecompressorContext] = {}
         self.last_msn = -1
@@ -243,14 +253,9 @@ class Decompressor:
         """Contexts currently declared desynchronized."""
         return len(self._damage_marks)
 
+    def counters(self) -> Dict[str, int]:
+        return {key: getattr(self, key) for key in self.COUNTER_KEYS}
+
     def robustness_counters(self) -> Dict[str, int]:
         """The attack-facing counters (all zero cooperatively)."""
-        return {
-            "mid_frame_aborts": self.mid_frame_aborts,
-            "desync_events": self.desync_events,
-            "recoveries": self.recoveries,
-            "open_desyncs": self.open_desyncs,
-            "recovery_ns_total": self.recovery_ns_total,
-            "recovery_frames_total": self.recovery_frames_total,
-            "internal_errors": self.internal_errors,
-        }
+        return {key: getattr(self, key) for key in self.ROBUSTNESS_KEYS}

@@ -51,11 +51,6 @@ def to_sec(ns: int) -> float:
     return ns / SEC
 
 
-def mbps_to_bits_per_ns(rate_mbps: float) -> float:
-    """Convert a rate in Mbit/s to bits per nanosecond."""
-    return rate_mbps / 1_000.0
-
-
 def transmission_time_ns(num_bytes: int, rate_mbps: float) -> int:
     """Serialisation delay for ``num_bytes`` at ``rate_mbps`` (exact, ceil)."""
     if rate_mbps <= 0:

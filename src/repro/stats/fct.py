@@ -345,10 +345,6 @@ class FctAggregator:
             self._size_bin(label).merge(histogram)
 
     # -- views ---------------------------------------------------------
-    @property
-    def completed_count(self) -> int:
-        return self.overall.count
-
     def occupied_bins(self) -> int:
         """Histogram cells in use (the non-live part of peak memory)."""
         return (len(self.overall.bins)

@@ -67,13 +67,25 @@ class TcpFlow:
         return self.completed_at - self.started_at
 
 
+@dataclass(frozen=True)
+class TcpParams:
+    """The TCP knobs a scenario gives every flow it wires — the sibling
+    of ``MacParams`` and ``HackConfig``.  Field names are
+    ``ScenarioConfig``'s, which is how the builder fills it."""
+
+    mss: int = 1460
+    initial_cwnd_segments: int = 2
+    initial_ssthresh_bytes: int = 65_535
+    delayed_ack: bool = True
+    generate_sack: bool = False
+    sack_recovery: bool = False
+    cc: str = "reno"
+    pacing: bool = False
+
+
 def wire_flow(sim, flow_id: int, five_tuple, direction: str,
-              server, client, client_name: str, *,
-              total_bytes: Optional[int],
-              mss: int, initial_cwnd_segments: int,
-              initial_ssthresh_bytes: int, delayed_ack: bool,
-              generate_sack: bool, sack_recovery: bool,
-              cc: str = "reno", pacing: bool = False) -> TcpFlow:
+              server, client, params: TcpParams,
+              total_bytes: Optional[int]) -> TcpFlow:
     """Build one flow's sender/receiver pair and attach the endpoints.
 
     The single wiring used by both the static scenario builder and the
@@ -84,36 +96,23 @@ def wire_flow(sim, flow_id: int, five_tuple, direction: str,
     endpoint hosts (``.name``, ``.send``/``.transmit``,
     ``add_sender``/``add_receiver``).
     """
-    if direction == "download":
-        sender = TcpSender(
-            sim, flow_id, server.name, client_name,
-            output=server.send, total_bytes=total_bytes, mss=mss,
-            initial_cwnd_segments=initial_cwnd_segments,
-            initial_ssthresh_bytes=initial_ssthresh_bytes,
-            use_sack=sack_recovery, cc=cc, pacing=pacing,
-            five_tuple=five_tuple)
-        server.add_sender(sender)
-        receiver = TcpReceiver(
-            sim, flow_id, client_name, server.name,
-            output=client.transmit, delayed_ack=delayed_ack,
-            generate_sack=generate_sack or sack_recovery,
-            five_tuple=five_tuple.reversed())
-        client.add_receiver(receiver)
-    elif direction == "upload":
-        sender = TcpSender(
-            sim, flow_id, client_name, server.name,
-            output=client.transmit, total_bytes=total_bytes, mss=mss,
-            initial_cwnd_segments=initial_cwnd_segments,
-            initial_ssthresh_bytes=initial_ssthresh_bytes,
-            use_sack=sack_recovery, cc=cc, pacing=pacing,
-            five_tuple=five_tuple)
-        client.add_sender(sender)
-        receiver = TcpReceiver(
-            sim, flow_id, server.name, client_name,
-            output=server.send, delayed_ack=delayed_ack,
-            generate_sack=generate_sack or sack_recovery,
-            five_tuple=five_tuple.reversed())
-        server.add_receiver(receiver)
-    else:
+    if direction not in ("download", "upload"):
         raise ValueError(f"unknown direction {direction!r}")
+    ends = [(server, server.send), (client, client.transmit)]
+    (source, source_output), (sink, sink_output) = \
+        ends if direction == "download" else ends[::-1]
+    sender = TcpSender(
+        sim, flow_id, source.name, sink.name, output=source_output,
+        total_bytes=total_bytes, mss=params.mss,
+        initial_cwnd_segments=params.initial_cwnd_segments,
+        initial_ssthresh_bytes=params.initial_ssthresh_bytes,
+        use_sack=params.sack_recovery, cc=params.cc,
+        pacing=params.pacing, five_tuple=five_tuple)
+    source.add_sender(sender)
+    receiver = TcpReceiver(
+        sim, flow_id, sink.name, source.name, output=sink_output,
+        delayed_ack=params.delayed_ack,
+        generate_sack=params.generate_sack or params.sack_recovery,
+        five_tuple=five_tuple.reversed())
+    sink.add_receiver(receiver)
     return TcpFlow(flow_id, sender, receiver)

@@ -15,7 +15,7 @@ experiments detect it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..sim.engine import Simulator, Timer
 from ..sim.units import MS, SEC
@@ -23,8 +23,17 @@ from .cubic import CubicState
 from .segment import FiveTuple, TcpSegment
 
 
+#: The ``cc=`` values a sender implements.
+CONGESTION_CONTROLS = ("reno", "cubic")
+
+
 class TcpSender:
     """One direction of a TCP connection (the data source)."""
+
+    #: Keys of a ``metrics_dict()["sender_counters"]`` entry: the int
+    #: attributes of that name (:meth:`counters`).
+    COUNTER_KEYS = ("timeouts", "fast_retransmits", "retransmits",
+                    "segments_sent")
 
     def __init__(self, sim: Simulator, flow_id: int, src: str, dst: str,
                  output: Callable[[TcpSegment], None],
@@ -39,7 +48,7 @@ class TcpSender:
                  pacing: bool = False,
                  five_tuple: Optional[FiveTuple] = None,
                  on_complete: Optional[Callable[[], None]] = None):
-        if cc not in ("reno", "cubic"):
+        if cc not in CONGESTION_CONTROLS:
             raise ValueError(f"unknown congestion control {cc!r}")
         self.sim = sim
         self.flow_id = flow_id
@@ -117,6 +126,9 @@ class TcpSender:
         self.persist_probes = 0
         self.completed = False
         self.started = False
+
+    def counters(self) -> Dict[str, int]:
+        return {key: getattr(self, key) for key in self.COUNTER_KEYS}
 
     # ------------------------------------------------------------------
     @property

@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.engine import Simulator
 from ..stats.fct import FctAggregator, FctCollector, FctRecord
-from ..tcp.flow import TcpFlow, wire_flow
+from ..tcp.flow import TcpFlow, TcpParams, wire_flow
 from ..tcp.segment import FiveTuple
 
 #: Dynamic flows get ids above every statically wired flow's.
@@ -53,15 +53,7 @@ class FlowManager:
     def __init__(self, sim: Simulator, server, clients: Dict[str, Any],
                  client_names: List[str], drivers: Dict[str, Any],
                  collector: "FctCollector | FctAggregator",
-                 direction: str = "download",
-                 mss: int = 1460,
-                 initial_cwnd_segments: int = 2,
-                 initial_ssthresh_bytes: int = 65_535,
-                 delayed_ack: bool = True,
-                 generate_sack: bool = False,
-                 sack_recovery: bool = False,
-                 cc: str = "reno",
-                 pacing: bool = False,
+                 tcp: TcpParams, direction: str = "download",
                  ap_name: str = "AP",
                  flow_id_base: int = DYNAMIC_FLOW_ID_BASE,
                  ip_prefix: str = "10.0"):
@@ -76,15 +68,8 @@ class FlowManager:
                              in enumerate(client_names)}
         self.drivers = drivers
         self.collector = collector
+        self.tcp = tcp
         self.direction = direction
-        self.mss = mss
-        self.initial_cwnd_segments = initial_cwnd_segments
-        self.initial_ssthresh_bytes = initial_ssthresh_bytes
-        self.delayed_ack = delayed_ack
-        self.generate_sack = generate_sack
-        self.sack_recovery = sack_recovery
-        self.cc = cc
-        self.pacing = pacing
         self.ap_name = ap_name
         #: Per-cell managers use disjoint id ranges (cell i starts at
         #: ``DYNAMIC_FLOW_ID_BASE + i * CELL_FLOW_ID_STRIDE``) so flow
@@ -119,16 +104,8 @@ class FlowManager:
         tuple_down = FiveTuple(f"{self.ip_prefix}.0.1",
                                f"{self.ip_prefix}.1.{index + 1}",
                                port, 80)
-        flow = wire_flow(
-            self.sim, flow_id, tuple_down, self.direction,
-            self.server, client, client_name,
-            total_bytes=size_bytes, mss=self.mss,
-            initial_cwnd_segments=self.initial_cwnd_segments,
-            initial_ssthresh_bytes=self.initial_ssthresh_bytes,
-            delayed_ack=self.delayed_ack,
-            generate_sack=self.generate_sack,
-            sack_recovery=self.sack_recovery,
-            cc=self.cc, pacing=self.pacing)
+        flow = wire_flow(self.sim, flow_id, tuple_down, self.direction,
+                         self.server, client, self.tcp, size_bytes)
         record = self.collector.open(flow_id, client_name,
                                      self.direction, size_bytes,
                                      self.sim.now)

@@ -35,34 +35,37 @@ Every run takes one path: :func:`run_scenario` plans the shards
 simulator, or with ``shard_jobs`` one simulator per channel), and for
 each shard :func:`build_simulation` builds the live world
 (:class:`CellBuilder`), ``world.run()`` executes it and
-:func:`collect` flattens it to plain data;
-:func:`~repro.workloads.sharding.merge_outcomes` assembles the one
-:class:`ScenarioResult`.  Those three steps are the seams for anything
-that wants to inspect or instrument a run.
+:func:`collect` flattens it to a :class:`ScenarioResult` — the one
+result type, and an accumulator: several shards' results fold into the
+run's with :meth:`ScenarioResult.merge`.  Those three steps are the
+seams for anything that wants to inspect or instrument a run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..adversary import AdversaryConfig, GreedyDcfMac
-from ..adversary.runtime import AdversaryRuntime, install_adversary
+from ..adversary.runtime import AdversaryRuntime, adversary_block, \
+    install_adversary
 from ..core.driver import HackDriver
 from ..core.policies import HackConfig, HackPolicy
 from ..mac.dcf import DcfMac
 from ..mac.params import MacParams
-from ..mac.qdisc import QdiscStats
-from ..mac.rate_control import Aarf
-from ..obs import TelemetryConfig, TelemetrySession, chrome_trace, \
-    write_chrome_trace
+from ..mac.qdisc import DISCIPLINES, QdiscStats
+from ..mac.rate_control import RATE_CONTROLS
+from ..obs import MetricsRegistry, TelemetryConfig, TelemetrySession, \
+    chrome_trace, write_chrome_trace
 from ..obs.metrics import merge_counts
 from ..phy.errors import LossModel, NoLoss, SnrLossModel, UniformLossModel
 from ..phy.params import PHY_11A, PHY_11N, PhyParams
+from ..rohc.decompressor import Decompressor
 from ..sim.engine import Simulator
 from ..sim.medium import ChannelizedMedium, DEFAULT_CHANNEL, Medium
 from ..sim.rng import RngRegistry
-from ..sim.units import MS, SEC, msec, sec, throughput_mbps, usec
+from ..sim.units import MS, SEC, msec, throughput_mbps, usec
 from ..sim.wired import WiredLink
 from ..stats.collectors import MacStats
 from ..stats.fairness import goodput_fairness, jain_index
@@ -71,12 +74,18 @@ from ..stats.trace import MediumTracer
 from ..traffic.arrivals import ArrivalSpec, build_processes
 from ..traffic.manager import CELL_FLOW_ID_STRIDE, \
     DYNAMIC_FLOW_ID_BASE, FlowManager
-from ..tcp.flow import TcpFlow, wire_flow
+from ..tcp.flow import TcpFlow, TcpParams, wire_flow
 from ..tcp.segment import FiveTuple
+from ..tcp.sender import CONGESTION_CONTROLS
 from ..nodes.ap import ApNode
 from ..nodes.client import ClientNode
 from ..nodes.server import ServerNode, UdpSource
-from .sharding import ShardOutcome, ShardPlan, merge_outcomes, run_shards
+from .sharding import ShardPlan, run_shards
+
+#: ``ScenarioConfig.phy_mode`` values.
+PHY_MODES = {"11a": PHY_11A, "11n": PHY_11N}
+#: ``ScenarioConfig.traffic`` values.
+TRAFFIC_MODES = ("tcp_download", "tcp_upload", "udp_download", "dynamic")
 
 
 @dataclass
@@ -90,9 +99,21 @@ class LossSpec:
     snr_db: float = 30.0               # snr: channel quality
     per_client_snr: Dict[str, float] = field(default_factory=dict)
 
+    KINDS = ("none", "uniform", "snr")
+
+    def validate(self) -> None:
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown loss.kind {self.kind!r} "
+                             f"(valid: {', '.join(self.KINDS)})")
+        bad = [p for p in (self.data_loss, self.control_loss or 0.0,
+                           *self.per_client.values())
+               if not 0 <= p < 1]
+        if bad:
+            raise ValueError(
+                f"loss probabilities must be in [0, 1), got {bad}")
+
     def build(self, rng) -> LossModel:
-        if self.kind == "none":
-            return NoLoss()
+        self.validate()
         if self.kind == "uniform":
             return UniformLossModel(
                 rng, self.data_loss, control_loss=self.control_loss,
@@ -101,7 +122,7 @@ class LossSpec:
             return SnrLossModel(
                 rng, self.snr_db,
                 per_receiver_snr=dict(self.per_client_snr))
-        raise ValueError(f"unknown loss kind {self.kind!r}")
+        return NoLoss()
 
 
 @dataclass
@@ -211,7 +232,7 @@ class ScenarioConfig:
 
     @property
     def phy(self) -> PhyParams:
-        return PHY_11A if self.phy_mode == "11a" else PHY_11N
+        return PHY_MODES[self.phy_mode]
 
     @property
     def use_aggregation(self) -> bool:
@@ -219,15 +240,30 @@ class ScenarioConfig:
             return self.aggregation
         return self.phy_mode == "11n"
 
-    def client_names(self) -> List[str]:
-        return [f"C{i + 1}" for i in range(self.n_clients)]
-
     def validate(self) -> None:
-        """Reject a config no run can honour."""
+        """Reject a config no run can honour — before any of the world
+        is built, against the value sets the layers themselves own."""
         self.validate_cells()
-        if self.traffic not in ("tcp_download", "tcp_upload",
-                                "udp_download", "dynamic"):
-            raise ValueError(f"unknown traffic {self.traffic!r}")
+        for name, valid in (
+                ("phy_mode", PHY_MODES), ("traffic", TRAFFIC_MODES),
+                ("cc", CONGESTION_CONTROLS),
+                ("queue_discipline", DISCIPLINES),
+                ("rate_adaptation", (None, *RATE_CONTROLS))):
+            if getattr(self, name) not in valid:
+                raise ValueError(
+                    f"unknown {name} {getattr(self, name)!r} (valid: "
+                    f"{', '.join(str(v) for v in valid)})")
+        if self.data_rate_mbps not in self.phy.data_rates:
+            raise ValueError(
+                f"data_rate_mbps {self.data_rate_mbps:g} is not a "
+                f"{self.phy.name} data rate (valid: "
+                f"{', '.join(f'{r:g}' for r in self.phy.data_rates)})")
+        if self.mss < 1:
+            raise ValueError(f"mss must be >= 1, got {self.mss}")
+        if self.n_clients < 0:
+            raise ValueError(
+                f"n_clients must be >= 0, got {self.n_clients}")
+        self.loss.validate()
         if self.traffic == "dynamic" and self.arrivals is None:
             raise ValueError("traffic='dynamic' requires an "
                              "ArrivalSpec in cfg.arrivals")
@@ -344,57 +380,77 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    """Everything a benchmark needs to print a paper table/figure row.
+    """Everything a benchmark needs to print a paper table/figure row —
+    and an accumulator: what :func:`collect` read off one finished
+    simulator, which :meth:`merge` folds with the other shards'.
 
-    Plain data throughout — assembled by
-    :func:`~repro.workloads.sharding.merge_outcomes` and nowhere else
-    — except ``world``, the live simulation for in-process consumers.
+    The stored fields are plain data keyed by *global* cell / channel /
+    flow id / station address (unioned by a merge), accumulators with
+    their own ``merge`` and flat count dicts (``merge_counts``).
+    Whatever a report reads in whole-scenario order —
+    ``per_flow_goodput_mbps``, ``cell_blocks``, ``channel_blocks``,
+    ``medium_*``, ``fct``, ``aqm_counters``, ``adversary_counters`` —
+    is a read-only view computed from them, so it is the same however
+    the cells were split and in whatever order shards were merged.
+    The exceptions are ``world``, the live simulation for in-process
+    consumers, and the kernel view (see :meth:`merge`).
     """
 
     config: ScenarioConfig
-    per_flow_goodput_mbps: Dict[int, float]
-    mac_stats: MacStats
-    #: The ``metrics_dict()["drivers"]`` payload (per-station HACK
-    #: driver counters, see :func:`driver_metrics_dict`).
-    driver_metrics: Dict[str, Dict[str, int]]
-    decomp_counters: Dict[str, int]
-    medium_frames_sent: int
-    medium_frames_collided: int
-    medium_utilisation: float
+    #: cell -> [(flow id, goodput)] of its static TCP flows, build order.
+    tcp_flows_by_cell: Dict[int, List[Tuple[int, float]]] = field(
+        default_factory=dict)
+    #: cell -> [(pseudo id, goodput)] of its ``udp_download`` sinks.
+    udp_flows_by_cell: Dict[int, List[Tuple[int, float]]] = field(
+        default_factory=dict)
     completion_times_ns: Dict[int, Optional[int]] = field(
         default_factory=dict)
+    #: flow id -> ``TcpSender.counters()``.
     sender_counters: Dict[int, Dict[str, int]] = field(
         default_factory=dict)
-    #: Event-kernel counters (see ``SimStats.as_dict``) of the one
-    #: simulator that ran everything; ``{}`` when several did (their
-    #: counters are under ``shard_blocks``).
-    kernel_stats: Dict[str, int] = field(default_factory=dict)
-    #: ROHC robustness/containment counters (``metrics_dict()["rohc"]``)
-    #: summed across drivers — desyncs, recoveries, aborted frames,
-    #: chain repairs.  All zero in cooperative runs.
-    rohc_counters: Dict[str, int] = field(default_factory=dict)
-    #: Queue-discipline block (``metrics_dict()["aqm"]``) over every
-    #: station's MAC queues — AQM drops and delivered-packet sojourn
-    #: percentiles (``QdiscStats.block``).
-    aqm_counters: Dict[str, Any] = field(default_factory=dict)
-    #: The ``metrics_dict()["adversary"]`` block — present exactly when
-    #: ``config.adversary`` is set (zeroed counters for inert plans).
-    adversary_counters: Optional[Dict[str, Any]] = None
-    #: Flow-churn results (``FctCollector.summary``); None for
-    #: scenarios without an arrival process.
-    fct: Optional[Dict[str, Any]] = None
+    #: station -> ``HackDriver.metrics()``
+    #: (``metrics_dict()["drivers"]``).
+    driver_metrics: Dict[str, Dict[str, int]] = field(
+        default_factory=dict)
     #: Measured CBR background noise per client (empty when the
     #: ``udp_background_mbps`` knob is off).  Deliberately separate
     #: from ``per_flow_goodput_mbps``: noise must not inflate the
     #: workload's aggregate goodput.
     udp_background_goodput_mbps: Dict[str, float] = field(
         default_factory=dict)
-    #: Per-cell result blocks (plain data; one per cell, "cell1"
-    #: first).  Single-cell runs have exactly one block.
-    cell_blocks: List[Dict[str, Any]] = field(default_factory=list)
-    #: Per-channel result blocks (plain data; one per channel used, in
-    #: first-appearance order).  Single-channel runs have exactly one.
-    channel_blocks: List[Dict[str, Any]] = field(default_factory=list)
+    #: cell -> its ``metrics_dict()["cells"]`` block.
+    blocks_by_cell: Dict[int, Dict[str, Any]] = field(
+        default_factory=dict)
+    #: channel -> its ``metrics_dict()["channels"]`` block.
+    blocks_by_channel: Dict[int, Dict[str, Any]] = field(
+        default_factory=dict)
+    #: cell -> FctCollector | FctAggregator, where churn ran.
+    collectors: Dict[int, Any] = field(default_factory=dict)
+    mac_stats: MacStats = field(default_factory=MacStats)
+    #: Every MAC's queue statistics, merged (renders ``"aqm"``).
+    qdisc_stats: QdiscStats = field(default_factory=QdiscStats)
+    #: ``metrics_dict()["decompressor"]``, summed across drivers.
+    decomp_counters: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(
+            Decompressor.COUNTER_KEYS, 0))
+    #: ROHC robustness/containment counters (``metrics_dict()["rohc"]``)
+    #: summed across drivers — desyncs, recoveries, aborted frames,
+    #: chain repairs.  All zero in cooperative runs.
+    rohc_counters: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(
+            HackDriver.ROHC_ROBUSTNESS_KEYS, 0))
+    #: The attack actors' summed counters (renders ``"adversary"``);
+    #: empty when nothing was installed.
+    adversary_counts: Dict[str, int] = field(default_factory=dict)
+    #: Event-kernel counters (see ``SimStats.as_dict``) of the one
+    #: simulator that ran everything; ``{}`` when several did (their
+    #: counters are under ``shard_blocks``).
+    kernel_stats: Dict[str, int] = field(default_factory=dict)
+    #: Per-shard kernel/telemetry blocks (``metrics_dict()["shards"]``)
+    #: of a multi-shard run: one entry per shard in plan order, each
+    #: ``{channel, cells, kernel_stats, telemetry}``.  None when one
+    #: simulator ran everything.
+    shard_blocks: Optional[List[Dict[str, Any]]] = None
     #: How a multi-shard run was executed (plan + per-shard wall
     #: clock; not part of metrics).  None when one simulator ran
     #: everything.
@@ -403,19 +459,135 @@ class ScenarioResult:
     #: the run was executed with ``telemetry=TelemetryConfig(...)``
     #: (an execution knob: never in ScenarioConfig, never in sweep
     #: cache signatures).  Everything here is deterministic except the
-    #: ``"spans"`` sub-block (host wall times).
+    #: ``"spans"`` sub-block (host wall times).  It is rendered from
+    #: the two fields below: the retained sample records (time order)
+    #: and the registry (per-channel / per-cell metric names are
+    #: disjoint across shards, so a merge is an exact union).
     telemetry: Optional[Dict[str, Any]] = None
-    #: Per-shard kernel/telemetry blocks (``metrics_dict()["shards"]``)
-    #: of a multi-shard run: one entry per shard in plan order, each
-    #: ``{channel, cells, kernel_stats, telemetry}``.  None when one
-    #: simulator ran everything.
-    shard_blocks: Optional[List[Dict[str, Any]]] = None
+    telemetry_samples: List[Dict[str, Any]] = field(
+        default_factory=list, repr=False)
+    telemetry_registry: Optional[MetricsRegistry] = None
     #: The live simulation (:func:`build_simulation`'s return value,
     #: after the run): flows, clients, drivers, flow managers, frame
     #: trace, telemetry session.  Set when one simulator ran
     #: everything in this process; None for a multi-shard run, whose
     #: live objects never cross the shard boundary.
     world: Optional["CellBuilder"] = field(default=None, repr=False)
+
+    def merge(self, other: "ScenarioResult") -> None:
+        """Fold another shard's result of the same run into this one,
+        in place; ``other`` is left untouched.
+
+        Keyed data is unioned (the views restore whole-scenario
+        order), accumulators are merged and counts summed — the one
+        rule of :mod:`repro.obs.metrics`.  Kernel view: counters of
+        independent simulators are never summed, so a merged result's
+        own ``kernel_stats`` is empty and each simulator's counters
+        (and its telemetry block, when sampling ran) ride verbatim
+        under ``shard_blocks``, ordered by first cell (= plan order).
+        The run-wide ``telemetry`` block of a merged result is rendered
+        last, by :func:`~repro.workloads.sharding.merge_telemetry`.
+        """
+        self.shard_blocks = sorted(
+            (dict(block) for result in (self, other)
+             for block in result.shard_blocks or [result._shard_block()]),
+            key=lambda block: block["cells"][0])
+        self.kernel_stats = {}
+        self.telemetry = None
+        self.world = None
+        for keyed in ("tcp_flows_by_cell", "udp_flows_by_cell",
+                      "completion_times_ns", "sender_counters",
+                      "driver_metrics", "udp_background_goodput_mbps",
+                      "blocks_by_cell", "blocks_by_channel",
+                      "collectors"):
+            getattr(self, keyed).update(getattr(other, keyed))
+        self.mac_stats.merge(other.mac_stats)
+        self.qdisc_stats.merge(other.qdisc_stats)
+        for counts in ("decomp_counters", "rohc_counters",
+                       "adversary_counts"):
+            merge_counts(getattr(self, counts), getattr(other, counts))
+        self.telemetry_samples = (self.telemetry_samples
+                                  + other.telemetry_samples)
+        if other.telemetry_registry is not None:
+            self.telemetry_registry.merge(other.telemetry_registry)
+
+    def _shard_block(self) -> Dict[str, Any]:
+        """This one simulator's ``metrics_dict()["shards"]`` entry."""
+        cells = sorted(self.blocks_by_cell)
+        return {"channel": self.config.channel_of(cells[0]),
+                "cells": cells,
+                "kernel_stats": dict(self.kernel_stats),
+                "telemetry": self.telemetry}
+
+    # -- views, in whole-scenario order --------------------------------
+    @property
+    def per_flow_goodput_mbps(self) -> Dict[int, float]:
+        """Static flows over ascending cells, then UDP sinks — the
+        order that fixes the float sums behind the aggregate and Jain's
+        index, whatever the shard plan."""
+        return {flow_id: mbps
+                for by_cell in (self.tcp_flows_by_cell,
+                                self.udp_flows_by_cell)
+                for cell in sorted(by_cell)
+                for flow_id, mbps in by_cell[cell]}
+
+    @property
+    def cell_blocks(self) -> List[Dict[str, Any]]:
+        """Per-cell blocks, "cell1" first (one for a single-cell run)."""
+        return [self.blocks_by_cell[cell]
+                for cell in sorted(self.blocks_by_cell)]
+
+    @property
+    def channel_blocks(self) -> List[Dict[str, Any]]:
+        """Per-channel blocks in ``config.ordered_channels()`` order."""
+        return [self.blocks_by_channel[channel]
+                for channel in self.config.ordered_channels()
+                if channel in self.blocks_by_channel]
+
+    @property
+    def medium_frames_sent(self) -> int:
+        return sum(block["frames_sent"]
+                   for block in self.channel_blocks)
+
+    @property
+    def medium_frames_collided(self) -> int:
+        return sum(block["frames_collided"]
+                   for block in self.channel_blocks)
+
+    @property
+    def medium_utilisation(self) -> float:
+        blocks = self.channel_blocks
+        return sum(block["utilisation"] for block in blocks) / len(blocks)
+
+    @property
+    def fct(self) -> Optional[Dict[str, Any]]:
+        """Flow-churn results (``FctCollector.summary``) over every
+        cell's collector, merged in cell order; None for scenarios
+        without an arrival process."""
+        if not self.collectors:
+            return None
+        cells = sorted(self.collectors)
+        merged = type(self.collectors[cells[0]])()
+        for cell in cells:
+            merged.merge(self.collectors[cell])
+        return merged.summary(self.config.duration_ns)
+
+    @property
+    def aqm_counters(self) -> Dict[str, Any]:
+        """Queue-discipline block (``metrics_dict()["aqm"]``) over
+        every station's MAC queues — AQM drops and delivered-packet
+        sojourn percentiles (``QdiscStats.block``)."""
+        return self.qdisc_stats.block(self.config.queue_discipline)
+
+    @property
+    def adversary_counters(self) -> Optional[Dict[str, Any]]:
+        """The ``metrics_dict()["adversary"]`` block — present exactly
+        when ``config.adversary`` is set (zeroed counters for inert
+        plans)."""
+        if self.config.adversary is None:
+            return None
+        return adversary_block(self.config.adversary,
+                               self.adversary_counts)
 
     @property
     def aggregate_goodput_mbps(self) -> float:
@@ -442,8 +614,8 @@ class ScenarioResult:
         cacheable and identical across serial and parallel execution
         (all dict keys are strings so a JSON round-trip is lossless).
 
-        Each block is rendered once, by ``merge_outcomes``, from what
-        the shards shipped (the rule: :mod:`repro.obs.metrics`):
+        Each block is rendered here, once, from the stored fields (the
+        rule: :mod:`repro.obs.metrics`):
 
         * ``hack_fit_fraction``, ``retry_table``,
           ``time_breakdown_ms`` — the merged ``MacStats``;
@@ -490,7 +662,7 @@ class ScenarioResult:
             "cell_fairness_index": self.cell_fairness_index,
             "channels": [dict(block) for block in self.channel_blocks],
             "rohc": dict(self.rohc_counters),
-            "aqm": dict(self.aqm_counters),
+            "aqm": self.aqm_counters,
         }
         # Conditional keys: absent unless the run opted in, so every
         # telemetry-off metrics dict (golden rows, cached sweep
@@ -499,38 +671,9 @@ class ScenarioResult:
             out["telemetry"] = dict(self.telemetry)
         if self.shard_blocks is not None:
             out["shards"] = [dict(block) for block in self.shard_blocks]
-        if self.adversary_counters is not None:
-            out["adversary"] = dict(self.adversary_counters)
+        if self.config.adversary is not None:
+            out["adversary"] = self.adversary_counters
         return out
-
-    def summary_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable summary (config block + headline metrics)."""
-        metrics = self.metrics_dict()
-        return {
-            "config": {
-                "phy_mode": self.config.phy_mode,
-                "data_rate_mbps": self.config.data_rate_mbps,
-                "n_clients": self.config.n_clients,
-                "cells": self.config.cells,
-                "flows_per_client": self.config.flows_per_client,
-                "policy": self.config.policy.value,
-                "traffic": self.config.traffic,
-                "seed": self.config.seed,
-                "loss": self.config.loss.kind,
-                "rate_adaptation": self.config.rate_adaptation,
-            },
-            "aggregate_goodput_mbps":
-                metrics["aggregate_goodput_mbps"],
-            "per_flow_goodput_mbps": dict(self.per_flow_goodput_mbps),
-            "fairness_index": metrics["fairness_index"],
-            "medium_frames_sent": metrics["medium_frames_sent"],
-            "medium_frames_collided":
-                metrics["medium_frames_collided"],
-            "medium_utilisation": metrics["medium_utilisation"],
-            "decompressor": metrics["decompressor"],
-            "tcp": metrics["sender_counters"],
-            "hack_fit_fraction": metrics["hack_fit_fraction"],
-        }
 
 
 def _hack_config(cfg: ScenarioConfig) -> HackConfig:
@@ -567,23 +710,6 @@ class _CellNet:
         self.flow_manager: Optional[FlowManager] = None
 
 
-def driver_metrics_dict(
-        drivers: Dict[str, HackDriver]) -> Dict[str, Dict[str, int]]:
-    """The ``metrics_dict()["drivers"]`` payload from live drivers."""
-    out: Dict[str, Dict[str, int]] = {}
-    for name, driver in drivers.items():
-        stats = driver.stats
-        out[name] = {
-            "vanilla_acks_sent": stats.vanilla_acks_sent,
-            "vanilla_ack_bytes": stats.vanilla_ack_bytes,
-            "hack_frames_attached": stats.hack_frames_attached,
-            "hack_frame_bytes": stats.hack_frame_bytes,
-            "compressed_acks": driver.compressed_acks,
-            "compressed_bytes": driver.compressed_bytes,
-        }
-    return out
-
-
 def _loss_stream_name(channel: int) -> str:
     """Channel 0 keeps the historical "phy-loss" stream (bit-identity
     for every single-channel scenario); other channels draw from their
@@ -618,6 +744,10 @@ class CellBuilder:
         self.sim = Simulator()
         self.rngs = RngRegistry(cfg.seed)
         self.mac_stats = MacStats()
+        #: Every flow's TCP knobs: the config fields of the same name.
+        self.tcp = TcpParams(**{
+            f.name: getattr(cfg, f.name)
+            for f in dataclasses.fields(TcpParams)})
         self.channels = cfg.ordered_channels(cell_indices)
         self.media = ChannelizedMedium(self.sim)
         #: Frame trace (``cfg.trace`` or the Chrome-trace export).
@@ -663,13 +793,10 @@ class CellBuilder:
             ack_timeout_extra_ns=cfg.ack_timeout_extra_ns,
             txop_limit_ns=cfg.txop_limit_ns)
         factory = None
-        if cfg.rate_adaptation == "aarf":
+        if cfg.rate_adaptation is not None:
             def factory():
-                return Aarf(phy.data_rates,
-                            initial_rate=cfg.data_rate_mbps)
-        elif cfg.rate_adaptation is not None:
-            raise ValueError(
-                f"unknown rate_adaptation {cfg.rate_adaptation!r}")
+                return RATE_CONTROLS[cfg.rate_adaptation](
+                    phy.data_rates, initial_rate=cfg.data_rate_mbps)
         if address in self.greedy_names:
             mac = GreedyDcfMac(
                 self.sim, medium, phy, address, params,
@@ -761,16 +888,9 @@ class CellBuilder:
                                    5000 + flow_id, 80)
             direction = "download" if cfg.traffic == "tcp_download" \
                 else "upload"
-            flow = wire_flow(
-                sim, flow_id, tuple_down, direction, server,
-                net.clients[name], name, total_bytes=cfg.file_bytes,
-                mss=cfg.mss,
-                initial_cwnd_segments=cfg.initial_cwnd_segments,
-                initial_ssthresh_bytes=cfg.initial_ssthresh_bytes,
-                delayed_ack=cfg.delayed_ack,
-                generate_sack=cfg.generate_sack,
-                sack_recovery=cfg.sack_recovery,
-                cc=cfg.cc, pacing=cfg.pacing)
+            flow = wire_flow(sim, flow_id, tuple_down, direction,
+                             server, net.clients[name], self.tcp,
+                             cfg.file_bytes)
             sender = flow.sender
             self.flows.append(flow)
             net.flows.append(flow)
@@ -794,13 +914,7 @@ class CellBuilder:
             sim, net.server, net.clients, net.client_names,
             net.drivers,
             FctAggregator() if cfg.stream_stats else FctCollector(),
-            direction=cfg.arrivals.direction, mss=cfg.mss,
-            initial_cwnd_segments=cfg.initial_cwnd_segments,
-            initial_ssthresh_bytes=cfg.initial_ssthresh_bytes,
-            delayed_ack=cfg.delayed_ack,
-            generate_sack=cfg.generate_sack,
-            sack_recovery=cfg.sack_recovery,
-            cc=cfg.cc, pacing=cfg.pacing,
+            self.tcp, direction=cfg.arrivals.direction,
             ap_name=net.ap_name,
             flow_id_base=DYNAMIC_FLOW_ID_BASE
             + net.index * CELL_FLOW_ID_STRIDE,
@@ -925,20 +1039,14 @@ def _sink_mbps(client: ClientNode) -> Optional[float]:
     return throughput_mbps(b1 - b0, t1 - t0)
 
 
-def collect(world: CellBuilder) -> ShardOutcome:
+def collect(world: CellBuilder) -> ScenarioResult:
     """Flatten a finished world to plain data — the one place live
     simulation objects are read for results."""
     cfg = world.cfg
-    drivers = world.drivers
-
-    tcp_flows: Dict[int, List[Tuple[int, float]]] = {}
-    udp_flows: Dict[int, List[Tuple[int, float]]] = {}
-    completion: Dict[int, Optional[int]] = {}
-    sender_counters: Dict[int, Dict[str, int]] = {}
-    background_mbps: Dict[str, float] = {}
-    cell_blocks: List[Tuple[int, Dict[str, Any]]] = []
+    result = ScenarioResult(config=cfg, mac_stats=world.mac_stats,
+                            kernel_stats=world.sim.stats.as_dict())
     for net in world.cells:
-        tcp = tcp_flows[net.index] = []
+        tcp = result.tcp_flows_by_cell[net.index] = []
         for flow in net.flows:
             if cfg.file_bytes is not None \
                     and flow.completed_at is not None:
@@ -949,66 +1057,39 @@ def collect(world: CellBuilder) -> ShardOutcome:
                 mbps = flow.stats.goodput_mbps(cfg.warmup_ns,
                                                cfg.duration_ns)
             tcp.append((flow.flow_id, mbps))
-            completion[flow.flow_id] = flow.completion_time_ns()
-            sender_counters[flow.flow_id] = {
-                "timeouts": flow.sender.timeouts,
-                "fast_retransmits": flow.sender.fast_retransmits,
-                "retransmits": flow.sender.retransmits,
-                "segments_sent": flow.sender.segments_sent,
-            }
-        udp = udp_flows[net.index] = [
+            result.completion_times_ns[flow.flow_id] = \
+                flow.completion_time_ns()
+            result.sender_counters[flow.flow_id] = flow.sender.counters()
+        udp = result.udp_flows_by_cell[net.index] = [
             (pseudo_id, mbps) for pseudo_id, name in net.udp_sinks
             if (mbps := _sink_mbps(net.clients[name])) is not None]
         noise = {
             name: mbps for name in net.background_names
             if (mbps := _sink_mbps(net.clients[name])) is not None}
-        background_mbps.update(noise)
-        cell_blocks.append((net.index, _cell_block(
+        result.udp_background_goodput_mbps.update(noise)
+        result.blocks_by_cell[net.index] = _cell_block(
             cfg, net, world.media.medium(cfg.channel_of(net.index)),
-            dict(tcp + udp), noise)))
-
-    decomp: Dict[str, int] = {
-        "acks_reconstructed": 0, "crc_failures": 0, "unknown_cid": 0,
-        "duplicates_skipped": 0, "damaged_skips": 0, "parse_errors": 0}
-    rohc: Dict[str, int] = dict.fromkeys(
-        HackDriver.ROHC_ROBUSTNESS_KEYS, 0)
-    qdisc_stats = QdiscStats()
-    for driver in drivers.values():
-        merge_counts(decomp, driver.decompressor_counters())
-        merge_counts(rohc, driver.rohc_robustness_counters())
-        qdisc_stats.merge(driver.mac.qdisc_stats)
-
-    runtime = world.adversary_runtime
+            dict(tcp + udp), noise)
+        if net.flow_manager is not None:
+            result.collectors[net.index] = net.flow_manager.collector
+    for channel in world.channels:
+        result.blocks_by_channel[channel] = _channel_block(
+            cfg, world.media.medium(channel), world.cell_indices)
+    for name, driver in world.drivers.items():
+        result.driver_metrics[name] = driver.metrics()
+        merge_counts(result.decomp_counters,
+                     driver.decompressor_counters())
+        merge_counts(result.rohc_counters,
+                     driver.rohc_robustness_counters())
+        result.qdisc_stats.merge(driver.mac.qdisc_stats)
+    if world.adversary_runtime is not None:
+        result.adversary_counts = world.adversary_runtime.counters()
     session = world.telemetry_session
-    telemetry_products = {} if session is None else dict(
-        telemetry_block=session.block(),
-        telemetry_samples=session.samples,
-        telemetry_registry=session.registry)
-    return ShardOutcome(
-        channels=world.channels,
-        cell_indices=world.cell_indices,
-        tcp_flows_by_cell=tcp_flows,
-        udp_flows_by_cell=udp_flows,
-        completion_times_ns=completion,
-        sender_counters=sender_counters,
-        mac_stats=world.mac_stats,
-        driver_metrics=driver_metrics_dict(drivers),
-        decomp_counters=decomp,
-        kernel_stats=world.sim.stats.as_dict(),
-        udp_background_goodput_mbps=background_mbps,
-        rohc_counters=rohc,
-        qdisc_stats=qdisc_stats,
-        adversary_counters=(runtime.counters() if runtime is not None
-                            else {}),
-        cell_blocks=cell_blocks,
-        channel_blocks=[
-            _channel_block(cfg, world.media.medium(channel),
-                           world.cell_indices)
-            for channel in world.channels],
-        collectors=[(net.index, net.flow_manager.collector)
-                    for net in world.cells
-                    if net.flow_manager is not None],
-        **telemetry_products)
+    if session is not None:
+        result.telemetry = session.block()
+        result.telemetry_samples = session.samples
+        result.telemetry_registry = session.registry
+    return result
 
 
 def run_scenario(cfg: ScenarioConfig,
@@ -1017,11 +1098,11 @@ def run_scenario(cfg: ScenarioConfig,
                  ) -> ScenarioResult:
     """Build the WLAN(s) described by ``cfg``, run, collect results.
 
-    Every run is plan -> run each shard -> merge.  ``shard_jobs=None``
-    (the default) plans one shard holding every cell: a single
-    simulator spanning all ``cfg.channels``.  An integer plans one
-    shard per channel in use — ``1`` runs them serially in-process,
-    ``N > 1`` fans them over a process pool (see
+    A run is build -> run -> collect per shard, the shards' results
+    merged.  ``shard_jobs=None`` (the default) plans one shard holding
+    every cell: a single simulator spanning all ``cfg.channels``.  An
+    integer plans one shard per channel in use — ``1`` runs them
+    serially in-process, ``N > 1`` fans them over a process pool (see
     :mod:`repro.workloads.sharding`).  Metrics are identical however
     the cells were split, except the kernel view: when one simulator
     ran everything its counters are the result's ``kernel_stats`` and
@@ -1042,15 +1123,10 @@ def run_scenario(cfg: ScenarioConfig,
         raise ValueError(f"shard_jobs must be >= 1, got {shard_jobs}")
     plan = ShardPlan.from_config(cfg, by_channel=shard_jobs is not None)
     if plan.shard_count > 1:
-        outcomes, shard_info = run_shards(cfg, plan, shard_jobs,
-                                          telemetry)
-        return merge_outcomes(cfg, plan, outcomes, shard_info,
-                              telemetry)
-    (channel, cells), = plan.shards()
-    world = build_simulation(cfg, cells, telemetry)
+        return run_shards(cfg, plan, shard_jobs, telemetry)
+    world = build_simulation(cfg, telemetry=telemetry)
     world.run()
-    result = merge_outcomes(cfg, plan, {channel: collect(world)},
-                            telemetry=telemetry)
+    result = collect(world)
     result.world = world
     return result
 

@@ -85,6 +85,47 @@ class TestExperimentTable:
             "## Zed\n\n```text\nvalue 1.0\n```\n\n"
             "**Paper says:** Zed says so.\n\n## Ay\n\n")
 
+    def test_generator_rewrites_only_between_the_markers(
+            self, generator, monkeypatch, tmp_path, capsys):
+        """In place, from stub experiments: every byte outside the
+        marker pair survives; a document without the pair is refused
+        before anything runs.  The committed document has the pair
+        around exactly the generated sections."""
+        _, _, rest = (ROOT / "EXPERIMENTS.md").read_text().partition(
+            generator.BEGIN)
+        region, end, after = rest.partition(generator.END)
+        assert end
+        for module in EXPERIMENTS.values():
+            assert f"\n## {module.TITLE}\n" in region
+            assert module.TITLE not in after
+
+        stub = SimpleNamespace(
+            TITLE="Stub", PAPER_SAYS="so.",
+            sweep_spec=lambda quick=False: SweepSpec("stub"),
+            rows_from_sweep=lambda result: [],
+            format_rows=lambda rows: "no rows")
+        monkeypatch.setattr(generator, "EXPERIMENTS", {"stub": stub})
+        monkeypatch.setattr(common, "FULL_SEEDS", common.FULL_SEEDS)
+        document = tmp_path / "doc.md"
+        monkeypatch.setattr(generator, "DOCUMENT", document)
+        head, tail = "# Prose\n\nkept {seeds}.\n\n", "\n## More\nkept.\n"
+        document.write_text(
+            head + generator.BEGIN + "stale\n" + generator.END + tail)
+        assert generator.main(["--no-cache", "--seeds", "2"]) == 0
+        text = document.read_text()
+        assert text.startswith(head + generator.BEGIN
+                               + "Simulation seeds: (1, 2); full ")
+        assert text.endswith("**Paper says:** so.\n\n"
+                             + generator.END + tail)
+        assert "stale" not in text and "## Stub\n" in text
+
+        document.write_text(head + generator.BEGIN + "stale\n" + tail)
+        capsys.readouterr()
+        assert generator.main(["--no-cache"]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and error.count("\n") == 1
+        assert document.read_text().endswith("stale\n" + tail)
+
     def test_committed_document_has_every_section_in_table_order(
             self, generator):
         text = (ROOT / "EXPERIMENTS.md").read_text()

@@ -10,10 +10,13 @@ leaves ``other`` untouched.
 
 Shards are consecutive runs of the stream and are merged left to right
 (the law is associativity, not commutativity: a collector's flow list
-and a gauge's ``last`` keep stream order, exactly as cells are merged
-in ascending order by ``merge_outcomes``).  Float observations are
-multiples of 1/64, so their sums are exact whatever the grouping and
-the rendered blocks can be compared with ``==``.
+and a gauge's ``last`` keep stream order, exactly as a
+``ScenarioResult``'s views take cells in ascending order whatever the
+order its shards were ``ScenarioResult.merge``d in —
+``tests/workloads/test_sharding.py::TestMergeOrder`` holds the whole
+result to this law on real shards).  Float observations are multiples
+of 1/64, so their sums are exact whatever the grouping and the
+rendered blocks can be compared with ``==``.
 """
 
 import copy

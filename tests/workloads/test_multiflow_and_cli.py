@@ -145,6 +145,28 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert "warmup_ns" in captured.err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--phy", "11a"], "data_rate_mbps"),   # ad-hoc rate is 150
+        (["--rate", "17"], "data_rate_mbps"),
+        (["--loss", "1.5"], "loss probabilities"),
+        (["--loss", "-0.5"], "loss probabilities"),
+        (["--clients", "-1"], "n_clients")])
+    def test_simulate_rejects_unrunnable_config(self, flags, field,
+                                                capsys):
+        """One ``error:`` line and exit 2, never a traceback from
+        inside the event loop."""
+        assert cli_main(["simulate", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert field in captured.err
+
+    def test_simulate_11a_at_an_11a_rate_runs(self, capsys):
+        assert cli_main(["simulate", "--phy", "11a", "--rate", "54",
+                         "--duration", "0.3"]) == 0
+        assert "aggregate goodput" in capsys.readouterr().out
+
     @pytest.mark.parametrize("main, argv", [
         (cli_main, ["simulate", "--shard-jobs", "0"]),
         (runner_main, ["fig01", "--quick", "--shard-jobs", "-2"])])

@@ -171,3 +171,51 @@ class TestValidation:
         with pytest.raises(ValueError, match="warmup_ns"):
             run_scenario(ScenarioConfig(duration_ns=300 * MS,
                                         warmup_ns=warmup_ns))
+
+    #: One config per ``validate()`` clause: each used to run as
+    #: something else (an "11ac" PHY as 802.11n without aggregation) or
+    #: raise from a layer after part of the world was built.
+    UNRUNNABLE = [
+        ("phy_mode", dict(phy_mode="11ac")),
+        ("data_rate_mbps", dict(data_rate_mbps=17.0)),
+        ("data_rate_mbps", dict(phy_mode="11a")),     # 150 is HT-only
+        ("cc", dict(cc="bbr")),
+        ("queue_discipline", dict(queue_discipline="red")),
+        ("rate_adaptation", dict(rate_adaptation="minstrel")),
+        ("loss.kind", dict(loss=LossSpec(kind="fading"))),
+        ("loss probabilities",
+         dict(loss=LossSpec(kind="uniform", data_loss=1.5))),
+        ("loss probabilities",
+         dict(loss=LossSpec(kind="uniform", data_loss=0.01,
+                            control_loss=-0.1))),
+        ("loss probabilities",
+         dict(loss=LossSpec(kind="uniform", data_loss=0.01,
+                            per_client={"C1": 1.0}))),
+        ("mss", dict(mss=0)),
+        ("n_clients", dict(n_clients=-1)),
+    ]
+
+    @pytest.mark.parametrize("field, fields", UNRUNNABLE)
+    def test_unrunnable_config_rejected_up_front(self, field, fields,
+                                                 monkeypatch):
+        from repro.workloads import scenarios
+
+        def no_world(*_args, **_kwargs):
+            raise AssertionError("a Simulator was built")
+
+        monkeypatch.setattr(scenarios, "Simulator", no_world)
+        with pytest.raises(ValueError, match=field):
+            run_scenario(ScenarioConfig(**fields))
+
+    def test_everything_shipped_still_validates(self):
+        from repro.experiments.runner import EXPERIMENTS
+        from repro.workloads import registry
+        from tests.experiments.conftest import QUICK_SCOPES
+
+        for name in registry.names():
+            registry.build(name).validate()
+        for name, scope in QUICK_SCOPES.items():
+            spec = EXPERIMENTS[name].sweep_spec(quick=True, **scope)
+            for point in spec.points:
+                if point.config is not None:
+                    point.config.validate()

@@ -17,17 +17,19 @@ self-consistent, it equals the world where the other channels never
 existed.
 """
 
+import copy
+import itertools
 import json
+import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import ScenarioConfig, run_scenario
 from repro.adversary import AdversaryConfig
 from repro.sim.units import MS
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 from repro.workloads.sharding import ShardExecutionError, ShardPlan, \
-    execute_shard, merge_outcomes
+    execute_shard
 
 from tests.workloads.test_multi_cell import base_config, normalised
 
@@ -201,28 +203,54 @@ class TestShardEquivalence:
 
 
 class TestMergeOrder:
-    """A pool completes shards in any order; the merge must not care
-    how its ``outcomes`` mapping was filled."""
+    """The whole result obeys the law its parts do
+    (``tests/obs/test_merge_law.py``): a pool completes shards in any
+    order, and ``ScenarioResult.merge`` must not care — nor how the
+    merges are grouped."""
 
     @pytest.fixture(scope="class")
     def shards(self):
         cfg = base_config(cells=3, channels=3, n_clients=1, seed=5,
                           duration_ns=1200 * MS, warmup_ns=400 * MS,
                           arrivals=CHURN["arrivals"])
-        plan = ShardPlan.from_config(cfg)
-        outcomes = {channel: execute_shard(cfg, cells)
-                    for channel, cells in plan.shards()}
-        reference = normalised(
-            merge_outcomes(cfg, plan, outcomes).metrics_dict())
-        return cfg, plan, outcomes, reference
+        results = [execute_shard(cfg, cells)[0]
+                   for _, cells in ShardPlan.from_config(cfg).shards()]
+        return results, metrics_except_kernel(run_scenario(cfg))
 
-    @given(order=st.permutations([0, 1, 2]))
-    @settings(max_examples=6, deadline=None)
-    def test_merge_ignores_insertion_order(self, shards, order):
-        cfg, plan, outcomes, reference = shards
-        shuffled = {channel: outcomes[channel] for channel in order}
-        merged = merge_outcomes(cfg, plan, shuffled).metrics_dict()
-        assert normalised(merged) == reference
+    def test_merge_ignores_insertion_order(self, shards):
+        results, unsharded = shards
+        for order in itertools.permutations(range(3)):
+            for left_first in (True, False):
+                a, b, c = (copy.deepcopy(results[i]) for i in order)
+                if left_first:
+                    a.merge(b)
+                    a.merge(c)
+                else:
+                    b.merge(c)
+                    a.merge(b)
+                assert a.kernel_stats == {} and a.world is None
+                assert [block["cells"] for block in a.shard_blocks] \
+                    == [[0], [1], [2]]
+                assert metrics_except_kernel(a) == unsharded, \
+                    (order, left_first)
+
+    def test_merge_leaves_other_untouched(self, shards):
+        results, _ = shards
+        into, other = copy.deepcopy(results[2]), results[0]
+        before = normalised(other.metrics_dict())
+        into.merge(other)
+        into.merge(results[1])
+        assert normalised(other.metrics_dict()) == before
+        assert other.shard_blocks is None and other.kernel_stats
+
+    def test_result_crosses_the_pool_boundary(self, shards):
+        """A shard's result is what a pool worker returns: pickling it
+        loses nothing ``metrics_dict()`` renders."""
+        results, _ = shards
+        for result in results:
+            clone = pickle.loads(pickle.dumps(result))
+            assert normalised(clone.metrics_dict()) == \
+                normalised(result.metrics_dict())
 
 
 class TestIsolationOracle:
@@ -233,13 +261,12 @@ class TestIsolationOracle:
         plan = ShardPlan.from_config(cfg)
         for channel, cells in plan.shards():
             assert len(cells) == 1
-            outcome = execute_shard(cfg, cells)
-            cell = cells[0]
-            block = dict(combined.cell_blocks[cell])
-            shard_block = dict(outcome.cell_blocks[0][1])
-            assert normalised(block) == normalised(shard_block)
-            assert outcome.channel_blocks[0] == \
-                combined.channel_blocks[plan.channels.index(channel)]
+            shard, _ = execute_shard(cfg, cells)
+            [shard_block] = shard.cell_blocks
+            assert normalised(combined.cell_blocks[cells[0]]) == \
+                normalised(shard_block)
+            assert shard.channel_blocks == [
+                combined.channel_blocks[plan.channels.index(channel)]]
 
     def test_static_cells_isolated(self):
         self.assert_cells_match_isolated_runs(
