@@ -125,9 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sora", action="store_true",
                      help="emulate SoRa's late LL ACKs")
     sim.add_argument("--kernel-stats", action="store_true",
-                     help="print event-kernel counters (events "
-                          "executed/cancelled, heap compactions, "
-                          "events per wall-second)")
+                     help="print event-kernel counters (callbacks "
+                          "run per wall-second, heap pushes per "
+                          "delivered MPDU, cancellations, heap "
+                          "compactions)")
     sim.add_argument("--adversary", dest="adversary_kind",
                      choices=("greedy", "jammer", "mutator"),
                      help="inject a misbehaving actor (greedy "
@@ -378,13 +379,24 @@ def _simulate(args: argparse.Namespace) -> int:
     if args.kernel_stats:
         kernel = result.kernel_stats
         if kernel:
-            rate = kernel["events_executed"] / wall_s \
-                if wall_s > 0 else 0.0
-            print(f"kernel events     : "
-                  f"{kernel['events_executed']} executed "
-                  f"({rate:,.0f}/s wall), "
-                  f"{kernel['events_cancelled']} cancelled, "
-                  f"{kernel['events_scheduled']} scheduled")
+            # A callback run is a heap dispatch or a delivery a train
+            # made inline; the rate a user waits for is callbacks/s.
+            callbacks = kernel["events_executed"] \
+                + kernel["events_inlined"]
+            rate = callbacks / wall_s if wall_s > 0 else 0.0
+            stats = result.mac_stats
+            delivered = sum(stats.delivered_first_attempt.values()) \
+                + sum(stats.delivered_after_retry.values())
+            print(f"kernel callbacks  : {callbacks} run "
+                  f"({rate:,.0f}/s wall): "
+                  f"{kernel['events_executed']} executed from the "
+                  f"heap, {kernel['events_inlined']} inlined by trains")
+            print(f"heap pushes       : "
+                  f"{kernel['events_scheduled']} scheduled, "
+                  f"{kernel['events_cancelled']} cancelled")
+            print(f"pushes per MPDU   : "
+                  f"{kernel['events_scheduled'] / max(1, delivered):.2f}"
+                  f" ({delivered} MPDUs delivered)")
             print(f"heap compactions  : {kernel['heap_compactions']}")
             print(f"timer re-arms     : {kernel['timer_rearms']} "
                   f"absorbed without a heap push")
@@ -396,6 +408,7 @@ def _simulate(args: argparse.Namespace) -> int:
                 print(f"  shard ch{block['channel']} "
                       f"(cells {block['cells']}): "
                       f"{shard_kernel['events_executed']} executed, "
+                      f"{shard_kernel['events_inlined']} inlined, "
                       f"{shard_kernel['events_cancelled']} cancelled, "
                       f"{shard_kernel['events_scheduled']} scheduled, "
                       f"{shard_kernel['heap_compactions']} "

@@ -90,6 +90,10 @@ class _PeerState:
         self.echo_seen: Dict[int, int] = {}
 
 
+def _ignore(*args: Any) -> None:
+    """Stands in for a hook the node above does not have."""
+
+
 class HackDriver(MacUpper):
     """Device driver implementing TCP/HACK over a DcfMac."""
 
@@ -98,6 +102,10 @@ class HackDriver(MacUpper):
         self.sim = sim
         self.mac = mac
         self.config = config
+        #: Read per packet and per PPDU; a driver's policy is fixed at
+        #: construction.
+        self._enabled = config.enabled
+        self._policy = config.policy
         self.node = node
         self.stats = DriverStats()
         self._peers: Dict[str, _PeerState] = {}
@@ -107,6 +115,20 @@ class HackDriver(MacUpper):
         # cooperative runs never touch it).
         self._clock = lambda: sim.now
         mac.upper = self
+
+    @property
+    def node(self) -> Any:
+        """The host this driver serves (None: nothing above it)."""
+        return self._node
+
+    @node.setter
+    def node(self, node: Any) -> None:
+        # The node's hooks are looked up here, once, not per packet.
+        self._node = node
+        self._packets_up = getattr(node, "on_packets_received", _ignore)
+        # MacUpper's hook for MPDU fates is the node's own if it has
+        # one; None otherwise, and the MAC skips the per-MPDU calls.
+        self.on_mpdu_outcome = getattr(node, "on_mpdu_outcome", None)
 
     def peer(self, name: str) -> _PeerState:
         if name not in self._peers:
@@ -132,8 +154,8 @@ class HackDriver(MacUpper):
     # ==================================================================
     def send_packet(self, packet: Any, peer_name: str) -> bool:
         """Send any packet; pure TCP ACKs take the HACK path."""
-        if isinstance(packet, TcpSegment) and packet.is_pure_ack:
-            if self.config.enabled:
+        if type(packet) is TcpSegment and packet.is_pure_ack:
+            if self._enabled:
                 return self._send_ack(packet, peer_name)
             # Stock operation: still account the ACK stream (Table 2).
             self.stats.vanilla_acks_sent += 1
@@ -141,39 +163,37 @@ class HackDriver(MacUpper):
         return self.mac.enqueue(packet, peer_name)
 
     def _send_ack(self, ack: TcpSegment, peer_name: str) -> bool:
+        """Compress and hold ``ack`` when the policy sees a ride coming
+        and its flow's context is established; else send it vanilla."""
         ps = self.peer(peer_name)
-        policy = self.config.policy
+        policy = self._policy
         if policy is HackPolicy.MORE_DATA:
-            if ps.more_data_latched and ps.compressor.can_compress(ack):
-                self._buffer_compressed(ps, ack, peer_name)
-                return True
-            return self._send_vanilla(ps, ack, peer_name)
+            defer = ps.more_data_latched
+        elif policy is HackPolicy.TS_ECHO:
+            defer = self._echo_outstanding(ps, ack.flow_id)
+        else:
+            # OPPORTUNISTIC queues normally; compression happens when
+            # the MAC asks for a response payload and the ACK is still
+            # queued.
+            defer = policy is HackPolicy.EXPLICIT_TIMER
+        context = ps.compressor.established_context(ack) if defer \
+            else None
         if policy is HackPolicy.TS_ECHO:
-            defer = (self._echo_outstanding(ps, ack.flow_id)
-                     and ps.compressor.can_compress(ack))
             ps.ack_ts_sent[ack.flow_id] = max(
                 ps.ack_ts_sent.get(ack.flow_id, 0), ack.ts_val)
-            if defer:
-                self._buffer_compressed(ps, ack, peer_name)
-                return True
+        if context is None:
             return self._send_vanilla(ps, ack, peer_name)
+        self._buffer_compressed(ps, ack, peer_name, context)
         if policy is HackPolicy.EXPLICIT_TIMER:
-            if ps.compressor.can_compress(ack):
-                self._buffer_compressed(ps, ack, peer_name)
-                self._arm_flush(ps, self.config.flush_after_ns, "timer")
-                return True
-            return self._send_vanilla(ps, ack, peer_name)
-        # OPPORTUNISTIC: queue normally; compression happens when the
-        # MAC asks for a response payload and the ACK is still queued.
-        return self._send_vanilla(ps, ack, peer_name)
+            self._arm_flush(ps, self.config.flush_after_ns, "timer")
+        return True
 
     def _send_vanilla(self, ps: _PeerState, ack: TcpSegment,
                       peer_name: str) -> bool:
-        ps.compressor.note_vanilla_ack(ack)
         # Tag the ACK with its per-flow vanilla ordinal so the
         # opportunistic pull can leave context-establishing ACKs in the
         # queue (the peer's decompressor needs them on the air).
-        context = ps.compressor._context_for(ack, create=False)
+        context = ps.compressor.note_vanilla_ack(ack)
         if context is not None:
             ack._hack_init_ordinal = context.vanilla_seen
         self.stats.vanilla_acks_sent += 1
@@ -181,11 +201,11 @@ class HackDriver(MacUpper):
         return self.mac.enqueue(ack, peer_name)
 
     def _buffer_compressed(self, ps: _PeerState, ack: TcpSegment,
-                           peer_name: str) -> None:
+                           peer_name: str, context) -> None:
         if len(ps.buffer) >= self.config.max_buffered:
             self.stats.overflow_flushes += 1
             self._flush_buffer(ps, peer_name)
-        ps.buffer.append(ps.compressor.compress(ack))
+        ps.buffer.append(ps.compressor.compress(ack, context))
         if self.config.stall_guard_ns is not None:
             self._arm_flush(ps, self.config.stall_guard_ns,
                             "stall_guard")
@@ -226,19 +246,32 @@ class HackDriver(MacUpper):
     # ==================================================================
     # MacUpper: incoming data path
     # ==================================================================
+    def on_mpdus_delivered(self, mpdus: List[Mpdu], sender: str) -> None:
+        packets = [mpdu.payload for mpdu in mpdus]
+        if self._enabled:
+            ps = self.peer(sender)
+            if self._policy is HackPolicy.TS_ECHO:
+                # An echo may flush buffered ACKs into the MAC queue,
+                # which must stay between the two hand-offs it fell
+                # between: one packet at a time.
+                for packet in packets:
+                    if type(packet) is TcpSegment:
+                        if packet.is_pure_ack:
+                            ps.decompressor.note_vanilla_ack(packet)
+                        else:
+                            self._note_echo(ps, sender, packet)
+                    self._packets_up([packet], sender)
+                return
+            for packet in packets:
+                if type(packet) is TcpSegment and packet.is_pure_ack:
+                    # Snoop vanilla ACKs to establish/refresh
+                    # decompressor contexts (the paper's IR-less
+                    # context initialisation).
+                    ps.decompressor.note_vanilla_ack(packet)
+        self._packets_up(packets, sender)
+
     def on_mpdu_delivered(self, mpdu: Mpdu, sender: str) -> None:
-        payload = mpdu.payload
-        if (isinstance(payload, TcpSegment) and payload.is_pure_ack
-                and self.config.enabled):
-            # Snoop vanilla ACKs to establish/refresh decompressor
-            # contexts (the paper's IR-less context initialisation).
-            self.peer(sender).decompressor.note_vanilla_ack(payload)
-        if (self.config.policy is HackPolicy.TS_ECHO
-                and isinstance(payload, TcpSegment)
-                and not payload.is_pure_ack):
-            self._note_echo(self.peer(sender), sender, payload)
-        if self.node is not None:
-            self.node.on_packet_received(payload, sender)
+        self.on_mpdus_delivered([mpdu], sender)
 
     # ------------------------------------------------------------------
     # TS_ECHO mechanics (§5)
@@ -265,7 +298,7 @@ class HackDriver(MacUpper):
 
     def on_data_ppdu(self, frame: Any, sender: str,
                      readable_mpdus: List[Mpdu]) -> None:
-        if not self.config.enabled:
+        if not self._enabled:
             return
         ps = self.peer(sender)
         is_batch = isinstance(frame, AmpduFrame)
@@ -297,7 +330,7 @@ class HackDriver(MacUpper):
         # --- MORE DATA latch (§3.2) ---
         # TS_ECHO deliberately ignores the bit: it is the AP-free
         # alternative (§5); its lifecycle is driven by echoes.
-        if self.config.policy is not HackPolicy.TS_ECHO:
+        if self._policy is not HackPolicy.TS_ECHO:
             ps.more_data_latched = more
             if not more:
                 # Retained ACKs get one last ride on this batch's
@@ -309,10 +342,10 @@ class HackDriver(MacUpper):
     # MacUpper: LL ACK augmentation / reception
     # ==================================================================
     def hack_payload_for(self, peer_name: str) -> Optional[bytes]:
-        if not self.config.enabled:
+        if not self._enabled:
             return None
         ps = self.peer(peer_name)
-        if self.config.policy is HackPolicy.OPPORTUNISTIC:
+        if self._policy is HackPolicy.OPPORTUNISTIC:
             self._pull_queued_acks(ps, peer_name)
         if not ps.buffer:
             return None
@@ -377,7 +410,7 @@ class HackDriver(MacUpper):
 
     def on_ll_response_tx(self, peer_name: str, response: Any,
                           hack_payload: Optional[bytes]) -> None:
-        if not self.config.enabled:
+        if not self._enabled:
             return
         ps = self.peer(peer_name)
         if hack_payload:
@@ -414,25 +447,18 @@ class HackDriver(MacUpper):
 
     def on_ll_ack_rx(self, frame: Any, sender: str) -> None:
         payload = getattr(frame, "hack_payload", None)
-        if not payload or not self.config.enabled:
+        if not payload or not self._enabled:
             return
         ps = self.peer(sender)
         segments = ps.decompressor.decompress_frame(payload)
-        self.stats.acks_reinjected += len(segments)
-        if self.node is not None:
-            for segment in segments:
-                self.node.on_packet_received(segment, sender)
+        if segments:
+            self.stats.acks_reinjected += len(segments)
+            self._packets_up(segments, sender)
 
     def on_bar_rx(self, bar: BarFrame, sender: str) -> None:
         # A BAR means the peer lacks our Block ACK: retention already
         # guarantees the compressed ACKs ride the re-sent Block ACK.
         return
-
-    def on_mpdu_outcome(self, mpdu: Mpdu, delivered: bool) -> None:
-        if self.node is not None:
-            handler = getattr(self.node, "on_mpdu_outcome", None)
-            if handler is not None:
-                handler(mpdu, delivered)
 
     # ==================================================================
     # Flow lifecycle (dynamic traffic)

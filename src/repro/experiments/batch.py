@@ -71,7 +71,10 @@ from .progress import SweepProgress
 #: 5: the ``"aqm"`` block has no ``marks`` key and its sojourn
 #:    percentiles follow the FCT law (``obs.metrics.Histogram``;
 #:    they move by at most one bin).
-ENGINE_VERSION = 5
+#: 6: trains — rows unchanged, the cached kernel_stats (a packet on a
+#:    wire or up a client stack is no longer a heap push; new
+#:    ``events_inlined``) are not.
+ENGINE_VERSION = 6
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``

@@ -19,8 +19,8 @@ from typing import Callable, Deque, List, Optional
 
 from ..phy.params import PhyParams
 from .blockack import BlockAckOriginator
-from .frames import Mpdu, mpdu_byte_length
-from .params import MacParams, mpdu_subframe_bytes
+from .frames import Mpdu
+from .params import MAC_DATA_OVERHEAD, MacParams, mpdu_subframe_bytes
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +84,8 @@ def build_batch(originator: BlockAckOriginator,
             break
         if len(batch) >= params.ampdu_max_mpdus:
             break
-        sub = mpdu_subframe_bytes(mpdu_byte_length(payload))
+        sub = mpdu_subframe_bytes(
+            MAC_DATA_OVERHEAD + payload.byte_length)
         if total_bytes + sub > byte_budget:
             break
         new_queue.popleft()

@@ -16,7 +16,7 @@ Sequence numbers are monotone integers (see ``frames.py``).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .frames import Mpdu
 
@@ -138,15 +138,25 @@ class BlockAckRecipient:
         self._prune()
         return is_new
 
-    def insert(self, mpdu: Mpdu) -> List[Mpdu]:
-        """Place a *new* MPDU into the reorder buffer; returns the
-        MPDUs now deliverable to the upper layer, in sequence order."""
-        if mpdu.seq < self.next_expected:
+    def insert(self, mpdu: Mpdu,
+               out: Optional[List[Mpdu]] = None) -> List[Mpdu]:
+        """Place a *new* MPDU into the reorder buffer; appends to
+        ``out`` (a fresh list by default) the MPDUs now deliverable to
+        the upper layer, in sequence order, and returns it."""
+        if out is None:
+            out = []
+        seq = mpdu.seq
+        if seq == self.next_expected and not self._reorder:
+            # In order with nothing held back: the common case.
+            self.next_expected = seq + 1
+            out.append(mpdu)
+            return out
+        if seq < self.next_expected:
             # Behind an abandoned gap: deliver immediately (late but
             # better than never; upper layers tolerate it).
-            return [mpdu]
+            out.append(mpdu)
+            return out
         self._reorder[mpdu.seq] = mpdu
-        out: List[Mpdu] = []
         while self.next_expected in self._reorder:
             out.append(self._reorder.pop(self.next_expected))
             self.next_expected += 1

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ..phy.errors import LossModel
 from ..phy.params import PhyParams
 from ..sim.engine import Simulator
 from ..sim.medium import DEFAULT_CELL, Medium, MediumListener
@@ -77,6 +78,13 @@ class MacUpper:
 
     def on_mpdu_delivered(self, mpdu: Mpdu, sender: str) -> None:
         """A new (non-duplicate) data MPDU arrived for this station."""
+
+    def on_mpdus_delivered(self, mpdus: List[Mpdu], sender: str) -> None:
+        """The new data MPDUs one PPDU from ``sender`` released to this
+        station, in delivery order — the MAC's one hand-off per PPDU.
+        By default each goes to :meth:`on_mpdu_delivered`."""
+        for mpdu in mpdus:
+            self.on_mpdu_delivered(mpdu, sender)
 
     def on_data_ppdu(self, frame: Any, sender: str,
                      readable_mpdus: List[Mpdu]) -> None:
@@ -99,7 +107,8 @@ class MacUpper:
         """A Block ACK Request arrived from ``sender``."""
 
     def on_mpdu_outcome(self, mpdu: Mpdu, delivered: bool) -> None:
-        """Sender-side: final fate of a transmitted MPDU."""
+        """Sender-side: final fate of a transmitted MPDU.  May be
+        ``None`` on an upper layer that has nobody to tell."""
 
 
 class _Job:
@@ -398,10 +407,11 @@ class DcfMac(MediumListener):
         orig = self._originator_for(dst)
         queue = self._queue_for(dst)
         if job.is_batch:
+            address, new_frame_id = self.address, self.sim.new_frame_id
+
             def make_mpdu(payload: Any, seq: int) -> Mpdu:
-                return Mpdu(src=self.address, dst=dst, seq=seq,
-                            payload=payload, enqueued_at=now,
-                            frame_id=self.sim.new_frame_id())
+                return Mpdu(address, dst, seq, payload, False, False, 0,
+                            now, new_frame_id())
 
             batch = build_batch(orig, queue, make_mpdu, self.params,
                                 self.phy, self._rate_for(dst))
@@ -535,7 +545,7 @@ class DcfMac(MediumListener):
         mpdu.retry_count += 1
         if mpdu.retry_count > self.params.retry_limit:
             self.mpdus_dropped += 1
-            self.upper.on_mpdu_outcome(mpdu, delivered=False)
+            self._mpdu_outcomes((mpdu,), False)
             if self.stats is not None:
                 self.stats.on_mpdu_dropped(self.address, mpdu)
             self._finish_job(success=False)
@@ -545,13 +555,22 @@ class DcfMac(MediumListener):
         job.ready_at = self.sim.now
         self._maybe_start_contention()
 
+    def _mpdu_outcomes(self, mpdus, delivered: bool) -> None:
+        """Tell the upper layer the final fate of ``mpdus``.  The hook
+        is read once per exchange; an upper layer with nobody to tell
+        exposes ``None`` for it."""
+        outcome = self.upper.on_mpdu_outcome
+        if outcome is not None:
+            for mpdu in mpdus:
+                outcome(mpdu, delivered)
+
     def _give_up_bar(self, job: _Job) -> None:
         """BAR retries exhausted: paper Fig 8 — move on, set SYNC."""
         orig = self._originator_for(job.dst)
         requeued, dropped = orig.on_give_up()
+        self._mpdu_outcomes(dropped, False)
         for mpdu in dropped:
             self.mpdus_dropped += 1
-            self.upper.on_mpdu_outcome(mpdu, delivered=False)
             if self.stats is not None:
                 self.stats.on_mpdu_dropped(self.address, mpdu)
         self._sync_pending[job.dst] = True
@@ -636,6 +655,7 @@ class DcfMac(MediumListener):
         self._awaiting_response = False
         self._cancel_response_timeout()
         self.upper.on_ll_ack_rx(response, sender_addr)
+        stats = self.stats
         if isinstance(response, BlockAckFrame):
             orig = self._originator_for(job.dst)
             delivered, requeued, dropped = orig.on_block_ack(
@@ -643,26 +663,20 @@ class DcfMac(MediumListener):
             self.rate_controller_for(job.dst).on_ratio(
                 len(delivered),
                 len(delivered) + len(requeued) + len(dropped))
-            for mpdu in delivered:
-                self.mpdus_delivered += 1
-                self.upper.on_mpdu_outcome(mpdu, delivered=True)
-                if self.stats is not None:
-                    self.stats.on_mpdu_delivered(self.address, mpdu)
-            for mpdu in dropped:
-                self.mpdus_dropped += 1
-                self.upper.on_mpdu_outcome(mpdu, delivered=False)
-                if self.stats is not None:
-                    self.stats.on_mpdu_dropped(self.address, mpdu)
-            if self.stats is not None and job.kind == "data":
-                self.stats.on_exchange_succeeded(self.address, job)
         else:
-            mpdu = job.mpdus[0]
+            delivered, dropped = job.mpdus[:1], ()
             self.rate_controller_for(job.dst).on_success()
-            self.mpdus_delivered += 1
-            self.upper.on_mpdu_outcome(mpdu, delivered=True)
-            if self.stats is not None:
-                self.stats.on_mpdu_delivered(self.address, mpdu)
-                self.stats.on_exchange_succeeded(self.address, job)
+        self.mpdus_delivered += len(delivered)
+        self._mpdu_outcomes(delivered, True)
+        if stats is not None:
+            stats.on_mpdus_delivered(self.address, delivered)
+        self._mpdu_outcomes(dropped, False)
+        for mpdu in dropped:
+            self.mpdus_dropped += 1
+            if stats is not None:
+                stats.on_mpdu_dropped(self.address, mpdu)
+        if stats is not None and job.kind == "data":
+            stats.on_exchange_succeeded(self.address, job)
         self._finish_job(success=True)
 
     # ------------------------------------------------------------------
@@ -670,13 +684,19 @@ class DcfMac(MediumListener):
                       sender_addr: str) -> None:
         recipient = self._recipient_for(sender_addr)
         is_batch = isinstance(frame, AmpduFrame)
+        rate = frame.rate_mbps
+        # A model that keeps the base class's lossless ``mpdu_lost``
+        # (NoLoss) need not be asked once per MPDU.
+        loss_model = self.loss_model
+        mpdu_lost = None
+        if (loss_model is not None and type(loss_model).mpdu_lost
+                is not LossModel.mpdu_lost):
+            mpdu_lost = loss_model.mpdu_lost
         readable: List[Mpdu] = []
         deliverable: List[Mpdu] = []
         for mpdu in frame.mpdus:
-            if (self.loss_model is not None
-                    and self.loss_model.mpdu_lost(
-                        sender, self, mpdu,
-                        getattr(frame, "rate_mbps", 0.0))):
+            if mpdu_lost is not None and mpdu_lost(sender, self, mpdu,
+                                                   rate):
                 if self.stats is not None:
                     self.stats.on_mpdu_corrupted(self.address, mpdu)
                 continue
@@ -685,7 +705,7 @@ class DcfMac(MediumListener):
                 if is_batch:
                     # A-MPDU path: in-order delivery via the reorder
                     # buffer (holes wait for link-layer retries).
-                    deliverable.extend(recipient.insert(mpdu))
+                    recipient.insert(mpdu, deliverable)
                 else:
                     deliverable.append(mpdu)
         if not readable:
@@ -695,9 +715,9 @@ class DcfMac(MediumListener):
         # HACK drivers learn MORE DATA / SYNC / seq state here, before
         # responses are built.
         self.upper.on_data_ppdu(frame, sender_addr, readable)
-        for mpdu in deliverable:
-            self.upper.on_mpdu_delivered(mpdu, sender_addr)
-        if isinstance(frame, AmpduFrame):
+        if deliverable:
+            self.upper.on_mpdus_delivered(deliverable, sender_addr)
+        if is_batch:
             start = min(m.seq for m in readable)
             self._schedule_response(
                 sender_addr, kind="block_ack",

@@ -81,15 +81,6 @@ class Mpdu:
         return f"<Mpdu #{self.seq} {self.src}->{self.dst} {flags}>"
 
 
-def mpdu_byte_length(payload: Any) -> int:
-    """Length an :class:`Mpdu` wrapping ``payload`` would have.
-
-    Lets batch construction size prospective MPDUs without building
-    (and discarding) real frame objects.
-    """
-    return MAC_DATA_OVERHEAD + payload.byte_length
-
-
 class DataFrame:
     """A PPDU carrying a single MPDU (802.11a-style operation)."""
 

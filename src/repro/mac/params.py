@@ -15,6 +15,7 @@ Sizes follow 802.11-2012:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from ..sim.units import msec
@@ -69,7 +70,11 @@ class MacParams:
     ack_timeout_extra_ns: int = 0
 
 
+@lru_cache(maxsize=None)
 def mpdu_subframe_bytes(mpdu_bytes: int) -> int:
-    """Bytes one MPDU occupies inside an A-MPDU (delimiter + padding)."""
+    """Bytes one MPDU occupies inside an A-MPDU (delimiter + padding).
+
+    Memoised: it is asked once per MPDU by batch construction and once
+    more by the A-MPDU frame, and a run sees a handful of lengths."""
     padded = (mpdu_bytes + 3) // 4 * 4
     return AMPDU_DELIMITER_BYTES + padded

@@ -13,7 +13,7 @@ server's TCP ACKs into its own LL ACKs).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, List, Optional
 
 from ..core.driver import HackDriver
 from ..sim.engine import Simulator
@@ -30,12 +30,14 @@ class ApNode:
         self.driver = driver
         driver.node = self
         self.link: Optional[WiredLink] = None
+        self._send_up = None  # the uplink pipe's send, once attached
         self.wifi_tx_drops = 0
         self.packets_bridged_down = 0
         self.packets_bridged_up = 0
 
     def attach_link(self, link: WiredLink) -> None:
         self.link = link
+        self._send_up = link.sender_for(self)
 
     def queue_depth(self) -> int:
         """Total downstream MAC backlog across all clients (fresh,
@@ -50,8 +52,10 @@ class ApNode:
         if not self.driver.send_packet(packet, packet.dst):
             self.wifi_tx_drops += 1
 
-    def on_packet_received(self, packet: Any, sender: str) -> None:
+    def on_packets_received(self, packets: List[Any],
+                            sender: str) -> None:
         """Client -> server packets (including decompressed TCP ACKs)."""
-        self.packets_bridged_up += 1
-        assert self.link is not None, "AP wired link not attached"
-        self.link.send_from(self, packet)
+        assert self._send_up is not None, "AP wired link not attached"
+        self.packets_bridged_up += len(packets)
+        for packet in packets:
+            self._send_up(packet)

@@ -3,7 +3,11 @@
 Models the host side of the paper's client: a protocol stack whose
 processing delay is why TCP ACKs can never ride the Block ACK of the
 A-MPDU that elicited them (§3.2) — received segments are handed to TCP
-only after ``stack_delay_ns``, far longer than SIFS.
+only after ``stack_delay_ns``, far longer than SIFS.  A burst (the
+MPDUs one PPDU released) goes up in one hand-off and rides one
+:class:`~repro.sim.engine.Train`: each packet is still processed at
+``stack_delay_ns`` plus its place in the burst times the per-packet
+cost, but as a queue entry where it used to be a scheduled event.
 
 Holds TCP receivers (downloads), TCP senders (uploads), and a UDP sink.
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from ..core.driver import HackDriver
-from ..sim.engine import Simulator
+from ..sim.engine import Simulator, Train
 from ..sim.units import usec
 from ..tcp.receiver import TcpReceiver
 from ..tcp.segment import TcpSegment, UdpDatagram
@@ -42,6 +46,9 @@ class ClientNode:
         self.udp_snapshots: List[Tuple[int, int]] = []
         self._burst_index = 0
         self._last_burst_time = -1
+        #: Packets on their way up the stack: one train, where each
+        #: packet used to be one scheduled ``_stack_process`` event.
+        self._stack = Train(sim, self._stack_process)
 
     # ------------------------------------------------------------------
     def add_receiver(self, receiver: TcpReceiver) -> TcpReceiver:
@@ -63,22 +70,25 @@ class ClientNode:
     # ------------------------------------------------------------------
     # Driver callbacks
     # ------------------------------------------------------------------
-    def on_packet_received(self, packet: Any, sender: str) -> None:
-        """Hand a received packet to the host stack after its delay."""
-        if self.sim.now != self._last_burst_time:
-            self._last_burst_time = self.sim.now
+    def on_packets_received(self, packets: List[Any],
+                            sender: str) -> None:
+        """Hand a burst of received packets (one PPDU's worth) to the
+        host stack: each after the stack delay plus its place in the
+        burst times the per-packet cost."""
+        now = self.sim.now
+        if now != self._last_burst_time:
+            self._last_burst_time = now
             self._burst_index = 0
-        delay = self.stack_delay_ns + \
-            self._burst_index * self.per_packet_cost_ns
-        self._burst_index += 1
-        self.sim.schedule(delay, self._stack_process, packet)
+        index = self._burst_index
+        self._burst_index = index + len(packets)
+        push = self._stack.push
+        due = now + self.stack_delay_ns + index * self.per_packet_cost_ns
+        for packet in packets:
+            push(due, packet)
+            due += self.per_packet_cost_ns
 
     def _stack_process(self, packet: Any) -> None:
-        if isinstance(packet, UdpDatagram):
-            self.udp_bytes += packet.payload_bytes
-            self.udp_packets += 1
-            return
-        if isinstance(packet, TcpSegment):
+        if type(packet) is TcpSegment:
             if packet.is_pure_ack:
                 sender = self.senders.get(packet.flow_id)
                 if sender is not None:
@@ -87,6 +97,9 @@ class ClientNode:
                 receiver = self.receivers.get(packet.flow_id)
                 if receiver is not None:
                     receiver.on_segment(packet)
+        elif isinstance(packet, UdpDatagram):
+            self.udp_bytes += packet.payload_bytes
+            self.udp_packets += 1
 
     # ------------------------------------------------------------------
     # Stack output (ACKs from receivers, data from senders)

@@ -23,11 +23,13 @@ class ServerNode:
         self.sim = sim
         self.name = name
         self.link: Optional[WiredLink] = None
+        self._send = None  # the downlink pipe's send, once attached
         self.senders: Dict[int, TcpSender] = {}
         self.receivers: Dict[int, TcpReceiver] = {}
 
     def attach_link(self, link: WiredLink) -> None:
         self.link = link
+        self._send = link.sender_for(self)
 
     # ------------------------------------------------------------------
     def add_sender(self, sender: TcpSender) -> TcpSender:
@@ -48,8 +50,8 @@ class ServerNode:
 
     def send(self, packet: Any) -> None:
         """Transmit a packet toward the AP over the wired link."""
-        assert self.link is not None, "server link not attached"
-        self.link.send_from(self, packet)
+        assert self._send is not None, "server link not attached"
+        self._send(packet)
 
     # ------------------------------------------------------------------
     def receive_wired(self, packet: Any) -> None:

@@ -6,10 +6,12 @@ every event callback with ``perf_counter_ns`` and aggregates by
 *callback owner* — ``DcfMac._backoff_expired``, ``Medium._ifs_wake``
 (the IFS wait the medium runs for its contenders: the stations'
 ``_defer_done`` and whatever they go on to transmit are accounted
-there), ``WiredPipe._delivered`` — giving a per-subsystem event-type
-histogram and wall-time table without touching event semantics (the
-simulated timeline is read-only to the instrument, so golden rows stay
-bit-identical).
+there), ``ApNode.receive_wired`` / ``ClientNode._stack_process`` (a
+:class:`~repro.sim.engine.Train`'s deliveries are recorded one by one
+under its deliver callback, dispatched from the heap or not) — giving
+a per-subsystem event-type histogram and wall-time table without
+touching event semantics (the simulated timeline is read-only to the
+instrument, so golden rows stay bit-identical).
 
 The kernel has one run loop.  With no instrument installed it tests a
 local per event and never reads the clock; that loop's cost is the

@@ -67,28 +67,46 @@ class Compressor:
         return self.contexts[cid]
 
     # ------------------------------------------------------------------
-    def note_vanilla_ack(self, segment: TcpSegment) -> None:
-        """Record an ACK that is being sent uncompressed."""
+    def note_vanilla_ack(self, segment: TcpSegment
+                         ) -> Optional[CompressorContext]:
+        """Record an ACK that is being sent uncompressed; returns its
+        flow's context (None: not an ACK, or the flow lost its CID)."""
         if not segment.is_pure_ack:
-            return
+            return None
         context = self._context_for(segment, create=True)
         if context is not None:
             context.note_vanilla(segment)
+        return context
+
+    def established_context(self, segment: TcpSegment
+                            ) -> Optional[CompressorContext]:
+        """The context ``segment`` can be compressed against now, or
+        None when it must go out vanilla: a data segment, a flow that
+        lost its CID to another, or one the peer has not yet seen
+        ``init_threshold`` vanilla ACKs of."""
+        if not segment.is_pure_ack:
+            return None
+        context = self._context_for(segment, create=False)
+        if context is None or context.vanilla_seen < self.init_threshold:
+            return None
+        return context
 
     def can_compress(self, segment: TcpSegment) -> bool:
         """True if this ACK's flow has an established context."""
-        if not segment.is_pure_ack:
-            return False
-        context = self._context_for(segment, create=False)
-        return (context is not None
-                and context.vanilla_seen >= self.init_threshold)
+        return self.established_context(segment) is not None
 
-    def compress(self, segment: TcpSegment) -> CompressedAck:
-        """Compress one ACK, advancing the context and the MSN."""
-        context = self._context_for(segment, create=False)
-        if context is None or context.vanilla_seen < self.init_threshold:
-            raise ValueError("flow context not established; send the "
-                             "ACK vanilla first (use can_compress)")
+    def compress(self, segment: TcpSegment,
+                 context: Optional[CompressorContext] = None
+                 ) -> CompressedAck:
+        """Compress one ACK, advancing the context and the MSN.
+        ``context`` is what :meth:`established_context` just returned
+        for it, when the caller already asked."""
+        if context is None:
+            context = self.established_context(segment)
+            if context is None:
+                raise ValueError("flow context not established; send "
+                                 "the ACK vanilla first (use "
+                                 "can_compress)")
         same_cid = self._last_cid == context.cid
         msn = self.next_msn
         data, new_state = encode_entry(
@@ -100,8 +118,7 @@ class Compressor:
         self.next_msn += 1
         self.compressed_count += 1
         self.compressed_bytes += len(data)
-        return CompressedAck(msn=msn, cid=context.cid, data=data,
-                             segment=segment)
+        return CompressedAck(msn, context.cid, data, segment)
 
     def release_flow(self, five_tuple) -> bool:
         """Free the context (and CID) of a finished flow.

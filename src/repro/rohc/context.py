@@ -17,9 +17,10 @@ compress the newer flow, which degrades gracefully to vanilla ACKs.
 Hot-path notes: CID derivation runs per ACK (the compressor looks its
 context up by CID on every send), so the MD5 is memoised per 5-tuple
 key; :class:`DynamicState` is a ``__slots__`` class because one is
-allocated per encoded/decoded entry, and its CRC input is serialised
-with one ``struct.pack`` call (byte-identical to the historical
-``b"".join`` of five 8-byte big-endian fields).
+allocated per encoded/decoded entry (built positionally there), and
+its reference CRC input is serialised with one ``struct.pack`` call
+(byte-identical to the historical ``b"".join`` of five 8-byte
+big-endian fields).
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class DynamicState:
 
     def crc_input(self) -> bytes:
         """Canonical serialisation of the reconstructed dynamic header
-        fields, over which the per-packet CRC-3 is computed."""
+        fields, over which the per-packet CRC-3 is computed (the codec
+        gets the same CRC from :func:`~repro.rohc.crc.crc3_u64x5`
+        without building these bytes; this is the reference)."""
         return _CRC_PACK(self.ack & _U64, self.ts_val & _U64,
                          self.ts_ecr & _U64, self.rwnd & _U64,
                          self.seq & _U64)

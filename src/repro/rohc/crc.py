@@ -14,11 +14,19 @@ wall time).  For a reflected CRC of width <= 8 the bytewise recurrence
 collapses to ``crc = table[crc ^ byte]``, which is bit-identical to
 the bitwise fold — ``_crc_bitwise`` is retained as the executable
 reference the equivalence tests check the tables against.
+
+The codec's own CRC input is always the same shape — five u64 fields,
+40 bytes, most of them zero — so :func:`crc3_u64x5` skips both the
+serialisation and the zero bytes: the bytewise table is linear over
+GF(2) (``table[a ^ b] == table[a] ^ table[b]``), hence the CRC of the
+40 bytes is the CRC of 40 zero bytes XOR one per-position table entry
+for every non-zero byte.  ``crc3(DynamicState.crc_input())`` stays the
+reference it is property-tested against.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 #: Polynomials from RFC 5795: C(x) listed LSB-first as used there.
 CRC3_POLY = 0x6   # x^3 + x + 1
@@ -87,4 +95,44 @@ def crc8(data: bytes) -> int:
     table = _CRC8_TABLE
     for byte in data:
         crc = table[crc ^ byte]
+    return crc
+
+
+def _make_position_tables(table: List[int], init: int, length: int
+                          ) -> Tuple[List[List[int]], int]:
+    """Per-position tables for ``length``-byte inputs of a width <= 8
+    reflected CRC: ``tables[p][b]`` is what byte ``b`` at offset ``p``
+    contributes to the final state, and the second result is the CRC
+    of ``length`` zero bytes.  A byte's contribution passes through one
+    more zero-byte step (``table[state]``) for every byte after it, so
+    each table is built from the next one: ``length * 256`` lookups."""
+    tables = [table] * length
+    for position in range(length - 2, -1, -1):
+        tables[position] = [table[entry]
+                            for entry in tables[position + 1]]
+    zeros = init
+    for _ in range(length):
+        zeros = table[zeros]
+    return tables, zeros
+
+
+_CRC3_AT, _CRC3_ZEROS = _make_position_tables(_CRC3_TABLE, 0x7, 40)
+_U64 = 2**64 - 1
+
+
+def crc3_u64x5(a: int, b: int, c: int, d: int, e: int) -> int:
+    """``crc3(struct.pack(">QQQQQ", a, b, c, d, e))`` with every value
+    taken modulo 2**64, without building the bytes: one table lookup
+    per byte up to each value's highest non-zero one."""
+    crc = _CRC3_ZEROS
+    tables = _CRC3_AT
+    lowest = 7  # offset of the first value's least significant byte
+    for value in (a, b, c, d, e):
+        value &= _U64
+        position = lowest
+        while value:
+            crc ^= tables[position][value & 0xFF]
+            value >>= 8
+            position -= 1
+        lowest += 8
     return crc

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..tcp.segment import TcpSegment
 from .context import DecompressorContext, cid_for_flow
-from .crc import crc3
+from .crc import crc3_u64x5
 from .packets import ACK_ABSOLUTE, ParseError, apply_entry, parse_frame
 from .wlsb import lsb_decode
 
@@ -205,7 +205,9 @@ class Decompressor:
             self.damaged_skips += 1
             return None
         new_state = apply_entry(entry, context.state)
-        if crc3(new_state.crc_input()) != entry.crc:
+        # The CRC-3 of new_state.crc_input(), fields in that order.
+        if crc3_u64x5(new_state.ack, new_state.ts_val, new_state.ts_ecr,
+                      new_state.rwnd, new_state.seq) != entry.crc:
             self.crc_failures += 1
             streak = self._crc_streaks.get(cid, 0) + 1
             self._crc_streaks[cid] = streak
@@ -232,11 +234,9 @@ class Decompressor:
             self._mark_recovered(cid)
         self.acks_reconstructed += 1
         return TcpSegment(
-            flow_id=context.flow_id, src=context.src, dst=context.dst,
-            seq=new_state.seq, payload_bytes=0, ack=new_state.ack,
-            rwnd=new_state.rwnd, ts_val=new_state.ts_val,
-            ts_ecr=new_state.ts_ecr, sack_blocks=entry.sack_blocks,
-            five_tuple=context.five_tuple)
+            context.flow_id, context.src, context.dst, new_state.seq,
+            0, new_state.ack, new_state.rwnd, new_state.ts_val,
+            new_state.ts_ecr, entry.sack_blocks, context.five_tuple)
 
     # ------------------------------------------------------------------
     def _mark_recovered(self, cid: int) -> None:

@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .context import DynamicState
-from .crc import crc3
+from .crc import crc3_u64x5
 
 ACK_STRIDE, ACK_D8, ACK_D16, ACK_ABSOLUTE = 0, 1, 2, 3
 TS_UNCHANGED, TS_D8, TS_D16, TS_ABSOLUTE = 0, 1, 2, 3
@@ -107,10 +107,11 @@ def encode_entry(state: DynamicState, segment, cid: int, same_cid: bool,
                 or segment.ts_ecr >= 1 << 32)
 
     new_state = DynamicState(
-        ack=segment.ack, ack_delta=0 if absolute else d_ack,
-        ts_val=segment.ts_val, ts_ecr=segment.ts_ecr,
-        rwnd=segment.rwnd, seq=segment.seq)
-    crc = crc3(new_state.crc_input())
+        segment.ack, 0 if absolute else d_ack, segment.ts_val,
+        segment.ts_ecr, segment.rwnd, segment.seq)
+    # The CRC-3 of new_state.crc_input(), fields in that order.
+    crc = crc3_u64x5(segment.ack, segment.ts_val, segment.ts_ecr,
+                     segment.rwnd, segment.seq)
 
     # The entry is assembled into one bytearray: two header bytes are
     # reserved up front and patched once the modes are known, avoiding
@@ -223,10 +224,8 @@ def parse_entry(data: bytes, offset: int) -> DecodedEntry:
         raise ParseError("truncated entry header")
     pos = offset + 2
     entry = DecodedEntry(
-        ack_mode=(ctrl >> 6) & 0x3, ts_mode=(ctrl >> 4) & 0x3,
-        same_cid=bool(ctrl & 0x08), crc=ctrl & 0x07,
-        msn_nibble=(byte1 >> 4) & 0xF,
-        wnd_present=bool(byte1 & 0x08), cid=None)
+        (ctrl >> 6) & 0x3, (ctrl >> 4) & 0x3, bool(ctrl & 0x08),
+        ctrl & 0x07, (byte1 >> 4) & 0xF, bool(byte1 & 0x08), None)
     sack_present = bool(byte1 & 0x04)
 
     if not entry.same_cid:
@@ -297,19 +296,16 @@ def apply_entry(entry: DecodedEntry, state: DynamicState
                 ) -> DynamicState:
     """Apply a parsed entry to a context's dynamic state (pure)."""
     if entry.ack_mode == ACK_ABSOLUTE:
-        return DynamicState(
-            ack=entry.abs_ack, ack_delta=0, ts_val=entry.abs_ts_val,
-            ts_ecr=entry.abs_ts_ecr, rwnd=entry.abs_wnd,
-            seq=entry.abs_seq)
+        return DynamicState(entry.abs_ack, 0, entry.abs_ts_val,
+                            entry.abs_ts_ecr, entry.abs_wnd,
+                            entry.abs_seq)
     if entry.ack_mode == ACK_STRIDE:
         d_ack, new_stride = state.ack_delta, state.ack_delta
     else:
         d_ack, new_stride = entry.d_ack, entry.d_ack
     return DynamicState(
-        ack=state.ack + d_ack, ack_delta=new_stride,
-        ts_val=state.ts_val + entry.d_tv,
-        ts_ecr=state.ts_ecr + entry.d_te,
-        rwnd=state.rwnd + entry.d_wnd, seq=state.seq)
+        state.ack + d_ack, new_stride, state.ts_val + entry.d_tv,
+        state.ts_ecr + entry.d_te, state.rwnd + entry.d_wnd, state.seq)
 
 
 # ----------------------------------------------------------------------

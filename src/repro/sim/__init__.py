@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate: engine, medium, wired links."""
 
-from .engine import Event, Simulator, Timer
+from .engine import Event, Simulator, Timer, Train
 from .medium import Medium, MediumListener, Transmission
 from .rng import RngRegistry
 from .units import MS, NS, SEC, US, msec, sec, throughput_mbps, to_msec, \
@@ -8,7 +8,7 @@ from .units import MS, NS, SEC, US, msec, sec, throughput_mbps, to_msec, \
 from .wired import WiredLink, WiredPipe
 
 __all__ = [
-    "Event", "Simulator", "Timer", "Medium", "MediumListener",
+    "Event", "Simulator", "Timer", "Train", "Medium", "MediumListener",
     "Transmission",
     "RngRegistry", "WiredLink", "WiredPipe",
     "NS", "US", "MS", "SEC", "usec", "msec", "sec",

@@ -7,7 +7,7 @@ are unique).  Ties on time are broken first by an explicit priority
 (lower runs first) and then by insertion order, which makes runs fully
 deterministic.
 
-Two kinds of item sit in the heap:
+Three kinds of item sit in the heap:
 
 * an :class:`Event` — one callback at one fixed time.  Cancelling it is
   O(1): the entry is marked dead and skipped when popped.  The MAC's
@@ -32,6 +32,20 @@ Two kinds of item sit in the heap:
   execution order is identical by construction.  On the ten-client
   bulk cell this removes 94 014 of 449 974 heap pushes and all 2 125
   heap compactions.
+* a :class:`Train` — a FIFO of timed deliveries to one callback (the
+  packets in flight on a wired pipe, the MPDUs of a burst on their way
+  up a client's stack).  :meth:`Train.push` takes a sequence number
+  exactly where ``schedule_at()`` would have and appends the very
+  ``(time, 0, seq, arg)`` tuple it would have pushed, but only the
+  train's head is in the heap.  When the run loop dispatches it the
+  train keeps delivering inline while its next item compares below
+  ``heap[0]`` — and since every other train's items sort at or after
+  that train's own heap entry, "below ``heap[0]``" means "the smallest
+  key anywhere".  Each item therefore runs under the very key a heap
+  event would have given it, and execution order is identical by
+  construction.  On the ten-client HACK cell 271 698 of 316 145
+  callbacks are delivered this way and heap pushes fall from 325 589
+  to 53 850.
 
 The heap is kept hygienic under heavy cancellation: a live counter
 makes :attr:`Simulator.pending_events` O(1), and the heap is compacted
@@ -40,21 +54,26 @@ outnumber live ones, so a long run that schedules and cancels millions
 of timers keeps a bounded heap instead of accreting garbage until the
 run ends.
 
-:attr:`Simulator.stats` counts heap pushes (``scheduled``), dispatched
-callbacks (``executed``), entries that will never dispatch
-(``cancelled``: an event when it is cancelled; a timer's entry when an
-earlier one supersedes it, when the timer is closed, or when it pops
-as a mere stand-in), compactions and the timer arms that needed no
+:attr:`Simulator.stats` counts heap pushes (``scheduled``), callbacks
+dispatched from the heap (``executed``), entries that will never
+dispatch (``cancelled``: an event when it is cancelled; a timer's entry
+when an earlier one supersedes it, when the timer is closed, or when it
+pops as a mere stand-in), compactions and the timer arms that needed no
 push (``timer_rearms``), so ``scheduled`` always equals ``executed`` +
-``cancelled`` + the entries still of use; scenario results surface it
-so benchmarks can report kernel overhead alongside goodput.
+``cancelled`` + the entries still of use.  The deliveries a train made
+without a dispatch are ``inlined``: ``executed + inlined`` is the
+number of callbacks run, whatever share of them went through the heap.
+Scenario results surface the counters so benchmarks can report kernel
+overhead alongside goodput.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, \
+    Tuple
 
 from .units import SEC
 
@@ -218,15 +237,93 @@ class Timer:
         return f"<Timer {state}>"
 
 
+class Train:
+    """A FIFO of timed deliveries with at most one heap entry.
+
+    ``push(time, arg)`` behaves exactly like
+    ``sim.schedule_at(time, deliver, arg)`` — the same sequence number
+    is consumed, so ``deliver(arg)`` runs in the same position — but
+    only the head of the queue sits in the heap.  When the run loop
+    dispatches that entry the train delivers the head and then keeps
+    delivering, advancing the clock itself, for as long as its next
+    item sorts before everything in the heap (re-read after every
+    delivery: a delivery may schedule something earlier, at a negative
+    priority included), lies before the run's horizon, and the run has
+    not been stopped; otherwise it queues one entry for its new head.
+
+    Why the order is exact: an item is the very tuple
+    ``(time, 0, seq, ...)`` ``schedule_at`` would have pushed, and the
+    queue is sorted by it (times are FIFO, sequence numbers grow).  An
+    item is delivered either from the heap under that key, or inline
+    at a moment when it compares below ``heap[0]`` — and every item of
+    every *other* train sorts at or after that train's own head, which
+    is in the heap.  So whatever runs next is always the globally
+    smallest key, which is all a heap of one entry per item would have
+    guaranteed.  A push that is not FIFO (earlier than the tail)
+    cannot join the queue and becomes a plain :class:`Event` under the
+    sequence number it reserved.
+    """
+
+    __slots__ = ("sim", "callback", "_items", "_queued_seq")
+
+    #: Like a :class:`Timer`, told from an :class:`Event` by ``args``.
+    args = None
+    cancelled = False
+
+    def __init__(self, sim: "Simulator", deliver: Callable[[Any], Any]):
+        self.sim = sim
+        self.callback = deliver
+        #: Undelivered ``(time, 0, seq, arg)`` items, oldest first.
+        self._items: Deque[Tuple[int, int, int, Any]] = deque()
+        #: Sequence number of the head's heap entry; -1 while the run
+        #: loop is delivering from this train; 0 when it is empty.
+        self._queued_seq = 0
+
+    def push(self, time: int, arg: Any) -> None:
+        """Queue ``deliver(arg)`` at the absolute timestamp ``time``."""
+        sim = self.sim
+        if time < sim.now:
+            raise ValueError(
+                f"cannot schedule in the past: {time} < now {sim.now}")
+        sim._seq = seq = sim._seq + 1
+        items = self._items
+        if not self._queued_seq:
+            items.append((time, 0, seq, arg))
+            self._queued_seq = seq
+            heappush(sim._heap, (time, 0, seq, self))
+        elif items and time < items[-1][0]:
+            heappush(sim._heap, (time, 0, seq, Event(
+                time, 0, seq, self.callback, (arg,), sim)))
+        else:
+            items.append((time, 0, seq, arg))
+            sim._queued += 1
+            return
+        sim._live += 1
+        sim.stats.scheduled += 1
+
+    def __len__(self) -> int:
+        """Items queued and not yet delivered."""
+        return len(self._items)
+
+    def newest_first(self) -> Iterator[Tuple[int, Any]]:
+        """``(time, arg)`` of every queued item, latest push first
+        (non-FIFO pushes, which became events, excluded)."""
+        return ((item[0], item[3]) for item in reversed(self._items))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Train queued={len(self._items)}>"
+
+
 class SimStats:
     """Kernel counters, cheap enough to keep always-on."""
 
-    __slots__ = ("scheduled", "executed", "cancelled", "compactions",
-                 "timer_rearms")
+    __slots__ = ("scheduled", "executed", "inlined", "cancelled",
+                 "compactions", "timer_rearms")
 
     def __init__(self) -> None:
         self.scheduled = 0
         self.executed = 0
+        self.inlined = 0
         self.cancelled = 0
         self.compactions = 0
         self.timer_rearms = 0
@@ -235,6 +332,7 @@ class SimStats:
         return {
             "events_scheduled": self.scheduled,
             "events_executed": self.executed,
+            "events_inlined": self.inlined,
             "events_cancelled": self.cancelled,
             "heap_compactions": self.compactions,
             "timer_rearms": self.timer_rearms,
@@ -242,7 +340,8 @@ class SimStats:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SimStats scheduled={self.scheduled} "
-                f"executed={self.executed} cancelled={self.cancelled} "
+                f"executed={self.executed} inlined={self.inlined} "
+                f"cancelled={self.cancelled} "
                 f"compactions={self.compactions} "
                 f"timer_rearms={self.timer_rearms}>")
 
@@ -262,10 +361,13 @@ class Simulator:
         self.stats = SimStats()
         self._heap: List[Tuple[int, int, int, Any]] = []
         self._seq: int = 0
-        #: Pending events plus armed timers, and the disarmed timers
-        #: whose entry is parked: what compaction must keep.
+        #: Pending events, armed timers and train heads, and the
+        #: disarmed timers whose entry is parked: what compaction must
+        #: keep.  Train items behind their head are pending but not in
+        #: the heap.
         self._live: int = 0
         self._parked: int = 0
+        self._queued: int = 0
         self._running = False
         self._stopped = False
         self._frame_ids: int = 0
@@ -276,7 +378,8 @@ class Simulator:
         """Install (or clear, with ``None``) a span instrument.
 
         The instrument's ``record(callback, sim_ns, wall_ns)`` is
-        invoked after every executed event.  It observes the timeline;
+        invoked after every executed event and every delivery a
+        :class:`Train` makes inline.  It observes the timeline;
         it must never mutate it — event order, timestamps and
         scheduling behaviour are identical with and without it.
         """
@@ -358,7 +461,9 @@ class Simulator:
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
         """Run events until the heap drains, ``until`` is reached, or
-        ``max_events`` have executed.  Returns the number of events run.
+        ``max_events`` have executed.  Returns the number of callbacks
+        run (a :class:`Train`'s inline deliveries included; there are
+        none under ``max_events``, which counts heap dispatches).
 
         ``until`` is exclusive: an event at exactly ``until`` does not run,
         and ``now`` is advanced to ``until`` when the horizon is hit (the
@@ -367,9 +472,12 @@ class Simulator:
         """
         if until is None:
             until = _FOREVER
+        # A train delivers inline only up to the horizon, and not at
+        # all while a budget is set: every delivery is then a dispatch.
+        inline_until = until if max_events is None else -1
         if max_events is None:
             max_events = float("inf")
-        executed = 0
+        executed = inlined = 0
         self._running = True
         self._stopped = False
         heap = self._heap
@@ -394,6 +502,12 @@ class Simulator:
                 heappop(heap)
                 args = event.args
                 if args is None:
+                    if event.__class__ is Train:
+                        self._live -= 1
+                        inlined += self._run_train(event, inline_until,
+                                                   record)
+                        executed += 1
+                        continue
                     # A Timer's entry: fires only if it is the armed
                     # deadline, else it was re-queued or dropped —
                     # without touching the clock or the event count.
@@ -419,7 +533,52 @@ class Simulator:
         finally:
             self._running = False
             self.stats.executed += executed
-        return executed
+            self.stats.inlined += inlined
+        return executed + inlined
+
+    def _run_train(self, train: Train, until: int, record) -> int:
+        """Deliver the head of ``train`` (its heap entry was just
+        popped), then every following item that still sorts before the
+        whole heap and lies before ``until``; queue one entry for what
+        is left.  Returns the number delivered inline."""
+        heap = self._heap
+        items = train._items
+        deliver = train.callback
+        train._queued_seq = -1
+        item = items.popleft()
+        inlined = 0
+        try:
+            while True:
+                self.now = time = item[0]
+                if record is None:
+                    deliver(item[3])
+                else:
+                    started = perf_counter_ns()
+                    deliver(item[3])
+                    record(deliver, time, perf_counter_ns() - started)
+                if not items:
+                    break
+                item = items[0]
+                # ``heap[0] < item`` is one C tuple comparison that
+                # stops at the (unique) sequence numbers.
+                if (item[0] >= until or self._stopped
+                        or (heap and heap[0] < item)):
+                    break
+                items.popleft()
+                self._queued -= 1
+                inlined += 1
+        finally:
+            # Also on an exception: the rest of the train stays due.
+            if items:
+                time, _, seq, _ = items[0]
+                train._queued_seq = seq
+                heappush(heap, (time, 0, seq, train))
+                self._queued -= 1
+                self._live += 1
+                self.stats.scheduled += 1
+            else:
+                train._queued_seq = 0
+        return inlined
 
     def stop(self) -> None:
         """Request the run loop to stop after the current event."""
@@ -434,10 +593,10 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events and armed timers still
-        queued.  O(1)."""
-        return self._live
+        """Number of not-yet-cancelled events, armed timers and
+        undelivered train items still queued.  O(1)."""
+        return self._live + self._queued
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Simulator now={self.now} pending={self._live} "
+        return (f"<Simulator now={self.now} pending={self.pending_events} "
                 f"heap={len(self._heap)}>")

@@ -9,11 +9,24 @@ bound.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
-from .engine import Simulator
+from .engine import Simulator, Train
 from .units import transmission_time_ns
+
+
+class _TxTimes(dict):
+    """Transmission time in ns by byte length at one rate, computed on
+    first use (a run sees a handful of lengths)."""
+
+    def __init__(self, rate_mbps: float):
+        super().__init__()
+        self.rate_mbps = rate_mbps
+
+    def __missing__(self, num_bytes: int) -> int:
+        self[num_bytes] = tx_time = transmission_time_ns(
+            num_bytes, self.rate_mbps)
+        return tx_time
 
 
 class WiredPipe:
@@ -25,15 +38,20 @@ class WiredPipe:
     Because the pipe is a FIFO with a fixed rate and delay, every
     packet's delivery timestamp is known the moment it is accepted, so
     serialisation is tracked as plain arithmetic (``_busy_until``) and
-    each packet costs exactly one simulator event (its delivery)
-    instead of the historical serialisation-complete + propagation
-    pair.  Delivery times, FIFO order, drop-tail decisions and the
-    counters' timing (``packets_sent`` reflects serialisation
-    completion, not delivery) match the two-event formulation, with
-    one convention pinned down: at the exact instant a serialisation
-    boundary falls, the packet counts as serialised/started — where
-    the old code's answer depended on whether its boundary event had
-    already run within that same timestamp.
+    the accepted packets ride one :class:`~repro.sim.engine.Train`:
+    where each packet used to cost one simulator event (its delivery;
+    historically a serialisation-complete + propagation pair), a burst
+    now costs one heap entry and ``deliver`` is the train's callback.
+    The train is also the only per-packet state: the counters are
+    derived on read from the packets still queued in it (serialisation
+    end = delivery - delay, start = end - transmission time).
+    Delivery times, FIFO order, drop-tail decisions and the counters'
+    timing (``packets_sent`` reflects serialisation completion, not
+    delivery) match the two-event formulation, with one convention
+    pinned down: at the exact instant a serialisation boundary falls,
+    the packet counts as serialised/started — where the old code's
+    answer depended on whether its boundary event had already run
+    within that same timestamp.
     """
 
     def __init__(self, sim: Simulator, rate_mbps: float, delay_ns: int,
@@ -46,74 +64,63 @@ class WiredPipe:
         self.sim = sim
         self.rate_mbps = rate_mbps
         self.delay_ns = delay_ns
-        self.deliver = deliver
         self.queue_limit = queue_limit
         #: When the last accepted packet finishes serialising.
         self._busy_until = 0
-        #: (serialisation start, serialisation end, bytes) per accepted
-        #: packet, folded into the counters as the clock passes each
-        #: end; the entries still ahead of the clock are the queue.
-        self._pending: Deque[tuple] = deque()
+        self._train = Train(sim, deliver)
+        self._tx_time_ns = _TxTimes(rate_mbps)
         #: Stats
-        self._packets_sent = 0
-        self._bytes_sent = 0
+        self._packets_accepted = 0
+        self._bytes_accepted = 0
         self.packets_dropped = 0
-
-    def _advance(self) -> None:
-        """Fold serialisations the clock has passed into the counters."""
-        pending = self._pending
-        now = self.sim.now
-        while pending and pending[0][1] <= now:
-            _, _, nbytes = pending.popleft()
-            self._packets_sent += 1
-            self._bytes_sent += nbytes
 
     def send(self, packet: Any) -> bool:
         """Enqueue a packet; returns False (and drops) if the queue is full."""
-        self._advance()
         if (self.queue_limit is not None
                 and self.queue_depth >= self.queue_limit):
             self.packets_dropped += 1
             return False
-        now = self.sim.now
-        start = self._busy_until if self._busy_until > now else now
-        tx_time = transmission_time_ns(packet.byte_length, self.rate_mbps)
-        self._busy_until = start + tx_time
-        self._pending.append((start, self._busy_until,
-                              packet.byte_length))
-        self.sim.schedule_at(self._busy_until + self.delay_ns,
-                             self._delivered, packet)
+        start = self._busy_until
+        if start < self.sim.now:
+            start = self.sim.now
+        num_bytes = packet.byte_length
+        self._busy_until = end = start + self._tx_time_ns[num_bytes]
+        self._packets_accepted += 1
+        self._bytes_accepted += num_bytes
+        self._train.push(end + self.delay_ns, packet)
         return True
+
+    def _unsent(self) -> Tuple[int, int, int]:
+        """(packets, bytes, packets not yet begun) among the accepted
+        packets whose serialisation ends after ``now``.  Serialisation
+        is FIFO-contiguous, so those are the newest ones."""
+        now = self.sim.now
+        packets = num_bytes = waiting = 0
+        for delivery, packet in self._train.newest_first():
+            end = delivery - self.delay_ns
+            if end <= now:
+                break
+            packets += 1
+            num_bytes += packet.byte_length
+            if end - self._tx_time_ns[packet.byte_length] > now:
+                waiting += 1
+        return packets, num_bytes, waiting
 
     @property
     def queue_depth(self) -> int:
-        """Packets accepted but not yet begun serialising.  O(1):
-        after ``_advance()`` every remaining entry ends after ``now``,
-        and FIFO-contiguous serialisation means only the head can have
-        started (any later entry starts at or after the head's end) —
-        so the depth is the backlog minus that in-flight head."""
-        self._advance()
-        pending = self._pending
-        in_flight = 1 if pending and pending[0][0] <= self.sim.now \
-            else 0
-        return len(pending) - in_flight
+        """Packets accepted but not yet begun serialising."""
+        return self._unsent()[2]
 
     @property
     def packets_sent(self) -> int:
         """Packets fully serialised onto the wire (propagation may
         still be in progress), exactly as the two-event pipe counted."""
-        self._advance()
-        return self._packets_sent
+        return self._packets_accepted - self._unsent()[0]
 
     @property
     def bytes_sent(self) -> int:
         """Bytes fully serialised onto the wire."""
-        self._advance()
-        return self._bytes_sent
-
-    def _delivered(self, packet: Any) -> None:
-        self._advance()
-        self.deliver(packet)
+        return self._bytes_accepted - self._unsent()[1]
 
 
 class WiredLink:
@@ -128,19 +135,22 @@ class WiredLink:
         self.a = a
         self.b = b
         self._a_to_b = WiredPipe(sim, rate_mbps, delay_ns,
-                                 lambda pkt: b.receive_wired(pkt),
-                                 queue_limit)
+                                 b.receive_wired, queue_limit)
         self._b_to_a = WiredPipe(sim, rate_mbps, delay_ns,
-                                 lambda pkt: a.receive_wired(pkt),
-                                 queue_limit)
+                                 a.receive_wired, queue_limit)
+
+    def sender_for(self, endpoint: Any) -> Callable[[Any], bool]:
+        """The ``send(packet)`` of the pipe leaving ``endpoint`` — for
+        a node to bind once instead of dispatching per packet."""
+        if endpoint is self.a:
+            return self._a_to_b.send
+        if endpoint is self.b:
+            return self._b_to_a.send
+        raise ValueError("endpoint is not attached to this link")
 
     def send_from(self, endpoint: Any, packet: Any) -> bool:
         """Send ``packet`` from one of the two attached endpoints."""
-        if endpoint is self.a:
-            return self._a_to_b.send(packet)
-        if endpoint is self.b:
-            return self._b_to_a.send(packet)
-        raise ValueError("endpoint is not attached to this link")
+        return self.sender_for(endpoint)(packet)
 
     def pipes(self) -> Tuple[WiredPipe, WiredPipe]:
         """(a->b pipe, b->a pipe), mainly for stats inspection."""
@@ -148,5 +158,5 @@ class WiredLink:
 
     def queue_depths(self) -> Tuple[int, int]:
         """(a->b depth, b->a depth) — for the server->AP backhaul
-        that is (downlink queue, uplink queue).  O(1) per pipe."""
+        that is (downlink queue, uplink queue)."""
         return self._a_to_b.queue_depth, self._b_to_a.queue_depth

@@ -20,7 +20,7 @@ Packet kinds are taken from payload ``kind`` attributes
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict
+from typing import Any, Dict, Iterable
 
 from ..obs.metrics import merge_counts
 
@@ -71,11 +71,13 @@ class MacStats:
         kind = "bar" if job.kind == "bar" else job.stat_kind
         self.exchange_successes[kind] += 1
 
-    def on_mpdu_delivered(self, addr: str, mpdu: Any) -> None:
-        if mpdu.retry_count == 0:
-            self.delivered_first_attempt[mpdu.dst] += 1
-        else:
-            self.delivered_after_retry[mpdu.dst] += 1
+    def on_mpdus_delivered(self, addr: str, mpdus: Iterable[Any]) -> None:
+        """The MPDUs one acknowledged exchange delivered."""
+        for mpdu in mpdus:
+            if mpdu.retry_count == 0:
+                self.delivered_first_attempt[mpdu.dst] += 1
+            else:
+                self.delivered_after_retry[mpdu.dst] += 1
 
     def on_mpdu_dropped(self, addr: str, mpdu: Any) -> None:
         self.mpdus_dropped[mpdu.dst] += 1

@@ -77,7 +77,8 @@ class TcpReceiver:
         had_hole = bool(self._ooo)
         advanced = segment.end_seq - self.rcv_nxt
         self.rcv_nxt = segment.end_seq
-        self._drain_ooo()
+        if had_hole:
+            self._drain_ooo()
         self._deliver(advanced)
         if had_hole:
             # Filling (part of) a hole: ACK immediately so the sender's
@@ -129,12 +130,9 @@ class TcpReceiver:
         self._pending_ack_segments = 0
         self._delack_timer.cancel()
         ack = TcpSegment(
-            flow_id=self.flow_id, src=self.src, dst=self.dst,
-            seq=0, payload_bytes=0, ack=self.rcv_nxt,
-            rwnd=self.rwnd_bytes,
-            ts_val=self.sim.now // MS, ts_ecr=self._last_ts_val,
-            sack_blocks=self._sack_blocks(),
-            five_tuple=self.five_tuple)
+            self.flow_id, self.src, self.dst, 0, 0, self.rcv_nxt,
+            self.rwnd_bytes, self.sim.now // MS, self._last_ts_val,
+            self._sack_blocks() if self._ooo else (), self.five_tuple)
         self.acks_sent += 1
         self.output(ack)
 

@@ -13,10 +13,13 @@ deltas tiny and ROHC-compressible.
 
 These classes are created once per simulated packet — the hottest
 allocation site in the whole simulator — so they are ``__slots__``
-classes with geometry (``header_bytes`` / ``byte_length``) computed
-once at construction.  Segments are immutable by convention: no layer
-rewrites a field after a segment is built (senders and receivers
-always construct fresh segments), so the cached lengths cannot go
+classes with geometry (``header_bytes`` / ``byte_length`` /
+``end_seq``) and the data-or-ACK test (``is_pure_ack``, asked of every
+packet at every hop) computed once at construction, and the three
+sites that build one per packet (sender, receiver, decompressor) pass
+the fields positionally.  Segments are immutable by convention: no
+layer rewrites a field after a segment is built (senders and receivers
+always construct fresh segments), so the cached values cannot go
 stale.
 """
 
@@ -77,7 +80,7 @@ class TcpSegment:
     __slots__ = ("flow_id", "src", "dst", "seq", "payload_bytes",
                  "ack", "rwnd", "ts_val", "ts_ecr", "sack_blocks",
                  "five_tuple", "header_bytes", "byte_length",
-                 "_hack_init_ordinal")
+                 "is_pure_ack", "end_seq", "_hack_init_ordinal")
 
     def __init__(self, flow_id: int, src: str, dst: str, seq: int,
                  payload_bytes: int, ack: int, rwnd: int,
@@ -102,17 +105,11 @@ class TcpSegment:
                 SACK_BLOCK_BYTES * len(sack_blocks)
         self.header_bytes = header
         self.byte_length = header + payload_bytes
+        self.is_pure_ack = payload_bytes == 0
+        self.end_seq = seq + payload_bytes
         #: Per-flow vanilla ordinal tag (set by the HACK driver so the
         #: opportunistic pull can spare context-establishing ACKs).
         self._hack_init_ordinal = 0
-
-    @property
-    def is_pure_ack(self) -> bool:
-        return self.payload_bytes == 0
-
-    @property
-    def end_seq(self) -> int:
-        return self.seq + self.payload_bytes
 
     @property
     def kind(self) -> str:

@@ -156,6 +156,34 @@ class TcpSender:
         self._try_send()
 
     def _try_send(self) -> None:
+        if self.pacing or (self.use_sack and self.in_recovery):
+            self._try_send_gated()
+        else:
+            # The common case: nothing gates a segment but the window.
+            # ``output`` never re-enters the sender (it queues the
+            # segment on a pipe or a MAC), so the window, the timestamps
+            # and the identity fields cannot change under the loop and
+            # are read once.
+            mss = self.mss
+            total = self.total_bytes
+            room = min(self.cwnd, self.peer_rwnd) + self.snd_una - mss
+            seq = self.snd_nxt
+            flow_id, src, dst = self.flow_id, self.src, self.dst
+            ts_val, ts_ecr = self.sim.now // MS, self._peer_ts_val
+            five_tuple, output = self.five_tuple, self.output
+            while seq <= room and (total is None or seq < total):
+                length = mss if total is None else min(mss, total - seq)
+                self.segments_sent += 1
+                output(TcpSegment(flow_id, src, dst, seq, length, 0, 0,
+                                  ts_val, ts_ecr, (), five_tuple))
+                seq += length
+                self.snd_nxt = seq
+        if self.snd_nxt > self.snd_una and not self._rto_timer.armed:
+            self._arm_rto()
+
+    def _try_send_gated(self) -> None:
+        """The general loop: SACK recovery sends on the pipe estimate,
+        pacing may close the gate between any two segments."""
         while self._has_data_at(self.snd_nxt):
             if self.use_sack and self.in_recovery:
                 # Pipe-based sending (RFC 6675): SACKed bytes have left
@@ -174,18 +202,12 @@ class TcpSender:
             self.snd_nxt += length
             if self.pacing:
                 self._note_paced_send()
-        if self.flight_size > 0 and not self._rto_timer.armed:
-            self._arm_rto()
 
     def _emit(self, seq: int, length: int) -> None:
-        segment = TcpSegment(
-            flow_id=self.flow_id, src=self.src, dst=self.dst,
-            seq=seq, payload_bytes=length, ack=0,
-            rwnd=0, ts_val=self.sim.now // MS,
-            ts_ecr=self._peer_ts_val,
-            five_tuple=self.five_tuple)
         self.segments_sent += 1
-        self.output(segment)
+        self.output(TcpSegment(
+            self.flow_id, self.src, self.dst, seq, length, 0, 0,
+            self.sim.now // MS, self._peer_ts_val, (), self.five_tuple))
 
     # ------------------------------------------------------------------
     # ACK processing

@@ -43,8 +43,8 @@ class FakeNode:
     def __init__(self):
         self.received = []
 
-    def on_packet_received(self, packet, sender):
-        self.received.append((packet, sender))
+    def on_packets_received(self, packets, sender):
+        self.received.extend((packet, sender) for packet in packets)
 
 
 def tcp_ack(ack_no, ts=10, flow_id=1):

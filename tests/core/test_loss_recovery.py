@@ -58,9 +58,10 @@ class ApSide:
     def __init__(self):
         self.acks_received = []
 
-    def on_packet_received(self, packet, sender):
-        if isinstance(packet, TcpSegment) and packet.is_pure_ack:
-            self.acks_received.append(packet.ack)
+    def on_packets_received(self, packets, sender):
+        self.acks_received.extend(
+            packet.ack for packet in packets
+            if isinstance(packet, TcpSegment) and packet.is_pure_ack)
 
 
 class ClientSide:
@@ -74,6 +75,10 @@ class ClientSide:
         self.pending = 0
         self.data_received = []
         self.ts = 100
+
+    def on_packets_received(self, packets, sender):
+        for packet in packets:
+            self.on_packet_received(packet, sender)
 
     def on_packet_received(self, packet, sender):
         if not isinstance(packet, TcpSegment) or packet.is_pure_ack:

@@ -31,8 +31,8 @@ class FakeNode:
     def __init__(self):
         self.received = []
 
-    def on_packet_received(self, packet, sender):
-        self.received.append(packet)
+    def on_packets_received(self, packets, sender):
+        self.received.extend(packets)
 
 
 def make_driver(sim=None, stall_guard=msec(50)):

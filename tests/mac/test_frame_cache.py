@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.mac.frames import AckFrame, AmpduFrame, BarFrame, \
-    BlockAckFrame, DataFrame, Mpdu, mpdu_byte_length
+    BlockAckFrame, DataFrame, Mpdu
 from repro.mac.params import ACK_BYTES, BAR_BYTES, BLOCK_ACK_BYTES, \
     MAC_DATA_OVERHEAD, mpdu_subframe_bytes
 from repro.phy.params import PHY_11N
@@ -32,7 +32,6 @@ class TestMpduGeometry:
     def test_cached_length_matches_formula(self, size):
         frame = mpdu(size=size)
         assert frame.byte_length == MAC_DATA_OVERHEAD + size
-        assert frame.byte_length == mpdu_byte_length(frame.payload)
 
     @given(retries=st.integers(min_value=1, max_value=12))
     def test_geometry_free_mutations_keep_length(self, retries):

@@ -76,9 +76,8 @@ class TestUdpSource:
         sent_times = []
 
         class Link:
-            def send_from(self, endpoint, packet):
-                sent_times.append(sim.now)
-                return True
+            def sender_for(self, endpoint):
+                return lambda packet: sent_times.append(sim.now)
 
         server.attach_link(Link())
         source = UdpSource(sim, server, "C1", rate_mbps=12.0,
@@ -97,7 +96,10 @@ class TestUdpSource:
             def __init__(self):
                 self.count = 0
 
-            def send_from(self, endpoint, packet):
+            def sender_for(self, endpoint):
+                return self.send
+
+            def send(self, packet):
                 self.count += 1
 
         link = Link()
@@ -127,7 +129,7 @@ class TestApBridge:
         sender = TcpSender(sim, 1, "SRV", "C1", output=sent.append)
         server.add_sender(sender)
         sender.start()
-        ap.on_packet_received(ack_segment(ack=1460), "C1")
+        ap.on_packets_received([ack_segment(ack=1460)], "C1")
         sim.run()
         assert sender.snd_una == 1460
 
@@ -156,7 +158,7 @@ class TestClient:
         receiver = TcpReceiver(sim, 1, "C1", "SRV", output=acks.append,
                                delayed_ack=False)
         client.add_receiver(receiver)
-        client.on_packet_received(data_segment(), "AP")
+        client.on_packets_received([data_segment()], "AP")
         sim.run(until=usec(149))
         assert receiver.bytes_delivered == 0
         sim.run(until=usec(200))
@@ -170,15 +172,15 @@ class TestClient:
             sim, 1, "C1", "SRV", output=lambda a: None,
             on_deliver=lambda n: times.append(sim.now))
         client.add_receiver(receiver)
-        for i in range(3):
-            client.on_packet_received(data_segment(seq=i * 1460), "AP")
+        client.on_packets_received(
+            [data_segment(seq=i * 1460) for i in range(3)], "AP")
         sim.run()
         assert len(set(times)) == 3  # per-packet processing cost
 
     def test_udp_sink(self, sim):
         client, _ = self.make(sim)
-        client.on_packet_received(
-            UdpDatagram(src="SRV", dst="C1", payload_bytes=1472), "AP")
+        client.on_packets_received(
+            [UdpDatagram(src="SRV", dst="C1", payload_bytes=1472)], "AP")
         sim.run()
         assert client.udp_bytes == 1472
         assert client.udp_packets == 1
@@ -191,7 +193,7 @@ class TestClient:
         sender.start()
         ack = TcpSegment(flow_id=1, src="SRV", dst="C1", seq=0,
                          payload_bytes=0, ack=1460, rwnd=65535)
-        client.on_packet_received(ack, "AP")
+        client.on_packets_received([ack], "AP")
         sim.run()
         assert sender.snd_una == 1460
 

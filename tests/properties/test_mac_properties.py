@@ -22,12 +22,17 @@ class TestRecipientReordering:
         that eventually arrives within the window)."""
         recipient = BlockAckRecipient(window=64)
         delivered = []
+        # The MAC's form: one list per PPDU that every insert adds to.
+        twin, released = BlockAckRecipient(window=64), []
         for seq in perm:
             m = mpdu(seq)
             if recipient.record(m):
                 delivered.extend(x.seq for x in recipient.insert(m))
+            if twin.record(m):
+                assert twin.insert(m, released) is released
         assert delivered == sorted(delivered)
         assert sorted(delivered) == list(range(20))
+        assert [x.seq for x in released] == delivered
 
     @settings(max_examples=100, deadline=None)
     @given(seqs=st.lists(st.integers(0, 50), min_size=1, max_size=80))

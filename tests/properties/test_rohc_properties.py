@@ -1,11 +1,13 @@
 """Property-based tests for the ROHC subsystem (hypothesis)."""
 
+import struct
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.rohc.compressor import Compressor
 from repro.rohc.context import DynamicState
-from repro.rohc.crc import crc3, crc8
+from repro.rohc.crc import crc3, crc3_u64x5, crc8
 from repro.rohc.decompressor import Decompressor
 from repro.rohc.packets import apply_entry, build_frame, encode_entry, \
     parse_entry, unzigzag, zigzag
@@ -147,3 +149,25 @@ class TestCrcProperties:
         mutated = bytearray(data)
         mutated[index // 8] ^= 1 << (index % 8)
         assert crc8(bytes(mutated)) != crc8(data)
+
+    #: Header-sized values, the u64 edges, and what lies outside them
+    #: (taken modulo 2**64, as ``DynamicState.crc_input`` masks).
+    u64ish = st.one_of(
+        st.sampled_from([0, 1, 0xFF, 0x100, 2**32 - 1, 2**63,
+                         2**64 - 1, 2**64, 2**64 + 1, -1, -2**63]),
+        st.integers(0, 2**32), st.integers(-2**70, 2**70))
+
+    @settings(max_examples=500)
+    @given(values=st.tuples(u64ish, u64ish, u64ish, u64ish, u64ish))
+    def test_crc3_u64x5_is_crc3_of_the_packed_fields(self, values):
+        packed = struct.pack(">QQQQQ", *(v & 2**64 - 1 for v in values))
+        assert crc3_u64x5(*values) == crc3(packed)
+
+    @settings(max_examples=200)
+    @given(ack=u64ish, ts_val=u64ish, ts_ecr=u64ish, rwnd=u64ish,
+           seq=u64ish)
+    def test_crc3_u64x5_is_the_crc_of_crc_input(self, ack, ts_val,
+                                                ts_ecr, rwnd, seq):
+        state = DynamicState(ack, 0, ts_val, ts_ecr, rwnd, seq)
+        assert crc3_u64x5(ack, ts_val, ts_ecr, rwnd, seq) \
+            == crc3(state.crc_input())

@@ -72,6 +72,51 @@ class TestContextEstablishment:
         assert comp.can_compress(ack(ft=FT1, ack_no=2920))
 
 
+    def test_established_context_agrees_with_can_compress(self):
+        """One lookup answers both "may this ACK be compressed" and
+        "against what": None on every branch ``can_compress`` refuses,
+        the flow's context where it agrees — and ``compress`` given
+        that context writes the bytes it writes looking it up."""
+        comp, twin = Compressor(init_threshold=2), \
+            Compressor(init_threshold=2)
+        collider = next(
+            ft for ft in (FiveTuple("10.9.9.9", "10.8.8.8", port, 80)
+                          for port in range(1000, 70_000))
+            if cid_for_flow(ft) == cid_for_flow(FT1))
+        data = TcpSegment(flow_id=1, src="a", dst="b", seq=0,
+                          payload_bytes=100, ack=0, rwnd=0,
+                          five_tuple=FT1)
+
+        def agree(segment, established):
+            context = comp.established_context(segment)
+            assert (context is not None) == established \
+                == comp.can_compress(segment) \
+                == twin.can_compress(segment)
+            return context
+
+        agree(ack(), False)                       # never seen
+        for c in (comp, twin):
+            c.note_vanilla_ack(ack(ack_no=1460))
+        agree(ack(ack_no=2920), False)            # below init_threshold
+        for c in (comp, twin):
+            c.note_vanilla_ack(ack(ack_no=2920))
+        context = agree(ack(ack_no=4380), True)
+        assert context is comp.contexts[cid_for_flow(FT1)]
+        agree(data, False)                        # a data segment
+        for c in (comp, twin):
+            c.note_vanilla_ack(ack(ft=collider, flow_id=2))
+            c.note_vanilla_ack(ack(ft=collider, flow_id=2))
+        agree(ack(ft=collider, flow_id=2), False)     # CID collision
+        agree(ack(ft=collider, flow_id=2), False)     # now blocked
+        assert comp.collisions == twin.collisions == 1
+        for ack_no in (4380, 5840, 5840, 100_000):
+            segment = ack(ack_no=ack_no)
+            given_it = comp.compress(segment, agree(segment, True))
+            looked_up = twin.compress(segment)
+            assert (given_it.msn, given_it.cid, given_it.data) == \
+                (looked_up.msn, looked_up.cid, looked_up.data)
+
+
 class TestRoundtrip:
     def test_single_ack(self):
         comp, decomp = linked_pair()

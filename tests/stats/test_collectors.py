@@ -49,9 +49,8 @@ class TestAirtimeAccounting:
 class TestRetryTable:
     def test_fractions(self):
         stats = MacStats()
-        for _ in range(9):
-            stats.on_mpdu_delivered("AP", Mpdu())
-        stats.on_mpdu_delivered("AP", Mpdu(retry_count=2))
+        stats.on_mpdus_delivered("AP", [Mpdu() for _ in range(9)])
+        stats.on_mpdus_delivered("AP", [Mpdu(retry_count=2)])
         table = stats.retry_table()
         assert table["C1"]["no_retries"] == pytest.approx(0.9)
         assert table["C1"]["one_or_more"] == pytest.approx(0.1)
@@ -59,8 +58,8 @@ class TestRetryTable:
 
     def test_per_destination(self):
         stats = MacStats()
-        stats.on_mpdu_delivered("AP", Mpdu(dst="C1"))
-        stats.on_mpdu_delivered("AP", Mpdu(dst="C2", retry_count=1))
+        stats.on_mpdus_delivered("AP", [Mpdu(dst="C1"),
+                                        Mpdu(dst="C2", retry_count=1)])
         table = stats.retry_table()
         assert table["C1"]["no_retries"] == 1.0
         assert table["C2"]["no_retries"] == 0.0
