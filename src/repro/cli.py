@@ -97,10 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           "channels never contend")
     sim.add_argument("--shard-jobs", type=positive_int,
                      default=None, metavar="N",
-                     help="execute a multi-channel run as one shard "
-                          "per channel: 1 = serial shards, N > 1 = "
-                          "process pool (metrics identical either "
-                          "way); prints per-channel shard summaries")
+                     help="processes for a multi-channel run, which "
+                          "always executes as one shard per channel: "
+                          "1 = serial shards, N > 1 = pool of "
+                          "min(N, shards) workers; default = one "
+                          "worker per shard on a multi-core host, "
+                          "serial on one core (metrics identical "
+                          "either way)")
     sim.add_argument("--flows-per-client", type=int)
     sim.add_argument("--policy", type=HackPolicy,
                      choices=list(HackPolicy),
@@ -168,8 +171,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trace-export", default=None, metavar="PATH",
                      help="write a Chrome trace-event JSON (frames + "
                           "kernel spans + counter tracks) loadable in "
-                          "chrome://tracing or Perfetto; refused for "
-                          "sharded runs")
+                          "chrome://tracing or Perfetto; one "
+                          "simulator then spans every channel, so it "
+                          "is refused with --shard-jobs")
     sim.add_argument("--sample-interval", type=float, default=10.0,
                      metavar="MS",
                      help="telemetry sampling interval in simulated "
@@ -298,8 +302,13 @@ def _simulate(args: argparse.Namespace) -> int:
             print(f"  channel {block['channel']}: " + ", ".join(parts))
         if result.shard_info is not None:
             info = result.shard_info
+            how = f"jobs {info['jobs']}"
+            if info["requested_jobs"] is None:
+                # The default decided: say what, and why if serial.
+                how = "one worker per shard" if info["jobs"] > 1 \
+                    else "in-process: this host has one core"
             print(f"shard execution   : {info['plan']['shards']} "
-                  f"shards, {info['mode']} (jobs {info['jobs']}), "
+                  f"shards, {info['mode']} ({how}), "
                   f"{info['wall_s']:.2f}s")
     if len(result.cell_blocks) > 1:
         for block in result.cell_blocks:
@@ -377,43 +386,40 @@ def _simulate(args: argparse.Namespace) -> int:
         print(f"offered / carried : {fct['offered_load_mbps']:.2f} / "
               f"{fct['carried_load_mbps']:.2f} Mbps")
     if args.kernel_stats:
+        # The run's counters (summed over its shards' kernels), then
+        # each shard's own.  A callback run is a heap dispatch or a
+        # delivery a train made inline; the rate a user waits for is
+        # callbacks/s.
         kernel = result.kernel_stats
-        if kernel:
-            # A callback run is a heap dispatch or a delivery a train
-            # made inline; the rate a user waits for is callbacks/s.
-            callbacks = kernel["events_executed"] \
-                + kernel["events_inlined"]
-            rate = callbacks / wall_s if wall_s > 0 else 0.0
-            stats = result.mac_stats
-            delivered = sum(stats.delivered_first_attempt.values()) \
-                + sum(stats.delivered_after_retry.values())
-            print(f"kernel callbacks  : {callbacks} run "
-                  f"({rate:,.0f}/s wall): "
-                  f"{kernel['events_executed']} executed from the "
-                  f"heap, {kernel['events_inlined']} inlined by trains")
-            print(f"heap pushes       : "
-                  f"{kernel['events_scheduled']} scheduled, "
-                  f"{kernel['events_cancelled']} cancelled")
-            print(f"pushes per MPDU   : "
-                  f"{kernel['events_scheduled'] / max(1, delivered):.2f}"
-                  f" ({delivered} MPDUs delivered)")
-            print(f"heap compactions  : {kernel['heap_compactions']}")
-            print(f"timer re-arms     : {kernel['timer_rearms']} "
-                  f"absorbed without a heap push")
-        if result.shard_blocks:
-            # Sharded runs: each shard ran its own kernel, so the
-            # counters are per shard, never summed.
-            for block in result.shard_blocks:
-                shard_kernel = block["kernel_stats"]
-                print(f"  shard ch{block['channel']} "
-                      f"(cells {block['cells']}): "
-                      f"{shard_kernel['events_executed']} executed, "
-                      f"{shard_kernel['events_inlined']} inlined, "
-                      f"{shard_kernel['events_cancelled']} cancelled, "
-                      f"{shard_kernel['events_scheduled']} scheduled, "
-                      f"{shard_kernel['heap_compactions']} "
-                      f"compactions, "
-                      f"{shard_kernel['timer_rearms']} timer re-arms")
+        callbacks = kernel["events_executed"] + kernel["events_inlined"]
+        rate = callbacks / wall_s if wall_s > 0 else 0.0
+        stats = result.mac_stats
+        delivered = sum(stats.delivered_first_attempt.values()) \
+            + sum(stats.delivered_after_retry.values())
+        print(f"kernel callbacks  : {callbacks} run "
+              f"({rate:,.0f}/s wall): "
+              f"{kernel['events_executed']} executed from the "
+              f"heap, {kernel['events_inlined']} inlined by trains")
+        print(f"heap pushes       : "
+              f"{kernel['events_scheduled']} scheduled, "
+              f"{kernel['events_cancelled']} cancelled")
+        print(f"pushes per MPDU   : "
+              f"{kernel['events_scheduled'] / max(1, delivered):.2f}"
+              f" ({delivered} MPDUs delivered)")
+        print(f"heap compactions  : {kernel['heap_compactions']}")
+        print(f"timer re-arms     : {kernel['timer_rearms']} "
+              f"absorbed without a heap push")
+        for block in result.shard_blocks or ():
+            shard_kernel = block["kernel_stats"]
+            print(f"  shard ch{block['channel']} "
+                  f"(cells {block['cells']}): "
+                  f"{shard_kernel['events_executed']} executed, "
+                  f"{shard_kernel['events_inlined']} inlined, "
+                  f"{shard_kernel['events_cancelled']} cancelled, "
+                  f"{shard_kernel['events_scheduled']} scheduled, "
+                  f"{shard_kernel['heap_compactions']} "
+                  f"compactions, "
+                  f"{shard_kernel['timer_rearms']} timer re-arms")
     if result.telemetry is not None:
         tele = result.telemetry
         print(f"telemetry         : {tele['samples']} samples @ "

@@ -74,7 +74,10 @@ from .progress import SweepProgress
 #: 6: trains — rows unchanged, the cached kernel_stats (a packet on a
 #:    wire or up a client stack is no longer a heap push; new
 #:    ``events_inlined``) are not.
-ENGINE_VERSION = 6
+#: 7: every multi-channel point runs as one simulator per channel —
+#:    rows unchanged, but its cached ``kernel_stats`` is the sum of the
+#:    shards' counters and a ``shards`` block is always present.
+ENGINE_VERSION = 7
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``
@@ -236,10 +239,10 @@ def execute_point(point: SweepPoint,
     """Produce one point's metrics (the process-pool work function).
 
     ``shard_jobs`` is an *execution* knob, not part of the point's
-    identity: it routes multi-channel scenario points through the
-    channel-shard pipeline (``run_scenario(cfg, shard_jobs=...)``)
-    without perturbing cache signatures — sharded and unsharded
-    executions of the same config produce the same metrics record.
+    identity: it says how many processes run a multi-channel point's
+    per-channel shards (``run_scenario(cfg, shard_jobs=...)``; None =
+    decide from the host) and never perturbs cache signatures — the
+    metrics record is the same however the shards were run.
 
     ``telemetry_dir`` (another execution knob) runs each scenario
     point with the observability sampler on, streaming one JSONL
@@ -272,17 +275,17 @@ def execute_point(point: SweepPoint,
     return metrics
 
 
-def point_shard_units(point: SweepPoint,
-                      shard_jobs: Optional[int] = None) -> int:
+def point_shard_units(point: SweepPoint) -> int:
     """How many shard-level work units one point fans out into.
 
-    1 for analytic points, for runs without ``shard_jobs``, and for
-    configs the planner rejects (the run itself will surface that
-    error); otherwise the point's channel-shard count.  Feeds the
-    unit-weighted progress/ETA so a 3-channel point counts as three
-    units of simulation, not one.
+    The point's shard count, whatever ``shard_jobs`` says (the plan is
+    a property of the config): 1 for analytic points, one-channel and
+    frame-trace configs, and for configs the planner rejects (the run
+    itself will surface that error).  Feeds the unit-weighted
+    progress/ETA so a 3-channel point counts as three units of
+    simulation, not one.
     """
-    if shard_jobs is None or point.config is None:
+    if point.config is None:
         return 1
     from ..workloads.sharding import ShardPlan
     try:
@@ -621,7 +624,7 @@ class _RunState:
                  units: Optional[List[int]] = None):
         self.spec = spec
         self.signatures = signatures
-        #: Shard-unit weight per point (all 1 when sharding is off).
+        #: Shard-unit weight per point (``point_shard_units``).
         self.units = units if units is not None \
             else [1] * len(spec.points)
         self.metrics_by_index: Dict[int, Metrics] = {}
@@ -697,12 +700,13 @@ class SweepRunner:
         self.retries = max(0, retries)
         self.retry_backoff_s = retry_backoff_s
         self.progress = progress
-        #: Channel-shard fan-out per point (see ``execute_point``):
-        #: None = single simulator per point; 1 = serial shards;
-        #: N > 1 = per-point shard pool.  Purely an execution knob —
-        #: cache signatures and metrics are unchanged by it.  Inside a
-        #: ``jobs > 1`` worker pool the shard layer falls back to
-        #: serial shards on its own (daemonic-worker guard).
+        #: Processes per multi-channel point (see ``execute_point``):
+        #: None = decide from the host (one worker per shard, or
+        #: serial); 1 = serial shards; N > 1 = per-point shard pool.
+        #: Purely an execution knob — cache signatures and metrics are
+        #: unchanged by it.  Inside a ``jobs > 1`` worker pool the
+        #: shard layer runs serial shards whatever this says (a pool
+        #: worker never starts a pool: ``sharding._effective_jobs``).
         self.shard_jobs = shard_jobs
         #: Per-point telemetry JSONL output directory (execution knob;
         #: see ``execute_point``).  Cached points are not re-run, so
@@ -860,8 +864,7 @@ class SweepRunner:
     # -- entry point ---------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepResult:
         signatures = [point_signature(p) for p in spec.points]
-        units = [point_shard_units(p, self.shard_jobs)
-                 for p in spec.points]
+        units = [point_shard_units(p) for p in spec.points]
         state = _RunState(spec, signatures, units)
 
         pending: List[int] = []

@@ -7,10 +7,9 @@ three non-overlapping 2.4 GHz channels (round-robin
 ``ScenarioConfig.channels``).  Cells on different channels share
 nothing, so the scenario factors into one independent sub-scenario per
 channel: the channel-shard pipeline (:mod:`repro.workloads.sharding`)
-executes it as ``channels`` shards, serially or in parallel
-(``--shard-jobs``), with merged metrics bit-identical to the serial
-path.  Grid: city size (cells) x HACK policy (MORE DATA vs. stock
-802.11n).
+executes it as ``channels`` shards, side by side or serially
+(``--shard-jobs``), with the merged record identical either way.
+Grid: city size (cells) x HACK policy (MORE DATA vs. stock 802.11n).
 
 Reported per grid cell: combined carried traffic, per-cell mean,
 cross-cell Jain fairness (now *across channels* — contention only

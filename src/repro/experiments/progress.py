@@ -33,13 +33,13 @@ class SweepProgress:
     """One snapshot of a running sweep, emitted by the runner.
 
     ``*_units`` weight each point by how much work it fans out into —
-    a multi-channel point run with ``--shard-jobs`` is one *point* but
-    ``shard_count`` *units*.  The rate/ETA estimators work in units so
-    a sweep mixing 1-shard and 3-shard points doesn't extrapolate a
-    cheap point's pace onto an expensive one.  All four default to 0,
-    meaning "not tracked": estimators then fall back to point counts
-    (every point weighs 1), which keeps pre-shard constructors and
-    artifacts working unchanged.
+    a multi-channel point is one *point* but ``shard_count`` *units*
+    (one simulator per channel).  The rate/ETA estimators work in
+    units so a sweep mixing 1-shard and 3-shard points doesn't
+    extrapolate a cheap point's pace onto an expensive one.  All four
+    default to 0, meaning "not tracked": estimators then fall back to
+    point counts (every point weighs 1), which keeps pre-shard
+    constructors and artifacts working unchanged.
     """
 
     spec_name: str

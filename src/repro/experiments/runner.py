@@ -102,14 +102,19 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
     parser.add_argument("--progress", action="store_true",
                         help="live progress lines on stderr (points "
                              "done/cached/failed, points/s, ETA; "
-                             "shard-unit weighted with --shard-jobs)")
+                             "a multi-channel point weighs one unit "
+                             "per channel shard)")
     parser.add_argument("--shard-jobs", type=positive_int,
                         default=None, metavar="N",
-                        help="run each multi-channel point as one "
-                             "shard per channel: 1 = serial shards, "
-                             "N > 1 = shard worker pool (metrics are "
-                             "identical either way; single-channel "
-                             "points are unaffected)")
+                        help="processes per multi-channel point, "
+                             "which always runs as one shard per "
+                             "channel: 1 = serial shards, N > 1 = "
+                             "pool of min(N, shards) workers; default "
+                             "= one worker per shard on a multi-core "
+                             "host, serial on one core or under "
+                             "--jobs (records are identical either "
+                             "way; single-channel points are "
+                             "unaffected)")
     parser.add_argument("--telemetry-dir", default=None,
                         metavar="DIR",
                         help="run every freshly-executed point with "

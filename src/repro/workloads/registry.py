@@ -301,7 +301,7 @@ def _multi_ap_churn() -> ScenarioConfig:
           "a 20-cell city grid round-robined over the three "
           "2.4 GHz channels, one bulk TCP/HACK download per cell — "
           "the channel-shard pipeline's benchmark topology "
-          "(run_scenario(cfg, shard_jobs=...) shards it per channel)")
+          "(run_scenario(cfg) runs it as one simulator per channel)")
 def _city_20cell() -> ScenarioConfig:
     return ScenarioConfig(
         phy_mode="11n", data_rate_mbps=150.0, n_clients=1, cells=20,

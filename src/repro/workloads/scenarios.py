@@ -31,8 +31,8 @@ to what they always were.
 interact; results gain per-channel blocks.
 
 Every run takes one path: :func:`run_scenario` plans the shards
-(:class:`~repro.workloads.sharding.ShardPlan` — every cell in one
-simulator, or with ``shard_jobs`` one simulator per channel), and for
+(:class:`~repro.workloads.sharding.ShardPlan` — one simulator per
+channel in use, side by side where the host has the cores), and for
 each shard :func:`build_simulation` builds the live world
 (:class:`CellBuilder`), ``world.run()`` executes it and
 :func:`collect` flattens it to a :class:`ScenarioResult` — the one
@@ -392,8 +392,8 @@ class ScenarioResult:
     ``medium_*``, ``fct``, ``aqm_counters``, ``adversary_counters`` —
     is a read-only view computed from them, so it is the same however
     the cells were split and in whatever order shards were merged.
-    The exceptions are ``world``, the live simulation for in-process
-    consumers, and the kernel view (see :meth:`merge`).
+    The exception is ``world``, the live simulation of a one-shard
+    run.
     """
 
     config: ScenarioConfig
@@ -442,9 +442,9 @@ class ScenarioResult:
     #: The attack actors' summed counters (renders ``"adversary"``);
     #: empty when nothing was installed.
     adversary_counts: Dict[str, int] = field(default_factory=dict)
-    #: Event-kernel counters (see ``SimStats.as_dict``) of the one
-    #: simulator that ran everything; ``{}`` when several did (their
-    #: counters are under ``shard_blocks``).
+    #: Event-kernel counters (see ``SimStats.as_dict``), summed over
+    #: the simulators that ran (each one's own are under
+    #: ``shard_blocks`` when several did).
     kernel_stats: Dict[str, int] = field(default_factory=dict)
     #: Per-shard kernel/telemetry blocks (``metrics_dict()["shards"]``)
     #: of a multi-shard run: one entry per shard in plan order, each
@@ -469,9 +469,10 @@ class ScenarioResult:
     telemetry_registry: Optional[MetricsRegistry] = None
     #: The live simulation (:func:`build_simulation`'s return value,
     #: after the run): flows, clients, drivers, flow managers, frame
-    #: trace, telemetry session.  Set when one simulator ran
-    #: everything in this process; None for a multi-shard run, whose
-    #: live objects never cross the shard boundary.
+    #: trace, telemetry session.  Set when the plan had one shard
+    #: (one channel in use, or a frame record asked for); None for a
+    #: multi-shard run, whose live objects never cross a process
+    #: boundary — build one with ``build_simulation(cfg)`` instead.
     world: Optional["CellBuilder"] = field(default=None, repr=False)
 
     def merge(self, other: "ScenarioResult") -> None:
@@ -480,19 +481,19 @@ class ScenarioResult:
 
         Keyed data is unioned (the views restore whole-scenario
         order), accumulators are merged and counts summed — the one
-        rule of :mod:`repro.obs.metrics`.  Kernel view: counters of
-        independent simulators are never summed, so a merged result's
-        own ``kernel_stats`` is empty and each simulator's counters
-        (and its telemetry block, when sampling ran) ride verbatim
-        under ``shard_blocks``, ordered by first cell (= plan order).
-        The run-wide ``telemetry`` block of a merged result is rendered
-        last, by :func:`~repro.workloads.sharding.merge_telemetry`.
+        rule of :mod:`repro.obs.metrics`, ``kernel_stats`` included:
+        a sum is free of merge order and grouping, so the kernel view
+        is a function of the config like everything else.  Each
+        simulator's own counters (and its telemetry block, when
+        sampling ran) ride verbatim under ``shard_blocks``, ordered by
+        first cell (= plan order).  The run-wide ``telemetry`` block of
+        a merged result is rendered last, by
+        :func:`~repro.workloads.sharding.merge_telemetry`.
         """
         self.shard_blocks = sorted(
             (dict(block) for result in (self, other)
              for block in result.shard_blocks or [result._shard_block()]),
             key=lambda block: block["cells"][0])
-        self.kernel_stats = {}
         self.telemetry = None
         self.world = None
         for keyed in ("tcp_flows_by_cell", "udp_flows_by_cell",
@@ -504,7 +505,7 @@ class ScenarioResult:
         self.mac_stats.merge(other.mac_stats)
         self.qdisc_stats.merge(other.qdisc_stats)
         for counts in ("decomp_counters", "rohc_counters",
-                       "adversary_counts"):
+                       "adversary_counts", "kernel_stats"):
             merge_counts(getattr(self, counts), getattr(other, counts))
         self.telemetry_samples = (self.telemetry_samples
                                   + other.telemetry_samples)
@@ -629,8 +630,8 @@ class ScenarioResult:
           stream and the span table (``merge_span_blocks``);
         * everything else is per-flow / per-station / per-cell /
           per-channel data that is reordered or totalled, never
-          merged; ``kernel_stats`` / ``shards`` are one simulator's
-          counters, verbatim.
+          merged; ``kernel_stats`` is the sum of the simulators'
+          counters and ``shards`` each one's own, verbatim.
         """
         out = {
             "aggregate_goodput_mbps": self.aggregate_goodput_mbps,
@@ -1099,16 +1100,29 @@ def run_scenario(cfg: ScenarioConfig,
     """Build the WLAN(s) described by ``cfg``, run, collect results.
 
     A run is build -> run -> collect per shard, the shards' results
-    merged.  ``shard_jobs=None`` (the default) plans one shard holding
-    every cell: a single simulator spanning all ``cfg.channels``.  An
-    integer plans one shard per channel in use — ``1`` runs them
-    serially in-process, ``N > 1`` fans them over a process pool (see
-    :mod:`repro.workloads.sharding`).  Metrics are identical however
-    the cells were split, except the kernel view: when one simulator
-    ran everything its counters are the result's ``kernel_stats`` and
-    its live objects are ``result.world``; when several did,
-    ``kernel_stats`` is empty, each shard's counters ride under
-    ``metrics_dict()["shards"]`` and ``world`` is None.
+    merged, and the plan is one shard per channel in use, always
+    (cells on different channels share nothing; see
+    :mod:`repro.workloads.sharding`).  ``shard_jobs`` only says how
+    many processes run them: ``1`` = serially in-process, ``N`` = a
+    pool of ``min(N, shards)`` workers, ``None`` (the default) =
+    decide — one worker per shard when the host has more than one
+    core and this process is not itself a pool worker, serially
+    in-process otherwise.  One worker per shard rather than per core:
+    three equal shards on two workers run in two rounds (2·T), three
+    time-sliced on two cores finish in 1.5·T; the channels in use are
+    few (three in 2.4 GHz) and a worker peaks at ~19 MB.
+
+    ``metrics_dict()`` is the same record however the shards were
+    run: ``kernel_stats`` is the sum of the shards' counters, each
+    shard's own ride under ``"shards"``.  A one-shard plan (one
+    channel in use) is the plain in-process run — no pool, no
+    ``"shards"`` key, the live objects under ``result.world``.  For a
+    multi-shard run ``world`` is None; the seam for a live
+    multi-channel world is ``build_simulation(cfg)`` -> ``world.run()``
+    -> ``collect(world)``.  The one input that still gets a single
+    simulator spanning every channel is one that asks for its frame
+    record — ``cfg.trace`` or ``telemetry.trace_export_path`` — and an
+    explicit ``shard_jobs`` with such an input is refused.
 
     ``telemetry`` (a :class:`~repro.obs.TelemetryConfig`) turns on the
     observability layer — kernel span timing, the periodic time-series
@@ -1121,8 +1135,11 @@ def run_scenario(cfg: ScenarioConfig,
     cfg.validate()
     if shard_jobs is not None and shard_jobs < 1:
         raise ValueError(f"shard_jobs must be >= 1, got {shard_jobs}")
-    plan = ShardPlan.from_config(cfg, by_channel=shard_jobs is not None)
-    if plan.shard_count > 1:
+    plan = ShardPlan.from_config(cfg, telemetry)
+    # An explicit shard_jobs over several channels goes to run_shards
+    # even with a one-shard (frame record) plan: it refuses the record.
+    if len(plan.channels) > 1 and (plan.by_channel
+                                   or shard_jobs is not None):
         return run_shards(cfg, plan, shard_jobs, telemetry)
     world = build_simulation(cfg, telemetry=telemetry)
     world.run()

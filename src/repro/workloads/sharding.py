@@ -3,12 +3,15 @@
 Cells on different channels share nothing — not carrier sense, not
 collisions, not loss draws (per-channel RNG streams), not flow ids,
 not wired /16s — so a multi-channel scenario *factors exactly* into
-one independent sub-scenario per channel.
+one independent sub-scenario per channel: a channel is a simulator.
 :func:`~repro.workloads.scenarios.run_scenario` is built on that:
 
-* **plan** — :class:`ShardPlan` splits the cells into shards: one
-  shard holding every cell (a single simulator spanning all
-  channels), or one shard per channel in use.
+* **plan** — :class:`ShardPlan` splits the cells into one shard per
+  channel in use, always.  The one exception is a property of the
+  input, decided in ``ShardPlan.from_config``: a run that asks for a
+  frame record (``cfg.trace`` or ``telemetry.trace_export_path``)
+  records a *single* simulator's frames, so it gets one shard holding
+  every cell.
 * **run** — a shard is :func:`~repro.workloads.scenarios.
   build_simulation` (a fresh :class:`~repro.sim.engine.Simulator`
   with the shard's cells wired in), ``run()``, then
@@ -19,20 +22,28 @@ one independent sub-scenario per channel.
   prefixes) derives from the global cell index, a shard's event
   sequence is the whole scenario's sub-sequence for those cells.  A
   one-shard plan runs in-process; :func:`run_shards` runs several
-  serially or across a process pool (:func:`execute_shard` is the
-  pool's work function), with the same submit/poll shape the sweep
-  engine uses.
+  side by side, one worker process per shard (:func:`execute_shard` is
+  the pool's work function, with the same submit/poll shape the sweep
+  engine uses), or serially in-process where processes buy nothing: a
+  one-core host, or a caller that is itself a pool worker.  One worker
+  per shard, not ``min(shards, cores)``: three equal shards of wall T
+  on two workers take two rounds (2·T), three processes time-sliced on
+  two cores finish in 1.5·T — and the channels in use are few (three
+  in 2.4 GHz), a worker peaking at ~19 MB.
 * **merge** — shard results merge:
   :meth:`~repro.workloads.scenarios.ScenarioResult.merge` folds one
   into another under the one rule of :mod:`repro.obs.metrics`, *merge
   accumulators, render once*, and the result's views restore
-  whole-scenario order — so everything in ``metrics_dict()`` is
-  identical whichever plan ran, except the kernel view (counters of
-  independent simulators are never summed; see ``merge``).  The one
-  rendered block that is merged is the span table
-  (``merge_span_blocks``): a shard's raw span list is host wall times,
-  up to ``max_spans`` tuples of them, and must not cross the process
-  boundary.
+  whole-scenario order — so ``metrics_dict()`` is a function of the
+  config alone, kernel view included: ``kernel_stats`` is the sum of
+  the shards' counters, each shard's own riding under ``"shards"``.
+  (A whole-simulator run — ``build_simulation(cfg)`` -> ``run()`` ->
+  ``collect()``, the oracle the tests keep — agrees on everything but
+  those two keys: it has one heap and one set of horizon events where
+  the shards have one each.)  The one rendered block that is merged is
+  the span table (``merge_span_blocks``): a shard's raw span list is
+  host wall times, up to ``max_spans`` tuples of them, and must not
+  cross the process boundary.
 
 Telemetry (``run_scenario(..., telemetry=...)``) follows the same
 law: every tick emits one sample record per channel and metric names
@@ -46,6 +57,7 @@ last step of the merge, writes it once.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -68,13 +80,19 @@ class ShardPlan:
 
     channels: Tuple[int, ...]
     cells_by_channel: Tuple[Tuple[int, ...], ...]
-    #: False = one shard holding every cell: a single simulator
-    #: spanning all channels (``run_scenario``'s ``shard_jobs=None``).
+    #: False = one shard holding every cell: the input asked for a
+    #: single simulator's frame record (see ``from_config``).
     by_channel: bool = True
 
     @classmethod
-    def from_config(cls, cfg, by_channel: bool = True) -> "ShardPlan":
+    def from_config(cls, cfg, telemetry: Optional[TelemetryConfig] = None
+                    ) -> "ShardPlan":
+        """One shard per channel in use — unless the input asks for a
+        frame record (``cfg.trace``, ``telemetry.trace_export_path``),
+        which is one simulator's and cannot span shards."""
         cfg.validate_cells()
+        by_channel = not (cfg.trace or (
+            telemetry is not None and telemetry.trace_export_path))
         channels: Dict[int, List[int]] = {}
         for cell in range(cfg.cells):
             channels.setdefault(cfg.channel_of(cell), []).append(cell)
@@ -133,31 +151,44 @@ def execute_shard(cfg, cell_indices: Tuple[int, ...],
     return collect(world), time.perf_counter() - started
 
 
-def _effective_jobs(shard_jobs: int, shard_count: int) -> int:
-    """Clamp the worker count; fall back to serial shards inside a
-    daemonic worker (a sweep pool's child cannot spawn its own pool —
-    serial shards produce identical metrics anyway)."""
-    jobs = min(shard_jobs, shard_count)
+def _effective_jobs(shard_jobs: Optional[int], shard_count: int) -> int:
+    """Worker processes for ``shard_count`` shards; 1 = serial,
+    in-process.
+
+    ``None`` decides from the host: one worker per shard when it has
+    more than one core (not ``min(shards, cores)`` — see the module
+    docstring), serial otherwise.  An integer is clamped to the shard
+    count.  Either way a process that is itself a pool worker (a
+    ``--jobs N`` sweep's child) runs its shards serially: the sweep
+    already owns the cores, and serial shards produce the identical
+    record.
+    """
+    if shard_jobs is None:
+        jobs = shard_count if (os.cpu_count() or 1) > 1 else 1
+    else:
+        jobs = min(shard_jobs, shard_count)
     if jobs > 1:
         import multiprocessing
-        if multiprocessing.current_process().daemon:
+        if multiprocessing.parent_process() is not None:
             return 1
     return jobs
 
 
-def run_shards(cfg, plan: ShardPlan, shard_jobs: int,
+def run_shards(cfg, plan: ShardPlan, shard_jobs: Optional[int],
                telemetry: Optional[TelemetryConfig] = None):
     """Execute every shard of a multi-shard ``plan`` and merge their
     results into the run's ``ScenarioResult`` (``shard_info`` set).
 
     ``shard_jobs=1`` runs shards serially in-process; ``N > 1`` fans
-    them over a process pool with the sweep engine's submit/poll
-    shape (``wait(FIRST_COMPLETED)``), so a failing channel is
-    reported without waiting for the others.  Per-shard faults are
-    isolated into :class:`ShardExecutionError` naming the channel and
-    cells.  The merge itself does not care in which order results
-    arrive; they are folded in plan order so that dict insertion
-    order in ``metrics_dict()`` is reproducible run to run.
+    them over a pool of ``min(N, shards)`` processes with the sweep
+    engine's submit/poll shape (``wait(FIRST_COMPLETED)``), so a
+    failing channel is reported without waiting for the others;
+    ``None`` lets :func:`_effective_jobs` decide from the host (one
+    worker per shard, or serial).  Per-shard faults are isolated into
+    :class:`ShardExecutionError` naming the channel and cells.  The
+    merge itself does not care in which order results arrive; they
+    are folded in plan order so that dict insertion order in
+    ``metrics_dict()`` is reproducible run to run.
 
     With ``telemetry`` set, each shard samples and times its own
     kernel (``without_paths()`` — shards never write files) and

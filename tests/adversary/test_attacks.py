@@ -12,6 +12,8 @@ from repro.core.policies import HackPolicy
 from repro.sim.units import MS
 from repro.workloads.scenarios import ScenarioConfig, run_scenario
 
+from tests.workloads.test_sharding import run_whole
+
 
 def config(**overrides):
     defaults = dict(
@@ -133,7 +135,7 @@ class TestShardedAttacks:
         cfg = config(cells=2, channels=2, n_clients=2,
                      adversary=AdversaryConfig(kind="jammer",
                                                intensity=0.5))
-        unsharded = run_scenario(cfg)
+        unsharded = run_whole(cfg)
         sharded = run_scenario(cfg, shard_jobs=1)
         m0, m1 = unsharded.metrics_dict(), sharded.metrics_dict()
         assert m0["adversary"] == m1["adversary"]
@@ -146,7 +148,7 @@ class TestShardedAttacks:
                      adversary=AdversaryConfig(kind="mutator",
                                                intensity=0.8,
                                                mutate_mode="storm"))
-        m0 = run_scenario(cfg).metrics_dict()
+        m0 = run_whole(cfg).metrics_dict()
         m1 = run_scenario(cfg, shard_jobs=1).metrics_dict()
         assert m0["adversary"] == m1["adversary"]
         assert m0["rohc"] == m1["rohc"]

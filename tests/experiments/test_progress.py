@@ -2,6 +2,7 @@
 reporter, cache status audits, and the CLI surfaces (--progress,
 --status, failure exit codes)."""
 
+import dataclasses
 import io
 import types
 
@@ -130,12 +131,17 @@ class TestProgressReporter:
         spec.add_scenario(("city",), cfg)
         spec.add_analytic(("flat",),
                           "tests.helpers:constant_metrics", value=1.0)
-        assert point_shard_units(spec.points[0], 1) == 2
-        assert point_shard_units(spec.points[0], None) == 1
-        assert point_shard_units(spec.points[1], 1) == 1
+        # Units count the plan, whatever ``shard_jobs`` says: every
+        # multi-channel point fans out, a frame-trace one cannot.
+        assert point_shard_units(spec.points[0]) == 2
+        assert point_shard_units(spec.points[1]) == 1
+        traced = SweepSpec("traced")
+        traced.add_scenario(("city",),
+                            dataclasses.replace(cfg, trace=True))
+        assert point_shard_units(traced.points[0]) == 1
 
         snapshots = []
-        SweepRunner(cache_dir=tmp_path, shard_jobs=1,
+        SweepRunner(cache_dir=tmp_path,
                     progress=snapshots.append).run(spec)
         final = snapshots[-1]
         assert final.total_units == 3       # 2 shards + 1 analytic

@@ -11,7 +11,9 @@ part.
 
 The shard oracle: sampler JSONL output and the telemetry metrics block
 are identical across unsharded / serial-shard / pool-shard execution —
-the merge reassembles the unsharded stream line for line.
+the merge reassembles the unsharded stream line for line ("unsharded"
+is the whole-simulator oracle, ``run_whole``: every channel in one
+simulator, which streams the artifact itself).
 """
 
 import json
@@ -28,6 +30,7 @@ from repro.workloads.scenarios import run_scenario
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 
 from tests.workloads.test_multi_cell import base_config, normalised
+from tests.workloads.test_sharding import run_whole
 
 INTERVAL = 50 * MS
 
@@ -101,7 +104,7 @@ class TestShardEquivalence:
         paths = {mode: tmp / f"{mode}.jsonl"
                  for mode in ("unsharded", "serial", "pool")}
         results = {
-            "unsharded": run_scenario(cfg, telemetry=telemetry_config(
+            "unsharded": run_whole(cfg, telemetry_config(
                 telemetry_path=str(paths["unsharded"]))),
             "serial": run_scenario(cfg, shard_jobs=1,
                                    telemetry=telemetry_config(
@@ -146,12 +149,13 @@ class TestShardEquivalence:
         artifact, however the cells were split into shards."""
         cfg = base_config(cells=2, channels=2, n_clients=1, seed=3)
         streams, blocks = [], []
-        for jobs in (None, 1, 2):
+        for jobs in ("whole", 1, 2):
             path = tmp_path / f"jobs-{jobs}.jsonl"
-            result = run_scenario(cfg, shard_jobs=jobs,
-                                  telemetry=telemetry_config(
-                                      telemetry_path=str(path),
-                                      max_samples=5))
+            telemetry = telemetry_config(telemetry_path=str(path),
+                                         max_samples=5)
+            result = run_whole(cfg, telemetry) if jobs == "whole" \
+                else run_scenario(cfg, shard_jobs=jobs,
+                                  telemetry=telemetry)
             streams.append([line for line
                             in path.read_text().splitlines()
                             if json.loads(line)["type"] != "spans"])

@@ -13,11 +13,12 @@ from repro.adversary import AdversaryConfig
 from repro.core.driver import HackDriver
 from repro.obs import TelemetryConfig
 from repro.rohc.decompressor import Decompressor
+from repro.sim.engine import SimStats
 from repro.sim.units import MS
 from repro.tcp.sender import TcpSender
 
 from tests.workloads.test_multi_cell import base_config
-from tests.workloads.test_sharding import CHURN
+from tests.workloads.test_sharding import CHURN, summed_kernels
 
 TOP_LEVEL = {
     "aggregate_goodput_mbps", "per_flow_goodput_mbps", "fairness_index",
@@ -84,10 +85,13 @@ def test_block_keys_are_their_owners_tuples(run, request):
 
 
 def test_conditional_blocks(everything):
+    assert set(everything["kernel_stats"]) == set(SimStats().as_dict())
     assert set(everything["telemetry"]) == TELEMETRY
     for block in everything["shards"]:
         assert set(block) == SHARD
         assert set(block["telemetry"]) == TELEMETRY
     assert {"kind", "intensity", "frames_mutated"} \
         <= set(everything["adversary"])
-    assert everything["kernel_stats"] == {}
+    # The kernel view is the key-wise sum of the shards' counters.
+    assert everything["kernel_stats"] == \
+        summed_kernels(everything["shards"])

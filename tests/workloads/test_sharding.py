@@ -1,14 +1,16 @@
 """Channel sharding: the plan/shard/merge pipeline's oracles.
 
 The headline equivalence (this PR's analogue of the silent-cell
-oracle): a multi-channel scenario executed as one shard per channel —
-serially or across a process pool — must produce metrics identical to
-the single-simulator run of the same config.  Cross-channel
-invisibility makes that an exact, bitwise claim for everything except
-the kernel view: a merged result's own ``kernel_stats`` is empty and
-each shard's counters ride under ``metrics_dict()["shards"]`` (an
-unsharded run has no such key — per-shard simulators schedule their
-own snapshot events, so their counts never equal the shared kernel's).
+oracle): a multi-channel scenario executes as one shard per channel —
+serially or side by side in worker processes — and must produce
+metrics identical to the whole-simulator run of the same config
+(``build_simulation(cfg)`` -> ``run()`` -> ``collect()``, the oracle
+``run_whole`` below).  Cross-channel invisibility makes that an exact,
+bitwise claim for everything except the kernel view: a merged
+result's ``kernel_stats`` is the sum of its shards' counters, which
+ride under ``metrics_dict()["shards"]`` (the whole-simulator run has no
+such key — per-shard simulators schedule their own snapshot events,
+so their counts never add up to the shared kernel's).
 
 A second, stronger oracle pins the channel semantics themselves:
 N cells on N distinct channels must each reproduce the corresponding
@@ -18,16 +20,23 @@ existed.
 """
 
 import copy
+import dataclasses
 import itertools
 import json
+import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro import ScenarioConfig, run_scenario
 from repro.adversary import AdversaryConfig
+from repro.obs import TelemetryConfig
+from repro.obs.metrics import merge_counts
 from repro.sim.units import MS
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
+from repro.workloads import registry, scenarios
+from repro.workloads.scenarios import build_simulation, collect
 from repro.workloads.sharding import ShardExecutionError, ShardPlan, \
     execute_shard
 
@@ -45,6 +54,21 @@ def metrics_except_kernel(result):
     metrics.pop("kernel_stats")
     metrics.pop("shards", None)
     return metrics
+
+
+def run_whole(cfg, telemetry=None):
+    """The whole-simulator oracle: every channel in one simulator."""
+    world = build_simulation(cfg, telemetry=telemetry)
+    world.run()
+    return collect(world)
+
+
+def summed_kernels(shard_blocks):
+    """Key-wise sum of ``metrics_dict()["shards"]`` kernel counters."""
+    total = {}
+    for block in shard_blocks:
+        merge_counts(total, block["kernel_stats"])
+    return total
 
 
 class TestShardPlan:
@@ -79,21 +103,29 @@ class TestShardPlan:
                 base_config(cells=2, channels=2, cell_channel=(0, 5)))
 
     def test_one_shard_plan_holds_every_cell(self):
-        plan = ShardPlan.from_config(
-            base_config(cells=4, channels=3,
-                        cell_channel=(2, 0, 2, 1)), by_channel=False)
-        assert plan.channels == (2, 0, 1)
-        assert plan.shard_count == 1
-        assert plan.shards() == [(2, (0, 1, 2, 3))]
+        """A frame record is one simulator's: asking for one (either
+        way) is the only input that plans a single shard."""
+        cfg = base_config(cells=4, channels=3,
+                          cell_channel=(2, 0, 2, 1))
+        export = TelemetryConfig(trace_export_path="x.json")
+        for plan in (
+                ShardPlan.from_config(
+                    dataclasses.replace(cfg, trace=True)),
+                ShardPlan.from_config(cfg, export)):
+            assert plan.channels == (2, 0, 1)
+            assert plan.shard_count == 1
+            assert plan.shards() == [(2, (0, 1, 2, 3))]
+        assert ShardPlan.from_config(
+            cfg, TelemetryConfig()).shard_count == 3
 
 
 class TestShardEquivalence:
-    """Sharded == unsharded, bit for bit (modulo kernel_stats)."""
+    """Sharded == whole simulator, bit for bit (modulo kernel_stats)."""
 
     @pytest.fixture(scope="class")
     def static_runs(self):
         cfg = base_config(cells=4, channels=2, n_clients=1, seed=3)
-        return (run_scenario(cfg), run_scenario(cfg, shard_jobs=1))
+        return (run_whole(cfg), run_scenario(cfg, shard_jobs=1))
 
     def test_static_metrics_identical(self, static_runs):
         unsharded, sharded = static_runs
@@ -102,10 +134,11 @@ class TestShardEquivalence:
 
     def test_kernel_stats_are_per_shard_blocks(self, static_runs):
         unsharded, sharded = static_runs
-        # A merged result never pretends its shards shared a kernel:
-        # its own counters are empty and each shard's ride verbatim
-        # under metrics_dict()["shards"], plan order.
-        assert sharded.kernel_stats == {}
+        # A merged result's counters are the key-wise sum of its
+        # shards', which ride verbatim under metrics_dict()["shards"],
+        # plan order.
+        assert sharded.kernel_stats == summed_kernels(sharded.shard_blocks)
+        assert sharded.kernel_stats != unsharded.kernel_stats
         blocks = sharded.metrics_dict()["shards"]
         assert [b["channel"] for b in blocks] == [0, 1]
         assert [b["cells"] for b in blocks] == [[0, 2], [1, 3]]
@@ -126,7 +159,7 @@ class TestShardEquivalence:
         cfg = base_config(cells=4, channels=2, n_clients=1, seed=7,
                           duration_ns=1200 * MS, warmup_ns=400 * MS,
                           **CHURN)
-        unsharded = run_scenario(cfg)
+        unsharded = run_whole(cfg)
         sharded = run_scenario(cfg, shard_jobs=1)
         assert metrics_except_kernel(unsharded) == \
             metrics_except_kernel(sharded)
@@ -142,7 +175,7 @@ class TestShardEquivalence:
                           adversary=AdversaryConfig(kind="mutator",
                                                     intensity=0.5),
                           **CHURN)
-        unsharded = run_scenario(cfg).metrics_dict()
+        unsharded = run_whole(cfg).metrics_dict()
         sharded = run_scenario(cfg, shard_jobs=1).metrics_dict()
         assert unsharded["aqm"] == sharded["aqm"]
         assert unsharded["adversary"] == sharded["adversary"]
@@ -171,25 +204,31 @@ class TestShardEquivalence:
 
 
     def test_world_is_live_iff_one_simulator_ran(self, static_runs):
-        unsharded, sharded = static_runs
+        """``world`` is live iff the plan had one shard."""
+        _, sharded = static_runs
         assert sharded.world is None
-        world = unsharded.world
-        assert [net.index for net in world.cells] == [0, 1, 2, 3]
-        assert world.sim.stats.as_dict() == unsharded.kernel_stats
-        assert set(world.drivers) == set(unsharded.driver_metrics)
         # One channel is one shard whatever shard_jobs asks for.
         single = run_scenario(base_config(cells=2, n_clients=1, seed=2),
                               shard_jobs=4)
-        assert single.world.channels == (0,)
+        world = single.world
+        assert world.channels == (0,)
+        assert [net.index for net in world.cells] == [0, 1]
+        assert world.sim.stats.as_dict() == single.kernel_stats
+        assert set(world.drivers) == set(single.driver_metrics)
 
     def test_one_shard_spans_every_channel(self):
+        """Asking for the frame record is what still gets one
+        simulator spanning every channel, ``world.trace`` live."""
         cfg = base_config(cells=4, channels=3, n_clients=1, seed=3,
                           cell_channel=(2, 0, 2, 1))
-        result = run_scenario(cfg)
+        result = run_scenario(dataclasses.replace(cfg, trace=True))
         metrics = result.metrics_dict()
         assert metrics["kernel_stats"]["events_executed"] > 0
         assert "shards" not in metrics
         assert result.shard_info is None
+        assert result.world.channels == (2, 0, 1)
+        assert {record.channel
+                for record in result.world.trace.records} == {2, 0, 1}
         assert [block["channel"] for block in metrics["channels"]] \
             == list(cfg.ordered_channels()) == [2, 0, 1]
         assert metrics_except_kernel(result) == \
@@ -215,10 +254,13 @@ class TestMergeOrder:
                           arrivals=CHURN["arrivals"])
         results = [execute_shard(cfg, cells)[0]
                    for _, cells in ShardPlan.from_config(cfg).shards()]
-        return results, metrics_except_kernel(run_scenario(cfg))
+        return results, metrics_except_kernel(run_whole(cfg))
 
     def test_merge_ignores_insertion_order(self, shards):
         results, unsharded = shards
+        kernel_sum = {}
+        for result in results:
+            merge_counts(kernel_sum, result.kernel_stats)
         for order in itertools.permutations(range(3)):
             for left_first in (True, False):
                 a, b, c = (copy.deepcopy(results[i]) for i in order)
@@ -228,7 +270,9 @@ class TestMergeOrder:
                 else:
                     b.merge(c)
                     a.merge(b)
-                assert a.kernel_stats == {} and a.world is None
+                assert a.kernel_stats == summed_kernels(a.shard_blocks) \
+                    == kernel_sum
+                assert a.world is None
                 assert [block["cells"] for block in a.shard_blocks] \
                     == [[0], [1], [2]]
                 assert metrics_except_kernel(a) == unsharded, \
@@ -305,3 +349,104 @@ class TestShardGuards:
         error = ShardExecutionError(1, (1,), RuntimeError("boom"))
         assert "channel 1" in str(error)
         assert error.cells == (1,)
+
+
+QUICK_RUN = dict(duration_ns=120 * MS, warmup_ns=40 * MS)
+#: The shapes a plan must factor exactly, as overrides of a registry
+#: scenario (telemetry is the fourth: an execution knob, not a config).
+SHAPES = {
+    "static": {},
+    "churn": CHURN,
+    "adversary": dict(adversary=AdversaryConfig(kind="jammer",
+                                                intensity=0.5)),
+}
+MULTI_CHANNEL_SCENARIOS = [
+    name for name in registry.names()
+    if ShardPlan.from_config(registry.build(name)).shard_count > 1]
+
+
+def without_wall_times(result):
+    """``metrics_dict()`` with the host wall times (span tables) out."""
+    metrics = normalised(result.metrics_dict())
+    for block in [metrics, *metrics.get("shards", ())]:
+        if block.get("telemetry"):
+            block["telemetry"]["spans"] = None
+    return metrics
+
+
+def shard_modes_in_this_process(cfg):
+    """(default, ``shard_jobs=2``) execution modes — the pool work
+    function of ``test_pool_worker_never_starts_a_pool``."""
+    return [run_scenario(cfg, shard_jobs=jobs).shard_info["mode"]
+            for jobs in (None, 2)]
+
+
+class TestDefaultExecution:
+    """``run_scenario(cfg)`` decides how its shards run; the record it
+    returns must not depend on what it decided."""
+
+    def test_registry_has_a_multi_channel_scenario(self):
+        assert "city-20cell" in MULTI_CHANNEL_SCENARIOS
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("shape", [*SHAPES, "telemetry"])
+    @pytest.mark.parametrize("name", MULTI_CHANNEL_SCENARIOS)
+    def test_default_equals_whole_simulator_and_serial_shards(
+            self, name, shape, seed):
+        cfg = registry.build(name, seed=seed, **QUICK_RUN,
+                             **SHAPES.get(shape, {}))
+        telemetry = TelemetryConfig() if shape == "telemetry" else None
+        default = run_scenario(cfg, telemetry=telemetry)
+        serial = run_scenario(cfg, shard_jobs=1, telemetry=telemetry)
+        whole = without_wall_times(run_whole(cfg, telemetry))
+        assert without_wall_times(default) == without_wall_times(serial)
+        assert default.kernel_stats == summed_kernels(default.shard_blocks)
+        merged = without_wall_times(default)
+        for execution_key in ("kernel_stats", "shards"):
+            merged.pop(execution_key)
+            whole.pop(execution_key, None)
+        assert merged == whole
+
+    def test_one_core_host_runs_serial_shards(self, monkeypatch):
+        cfg = base_config(cells=3, channels=3, n_clients=1, seed=4,
+                          **QUICK_RUN)
+        default = run_scenario(cfg)
+        assert default.world is None
+        if (os.cpu_count() or 1) > 1:
+            # One worker per shard, not min(shards, cores).
+            assert default.shard_info["mode"] == "parallel"
+            assert default.shard_info["jobs"] == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        one_core = run_scenario(cfg)
+        assert one_core.shard_info["mode"] == "serial"
+        assert one_core.shard_info["requested_jobs"] is None
+        assert normalised(one_core.metrics_dict()) == \
+            normalised(default.metrics_dict())
+
+    def test_pool_worker_never_starts_a_pool(self):
+        """Regression: the guard tested ``current_process().daemon``,
+        which executor workers have not set since Python 3.9 — a
+        ``--jobs N`` sweep forked N x shards processes."""
+        cfg = base_config(cells=3, channels=3, n_clients=1, seed=4,
+                          **QUICK_RUN)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            modes = pool.submit(shard_modes_in_this_process,
+                                cfg).result(timeout=120)
+        assert modes == ["serial", "serial"]
+
+    def test_failing_shard_is_named_under_the_default(self, monkeypatch):
+        build = scenarios.build_simulation
+
+        def failing_build(cfg, cell_indices=None, telemetry=None):
+            if 1 in cell_indices:
+                raise RuntimeError("boom")
+            return build(cfg, cell_indices, telemetry)
+
+        # Shard workers are forked per run, so they inherit the patch.
+        monkeypatch.setattr(scenarios, "build_simulation", failing_build)
+        cfg = base_config(cells=4, channels=2, n_clients=1)
+        with pytest.raises(ShardExecutionError,
+                           match=r"channel 1 \(cells \[1, 3\]\) "
+                                 r"failed: RuntimeError: boom") as caught:
+            run_scenario(cfg)
+        assert (caught.value.channel, caught.value.cells) == (1, (1, 3))
