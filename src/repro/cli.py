@@ -171,9 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trace-export", default=None, metavar="PATH",
                      help="write a Chrome trace-event JSON (frames + "
                           "kernel spans + counter tracks) loadable in "
-                          "chrome://tracing or Perfetto; one "
-                          "simulator then spans every channel, so it "
-                          "is refused with --shard-jobs")
+                          "chrome://tracing or Perfetto")
     sim.add_argument("--sample-interval", type=float, default=10.0,
                      metavar="MS",
                      help="telemetry sampling interval in simulated "
@@ -420,14 +418,13 @@ def _simulate(args: argparse.Namespace) -> int:
                   f"{shard_kernel['heap_compactions']} "
                   f"compactions, "
                   f"{shard_kernel['timer_rearms']} timer re-arms")
-    if result.telemetry is not None:
-        tele = result.telemetry
+    tele = result.telemetry
+    if tele is not None:
         print(f"telemetry         : {tele['samples']} samples @ "
               f"{tele['sample_interval_ns'] / MS:g} ms")
-        spans = tele.get("spans")
-        if spans is not None:
-            print(f"kernel spans      : {spans['events']} events, "
-                  f"{spans['total_wall_ns'] / 1e6:.1f} ms wall")
+        spans = tele["spans"]
+        print(f"kernel spans      : {spans['events']} events, "
+              f"{spans['total_wall_ns'] / 1e6:.1f} ms wall")
         if args.telemetry:
             print(f"telemetry artifact: {args.telemetry}")
         if args.trace_export:

@@ -275,25 +275,6 @@ def execute_point(point: SweepPoint,
     return metrics
 
 
-def point_shard_units(point: SweepPoint) -> int:
-    """How many shard-level work units one point fans out into.
-
-    The point's shard count, whatever ``shard_jobs`` says (the plan is
-    a property of the config): 1 for analytic points, one-channel and
-    frame-trace configs, and for configs the planner rejects (the run
-    itself will surface that error).  Feeds the unit-weighted
-    progress/ETA so a 3-channel point counts as three units of
-    simulation, not one.
-    """
-    if point.config is None:
-        return 1
-    from ..workloads.sharding import ShardPlan
-    try:
-        return max(1, ShardPlan.from_config(point.config).shard_count)
-    except ValueError:
-        return 1
-
-
 # ----------------------------------------------------------------------
 # Cache
 # ----------------------------------------------------------------------
@@ -620,13 +601,9 @@ def error_payload(exc: BaseException, attempts: int) -> Dict[str, Any]:
 class _RunState:
     """Mutable bookkeeping for one ``SweepRunner.run`` invocation."""
 
-    def __init__(self, spec: SweepSpec, signatures: List[str],
-                 units: Optional[List[int]] = None):
+    def __init__(self, spec: SweepSpec, signatures: List[str]):
         self.spec = spec
         self.signatures = signatures
-        #: Shard-unit weight per point (``point_shard_units``).
-        self.units = units if units is not None \
-            else [1] * len(spec.points)
         self.metrics_by_index: Dict[int, Metrics] = {}
         self.cached: Dict[int, bool] = {}
         self.errors_by_index: Dict[int, Dict[str, Any]] = {}
@@ -645,16 +622,7 @@ class _RunState:
             spec_name=self.spec.name, total=len(self.spec.points),
             executed=self.executed, cached=self.cache_hits,
             failed=len(self.errors_by_index),
-            elapsed_s=time.perf_counter() - self.started,
-            total_units=sum(self.units),
-            executed_units=sum(
-                self.units[i] for i, flag in self.cached.items()
-                if not flag),
-            cached_units=sum(
-                self.units[i] for i, flag in self.cached.items()
-                if flag),
-            failed_units=sum(
-                self.units[i] for i in self.errors_by_index))
+            elapsed_s=time.perf_counter() - self.started)
 
 
 class SweepRunner:
@@ -864,8 +832,7 @@ class SweepRunner:
     # -- entry point ---------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepResult:
         signatures = [point_signature(p) for p in spec.points]
-        units = [point_shard_units(p) for p in spec.points]
-        state = _RunState(spec, signatures, units)
+        state = _RunState(spec, signatures)
 
         pending: List[int] = []
         for index, signature in enumerate(signatures):

@@ -30,17 +30,7 @@ PROBE_STATES = ("complete", "failed", "missing", "corrupt")
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepProgress:
-    """One snapshot of a running sweep, emitted by the runner.
-
-    ``*_units`` weight each point by how much work it fans out into —
-    a multi-channel point is one *point* but ``shard_count`` *units*
-    (one simulator per channel).  The rate/ETA estimators work in
-    units so a sweep mixing 1-shard and 3-shard points doesn't
-    extrapolate a cheap point's pace onto an expensive one.  All four
-    default to 0, meaning "not tracked": estimators then fall back to
-    point counts (every point weighs 1), which keeps pre-shard
-    constructors and artifacts working unchanged.
-    """
+    """One snapshot of a running sweep, emitted by the runner."""
 
     spec_name: str
     total: int
@@ -48,10 +38,6 @@ class SweepProgress:
     cached: int = 0
     failed: int = 0
     elapsed_s: float = 0.0
-    total_units: int = 0
-    executed_units: int = 0
-    cached_units: int = 0
-    failed_units: int = 0
 
     @property
     def completed(self) -> int:
@@ -67,40 +53,19 @@ class SweepProgress:
         return self.remaining == 0
 
     @property
-    def units_tracked(self) -> bool:
-        """Whether the emitter supplied shard-unit weights."""
-        return self.total_units > 0
-
-    @property
-    def completed_units(self) -> int:
-        if not self.units_tracked:
-            return self.completed
-        return (self.executed_units + self.cached_units
-                + self.failed_units)
-
-    @property
-    def remaining_units(self) -> int:
-        if not self.units_tracked:
-            return self.remaining
-        return max(0, self.total_units - self.completed_units)
-
-    @property
     def rate_per_s(self) -> Optional[float]:
-        """Executed shard-units per wall second (cache hits are ~free,
-        so they are excluded — the rate estimates *simulation* speed).
-        Falls back to points/s when units are not tracked."""
-        done = self.executed_units if self.units_tracked \
-            else self.executed
-        if done == 0 or self.elapsed_s <= 0:
+        """Executed points per wall second (cache hits are ~free, so
+        they are excluded — the rate estimates *simulation* speed)."""
+        if self.executed == 0 or self.elapsed_s <= 0:
             return None
-        return done / self.elapsed_s
+        return self.executed / self.elapsed_s
 
     @property
     def eta_s(self) -> Optional[float]:
         rate = self.rate_per_s
         if rate is None or rate <= 0:
             return None
-        return self.remaining_units / rate
+        return self.remaining / rate
 
 
 def _fmt_eta(seconds: Optional[float]) -> str:
@@ -119,17 +84,11 @@ def render_progress(progress: SweepProgress) -> str:
     parts = [f"{progress.completed}/{progress.total} points",
              f"{progress.executed} run",
              f"{progress.cached} cached"]
-    if progress.units_tracked and progress.total_units > progress.total:
-        parts.insert(
-            1, f"{progress.completed_units}/{progress.total_units} "
-               "shard-units")
     if progress.failed:
         parts.append(f"{progress.failed} FAILED")
     rate = progress.rate_per_s
     if rate is not None:
-        unit = "units/s" if progress.units_tracked \
-            and progress.total_units != progress.total else "pts/s"
-        parts.append(f"{rate:.2f} {unit}")
+        parts.append(f"{rate:.2f} pts/s")
     if progress.finished:
         parts.append(f"done in {progress.elapsed_s:.1f}s")
     else:

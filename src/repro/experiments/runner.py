@@ -101,9 +101,7 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
                              "deaths; default 0)")
     parser.add_argument("--progress", action="store_true",
                         help="live progress lines on stderr (points "
-                             "done/cached/failed, points/s, ETA; "
-                             "a multi-channel point weighs one unit "
-                             "per channel shard)")
+                             "done/cached/failed, points/s, ETA)")
     parser.add_argument("--shard-jobs", type=positive_int,
                         default=None, metavar="N",
                         help="processes per multi-channel point, "

@@ -18,15 +18,17 @@ from .export import chrome_trace, write_chrome_trace
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .report import TelemetryArtifactError, format_report, \
     load_telemetry, print_report
-from .sampler import TelemetryConfig, TelemetrySession, \
-    telemetry_meta, write_telemetry_file
-from .spans import KernelInstrument, merge_span_blocks, owner_key
+from .sampler import MAX_EXPORT_FRAMES, TelemetryConfig, \
+    TelemetrySession, telemetry_meta, telemetry_summary, \
+    write_telemetry_file
+from .spans import KernelInstrument, owner_key
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "KernelInstrument",
+    "MAX_EXPORT_FRAMES",
     "MetricsRegistry",
     "TelemetryArtifactError",
     "TelemetryConfig",
@@ -34,10 +36,10 @@ __all__ = [
     "chrome_trace",
     "format_report",
     "load_telemetry",
-    "merge_span_blocks",
     "owner_key",
     "print_report",
     "telemetry_meta",
+    "telemetry_summary",
     "write_chrome_trace",
     "write_telemetry_file",
 ]

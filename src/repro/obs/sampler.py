@@ -2,9 +2,12 @@
 
 A :class:`TelemetrySession` is the run-scoped object behind
 ``run_scenario(cfg, telemetry=TelemetryConfig(...))``: it installs the
-kernel instrument, schedules a simulated-time periodic sampler, and
-flattens everything into the ``"telemetry"`` metrics block plus the
-streaming JSONL artifact.
+kernel instrument, schedules a simulated-time periodic sampler and
+streams the JSONL artifact.  What it records — samples, registry,
+instrument — ``collect()`` reads off it as plain ``ScenarioResult``
+fields, from which the ``"telemetry"`` metrics block is rendered
+(:func:`telemetry_summary`: its deterministic part, and the
+artifact's summary line).
 
 Every sample tick emits **one record per channel** (not one per tick),
 with that channel's cells nested inside — the shard-friendly shape: a
@@ -55,7 +58,11 @@ _CELL_FIELDS = ("ap_queue", "wired_down_queue", "wired_up_queue",
                 "aqm_sojourn_p99_ms")
 
 TELEMETRY_FORMAT = "repro-telemetry"
-TELEMETRY_VERSION = 1
+TELEMETRY_VERSION = 2
+#: Individual kernel spans / frame records a simulator retains for a
+#: Chrome-trace export (aggregates and counts are always unbounded).
+MAX_EXPORT_SPANS = 20_000
+MAX_EXPORT_FRAMES = 200_000
 
 
 @dataclass(frozen=True)
@@ -71,16 +78,6 @@ class TelemetryConfig:
     sample_interval_ns: int = 10 * MS
     telemetry_path: Optional[str] = None
     trace_export_path: Optional[str] = None
-    #: Time event callbacks by owner (KernelInstrument).
-    kernel_spans: bool = True
-    #: Individual spans retained for trace export (aggregates are
-    #: always unbounded).
-    max_spans: int = 20_000
-    #: Cap on retained sample records (None = unbounded; streaming
-    #: JSONL output is never capped).
-    max_samples: Optional[int] = None
-    #: Cap on trace-export frame records.
-    trace_max_records: Optional[int] = 200_000
 
     def __post_init__(self) -> None:
         if self.sample_interval_ns <= 0:
@@ -88,16 +85,10 @@ class TelemetryConfig:
                 f"sample_interval_ns must be positive, "
                 f"got {self.sample_interval_ns}")
 
-    def without_paths(self) -> "TelemetryConfig":
-        """The per-shard variant for a multi-shard run: shards sample
-        and time, but only the parent process writes artifacts (after
-        the merge).  ``max_samples`` caps the run, not the shard, and
-        never the JSONL stream — so a shard of a run that writes one
-        retains every sample for the parent to write."""
-        return dataclasses.replace(
-            self, telemetry_path=None, trace_export_path=None,
-            max_samples=(None if self.telemetry_path
-                         else self.max_samples))
+    def for_shard(self) -> "TelemetryConfig":
+        """One shard's variant in a multi-shard run: the JSONL
+        artifact is written once, by the parent, after the merge."""
+        return dataclasses.replace(self, telemetry_path=None)
 
 
 def telemetry_meta(cfg, config: TelemetryConfig,
@@ -132,6 +123,18 @@ def telemetry_meta(cfg, config: TelemetryConfig,
     return meta
 
 
+def telemetry_summary(config: TelemetryConfig,
+                      registry: MetricsRegistry) -> Dict[str, Any]:
+    """The deterministic part of the ``"telemetry"`` block, and (plus
+    ``type``) the artifact's summary line: no wall times."""
+    metrics = registry.as_dict()
+    return {
+        "sample_interval_ns": config.sample_interval_ns,
+        "samples": metrics["counters"].get("samples", 0),
+        "metrics": metrics,
+    }
+
+
 def _cell_sojourn_p99(net) -> float:
     """Delivered-packet sojourn p99 (ms) across one cell's stations;
     0.0 until anything has been dequeued (keeps the gauge numeric)."""
@@ -148,7 +151,7 @@ def _dump_line(handle: IO[str], record: Dict[str, Any]) -> None:
 def write_telemetry_file(path: str, meta: Dict[str, Any],
                          samples: Sequence[Dict[str, Any]],
                          summary: Dict[str, Any],
-                         spans: Optional[Dict[str, Any]]) -> None:
+                         spans: Dict[str, Any]) -> None:
     """Write a complete JSONL artifact in one pass (a multi-shard
     merge; a single simulator streams the same bytes incrementally)."""
     parent = os.path.dirname(path)
@@ -158,19 +161,17 @@ def write_telemetry_file(path: str, meta: Dict[str, Any],
         _dump_line(handle, meta)
         for sample in samples:
             _dump_line(handle, sample)
-        _dump_line(handle, summary)
-        if spans is not None:
-            _dump_line(handle, dict(spans, type="spans"))
+        _dump_line(handle, dict(summary, type="summary"))
+        _dump_line(handle, dict(spans, type="spans"))
 
 
 class TelemetrySession:
     """One run's live observability state (sampler + registry + spans).
 
     Wired by :func:`~repro.workloads.scenarios.build_simulation`; its
-    plain-data products (samples, registry, span block) travel in the
+    plain-data products (samples, registry, instrument) travel in the
     :class:`~repro.workloads.scenarios.ScenarioResult` and are merged
-    by its ``merge`` and
-    :func:`~repro.workloads.sharding.merge_telemetry`.
+    by its ``merge``.
     """
 
     def __init__(self, cfg, config: TelemetryConfig, sim, media,
@@ -181,12 +182,10 @@ class TelemetrySession:
         self.media = media
         self.channels: Tuple[int, ...] = tuple(channels)
         self.registry = MetricsRegistry()
-        self.instrument: Optional[KernelInstrument] = (
-            KernelInstrument(config.max_spans)
-            if config.kernel_spans else None)
+        # Raw spans are kept only when an export will read them.
+        self.instrument = KernelInstrument(
+            MAX_EXPORT_SPANS if config.trace_export_path else 0)
         self.samples: List[Dict[str, Any]] = []
-        self.emitted = 0
-        self.dropped_samples = 0
         self._stream: Optional[IO[str]] = None
         self._cells_by_channel: Dict[int, List[Any]] = {
             channel: [net for net in cells
@@ -199,24 +198,26 @@ class TelemetrySession:
         """Install the instrument and schedule the first sample tick
         (t=0; ticks repeat every ``sample_interval_ns`` of simulated
         time through the end of the run)."""
-        if self.instrument is not None:
-            self.sim.set_instrument(self.instrument)
+        self.sim.set_instrument(self.instrument)
         if self.config.telemetry_path:
             parent = os.path.dirname(self.config.telemetry_path)
             if parent:
                 os.makedirs(parent, exist_ok=True)
             self._stream = open(self.config.telemetry_path, "w")
-            _dump_line(self._stream, self.meta())
+            _dump_line(self._stream, telemetry_meta(
+                self.cfg, self.config, self.channels,
+                self._cell_indices))
         self.sim.schedule(0, self._tick)
 
     def finish(self) -> None:
         """Flush the artifact (summary + spans lines)."""
         if self._stream is None:
             return
-        _dump_line(self._stream, self.summary_record())
-        if self.instrument is not None:
-            _dump_line(self._stream,
-                       dict(self.instrument.as_dict(), type="spans"))
+        _dump_line(self._stream, dict(
+            telemetry_summary(self.config, self.registry),
+            type="summary"))
+        _dump_line(self._stream,
+                   dict(self.instrument.as_dict(), type="spans"))
         self._stream.close()
         self._stream = None
 
@@ -286,38 +287,6 @@ class TelemetrySession:
             registry.histogram(
                 f"{label}.ap_queue").observe(cell["ap_queue"])
         registry.counter("samples").inc()
-        self.emitted += 1
-        if (self.config.max_samples is None
-                or len(self.samples) < self.config.max_samples):
-            self.samples.append(record)
-        else:
-            self.dropped_samples += 1
+        self.samples.append(record)
         if self._stream is not None:
             _dump_line(self._stream, record)
-
-    # -- flattening ----------------------------------------------------
-    def meta(self) -> Dict[str, Any]:
-        return telemetry_meta(self.cfg, self.config, self.channels,
-                              self._cell_indices)
-
-    def summary_record(self) -> Dict[str, Any]:
-        """The deterministic summary line (no wall times)."""
-        return {
-            "type": "summary",
-            "sample_interval_ns": self.config.sample_interval_ns,
-            "samples": self.emitted,
-            "retained_samples": len(self.samples),
-            "dropped_samples": self.dropped_samples,
-            "metrics": self.registry.as_dict(),
-        }
-
-    def block(self) -> Dict[str, Any]:
-        """The ``metrics_dict()["telemetry"]`` block: the deterministic
-        summary plus the wall-time spans table under ``"spans"`` (the
-        one key determinism oracles pop before comparing)."""
-        summary = self.summary_record()
-        del summary["type"]
-        summary["enabled"] = True
-        summary["spans"] = (self.instrument.as_dict()
-                            if self.instrument is not None else None)
-        return summary

@@ -22,6 +22,10 @@ Besides the always-on aggregates, the instrument can retain up to
 for Chrome-trace export: each becomes a duration event placed at its
 simulated instant whose length is the host wall time of the handler —
 a timeline of *where the host worked* across *simulated* time.
+
+The instrument rides the ``ScenarioResult`` as plain data and is an
+accumulator under the one merge rule of :mod:`repro.obs.metrics`: the
+span table is rendered once, from the shards' merged instrument.
 """
 
 from __future__ import annotations
@@ -101,27 +105,15 @@ class KernelInstrument:
             "owners": self.owner_table(),
         }
 
-
-def merge_span_blocks(blocks: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge per-shard ``KernelInstrument.as_dict()`` blocks: counts
-    and wall times sum by owner (each shard timed its own kernel)."""
-    owners: Dict[str, List[int]] = {}
-    merged: Dict[str, Any] = {"events": 0, "total_wall_ns": 0,
-                              "recorded_spans": 0, "dropped_spans": 0}
-    for block in blocks:
-        if not block:
-            continue
-        for field in ("events", "total_wall_ns", "recorded_spans",
-                      "dropped_spans"):
-            merged[field] += block.get(field, 0)
-        for row in block.get("owners", ()):
-            entry = owners.setdefault(row["owner"], [0, 0, 0])
-            entry[0] += row["count"]
-            entry[1] += row["wall_ns"]
-            entry[2] = max(entry[2], row["max_ns"])
-    rows = [{"owner": key, "count": count, "wall_ns": wall_ns,
-             "max_ns": max_ns}
-            for key, (count, wall_ns, max_ns) in owners.items()]
-    rows.sort(key=lambda row: (-row["wall_ns"], row["owner"]))
-    merged["owners"] = rows
-    return merged
+    def merge(self, other: "KernelInstrument") -> None:
+        """Fold another simulator's timings in: counts and wall times
+        sum by owner, retained spans pool."""
+        for key, (count, wall_ns, max_ns) in other.owners.items():
+            entry = self.owners.setdefault(key, [0, 0, 0])
+            entry[0] += count
+            entry[1] += wall_ns
+            entry[2] = max(entry[2], max_ns)
+        self.spans.extend(other.spans)
+        self.dropped_spans += other.dropped_spans
+        self.total_wall_ns += other.total_wall_ns
+        self.events += other.events

@@ -10,12 +10,18 @@ MORE DATA latch was set", ...).
 Records carry frame classification, addressing, airtime, collision
 status and the HACK payload size, and the tracer offers simple
 filtering and timeline-gap helpers.
+
+Once the run is over a tracer is plain data — records, cap, dropped
+count; its observers live on the media — so it rides the
+``ScenarioResult``, and a multi-shard run's per-channel tracers fold
+into the run's with :meth:`MediumTracer.merge`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..mac.frames import AckFrame, AmpduFrame, BarFrame, BlockAckFrame, \
     DataFrame
@@ -118,6 +124,25 @@ class MediumTracer:
             sync=bool(getattr(frame, "sync", False)),
             channel=channel,
         ))
+
+    def merge(self, other: "MediumTracer",
+              channels: Sequence[int]) -> None:
+        """Fold another simulator's record of the same run into this
+        one, in place; ``other`` is left untouched.
+
+        Records sort by ``(end_ns, position in channels)``: the order
+        one simulator spanning every channel sees them in, except that
+        it breaks a cross-channel end-time tie by heap push order.
+        The sort is stable (a simulator's own order is kept), the cap
+        applies to the whole and ``index`` is position in the result.
+        """
+        merged = sorted(
+            self.records + other.records,
+            key=lambda r: (r.end_ns, channels.index(r.channel)))
+        kept = merged[:self.max_records]
+        self.dropped += other.dropped + len(merged) - len(kept)
+        self.records = [dataclasses.replace(record, index=index)
+                        for index, record in enumerate(kept)]
 
     # ------------------------------------------------------------------
     def filter(self, frame_type: Optional[str] = None,

@@ -56,8 +56,9 @@ from ..mac.dcf import DcfMac
 from ..mac.params import MacParams
 from ..mac.qdisc import DISCIPLINES, QdiscStats
 from ..mac.rate_control import RATE_CONTROLS
-from ..obs import MetricsRegistry, TelemetryConfig, TelemetrySession, \
-    chrome_trace, write_chrome_trace
+from ..obs import MAX_EXPORT_FRAMES, KernelInstrument, MetricsRegistry, \
+    TelemetryConfig, TelemetrySession, chrome_trace, telemetry_meta, \
+    telemetry_summary, write_chrome_trace
 from ..obs.metrics import merge_counts
 from ..phy.errors import LossModel, NoLoss, SnrLossModel, UniformLossModel
 from ..phy.params import PHY_11A, PHY_11N, PhyParams
@@ -263,6 +264,9 @@ class ScenarioConfig:
         if self.n_clients < 0:
             raise ValueError(
                 f"n_clients must be >= 0, got {self.n_clients}")
+        if self.flows_per_client < 1:
+            raise ValueError(f"flows_per_client must be >= 1, got "
+                             f"{self.flows_per_client}")
         self.loss.validate()
         if self.traffic == "dynamic" and self.arrivals is None:
             raise ValueError("traffic='dynamic' requires an "
@@ -359,7 +363,7 @@ class ScenarioConfig:
         """TCP flow ids one cell's static traffic consumes."""
         if self.traffic in ("dynamic", "udp_download"):
             return 0
-        return self.clients_in_cell(cell) * max(1, self.flows_per_client)
+        return self.clients_in_cell(cell) * self.flows_per_client
 
     def static_flow_id_base(self, cell: int) -> int:
         """First static flow id of one cell (ids start at 1 and run in
@@ -392,8 +396,9 @@ class ScenarioResult:
     ``medium_*``, ``fct``, ``aqm_counters``, ``adversary_counters`` —
     is a read-only view computed from them, so it is the same however
     the cells were split and in whatever order shards were merged.
-    The exception is ``world``, the live simulation of a one-shard
-    run.
+    What the run recorded (frame trace, telemetry) is fields like the
+    rest.  The exception is ``world``, the live simulation of a
+    one-shard run.
     """
 
     config: ScenarioConfig
@@ -455,24 +460,28 @@ class ScenarioResult:
     #: clock; not part of metrics).  None when one simulator ran
     #: everything.
     shard_info: Optional[Dict[str, Any]] = None
-    #: The ``metrics_dict()["telemetry"]`` block — present only when
-    #: the run was executed with ``telemetry=TelemetryConfig(...)``
-    #: (an execution knob: never in ScenarioConfig, never in sweep
-    #: cache signatures).  Everything here is deterministic except the
-    #: ``"spans"`` sub-block (host wall times).  It is rendered from
-    #: the two fields below: the retained sample records (time order)
-    #: and the registry (per-channel / per-cell metric names are
-    #: disjoint across shards, so a merge is an exact union).
-    telemetry: Optional[Dict[str, Any]] = None
+    #: The frame record, when the run was asked for one
+    #: (``config.trace`` or a Chrome-trace export); plain data.
+    trace: Optional[MediumTracer] = field(default=None, repr=False)
+    #: What a run executed with ``telemetry=TelemetryConfig(...)``
+    #: recorded (an execution knob: never in ScenarioConfig, never in
+    #: sweep cache signatures; None / empty otherwise): the knobs, the
+    #: sample records in ``(t_ns, plan channel order)``, the registry
+    #: (per-channel / per-cell metric names are disjoint across
+    #: shards, so a merge is an exact union) and the kernel timings
+    #: (host wall times: the one nondeterministic part).
+    telemetry_config: Optional[TelemetryConfig] = None
     telemetry_samples: List[Dict[str, Any]] = field(
         default_factory=list, repr=False)
     telemetry_registry: Optional[MetricsRegistry] = None
+    telemetry_instrument: Optional[KernelInstrument] = field(
+        default=None, repr=False)
     #: The live simulation (:func:`build_simulation`'s return value,
-    #: after the run): flows, clients, drivers, flow managers, frame
-    #: trace, telemetry session.  Set when the plan had one shard
-    #: (one channel in use, or a frame record asked for); None for a
-    #: multi-shard run, whose live objects never cross a process
-    #: boundary — build one with ``build_simulation(cfg)`` instead.
+    #: after the run): flows, clients, drivers, flow managers,
+    #: telemetry session.  Set when the plan had one shard (one channel
+    #: in use); None for a multi-shard run, whose live objects never
+    #: cross a process boundary — build one with
+    #: ``build_simulation(cfg)`` instead.
     world: Optional["CellBuilder"] = field(default=None, repr=False)
 
     def merge(self, other: "ScenarioResult") -> None:
@@ -486,15 +495,16 @@ class ScenarioResult:
         is a function of the config like everything else.  Each
         simulator's own counters (and its telemetry block, when
         sampling ran) ride verbatim under ``shard_blocks``, ordered by
-        first cell (= plan order).  The run-wide ``telemetry`` block of
-        a merged result is rendered last, by
-        :func:`~repro.workloads.sharding.merge_telemetry`.
+        first cell (= plan order).  What was recorded follows the
+        rule too: samples and frame records re-sort into plan order
+        (each shard holds those of its own channels, so the stream is
+        the same however the cells were split), registry and kernel
+        timings sum.
         """
         self.shard_blocks = sorted(
             (dict(block) for result in (self, other)
              for block in result.shard_blocks or [result._shard_block()]),
             key=lambda block: block["cells"][0])
-        self.telemetry = None
         self.world = None
         for keyed in ("tcp_flows_by_cell", "udp_flows_by_cell",
                       "completion_times_ns", "sender_counters",
@@ -507,10 +517,16 @@ class ScenarioResult:
         for counts in ("decomp_counters", "rohc_counters",
                        "adversary_counts", "kernel_stats"):
             merge_counts(getattr(self, counts), getattr(other, counts))
-        self.telemetry_samples = (self.telemetry_samples
-                                  + other.telemetry_samples)
-        if other.telemetry_registry is not None:
+        channels = self.config.ordered_channels()
+        self.telemetry_samples = sorted(
+            self.telemetry_samples + other.telemetry_samples,
+            key=lambda record: (record["t_ns"],
+                                channels.index(record["channel"])))
+        if other.telemetry_config is not None:
             self.telemetry_registry.merge(other.telemetry_registry)
+            self.telemetry_instrument.merge(other.telemetry_instrument)
+        if other.trace is not None:
+            self.trace.merge(other.trace, channels)
 
     def _shard_block(self) -> Dict[str, Any]:
         """This one simulator's ``metrics_dict()["shards"]`` entry."""
@@ -521,6 +537,18 @@ class ScenarioResult:
                 "telemetry": self.telemetry}
 
     # -- views, in whole-scenario order --------------------------------
+    @property
+    def telemetry(self) -> Optional[Dict[str, Any]]:
+        """The ``metrics_dict()["telemetry"]`` block of a telemetry
+        run: deterministic except its ``"spans"`` table (host wall
+        times — the one key determinism oracles pop)."""
+        if self.telemetry_config is None:
+            return None
+        return dict(
+            telemetry_summary(self.telemetry_config,
+                              self.telemetry_registry),
+            enabled=True, spans=self.telemetry_instrument.as_dict())
+
     @property
     def per_flow_goodput_mbps(self) -> Dict[int, float]:
         """Static flows over ascending cells, then UDP sinks — the
@@ -626,8 +654,8 @@ class ScenarioResult:
         * ``decompressor``, ``rohc``, ``adversary`` — counter dicts
           summed by ``merge_counts`` (``adversary`` under the config's
           kind / intensity);
-        * ``telemetry`` — the merged ``MetricsRegistry``, the sample
-          stream and the span table (``merge_span_blocks``);
+        * ``telemetry`` — the merged ``MetricsRegistry`` and
+          ``KernelInstrument``;
         * everything else is per-flow / per-station / per-cell /
           per-channel data that is reordered or totalled, never
           merged; ``kernel_stats`` is the sum of the simulators'
@@ -668,8 +696,8 @@ class ScenarioResult:
         # Conditional keys: absent unless the run opted in, so every
         # telemetry-off metrics dict (golden rows, cached sweep
         # records) keeps its historical shape bit-for-bit.
-        if self.telemetry is not None:
-            out["telemetry"] = dict(self.telemetry)
+        if self.telemetry_config is not None:
+            out["telemetry"] = self.telemetry
         if self.shard_blocks is not None:
             out["shards"] = [dict(block) for block in self.shard_blocks]
         if self.config.adversary is not None:
@@ -737,11 +765,9 @@ class CellBuilder:
     """
 
     def __init__(self, cfg: ScenarioConfig,
-                 cell_indices: Tuple[int, ...],
-                 telemetry: Optional[TelemetryConfig] = None):
+                 cell_indices: Tuple[int, ...]):
         self.cfg = cfg
         self.cell_indices = cell_indices
-        self.telemetry = telemetry
         self.sim = Simulator()
         self.rngs = RngRegistry(cfg.seed)
         self.mac_stats = MacStats()
@@ -825,7 +851,7 @@ class CellBuilder:
         # --- Nodes ---------------------------------------------------
         ap_mac = self.make_mac(
             net.ap_name,
-            cfg.ap_queue_per_client * max(1, cfg.flows_per_client),
+            cfg.ap_queue_per_client * cfg.flows_per_client,
             cell_index, medium)
         ap_driver = HackDriver(sim, ap_mac, _hack_config(cfg))
         ap = ApNode(sim, ap_driver, name=net.ap_name)
@@ -867,7 +893,7 @@ class CellBuilder:
                 if cfg.traffic == "udp_download":
                     flow_specs.append((index, name, 0))
                 else:
-                    for sub in range(max(1, cfg.flows_per_client)):
+                    for sub in range(cfg.flows_per_client):
                         flow_specs.append((index, name, sub))
         next_flow_id = cfg.static_flow_id_base(net.index)
         for spec_index, (index, name, sub) in enumerate(flow_specs):
@@ -956,7 +982,7 @@ class CellBuilder:
 
     def run(self) -> None:
         """Schedule the warm-up and end-of-run snapshots, run to the
-        horizon, then close the run: flush the telemetry artifacts and
+        horizon, then close the run: flush the telemetry artifact and
         censor the churn flows still live."""
         cfg = self.cfg
         self.sim.schedule(cfg.warmup_ns, self.snapshot_all)
@@ -964,19 +990,8 @@ class CellBuilder:
                           priority=10)
         self.sim.run(until=cfg.duration_ns + 1)
 
-        session = self.telemetry_session
-        if session is not None:
-            session.finish()
-            if self.telemetry.trace_export_path is not None:
-                write_chrome_trace(
-                    self.telemetry.trace_export_path,
-                    chrome_trace(
-                        frames=self.trace.records,
-                        spans=(session.instrument.spans
-                               if session.instrument is not None
-                               else ()),
-                        samples=session.samples,
-                        meta=session.meta()))
+        if self.telemetry_session is not None:
+            self.telemetry_session.finish()
         for net in self.cells:
             if net.flow_manager is not None:
                 net.flow_manager.finalize()
@@ -998,7 +1013,7 @@ def build_simulation(cfg: ScenarioConfig,
     cfg.validate()
     if cell_indices is None:
         cell_indices = range(cfg.cells)
-    world = CellBuilder(cfg, tuple(cell_indices), telemetry)
+    world = CellBuilder(cfg, tuple(cell_indices))
     for channel in world.channels:
         world.media.add_channel(channel, cfg.loss.build(
             world.rngs.stream(_loss_stream_name(channel))))
@@ -1007,10 +1022,8 @@ def build_simulation(cfg: ScenarioConfig,
     # with its channel id.
     if cfg.trace:
         world.trace = MediumTracer(world.media, cfg.trace_max_records)
-    elif telemetry is not None \
-            and telemetry.trace_export_path is not None:
-        world.trace = MediumTracer(world.media,
-                                   telemetry.trace_max_records)
+    elif telemetry is not None and telemetry.trace_export_path:
+        world.trace = MediumTracer(world.media, MAX_EXPORT_FRAMES)
     for cell_index in world.cell_indices:
         world.build(cell_index)
 
@@ -1085,11 +1098,13 @@ def collect(world: CellBuilder) -> ScenarioResult:
         result.qdisc_stats.merge(driver.mac.qdisc_stats)
     if world.adversary_runtime is not None:
         result.adversary_counts = world.adversary_runtime.counters()
+    result.trace = world.trace
     session = world.telemetry_session
     if session is not None:
-        result.telemetry = session.block()
+        result.telemetry_config = session.config
         result.telemetry_samples = session.samples
         result.telemetry_registry = session.registry
+        result.telemetry_instrument = session.instrument
     return result
 
 
@@ -1119,10 +1134,8 @@ def run_scenario(cfg: ScenarioConfig,
     ``"shards"`` key, the live objects under ``result.world``.  For a
     multi-shard run ``world`` is None; the seam for a live
     multi-channel world is ``build_simulation(cfg)`` -> ``world.run()``
-    -> ``collect(world)``.  The one input that still gets a single
-    simulator spanning every channel is one that asks for its frame
-    record — ``cfg.trace`` or ``telemetry.trace_export_path`` — and an
-    explicit ``shard_jobs`` with such an input is refused.
+    -> ``collect(world)``.  What a run records rides the result under
+    either: the frame record (``cfg.trace``) is ``result.trace``.
 
     ``telemetry`` (a :class:`~repro.obs.TelemetryConfig`) turns on the
     observability layer — kernel span timing, the periodic time-series
@@ -1130,21 +1143,30 @@ def run_scenario(cfg: ScenarioConfig,
     artifacts.  Like ``shard_jobs`` it is an execution knob: it never
     enters ``ScenarioConfig``, sweep cache signatures or golden rows,
     and every scenario metric except ``kernel_stats`` stays
-    bit-identical to a telemetry-off run.
+    bit-identical to a telemetry-off run.  The Chrome trace is written
+    here, once, from the (merged) result's fields.
     """
     cfg.validate()
     if shard_jobs is not None and shard_jobs < 1:
         raise ValueError(f"shard_jobs must be >= 1, got {shard_jobs}")
-    plan = ShardPlan.from_config(cfg, telemetry)
-    # An explicit shard_jobs over several channels goes to run_shards
-    # even with a one-shard (frame record) plan: it refuses the record.
-    if len(plan.channels) > 1 and (plan.by_channel
-                                   or shard_jobs is not None):
-        return run_shards(cfg, plan, shard_jobs, telemetry)
-    world = build_simulation(cfg, telemetry=telemetry)
-    world.run()
-    result = collect(world)
-    result.world = world
+    plan = ShardPlan.from_config(cfg)
+    if plan.shard_count > 1:
+        result = run_shards(cfg, plan, shard_jobs, telemetry)
+    else:
+        world = build_simulation(cfg, telemetry=telemetry)
+        world.run()
+        result = collect(world)
+        result.world = world
+    if telemetry is not None and telemetry.trace_export_path:
+        write_chrome_trace(
+            telemetry.trace_export_path,
+            chrome_trace(
+                frames=result.trace.records,
+                spans=result.telemetry_instrument.spans,
+                samples=result.telemetry_samples,
+                meta=telemetry_meta(cfg, telemetry,
+                                    cfg.ordered_channels(),
+                                    range(cfg.cells))))
     return result
 
 

@@ -7,11 +7,9 @@ one independent sub-scenario per channel: a channel is a simulator.
 :func:`~repro.workloads.scenarios.run_scenario` is built on that:
 
 * **plan** — :class:`ShardPlan` splits the cells into one shard per
-  channel in use, always.  The one exception is a property of the
-  input, decided in ``ShardPlan.from_config``: a run that asks for a
-  frame record (``cfg.trace`` or ``telemetry.trace_export_path``)
-  records a *single* simulator's frames, so it gets one shard holding
-  every cell.
+  channel in use, always: what the run is asked to record (a frame
+  trace, telemetry) changes what each shard carries back, never the
+  plan.
 * **run** — a shard is :func:`~repro.workloads.scenarios.
   build_simulation` (a fresh :class:`~repro.sim.engine.Simulator`
   with the shard's cells wired in), ``run()``, then
@@ -40,19 +38,18 @@ one independent sub-scenario per channel: a channel is a simulator.
   (A whole-simulator run — ``build_simulation(cfg)`` -> ``run()`` ->
   ``collect()``, the oracle the tests keep — agrees on everything but
   those two keys: it has one heap and one set of horizon events where
-  the shards have one each.)  The one rendered block that is merged is
-  the span table (``merge_span_blocks``): a shard's raw span list is
-  host wall times, up to ``max_spans`` tuples of them, and must not
-  cross the process boundary.
+  the shards have one each.)
 
-Telemetry (``run_scenario(..., telemetry=...)``) follows the same
-law: every tick emits one sample record per channel and metric names
-are disjoint per channel/cell, so samples sorted by ``(t_ns, plan
-channel order)`` and the union of the registries are the same stream
-and the same registry under any plan.  A one-shard world streams the
-JSONL artifact itself; shards of a wider plan run with
-``TelemetryConfig.without_paths()`` and :func:`merge_telemetry`, the
-last step of the merge, writes it once.
+What a run records follows the same law.  Every telemetry tick emits
+one sample record per channel and a medium's frames are its channel's
+alone, so samples re-sorted by ``(t_ns, plan channel order)`` and
+frame records by ``(end_ns, plan channel order)`` are the same streams
+under any plan (a single heap breaks a cross-channel end-time tie by
+push order, the merge by plan order); metric names are disjoint per
+channel/cell, so the registries union; kernel timings sum by owner.
+A one-shard world streams the JSONL artifact itself, line by line;
+shards of a wider plan run with ``TelemetryConfig.for_shard()`` and
+:func:`run_shards` writes it once, after the merge.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import TelemetryConfig, merge_span_blocks, telemetry_meta, \
+from ..obs import TelemetryConfig, telemetry_meta, telemetry_summary, \
     write_telemetry_file
 
 
@@ -74,45 +71,30 @@ class ShardPlan:
     over ascending cell index (for round-robin assignment that is
     simply 0, 1, ..., C-1); ``cells_by_channel`` is aligned with it,
     each entry the ascending global cell indices on that channel.
-    ``by_channel`` says whether each channel is its own shard or all
-    of them share one.
     """
 
     channels: Tuple[int, ...]
     cells_by_channel: Tuple[Tuple[int, ...], ...]
-    #: False = one shard holding every cell: the input asked for a
-    #: single simulator's frame record (see ``from_config``).
-    by_channel: bool = True
 
     @classmethod
-    def from_config(cls, cfg, telemetry: Optional[TelemetryConfig] = None
-                    ) -> "ShardPlan":
-        """One shard per channel in use — unless the input asks for a
-        frame record (``cfg.trace``, ``telemetry.trace_export_path``),
-        which is one simulator's and cannot span shards."""
+    def from_config(cls, cfg) -> "ShardPlan":
+        """One shard per channel in use."""
         cfg.validate_cells()
-        by_channel = not (cfg.trace or (
-            telemetry is not None and telemetry.trace_export_path))
         channels: Dict[int, List[int]] = {}
         for cell in range(cfg.cells):
             channels.setdefault(cfg.channel_of(cell), []).append(cell)
         return cls(channels=tuple(channels),
                    cells_by_channel=tuple(
-                       tuple(cells) for cells in channels.values()),
-                   by_channel=by_channel)
+                       tuple(cells) for cells in channels.values()))
 
     @property
     def shard_count(self) -> int:
-        return len(self.channels) if self.by_channel else 1
+        return len(self.channels)
 
     def shards(self) -> List[Tuple[int, Tuple[int, ...]]]:
-        """(first channel, ascending cells) pairs, one per shard, in
-        channel order.  The first channel keys the shard's outcome."""
-        if self.by_channel:
-            return list(zip(self.channels, self.cells_by_channel))
-        return [(self.channels[0],
-                 tuple(sorted(cell for cells in self.cells_by_channel
-                              for cell in cells)))]
+        """(channel, ascending cells) pairs, one per shard, in channel
+        order.  The channel keys the shard's outcome."""
+        return list(zip(self.channels, self.cells_by_channel))
 
     def describe(self) -> Dict[str, Any]:
         """JSON-able plan summary (CLI output, ``shard_info``)."""
@@ -191,25 +173,16 @@ def run_shards(cfg, plan: ShardPlan, shard_jobs: Optional[int],
     ``metrics_dict()`` is reproducible run to run.
 
     With ``telemetry`` set, each shard samples and times its own
-    kernel (``without_paths()`` — shards never write files) and
-    :func:`merge_telemetry` writes the JSONL artifact.  Frame traces
-    are refused: one records a single simulator's frames and cannot
-    span shards.
+    kernel (``for_shard()`` — shards never write files) and the JSONL
+    artifact is written here, from the merged result: a complete file
+    in one pass, where a single simulator streams the same lines.
     """
-    if cfg.trace:
-        raise ValueError(
-            "trace=True records a single simulator's frames; it "
-            "cannot span channel shards (run with shard_jobs=None)")
-    if telemetry is not None and telemetry.trace_export_path:
-        raise ValueError(
-            "trace_export_path records a single simulator's frames; "
-            "it cannot span channel shards (run with shard_jobs=None)")
-    shard_telemetry = (telemetry.without_paths()
+    shard_telemetry = (telemetry.for_shard()
                        if telemetry is not None else None)
     shards = plan.shards()
     jobs = _effective_jobs(shard_jobs, len(shards))
     started = time.perf_counter()
-    #: first channel -> (the shard's result, its wall seconds)
+    #: channel -> (the shard's result, its wall seconds)
     done: Dict[int, Tuple[Any, float]] = {}
     if jobs <= 1:
         for channel, cells in shards:
@@ -243,7 +216,15 @@ def run_shards(cfg, plan: ShardPlan, shard_jobs: Optional[int],
     for channel, _ in shards[1:]:
         result.merge(done[channel][0])
     if telemetry is not None:
-        merge_telemetry(result, telemetry)
+        result.telemetry_config = telemetry
+        if telemetry.telemetry_path:
+            write_telemetry_file(
+                telemetry.telemetry_path,
+                telemetry_meta(cfg, telemetry, plan.channels,
+                               range(cfg.cells)),
+                result.telemetry_samples,
+                telemetry_summary(telemetry, result.telemetry_registry),
+                result.telemetry_instrument.as_dict())
     result.shard_info = {
         "mode": "serial" if jobs <= 1 else "parallel",
         "jobs": jobs,
@@ -254,50 +235,3 @@ def run_shards(cfg, plan: ShardPlan, shard_jobs: Optional[int],
         "plan": plan.describe(),
     }
     return result
-
-
-def merge_telemetry(result, telemetry: TelemetryConfig) -> None:
-    """The last step of a multi-shard merge: render the run-wide
-    ``telemetry`` block of a merged ``result`` (and write the run's
-    artifact) from its per-shard products.
-
-    * Samples: every tick emits one record per channel, each shard
-      those of its own channels, so sorting the union by ``(t_ns,
-      plan channel order)`` gives the same stream however the cells
-      were split.  ``max_samples`` caps the run, not the shard: the
-      artifact carries the whole stream, the block counts the first
-      ``max_samples`` of it as retained and the rest as dropped.
-    * Registry: per-channel/per-cell metric names are disjoint across
-      shards, so the merged one is a disjoint union (plus the
-      ``samples`` counter, which genuinely sums).
-    * Spans: wall times sum by owner (each shard timed its own
-      kernel).
-    """
-    cfg = result.config
-    channels = cfg.ordered_channels()
-    result.telemetry_samples.sort(
-        key=lambda record: (record["t_ns"],
-                            channels.index(record["channel"])))
-    samples = result.telemetry_samples
-    shard_blocks = [block["telemetry"] for block in result.shard_blocks]
-    span_blocks = [block["spans"] for block in shard_blocks]
-    spans = (merge_span_blocks(span_blocks)
-             if any(span_blocks) else None)
-    emitted = sum(block["samples"] for block in shard_blocks)
-    retained = len(samples) if telemetry.max_samples is None \
-        else min(len(samples), telemetry.max_samples)
-    summary = {
-        "sample_interval_ns": telemetry.sample_interval_ns,
-        "samples": emitted,
-        "retained_samples": retained,
-        "dropped_samples": emitted - retained,
-        "metrics": result.telemetry_registry.as_dict(),
-    }
-    # Shards of a multi-shard plan never write files.
-    if telemetry.telemetry_path:
-        write_telemetry_file(
-            telemetry.telemetry_path,
-            telemetry_meta(cfg, telemetry, channels,
-                           sorted(result.blocks_by_cell)),
-            samples, dict(summary, type="summary"), spans)
-    result.telemetry = dict(summary, enabled=True, spans=spans)

@@ -2,7 +2,6 @@
 reporter, cache status audits, and the CLI surfaces (--progress,
 --status, failure exit codes)."""
 
-import dataclasses
 import io
 import types
 
@@ -53,54 +52,6 @@ class TestSweepProgress:
         assert "done in" in done
 
 
-class TestShardUnitWeighting:
-    """ETA in shard-units: a 3-channel point is three units of work,
-    so a sweep mixing cheap and fan-out points must not extrapolate
-    the cheap points' pace (the pre-shard ETA bug)."""
-
-    def test_unit_fields_default_to_point_counts(self):
-        p = snapshot(executed=2, elapsed_s=4.0)
-        assert not p.units_tracked
-        assert p.completed_units == p.completed
-        assert p.remaining_units == p.remaining
-        assert p.eta_s == pytest.approx(16.0)
-
-    def test_rate_and_eta_use_units_when_tracked(self):
-        # 10 points of 3 shard-units each; 2 points (6 units) executed
-        # in 4 s -> 1.5 units/s, 24 units left -> ETA 16 s.  The
-        # point-based estimator would also say 16 s here; the mixed
-        # case below is where they diverge.
-        p = snapshot(executed=2, elapsed_s=4.0, total_units=30,
-                     executed_units=6)
-        assert p.units_tracked
-        assert p.rate_per_s == pytest.approx(1.5)
-        assert p.eta_s == pytest.approx(16.0)
-
-    def test_mixed_fanout_eta_weighs_the_expensive_points(self):
-        # 2 points: one 1-unit (done) and one 3-unit (pending).  The
-        # naive point ETA says 2 s; the unit ETA correctly says 6 s.
-        p = snapshot(total=2, executed=1, elapsed_s=2.0,
-                     total_units=4, executed_units=1)
-        assert p.eta_s == pytest.approx(6.0)
-
-    def test_cached_and_failed_units_complete_the_total(self):
-        p = snapshot(total=3, executed=1, cached=1, failed=1,
-                     elapsed_s=1.0, total_units=9, executed_units=3,
-                     cached_units=3, failed_units=3)
-        assert p.completed_units == 9
-        assert p.remaining_units == 0
-        assert p.finished
-
-    def test_render_shows_units_when_they_differ(self):
-        line = render_progress(snapshot(
-            executed=2, elapsed_s=1.0, total_units=30,
-            executed_units=6))
-        assert "6/30 shard-units" in line
-        assert "units/s" in line
-        plain = render_progress(snapshot(executed=2, elapsed_s=1.0))
-        assert "shard-units" not in plain and "pts/s" in plain
-
-
 class TestProgressReporter:
     def test_unthrottled_prints_every_snapshot(self):
         stream = io.StringIO()
@@ -118,35 +69,6 @@ class TestProgressReporter:
         report(snapshot(executed=2, failed=1))      # throttled
         report(snapshot(total=3, executed=2, failed=1))  # finished
         assert report.lines_emitted == 3
-
-    def test_runner_tracks_shard_units(self, tmp_path):
-        from repro.experiments.batch import point_shard_units
-        from repro.sim.units import MS
-        from repro.workloads.scenarios import ScenarioConfig
-
-        cfg = ScenarioConfig(n_clients=1, cells=2, channels=2,
-                             duration_ns=120 * MS, warmup_ns=40 * MS,
-                             stagger_ns=0)
-        spec = SweepSpec("sharded")
-        spec.add_scenario(("city",), cfg)
-        spec.add_analytic(("flat",),
-                          "tests.helpers:constant_metrics", value=1.0)
-        # Units count the plan, whatever ``shard_jobs`` says: every
-        # multi-channel point fans out, a frame-trace one cannot.
-        assert point_shard_units(spec.points[0]) == 2
-        assert point_shard_units(spec.points[1]) == 1
-        traced = SweepSpec("traced")
-        traced.add_scenario(("city",),
-                            dataclasses.replace(cfg, trace=True))
-        assert point_shard_units(traced.points[0]) == 1
-
-        snapshots = []
-        SweepRunner(cache_dir=tmp_path,
-                    progress=snapshots.append).run(spec)
-        final = snapshots[-1]
-        assert final.total_units == 3       # 2 shards + 1 analytic
-        assert final.completed_units == 3
-        assert final.finished
 
     def test_runner_emits_progress_through_reporter(self, tmp_path):
         stream = io.StringIO()

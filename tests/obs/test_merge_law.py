@@ -16,7 +16,9 @@ order its shards were ``ScenarioResult.merge``d in —
 ``tests/workloads/test_sharding.py::TestMergeOrder`` holds the whole
 result to this law on real shards).  Float observations are multiples
 of 1/64, so their sums are exact whatever the grouping and the
-rendered blocks can be compared with ``==``.
+rendered blocks can be compared with ``==``.  The frame record's
+stream is drawn already in its merge order, ``(end_ns, channel)``,
+as the medium observers deliver it.
 """
 
 import copy
@@ -24,11 +26,16 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mac.frames import AckFrame
 from repro.mac.qdisc import QdiscStats
+from repro.obs import KernelInstrument
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, \
     merge_counts
+from repro.sim.engine import Simulator
+from repro.sim.medium import ChannelizedMedium, Transmission
 from repro.stats.collectors import MacStats
 from repro.stats.fct import FctAggregator, FctCollector
+from repro.stats.trace import MediumTracer
 
 #: Exactly representable floats: multiples of 1/64 up to 2**24.
 DYADIC = st.integers(0, 2 ** 30).map(lambda k: k / 64)
@@ -42,9 +49,13 @@ class Law:
     """One accumulator kind: how to make, feed, merge and render it."""
 
     def __init__(self, name, make, ops, feed, render,
-                 merge=lambda into, other: into.merge(other)):
-        self.name, self.make, self.ops = name, make, ops
+                 merge=lambda into, other: into.merge(other),
+                 stream=None):
+        self.name, self.make = name, make
         self.feed, self.render, self.merge = feed, render, merge
+        #: The observation stream: any list of ``ops`` by default.
+        self.stream = stream if stream is not None \
+            else st.lists(ops, max_size=40)
 
     def __repr__(self):
         return self.name
@@ -102,6 +113,41 @@ def _render_aggregator(aggregator):
     return summary
 
 
+def _tick():
+    """A callback owner for the kernel instrument (as is ``_tock``)."""
+
+
+def _tock():
+    pass
+
+
+CHANNELS = (2, 0, 1)
+#: (end_ns, position in CHANNELS, airtime, collided), sorted as a
+#: stream: the order the media's observers see frames end in.
+TRANSMISSION = st.tuples(st.integers(0, 50), st.integers(0, 2),
+                         st.integers(1, 9), st.booleans())
+
+
+def _tracer(max_records):
+    return MediumTracer(ChannelizedMedium(Simulator()), max_records)
+
+
+def _feed_tracer(tracer, op):
+    end, position, airtime, collided = op
+    tx = Transmission(None, AckFrame("C1", "AP", acked_seq=end),
+                      end - airtime, end)
+    tx.collided = collided
+    tracer._observe(tx, CHANNELS[position])
+
+
+def _tracer_law(name, max_records):
+    return Law(name, lambda: _tracer(max_records), TRANSMISSION,
+               _feed_tracer,
+               lambda tracer: (tracer.records, tracer.dropped),
+               merge=lambda into, other: into.merge(other, CHANNELS),
+               stream=st.lists(TRANSMISSION, max_size=40).map(sorted))
+
+
 FLOW = st.tuples(st.integers(1, 10 ** 6), st.integers(1_000, 2_000_000),
                  st.one_of(st.none(), DYADIC_MS_AS_NS),
                  st.integers(0, 2_000_000))
@@ -132,6 +178,13 @@ LAWS = [
         st.tuples(NAMES, st.integers(0, 10 ** 9)),
         lambda counts, op: merge_counts(counts, dict([op])),
         dict, merge=merge_counts),
+    Law("KernelInstrument", lambda: KernelInstrument(max_spans=40),
+        st.tuples(st.sampled_from([_tick, _tock, len]),
+                  st.integers(0, 10 ** 9), st.integers(0, 10 ** 6)),
+        lambda instrument, op: instrument.record(*op),
+        lambda instrument: (instrument.as_dict(), instrument.spans)),
+    _tracer_law("MediumTracer", None),
+    _tracer_law("MediumTracer capped", 7),
 ]
 
 
@@ -163,7 +216,7 @@ def _merged(law, shards, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sharded_merge_renders_the_unsharded_block(law, data):
-    ops = data.draw(st.lists(law.ops, max_size=40), label="ops")
+    ops = data.draw(law.stream, label="ops")
     cuts = sorted(data.draw(
         st.lists(st.integers(0, len(ops)), max_size=3), label="cuts"))
     shards = [ops[lo:hi] for lo, hi in zip([0] + cuts,

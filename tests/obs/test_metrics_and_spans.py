@@ -10,8 +10,7 @@ be stable across processes (class + method name, never object ids).
 
 import json
 
-from repro.obs import KernelInstrument, MetricsRegistry, \
-    merge_span_blocks, owner_key
+from repro.obs import KernelInstrument, MetricsRegistry, owner_key
 from repro.obs.metrics import Counter, Gauge, Histogram
 
 
@@ -190,24 +189,20 @@ class TestKernelInstrument:
         assert instrument.dropped_spans == 0
         assert instrument.events == 1
 
-
-class TestMergeSpanBlocks:
-    def test_sums_owners_across_shards(self):
-        a = KernelInstrument()
-        b = KernelInstrument()
+    def test_merge_sums_owners_across_shards(self):
+        a = KernelInstrument(max_spans=8)
+        b = KernelInstrument(max_spans=8)
         probe = _Probe()
         a.record(probe.tick, 0, 100)
         b.record(probe.tick, 0, 50)
         b.record(_free_function, 0, 25)
-        merged = merge_span_blocks([a.as_dict(), b.as_dict()])
+        a.merge(b)
+        merged = a.as_dict()
         assert merged["events"] == 3
         assert merged["total_wall_ns"] == 175
+        assert merged["recorded_spans"] == len(a.spans) == 3
         rows = {row["owner"]: row for row in merged["owners"]}
         assert rows["_Probe.tick"]["count"] == 2
         assert rows["_Probe.tick"]["wall_ns"] == 150
         assert rows["_Probe.tick"]["max_ns"] == 100
-
-    def test_empty_blocks_are_skipped(self):
-        merged = merge_span_blocks([{}, None])
-        assert merged["events"] == 0
-        assert merged["owners"] == []
+        assert b.as_dict()["events"] == 2

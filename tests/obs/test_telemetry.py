@@ -144,37 +144,42 @@ class TestShardEquivalence:
         assert sum(b["telemetry"]["samples"] for b in blocks) == \
             merged["samples"]
 
-    def test_max_samples_caps_the_run_not_the_shard(self, tmp_path):
-        """The cap is run-wide and never truncates the streamed
-        artifact, however the cells were split into shards."""
-        cfg = base_config(cells=2, channels=2, n_clients=1, seed=3)
-        streams, blocks = [], []
-        for jobs in ("whole", 1, 2):
-            path = tmp_path / f"jobs-{jobs}.jsonl"
-            telemetry = telemetry_config(telemetry_path=str(path),
-                                         max_samples=5)
-            result = run_whole(cfg, telemetry) if jobs == "whole" \
-                else run_scenario(cfg, shard_jobs=jobs,
-                                  telemetry=telemetry)
-            streams.append([line for line
-                            in path.read_text().splitlines()
-                            if json.loads(line)["type"] != "spans"])
-            blocks.append(deterministic_block(result.telemetry))
-        assert streams[0] == streams[1] == streams[2]
-        assert blocks[0] == blocks[1] == blocks[2]
-        # duration 900 ms, interval 50 ms -> 19 ticks x 2 channels.
-        assert len(load_telemetry(str(path))["samples"]) == 38
-        assert blocks[0]["samples"] == 38
-        assert blocks[0]["retained_samples"] == 5
-        assert blocks[0]["dropped_samples"] == 33
+    def test_chrome_trace_is_the_same_document_under_any_plan(
+            self, tmp_path):
+        """One document, written once from the merged result: frames
+        and counter tracks do not depend on how the shards ran (kernel
+        spans are host wall times)."""
+        cfg = base_config(cells=2, channels=2, n_clients=1,
+                          duration_ns=300 * MS, warmup_ns=100 * MS)
+        documents = []
+        for jobs in (None, 1, 2):
+            path = tmp_path / f"jobs-{jobs}.json"
+            result = run_scenario(cfg, shard_jobs=jobs,
+                                  telemetry=telemetry_config(
+                                      trace_export_path=str(path)))
+            assert result.world is None
+            document = json.loads(path.read_text())
+            kernel = [event for event in document["traceEvents"]
+                      if event["cat"] == "kernel"]
+            assert len(kernel) == len(result.telemetry_instrument.spans) \
+                == result.telemetry["spans"]["recorded_spans"] > 0
+            document["traceEvents"] = [
+                event for event in document["traceEvents"]
+                if event["cat"] != "kernel"]
+            documents.append(document)
+        assert documents[0] == documents[1] == documents[2]
+        assert {event["pid"] for event in documents[0]["traceEvents"]
+                if event["cat"] == "frame"} == {"channel0", "channel1"}
 
-    def test_trace_export_refuses_to_shard(self, tmp_path):
-        cfg = base_config(cells=2, channels=2, n_clients=1)
-        with pytest.raises(ValueError, match="trace_export"):
-            run_scenario(cfg, shard_jobs=1,
-                         telemetry=telemetry_config(
-                             trace_export_path=str(
-                                 tmp_path / "x.json")))
+    def test_spans_are_retained_only_for_an_export(self):
+        """A telemetry-on shard ships its owner table across the pool
+        boundary and nothing else."""
+        cfg = base_config(cells=2, channels=2, n_clients=1,
+                          duration_ns=300 * MS, warmup_ns=100 * MS)
+        result = run_scenario(cfg, telemetry=telemetry_config())
+        assert result.telemetry_instrument.spans == []
+        assert result.telemetry["spans"]["events"] > 0
+        assert result.trace is None
 
 
 class TestArtifacts:
@@ -301,6 +306,20 @@ class TestCli:
         bogus.write_text("nope\n")
         assert cli_main(["report", str(bogus)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_trace_export_runs_as_shards(self, tmp_path, capsys):
+        """Regression: this died with a "cannot span channel shards"
+        traceback."""
+        trace = tmp_path / "x.json"
+        assert cli_main([
+            "simulate", "--clients", "1", "--cells", "2",
+            "--channels", "2", "--shard-jobs", "1",
+            "--duration", "0.4", "--warmup", "0.15",
+            "--trace-export", str(trace)]) == 0
+        assert "2 shards, serial" in capsys.readouterr().out
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert {event["pid"] for event in events
+                if event["cat"] == "frame"} == {"channel0", "channel1"}
 
     def test_sharded_kernel_stats_prints_per_shard(self, capsys):
         code = cli_main([

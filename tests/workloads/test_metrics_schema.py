@@ -37,8 +37,8 @@ CELL = {"label", "ap", "clients", "channel", "aggregate_goodput_mbps",
 CHANNEL = {"channel", "utilisation", "frames_sent", "frames_collided",
            "airtime_share_sum"}
 SHARD = {"channel", "cells", "kernel_stats", "telemetry"}
-TELEMETRY = {"sample_interval_ns", "samples", "retained_samples",
-             "dropped_samples", "metrics", "enabled", "spans"}
+TELEMETRY = {"sample_interval_ns", "samples", "metrics", "enabled",
+             "spans"}
 
 
 @pytest.fixture(scope="module")

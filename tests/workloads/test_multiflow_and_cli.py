@@ -150,7 +150,8 @@ class TestCli:
         (["--rate", "17"], "data_rate_mbps"),
         (["--loss", "1.5"], "loss probabilities"),
         (["--loss", "-0.5"], "loss probabilities"),
-        (["--clients", "-1"], "n_clients")])
+        (["--clients", "-1"], "n_clients"),
+        (["--flows-per-client", "0"], "flows_per_client")])
     def test_simulate_rejects_unrunnable_config(self, flags, field,
                                                 capsys):
         """One ``error:`` line and exit 2, never a traceback from

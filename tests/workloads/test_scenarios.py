@@ -193,6 +193,7 @@ class TestValidation:
                             per_client={"C1": 1.0}))),
         ("mss", dict(mss=0)),
         ("n_clients", dict(n_clients=-1)),
+        ("flows_per_client", dict(flows_per_client=0)),   # ran as 1
     ]
 
     @pytest.mark.parametrize("field, fields", UNRUNNABLE)

@@ -56,6 +56,48 @@ def metrics_except_kernel(result):
     return metrics
 
 
+def without_wall_times(result):
+    """``metrics_dict()`` with the host wall times (span tables) out."""
+    metrics = normalised(result.metrics_dict())
+    for block in [metrics, *metrics.get("shards", ())]:
+        if block.get("telemetry"):
+            block["telemetry"]["spans"] = None
+    return metrics
+
+
+def frame_record(result, channel=None):
+    """The frame record in merge order, ``(end_ns, plan channel
+    order)`` — a single heap departs from it only at cross-channel
+    end-time ties, which it breaks by push order — with ``index``
+    (position, checked apart) out; optionally one channel's frames."""
+    channels = result.config.ordered_channels()
+    return sorted(
+        (dataclasses.replace(record, index=0)
+         for record in result.trace.records
+         if channel in (None, record.channel)),
+        key=lambda r: (r.end_ns, channels.index(r.channel)))
+
+
+def recorded(result):
+    """What the whole-simulator oracle and a merge must agree on:
+    every metric outside the kernel view and the wall times, and what
+    the run recorded."""
+    metrics = without_wall_times(result)
+    metrics.pop("kernel_stats")
+    metrics.pop("shards", None)
+    trace = result.trace
+    return (metrics, result.telemetry_samples,
+            trace and (frame_record(result), trace.dropped))
+
+
+def everything(result):
+    """Every byte a result carries, wall times included."""
+    trace, instrument = result.trace, result.telemetry_instrument
+    return (normalised(result.metrics_dict()), result.telemetry_samples,
+            trace and (trace.records, trace.dropped),
+            instrument and instrument.spans)
+
+
 def run_whole(cfg, telemetry=None):
     """The whole-simulator oracle: every channel in one simulator."""
     world = build_simulation(cfg, telemetry=telemetry)
@@ -102,21 +144,18 @@ class TestShardPlan:
             ShardPlan.from_config(
                 base_config(cells=2, channels=2, cell_channel=(0, 5)))
 
-    def test_one_shard_plan_holds_every_cell(self):
-        """A frame record is one simulator's: asking for one (either
-        way) is the only input that plans a single shard."""
+    def test_frame_record_plans_like_any_other(self):
+        """What a run records is not the plan's business: asking for
+        the frame record changes nothing, and telemetry is not even an
+        input."""
         cfg = base_config(cells=4, channels=3,
                           cell_channel=(2, 0, 2, 1))
-        export = TelemetryConfig(trace_export_path="x.json")
-        for plan in (
-                ShardPlan.from_config(
-                    dataclasses.replace(cfg, trace=True)),
-                ShardPlan.from_config(cfg, export)):
-            assert plan.channels == (2, 0, 1)
-            assert plan.shard_count == 1
-            assert plan.shards() == [(2, (0, 1, 2, 3))]
-        assert ShardPlan.from_config(
-            cfg, TelemetryConfig()).shard_count == 3
+        plan = ShardPlan.from_config(dataclasses.replace(cfg, trace=True))
+        assert plan == ShardPlan.from_config(cfg)
+        assert plan.shard_count == 3
+        assert plan.shards() == [(2, (0, 2)), (0, (1,)), (1, (3,))]
+        with pytest.raises(TypeError):
+            ShardPlan.from_config(cfg, TelemetryConfig())
 
 
 class TestShardEquivalence:
@@ -206,7 +245,7 @@ class TestShardEquivalence:
     def test_world_is_live_iff_one_simulator_ran(self, static_runs):
         """``world`` is live iff the plan had one shard."""
         _, sharded = static_runs
-        assert sharded.world is None
+        assert sharded.world is None and sharded.trace is None
         # One channel is one shard whatever shard_jobs asks for.
         single = run_scenario(base_config(cells=2, n_clients=1, seed=2),
                               shard_jobs=4)
@@ -215,24 +254,9 @@ class TestShardEquivalence:
         assert [net.index for net in world.cells] == [0, 1]
         assert world.sim.stats.as_dict() == single.kernel_stats
         assert set(world.drivers) == set(single.driver_metrics)
-
-    def test_one_shard_spans_every_channel(self):
-        """Asking for the frame record is what still gets one
-        simulator spanning every channel, ``world.trace`` live."""
-        cfg = base_config(cells=4, channels=3, n_clients=1, seed=3,
-                          cell_channel=(2, 0, 2, 1))
-        result = run_scenario(dataclasses.replace(cfg, trace=True))
-        metrics = result.metrics_dict()
-        assert metrics["kernel_stats"]["events_executed"] > 0
-        assert "shards" not in metrics
-        assert result.shard_info is None
-        assert result.world.channels == (2, 0, 1)
-        assert {record.channel
-                for record in result.world.trace.records} == {2, 0, 1}
-        assert [block["channel"] for block in metrics["channels"]] \
-            == list(cfg.ordered_channels()) == [2, 0, 1]
-        assert metrics_except_kernel(result) == \
-            metrics_except_kernel(run_scenario(cfg, shard_jobs=1))
+        traced = run_scenario(base_config(n_clients=1, trace=True))
+        assert traced.trace is traced.world.trace
+        assert traced.trace.records
 
     def test_shard_jobs_below_one_rejected(self):
         cfg = base_config(cells=2, channels=2)
@@ -247,14 +271,20 @@ class TestMergeOrder:
     order, and ``ScenarioResult.merge`` must not care — nor how the
     merges are grouped."""
 
+    #: Whether the shards carry everything a run can record.
+    RECORDING = False
+
     @pytest.fixture(scope="class")
     def shards(self):
         cfg = base_config(cells=3, channels=3, n_clients=1, seed=5,
                           duration_ns=1200 * MS, warmup_ns=400 * MS,
-                          arrivals=CHURN["arrivals"])
-        results = [execute_shard(cfg, cells)[0]
+                          arrivals=CHURN["arrivals"],
+                          trace=self.RECORDING, trace_max_records=700)
+        telemetry = TelemetryConfig(sample_interval_ns=50 * MS) \
+            if self.RECORDING else None
+        results = [execute_shard(cfg, cells, telemetry)[0]
                    for _, cells in ShardPlan.from_config(cfg).shards()]
-        return results, metrics_except_kernel(run_whole(cfg))
+        return results, recorded(run_whole(cfg, telemetry))
 
     def test_merge_ignores_insertion_order(self, shards):
         results, unsharded = shards
@@ -275,16 +305,15 @@ class TestMergeOrder:
                 assert a.world is None
                 assert [block["cells"] for block in a.shard_blocks] \
                     == [[0], [1], [2]]
-                assert metrics_except_kernel(a) == unsharded, \
-                    (order, left_first)
+                assert recorded(a) == unsharded, (order, left_first)
 
     def test_merge_leaves_other_untouched(self, shards):
         results, _ = shards
         into, other = copy.deepcopy(results[2]), results[0]
-        before = normalised(other.metrics_dict())
+        before = copy.deepcopy(everything(other))
         into.merge(other)
         into.merge(results[1])
-        assert normalised(other.metrics_dict()) == before
+        assert everything(other) == before
         assert other.shard_blocks is None and other.kernel_stats
 
     def test_result_crosses_the_pool_boundary(self, shards):
@@ -293,8 +322,14 @@ class TestMergeOrder:
         results, _ = shards
         for result in results:
             clone = pickle.loads(pickle.dumps(result))
-            assert normalised(clone.metrics_dict()) == \
-                normalised(result.metrics_dict())
+            assert everything(clone) == everything(result)
+
+
+class TestMergeOrderOfRecordings(TestMergeOrder):
+    """The same law on shards that each carry a capped frame record,
+    telemetry samples, a registry and kernel timings."""
+
+    RECORDING = True
 
 
 class TestIsolationOracle:
@@ -324,21 +359,6 @@ class TestIsolationOracle:
 
 
 class TestShardGuards:
-    def test_trace_refuses_to_shard(self):
-        cfg = base_config(cells=2, channels=2, trace=True)
-        with pytest.raises(ValueError, match="trace"):
-            run_scenario(cfg, shard_jobs=1)
-
-    def test_trace_spans_channels_unsharded(self):
-        """One simulator can trace every channel: the channelized
-        tracer tags records with their channel id."""
-        cfg = base_config(cells=2, channels=2, trace=True)
-        result = run_scenario(cfg)
-        assert result.world.trace is not None
-        channels = {record.channel
-                    for record in result.world.trace.records}
-        assert channels == {0, 1}
-
     def test_shard_failure_names_the_shard(self):
         cfg = base_config(cells=2, channels=2,
                           traffic="nonsense")
@@ -365,20 +385,60 @@ MULTI_CHANNEL_SCENARIOS = [
     if ShardPlan.from_config(registry.build(name)).shard_count > 1]
 
 
-def without_wall_times(result):
-    """``metrics_dict()`` with the host wall times (span tables) out."""
-    metrics = normalised(result.metrics_dict())
-    for block in [metrics, *metrics.get("shards", ())]:
-        if block.get("telemetry"):
-            block["telemetry"]["spans"] = None
-    return metrics
-
-
 def shard_modes_in_this_process(cfg):
     """(default, ``shard_jobs=2``) execution modes — the pool work
     function of ``test_pool_worker_never_starts_a_pool``."""
     return [run_scenario(cfg, shard_jobs=jobs).shard_info["mode"]
             for jobs in (None, 2)]
+
+
+class TestFrameRecord:
+    """The frame record rides the result and merges like every
+    counter: asking for one (``trace=True``) leaves the plan, the
+    execution and the metrics alone, and the merged record is the
+    whole simulator's."""
+
+    CONFIGS = {
+        "explicit-map": base_config(cells=4, channels=3, n_clients=1,
+                                    seed=3, cell_channel=(2, 0, 2, 1),
+                                    **QUICK_RUN),
+        "city-20cell": registry.build("city-20cell", **QUICK_RUN),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_frame_record_merges_across_shards(self, name):
+        cfg = dataclasses.replace(self.CONFIGS[name], trace=True)
+        whole = run_whole(cfg)
+        assert {record.channel for record in whole.trace.records} \
+            == set(cfg.ordered_channels())
+        for jobs in (None, 1, 2):
+            result = run_scenario(cfg, shard_jobs=jobs)
+            assert result.world is None
+            assert result.shard_info["plan"]["shards"] == 3
+            records = result.trace.records
+            assert [record.index for record in records] \
+                == list(range(len(records)))
+            assert frame_record(result) == frame_record(whole) \
+                == [dataclasses.replace(record, index=0)
+                    for record in records]
+            for channel in cfg.ordered_channels():
+                assert frame_record(result, channel) == [
+                    dataclasses.replace(record, index=0)
+                    for record in whole.trace.records
+                    if record.channel == channel]
+            assert recorded(result) == recorded(whole)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_frame_record_cap_is_the_runs(self, name):
+        """``trace_max_records`` caps the run, not the shard."""
+        cfg = dataclasses.replace(self.CONFIGS[name], trace=True,
+                                  trace_max_records=40)
+        whole = run_whole(cfg)
+        assert whole.trace.dropped > 0
+        for jobs in (None, 1, 2):
+            trace = run_scenario(cfg, shard_jobs=jobs).trace
+            assert len(trace.records) == 40
+            assert trace.dropped == whole.trace.dropped
 
 
 class TestDefaultExecution:
