@@ -203,7 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("path", help="telemetry JSONL file "
                                      "(simulate --telemetry / sweep "
                                      "--telemetry-dir output)")
-    report.add_argument("--top", type=int, default=10, metavar="N",
+    report.add_argument("--top", type=positive_int, default=10,
+                        metavar="N",
                         help="kernel span owners / queue gauges shown "
                              "(default 10)")
     return parser
@@ -255,20 +256,16 @@ def _simulate_config(args: argparse.Namespace) -> ScenarioConfig:
 def _simulate(args: argparse.Namespace) -> int:
     try:
         config = _simulate_config(args)
+        telemetry = None
+        if args.telemetry or args.trace_export:
+            from .obs import TelemetryConfig
+            telemetry = TelemetryConfig(
+                sample_interval_ns=int(args.sample_interval * MS),
+                telemetry_path=args.telemetry,
+                trace_export_path=args.trace_export)
     except (UnknownScenarioError, ValueError) as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    telemetry = None
-    if args.telemetry or args.trace_export:
-        from .obs import TelemetryConfig
-        if args.sample_interval <= 0:
-            print("error: --sample-interval must be positive",
-                  file=sys.stderr)
-            return 2
-        telemetry = TelemetryConfig(
-            sample_interval_ns=int(args.sample_interval * MS),
-            telemetry_path=args.telemetry,
-            trace_export_path=args.trace_export)
     started = time.perf_counter()
     result = run_scenario(config, shard_jobs=args.shard_jobs,
                           telemetry=telemetry)

@@ -72,6 +72,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse ``type=`` for counts that may be 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser(prog=None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
@@ -85,7 +94,7 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
              f"for a seed sweep of one scenario")
     parser.add_argument("--quick", action="store_true",
                         help="shorter runs, single seed")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=non_negative_int, default=None,
                         help="worker processes (default: serial; "
                              "0 = one per CPU)")
     parser.add_argument("--out", default=None, metavar="PATH",
@@ -95,7 +104,8 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
                              f"(default: {DEFAULT_CACHE_DIR})")
     parser.add_argument("--no-cache", action="store_true",
                         help="always re-simulate, ignore the cache")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
+    parser.add_argument("--retries", type=non_negative_int, default=0,
+                        metavar="N",
                         help="re-run a failing point up to N extra "
                              "times with backoff (transient worker "
                              "deaths; default 0)")

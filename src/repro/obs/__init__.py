@@ -1,8 +1,9 @@
 """repro.obs — the observability layer.
 
 Kernel span instrumentation (:mod:`~repro.obs.spans`), the periodic
-time-series sampler and telemetry session (:mod:`~repro.obs.sampler`),
-the mergeable metrics registry (:mod:`~repro.obs.metrics`),
+time-series sampler, telemetry session and the summary that is a view
+of its samples (:mod:`~repro.obs.sampler`), the one mergeable histogram
+and merge rule (:mod:`~repro.obs.metrics`),
 Chrome-trace export (:mod:`~repro.obs.export`) and the artifact
 reader/summarizer behind ``repro report`` (:mod:`~repro.obs.report`).
 
@@ -15,7 +16,7 @@ every metric and cache signature bit-identical.
 """
 
 from .export import chrome_trace, write_chrome_trace
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Histogram
 from .report import TelemetryArtifactError, format_report, \
     load_telemetry, print_report
 from .sampler import MAX_EXPORT_FRAMES, TelemetryConfig, \
@@ -24,12 +25,9 @@ from .sampler import MAX_EXPORT_FRAMES, TelemetryConfig, \
 from .spans import KernelInstrument, owner_key
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "KernelInstrument",
     "MAX_EXPORT_FRAMES",
-    "MetricsRegistry",
     "TelemetryArtifactError",
     "TelemetryConfig",
     "TelemetrySession",

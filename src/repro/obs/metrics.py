@@ -1,4 +1,4 @@
-"""The mergeable metrics core: counters, gauges, one histogram.
+"""The mergeable metrics core: one histogram and the merge rule.
 
 **The histogram.**  :class:`Histogram` is the only binned distribution
 in ``src/``: queue sojourn (:mod:`repro.mac.qdisc`), streaming FCT
@@ -19,24 +19,17 @@ range.
 
 **The merge rule: merge accumulators, render once.**  Whatever crosses
 a shard boundary is an accumulator with an in-place, associative
-``merge(other)`` that leaves ``other`` untouched (the classes here,
+``merge(other)`` that leaves ``other`` untouched (:class:`Histogram`,
 ``MacStats``, ``QdiscStats``, ``FctCollector`` / ``FctAggregator``, and
 ``ScenarioResult`` itself, which holds the others) or a flat
 ``{name: int}`` dict summed by :func:`merge_counts`; a metrics block is
 rendered from the merged accumulator, once.  Merging sums counts and
 bins and pools min/max, so a shard-merged block equals the unsharded
 run's (``tests/obs/test_merge_law.py``; for the whole result,
-``tests/workloads/test_sharding.py::TestMergeOrder``).
-
-A :class:`MetricsRegistry` holds a telemetry-enabled run's named
-metrics and flattens to the ``"telemetry"`` block of
-``ScenarioResult.metrics_dict()``.  Metric *names* carry the shard
-partition — every sampler metric is namespaced by channel or cell
-(``channel0.utilisation``, ``cell3.ap_queue``) — so a merged registry
-is the disjoint union of the per-shard ones and ``as_dict()`` (sorted
-by name) is bit-identical to the unsharded run's.  Every metric holds
-only plain ints/floats: they pickle across the shard process boundary
-and JSON-serialise without custom encoders.
+``tests/workloads/test_sharding.py::TestMergeOrder``).  A record —
+telemetry samples, frame records, FCT records — is stored once and
+merged by union; its summaries are views rendered from it, never a
+second accumulator beside it.
 """
 
 from __future__ import annotations
@@ -57,77 +50,6 @@ def merge_counts(into: Dict[Any, int], other: Mapping[Any, int]) -> None:
     """Sum a flat ``{key: int}`` counter dict into ``into`` key-wise."""
     for key, value in other.items():
         into[key] = into.get(key, 0) + value
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def as_value(self) -> int:
-        return self.value
-
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
-
-class Gauge:
-    """A sampled value with streaming min/max/mean.
-
-    ``observe`` is O(1) and allocation-free, so the periodic sampler
-    can call it every tick without perturbing the perf profile; the
-    summary (``last``/``min``/``max``/``mean``/``count``) is exact
-    regardless of how many samples were retained elsewhere.
-    """
-
-    __slots__ = ("last", "min", "max", "total", "count")
-
-    def __init__(self) -> None:
-        self.last: float = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.total: float = 0.0
-        self.count: int = 0
-
-    def observe(self, value: float) -> None:
-        self.last = value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        self.total += value
-        self.count += 1
-
-    def as_value(self) -> Dict[str, Any]:
-        return {
-            "last": self.last,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.total / self.count if self.count else 0.0,
-            "count": self.count,
-        }
-
-    def merge(self, other: "Gauge") -> None:
-        """Pool ``other`` in; ``last`` becomes the right operand's
-        (gauge names are per channel/cell, so two non-empty gauges of
-        one name never meet across shards)."""
-        if other.count == 0:
-            return
-        if self.min is None or (other.min is not None
-                                and other.min < self.min):
-            self.min = other.min
-        if self.max is None or (other.max is not None
-                                and other.max > self.max):
-            self.max = other.max
-        self.total += other.total
-        self.count += other.count
-        self.last = other.last
 
 
 class Histogram:
@@ -202,53 +124,3 @@ class Histogram:
             "max": None if empty else self.max,
             "bins": self.bins_dict(),
         }
-
-
-class MetricsRegistry:
-    """Named metrics, grouped by kind.
-
-    ``counter``/``gauge``/``histogram`` are get-or-create (repeated
-    registration under one name returns the same object), so any
-    subsystem can grab its metric without coordinating ownership.
-    """
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter()
-        return self._counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        if name not in self._gauges:
-            self._gauges[name] = Gauge()
-        return self._gauges[name]
-
-    def histogram(self, name: str) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram()
-        return self._histograms[name]
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-able flattening, sorted by metric name — so insertion
-        order (which differs between unsharded and shard-merged
-        registries) never leaks into the telemetry block."""
-        return {
-            "counters": {name: self._counters[name].as_value()
-                         for name in sorted(self._counters)},
-            "gauges": {name: self._gauges[name].as_value()
-                       for name in sorted(self._gauges)},
-            "histograms": {name: self._histograms[name].as_value()
-                           for name in sorted(self._histograms)},
-        }
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        for name, counter in other._counters.items():
-            self.counter(name).merge(counter)
-        for name, gauge in other._gauges.items():
-            self.gauge(name).merge(gauge)
-        for name, histogram in other._histograms.items():
-            self.histogram(name).merge(histogram)

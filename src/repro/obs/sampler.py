@@ -3,11 +3,11 @@
 A :class:`TelemetrySession` is the run-scoped object behind
 ``run_scenario(cfg, telemetry=TelemetryConfig(...))``: it installs the
 kernel instrument, schedules a simulated-time periodic sampler and
-streams the JSONL artifact.  What it records — samples, registry,
+streams the JSONL artifact.  What it records — samples and the
 instrument — ``collect()`` reads off it as plain ``ScenarioResult``
 fields, from which the ``"telemetry"`` metrics block is rendered
-(:func:`telemetry_summary`: its deterministic part, and the
-artifact's summary line).
+(:func:`telemetry_summary`, a view of the samples: its deterministic
+part, and the artifact's summary line).
 
 Every sample tick emits **one record per channel** (not one per tick),
 with that channel's cells nested inside — the shard-friendly shape: a
@@ -31,7 +31,7 @@ JSONL artifact layout (one JSON object per line)::
 
     {"type": "meta", ...}        # scenario + sampling parameters
     {"type": "sample", ...}      # one per (tick, channel), time order
-    {"type": "summary", ...}     # merged metrics registry + counts
+    {"type": "summary", ...}     # gauges + histograms of the samples
     {"type": "spans", ...}       # kernel span table (wall time)
 
 Only the ``spans`` line is nondeterministic (host wall times); meta,
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple
 
 from ..sim.units import MS
-from .metrics import Histogram, MetricsRegistry
+from .metrics import Histogram
 from .spans import KernelInstrument
 
 #: Sample-record fields mirrored into per-cell gauges.
@@ -72,7 +72,7 @@ class TelemetryConfig:
     ``telemetry_path`` streams the JSONL artifact; ``trace_export_path``
     writes a Chrome trace-event JSON after the run (frames + kernel
     spans + counter tracks).  Both default off; constructing the
-    object at all enables the sampler and metrics registry.
+    object at all enables the sampler and the kernel instrument.
     """
 
     sample_interval_ns: int = 10 * MS
@@ -124,14 +124,50 @@ def telemetry_meta(cfg, config: TelemetryConfig,
 
 
 def telemetry_summary(config: TelemetryConfig,
-                      registry: MetricsRegistry) -> Dict[str, Any]:
+                      samples: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """The deterministic part of the ``"telemetry"`` block, and (plus
-    ``type``) the artifact's summary line: no wall times."""
-    metrics = registry.as_dict()
+    ``type``) the artifact's summary line: a view of the samples.
+
+    Gauges ``channel<k>.utilisation|busy`` and ``<label>.<field>``
+    (:data:`_CELL_FIELDS`) give last / min / max / mean / count in
+    stream order, ``<label>.ap_queue`` is also a :class:`Histogram`,
+    names sorted.  A name is one channel's or cell's, so its values
+    come from one shard in time order: a merged stream's summary is
+    the whole simulator's.  The mean is an in-order ``+=`` fold;
+    ``sum()`` compensates floats from Python 3.12 on.
+    """
+    series: Dict[str, List[Any]] = {}
+    for sample in samples:
+        channel = sample["channel"]
+        for name in ("utilisation", "busy"):
+            series.setdefault(f"channel{channel}.{name}",
+                              []).append(sample[name])
+        for cell in sample["cells"]:
+            label = cell["label"]
+            for name in _CELL_FIELDS:
+                series.setdefault(f"{label}.{name}",
+                                  []).append(cell[name])
+    gauges: Dict[str, Any] = {}
+    histograms: Dict[str, Any] = {}
+    for name in sorted(series):
+        values = series[name]
+        total = 0.0
+        for value in values:
+            total += value
+        gauges[name] = {"last": values[-1], "min": min(values),
+                        "max": max(values),
+                        "mean": total / len(values),
+                        "count": len(values)}
+        if name.endswith(".ap_queue"):
+            queue = Histogram()
+            for value in values:
+                queue.observe(value)
+            histograms[name] = queue.as_value()
     return {
         "sample_interval_ns": config.sample_interval_ns,
-        "samples": metrics["counters"].get("samples", 0),
-        "metrics": metrics,
+        "samples": len(samples),
+        "metrics": {"counters": {"samples": len(samples)},
+                    "gauges": gauges, "histograms": histograms},
     }
 
 
@@ -166,10 +202,10 @@ def write_telemetry_file(path: str, meta: Dict[str, Any],
 
 
 class TelemetrySession:
-    """One run's live observability state (sampler + registry + spans).
+    """One run's live observability state (sampler + spans).
 
     Wired by :func:`~repro.workloads.scenarios.build_simulation`; its
-    plain-data products (samples, registry, instrument) travel in the
+    plain-data products (samples, instrument) travel in the
     :class:`~repro.workloads.scenarios.ScenarioResult` and are merged
     by its ``merge``.
     """
@@ -181,7 +217,6 @@ class TelemetrySession:
         self.sim = sim
         self.media = media
         self.channels: Tuple[int, ...] = tuple(channels)
-        self.registry = MetricsRegistry()
         # Raw spans are kept only when an export will read them.
         self.instrument = KernelInstrument(
             MAX_EXPORT_SPANS if config.trace_export_path else 0)
@@ -214,7 +249,7 @@ class TelemetrySession:
         if self._stream is None:
             return
         _dump_line(self._stream, dict(
-            telemetry_summary(self.config, self.registry),
+            telemetry_summary(self.config, self.samples),
             type="summary"))
         _dump_line(self._stream,
                    dict(self.instrument.as_dict(), type="spans"))
@@ -273,20 +308,6 @@ class TelemetrySession:
         return record
 
     def _emit(self, record: Dict[str, Any]) -> None:
-        registry = self.registry
-        channel = record["channel"]
-        registry.gauge(
-            f"channel{channel}.utilisation").observe(
-            record["utilisation"])
-        registry.gauge(
-            f"channel{channel}.busy").observe(record["busy"])
-        for cell in record["cells"]:
-            label = cell["label"]
-            for name in _CELL_FIELDS:
-                registry.gauge(f"{label}.{name}").observe(cell[name])
-            registry.histogram(
-                f"{label}.ap_queue").observe(cell["ap_queue"])
-        registry.counter("samples").inc()
         self.samples.append(record)
         if self._stream is not None:
             _dump_line(self._stream, record)

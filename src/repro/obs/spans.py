@@ -47,8 +47,7 @@ def owner_key(callback: Callable[..., Any]) -> str:
 class KernelInstrument:
     """Per-owner span timing + event-type histogram for one simulator."""
 
-    __slots__ = ("owners", "spans", "max_spans", "dropped_spans",
-                 "total_wall_ns", "events")
+    __slots__ = ("owners", "spans", "max_spans", "dropped_spans")
 
     def __init__(self, max_spans: int = 0):
         #: owner -> [count, total wall ns, max wall ns]
@@ -58,8 +57,6 @@ class KernelInstrument:
         self.spans: List[Tuple[int, int, str]] = []
         self.max_spans = max_spans
         self.dropped_spans = 0
-        self.total_wall_ns = 0
-        self.events = 0
 
     def record(self, callback: Callable[..., Any], sim_ns: int,
                wall_ns: int) -> None:
@@ -73,8 +70,6 @@ class KernelInstrument:
             entry[1] += wall_ns
             if wall_ns > entry[2]:
                 entry[2] = wall_ns
-        self.total_wall_ns += wall_ns
-        self.events += 1
         if len(self.spans) < self.max_spans:
             self.spans.append((sim_ns, wall_ns, key))
         elif self.max_spans:
@@ -96,10 +91,12 @@ class KernelInstrument:
     def as_dict(self) -> Dict[str, Any]:
         """JSON-able spans block (the nondeterministic — wall-time —
         part of the telemetry block; kept under its own key so
-        determinism oracles can pop it)."""
+        determinism oracles can pop it).  ``events`` and
+        ``total_wall_ns`` are the owner table's sums."""
+        owners = self.owners.values()
         return {
-            "events": self.events,
-            "total_wall_ns": self.total_wall_ns,
+            "events": sum(count for count, _, _ in owners),
+            "total_wall_ns": sum(wall_ns for _, wall_ns, _ in owners),
             "recorded_spans": len(self.spans),
             "dropped_spans": self.dropped_spans,
             "owners": self.owner_table(),
@@ -115,5 +112,3 @@ class KernelInstrument:
             entry[2] = max(entry[2], max_ns)
         self.spans.extend(other.spans)
         self.dropped_spans += other.dropped_spans
-        self.total_wall_ns += other.total_wall_ns
-        self.events += other.events

@@ -19,7 +19,6 @@ into the run's with :meth:`MediumTracer.merge`.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -32,7 +31,6 @@ from ..sim.medium import ChannelizedMedium, Medium, Transmission
 class TraceRecord:
     """One transmission on the medium."""
 
-    index: int
     start_ns: int
     end_ns: int
     src: Optional[str]
@@ -111,7 +109,6 @@ class MediumTracer:
         payload = getattr(frame, "hack_payload", None)
         mpdus = getattr(frame, "mpdus", None)
         self.records.append(TraceRecord(
-            index=len(self.records),
             start_ns=tx.start, end_ns=tx.end,
             src=getattr(frame, "src", sender_addr),
             dst=getattr(frame, "dst", None),
@@ -133,16 +130,15 @@ class MediumTracer:
         Records sort by ``(end_ns, position in channels)``: the order
         one simulator spanning every channel sees them in, except that
         it breaks a cross-channel end-time tie by heap push order.
-        The sort is stable (a simulator's own order is kept), the cap
-        applies to the whole and ``index`` is position in the result.
+        The sort is stable (a simulator's own order is kept) and the
+        cap applies to the whole.
         """
         merged = sorted(
             self.records + other.records,
             key=lambda r: (r.end_ns, channels.index(r.channel)))
         kept = merged[:self.max_records]
         self.dropped += other.dropped + len(merged) - len(kept)
-        self.records = [dataclasses.replace(record, index=index)
-                        for index, record in enumerate(kept)]
+        self.records = kept
 
     # ------------------------------------------------------------------
     def filter(self, frame_type: Optional[str] = None,

@@ -56,9 +56,9 @@ from ..mac.dcf import DcfMac
 from ..mac.params import MacParams
 from ..mac.qdisc import DISCIPLINES, QdiscStats
 from ..mac.rate_control import RATE_CONTROLS
-from ..obs import MAX_EXPORT_FRAMES, KernelInstrument, MetricsRegistry, \
-    TelemetryConfig, TelemetrySession, chrome_trace, telemetry_meta, \
-    telemetry_summary, write_chrome_trace
+from ..obs import MAX_EXPORT_FRAMES, KernelInstrument, TelemetryConfig, \
+    TelemetrySession, chrome_trace, telemetry_meta, telemetry_summary, \
+    write_chrome_trace
 from ..obs.metrics import merge_counts
 from ..phy.errors import LossModel, NoLoss, SnrLossModel, UniformLossModel
 from ..phy.params import PHY_11A, PHY_11N, PhyParams
@@ -390,12 +390,13 @@ class ScenarioResult:
 
     The stored fields are plain data keyed by *global* cell / channel /
     flow id / station address (unioned by a merge), accumulators with
-    their own ``merge`` and flat count dicts (``merge_counts``).
-    Whatever a report reads in whole-scenario order —
-    ``per_flow_goodput_mbps``, ``cell_blocks``, ``channel_blocks``,
-    ``medium_*``, ``fct``, ``aqm_counters``, ``adversary_counters`` —
-    is a read-only view computed from them, so it is the same however
-    the cells were split and in whatever order shards were merged.
+    their own ``merge`` and flat count dicts (``merge_counts``) — each
+    measurement once.  Whatever a report reads in whole-scenario order
+    — ``per_flow_goodput_mbps``, ``cell_blocks``, ``channel_blocks``,
+    ``medium_*``, ``fct``, ``telemetry``, ``aqm_counters``,
+    ``adversary_counters`` — is a read-only view computed from them
+    when read, so it is the same however the cells were split and in
+    whatever order shards were merged.
     What the run recorded (frame trace, telemetry) is fields like the
     rest.  The exception is ``world``, the live simulation of a
     one-shard run.
@@ -423,11 +424,12 @@ class ScenarioResult:
     #: workload's aggregate goodput.
     udp_background_goodput_mbps: Dict[str, float] = field(
         default_factory=dict)
-    #: cell -> its ``metrics_dict()["cells"]`` block.
-    blocks_by_cell: Dict[int, Dict[str, Any]] = field(
-        default_factory=dict)
-    #: channel -> its ``metrics_dict()["channels"]`` block.
-    blocks_by_channel: Dict[int, Dict[str, Any]] = field(
+    #: cell -> what its channel's medium booked for it:
+    #: ``{airtime_share, frames_sent, frames_collided}``.
+    cell_medium: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    #: channel -> ``{utilisation, frames_sent, frames_collided}`` of
+    #: its medium over the run.
+    channel_medium: Dict[int, Dict[str, Any]] = field(
         default_factory=dict)
     #: cell -> FctCollector | FctAggregator, where churn ran.
     collectors: Dict[int, Any] = field(default_factory=dict)
@@ -466,14 +468,12 @@ class ScenarioResult:
     #: What a run executed with ``telemetry=TelemetryConfig(...)``
     #: recorded (an execution knob: never in ScenarioConfig, never in
     #: sweep cache signatures; None / empty otherwise): the knobs, the
-    #: sample records in ``(t_ns, plan channel order)``, the registry
-    #: (per-channel / per-cell metric names are disjoint across
-    #: shards, so a merge is an exact union) and the kernel timings
-    #: (host wall times: the one nondeterministic part).
+    #: sample records in ``(t_ns, plan channel order)`` (the summary
+    #: is a view of them) and the kernel timings (host wall times: the
+    #: one nondeterministic part).
     telemetry_config: Optional[TelemetryConfig] = None
     telemetry_samples: List[Dict[str, Any]] = field(
         default_factory=list, repr=False)
-    telemetry_registry: Optional[MetricsRegistry] = None
     telemetry_instrument: Optional[KernelInstrument] = field(
         default=None, repr=False)
     #: The live simulation (:func:`build_simulation`'s return value,
@@ -498,8 +498,9 @@ class ScenarioResult:
         first cell (= plan order).  What was recorded follows the
         rule too: samples and frame records re-sort into plan order
         (each shard holds those of its own channels, so the stream is
-        the same however the cells were split), registry and kernel
-        timings sum.
+        the same however the cells were split), kernel timings sum.
+        Each shard block is rendered before the samples fold, so its
+        telemetry summary is a view of that shard's own samples.
         """
         self.shard_blocks = sorted(
             (dict(block) for result in (self, other)
@@ -509,8 +510,7 @@ class ScenarioResult:
         for keyed in ("tcp_flows_by_cell", "udp_flows_by_cell",
                       "completion_times_ns", "sender_counters",
                       "driver_metrics", "udp_background_goodput_mbps",
-                      "blocks_by_cell", "blocks_by_channel",
-                      "collectors"):
+                      "cell_medium", "channel_medium", "collectors"):
             getattr(self, keyed).update(getattr(other, keyed))
         self.mac_stats.merge(other.mac_stats)
         self.qdisc_stats.merge(other.qdisc_stats)
@@ -523,14 +523,13 @@ class ScenarioResult:
             key=lambda record: (record["t_ns"],
                                 channels.index(record["channel"])))
         if other.telemetry_config is not None:
-            self.telemetry_registry.merge(other.telemetry_registry)
             self.telemetry_instrument.merge(other.telemetry_instrument)
         if other.trace is not None:
             self.trace.merge(other.trace, channels)
 
     def _shard_block(self) -> Dict[str, Any]:
         """This one simulator's ``metrics_dict()["shards"]`` entry."""
-        cells = sorted(self.blocks_by_cell)
+        cells = sorted(self.cell_medium)
         return {"channel": self.config.channel_of(cells[0]),
                 "cells": cells,
                 "kernel_stats": dict(self.kernel_stats),
@@ -546,7 +545,7 @@ class ScenarioResult:
             return None
         return dict(
             telemetry_summary(self.telemetry_config,
-                              self.telemetry_registry),
+                              self.telemetry_samples),
             enabled=True, spans=self.telemetry_instrument.as_dict())
 
     @property
@@ -562,16 +561,63 @@ class ScenarioResult:
 
     @property
     def cell_blocks(self) -> List[Dict[str, Any]]:
-        """Per-cell blocks, "cell1" first (one for a single-cell run)."""
-        return [self.blocks_by_cell[cell]
-                for cell in sorted(self.blocks_by_cell)]
+        """Per-cell blocks, "cell1" first (one for a single-cell run),
+        from each cell's flows (TCP, then UDP sinks), churn collector,
+        measured noise and medium books."""
+        cfg = self.config
+        blocks = []
+        for cell in sorted(self.cell_medium):
+            cell_flow = dict(self.tcp_flows_by_cell[cell]
+                             + self.udp_flows_by_cell[cell])
+            aggregate = sum(cell_flow.values())
+            fct: Optional[Dict[str, Any]] = None
+            carried = aggregate
+            if cell in self.collectors:
+                fct = self.collectors[cell].summary(
+                    cfg.duration_ns, include_flows=False)
+                carried += fct["carried_load_mbps"]
+            clients = cfg.cell_client_names(cell)
+            blocks.append({
+                "label": cfg.cell_label(cell),
+                "ap": cfg.cell_ap_name(cell),
+                "clients": clients,
+                "channel": cfg.channel_of(cell),
+                "aggregate_goodput_mbps": aggregate,
+                "per_flow_goodput_mbps": {
+                    str(k): v for k, v in cell_flow.items()},
+                "fairness_index": goodput_fairness(cell_flow),
+                # Static goodput + churn carried load: the cross-cell
+                # fairness basis (covers pure-churn cells whose static
+                # aggregate is 0).
+                "carried_mbps": carried,
+                **self.cell_medium[cell],
+                "fct": fct,
+                "udp_background_goodput_mbps": {
+                    name: self.udp_background_goodput_mbps[name]
+                    for name in clients
+                    if name in self.udp_background_goodput_mbps},
+            })
+        return blocks
 
     @property
     def channel_blocks(self) -> List[Dict[str, Any]]:
-        """Per-channel blocks in ``config.ordered_channels()`` order."""
-        return [self.blocks_by_channel[channel]
+        """Per-channel blocks (``metrics_dict()["channels"]``) in
+        ``config.ordered_channels()`` order.
+
+        Deliberately free of cell membership (each cell block carries
+        its "channel" key), so a silent extra cell changes no channel
+        block.  ``airtime_share_sum`` — the channel's cells' shares in
+        ascending cell order — is the per-channel invariant the
+        multi-cell accounting guarantees to stay <= 1."""
+        channel_of = self.config.channel_of
+        return [{"channel": channel,
+                 **self.channel_medium[channel],
+                 "airtime_share_sum": sum(
+                     self.cell_medium[cell]["airtime_share"]
+                     for cell in sorted(self.cell_medium)
+                     if channel_of(cell) == channel)}
                 for channel in self.config.ordered_channels()
-                if channel in self.blocks_by_channel]
+                if channel in self.channel_medium]
 
     @property
     def medium_frames_sent(self) -> int:
@@ -654,8 +700,11 @@ class ScenarioResult:
         * ``decompressor``, ``rohc``, ``adversary`` — counter dicts
           summed by ``merge_counts`` (``adversary`` under the config's
           kind / intensity);
-        * ``telemetry`` — the merged ``MetricsRegistry`` and
-          ``KernelInstrument``;
+        * ``telemetry`` — a view of the merged sample stream
+          (``telemetry_summary``) plus the merged ``KernelInstrument``;
+        * ``cells`` / ``channels`` — views of the flows, collectors,
+          background noise and the medium's books (``cell_medium`` /
+          ``channel_medium``);
         * everything else is per-flow / per-station / per-cell /
           per-channel data that is reordered or totalled, never
           merged; ``kernel_stats`` is the sum of the simulators'
@@ -687,9 +736,9 @@ class ScenarioResult:
             "fct": self.fct,
             "udp_background_goodput_mbps":
                 dict(self.udp_background_goodput_mbps),
-            "cells": [dict(block) for block in self.cell_blocks],
+            "cells": self.cell_blocks,
             "cell_fairness_index": self.cell_fairness_index,
-            "channels": [dict(block) for block in self.channel_blocks],
+            "channels": self.channel_blocks,
             "rohc": dict(self.rohc_counters),
             "aqm": self.aqm_counters,
         }
@@ -1074,21 +1123,29 @@ def collect(world: CellBuilder) -> ScenarioResult:
             result.completion_times_ns[flow.flow_id] = \
                 flow.completion_time_ns()
             result.sender_counters[flow.flow_id] = flow.sender.counters()
-        udp = result.udp_flows_by_cell[net.index] = [
+        result.udp_flows_by_cell[net.index] = [
             (pseudo_id, mbps) for pseudo_id, name in net.udp_sinks
             if (mbps := _sink_mbps(net.clients[name])) is not None]
-        noise = {
-            name: mbps for name in net.background_names
-            if (mbps := _sink_mbps(net.clients[name])) is not None}
-        result.udp_background_goodput_mbps.update(noise)
-        result.blocks_by_cell[net.index] = _cell_block(
-            cfg, net, world.media.medium(cfg.channel_of(net.index)),
-            dict(tcp + udp), noise)
+        result.udp_background_goodput_mbps.update(
+            (name, mbps) for name in net.background_names
+            if (mbps := _sink_mbps(net.clients[name])) is not None)
+        medium = world.media.medium(cfg.channel_of(net.index))
+        stats = medium.cell_stats(net.index)
+        result.cell_medium[net.index] = {
+            "airtime_share": medium.cell_airtime_share(
+                net.index, cfg.duration_ns),
+            "frames_sent": stats["frames_sent"],
+            "frames_collided": stats["frames_collided"],
+        }
         if net.flow_manager is not None:
             result.collectors[net.index] = net.flow_manager.collector
     for channel in world.channels:
-        result.blocks_by_channel[channel] = _channel_block(
-            cfg, world.media.medium(channel), world.cell_indices)
+        medium = world.media.medium(channel)
+        result.channel_medium[channel] = {
+            "utilisation": medium.utilisation(cfg.duration_ns),
+            "frames_sent": medium.frames_sent,
+            "frames_collided": medium.frames_collided,
+        }
     for name, driver in world.drivers.items():
         result.driver_metrics[name] = driver.metrics()
         merge_counts(result.decomp_counters,
@@ -1103,7 +1160,6 @@ def collect(world: CellBuilder) -> ScenarioResult:
     if session is not None:
         result.telemetry_config = session.config
         result.telemetry_samples = session.samples
-        result.telemetry_registry = session.registry
         result.telemetry_instrument = session.instrument
     return result
 
@@ -1139,8 +1195,7 @@ def run_scenario(cfg: ScenarioConfig,
 
     ``telemetry`` (a :class:`~repro.obs.TelemetryConfig`) turns on the
     observability layer — kernel span timing, the periodic time-series
-    sampler, the metrics registry and the optional JSONL / Chrome-trace
-    artifacts.  Like ``shard_jobs`` it is an execution knob: it never
+    sampler and the optional JSONL / Chrome-trace artifacts.  Like ``shard_jobs`` it is an execution knob: it never
     enters ``ScenarioConfig``, sweep cache signatures or golden rows,
     and every scenario metric except ``kernel_stats`` stays
     bit-identical to a telemetry-off run.  The Chrome trace is written
@@ -1169,58 +1224,3 @@ def run_scenario(cfg: ScenarioConfig,
                                     range(cfg.cells))))
     return result
 
-
-def _channel_block(cfg: ScenarioConfig, medium: Medium,
-                   cell_indices: Tuple[int, ...]) -> Dict[str, Any]:
-    """One channel's JSON-able block (``metrics_dict()["channels"]``).
-
-    Deliberately free of cell membership (each cell block already
-    carries its "channel" key), so a silent extra cell changes no
-    channel block.  ``airtime_share_sum`` is the per-channel invariant
-    the multi-cell accounting guarantees to stay <= 1."""
-    channel = medium.channel
-    share_sum = sum(
-        medium.cell_airtime_share(cell, cfg.duration_ns)
-        for cell in cell_indices if cfg.channel_of(cell) == channel)
-    return {
-        "channel": channel,
-        "utilisation": medium.utilisation(cfg.duration_ns),
-        "frames_sent": medium.frames_sent,
-        "frames_collided": medium.frames_collided,
-        "airtime_share_sum": share_sum,
-    }
-
-
-def _cell_block(cfg: ScenarioConfig, net: _CellNet, medium: Medium,
-                cell_flow: Dict[int, float],
-                background_mbps: Dict[str, float]) -> Dict[str, Any]:
-    """One cell's JSON-able metrics block (``metrics_dict()["cells"]``)
-    from its per-flow goodputs (static TCP flows, then UDP sinks) and
-    its measured background noise."""
-    aggregate = sum(cell_flow.values())
-    fct: Optional[Dict[str, Any]] = None
-    carried = aggregate
-    if net.flow_manager is not None:
-        fct = net.flow_manager.collector.summary(
-            cfg.duration_ns, include_flows=False)
-        carried += fct["carried_load_mbps"]
-    stats = medium.cell_stats(net.index)
-    return {
-        "label": cfg.cell_label(net.index),
-        "ap": net.ap_name,
-        "clients": list(net.client_names),
-        "channel": cfg.channel_of(net.index),
-        "aggregate_goodput_mbps": aggregate,
-        "per_flow_goodput_mbps": {
-            str(k): v for k, v in cell_flow.items()},
-        "fairness_index": goodput_fairness(cell_flow),
-        # Static goodput + churn carried load: the cross-cell fairness
-        # basis (covers pure-churn cells whose static aggregate is 0).
-        "carried_mbps": carried,
-        "airtime_share": medium.cell_airtime_share(
-            net.index, cfg.duration_ns),
-        "frames_sent": stats["frames_sent"],
-        "frames_collided": stats["frames_collided"],
-        "fct": fct,
-        "udp_background_goodput_mbps": background_mbps,
-    }

@@ -45,8 +45,8 @@ one sample record per channel and a medium's frames are its channel's
 alone, so samples re-sorted by ``(t_ns, plan channel order)`` and
 frame records by ``(end_ns, plan channel order)`` are the same streams
 under any plan (a single heap breaks a cross-channel end-time tie by
-push order, the merge by plan order); metric names are disjoint per
-channel/cell, so the registries union; kernel timings sum by owner.
+push order, the merge by plan order), and the telemetry summary is a
+view of the merged samples; kernel timings sum by owner.
 A one-shard world streams the JSONL artifact itself, line by line;
 shards of a wider plan run with ``TelemetryConfig.for_shard()`` and
 :func:`run_shards` writes it once, after the merge.
@@ -223,7 +223,7 @@ def run_shards(cfg, plan: ShardPlan, shard_jobs: Optional[int],
                 telemetry_meta(cfg, telemetry, plan.channels,
                                range(cfg.cells)),
                 result.telemetry_samples,
-                telemetry_summary(telemetry, result.telemetry_registry),
+                telemetry_summary(telemetry, result.telemetry_samples),
                 result.telemetry_instrument.as_dict())
     result.shard_info = {
         "mode": "serial" if jobs <= 1 else "parallel",

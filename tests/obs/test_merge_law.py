@@ -10,7 +10,7 @@ leaves ``other`` untouched.
 
 Shards are consecutive runs of the stream and are merged left to right
 (the law is associativity, not commutativity: a collector's flow list
-and a gauge's ``last`` keep stream order, exactly as a
+and the span list keep stream order, exactly as a
 ``ScenarioResult``'s views take cells in ascending order whatever the
 order its shards were ``ScenarioResult.merge``d in —
 ``tests/workloads/test_sharding.py::TestMergeOrder`` holds the whole
@@ -18,7 +18,11 @@ result to this law on real shards).  Float observations are multiples
 of 1/64, so their sums are exact whatever the grouping and the
 rendered blocks can be compared with ``==``.  The frame record's
 stream is drawn already in its merge order, ``(end_ns, channel)``,
-as the medium observers deliver it.
+as the medium observers deliver it.  Records are not accumulators and
+have no row here: the telemetry samples merge by union and their
+summary is a view (``test_metrics_and_spans.py::TestTelemetrySummary``;
+``tests/obs/test_telemetry.py`` holds the summary of a merged stream
+to the whole simulator's).
 """
 
 import copy
@@ -29,8 +33,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mac.frames import AckFrame
 from repro.mac.qdisc import QdiscStats
 from repro.obs import KernelInstrument
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry, \
-    merge_counts
+from repro.obs.metrics import Histogram, merge_counts
 from repro.sim.engine import Simulator
 from repro.sim.medium import ChannelizedMedium, Transmission
 from repro.stats.collectors import MacStats
@@ -59,14 +62,6 @@ class Law:
 
     def __repr__(self):
         return self.name
-
-
-def _feed_registry(registry, op):
-    kind, name, value = op
-    if kind == "counter":
-        registry.counter(name).inc(int(value))
-    else:
-        getattr(registry, kind)(name).observe(value)
 
 
 def _feed_mac_stats(stats, op):
@@ -155,12 +150,6 @@ FLOW = st.tuples(st.integers(1, 10 ** 6), st.integers(1_000, 2_000_000),
 LAWS = [
     Law("Histogram", Histogram, DYADIC,
         Histogram.observe, Histogram.as_value),
-    Law("Counter", Counter, st.integers(0, 10 ** 9),
-        Counter.inc, Counter.as_value),
-    Law("MetricsRegistry", MetricsRegistry,
-        st.tuples(st.sampled_from(["counter", "gauge", "histogram"]),
-                  NAMES, DYADIC),
-        _feed_registry, MetricsRegistry.as_dict),
     Law("MacStats", MacStats,
         st.tuples(st.sampled_from(MacStats._DICT_COUNTERS
                                   + MacStats._SCALAR_COUNTERS),

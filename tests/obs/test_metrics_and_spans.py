@@ -1,71 +1,16 @@
 """Unit oracles for the observability primitives.
 
-The registry's merge laws are what the shard pipeline leans on:
-disjointly-named metrics union exactly, same-named metrics combine the
-way each kind promises (counters sum, gauges pool min/max/mean,
-histograms sum bins — the merge law itself is the property in
-``test_merge_law.py``).  The kernel instrument's aggregation key must
-be stable across processes (class + method name, never object ids).
+The histogram's bins and exact fields (its merge law is the property
+in ``test_merge_law.py``); the telemetry summary, a view of the sample
+stream, on a hand-built one; the kernel instrument, whose aggregation
+key must be stable across processes (class + method name, never
+object ids) and whose totals are the owner table's sums.
 """
 
-import json
-
-from repro.obs import KernelInstrument, MetricsRegistry, owner_key
-from repro.obs.metrics import Counter, Gauge, Histogram
-
-
-class TestCounter:
-    def test_inc_and_merge_sum(self):
-        a, b = Counter(), Counter()
-        a.inc()
-        a.inc(4)
-        b.inc(10)
-        a.merge(b)
-        assert a.as_value() == 15
-
-    def test_merge_empty_is_identity(self):
-        a, b = Counter(), Counter()
-        a.inc(3)
-        a.merge(b)
-        assert a.as_value() == 3
-
-
-class TestGauge:
-    def test_streaming_min_max_mean(self):
-        g = Gauge()
-        for value in (4.0, 1.0, 7.0):
-            g.observe(value)
-        summary = g.as_value()
-        assert summary["min"] == 1.0
-        assert summary["max"] == 7.0
-        assert summary["mean"] == 4.0
-        assert summary["last"] == 7.0
-        assert summary["count"] == 3
-
-    def test_empty_gauge(self):
-        assert Gauge().as_value() == {
-            "last": 0.0, "min": None, "max": None,
-            "mean": 0.0, "count": 0}
-
-    def test_merge_pools_extremes_and_mean(self):
-        a, b = Gauge(), Gauge()
-        for value in (2.0, 6.0):
-            a.observe(value)
-        for value in (1.0, 9.0):
-            b.observe(value)
-        a.merge(b)
-        summary = a.as_value()
-        assert summary == {"last": 9.0, "min": 1.0, "max": 9.0,
-                           "mean": 4.5, "count": 4}
-
-    def test_merge_with_empty_sides(self):
-        a, b = Gauge(), Gauge()
-        b.observe(5.0)
-        a.merge(b)
-        assert a.as_value()["count"] == 1
-        assert a.as_value()["last"] == 5.0
-        b.merge(Gauge())
-        assert b.as_value()["count"] == 1
+from repro.obs import KernelInstrument, TelemetryConfig, owner_key, \
+    telemetry_summary
+from repro.obs.metrics import Histogram
+from repro.obs.sampler import _CELL_FIELDS
 
 
 class TestHistogram:
@@ -99,37 +44,92 @@ class TestHistogram:
                                 "min": None, "max": None, "bins": {}}
 
 
-class TestRegistry:
-    def test_get_or_create(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.gauge("y") is registry.gauge("y")
-        assert registry.histogram("z") is registry.histogram("z")
+#: Three cells: cell1 and cell3 on channel 0, cell2 on channel 1.
+CELL_CHANNEL = {0: 0, 1: 1, 2: 0}
 
-    def test_as_dict_sorted_and_json_able(self):
-        registry = MetricsRegistry()
-        registry.counter("b").inc()
-        registry.counter("a").inc(2)
-        registry.gauge("g").observe(1.5)
-        payload = json.loads(json.dumps(registry.as_dict()))
-        assert list(payload["counters"]) == ["a", "b"]
-        assert payload["gauges"]["g"]["mean"] == 1.5
 
-    def test_disjoint_merge_is_union(self):
-        """The shard law: shard registries with disjoint names merge
-        into exactly the union, independent of merge order."""
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("channel0.utilisation").observe(0.5)
-        b.gauge("channel1.utilisation").observe(0.25)
-        a.counter("samples").inc(3)
-        b.counter("samples").inc(2)
-        merged = MetricsRegistry()
-        merged.merge(b)
-        merged.merge(a)
-        payload = merged.as_dict()
-        assert payload["counters"]["samples"] == 5
-        assert payload["gauges"]["channel0.utilisation"]["last"] == 0.5
-        assert payload["gauges"]["channel1.utilisation"]["max"] == 0.25
+def _stream():
+    """Three ticks of two channels, in ``(t_ns, channel)`` order.  Cell
+    ``c``'s ``j``-th field reads ``10 * c + j`` plus 2, 0, 1 at the
+    three ticks: min = base, max = base + 2, last = mean = base + 1."""
+    utilisation = {0: (0.0, 0.5, 0.25), 1: (0.0, 0.125, 1.0)}
+    busy = {0: (0, 1, 1), 1: (0, 0, 1)}
+    samples = []
+    for tick, offset in enumerate((2, 0, 1)):
+        for channel in (0, 1):
+            samples.append({
+                "type": "sample", "t_ns": tick * 10, "channel": channel,
+                "utilisation": utilisation[channel][tick],
+                "busy": busy[channel][tick],
+                "frames_sent": 0, "frames_collided": 0,
+                "cells": [
+                    dict({name: 10 * cell + j + offset
+                          for j, name in enumerate(_CELL_FIELDS)},
+                         cell=cell, label=f"cell{cell + 1}")
+                    for cell, on in CELL_CHANNEL.items()
+                    if on == channel]})
+    return samples
+
+
+class TestTelemetrySummary:
+    CONFIG = TelemetryConfig(sample_interval_ns=10)
+
+    def test_gauges_and_histograms_of_a_stream(self):
+        summary = telemetry_summary(self.CONFIG, _stream())
+        assert summary["sample_interval_ns"] == 10
+        assert summary["samples"] == 6
+        metrics = summary["metrics"]
+        assert metrics["counters"] == {"samples": 6}
+        gauges = metrics["gauges"]
+        assert gauges.pop("channel0.utilisation") == {
+            "last": 0.25, "min": 0.0, "max": 0.5, "mean": 0.25,
+            "count": 3}
+        assert gauges.pop("channel1.utilisation") == {
+            "last": 1.0, "min": 0.0, "max": 1.0, "mean": 0.375,
+            "count": 3}
+        assert gauges.pop("channel0.busy") == {
+            "last": 1, "min": 0, "max": 1, "mean": 2 / 3, "count": 3}
+        assert gauges.pop("channel1.busy") == {
+            "last": 1, "min": 0, "max": 1, "mean": 1 / 3, "count": 3}
+        for cell in CELL_CHANNEL:
+            for j, name in enumerate(_CELL_FIELDS):
+                base = 10 * cell + j
+                assert gauges.pop(f"cell{cell + 1}.{name}") == {
+                    "last": base + 1, "min": base, "max": base + 2,
+                    "mean": base + 1.0, "count": 3}
+        assert gauges == {}
+        names = list(summary["metrics"]["gauges"])
+        assert names == sorted(names)
+        assert metrics["histograms"] == {
+            "cell1.ap_queue": {"count": 3, "total": 3.0, "mean": 1.0,
+                               "min": 0, "max": 2,
+                               "bins": {"-600": 1, "0": 1, "30": 1}},
+            "cell2.ap_queue": {"count": 3, "total": 33.0, "mean": 11.0,
+                               "min": 10, "max": 12,
+                               "bins": {"100": 1, "104": 1, "107": 1}},
+            "cell3.ap_queue": {"count": 3, "total": 63.0, "mean": 21.0,
+                               "min": 20, "max": 22,
+                               "bins": {"130": 1, "132": 1, "134": 1}},
+        }
+        assert list(metrics["histograms"]) == \
+            sorted(metrics["histograms"])
+
+    def test_empty_stream(self):
+        assert telemetry_summary(self.CONFIG, []) == {
+            "sample_interval_ns": 10, "samples": 0,
+            "metrics": {"counters": {"samples": 0}, "gauges": {},
+                        "histograms": {}}}
+
+    def test_mean_is_an_in_order_fold(self):
+        """``0.1`` ten times: an in-order ``+=`` fold gives the mean the
+        registry gave on every Python; ``sum()`` gives 0.1 on 3.12+."""
+        samples = [dict(sample, utilisation=0.1, cells=[])
+                   for sample in _stream() if sample["channel"] == 0]
+        samples = (samples * 4)[:10]
+        gauge = telemetry_summary(self.CONFIG, samples)[
+            "metrics"]["gauges"]["channel0.utilisation"]
+        assert gauge["count"] == 10
+        assert gauge["mean"] == 0.09999999999999999
 
 
 class _Probe:
@@ -163,8 +163,9 @@ class TestKernelInstrument:
         instrument.record(probe.tick, 100, 50)
         instrument.record(probe.tick, 200, 70)
         instrument.record(_free_function, 300, 10)
-        assert instrument.events == 3
-        assert instrument.total_wall_ns == 130
+        block = instrument.as_dict()
+        assert block["events"] == 3
+        assert block["total_wall_ns"] == 130
         table = instrument.owner_table()
         assert table[0]["owner"] == "_Probe.tick"
         assert table[0]["count"] == 2
@@ -187,7 +188,7 @@ class TestKernelInstrument:
         instrument.record(_free_function, 0, 5)
         assert instrument.spans == []
         assert instrument.dropped_spans == 0
-        assert instrument.events == 1
+        assert instrument.as_dict()["events"] == 1
 
     def test_merge_sums_owners_across_shards(self):
         a = KernelInstrument(max_spans=8)

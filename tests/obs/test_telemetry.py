@@ -301,6 +301,21 @@ class TestCli:
         report_out = capsys.readouterr().out
         assert "telemetry report" in report_out
 
+    @pytest.mark.parametrize("interval", ["0", "-5", "0.0000001"])
+    def test_simulate_rejects_a_sample_interval_below_one_ns(
+            self, interval, tmp_path, capsys):
+        """Regression: ``0.0000001`` ms passed the CLI's own check and
+        died in ``TelemetryConfig`` with a traceback."""
+        jsonl = tmp_path / "x.jsonl"
+        assert cli_main(["simulate", "--sample-interval", interval,
+                         "--telemetry", str(jsonl)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "sample_interval_ns" in captured.err
+        assert not jsonl.exists()
+
     def test_report_rejects_non_artifact(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.jsonl"
         bogus.write_text("nope\n")

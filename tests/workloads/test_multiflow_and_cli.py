@@ -176,3 +176,27 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("main, argv, expected", [
+        (runner_main, ["fig01", "--quick", "--jobs", "-3"],
+         "non-negative integer"),
+        (runner_main, ["fig01", "--quick", "--retries", "-1"],
+         "non-negative integer"),
+        (cli_main, ["report", "run.jsonl", "--top", "0"],
+         "positive integer")])
+    def test_counts_are_parsed_as_counts(self, main, argv, expected,
+                                         capsys):
+        """``--jobs -3`` ran one worker per CPU, ``--retries -1`` ran
+        as 0 and ``--top 0`` printed empty headings."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: argument {argv[-2]}: must be a {expected}" \
+            in err.splitlines()[-1]
+
+    def test_jobs_zero_still_means_one_per_cpu(self):
+        from repro.experiments.runner import build_parser
+        assert build_parser().parse_args(["fig01", "--jobs", "0"]).jobs \
+            == 0

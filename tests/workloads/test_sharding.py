@@ -68,12 +68,11 @@ def without_wall_times(result):
 def frame_record(result, channel=None):
     """The frame record in merge order, ``(end_ns, plan channel
     order)`` — a single heap departs from it only at cross-channel
-    end-time ties, which it breaks by push order — with ``index``
-    (position, checked apart) out; optionally one channel's frames."""
+    end-time ties, which it breaks by push order; optionally one
+    channel's frames."""
     channels = result.config.ordered_channels()
     return sorted(
-        (dataclasses.replace(record, index=0)
-         for record in result.trace.records
+        (record for record in result.trace.records
          if channel in (None, record.channel)),
         key=lambda r: (r.end_ns, channels.index(r.channel)))
 
@@ -327,7 +326,7 @@ class TestMergeOrder:
 
 class TestMergeOrderOfRecordings(TestMergeOrder):
     """The same law on shards that each carry a capped frame record,
-    telemetry samples, a registry and kernel timings."""
+    telemetry samples and kernel timings."""
 
     RECORDING = True
 
@@ -415,16 +414,11 @@ class TestFrameRecord:
             result = run_scenario(cfg, shard_jobs=jobs)
             assert result.world is None
             assert result.shard_info["plan"]["shards"] == 3
-            records = result.trace.records
-            assert [record.index for record in records] \
-                == list(range(len(records)))
             assert frame_record(result) == frame_record(whole) \
-                == [dataclasses.replace(record, index=0)
-                    for record in records]
+                == result.trace.records
             for channel in cfg.ordered_channels():
                 assert frame_record(result, channel) == [
-                    dataclasses.replace(record, index=0)
-                    for record in whole.trace.records
+                    record for record in whole.trace.records
                     if record.channel == channel]
             assert recorded(result) == recorded(whole)
 
