@@ -158,11 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default droptail; codel = RFC 8289 "
                           "sojourn AQM, fq_codel = RFC 8290 per-flow "
                           "DRR + CoDel)")
-    sim.add_argument("--stream-stats", action="store_true",
-                     default=None,
-                     help="bounded-memory streaming FCT aggregation "
-                          "for churn scenarios (percentiles "
-                          "histogram-quantised at ~2.3%% resolution)")
     sim.add_argument("--telemetry", default=None, metavar="PATH",
                      help="stream time-series telemetry (per-channel "
                           "utilisation, AP/wired queue depths, live "
@@ -370,14 +365,8 @@ def _simulate(args: argparse.Namespace) -> int:
               f"{fct['flows_censored']} censored")
         if has_completions(fct["fct_ms"]):
             dist = fct["fct_ms"]
-            streaming = fct.get("streaming")
-            suffix = ""
-            if streaming:
-                suffix = (f"  [streaming, ±"
-                          f"{streaming['relative_resolution']:.1%}]")
             print(f"FCT (ms)          : p50 {dist['p50']:.1f}, "
-                  f"p95 {dist['p95']:.1f}, p99 {dist['p99']:.1f}"
-                  f"{suffix}")
+                  f"p95 {dist['p95']:.1f}, p99 {dist['p99']:.1f}")
         print(f"offered / carried : {fct['offered_load_mbps']:.2f} / "
               f"{fct['carried_load_mbps']:.2f} Mbps")
     if args.kernel_stats:

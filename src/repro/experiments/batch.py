@@ -77,7 +77,10 @@ from .progress import SweepProgress
 #: 7: every multi-channel point runs as one simulator per channel —
 #:    rows unchanged, but its cached ``kernel_stats`` is the sum of the
 #:    shards' counters and a ``shards`` block is always present.
-ENGINE_VERSION = 7
+#: 8: the streaming FCT mode and the config-side frame record left
+#:    ``ScenarioConfig`` — rows unchanged, but every scenario point's
+#:    signature (``dataclasses.asdict(config)``) is not.
+ENGINE_VERSION = 8
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``
@@ -173,27 +176,6 @@ class SweepSpec:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def with_config_overrides(self, **fields: Any) -> "SweepSpec":
-        """A copy of this spec with config fields replaced on every
-        scenario point (analytic points pass through untouched).
-
-        This is how the CLI retrofits knobs that cut across every
-        experiment onto already-built grids — e.g. ``--stream-stats``
-        turns any churn sweep into a bounded-memory one without each
-        experiment module growing its own parameter.  Cache signatures
-        change with the config, so overridden and stock cells never
-        alias.
-        """
-        spec = SweepSpec(self.name)
-        for point in self.points:
-            if point.config is None:
-                spec.points.append(point)
-            else:
-                spec.points.append(SweepPoint(
-                    key=point.key,
-                    config=dataclasses.replace(point.config, **fields)))
-        return spec
 
     @classmethod
     def grid(cls, name: str, base: Mapping[str, Any],

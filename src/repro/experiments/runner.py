@@ -130,12 +130,6 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
                              "one telemetry JSONL artifact per point "
                              "(<signature>.jsonl) into DIR; metrics "
                              "and cache signatures are unchanged")
-    parser.add_argument("--stream-stats", action="store_true",
-                        help="bounded-memory streaming FCT "
-                             "aggregation per cell (peak FCT-record "
-                             "memory independent of flow count; "
-                             "percentiles histogram-quantised at "
-                             "~2.3%% resolution)")
     parser.add_argument("--seeds", type=positive_int, default=5,
                         metavar="N",
                         help="seeds per scenario sweep (default 5, "
@@ -281,19 +275,14 @@ def main(argv=None, prog=None) -> int:
     except KeyError as error:
         parser.exit(2, f"error: {error.args[0]}\n")
 
-    def build_spec(module):
-        spec = module.sweep_spec(quick=args.quick)
-        if args.stream_stats:
-            spec = spec.with_config_overrides(stream_stats=True)
-        return spec
-
     if args.status:
         if args.no_cache:
             print("error: --status needs a cache directory "
                   "(drop --no-cache)", file=sys.stderr)
             return 2
         cache = SweepCache(args.cache_dir)
-        statuses = [sweep_status(build_spec(module), cache)
+        statuses = [sweep_status(module.sweep_spec(quick=args.quick),
+                                 cache)
                     for module in targets.values()]
         for status in statuses:
             print(format_status(status) + "\n")
@@ -310,7 +299,8 @@ def main(argv=None, prog=None) -> int:
     for name, module in targets.items():
         started = time.time()
         try:
-            result = sweep_runner.run(build_spec(module))
+            result = sweep_runner.run(
+                module.sweep_spec(quick=args.quick))
         except SweepInterrupted as stop:
             return handle_interrupt(name, stop, artifacts, args.out)
         elapsed = time.time() - started

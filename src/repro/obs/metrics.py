@@ -1,8 +1,8 @@
 """The mergeable metrics core: one histogram and the merge rule.
 
 **The histogram.**  :class:`Histogram` is the only binned distribution
-in ``src/``: queue sojourn (:mod:`repro.mac.qdisc`), streaming FCT
-(:mod:`repro.stats.fct`) and the telemetry series all record into it.
+in ``src/``: queue sojourn (:mod:`repro.mac.qdisc`) and the telemetry
+series record into it.
 Bins are sparse and log-spaced, :data:`BINS_PER_DECADE` = 100 of them
 per decade: bin ``i`` covers ``[10**(i/100), 10**((i+1)/100))`` and
 stands for its log-midpoint ``10**((i+0.5)/100)``; values at or below
@@ -20,7 +20,7 @@ range.
 **The merge rule: merge accumulators, render once.**  Whatever crosses
 a shard boundary is an accumulator with an in-place, associative
 ``merge(other)`` that leaves ``other`` untouched (:class:`Histogram`,
-``MacStats``, ``QdiscStats``, ``FctCollector`` / ``FctAggregator``, and
+``MacStats``, ``QdiscStats``, ``FctCollector``, and
 ``ScenarioResult`` itself, which holds the others) or a flat
 ``{name: int}`` dict summed by :func:`merge_counts`; a metrics block is
 rendered from the merged accumulator, once.  Merging sums counts and

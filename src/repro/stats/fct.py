@@ -18,20 +18,11 @@ feeds and :meth:`ScenarioResult.metrics_dict` surfaces:
 Everything here is plain data so sweep records stay JSON-serialisable
 and bit-identical across serial, parallel and cache-restored execution.
 
-Two collection modes share one interface (``open`` / ``close`` /
-``summary``):
-
-* :class:`FctCollector` — the default *exact* mode: every record is
-  kept, percentiles are exact linear-interpolation order statistics,
-  and the summary carries the full per-flow list.  Memory is O(flows).
-* :class:`FctAggregator` — the *streaming* mode behind
-  ``ScenarioConfig.stream_stats``: completed flows are folded into
-  log-spaced histograms and forgotten, so memory is O(live flows +
-  occupied bins) — independent of how many flows the run spawns.
-  Percentiles come from :class:`repro.obs.metrics.Histogram` (every
-  reported percentile is within one bin, about 2.3%, of the exact
-  order statistic; the contract is stated there).  Counts, means,
-  min/max and load accounting stay exact.
+Collection is exact: :class:`FctCollector` keeps every record,
+percentiles are exact linear-interpolation order statistics, and the
+summary carries the full per-flow list.  Memory is O(flows); its cost
+on the largest churn runs is measured in EXPERIMENTS.md ("Cost of
+exact FCT collection").
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import BINS_PER_DECADE, Histogram
 from ..sim.units import MS
 
 #: Size-bin upper bounds (bytes) and their stable labels, mice first.
@@ -119,21 +109,6 @@ def _distribution(fcts_ms: Sequence[float]) -> Dict[str, Any]:
     }
 
 
-def _histogram_distribution(histogram: Histogram) -> Dict[str, Any]:
-    """:func:`_distribution` of a streamed population: percentiles at
-    the histogram's resolution, mean/min/max exact."""
-    if not histogram.count:
-        return zero_distribution()
-    return {
-        "p50": histogram.percentile(0.50),
-        "p95": histogram.percentile(0.95),
-        "p99": histogram.percentile(0.99),
-        "mean": histogram.total / histogram.count,
-        "min": histogram.min,
-        "max": histogram.max,
-    }
-
-
 def zero_distribution() -> Dict[str, Any]:
     """The ``fct_ms`` block of a run that completed zero flows.
 
@@ -162,32 +137,6 @@ def size_bin_label(size_bytes: int) -> str:
     raise AssertionError("unreachable: last bin is unbounded")
 
 
-def _fct_block(spawned: int, completed: int, fct_ms: Dict[str, Any],
-               by_size: Dict[str, Dict[str, Any]],
-               offered_bytes: int, carried_bytes: int,
-               duration_ns: int) -> Dict[str, Any]:
-    """The ``"fct"`` block both collection modes report.
-
-    ``duration_ns`` is the load-accounting window (the scenario
-    duration); offered load counts every spawned byte, carried load
-    counts delivered bytes (completed flows in full, censored flows
-    up to their last delivered byte).
-    """
-    def mbps(byte_count: int) -> float:
-        return byte_count * 8 * 1_000.0 / duration_ns \
-            if duration_ns > 0 else 0.0
-
-    return {
-        "flows_spawned": spawned,
-        "flows_completed": completed,
-        "flows_censored": spawned - completed,
-        "fct_ms": fct_ms,
-        "fct_by_size_ms": by_size,
-        "offered_load_mbps": mbps(offered_bytes),
-        "carried_load_mbps": mbps(carried_bytes),
-    }
-
-
 class FctCollector:
     """Accumulates :class:`FctRecord`\\ s and summarises them."""
 
@@ -203,21 +152,10 @@ class FctCollector:
         self.records.append(record)
         return record
 
-    def close(self, record: FctRecord) -> None:
-        """A flow finished (or was censored at run end).
-
-        Exact mode keeps every record, so there is nothing to fold;
-        the hook exists so the :class:`FctAggregator` can share the
-        :class:`~repro.traffic.manager.FlowManager` call sequence."""
-
     def merge(self, other: "FctCollector") -> None:
         """Fold another collector's records into this one (multi-cell
         runs merge per-cell collectors into the combined ``fct``
         block).  ``other`` is left untouched."""
-        if not isinstance(other, FctCollector):
-            raise TypeError(
-                f"cannot merge {type(other).__name__} into exact "
-                "FctCollector (collection modes must match)")
         self.records.extend(other.records)
 
     # -- views ---------------------------------------------------------
@@ -231,9 +169,19 @@ class FctCollector:
 
     def summary(self, duration_ns: int,
                 include_flows: bool = True) -> Dict[str, Any]:
-        """The JSON-able block ``metrics_dict`` exposes as ``"fct"``
-        (see :func:`_fct_block`), plus the per-flow ``"flows"`` list
-        unless ``include_flows`` is off."""
+        """The JSON-able block ``metrics_dict`` exposes as ``"fct"``,
+        plus the per-flow ``"flows"`` list unless ``include_flows`` is
+        off.
+
+        ``duration_ns`` is the load-accounting window (the scenario
+        duration); offered load counts every spawned byte, carried load
+        counts delivered bytes (completed flows in full, censored flows
+        up to their last delivered byte).
+        """
+        def mbps(byte_count: int) -> float:
+            return byte_count * 8 * 1_000.0 / duration_ns \
+                if duration_ns > 0 else 0.0
+
         done = self.completed
         by_size: Dict[str, Dict[str, Any]] = {}
         for _, label in SIZE_BINS:
@@ -242,136 +190,18 @@ class FctCollector:
             if bin_fcts:
                 by_size[label] = dict(
                     _distribution(bin_fcts), flows=len(bin_fcts))
-        summary = _fct_block(
-            self.spawned, len(done),
-            _distribution([r.fct_ns / MS for r in done]), by_size,
-            sum(r.size_bytes for r in self.records),
-            sum(r.size_bytes if r.completed else r.bytes_delivered
-                for r in self.records),
-            duration_ns)
+        summary = {
+            "flows_spawned": self.spawned,
+            "flows_completed": len(done),
+            "flows_censored": self.spawned - len(done),
+            "fct_ms": _distribution([r.fct_ns / MS for r in done]),
+            "fct_by_size_ms": by_size,
+            "offered_load_mbps": mbps(
+                sum(r.size_bytes for r in self.records)),
+            "carried_load_mbps": mbps(
+                sum(r.size_bytes if r.completed else r.bytes_delivered
+                    for r in self.records)),
+        }
         if include_flows:
             summary["flows"] = [r.as_dict() for r in self.records]
-        return summary
-
-
-class FctAggregator:
-    """Online, bounded-memory FCT statistics (``stream_stats=True``).
-
-    Interface-compatible with :class:`FctCollector` (``open`` /
-    ``close`` / ``summary``) but nothing is retained per flow once it
-    closes: completed FCTs (milliseconds) are folded into
-    :class:`~repro.obs.metrics.Histogram` bins and the record object
-    is dropped.  Peak memory is therefore
-
-        O(concurrently live flows + occupied histogram bins)
-
-    — independent of the total number of flows a run spawns, which is
-    what lets million-flow churn cells run inside hundred-cell sweeps.
-
-    **Percentile resolution** (the histogram's contract, tested in
-    ``tests/stats/test_fct_stream.py``): a reported percentile is
-    within one bin — a multiplicative factor of ≈ 2.33% — of the exact
-    value.  Counts, mean, min/max, offered/carried load and size-bin
-    tallies are exact; only percentiles are quantised.
-    """
-
-    def __init__(self) -> None:
-        self.spawned = 0
-        self.offered_bytes = 0
-        self.carried_bytes = 0
-        self.overall = Histogram()
-        self.by_size: Dict[str, Histogram] = {}
-        #: Live (open, not yet closed) records — bounded by flow
-        #: concurrency, not by total flow count.
-        self.live_open = 0
-        self.max_live = 0
-
-    # -- recording -----------------------------------------------------
-    def open(self, flow_id: int, client: str, direction: str,
-             size_bytes: int, now: int) -> FctRecord:
-        self.spawned += 1
-        self.offered_bytes += size_bytes
-        self.live_open += 1
-        if self.live_open > self.max_live:
-            self.max_live = self.live_open
-        return FctRecord(flow_id=flow_id, client=client,
-                         direction=direction, size_bytes=size_bytes,
-                         start_ns=now)
-
-    def close(self, record: FctRecord) -> None:
-        """Fold one finished (or censored) flow and forget it."""
-        self.live_open -= 1
-        if not record.completed:
-            # Censored flows only contribute their partial delivery;
-            # ``flows_censored`` is derived as spawned - completed in
-            # :meth:`summary` (matching exact mode, which also counts
-            # still-open flows as censored mid-run).
-            self.carried_bytes += record.bytes_delivered
-            return
-        self.carried_bytes += record.size_bytes
-        fct_ms = record.fct_ns / MS
-        self.overall.observe(fct_ms)
-        self._size_bin(size_bin_label(record.size_bytes)).observe(fct_ms)
-
-    def _size_bin(self, label: str) -> Histogram:
-        per_size = self.by_size.get(label)
-        if per_size is None:
-            per_size = self.by_size[label] = Histogram()
-        return per_size
-
-    def merge(self, other: "FctAggregator") -> None:
-        """Fold another aggregator in (multi-cell runs merge per-cell
-        aggregators into the combined ``fct`` block).
-
-        Counts, means, min/max, size-bin tallies and load accounting
-        stay exact; histograms add bin-wise, so merged percentiles
-        carry the same documented one-bin resolution as any single
-        aggregator (both sides quantise on the identical global bin
-        edges — merging loses nothing beyond that).  ``max_live`` sums
-        (the cells ran concurrently, so the peaks may coincide: the
-        sum is the honest upper bound).  ``other`` is left untouched.
-        """
-        if not isinstance(other, FctAggregator):
-            raise TypeError(
-                f"cannot merge {type(other).__name__} into streaming "
-                "FctAggregator (collection modes must match)")
-        self.spawned += other.spawned
-        self.offered_bytes += other.offered_bytes
-        self.carried_bytes += other.carried_bytes
-        self.live_open += other.live_open
-        self.max_live += other.max_live
-        self.overall.merge(other.overall)
-        for label, histogram in other.by_size.items():
-            self._size_bin(label).merge(histogram)
-
-    # -- views ---------------------------------------------------------
-    def occupied_bins(self) -> int:
-        """Histogram cells in use (the non-live part of peak memory)."""
-        return (len(self.overall.bins)
-                + sum(len(b.bins) for b in self.by_size.values()))
-
-    def summary(self, duration_ns: int,
-                include_flows: bool = True) -> Dict[str, Any]:
-        """Same schema as :meth:`FctCollector.summary`, except the
-        per-flow ``"flows"`` list is never included (there is nothing
-        to list — that is the point) and a ``"streaming"`` block
-        documents the percentile resolution."""
-        by_size: Dict[str, Dict[str, Any]] = {}
-        for _, label in SIZE_BINS:
-            histogram = self.by_size.get(label)
-            if histogram is not None and histogram.count:
-                by_size[label] = dict(
-                    _histogram_distribution(histogram),
-                    flows=histogram.count)
-        summary = _fct_block(
-            self.spawned, self.overall.count,
-            _histogram_distribution(self.overall), by_size,
-            self.offered_bytes, self.carried_bytes, duration_ns)
-        summary["streaming"] = {
-            "bins_per_decade": BINS_PER_DECADE,
-            "relative_resolution":
-                10.0 ** (1.0 / BINS_PER_DECADE) - 1.0,
-            "occupied_bins": self.occupied_bins(),
-            "max_live_records": self.max_live,
-        }
         return summary

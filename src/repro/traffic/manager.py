@@ -20,12 +20,9 @@ again:
   what keeps context tables bounded and CID collisions transient
   instead of permanent.
 
-Every spawned flow is recorded in a
-:class:`~repro.stats.fct.FctCollector` (or, with
-``stream_stats=True``, folded into a bounded-memory
-:class:`~repro.stats.fct.FctAggregator` on completion); flows still in
-flight when the run ends are finalised as *censored* with their
-partial byte count.
+Every spawned flow is recorded in the manager's
+:class:`~repro.stats.fct.FctCollector`; flows still in flight when the
+run ends are finalised as *censored* with their partial byte count.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.engine import Simulator
-from ..stats.fct import FctAggregator, FctCollector, FctRecord
+from ..stats.fct import FctCollector, FctRecord
 from ..tcp.flow import TcpFlow, TcpParams, wire_flow
 from ..tcp.segment import FiveTuple
 
@@ -42,8 +39,8 @@ DYNAMIC_FLOW_ID_BASE = 1000
 
 #: Gap between consecutive cells' dynamic-flow id ranges.  A cell
 #: would have to spawn ten million flows before touching its
-#: neighbour's range — comfortably past what even the million-flow
-#: streaming-stats regime produces in one run.
+#: neighbour's range — orders of magnitude past the few thousand the
+#: largest churn cells spawn in one run.
 CELL_FLOW_ID_STRIDE = 10_000_000
 
 
@@ -52,7 +49,6 @@ class FlowManager:
 
     def __init__(self, sim: Simulator, server, clients: Dict[str, Any],
                  client_names: List[str], drivers: Dict[str, Any],
-                 collector: "FctCollector | FctAggregator",
                  tcp: TcpParams, direction: str = "download",
                  ap_name: str = "AP",
                  flow_id_base: int = DYNAMIC_FLOW_ID_BASE,
@@ -67,7 +63,7 @@ class FlowManager:
         self.client_index = {name: i for i, name
                              in enumerate(client_names)}
         self.drivers = drivers
-        self.collector = collector
+        self.collector = FctCollector()
         self.tcp = tcp
         self.direction = direction
         self.ap_name = ap_name
@@ -126,7 +122,6 @@ class FlowManager:
         flow.completed_at = now
         record.end_ns = now
         record.bytes_delivered = flow.receiver.bytes_delivered
-        self.collector.close(record)
         self.flows_completed += 1
         self._reclaim(flow, record.client)
         if on_done is not None:
@@ -156,4 +151,3 @@ class FlowManager:
         deliveries.  Censoring itself is ``end_ns`` staying None."""
         for flow, record, _ in self.live.values():
             record.bytes_delivered = flow.receiver.bytes_delivered
-            self.collector.close(record)

@@ -70,7 +70,7 @@ from ..sim.units import MS, SEC, msec, throughput_mbps, usec
 from ..sim.wired import WiredLink
 from ..stats.collectors import MacStats
 from ..stats.fairness import goodput_fairness, jain_index
-from ..stats.fct import FctAggregator, FctCollector
+from ..stats.fct import FctCollector
 from ..stats.trace import MediumTracer
 from ..traffic.arrivals import ArrivalSpec, build_processes
 from ..traffic.manager import CELL_FLOW_ID_STRIDE, \
@@ -211,18 +211,6 @@ class ScenarioConfig:
     #: Rate adaptation: None = fixed at data_rate_mbps; "aarf" = AARF
     #: over the PHY's rate ladder, starting at data_rate_mbps.
     rate_adaptation: Optional[str] = None
-    #: Record a frame-level trace of the whole run (ScenarioResult.trace).
-    trace: bool = False
-    #: Cap on trace records (protects memory on long runs).
-    trace_max_records: Optional[int] = 200_000
-    #: Streaming FCT statistics: fold each completed churn flow into a
-    #: bounded-memory :class:`~repro.stats.fct.FctAggregator` instead
-    #: of keeping every :class:`~repro.stats.fct.FctRecord`.  Peak
-    #: FCT-record memory becomes independent of flow count (what
-    #: million-flow cells inside 200+ cell sweeps need); percentiles
-    #: are then histogram-quantised at the aggregator's documented
-    #: resolution (~2.3%).  Exact record mode stays the default.
-    stream_stats: bool = False
     #: Deterministic fault-injection plan (repro.adversary): a greedy
     #: CW-cheating station, a jammer, or an on-air compressed-ACK
     #: mutator.  None — and any plan with intensity 0 — installs
@@ -431,7 +419,7 @@ class ScenarioResult:
     #: its medium over the run.
     channel_medium: Dict[int, Dict[str, Any]] = field(
         default_factory=dict)
-    #: cell -> FctCollector | FctAggregator, where churn ran.
+    #: cell -> its FlowManager's FctCollector, where churn ran.
     collectors: Dict[int, Any] = field(default_factory=dict)
     mac_stats: MacStats = field(default_factory=MacStats)
     #: Every MAC's queue statistics, merged (renders ``"aqm"``).
@@ -463,7 +451,7 @@ class ScenarioResult:
     #: everything.
     shard_info: Optional[Dict[str, Any]] = None
     #: The frame record, when the run was asked for one
-    #: (``config.trace`` or a Chrome-trace export); plain data.
+    #: (``telemetry.trace_export_path``); plain data.
     trace: Optional[MediumTracer] = field(default=None, repr=False)
     #: What a run executed with ``telemetry=TelemetryConfig(...)``
     #: recorded (an execution knob: never in ScenarioConfig, never in
@@ -641,9 +629,8 @@ class ScenarioResult:
         without an arrival process."""
         if not self.collectors:
             return None
-        cells = sorted(self.collectors)
-        merged = type(self.collectors[cells[0]])()
-        for cell in cells:
+        merged = FctCollector()
+        for cell in sorted(self.collectors):
             merged.merge(self.collectors[cell])
         return merged.summary(self.config.duration_ns)
 
@@ -695,8 +682,8 @@ class ScenarioResult:
         * ``hack_fit_fraction``, ``retry_table``,
           ``time_breakdown_ms`` — the merged ``MacStats``;
         * ``aqm`` — the merged ``QdiscStats`` (``block``);
-        * ``fct`` — the per-cell ``FctCollector`` / ``FctAggregator``
-          merged in cell order (``summary``);
+        * ``fct`` — the per-cell ``FctCollector`` merged in cell order
+          (``summary``);
         * ``decompressor``, ``rohc``, ``adversary`` — counter dicts
           summed by ``merge_counts`` (``adversary`` under the config's
           kind / intensity);
@@ -826,7 +813,7 @@ class CellBuilder:
             for f in dataclasses.fields(TcpParams)})
         self.channels = cfg.ordered_channels(cell_indices)
         self.media = ChannelizedMedium(self.sim)
-        #: Frame trace (``cfg.trace`` or the Chrome-trace export).
+        #: Frame trace, for the Chrome-trace export.
         self.trace: Optional[MediumTracer] = None
         self.adversary_runtime: Optional[AdversaryRuntime] = None
         self.telemetry_session: Optional[TelemetrySession] = None
@@ -988,9 +975,7 @@ class CellBuilder:
             return
         net.flow_manager = FlowManager(
             sim, net.server, net.clients, net.client_names,
-            net.drivers,
-            FctAggregator() if cfg.stream_stats else FctCollector(),
-            self.tcp, direction=cfg.arrivals.direction,
+            net.drivers, self.tcp, direction=cfg.arrivals.direction,
             ap_name=net.ap_name,
             flow_id_base=DYNAMIC_FLOW_ID_BASE
             + net.index * CELL_FLOW_ID_STRIDE,
@@ -1066,12 +1051,9 @@ def build_simulation(cfg: ScenarioConfig,
     for channel in world.channels:
         world.media.add_channel(channel, cfg.loss.build(
             world.rngs.stream(_loss_stream_name(channel))))
-    # One tracer serves both cfg.trace and the telemetry layer's
-    # Chrome-trace export; the channelized tracer tags every record
-    # with its channel id.
-    if cfg.trace:
-        world.trace = MediumTracer(world.media, cfg.trace_max_records)
-    elif telemetry is not None and telemetry.trace_export_path:
+    # A frame record is kept exactly when a Chrome trace will read it;
+    # the channelized tracer tags every record with its channel id.
+    if telemetry is not None and telemetry.trace_export_path:
         world.trace = MediumTracer(world.media, MAX_EXPORT_FRAMES)
     for cell_index in world.cell_indices:
         world.build(cell_index)
@@ -1191,7 +1173,8 @@ def run_scenario(cfg: ScenarioConfig,
     multi-shard run ``world`` is None; the seam for a live
     multi-channel world is ``build_simulation(cfg)`` -> ``world.run()``
     -> ``collect(world)``.  What a run records rides the result under
-    either: the frame record (``cfg.trace``) is ``result.trace``.
+    either: the frame record (``telemetry.trace_export_path``) is
+    ``result.trace``.
 
     ``telemetry`` (a :class:`~repro.obs.TelemetryConfig`) turns on the
     observability layer — kernel span timing, the periodic time-series

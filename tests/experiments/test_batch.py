@@ -48,31 +48,6 @@ class TestSpec:
         with pytest.raises(TypeError, match="metrics dict"):
             execute_point(spec.points[0])
 
-    def test_with_config_overrides_replaces_every_scenario(self):
-        spec = fast_spec(seeds=(1, 2))
-        spec.add_analytic(("x",), "tests.helpers:constant_metrics",
-                          value=1.0)
-        overridden = spec.with_config_overrides(stream_stats=True,
-                                                seed=9)
-        assert overridden.name == spec.name
-        assert len(overridden) == len(spec)
-        assert overridden.keys() == spec.keys()
-        for before, after in zip(spec.points, overridden.points):
-            if before.config is None:
-                assert after is before          # analytic pass-through
-            else:
-                assert after.config.stream_stats is True
-                assert after.config.seed == 9
-                assert before.config.stream_stats is False  # untouched
-                assert after.config.n_clients == \
-                    before.config.n_clients
-
-    def test_with_config_overrides_changes_signatures(self):
-        spec = fast_spec(seeds=(1,))
-        overridden = spec.with_config_overrides(stream_stats=True)
-        assert point_signature(spec.points[0]) != \
-            point_signature(overridden.points[0])
-
     def test_grid_axis_overrides_base_field(self):
         # Regression: an axis field that also appears in ``base`` used
         # to raise "got multiple values for keyword argument".

@@ -73,6 +73,18 @@ class TestFormatters:
         assert "Figure 9" in out and "Table 1" in out
         assert "87%" in out
 
+    def test_fig11_printed_mean_is_the_gated_mean(self):
+        """A stock envelope of 3 Mbps is not a usable SNR: the table's
+        mean and ``check_rows``' mean both leave it out."""
+        rows = [{"figure": "11", "snr_db": snr, "tcp_envelope_mbps": tcp,
+                 "hack_envelope_mbps": tcp * (1 + gain / 100),
+                 "improvement_pct": gain, "crc_failures": 0}
+                for snr, tcp, gain in ((6.0, 3.0, 60.0),
+                                       (20.0, 20.0, 10.0))]
+        assert "+10.0% over 1 usable SNR(s)" in fig11.check_rows(rows)
+        assert "mean improvement across SNRs: +10.0%" \
+            in fig11.format_rows(rows)
+
     def test_table2_formatter(self):
         rows = [{"table": "2", "protocol": "TCP/802.11a",
                  "ack_count": 9060, "ack_bytes": 471120,

@@ -1,11 +1,12 @@
-"""The histogram's resolution contract, through both of its callers.
+"""The histogram's resolution contract, through its percentile reader.
 
-Streaming FCT (``FctAggregator``) and queue sojourn (``QdiscStats``)
-record milliseconds into ``repro.obs.metrics.Histogram``; whichever
-caller renders it, every reported percentile is within one bin (a
-factor ``10 ** (1 / BINS_PER_DECADE)``) of the exact
-linear-interpolation order statistic on the raw values, never outside
-the observed range, and null when nothing was recorded.
+Queue sojourn (``QdiscStats``) records milliseconds into
+``repro.obs.metrics.Histogram`` and is the caller that renders its
+percentiles (FCT percentiles are exact order statistics, never
+binned): every reported percentile is within one bin (a factor
+``10 ** (1 / BINS_PER_DECADE)``) of the exact linear-interpolation
+order statistic on the raw values, never outside the observed range,
+and null when nothing was recorded.
 """
 
 import pytest
@@ -14,20 +15,9 @@ from hypothesis import given, settings, strategies as st
 from repro.mac.qdisc import QdiscStats
 from repro.obs.metrics import BINS_PER_DECADE
 from repro.sim.units import MS
-from repro.stats.fct import FctAggregator, percentile
+from repro.stats.fct import percentile
 
 RESOLUTION = 10.0 ** (1.0 / BINS_PER_DECADE) - 1.0
-
-
-def fct_percentiles(spans_ns):
-    """{fraction: reported ms} after one completed flow per span."""
-    aggregator = FctAggregator()
-    for index, span_ns in enumerate(spans_ns):
-        record = aggregator.open(index, "C1", "download", 10_000, now=0)
-        record.end_ns = span_ns
-        aggregator.close(record)
-    block = aggregator.summary(10 ** 9)["fct_ms"]
-    return {0.50: block["p50"], 0.95: block["p95"], 0.99: block["p99"]}
 
 
 def sojourn_percentiles(spans_ns):
@@ -40,8 +30,7 @@ def sojourn_percentiles(spans_ns):
     return {0.50: block["sojourn_p50_ms"], 0.99: block["sojourn_p99_ms"]}
 
 
-CALLERS = pytest.mark.parametrize(
-    "reported", [fct_percentiles, sojourn_percentiles])
+CALLERS = pytest.mark.parametrize("reported", [sojourn_percentiles])
 
 
 @CALLERS

@@ -37,7 +37,7 @@ from repro.obs.metrics import Histogram, merge_counts
 from repro.sim.engine import Simulator
 from repro.sim.medium import ChannelizedMedium, Transmission
 from repro.stats.collectors import MacStats
-from repro.stats.fct import FctAggregator, FctCollector
+from repro.stats.fct import FctCollector
 from repro.stats.trace import MediumTracer
 
 #: Exactly representable floats: multiples of 1/64 up to 2**24.
@@ -97,15 +97,6 @@ def _feed_fct(collector, op):
         record.bytes_delivered = size
     else:
         record.bytes_delivered = min(delivered, size)
-    collector.close(record)
-
-
-def _render_aggregator(aggregator):
-    summary = aggregator.summary(10 ** 9)
-    # Documented as an upper bound, not a merge-exact field: the sum
-    # of per-shard peaks (shards run concurrently).
-    del summary["streaming"]["max_live_records"]
-    return summary
 
 
 def _tick():
@@ -159,8 +150,6 @@ LAWS = [
     Law("QdiscStats", QdiscStats,
         st.one_of(st.none(), st.integers(0, 10 ** 10)),
         _feed_qdisc, lambda stats: stats.block("fq_codel")),
-    Law("FctAggregator", FctAggregator, FLOW,
-        _feed_fct, _render_aggregator),
     Law("FctCollector", FctCollector, FLOW,
         _feed_fct, lambda collector: collector.summary(10 ** 9)),
     Law("merge_counts", dict,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.mac.frames import AckFrame, AmpduFrame, BlockAckFrame, \
     DataFrame, Mpdu
+from repro.obs import TelemetryConfig
 from repro.sim.medium import Medium
 from repro.sim.units import usec
 from repro.stats.fairness import airtime_shares, goodput_fairness, \
@@ -159,13 +160,20 @@ class TestScenarioFairness:
         assert res.fairness_index > 0.9
 
 
+def frame_record(tmp_path):
+    """Telemetry that asks for the frame record (a Chrome-trace export,
+    the one way to ask for it)."""
+    return TelemetryConfig(trace_export_path=str(tmp_path / "run.json"))
+
+
 class TestTimelineRendering:
-    def test_render_contains_flags_and_types(self, sim):
+    def test_render_contains_flags_and_types(self, sim, tmp_path):
         from repro import HackPolicy, ScenarioConfig, run_scenario
         from repro.sim.units import MS
         res = run_scenario(ScenarioConfig(
             duration_ns=400 * MS, warmup_ns=200 * MS,
-            policy=HackPolicy.MORE_DATA, trace=True, stagger_ns=0))
+            policy=HackPolicy.MORE_DATA, stagger_ns=0),
+            telemetry=frame_record(tmp_path))
         text = res.world.trace.render_timeline(limit=100_000)
         assert "ampdu" in text
         assert "block_ack" in text
@@ -173,21 +181,21 @@ class TestTimelineRendering:
         assert "M]" in text or "M," in text
         assert "[H" in text or ",H" in text
 
-    def test_limit_respected(self, sim):
+    def test_limit_respected(self, sim, tmp_path):
         from repro import HackPolicy, ScenarioConfig, run_scenario
         from repro.sim.units import MS
         res = run_scenario(ScenarioConfig(
-            duration_ns=400 * MS, warmup_ns=200 * MS, trace=True,
-            stagger_ns=0))
+            duration_ns=400 * MS, warmup_ns=200 * MS, stagger_ns=0),
+            telemetry=frame_record(tmp_path))
         text = res.world.trace.render_timeline(limit=5)
         assert len(text.splitlines()) <= 6
 
-    def test_window_selection(self, sim):
+    def test_window_selection(self, sim, tmp_path):
         from repro import ScenarioConfig, run_scenario
         from repro.sim.units import MS
         res = run_scenario(ScenarioConfig(
-            duration_ns=400 * MS, warmup_ns=200 * MS, trace=True,
-            stagger_ns=0))
+            duration_ns=400 * MS, warmup_ns=200 * MS, stagger_ns=0),
+            telemetry=frame_record(tmp_path))
         early = res.world.trace.render_timeline(end_ns=50 * MS, limit=1000)
         late = res.world.trace.render_timeline(start_ns=300 * MS, limit=1000)
         assert early and late and early != late

@@ -1,5 +1,7 @@
 """Multi-flow scenarios and the top-level CLI."""
 
+import dataclasses
+
 import pytest
 
 from repro import HackPolicy, ScenarioConfig, run_scenario
@@ -126,6 +128,19 @@ class TestCli:
         paced = config("--scenario", "churn-cubic-codel", "--pacing")
         assert paced.pacing and paced.cc == "cubic"
         assert paced.arrivals == registered.arrivals
+
+    def test_no_simulate_flag_is_silently_ignored(self):
+        """``_simulate_config`` applies every flag named after a
+        ``ScenarioConfig`` field; any other flag must be one that
+        ``_simulate`` consumes itself — so a field deleted while its
+        flag stays fails here instead of being dropped unseen."""
+        args = _build_parser().parse_args(["simulate"])
+        fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        assert set(vars(args)) - {"command"} - fields == {
+            "scenario", "shard_jobs", "uniform_loss", "snr", "aarf",
+            "sora", "kernel_stats", "adversary_kind",
+            "adversary_intensity", "adversary_mode", "telemetry",
+            "trace_export", "sample_interval"}
 
     def test_experiments_forwarding(self, capsys, tmp_path):
         assert cli_main(["experiments", "fig01",

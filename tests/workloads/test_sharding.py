@@ -20,7 +20,6 @@ existed.
 """
 
 import copy
-import dataclasses
 import itertools
 import json
 import os
@@ -97,6 +96,13 @@ def everything(result):
             instrument and instrument.spans)
 
 
+def frame_telemetry(directory, **knobs):
+    """Telemetry that asks for the frame record — a Chrome-trace
+    export, the one way to ask for it."""
+    return TelemetryConfig(
+        trace_export_path=str(directory / "run.trace.json"), **knobs)
+
+
 def run_whole(cfg, telemetry=None):
     """The whole-simulator oracle: every channel in one simulator."""
     world = build_simulation(cfg, telemetry=telemetry)
@@ -143,18 +149,18 @@ class TestShardPlan:
             ShardPlan.from_config(
                 base_config(cells=2, channels=2, cell_channel=(0, 5)))
 
-    def test_frame_record_plans_like_any_other(self):
-        """What a run records is not the plan's business: asking for
-        the frame record changes nothing, and telemetry is not even an
-        input."""
+    def test_frame_record_plans_like_any_other(self, tmp_path):
+        """What a run records is not the plan's business: the frame
+        record is asked for through telemetry, and telemetry is not
+        even an input."""
         cfg = base_config(cells=4, channels=3,
                           cell_channel=(2, 0, 2, 1))
-        plan = ShardPlan.from_config(dataclasses.replace(cfg, trace=True))
-        assert plan == ShardPlan.from_config(cfg)
+        plan = ShardPlan.from_config(cfg)
+        assert plan == ShardPlan.from_config(copy.deepcopy(cfg))
         assert plan.shard_count == 3
         assert plan.shards() == [(2, (0, 2)), (0, (1,)), (1, (3,))]
         with pytest.raises(TypeError):
-            ShardPlan.from_config(cfg, TelemetryConfig())
+            ShardPlan.from_config(cfg, frame_telemetry(tmp_path))
 
 
 class TestShardEquivalence:
@@ -241,7 +247,8 @@ class TestShardEquivalence:
         assert routed.shard_info is None
 
 
-    def test_world_is_live_iff_one_simulator_ran(self, static_runs):
+    def test_world_is_live_iff_one_simulator_ran(self, static_runs,
+                                                 tmp_path):
         """``world`` is live iff the plan had one shard."""
         _, sharded = static_runs
         assert sharded.world is None and sharded.trace is None
@@ -253,7 +260,8 @@ class TestShardEquivalence:
         assert [net.index for net in world.cells] == [0, 1]
         assert world.sim.stats.as_dict() == single.kernel_stats
         assert set(world.drivers) == set(single.driver_metrics)
-        traced = run_scenario(base_config(n_clients=1, trace=True))
+        traced = run_scenario(base_config(n_clients=1),
+                              telemetry=frame_telemetry(tmp_path))
         assert traced.trace is traced.world.trace
         assert traced.trace.records
 
@@ -274,16 +282,19 @@ class TestMergeOrder:
     RECORDING = False
 
     @pytest.fixture(scope="class")
-    def shards(self):
+    def shards(self, tmp_path_factory):
         cfg = base_config(cells=3, channels=3, n_clients=1, seed=5,
                           duration_ns=1200 * MS, warmup_ns=400 * MS,
-                          arrivals=CHURN["arrivals"],
-                          trace=self.RECORDING, trace_max_records=700)
-        telemetry = TelemetryConfig(sample_interval_ns=50 * MS) \
+                          arrivals=CHURN["arrivals"])
+        telemetry = frame_telemetry(tmp_path_factory.mktemp("frames"),
+                                    sample_interval_ns=50 * MS) \
             if self.RECORDING else None
-        results = [execute_shard(cfg, cells, telemetry)[0]
-                   for _, cells in ShardPlan.from_config(cfg).shards()]
-        return results, recorded(run_whole(cfg, telemetry))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenarios, "MAX_EXPORT_FRAMES", 700)
+            results = [execute_shard(cfg, cells, telemetry)[0]
+                       for _, cells
+                       in ShardPlan.from_config(cfg).shards()]
+            return results, recorded(run_whole(cfg, telemetry))
 
     def test_merge_ignores_insertion_order(self, shards):
         results, unsharded = shards
@@ -393,8 +404,8 @@ def shard_modes_in_this_process(cfg):
 
 class TestFrameRecord:
     """The frame record rides the result and merges like every
-    counter: asking for one (``trace=True``) leaves the plan, the
-    execution and the metrics alone, and the merged record is the
+    counter: asking for one (a Chrome-trace export) leaves the plan,
+    the execution and the metrics alone, and the merged record is the
     whole simulator's."""
 
     CONFIGS = {
@@ -405,13 +416,15 @@ class TestFrameRecord:
     }
 
     @pytest.mark.parametrize("name", CONFIGS)
-    def test_frame_record_merges_across_shards(self, name):
-        cfg = dataclasses.replace(self.CONFIGS[name], trace=True)
-        whole = run_whole(cfg)
+    def test_frame_record_merges_across_shards(self, name, tmp_path):
+        cfg = self.CONFIGS[name]
+        telemetry = frame_telemetry(tmp_path)
+        whole = run_whole(cfg, telemetry)
         assert {record.channel for record in whole.trace.records} \
             == set(cfg.ordered_channels())
         for jobs in (None, 1, 2):
-            result = run_scenario(cfg, shard_jobs=jobs)
+            result = run_scenario(cfg, shard_jobs=jobs,
+                                  telemetry=telemetry)
             assert result.world is None
             assert result.shard_info["plan"]["shards"] == 3
             assert frame_record(result) == frame_record(whole) \
@@ -423,14 +436,18 @@ class TestFrameRecord:
             assert recorded(result) == recorded(whole)
 
     @pytest.mark.parametrize("name", CONFIGS)
-    def test_frame_record_cap_is_the_runs(self, name):
-        """``trace_max_records`` caps the run, not the shard."""
-        cfg = dataclasses.replace(self.CONFIGS[name], trace=True,
-                                  trace_max_records=40)
-        whole = run_whole(cfg)
+    def test_frame_record_cap_is_the_runs(self, name, tmp_path,
+                                          monkeypatch):
+        """``MAX_EXPORT_FRAMES`` caps the run, not the shard (shard
+        workers are forked per run, so they inherit the patch)."""
+        monkeypatch.setattr(scenarios, "MAX_EXPORT_FRAMES", 40)
+        cfg = self.CONFIGS[name]
+        telemetry = frame_telemetry(tmp_path)
+        whole = run_whole(cfg, telemetry)
         assert whole.trace.dropped > 0
         for jobs in (None, 1, 2):
-            trace = run_scenario(cfg, shard_jobs=jobs).trace
+            trace = run_scenario(cfg, shard_jobs=jobs,
+                                 telemetry=telemetry).trace
             assert len(trace.records) == 40
             assert trace.dropped == whole.trace.dropped
 
