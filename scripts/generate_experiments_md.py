@@ -18,7 +18,8 @@ from pathlib import Path
 
 from repro.experiments import common
 from repro.experiments.batch import SweepRunner
-from repro.experiments.runner import EXPERIMENTS
+from repro.experiments.runner import EXPERIMENTS, non_negative_int, \
+    positive_int
 
 DOCUMENT = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 BEGIN = "<!-- BEGIN GENERATED: scripts/generate_experiments_md.py -->\n"
@@ -27,13 +28,15 @@ END = "<!-- END GENERATED -->\n"
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--seeds", type=int, default=3)
+    parser.add_argument("--seeds", type=positive_int, default=3)
     parser.add_argument("--out", default=None,
                         help="write here instead of in place")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke: short windows, single seed")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="sweep worker processes (0 = per CPU)")
+    parser.add_argument("--jobs", type=non_negative_int, default=None,
+                        help="sweep worker processes (default: decide "
+                             "from the host, as the runner does; 1 = "
+                             "serial; 0 = one per CPU)")
     parser.add_argument("--cache-dir", default=".sweep-cache")
     parser.add_argument("--no-cache", action="store_true")
     args = parser.parse_args(argv)
@@ -49,12 +52,18 @@ def main(argv=None) -> int:
     runner = SweepRunner(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir)
+    modules = list(EXPERIMENTS.values())
+    # One schedule over every experiment's grid; each section is
+    # rendered as soon as its experiment's points resolve.
+    results = runner.run_many(
+        [module.sweep_spec(args.quick) for module in modules])
     sections = []
-    for module in EXPERIMENTS.values():
-        started = time.time()
-        rows = common.run(module, quick=args.quick, runner=runner)
+    started = time.time()
+    for result, module in zip(results, modules):
+        rows = module.rows_from_sweep(result)
         print(f"[{module.TITLE}: {time.time() - started:.0f}s]",
               flush=True)
+        started = time.time()
         sections.append(
             f"## {module.TITLE}\n\n```text\n"
             f"{module.format_rows(rows)}\n```\n\n"

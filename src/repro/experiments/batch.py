@@ -10,16 +10,19 @@ structure explicit and executable in parallel:
   ``ScenarioConfig``, i.e. one simulator run) or **analytic** (a
   dotted reference to a pure function returning a metrics dict, used
   by closed-form artifacts like Figure 1).
-* :class:`SweepRunner` — executes a spec either serially (the default,
-  bit-identical to the historical per-module loops) or fanned out
-  across processes via :class:`concurrent.futures.ProcessPoolExecutor`
-  (``jobs=N``).  Identical seeds produce identical metrics either way.
+* :class:`SweepRunner` — executes specs as one schedule: by default
+  its scenario points fan out over a
+  :class:`concurrent.futures.ProcessPoolExecutor` sized from the
+  host's cores (``jobs=None``), and ``run_many`` hands every spec of
+  an invocation to that one pool; ``jobs=1`` is the serial reference
+  path, ``jobs=N`` a pool of N.  Identical seeds produce identical
+  metrics, records and artifacts either way.
   Execution is *incremental and fault-isolated*: every point's metrics
   are checkpointed into the cache the moment that point completes, a
   raising point becomes a first-class error record instead of aborting
   the sweep (``retries=N`` re-runs transient failures with backoff),
   and SIGINT/SIGTERM interrupt gracefully — completed work is flushed
-  and :class:`SweepInterrupted` carries the partial result.
+  and :class:`SweepInterrupted` carries the partial results.
 * :class:`SweepCache` — content-hash cache: each point is keyed by a
   SHA-256 over its canonical JSON description, so re-running a sweep
   whose cells did not change costs nothing.  Because the runner
@@ -29,8 +32,9 @@ structure explicit and executable in parallel:
   ``<signature>.error.json`` breadcrumbs that ``repro sweep --status``
   reports and a successful re-run clears.
 * :class:`SweepResult` — per-point metric *and error* records plus
-  per-cell mean/stdev aggregation, persistable to/reloadable from JSON
-  (artifact ``version`` 2, the only schema read; artifacts from a
+  per-cell mean/stdev aggregation, persistable to/reloadable from a
+  JSON dict (``to_json_dict`` / ``from_json_dict``: one entry of a
+  ``--out`` artifact; ``version`` 2, the only schema read; artifacts from a
   different ``ENGINE_VERSION`` are rejected unless
   ``allow_stale=True``).
 
@@ -40,6 +44,7 @@ nothing stateful crosses process boundaries except plain dicts.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import hashlib
@@ -52,14 +57,13 @@ import statistics
 import threading
 import time
 import traceback as traceback_module
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, \
-    ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, \
-    Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, \
+    Mapping, Optional, Sequence, Tuple, Union
 
 from ..workloads.scenarios import ScenarioConfig, run_scenario
+from ..workloads.sharding import pool_workers
 from .progress import SweepProgress
 
 #: Bump to invalidate every cached cell (simulator semantics changed).
@@ -257,6 +261,22 @@ def execute_point(point: SweepPoint,
     return metrics
 
 
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: a worker does not outlive its sweep.
+
+    A runner killed outright (SIGKILL, the OOM killer) cannot shut its
+    pool down, and its workers would block on the call queue forever;
+    once re-parented, this one exits (mid-point if need be — nobody is
+    left to read the result).
+    """
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 # ----------------------------------------------------------------------
 # Cache
 # ----------------------------------------------------------------------
@@ -329,9 +349,15 @@ class SweepCache:
     def _write(self, path: Path, signature: str, payload: Any) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
         tmp = self._staging_path(signature)
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as handle:
+                json.dump(payload, handle)
+            os.replace(tmp, path)
+        except BaseException:
+            # A failed write (ENOSPC, a torn dump) leaves no staging
+            # file behind to litter the directory forever.
+            tmp.unlink(missing_ok=True)
+            raise
 
     def store(self, signature: str, metrics: Metrics) -> None:
         self._write(self._path(signature), signature, metrics)
@@ -532,20 +558,6 @@ class SweepResult:
                 for r in payload["records"]])
         return result
 
-    def save(self, path: Union[str, Path]) -> None:
-        path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=1)
-
-    @classmethod
-    def load(cls, path: Union[str, Path],
-             allow_stale: bool = False) -> "SweepResult":
-        with open(path) as handle:
-            return cls.from_json_dict(json.load(handle),
-                                      allow_stale=allow_stale)
-
 
 # ----------------------------------------------------------------------
 # Runner
@@ -554,19 +566,30 @@ class SweepInterrupted(RuntimeError):
     """The sweep was stopped by SIGINT/SIGTERM.
 
     Completed work was flushed (and cached, when a cache is
-    configured); ``result`` is the partial :class:`SweepResult` with
-    ``interrupted=True``, ``signum`` the signal that stopped it.
+    configured).  ``results`` maps the position, among the specs given
+    to :meth:`SweepRunner.run_many`, of every spec that had started but
+    was not yet returned to its partial :class:`SweepResult`
+    (``interrupted=True``); the spec the caller was waiting on is
+    always there, and ``result`` is the first of them — the one
+    :meth:`SweepRunner.run` was running.  ``signum`` is the signal that
+    stopped it.
     """
 
-    def __init__(self, result: SweepResult,
+    def __init__(self, results: Dict[int, SweepResult],
                  signum: Optional[int] = None):
-        done = result.executed + result.cache_hits
+        done = sum(r.executed + r.cache_hits for r in results.values())
+        failed = sum(r.failed for r in results.values())
+        names = ", ".join(repr(r.spec_name) for r in results.values())
         super().__init__(
-            f"sweep {result.spec_name!r} interrupted"
+            f"sweep {names} interrupted"
             f"{f' by signal {signum}' if signum else ''}: "
-            f"{done} points completed, {result.failed} failed")
-        self.result = result
+            f"{done} points completed, {failed} failed")
+        self.results = results
         self.signum = signum
+
+    @property
+    def result(self) -> Optional[SweepResult]:
+        return next(iter(self.results.values()), None)
 
 
 def error_payload(exc: BaseException, attempts: int) -> Dict[str, Any]:
@@ -581,15 +604,18 @@ def error_payload(exc: BaseException, attempts: int) -> Dict[str, Any]:
 
 
 class _RunState:
-    """Mutable bookkeeping for one ``SweepRunner.run`` invocation."""
+    """Mutable bookkeeping for one spec of a ``SweepRunner.run_many``
+    schedule."""
 
-    def __init__(self, spec: SweepSpec, signatures: List[str]):
+    def __init__(self, spec: SweepSpec):
         self.spec = spec
-        self.signatures = signatures
+        self.signatures = [point_signature(p) for p in spec.points]
         self.metrics_by_index: Dict[int, Metrics] = {}
         self.cached: Dict[int, bool] = {}
         self.errors_by_index: Dict[int, Dict[str, Any]] = {}
-        self.started = time.perf_counter()
+        #: A point of this spec was handed to execution.
+        self.begun = False
+        self.started_at = time.perf_counter()
 
     @property
     def executed(self) -> int:
@@ -599,22 +625,63 @@ class _RunState:
     def cache_hits(self) -> int:
         return sum(1 for flag in self.cached.values() if flag)
 
+    @property
+    def resolved(self) -> bool:
+        """Every point has a record (metrics or error)."""
+        return len(self.cached) + len(self.errors_by_index) \
+            == len(self.spec.points)
+
+    @property
+    def started(self) -> bool:
+        return self.begun or bool(self.cached or self.errors_by_index)
+
     def progress(self) -> SweepProgress:
         return SweepProgress(
             spec_name=self.spec.name, total=len(self.spec.points),
             executed=self.executed, cached=self.cache_hits,
             failed=len(self.errors_by_index),
-            elapsed_s=time.perf_counter() - self.started)
+            elapsed_s=time.perf_counter() - self.started_at)
+
+    def result(self, interrupted: bool = False) -> SweepResult:
+        result = SweepResult(spec_name=self.spec.name,
+                             executed=self.executed,
+                             cache_hits=self.cache_hits,
+                             failed=len(self.errors_by_index),
+                             interrupted=interrupted)
+        for index, point in enumerate(self.spec.points):
+            if index in self.metrics_by_index:
+                result.records.append(SweepRecord(
+                    key=point.key, seed=point.seed,
+                    signature=self.signatures[index],
+                    metrics=self.metrics_by_index[index],
+                    cached=self.cached[index]))
+            elif index in self.errors_by_index:
+                result.records.append(SweepRecord(
+                    key=point.key, seed=point.seed,
+                    signature=self.signatures[index], metrics=None,
+                    error=self.errors_by_index[index]))
+            # else: interrupted before this point started — a partial
+            # result simply has no record for it.
+        return result
+
+
+#: One point of a schedule: its spec's state and its index there.
+Item = Tuple[_RunState, int]
 
 
 class SweepRunner:
     """Executes :class:`SweepSpec`\\ s, optionally in parallel + cached.
 
-    ``jobs``: ``None``/``1`` = serial in-process (deterministic
-    reference path); ``N > 1`` = a process pool of N workers; ``0`` =
-    one worker per CPU.  Results are ordered by spec point order
-    regardless of completion order, so aggregates are identical across
-    all execution modes.
+    ``jobs``: ``None`` = decide from the host — a pool of
+    ``min(cores, pending scenario points)`` workers when that is at
+    least 2, else serial in-process (one core, at most one pending
+    scenario point, or a caller that is itself a pool worker); analytic
+    points then always run in-process, as they cost less than starting
+    a pool.  ``1`` = serial in-process (the deterministic reference
+    path); ``N > 1`` = a process pool of N workers for every pending
+    point; ``0`` = one worker per CPU.  Results are ordered by spec
+    point order regardless of completion order, so aggregates are
+    identical across all execution modes.
 
     Completion is incremental and fault-isolated:
 
@@ -628,11 +695,12 @@ class SweepRunner:
       point it took down);
     * SIGINT/SIGTERM stop the sweep gracefully: in-flight results are
       flushed and :class:`SweepInterrupted` carries the partial
-      result (a second SIGINT raises ``KeyboardInterrupt``
+      results (a second SIGINT raises ``KeyboardInterrupt``
       immediately);
     * ``progress`` (any callable accepting a
       :class:`repro.experiments.progress.SweepProgress`) is invoked
-      after the cache scan and after every point resolves.
+      for each spec after the cache scan and after every one of its
+      points resolves.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -654,9 +722,9 @@ class SweepRunner:
         #: None = decide from the host (one worker per shard, or
         #: serial); 1 = serial shards; N > 1 = per-point shard pool.
         #: Purely an execution knob — cache signatures and metrics are
-        #: unchanged by it.  Inside a ``jobs > 1`` worker pool the
-        #: shard layer runs serial shards whatever this says (a pool
-        #: worker never starts a pool: ``sharding._effective_jobs``).
+        #: unchanged by it.  Inside the sweep's worker pool the shard
+        #: layer runs serial shards whatever this says (a pool worker
+        #: never starts a pool: ``sharding.pool_workers``).
         self.shard_jobs = shard_jobs
         #: Per-point telemetry JSONL output directory (execution knob;
         #: see ``execute_point``).  Cached points are not re-run, so
@@ -664,6 +732,8 @@ class SweepRunner:
         self.telemetry_dir = str(telemetry_dir) \
             if telemetry_dir is not None else None
         self._stop_signal: Optional[int] = None
+        #: pending point -> the later points with its signature.
+        self._followers: Dict[Item, List[Item]] = {}
 
     # -- interruption --------------------------------------------------
     def _request_stop(self, signum: int, _frame: Any) -> None:
@@ -695,39 +765,104 @@ class SweepRunner:
         if self.progress is not None:
             self.progress(state.progress())
 
+    def _scan(self, states: List[_RunState]) -> List[Item]:
+        """Resolve every cache hit; return the points left to execute.
+
+        With a cache, a point whose signature an earlier pending point
+        has is not queued: it follows that point (see
+        :meth:`_note_success`).
+        """
+        owners: Dict[str, Item] = {}
+        queue: List[Item] = []
+        self._followers = {}
+        for state in states:
+            for index, signature in enumerate(state.signatures):
+                cached = self.cache.load(signature) if self.cache else None
+                if cached is not None:
+                    state.metrics_by_index[index] = cached
+                    state.cached[index] = True
+                    continue
+                owner = owners.setdefault(signature, (state, index))
+                if self.cache is not None and owner != (state, index):
+                    self._followers.setdefault(owner, []).append(
+                        (state, index))
+                else:
+                    queue.append((state, index))
+            self._emit_progress(state)
+        return queue
+
     def _note_success(self, state: _RunState, index: int,
                       metrics: Metrics) -> None:
         # JSON-normalise so serial, parallel and cache-restored runs
         # expose byte-identical metric structures.
-        metrics = json.loads(_canonical_json(metrics))
-        state.metrics_by_index[index] = metrics
+        text = _canonical_json(metrics)
+        state.metrics_by_index[index] = json.loads(text)
         state.cached[index] = False
         if self.cache is not None:
             # The checkpoint: flushed the moment the point completes,
             # which is what makes any killed grid resumable.
-            self.cache.store(state.signatures[index], metrics)
+            self.cache.store(state.signatures[index],
+                             state.metrics_by_index[index])
         self._emit_progress(state)
+        # What a serial run records for the same config: a later spec
+        # loads the entry just stored (a cache hit), while a copy in
+        # this spec missed the cache at the scan and runs again — to
+        # the same metrics, as a run is a function of its config.
+        for follower, at in self._followers.pop((state, index), ()):
+            follower.metrics_by_index[at] = json.loads(text)
+            follower.cached[at] = follower is not state
+            self._emit_progress(follower)
 
     def _note_failure(self, state: _RunState, index: int,
-                      error: Dict[str, Any]) -> None:
+                      error: Dict[str, Any]) -> List[Item]:
+        """Record a failed point; returns its followers, which a serial
+        run would have missed in the cache and executed themselves."""
         state.errors_by_index[index] = error
         if self.cache is not None:
             self.cache.store_failure(state.signatures[index], error)
         self._emit_progress(state)
+        return self._followers.pop((state, index), [])
 
     # -- execution paths -----------------------------------------------
-    def _run_serial(self, state: _RunState,
-                    pending: List[int]) -> None:
-        for index in pending:
-            if self._stop_signal is not None:
-                return
-            point = state.spec.points[index]
+    def _execute(self, queue: List[Item]) -> Iterator[None]:
+        """Run every queued point; yields once they are handed out,
+        then again whenever some of them have resolved."""
+        if self.jobs is None:
+            wanted = sum(1 for state, index in queue
+                         if state.spec.points[index].kind == "scenario")
+            jobs = pool_workers(min(os.cpu_count() or 1, wanted))
+        else:
+            jobs = pool_workers(self.jobs)
+
+        def pooled(item: Item) -> bool:
+            state, index = item
+            return jobs > 1 and (self.jobs is not None or
+                                 state.spec.points[index].kind
+                                 == "scenario")
+
+        pool_ticks = self._run_pooled(
+            [item for item in queue if pooled(item)], jobs)
+        try:
+            next(pool_ticks, None)      # the pool's points go out first
+            yield
+            yield from self._run_in_process(
+                [item for item in queue if not pooled(item)])
+            yield from pool_ticks
+        finally:
+            pool_ticks.close()
+
+    def _run_in_process(self, items: List[Item]) -> Iterator[None]:
+        queue = collections.deque(items)
+        while queue and self._stop_signal is None:
+            state, index = queue.popleft()
+            state.begun = True
             last_error: Optional[BaseException] = None
             for attempt in range(1, self.retries + 2):
                 if attempt > 1:
                     time.sleep(self.retry_backoff_s * (attempt - 1))
                 try:
-                    metrics = execute_point(point, self.shard_jobs,
+                    metrics = execute_point(state.spec.points[index],
+                                            self.shard_jobs,
                                             self.telemetry_dir)
                 except Exception as exc:
                     last_error = exc
@@ -738,62 +873,80 @@ class SweepRunner:
                     last_error = None
                     break
             if last_error is not None:
-                self._note_failure(
+                queue.extend(self._note_failure(
                     state, index,
-                    error_payload(last_error, self.retries + 1))
+                    error_payload(last_error, self.retries + 1)))
+            yield
 
-    def _run_parallel(self, state: _RunState,
-                      pending: List[int]) -> None:
-        attempts = {index: 0 for index in pending}
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
-        futures: Dict[Any, int] = {}
+    def _run_pooled(self, items: List[Item],
+                    jobs: int) -> Iterator[None]:
+        if not items:
+            return
+        # Imported here only, as in ``sharding.run_shards``: a process
+        # pool's imports cost ~20 ms, which every run that starts no
+        # pool (a warm cache, --jobs 1) would otherwise pay at start-up.
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, \
+            ProcessPoolExecutor, wait
+        attempts: Dict[Item, int] = {}
 
-        def submit(index: int) -> None:
-            attempts[index] += 1
-            futures[pool.submit(execute_point,
-                                state.spec.points[index],
+        def new_pool() -> Any:
+            return ProcessPoolExecutor(max_workers=jobs,
+                                       initializer=_exit_with_parent,
+                                       initargs=(os.getpid(),))
+
+        pool = new_pool()
+        futures: Dict[Any, Item] = {}
+
+        def submit(item: Item) -> None:
+            state, index = item
+            state.begun = True
+            attempts[item] = attempts.get(item, 0) + 1
+            futures[pool.submit(execute_point, state.spec.points[index],
                                 self.shard_jobs,
-                                self.telemetry_dir)] = index
+                                self.telemetry_dir)] = item
 
         try:
-            for index in pending:
-                submit(index)
+            for item in items:
+                submit(item)
+            yield
             while futures and self._stop_signal is None:
                 done, _ = wait(list(futures), timeout=0.1,
                                return_when=FIRST_COMPLETED)
                 if self._stop_signal is not None:
                     return
-                retry_queue: List[int] = []
+                retry_queue: List[Item] = []
                 pool_broken = False
                 for future in done:
-                    index = futures.pop(future)
+                    item = futures.pop(future)
                     try:
                         metrics = future.result()
                     except BrokenExecutor as exc:
                         # A worker died and took the pool with it:
                         # every outstanding future is poisoned.
                         pool_broken = True
-                        self._resolve_failure(state, attempts, index,
-                                              exc, retry_queue)
+                        self._resolve_failure(attempts, item, exc,
+                                              retry_queue)
                     except Exception as exc:
-                        self._resolve_failure(state, attempts, index,
-                                              exc, retry_queue)
+                        self._resolve_failure(attempts, item, exc,
+                                              retry_queue)
                     else:
-                        self._note_success(state, index, metrics)
+                        self._note_success(*item, metrics)
                 if pool_broken:
-                    for future, index in list(futures.items()):
+                    for future, item in list(futures.items()):
                         del futures[future]
                         self._resolve_failure(
-                            state, attempts, index,
+                            attempts, item,
                             BrokenExecutor(
                                 "worker pool died mid-sweep"),
                             retry_queue)
                     pool.shutdown(wait=False)
                     if retry_queue:
                         time.sleep(self.retry_backoff_s)
-                    pool = ProcessPoolExecutor(max_workers=self.jobs)
-                for index in retry_queue:
-                    submit(index)
+                    pool = new_pool()
+                for item in retry_queue:
+                    submit(item)
+                if done:
+                    yield
         finally:
             try:
                 pool.shutdown(wait=self._stop_signal is None,
@@ -801,62 +954,57 @@ class SweepRunner:
             except Exception:  # pragma: no cover - already broken
                 pass
 
-    def _resolve_failure(self, state: _RunState,
-                         attempts: Dict[int, int], index: int,
+    def _resolve_failure(self, attempts: Dict[Item, int], item: Item,
                          exc: BaseException,
-                         retry_queue: List[int]) -> None:
-        if attempts[index] <= self.retries:
-            retry_queue.append(index)
+                         retry_queue: List[Item]) -> None:
+        if attempts[item] <= self.retries:
+            retry_queue.append(item)
         else:
-            self._note_failure(state, index,
-                               error_payload(exc, attempts[index]))
+            retry_queue.extend(self._note_failure(
+                *item, error_payload(exc, attempts[item])))
 
-    # -- entry point ---------------------------------------------------
+    # -- entry points --------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepResult:
-        signatures = [point_signature(p) for p in spec.points]
-        state = _RunState(spec, signatures)
+        """Execute one spec: the one-spec case of :meth:`run_many`."""
+        [result] = self.run_many([spec])
+        return result
 
-        pending: List[int] = []
-        for index, signature in enumerate(signatures):
-            cached = self.cache.load(signature) if self.cache else None
-            if cached is not None:
-                state.metrics_by_index[index] = cached
-                state.cached[index] = True
-            else:
-                pending.append(index)
-        self._emit_progress(state)
+    def run_many(self, specs: Iterable[SweepSpec]
+                 ) -> Iterator[SweepResult]:
+        """Execute several specs as one schedule, yielding each spec's
+        :class:`SweepResult` in the order given as soon as its points
+        resolve.
 
+        The cache is scanned once, then every pending point goes to one
+        pool (or runs in-process; see the class docstring).  With a
+        cache, each signature is executed once: a later spec records
+        its copy as a cache hit — what a serial run, loading the entry
+        the earlier spec stored, records — and a copy in the same spec
+        as executed, as serially; without a cache every point runs.
+        Either way the records are a serial run's: one spec after the
+        other, each executing every point its cache scan missed.
+        """
+        states = [_RunState(spec) for spec in specs]
+        queue = self._scan(states)
         self._stop_signal = None
         previous_handlers = self._trap_signals()
+        ticks = self._execute(queue)
+        returned = 0
         try:
-            if pending:
-                if self.jobs is not None and self.jobs > 1:
-                    self._run_parallel(state, pending)
-                else:
-                    self._run_serial(state, pending)
+            for _ in ticks:
+                if self._stop_signal is not None:
+                    break
+                while returned < len(states) \
+                        and states[returned].resolved:
+                    yield states[returned].result()
+                    returned += 1
         finally:
+            ticks.close()
             self._restore_signals(previous_handlers)
-
-        interrupted = self._stop_signal is not None
-        result = SweepResult(spec_name=spec.name,
-                             executed=state.executed,
-                             cache_hits=state.cache_hits,
-                             failed=len(state.errors_by_index),
-                             interrupted=interrupted)
-        for index, point in enumerate(spec.points):
-            if index in state.metrics_by_index:
-                result.records.append(SweepRecord(
-                    key=point.key, seed=point.seed,
-                    signature=signatures[index],
-                    metrics=state.metrics_by_index[index],
-                    cached=state.cached[index]))
-            elif index in state.errors_by_index:
-                result.records.append(SweepRecord(
-                    key=point.key, seed=point.seed,
-                    signature=signatures[index], metrics=None,
-                    error=state.errors_by_index[index]))
-            # else: interrupted before this point started — a partial
-            # result simply has no record for it.
-        if interrupted:
-            raise SweepInterrupted(result, self._stop_signal)
-        return result
+        if self._stop_signal is not None:
+            raise SweepInterrupted(
+                {position: state.result(interrupted=True)
+                 for position, state in enumerate(states)
+                 if position == returned
+                 or (position > returned and state.started)},
+                self._stop_signal)

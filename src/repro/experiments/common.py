@@ -6,9 +6,11 @@ dicts, ``format_rows(rows)`` renders the paper-style table, ``TITLE`` /
 ``PAPER_SAYS`` are its EXPERIMENTS.md heading and paper claim, and
 ``check_rows(rows)`` is its pass/fail contract (raises
 ``AssertionError`` naming the offending row, returns a one-line
-summary).  :func:`run` is the one way to execute a module;
-``quick=True`` shrinks durations/seeds so the whole suite stays
-runnable in CI, the default is the paper-fidelity grid.
+summary).  :func:`run` executes one module (``runner.main`` and the
+EXPERIMENTS.md generator hand every module's spec to one
+``SweepRunner.run_many`` schedule instead); ``quick=True`` shrinks
+durations/seeds so the whole suite stays runnable in CI, the default
+is the paper-fidelity grid.
 """
 
 from __future__ import annotations

@@ -9,15 +9,17 @@ Usage::
 :data:`EXPERIMENTS` is the one table of experiments (each module is
 its own record, see :mod:`.common`) and :func:`main` the one command
 loop — ``repro sweep`` and ``repro experiments`` forward their argv
-here.  Each target declares its grid as a :class:`SweepSpec`; the
-shared :class:`SweepRunner` executes every cell — serially by default,
-or fanned out over ``--jobs`` worker processes — prints the
-corresponding paper table/figure as text, and (with ``--out``)
-persists the raw per-cell sweep records as a JSON artifact that
-``repro check`` gates on.  Cells are content-hash cached under
-``--cache-dir`` so re-running an unchanged sweep is free;
-``--no-cache`` forces fresh simulation runs and ``--status`` audits
-the cache without running anything.
+here.  Each target declares its grid as a :class:`SweepSpec`; one
+:class:`SweepRunner` schedule executes every target's cells together —
+by default over a pool of the host's cores (``--jobs 1`` is the serial
+reference path) — prints each target's paper table/figure as text, in
+argv order as soon as its cells resolve, and (with ``--out``) persists
+the raw per-cell sweep records as a JSON artifact that ``repro check``
+gates on.  A ``[name: N cells in X s]`` line follows each table; X is
+the wait since the previous table, so the lines sum to the run's wall.
+Cells are content-hash cached under ``--cache-dir`` so re-running an
+unchanged sweep is free; ``--no-cache`` forces fresh simulation runs
+and ``--status`` audits the cache without running anything.
 """
 
 from __future__ import annotations
@@ -95,8 +97,10 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
     parser.add_argument("--quick", action="store_true",
                         help="shorter runs, single seed")
     parser.add_argument("--jobs", type=non_negative_int, default=None,
-                        help="worker processes (default: serial; "
-                             "0 = one per CPU)")
+                        help="worker processes (default: decide from "
+                             "the host — a pool of min(cores, pending "
+                             "scenario points), serial on one core; "
+                             "1 = serial; 0 = one per CPU)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write raw sweep records as JSON")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -119,9 +123,9 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
                              "channel: 1 = serial shards, N > 1 = "
                              "pool of min(N, shards) workers; default "
                              "= one worker per shard on a multi-core "
-                             "host, serial on one core or under "
-                             "--jobs (records are identical either "
-                             "way; single-channel points are "
+                             "host, serial on one core or inside "
+                             "the sweep's pool (records are identical "
+                             "either way; single-channel points are "
                              "unaffected)")
     parser.add_argument("--telemetry-dir", default=None,
                         metavar="DIR",
@@ -249,17 +253,19 @@ def print_rows_or_failure_note(name: str, module,
     print(module.format_rows(rows))
 
 
-def handle_interrupt(name: str, stop: SweepInterrupted,
+def handle_interrupt(names: list, stop: SweepInterrupted,
                      artifacts: dict, out: str) -> int:
-    """SIGINT/SIGTERM epilogue: persist the partial artifact (marked
-    ``interrupted``) and return the conventional exit code."""
-    result = stop.result
-    artifacts[name] = result.to_json_dict()
-    done = result.executed + result.cache_hits
-    print(f"[{name}: interrupted — {done} points completed "
-          f"({result.executed} run, {result.cache_hits} cached, "
-          f"{result.failed} failed); completed work is in the cache]",
-          file=sys.stderr)
+    """SIGINT/SIGTERM epilogue: persist one partial artifact (marked
+    ``interrupted``) per target that had started, and return the
+    conventional exit code."""
+    for position, result in stop.results.items():
+        name = names[position]
+        artifacts[name] = result.to_json_dict()
+        done = result.executed + result.cache_hits
+        print(f"[{name}: interrupted — {done} points completed "
+              f"({result.executed} run, {result.cache_hits} cached, "
+              f"{result.failed} failed); completed work is in the "
+              f"cache]", file=sys.stderr)
     if out:
         write_artifacts(out, artifacts)
         print(f"wrote partial sweep records to {out}",
@@ -294,24 +300,29 @@ def main(argv=None, prog=None) -> int:
         retries=args.retries,
         progress=ProgressReporter() if args.progress else None,
         shard_jobs=args.shard_jobs, telemetry_dir=args.telemetry_dir)
+    results = sweep_runner.run_many(
+        [module.sweep_spec(quick=args.quick)
+         for module in targets.values()])
     artifacts = {}
     exit_code = 0
-    for name, module in targets.items():
-        started = time.time()
-        try:
-            result = sweep_runner.run(
-                module.sweep_spec(quick=args.quick))
-        except SweepInterrupted as stop:
-            return handle_interrupt(name, stop, artifacts, args.out)
-        elapsed = time.time() - started
-        print_rows_or_failure_note(name, module, result)
-        print(f"[{name}: {len(result.records)} cells in {elapsed:.1f}s "
-              f"({result.executed} run, {result.cache_hits} cached, "
-              f"{result.failed} failed)]\n")
-        if result.failed:
-            report_failures(name, result)
-            exit_code = 1
-        artifacts[name] = result.to_json_dict()
+    started = time.time()
+    try:
+        # results first: zip then drains the schedule to its end.
+        for result, (name, module) in zip(results, targets.items()):
+            elapsed = time.time() - started
+            print_rows_or_failure_note(name, module, result)
+            print(f"[{name}: {len(result.records)} cells in "
+                  f"{elapsed:.1f}s ({result.executed} run, "
+                  f"{result.cache_hits} cached, {result.failed} "
+                  f"failed)]\n")
+            if result.failed:
+                report_failures(name, result)
+                exit_code = 1
+            artifacts[name] = result.to_json_dict()
+            started = time.time()
+    except SweepInterrupted as stop:
+        return handle_interrupt(list(targets), stop, artifacts,
+                                args.out)
     if args.out:
         write_artifacts(args.out, artifacts)
         print(f"wrote sweep records for {', '.join(targets)} "

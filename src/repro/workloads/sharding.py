@@ -133,6 +133,21 @@ def execute_shard(cfg, cell_indices: Tuple[int, ...],
     return collect(world), time.perf_counter() - started
 
 
+def pool_workers(wanted: int) -> int:
+    """Worker processes to start for ``wanted``; 1 = run in-process.
+
+    A process that is itself a pool worker (a sweep's child) never
+    starts a pool of its own: the parent already owns the cores, and
+    in-process work produces the identical record.  The sweep engine
+    and the shard layer both size their pools through this.
+    """
+    if wanted > 1:
+        import multiprocessing
+        if multiprocessing.parent_process() is None:
+            return wanted
+    return 1
+
+
 def _effective_jobs(shard_jobs: Optional[int], shard_count: int) -> int:
     """Worker processes for ``shard_count`` shards; 1 = serial,
     in-process.
@@ -140,20 +155,13 @@ def _effective_jobs(shard_jobs: Optional[int], shard_count: int) -> int:
     ``None`` decides from the host: one worker per shard when it has
     more than one core (not ``min(shards, cores)`` — see the module
     docstring), serial otherwise.  An integer is clamped to the shard
-    count.  Either way a process that is itself a pool worker (a
-    ``--jobs N`` sweep's child) runs its shards serially: the sweep
-    already owns the cores, and serial shards produce the identical
-    record.
+    count.  Either way :func:`pool_workers` has the last word.
     """
     if shard_jobs is None:
         jobs = shard_count if (os.cpu_count() or 1) > 1 else 1
     else:
         jobs = min(shard_jobs, shard_count)
-    if jobs > 1:
-        import multiprocessing
-        if multiprocessing.parent_process() is not None:
-            return 1
-    return jobs
+    return pool_workers(jobs)
 
 
 def run_shards(cfg, plan: ShardPlan, shard_jobs: Optional[int],

@@ -1,10 +1,17 @@
 """Sweep-engine unit tests: grids, signatures, parallel equivalence,
-caching, persistence, and analytic points."""
+caching, persistence, analytic points, and the one schedule a
+many-spec run is."""
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
+from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
+from repro.experiments import batch
 from repro.experiments.batch import SweepResult, SweepRunner, \
     SweepSpec, execute_point, point_signature
 from repro.sim.units import MS
@@ -88,7 +95,7 @@ class TestSignatures:
 class TestExecution:
     def test_parallel_equals_serial(self):
         spec = fast_spec()
-        serial = SweepRunner().run(spec)
+        serial = SweepRunner(jobs=1).run(spec)
         parallel = SweepRunner(jobs=2).run(spec)
         assert [r.key for r in serial.records] == \
             [r.key for r in parallel.records]
@@ -162,24 +169,189 @@ class TestCache:
     def test_parallel_run_populates_cache(self, tmp_path):
         spec = fast_spec(seeds=(1,))
         SweepRunner(jobs=2, cache_dir=tmp_path).run(spec)
-        serial = SweepRunner(cache_dir=tmp_path).run(spec)
+        serial = SweepRunner(jobs=1, cache_dir=tmp_path).run(spec)
         assert serial.executed == 0 and serial.cache_hits == 2
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
+    def test_save_load_roundtrip(self):
+        # One entry of a --out artifact, through its JSON text.
         result = SweepRunner().run(fast_spec(seeds=(1,)))
-        path = tmp_path / "sweep.json"
-        result.save(path)
-        loaded = SweepResult.load(path)
+        loaded = SweepResult.from_json_dict(
+            json.loads(json.dumps(result.to_json_dict(), indent=1)))
         assert loaded.spec_name == result.spec_name
         assert loaded.keys() == result.keys()
         assert loaded.aggregate("aggregate_goodput_mbps") == \
             result.aggregate("aggregate_goodput_mbps")
         assert all(isinstance(r.key, tuple) for r in loaded.records)
 
-    def test_load_rejects_foreign_json(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"hello": "world"}))
+    def test_load_rejects_foreign_json(self):
         with pytest.raises(ValueError, match="sweep-result"):
-            SweepResult.load(path)
+            SweepResult.from_json_dict({"hello": "world"})
+
+
+def analytic_spec(n=3) -> SweepSpec:
+    spec = SweepSpec("analytic")
+    for i in range(n):
+        spec.add_analytic((i,), "tests.helpers:constant_metrics",
+                          value=float(i))
+    return spec
+
+
+def second_spec() -> SweepSpec:
+    """Shares its n_clients=2 point with ``fast_spec(seeds=(1,))``."""
+    return SweepSpec.grid("second", FAST, {"n_clients": [2, 3]},
+                          seeds=(1,))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool the runner builds, as a synchronous stand-in that
+    records its size and the points handed to it; every point, in a
+    pool or not, runs as a stub that records it (no simulation)."""
+    record = SimpleNamespace(sizes=[], submitted=[], calls=[])
+
+    class RecordingPool:
+        def __init__(self, max_workers, **_worker_setup):
+            record.sizes.append(max_workers)
+
+        def submit(self, fn, point, *args):
+            record.submitted.append(point)
+            future = Future()
+            try:
+                future.set_result(fn(point, *args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    def stub(point, *_execution_knobs):
+        record.calls.append(point)
+        if point.fn is not None:
+            return dict(point.fn_kwargs)
+        if point.config.n_clients == 99:
+            raise RuntimeError("poisoned cell")
+        return {"clients": point.config.n_clients,
+                "seed": point.config.seed}
+
+    # The runner imports its pool class when it starts a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(batch, "execute_point", stub)
+    return record
+
+
+class TestWorkerRule:
+    def test_default_pool_is_cores_capped_by_pending_scenario_points(
+            self, pools, monkeypatch):
+        spec = fast_spec()                       # four scenario points
+        for point in analytic_spec().points:
+            spec.points.append(point)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        result = SweepRunner().run(spec)
+        assert pools.sizes == [4]
+        # Analytic points cost less than a pool start: in-process.
+        assert all(p.kind == "scenario" for p in pools.submitted)
+        assert result.executed == len(spec) == len(pools.calls)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        SweepRunner().run(spec)
+        assert pools.sizes == [4, 2]
+        # An explicit count keeps its meaning: 1 is serial whatever
+        # the host, N pools every point.
+        SweepRunner(jobs=1).run(spec)
+        assert pools.sizes == [4, 2]
+        pools.submitted.clear()
+        SweepRunner(jobs=3).run(analytic_spec())
+        assert pools.sizes == [4, 2, 3] and len(pools.submitted) == 3
+
+    @pytest.mark.parametrize("case", ["one core", "pool worker",
+                                      "analytic only",
+                                      "one scenario point"])
+    def test_default_runs_in_process(self, pools, monkeypatch, case):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        SweepRunner().run(fast_spec())
+        assert pools.sizes == [2]        # two cores, four points: pool
+        spec = fast_spec()
+        if case == "one core":
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        elif case == "pool worker":
+            monkeypatch.setattr(multiprocessing, "parent_process",
+                                lambda: object())
+        elif case == "analytic only":
+            spec = analytic_spec()
+        else:
+            spec = analytic_spec()
+            spec.points.append(fast_spec(seeds=(1,)).points[0])
+        del pools.calls[:]
+        result = SweepRunner().run(spec)
+        assert pools.sizes == [2]        # no second pool
+        assert result.executed == len(spec) == len(pools.calls)
+
+
+class TestSchedule:
+    def test_cross_target_duplicate_runs_once_as_a_cache_hit(
+            self, pools, tmp_path):
+        first, second = fast_spec(seeds=(1,)), second_spec()
+        a, b = SweepRunner(cache_dir=tmp_path / "one").run_many(
+            [first, second])
+        assert len(pools.calls) == 3
+        assert (b.executed, b.cache_hits) == (1, 1)
+        assert b.records[0].cached
+        assert b.records[0].metrics == a.records[1].metrics
+        # What a serial run, one spec after the other, records.
+        serial = [SweepRunner(jobs=1, cache_dir=tmp_path / "serial")
+                  .run(spec) for spec in (first, second)]
+        assert [r.to_json_dict() for r in (a, b)] == \
+            [r.to_json_dict() for r in serial]
+
+    def test_duplicate_within_a_spec_runs_once_recorded_as_run(
+            self, pools, tmp_path):
+        """A serial run misses the cache for both copies at its scan
+        and runs both, to the same metrics: the record says run."""
+        spec = fast_spec(seeds=(1,))
+        spec.points.append(spec.points[0])
+        result = SweepRunner(cache_dir=tmp_path / "one").run(spec)
+        assert len(pools.calls) == 2
+        assert (result.executed, result.cache_hits) == (3, 0)
+        serial = SweepRunner(jobs=1, cache_dir=tmp_path / "serial")
+        assert result.to_json_dict() == serial.run(spec).to_json_dict()
+
+    def test_duplicate_runs_again_without_a_cache(self, pools):
+        a, b = SweepRunner().run_many([fast_spec(seeds=(1,)),
+                                       second_spec()])
+        assert len(pools.calls) == 4
+        assert (b.executed, b.cache_hits) == (2, 0)
+        assert not any(r.cached for r in b.records)
+
+    def test_failed_points_duplicate_runs_on_its_own(self, pools,
+                                                      tmp_path):
+        """A serial run stores no entry for a failed point, so the
+        later spec misses the cache and runs it itself."""
+        first = SweepSpec.grid("first", FAST, {"n_clients": [99]},
+                               seeds=(1,))
+        second = SweepSpec.grid("second", FAST, {"n_clients": [99, 1]},
+                                seeds=(1,))
+        a, b = SweepRunner(cache_dir=tmp_path).run_many([first, second])
+        assert len(pools.calls) == 3
+        assert (a.failed, b.failed, b.executed, b.cache_hits) == \
+            (1, 1, 1, 0)
+
+    def test_results_arrive_in_order_as_each_spec_resolves(self, pools):
+        specs = [analytic_spec(), fast_spec(), SweepSpec("empty"),
+                 second_spec()]
+        results = SweepRunner().run_many(specs)
+        first = next(results)
+        # The analytic spec is returned before the others are drained.
+        assert first.spec_name == "analytic"
+        assert [r.spec_name for r in results] == \
+            ["unit", "empty", "second"]
+
+    def test_many_specs_equal_one_serial_run_per_spec(self, tmp_path):
+        specs = [analytic_spec(), fast_spec(seeds=(1,)), second_spec()]
+        many = SweepRunner(cache_dir=tmp_path / "many").run_many(specs)
+        serial = [SweepRunner(jobs=1, cache_dir=tmp_path / "serial")
+                  .run(spec) for spec in specs]
+        assert [json.dumps(r.to_json_dict()) for r in many] == \
+            [json.dumps(r.to_json_dict()) for r in serial]

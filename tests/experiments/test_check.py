@@ -126,6 +126,21 @@ class TestExperimentTable:
         assert error.startswith("error: ") and error.count("\n") == 1
         assert document.read_text().endswith("stale\n" + tail)
 
+    @pytest.mark.parametrize("flag", [("--seeds", "0"),
+                                      ("--jobs", "-2")])
+    def test_generator_refuses_what_the_runner_refuses(
+            self, generator, monkeypatch, tmp_path, capsys, flag):
+        """``--seeds 0`` used to run until crossval's KeyError and
+        ``--jobs -2`` to mean one worker per CPU.  With nothing to run,
+        a flag let through would return 0 here at once."""
+        monkeypatch.setattr(generator, "EXPERIMENTS", {})
+        monkeypatch.setattr(common, "FULL_SEEDS", common.FULL_SEEDS)
+        with pytest.raises(SystemExit) as exited:
+            generator.main([*flag, "--no-cache",
+                            "--out", str(tmp_path / "doc.md")])
+        assert exited.value.code == 2
+        assert "must be a" in capsys.readouterr().err
+
     def test_committed_document_has_every_section_in_table_order(
             self, generator):
         text = (ROOT / "EXPERIMENTS.md").read_text()

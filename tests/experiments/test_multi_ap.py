@@ -81,7 +81,8 @@ class TestHarness:
         uncached parallel pass stays CI-sized."""
         kwargs = dict(quick=True, cell_counts=(1, 2),
                       workloads=("static",))
-        serial = common.run(multi_ap, **kwargs, runner=SweepRunner())
+        serial = common.run(multi_ap, **kwargs,
+                            runner=SweepRunner(jobs=1))
         parallel = common.run(multi_ap, **kwargs,
                               runner=SweepRunner(jobs=2))
         assert serial == parallel

@@ -9,6 +9,7 @@ partial artifact, the cache's corruption quarantine and unique staging
 names, the v2 artifact schema, and the engine-version guard.
 """
 
+import errno
 import json
 import os
 import signal
@@ -17,6 +18,7 @@ import sys
 import textwrap
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +28,37 @@ from repro.experiments.batch import ENGINE_VERSION, RESULT_VERSION, \
 from repro.sim.units import MS
 
 FAST = dict(duration_ns=400 * MS, warmup_ns=200 * MS, stagger_ns=0)
+
+
+def subprocess_env() -> dict:
+    """This process's environment with the repo's ``src`` and root on
+    ``PYTHONPATH`` (``repro`` and ``tests.helpers`` importable)."""
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parents[2]
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root),
+         env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    return env
+
+
+def _proc_stat(pid) -> list:
+    """``/proc/<pid>/stat`` fields after the command name, or []."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return []
+    return text.rpartition(")")[2].split()
+
+
+def children_of(pid: int) -> list:
+    return [int(entry.name) for entry in Path("/proc").iterdir()
+            if entry.name.isdigit()
+            and _proc_stat(entry.name)[1:2] == [str(pid)]]
+
+
+def is_running(pid: int) -> bool:
+    """Alive and not a zombie awaiting its reaper."""
+    return _proc_stat(pid)[:1] not in ([], ["Z"])
 
 
 def scenario_spec(seeds=(1, 2, 3)) -> SweepSpec:
@@ -103,11 +136,10 @@ class TestPoisonedPoint:
         with pytest.raises(KeyError):
             result.cell((1,), "value")
 
-    def test_artifact_roundtrips_failures(self, tmp_path):
+    def test_artifact_roundtrips_failures(self):
         result = SweepRunner().run(poisoned_spec())
-        path = tmp_path / "artifact.json"
-        result.save(path)
-        loaded = SweepResult.load(path)
+        loaded = SweepResult.from_json_dict(
+            json.loads(json.dumps(result.to_json_dict())))
         assert loaded.failed == 1
         assert loaded.failures()[0].error["message"] == "poisoned cell"
         assert loaded.failures()[0].metrics is None
@@ -182,7 +214,7 @@ class TestIncrementalCheckpointing:
                 seen.append(len(list(
                     Path(self.directory).glob("*.json"))))
 
-        runner = SweepRunner(cache_dir=tmp_path)
+        runner = SweepRunner(jobs=1, cache_dir=tmp_path)
         runner.cache = SpyCache(tmp_path)
         runner.run(spec)
         # After each of the two stores the directory held exactly that
@@ -205,13 +237,8 @@ class TestIncrementalCheckpointing:
                 {{"n_clients": [1, 2]}}, seeds=(1, 2, 3))
             SweepRunner(cache_dir={str(cache_dir)!r}).run(spec)
         """)
-        env = dict(os.environ)
-        root = Path(__file__).resolve().parents[2]
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src"), str(root),
-             env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
         proc = subprocess.Popen([sys.executable, "-c", script],
-                                env=env)
+                                env=subprocess_env())
         # Wait for the first checkpoint to land, then kill -9.
         deadline = time.time() + 60
         while time.time() < deadline:
@@ -239,6 +266,38 @@ class TestIncrementalCheckpointing:
             fresh.aggregate("aggregate_goodput_mbps")
 
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process parents from /proc")
+    def test_sigkilled_runner_leaves_no_pool_workers(self):
+        """A runner killed outright cannot shut its pool down; its
+        workers exit by themselves instead of blocking forever."""
+        script = textwrap.dedent("""
+            from repro.experiments.batch import SweepRunner, SweepSpec
+            spec = SweepSpec("slow")
+            for i in range(8):
+                spec.add_analytic((i,), "tests.helpers:slow_metrics_fn",
+                                  delay_s=0.5, value=float(i))
+            SweepRunner(jobs=2).run(spec)
+        """)
+        proc = subprocess.Popen([sys.executable, "-c", script],
+                                env=subprocess_env())
+        workers = []
+        deadline = time.time() + 60
+        while len(workers) < 2 and time.time() < deadline:
+            workers = children_of(proc.pid)
+            time.sleep(0.05)
+        proc.kill()
+        proc.wait(timeout=30)
+        assert len(workers) == 2, "the runner started no pool"
+        deadline = time.time() + 10
+        while any(map(is_running, workers)) and time.time() < deadline:
+            time.sleep(0.1)
+        leftover = [pid for pid in workers if is_running(pid)]
+        for pid in leftover:
+            os.kill(pid, signal.SIGKILL)
+        assert leftover == []
+
+
 # ----------------------------------------------------------------------
 # Graceful SIGINT/SIGTERM
 # ----------------------------------------------------------------------
@@ -256,7 +315,7 @@ class TestGracefulInterrupt:
     def test_serial_sigint_flushes_completed_work(self, tmp_path):
         spec = scenario_spec(seeds=(1, 2))
         runner = SweepRunner(
-            cache_dir=tmp_path,
+            jobs=1, cache_dir=tmp_path,
             progress=self._interrupt_after(2, signal.SIGINT))
         with pytest.raises(SweepInterrupted) as excinfo:
             runner.run(spec)
@@ -292,7 +351,7 @@ class TestGracefulInterrupt:
     def test_partial_artifact_is_marked_interrupted(self, tmp_path):
         spec = scenario_spec(seeds=(1, 2))
         runner = SweepRunner(
-            cache_dir=tmp_path,
+            jobs=1, cache_dir=tmp_path,
             progress=self._interrupt_after(1, signal.SIGINT))
         with pytest.raises(SweepInterrupted) as excinfo:
             runner.run(spec)
@@ -301,6 +360,53 @@ class TestGracefulInterrupt:
         assert payload["version"] == RESULT_VERSION
         loaded = SweepResult.from_json_dict(payload)
         assert loaded.interrupted is True
+
+    def test_interrupt_mid_schedule_returns_every_started_spec(self):
+        specs = []
+        for name in ("a", "b", "c"):
+            spec = SweepSpec(name)
+            for i in range(2):
+                spec.add_analytic((i,), "tests.helpers:slow_metrics_fn",
+                                  delay_s=0.2, value=float(i), name=name)
+            specs.append(spec)
+        runner = SweepRunner(
+            jobs=2, progress=self._interrupt_after(1, signal.SIGINT))
+        with pytest.raises(SweepInterrupted) as excinfo:
+            list(runner.run_many(specs))
+        partial = excinfo.value.results
+        # One pool took every spec's points: all three had started.
+        assert sorted(partial) == [0, 1, 2]
+        assert [r.spec_name for r in partial.values()] == ["a", "b", "c"]
+        assert all(r.interrupted for r in partial.values())
+        assert excinfo.value.result is partial[0]
+        assert sum(r.executed for r in partial.values()) >= 1
+
+    def test_cli_writes_a_partial_entry_per_started_target(
+            self, monkeypatch, tmp_path, capsys):
+        from repro.experiments import runner as experiments_runner
+
+        def stub(name, fn, **kwargs):
+            spec = SweepSpec(name)
+            spec.add_analytic((0,), fn, **kwargs)
+            return SimpleNamespace(
+                sweep_spec=lambda quick=False: spec,
+                rows_from_sweep=lambda result: [],
+                format_rows=lambda rows: name)
+
+        monkeypatch.setattr(experiments_runner, "EXPERIMENTS", {
+            "a": stub("a", "tests.helpers:constant_metrics", value=1.0),
+            "b": stub("b", "tests.helpers:interrupting_metrics_fn"),
+            "c": stub("c", "tests.helpers:slow_metrics_fn",
+                      delay_s=1.0)})
+        out = tmp_path / "partial.json"
+        code = experiments_runner.main(
+            ["a", "b", "c", "--jobs", "2", "--no-cache",
+             "--out", str(out)])
+        assert code == 128 + signal.SIGINT
+        artifacts = json.loads(out.read_text())
+        assert list(artifacts) == ["a", "b", "c"]
+        assert artifacts["c"]["interrupted"] is True
+        assert "[c: interrupted" in capsys.readouterr().err
 
     def test_signal_handlers_are_restored(self):
         before = (signal.getsignal(signal.SIGINT),
@@ -339,6 +445,22 @@ class TestCacheHardening:
         assert SweepCache(tmp_path).load("sig") in \
             ({"v": "a"}, {"v": "b"})
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("target", ["json.dump", "os.replace"])
+    def test_failed_write_removes_its_staging_file(
+            self, tmp_path, monkeypatch, target):
+        def no_space(*_args, **_kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        module, name = target.split(".")
+        monkeypatch.setattr({"json": json, "os": os}[module], name,
+                            no_space)
+        cache = SweepCache(tmp_path)
+        with pytest.raises(OSError, match="No space"):
+            cache.store("sig", {"v": 1})
+        monkeypatch.undo()
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert cache.probe("sig") == "missing"
 
     def test_truncated_json_is_quarantined_and_counted(self, tmp_path):
         cache = SweepCache(tmp_path)
@@ -416,16 +538,16 @@ class TestArtifactVersioning:
         with pytest.raises(StaleArtifactError):
             SweepResult.from_json_dict(dict(stale, engine=None))
 
-    def test_allow_stale_escape_hatch(self, tmp_path):
+    def test_allow_stale_escape_hatch(self):
         stale = SweepRunner().run(analytic_spec(n=1)).to_json_dict()
         stale["engine"] = ENGINE_VERSION - 1
         loaded = SweepResult.from_json_dict(stale, allow_stale=True)
         assert loaded.records
-        path = tmp_path / "stale.json"
-        path.write_text(json.dumps(stale))
-        assert SweepResult.load(path, allow_stale=True).records
+        reread = json.loads(json.dumps(stale))
+        assert SweepResult.from_json_dict(reread,
+                                          allow_stale=True).records
         with pytest.raises(StaleArtifactError):
-            SweepResult.load(path)
+            SweepResult.from_json_dict(reread)
 
     def test_unknown_version_rejected(self):
         payload = SweepRunner().run(analytic_spec(n=1)).to_json_dict()

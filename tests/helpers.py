@@ -122,6 +122,20 @@ def dying_worker_fn(counter_path=None, die_times=None, delay_s=0.0,
     return dict(kwargs, calls=count)
 
 
+def interrupting_metrics_fn(**kwargs):
+    """Analytic-point target that, in a pool worker, sends SIGINT to
+    the sweep that started the pool (a Ctrl-C mid-schedule)."""
+    import multiprocessing
+    import os
+    import signal
+
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        raise RuntimeError("only meaningful inside a pool worker")
+    os.kill(parent.pid, signal.SIGINT)
+    return dict(kwargs)
+
+
 class StubSweepRunner:
     """Sweep runner double: constant metrics per point, zero sims.
 

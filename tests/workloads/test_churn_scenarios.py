@@ -92,7 +92,7 @@ class TestChurnDeterminism:
 
     def test_serial_equals_parallel_and_repeat(self):
         spec = self._spec()
-        serial = SweepRunner(jobs=None).run(spec)
+        serial = SweepRunner(jobs=1).run(spec)
         parallel = SweepRunner(jobs=2).run(spec)
         repeat = SweepRunner(jobs=None).run(spec)
 
