@@ -159,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "sojourn AQM, fq_codel = RFC 8290 per-flow "
                           "DRR + CoDel)")
     sim.add_argument("--telemetry", default=None, metavar="PATH",
-                     help="stream time-series telemetry (per-channel "
+                     help="write time-series telemetry (per-channel "
                           "utilisation, AP/wired queue depths, live "
                           "flows, HACK buffer, ROHC CIDs) as JSONL "
                           "to PATH; summarise with `repro report`")

@@ -63,7 +63,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, \
     Mapping, Optional, Sequence, Tuple, Union
 
 from ..workloads.scenarios import ScenarioConfig, run_scenario
-from ..workloads.sharding import pool_workers
+from ..workloads.sharding import _exit_with_parent, pool_workers
 from .progress import SweepProgress
 
 #: Bump to invalidate every cached cell (simulator semantics changed).
@@ -231,11 +231,12 @@ def execute_point(point: SweepPoint,
     metrics record is the same however the shards were run.
 
     ``telemetry_dir`` (another execution knob) runs each scenario
-    point with the observability sampler on, streaming one JSONL
-    artifact per point (``<signature>.jsonl``, the same content hash
-    that keys the cache).  The ``"telemetry"`` block is stripped from
-    the returned metrics so cached records stay byte-identical to
-    telemetry-off runs.
+    point with the observability sampler on; ``run_scenario`` writes
+    one JSONL artifact per point from its result
+    (``<signature>.jsonl``, the same content hash that keys the
+    cache).  The ``"telemetry"`` block is stripped from the returned
+    metrics so cached records stay byte-identical to telemetry-off
+    runs.
     """
     if point.config is not None:
         telemetry = None
@@ -259,22 +260,6 @@ def execute_point(point: SweepPoint,
             f"analytic point {point.fn} returned {type(metrics)!r}, "
             "expected a metrics dict")
     return metrics
-
-
-def _exit_with_parent(parent_pid: int) -> None:
-    """Pool-worker initializer: a worker does not outlive its sweep.
-
-    A runner killed outright (SIGKILL, the OOM killer) cannot shut its
-    pool down, and its workers would block on the call queue forever;
-    once re-parented, this one exits (mid-point if need be — nobody is
-    left to read the result).
-    """
-    def watch() -> None:
-        while os.getppid() == parent_pid:
-            time.sleep(0.5)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
 
 
 # ----------------------------------------------------------------------

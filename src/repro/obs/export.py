@@ -1,8 +1,12 @@
-"""Chrome-trace / Perfetto export.
+"""The one artifact writer, and the Chrome-trace / Perfetto document.
 
-Renders a run's observability products as a trace-event JSON document
-(the ``chrome://tracing`` / https://ui.perfetto.dev "JSON Array
-Format", wrapped in ``{"traceEvents": [...]}``):
+:func:`write_artifacts` writes what a finished run's
+``telemetry_config`` asks for — the telemetry JSONL and the Chrome
+trace — from the result's fields, once, whatever plan ran it.
+:func:`chrome_trace` renders the observability products as a
+trace-event JSON document (the ``chrome://tracing`` /
+https://ui.perfetto.dev "JSON Array Format", wrapped in
+``{"traceEvents": [...]}``):
 
 * **frames** — every :class:`~repro.stats.trace.TraceRecord` becomes a
   duration (``"X"``) event on a ``channel<k>`` process, one thread per
@@ -27,6 +31,8 @@ from __future__ import annotations
 import json
 import os
 from typing import Any, Dict, Iterable, List, Optional
+
+from .sampler import telemetry_meta, telemetry_summary
 
 _US = 1000  # ns per trace-event microsecond tick
 
@@ -124,9 +130,37 @@ def chrome_trace(frames: Iterable[Any] = (),
     return document
 
 
-def write_chrome_trace(path: str, document: Dict[str, Any]) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(document, handle)
+def write_artifacts(result) -> None:
+    """Write the files ``result.telemetry_config`` asks for, from a
+    finished (merged) ``ScenarioResult``: the JSONL (meta, samples,
+    summary, span table; one sorted-key object per line) and the
+    Chrome trace (:func:`chrome_trace`, meta as ``otherData``).  Only
+    the span table and ``kernel`` events carry host wall times.
+    """
+    config = result.telemetry_config
+    if config is None:
+        return
+    samples = result.telemetry_samples
+    instrument = result.telemetry_instrument
+    meta = telemetry_meta(result.config, config)
+    documents = []
+    if config.telemetry_path:
+        records = [meta, *samples,
+                   dict(telemetry_summary(config, samples),
+                        type="summary"),
+                   dict(instrument.as_dict(), type="spans")]
+        documents.append((config.telemetry_path, (
+            json.dumps(record, sort_keys=True) + "\n"
+            for record in records)))
+    if config.trace_export_path:
+        documents.append((config.trace_export_path,
+                          json.JSONEncoder().iterencode(chrome_trace(
+                              frames=result.trace.records,
+                              spans=instrument.spans,
+                              samples=samples, meta=meta))))
+    for path, chunks in documents:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w") as handle:
+            handle.writelines(chunks)

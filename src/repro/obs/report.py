@@ -17,12 +17,19 @@ class TelemetryArtifactError(ValueError):
     """The file is not a repro-telemetry JSONL artifact."""
 
 
+#: Meta-record keys the report reads.
+_META_KEYS = ("cells", "channels", "duration_ns", "policy",
+              "sample_interval_ns", "seed", "traffic")
+
+
 def load_telemetry(path: str) -> Dict[str, Any]:
     """Parse a telemetry JSONL artifact into its typed parts.
 
-    Returns ``{"meta", "samples", "summary", "spans"}`` (summary and
-    spans may be None for an artifact truncated mid-run — the streamed
-    samples are still readable, which is the point of JSONL).
+    Returns ``{"meta", "samples", "summary", "spans"}``.  A run's
+    artifact is written whole, after the run: summary and spans are
+    None only for a file torn or cut by hand, whose complete sample
+    lines still read.  A file that is no artifact raises
+    :class:`TelemetryArtifactError`.
     """
     meta: Optional[Dict[str, Any]] = None
     samples: List[Dict[str, Any]] = []
@@ -38,6 +45,9 @@ def load_telemetry(path: str) -> Dict[str, Any]:
             except json.JSONDecodeError as error:
                 raise TelemetryArtifactError(
                     f"{path}:{line_no}: not JSON ({error})") from error
+            if not isinstance(record, dict):
+                raise TelemetryArtifactError(
+                    f"{path}:{line_no}: not a JSON object")
             kind = record.get("type")
             if kind == "meta":
                 meta = record
@@ -57,6 +67,10 @@ def load_telemetry(path: str) -> Dict[str, Any]:
         raise TelemetryArtifactError(
             f"{path}: format {meta.get('format')!r} is not "
             f"'repro-telemetry'")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise TelemetryArtifactError(
+            f"{path}: meta record lacks {', '.join(missing)}")
     return {"meta": meta, "samples": samples, "summary": summary,
             "spans": spans}
 
@@ -157,8 +171,9 @@ def format_report(artifact: Dict[str, Any], top: int = 10) -> str:
                     f"peak {gauge['max']:>6.0f}")
     else:
         lines.append("")
-        lines.append("(no summary record: artifact was truncated "
-                     "mid-run; sample lines above are still complete)")
+        lines.append("(no summary record: the file is truncated — torn "
+                     "or cut by hand; its complete sample lines are "
+                     "counted above)")
     return "\n".join(lines)
 
 

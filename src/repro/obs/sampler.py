@@ -2,12 +2,14 @@
 
 A :class:`TelemetrySession` is the run-scoped object behind
 ``run_scenario(cfg, telemetry=TelemetryConfig(...))``: it installs the
-kernel instrument, schedules a simulated-time periodic sampler and
-streams the JSONL artifact.  What it records — samples and the
-instrument — ``collect()`` reads off it as plain ``ScenarioResult``
-fields, from which the ``"telemetry"`` metrics block is rendered
+kernel instrument and schedules a simulated-time periodic sampler; it
+writes nothing.  What it records — samples and the instrument —
+``collect()`` reads off it as plain ``ScenarioResult`` fields, from
+which the ``"telemetry"`` metrics block is rendered
 (:func:`telemetry_summary`, a view of the samples: its deterministic
-part, and the artifact's summary line).
+part, and the artifact's summary line) and from which
+:func:`~repro.obs.export.write_artifacts` writes the files, once,
+after the run.
 
 Every sample tick emits **one record per channel** (not one per tick),
 with that channel's cells nested inside — the shard-friendly shape: a
@@ -41,11 +43,8 @@ across unsharded / serial-shard / pool-shard executions.
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import os
 from dataclasses import dataclass
-from typing import Any, Dict, IO, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.units import MS
 from .metrics import Histogram
@@ -69,10 +68,11 @@ MAX_EXPORT_FRAMES = 200_000
 class TelemetryConfig:
     """Observability knobs for one run (execution-side, not config).
 
-    ``telemetry_path`` streams the JSONL artifact; ``trace_export_path``
-    writes a Chrome trace-event JSON after the run (frames + kernel
-    spans + counter tracks).  Both default off; constructing the
-    object at all enables the sampler and the kernel instrument.
+    ``telemetry_path`` names the JSONL artifact; ``trace_export_path``
+    a Chrome trace-event JSON (frames + kernel spans + counter tracks).
+    ``run_scenario`` writes both after the run, from the result.  Both
+    default off; constructing the object at all enables the sampler
+    and the kernel instrument.
     """
 
     sample_interval_ns: int = 10 * MS
@@ -85,18 +85,11 @@ class TelemetryConfig:
                 f"sample_interval_ns must be positive, "
                 f"got {self.sample_interval_ns}")
 
-    def for_shard(self) -> "TelemetryConfig":
-        """One shard's variant in a multi-shard run: the JSONL
-        artifact is written once, by the parent, after the merge."""
-        return dataclasses.replace(self, telemetry_path=None)
 
-
-def telemetry_meta(cfg, config: TelemetryConfig,
-                   channels: Sequence[int],
-                   cell_indices: Sequence[int]) -> Dict[str, Any]:
-    """The artifact's first line.  Built from the *full* scenario, so
-    the shard pipeline's parent writes the same meta line the
-    unsharded run streams."""
+def telemetry_meta(cfg, config: TelemetryConfig) -> Dict[str, Any]:
+    """The artifact's first line (and the Chrome trace's
+    ``otherData``): always the whole scenario's cells and channels,
+    however the run was split."""
     meta = {
         "type": "meta",
         "format": TELEMETRY_FORMAT,
@@ -107,8 +100,8 @@ def telemetry_meta(cfg, config: TelemetryConfig,
         "seed": cfg.seed,
         "traffic": cfg.traffic,
         "policy": cfg.policy.value,
-        "cells": list(cell_indices),
-        "channels": list(channels),
+        "cells": list(range(cfg.cells)),
+        "channels": list(cfg.ordered_channels()),
     }
     # Conditional (cooperative meta lines keep their historical shape):
     # which attack this run was executed under.
@@ -180,34 +173,14 @@ def _cell_sojourn_p99(net) -> float:
     return sojourn.percentile(0.99) or 0.0
 
 
-def _dump_line(handle: IO[str], record: Dict[str, Any]) -> None:
-    handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def write_telemetry_file(path: str, meta: Dict[str, Any],
-                         samples: Sequence[Dict[str, Any]],
-                         summary: Dict[str, Any],
-                         spans: Dict[str, Any]) -> None:
-    """Write a complete JSONL artifact in one pass (a multi-shard
-    merge; a single simulator streams the same bytes incrementally)."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as handle:
-        _dump_line(handle, meta)
-        for sample in samples:
-            _dump_line(handle, sample)
-        _dump_line(handle, dict(summary, type="summary"))
-        _dump_line(handle, dict(spans, type="spans"))
-
-
 class TelemetrySession:
-    """One run's live observability state (sampler + spans).
+    """One simulator's live observability state (sampler + spans).
 
     Wired by :func:`~repro.workloads.scenarios.build_simulation`; its
     plain-data products (samples, instrument) travel in the
     :class:`~repro.workloads.scenarios.ScenarioResult` and are merged
-    by its ``merge``.
+    by its ``merge``.  It opens no file: the artifacts are written
+    from the finished result (:func:`~repro.obs.export.write_artifacts`).
     """
 
     def __init__(self, cfg, config: TelemetryConfig, sim, media,
@@ -221,12 +194,10 @@ class TelemetrySession:
         self.instrument = KernelInstrument(
             MAX_EXPORT_SPANS if config.trace_export_path else 0)
         self.samples: List[Dict[str, Any]] = []
-        self._stream: Optional[IO[str]] = None
         self._cells_by_channel: Dict[int, List[Any]] = {
             channel: [net for net in cells
                       if cfg.channel_of(net.index) == channel]
             for channel in self.channels}
-        self._cell_indices = [net.index for net in cells]
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -234,33 +205,13 @@ class TelemetrySession:
         (t=0; ticks repeat every ``sample_interval_ns`` of simulated
         time through the end of the run)."""
         self.sim.set_instrument(self.instrument)
-        if self.config.telemetry_path:
-            parent = os.path.dirname(self.config.telemetry_path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            self._stream = open(self.config.telemetry_path, "w")
-            _dump_line(self._stream, telemetry_meta(
-                self.cfg, self.config, self.channels,
-                self._cell_indices))
         self.sim.schedule(0, self._tick)
-
-    def finish(self) -> None:
-        """Flush the artifact (summary + spans lines)."""
-        if self._stream is None:
-            return
-        _dump_line(self._stream, dict(
-            telemetry_summary(self.config, self.samples),
-            type="summary"))
-        _dump_line(self._stream,
-                   dict(self.instrument.as_dict(), type="spans"))
-        self._stream.close()
-        self._stream = None
 
     # -- sampling ------------------------------------------------------
     def _tick(self) -> None:
         now = self.sim.now
         for channel in self.channels:
-            self._emit(self._sample_channel(channel, now))
+            self.samples.append(self._sample_channel(channel, now))
         if now + self.config.sample_interval_ns <= self.cfg.duration_ns:
             self.sim.schedule(self.config.sample_interval_ns,
                               self._tick)
@@ -306,8 +257,3 @@ class TelemetrySession:
             "aqm_sojourn_p99_ms": _cell_sojourn_p99(net),
         }
         return record
-
-    def _emit(self, record: Dict[str, Any]) -> None:
-        self.samples.append(record)
-        if self._stream is not None:
-            _dump_line(self._stream, record)

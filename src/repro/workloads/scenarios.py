@@ -38,7 +38,9 @@ each shard :func:`build_simulation` builds the live world
 :func:`collect` flattens it to a :class:`ScenarioResult` — the one
 result type, and an accumulator: several shards' results fold into the
 run's with :meth:`ScenarioResult.merge`.  Those three steps are the
-seams for anything that wants to inspect or instrument a run.
+seams for anything that wants to inspect or instrument a run; they
+write no file — :func:`run_scenario` writes the telemetry artifacts
+once, from the run's result (:func:`~repro.obs.write_artifacts`).
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ from ..mac.params import MacParams
 from ..mac.qdisc import DISCIPLINES, QdiscStats
 from ..mac.rate_control import RATE_CONTROLS
 from ..obs import MAX_EXPORT_FRAMES, KernelInstrument, TelemetryConfig, \
-    TelemetrySession, chrome_trace, telemetry_meta, telemetry_summary, \
-    write_chrome_trace
+    TelemetrySession, telemetry_summary, write_artifacts
 from ..obs.metrics import merge_counts
 from ..phy.errors import LossModel, NoLoss, SnrLossModel, UniformLossModel
 from ..phy.params import PHY_11A, PHY_11N, PhyParams
@@ -1016,16 +1017,14 @@ class CellBuilder:
 
     def run(self) -> None:
         """Schedule the warm-up and end-of-run snapshots, run to the
-        horizon, then close the run: flush the telemetry artifact and
-        censor the churn flows still live."""
+        horizon, then close the run: censor the churn flows still
+        live.  Nothing is written to disk."""
         cfg = self.cfg
         self.sim.schedule(cfg.warmup_ns, self.snapshot_all)
         self.sim.schedule(cfg.duration_ns, self.snapshot_all,
                           priority=10)
         self.sim.run(until=cfg.duration_ns + 1)
 
-        if self.telemetry_session is not None:
-            self.telemetry_session.finish()
         for net in self.cells:
             if net.flow_manager is not None:
                 net.flow_manager.finalize()
@@ -1178,11 +1177,13 @@ def run_scenario(cfg: ScenarioConfig,
 
     ``telemetry`` (a :class:`~repro.obs.TelemetryConfig`) turns on the
     observability layer — kernel span timing, the periodic time-series
-    sampler and the optional JSONL / Chrome-trace artifacts.  Like ``shard_jobs`` it is an execution knob: it never
-    enters ``ScenarioConfig``, sweep cache signatures or golden rows,
-    and every scenario metric except ``kernel_stats`` stays
-    bit-identical to a telemetry-off run.  The Chrome trace is written
-    here, once, from the (merged) result's fields.
+    sampler and the optional JSONL / Chrome-trace artifacts.  Like
+    ``shard_jobs`` it is an execution knob: it never enters
+    ``ScenarioConfig``, sweep cache signatures or golden rows, and
+    every scenario metric except ``kernel_stats`` stays bit-identical
+    to a telemetry-off run.  Both artifacts are written here, once,
+    from the (merged) result (:func:`~repro.obs.write_artifacts`),
+    whatever the plan; the seam writes nothing.
     """
     cfg.validate()
     if shard_jobs is not None and shard_jobs < 1:
@@ -1195,15 +1196,6 @@ def run_scenario(cfg: ScenarioConfig,
         world.run()
         result = collect(world)
         result.world = world
-    if telemetry is not None and telemetry.trace_export_path:
-        write_chrome_trace(
-            telemetry.trace_export_path,
-            chrome_trace(
-                frames=result.trace.records,
-                spans=result.telemetry_instrument.spans,
-                samples=result.telemetry_samples,
-                meta=telemetry_meta(cfg, telemetry,
-                                    cfg.ordered_channels(),
-                                    range(cfg.cells))))
+    write_artifacts(result)
     return result
 

@@ -47,20 +47,23 @@ frame records by ``(end_ns, plan channel order)`` are the same streams
 under any plan (a single heap breaks a cross-channel end-time tie by
 push order, the merge by plan order), and the telemetry summary is a
 view of the merged samples; kernel timings sum by owner.
-A one-shard world streams the JSONL artifact itself, line by line;
-shards of a wider plan run with ``TelemetryConfig.for_shard()`` and
-:func:`run_shards` writes it once, after the merge.
+No shard, and nothing here, writes a file: ``run_scenario`` writes the
+telemetry JSONL and the Chrome trace once, from the merged result
+(:func:`~repro.obs.export.write_artifacts`), under every plan.
+Both pools — shards here, sweep points in :mod:`repro.experiments.
+batch` — are sized by :func:`pool_workers` and start each worker with
+:func:`_exit_with_parent`.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import TelemetryConfig, telemetry_meta, telemetry_summary, \
-    write_telemetry_file
+from ..obs import TelemetryConfig
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,23 @@ def pool_workers(wanted: int) -> int:
     return 1
 
 
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer (both pools): a worker does not outlive
+    the process that started it.
+
+    A parent killed outright (SIGKILL, the OOM killer) cannot shut its
+    pool down, and its workers would block on the call queue forever;
+    once re-parented, this one exits (mid-task if need be — nobody is
+    left to read the result).
+    """
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _effective_jobs(shard_jobs: Optional[int], shard_count: int) -> int:
     """Worker processes for ``shard_count`` shards; 1 = serial,
     in-process.
@@ -178,15 +198,14 @@ def run_shards(cfg, plan: ShardPlan, shard_jobs: Optional[int],
     :class:`ShardExecutionError` naming the channel and cells.  The
     merge itself does not care in which order results arrive; they
     are folded in plan order so that dict insertion order in
-    ``metrics_dict()`` is reproducible run to run.
+    ``metrics_dict()`` is reproducible run to run.  Workers exit by
+    themselves if this process is killed (:func:`_exit_with_parent`).
 
     With ``telemetry`` set, each shard samples and times its own
-    kernel (``for_shard()`` — shards never write files) and the JSONL
-    artifact is written here, from the merged result: a complete file
-    in one pass, where a single simulator streams the same lines.
+    kernel; the merged result carries the samples, the frame record
+    and the summed timings, from which ``run_scenario`` writes the
+    artifacts.  Nothing here writes a file.
     """
-    shard_telemetry = (telemetry.for_shard()
-                       if telemetry is not None else None)
     shards = plan.shards()
     jobs = _effective_jobs(shard_jobs, len(shards))
     started = time.perf_counter()
@@ -195,8 +214,7 @@ def run_shards(cfg, plan: ShardPlan, shard_jobs: Optional[int],
     if jobs <= 1:
         for channel, cells in shards:
             try:
-                done[channel] = execute_shard(cfg, cells,
-                                              shard_telemetry)
+                done[channel] = execute_shard(cfg, cells, telemetry)
             except Exception as exc:
                 raise ShardExecutionError(channel, cells, exc) from exc
     else:
@@ -204,10 +222,12 @@ def run_shards(cfg, plan: ShardPlan, shard_jobs: Optional[int],
         # which every serial run would otherwise pay at start-up.
         from concurrent.futures import FIRST_COMPLETED, \
             ProcessPoolExecutor, wait
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=_exit_with_parent,
+                                 initargs=(os.getpid(),)) as pool:
             futures = {
                 pool.submit(execute_shard, cfg, cells,
-                            shard_telemetry): (channel, cells)
+                            telemetry): (channel, cells)
                 for channel, cells in shards}
             pending = set(futures)
             while pending:
@@ -223,16 +243,6 @@ def run_shards(cfg, plan: ShardPlan, shard_jobs: Optional[int],
     result = done[shards[0][0]][0]
     for channel, _ in shards[1:]:
         result.merge(done[channel][0])
-    if telemetry is not None:
-        result.telemetry_config = telemetry
-        if telemetry.telemetry_path:
-            write_telemetry_file(
-                telemetry.telemetry_path,
-                telemetry_meta(cfg, telemetry, plan.channels,
-                               range(cfg.cells)),
-                result.telemetry_samples,
-                telemetry_summary(telemetry, result.telemetry_samples),
-                result.telemetry_instrument.as_dict())
     result.shard_info = {
         "mode": "serial" if jobs <= 1 else "parallel",
         "jobs": jobs,

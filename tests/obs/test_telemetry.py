@@ -13,7 +13,8 @@ The shard oracle: sampler JSONL output and the telemetry metrics block
 are identical across unsharded / serial-shard / pool-shard execution —
 the merge reassembles the unsharded stream line for line ("unsharded"
 is the whole-simulator oracle, ``run_whole``: every channel in one
-simulator, which streams the artifact itself).
+simulator, whose artifact the one writer writes from ``collect``'s
+result).
 """
 
 import json
@@ -24,9 +25,10 @@ from repro.cli import main as cli_main
 from repro.experiments.batch import SweepPoint, execute_point, \
     point_signature
 from repro.obs import TelemetryConfig, format_report, load_telemetry, \
-    TelemetryArtifactError
+    TelemetryArtifactError, write_artifacts
 from repro.sim.units import MS
-from repro.workloads.scenarios import run_scenario
+from repro.workloads.scenarios import build_simulation, collect, \
+    run_scenario
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 
 from tests.workloads.test_multi_cell import base_config, normalised
@@ -63,6 +65,20 @@ def deterministic_block(block):
     block = dict(block)
     block.pop("spans")
     return block
+
+
+def deterministic_lines(path):
+    """A JSONL artifact's lines minus its host-wall-time spans line."""
+    return [line for line in path.read_text().splitlines()
+            if json.loads(line)["type"] != "spans"]
+
+
+def deterministic_trace(path):
+    """A Chrome trace minus its host-wall-time ``kernel`` events."""
+    document = json.loads(path.read_text())
+    document["traceEvents"] = [event for event in document["traceEvents"]
+                               if event["cat"] != "kernel"]
+    return document
 
 
 class TestDeterminism:
@@ -103,9 +119,13 @@ class TestShardEquivalence:
         cfg = base_config(cells=4, channels=2, n_clients=1, seed=3)
         paths = {mode: tmp / f"{mode}.jsonl"
                  for mode in ("unsharded", "serial", "pool")}
+        whole = run_whole(cfg, telemetry_config(
+            telemetry_path=str(paths["unsharded"])))
+        # The seam writes nothing; the oracle's file comes from the
+        # one writer, as run_scenario's do.
+        write_artifacts(whole)
         results = {
-            "unsharded": run_whole(cfg, telemetry_config(
-                telemetry_path=str(paths["unsharded"]))),
+            "unsharded": whole,
             "serial": run_scenario(cfg, shard_jobs=1,
                                    telemetry=telemetry_config(
                 telemetry_path=str(paths["serial"]))),
@@ -117,9 +137,6 @@ class TestShardEquivalence:
 
     def test_jsonl_streams_line_identical(self, runs):
         _, paths = runs
-        def deterministic_lines(path):
-            return [line for line in path.read_text().splitlines()
-                    if json.loads(line)["type"] != "spans"]
         unsharded = deterministic_lines(paths["unsharded"])
         assert unsharded == deterministic_lines(paths["serial"])
         assert unsharded == deterministic_lines(paths["pool"])
@@ -249,6 +266,25 @@ class TestArtifacts:
         with pytest.raises(TelemetryArtifactError, match="not JSON"):
             load_telemetry(str(garbled))
 
+    def test_loader_rejects_a_non_object_line_and_a_bare_meta(
+            self, tmp_path, capsys):
+        """Regression: a JSON line that is not an object and a meta
+        record without the scenario's fields died with tracebacks
+        (AttributeError, KeyError) instead of one error line."""
+        listed = tmp_path / "listed.jsonl"
+        listed.write_text("[1, 2]\n")
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text('{"type": "meta", "format": "repro-telemetry"}\n')
+        for path, message in ((listed, "not a JSON object"),
+                              (bare, "meta record lacks")):
+            with pytest.raises(TelemetryArtifactError, match=message):
+                load_telemetry(str(path))
+            assert cli_main(["report", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+
     def test_truncated_artifact_still_reads_samples(self, artifact,
                                                     tmp_path):
         _, jsonl, _ = artifact
@@ -259,6 +295,40 @@ class TestArtifacts:
         assert parsed["summary"] is None
         assert len(parsed["samples"]) == 2
         assert "truncated" in format_report(parsed)
+
+
+class TestOneWriter:
+    def test_seam_writes_nothing_and_the_writer_writes_run_scenarios_files(
+            self, tmp_path):
+        """``build_simulation`` -> ``run()`` -> ``collect()`` leaves no
+        file behind; :func:`write_artifacts` on its result writes what
+        ``run_scenario`` writes, host wall times aside."""
+        cfg = base_config(n_clients=1, seed=4)
+
+        def paths(name):
+            return (tmp_path / f"{name}.jsonl",
+                    tmp_path / f"{name}.trace.json")
+
+        def telemetry(name):
+            jsonl, trace = paths(name)
+            return telemetry_config(telemetry_path=str(jsonl),
+                                    trace_export_path=str(trace))
+
+        world = build_simulation(cfg, telemetry=telemetry("seam"))
+        world.run()
+        result = collect(world)
+        assert not any(path.exists() for path in paths("seam"))
+        write_artifacts(result)
+        run_scenario(cfg, telemetry=telemetry("run"))
+
+        (seam_jsonl, seam_trace), (run_jsonl, run_trace) = \
+            paths("seam"), paths("run")
+        assert deterministic_lines(seam_jsonl) == \
+            deterministic_lines(run_jsonl)
+        assert len(deterministic_lines(seam_jsonl)) > 3
+        assert deterministic_trace(seam_trace) == \
+            deterministic_trace(run_trace)
+        assert deterministic_trace(seam_trace)["traceEvents"]
 
 
 class TestSweepTelemetry:

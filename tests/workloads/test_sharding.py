@@ -24,7 +24,13 @@ import itertools
 import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +45,8 @@ from repro.workloads.scenarios import build_simulation, collect
 from repro.workloads.sharding import ShardExecutionError, ShardPlan, \
     execute_shard
 
+from tests.experiments.test_resumable import children_of, is_running, \
+    subprocess_env
 from tests.workloads.test_multi_cell import base_config, normalised
 
 CHURN = dict(traffic="dynamic",
@@ -379,6 +387,37 @@ class TestShardGuards:
         error = ShardExecutionError(1, (1,), RuntimeError("boom"))
         assert "channel 1" in str(error)
         assert error.cells == (1,)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process parents from /proc")
+    def test_sigkilled_parent_leaves_no_shard_workers(self):
+        """A parent killed outright cannot shut its shard pool down;
+        the workers exit by themselves instead of running on."""
+        script = textwrap.dedent("""
+            from repro.sim.units import SEC
+            from repro.workloads.scenarios import run_scenario
+            from tests.workloads.test_multi_cell import base_config
+            run_scenario(base_config(cells=3, channels=3,
+                                     duration_ns=60 * SEC,
+                                     warmup_ns=SEC), shard_jobs=3)
+        """)
+        proc = subprocess.Popen([sys.executable, "-c", script],
+                                env=subprocess_env())
+        workers = []
+        deadline = time.time() + 60
+        while len(workers) < 3 and time.time() < deadline:
+            workers = children_of(proc.pid)
+            time.sleep(0.05)
+        proc.kill()
+        proc.wait(timeout=30)
+        assert len(workers) == 3, "the run started no shard pool"
+        deadline = time.time() + 10
+        while any(map(is_running, workers)) and time.time() < deadline:
+            time.sleep(0.1)
+        leftover = [pid for pid in workers if is_running(pid)]
+        for pid in leftover:
+            os.kill(pid, signal.SIGKILL)
+        assert leftover == []
 
 
 QUICK_RUN = dict(duration_ns=120 * MS, warmup_ns=40 * MS)
