@@ -29,7 +29,7 @@ driver/NIC split (the NIC treats the payload as opaque bytes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..mac.dcf import DcfMac, MacUpper
 from ..mac.frames import AmpduFrame, BarFrame, Mpdu
@@ -88,6 +88,21 @@ class _PeerState:
         # and the newest ts_ecr observed on arriving data (§5).
         self.ack_ts_sent: Dict[int, int] = {}
         self.echo_seen: Dict[int, int] = {}
+
+
+def ppdu_flags(mpdus: Sequence[Mpdu]) -> Tuple[bool, bool, int]:
+    """``(any SYNC, any MORE DATA, highest sequence number)`` of a
+    PPDU's readable MPDUs, in one pass over them."""
+    sync = more = False
+    max_seq = mpdus[0].seq
+    for mpdu in mpdus:
+        if mpdu.sync:
+            sync = True
+        if mpdu.more_data:
+            more = True
+        if mpdu.seq > max_seq:
+            max_seq = mpdu.seq
+    return sync, more, max_seq
 
 
 def _ignore(*args: Any) -> None:
@@ -165,7 +180,9 @@ class HackDriver(MacUpper):
     def _send_ack(self, ack: TcpSegment, peer_name: str) -> bool:
         """Compress and hold ``ack`` when the policy sees a ride coming
         and its flow's context is established; else send it vanilla."""
-        ps = self.peer(peer_name)
+        ps = self._peers.get(peer_name)
+        if ps is None:
+            ps = self.peer(peer_name)
         policy = self._policy
         if policy is HackPolicy.MORE_DATA:
             defer = ps.more_data_latched
@@ -183,7 +200,13 @@ class HackDriver(MacUpper):
                 ps.ack_ts_sent.get(ack.flow_id, 0), ack.ts_val)
         if context is None:
             return self._send_vanilla(ps, ack, peer_name)
-        self._buffer_compressed(ps, ack, peer_name, context)
+        if len(ps.buffer) >= self.config.max_buffered:
+            self.stats.overflow_flushes += 1
+            self._flush_buffer(ps, peer_name)
+        ps.buffer.append(ps.compressor.compress(ack, context))
+        if self.config.stall_guard_ns is not None:
+            self._arm_flush(ps, self.config.stall_guard_ns,
+                            "stall_guard")
         if policy is HackPolicy.EXPLICIT_TIMER:
             self._arm_flush(ps, self.config.flush_after_ns, "timer")
         return True
@@ -199,16 +222,6 @@ class HackDriver(MacUpper):
         self.stats.vanilla_acks_sent += 1
         self.stats.vanilla_ack_bytes += ack.byte_length
         return self.mac.enqueue(ack, peer_name)
-
-    def _buffer_compressed(self, ps: _PeerState, ack: TcpSegment,
-                           peer_name: str, context) -> None:
-        if len(ps.buffer) >= self.config.max_buffered:
-            self.stats.overflow_flushes += 1
-            self._flush_buffer(ps, peer_name)
-        ps.buffer.append(ps.compressor.compress(ack, context))
-        if self.config.stall_guard_ns is not None:
-            self._arm_flush(ps, self.config.stall_guard_ns,
-                            "stall_guard")
 
     # ------------------------------------------------------------------
     # Flush-to-vanilla machinery (explicit timer / stall guard / caps)
@@ -249,7 +262,9 @@ class HackDriver(MacUpper):
     def on_mpdus_delivered(self, mpdus: List[Mpdu], sender: str) -> None:
         packets = [mpdu.payload for mpdu in mpdus]
         if self._enabled:
-            ps = self.peer(sender)
+            ps = self._peers.get(sender)
+            if ps is None:
+                ps = self.peer(sender)
             if self._policy is HackPolicy.TS_ECHO:
                 # An echo may flush buffered ACKs into the MAC queue,
                 # which must stay between the two hand-offs it fell
@@ -262,12 +277,12 @@ class HackDriver(MacUpper):
                             self._note_echo(ps, sender, packet)
                     self._packets_up([packet], sender)
                 return
-            for packet in packets:
-                if type(packet) is TcpSegment and packet.is_pure_ack:
-                    # Snoop vanilla ACKs to establish/refresh
-                    # decompressor contexts (the paper's IR-less
-                    # context initialisation).
-                    ps.decompressor.note_vanilla_ack(packet)
+            # Snoop vanilla ACKs to establish/refresh decompressor
+            # contexts (the paper's IR-less context initialisation).
+            for packet in [packet for packet in packets
+                           if type(packet) is TcpSegment
+                           and packet.is_pure_ack]:
+                ps.decompressor.note_vanilla_ack(packet)
         self._packets_up(packets, sender)
 
     def on_mpdu_delivered(self, mpdu: Mpdu, sender: str) -> None:
@@ -297,14 +312,14 @@ class HackDriver(MacUpper):
             self._flush_buffer(ps, peer_name)
 
     def on_data_ppdu(self, frame: Any, sender: str,
-                     readable_mpdus: List[Mpdu]) -> None:
+                     readable_mpdus: Sequence[Mpdu]) -> None:
         if not self._enabled:
             return
-        ps = self.peer(sender)
+        ps = self._peers.get(sender)
+        if ps is None:
+            ps = self.peer(sender)
         is_batch = isinstance(frame, AmpduFrame)
-        sync = any(m.sync for m in readable_mpdus)
-        more = any(m.more_data for m in readable_mpdus)
-        max_seq = max(m.seq for m in readable_mpdus)
+        sync, more, max_seq = ppdu_flags(readable_mpdus)
 
         # --- Implicit confirmation of our previous LL ACK (§3.4) ---
         if is_batch:

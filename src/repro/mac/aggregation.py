@@ -15,12 +15,13 @@ Retried MPDUs (lowest sequence numbers) are always placed first.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..phy.params import PhyParams
 from .blockack import BlockAckOriginator
 from .frames import Mpdu
 from .params import MAC_DATA_OVERHEAD, MacParams, mpdu_subframe_bytes
+from .qdisc import DropTailQueue
 
 
 @lru_cache(maxsize=None)
@@ -47,6 +48,25 @@ def ampdu_byte_budget(phy: PhyParams, rate_mbps: float,
     return fits
 
 
+def _take_retries(originator: BlockAckOriginator, params: MacParams,
+                  byte_budget: int) -> Tuple[List[Mpdu], int]:
+    """The retried MPDUs that open a batch (they carry the oldest
+    sequence numbers), and their A-MPDU bytes."""
+    batch: List[Mpdu] = []
+    total_bytes = 0
+    while originator.retry_queue:
+        mpdu = originator.retry_queue[0]
+        sub = mpdu_subframe_bytes(mpdu.byte_length)
+        if len(batch) >= params.ampdu_max_mpdus:
+            break
+        if total_bytes + sub > byte_budget:
+            break
+        originator.retry_queue.pop(0)
+        batch.append(mpdu)
+        total_bytes += sub
+    return batch, total_bytes
+
+
 def build_batch(originator: BlockAckOriginator,
                 new_queue: Deque,
                 make_mpdu: Callable[[object, int], Mpdu],
@@ -59,23 +79,10 @@ def build_batch(originator: BlockAckOriginator,
     ``make_mpdu(payload, seq)`` wraps one into an MPDU.  The queue is
     consumed only for payloads that fit this batch.
     """
-    batch: List[Mpdu] = []
-    total_bytes = 0
     window_limit = originator.window_limit
     byte_budget = ampdu_byte_budget(phy, rate_mbps, params.txop_limit_ns,
                                     params.ampdu_max_bytes)
-
-    # Retries first (they carry the oldest sequence numbers).
-    while originator.retry_queue:
-        mpdu = originator.retry_queue[0]
-        sub = mpdu_subframe_bytes(mpdu.byte_length)
-        if len(batch) >= params.ampdu_max_mpdus:
-            break
-        if total_bytes + sub > byte_budget:
-            break
-        originator.retry_queue.pop(0)
-        batch.append(mpdu)
-        total_bytes += sub
+    batch, total_bytes = _take_retries(originator, params, byte_budget)
 
     # Then fresh payloads, respecting the originator window.
     while new_queue:
@@ -94,6 +101,55 @@ def build_batch(originator: BlockAckOriginator,
         total_bytes += sub
 
     return batch
+
+
+def drain_batch(originator: BlockAckOriginator, queue: DropTailQueue,
+                src: Any, dst: Any, sim: Any, params: MacParams,
+                phy: PhyParams, rate_mbps: float
+                ) -> Tuple[List[Mpdu], int]:
+    """:func:`build_batch` for a drop-tail queue, with ``make_mpdu``
+    wrapping a payload as ``Mpdu(src, dst, seq, payload, enqueued_at=
+    sim.now, frame_id=sim.new_frame_id())``; also returns the A-MPDU's
+    length.
+
+    Equivalence: a drop-tail queue's head neither changes nor drops
+    anything between a peek and a pop, so the payloads ``build_batch``
+    pops are exactly the longest prefix of the queue that passes its
+    three tests — fewer than ``window_limit - next_seq`` and than the
+    MPDU cap less the retries, and within the byte budget.  This finds
+    that prefix in one pass over the queue, takes it with
+    :meth:`DropTailQueue.take` (the same sojourns, folded in the same
+    order), and numbers it from ``next_seq`` up with a block of frame
+    ids, as ``allocate_seq`` and ``new_frame_id`` would one MPDU at a
+    time.  ``tests/mac/test_aggregation.py`` holds it to
+    ``build_batch`` on random queues, windows and budgets.
+    """
+    window_limit = originator.window_limit
+    byte_budget = ampdu_byte_budget(phy, rate_mbps, params.txop_limit_ns,
+                                    params.ampdu_max_bytes)
+    batch, total_bytes = _take_retries(originator, params, byte_budget)
+    room = min(window_limit - originator.next_seq,
+               params.ampdu_max_mpdus - len(batch))
+    count = 0
+    if room > 0:
+        for payload in queue:
+            sub = mpdu_subframe_bytes(
+                MAC_DATA_OVERHEAD + payload.byte_length)
+            if total_bytes + sub > byte_budget:
+                break
+            total_bytes += sub
+            count += 1
+            if count == room:
+                break
+    if count:
+        now, first = sim.now, originator.next_seq
+        originator.next_seq = first + count
+        batch += [Mpdu(src, dst, seq, payload, False, False, 0, now,
+                       frame_id)
+                  for seq, payload, frame_id in zip(
+                      range(first, first + count), queue.take(count),
+                      sim.new_frame_ids(count))]
+    return batch, total_bytes
 
 
 def max_mpdus_for_txop(mpdu_bytes: int, params: MacParams,

@@ -16,7 +16,8 @@ Sequence numbers are monotone integers (see ``frames.py``).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from itertools import compress
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .frames import Mpdu
 
@@ -117,26 +118,99 @@ class BlockAckRecipient:
     window moves past it (the MPDU hit its retry limit and was
     dropped).  Without this, every link-layer loss would surface as
     TCP-visible reordering and trigger spurious fast retransmits.
+
+    The scoreboard is the set of sequence numbers seen, held as a
+    window of flags: ``_flags[i]`` is 1 when ``_base + i`` was seen,
+    over ``[_base, max_seq]``, and nothing below ``_base`` is in the
+    set.  It keeps the rule of the set it replaces exactly: once more
+    than ``2 * history`` numbers are held, every number below
+    ``max_seq - history`` is forgotten (the window's base moves up to
+    it), and a number recorded below the base — a retransmission older
+    than the last prune — widens the window down to it.
+    ``tests/mac/set_scoreboard.py`` keeps that set as the oracle.
     """
 
     def __init__(self, window: int = BLOCK_ACK_WINDOW,
                  history: int = 1024):
         self.window = window
         self.history = history
-        self._seen = set()
+        self._flags = bytearray()
+        self._base = 0
+        #: Numbers in the set (flags that are 1).
+        self._count = 0
         self.max_seq = -1
         self.next_expected = 0
         self._reorder: dict = {}
 
+    def _mark(self, seq: int) -> bool:
+        """Add ``seq`` to the set; True if it was not in it."""
+        flags = self._flags
+        if not flags:
+            self._base = seq
+        index = seq - self._base
+        if index < 0:
+            flags[0:0] = bytes(-index)
+            self._base = seq
+            index = 0
+        elif index >= len(flags):
+            flags.extend(bytes(index + 1 - len(flags)))
+        if flags[index]:
+            return False
+        flags[index] = 1
+        self._count += 1
+        return True
+
+    def _prune(self) -> None:
+        if self._count > 2 * self.history:
+            cut = self.max_seq - self.history - self._base
+            if cut > 0:
+                self._count -= self._flags.count(1, 0, cut)
+                del self._flags[:cut]
+                self._base += cut
+
     def record(self, mpdu: Mpdu) -> bool:
         """Note an FCS-passing MPDU.  True if new (not seen before),
         False if a duplicate (silently discarded, still Block-ACKed)."""
-        is_new = mpdu.seq not in self._seen
-        self._seen.add(mpdu.seq)
+        is_new = self._mark(mpdu.seq)
         if mpdu.seq > self.max_seq:
             self.max_seq = mpdu.seq
         self._prune()
         return is_new
+
+    def accept(self, mpdus: Sequence[Mpdu], out: List[Mpdu]) -> int:
+        """:meth:`record` every FCS-passing MPDU of one A-MPDU and
+        :meth:`insert` each new one, in order, appending to ``out`` the
+        MPDUs now deliverable; returns the lowest sequence number.
+
+        The same steps as those two calls per MPDU, with the common
+        cases written out: a number one past the window's top is new
+        and extends it by one flag, and a new in-order MPDU with
+        nothing held back is delivered at once.
+        """
+        flags = self._flags
+        limit = 2 * self.history
+        lowest = mpdus[0].seq
+        for mpdu in mpdus:
+            seq = mpdu.seq
+            if seq < lowest:
+                lowest = seq
+            if flags and seq - self._base == len(flags):
+                flags.append(1)
+                self._count += 1
+                is_new = True
+            else:
+                is_new = self._mark(seq)
+            if seq > self.max_seq:
+                self.max_seq = seq
+            if self._count > limit:
+                self._prune()
+            if is_new:
+                if seq == self.next_expected and not self._reorder:
+                    self.next_expected = seq + 1
+                    out.append(mpdu)
+                else:
+                    self.insert(mpdu, out)
+        return lowest
 
     def insert(self, mpdu: Mpdu,
                out: Optional[List[Mpdu]] = None) -> List[Mpdu]:
@@ -170,17 +244,16 @@ class BlockAckRecipient:
                 self.next_expected += 1
         return out
 
-    def _prune(self) -> None:
-        if len(self._seen) > 2 * self.history:
-            floor = self.max_seq - self.history
-            self._seen = {s for s in self._seen if s >= floor}
-
     def acked_set(self, start: int) -> FrozenSet[int]:
         """Scoreboard bitmap covering [start, start + window)."""
-        # Walk the window against the history, not the (up to
-        # 2 * history entries of) history against the window.
-        return frozenset(self._seen.intersection(
-            range(start, start + self.window)))
+        base = self._base
+        low = max(start, base)
+        high = min(start + self.window, base + len(self._flags))
+        if low >= high:
+            return frozenset()
+        return frozenset(compress(range(low, high),
+                                  self._flags[low - base:high - base]))
 
     def has_seen(self, seq: int) -> bool:
-        return seq in self._seen
+        index = seq - self._base
+        return 0 <= index < len(self._flags) and self._flags[index] == 1

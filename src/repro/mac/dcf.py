@@ -59,18 +59,18 @@ docstring for why laziness would not pay at these time scales.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..phy.errors import LossModel
+from ..phy.errors import loses_mpdus
 from ..phy.params import PhyParams
 from ..sim.engine import Simulator
 from ..sim.medium import DEFAULT_CELL, Medium, MediumListener
-from .aggregation import build_batch
+from .aggregation import build_batch, drain_batch
 from .blockack import BlockAckOriginator, BlockAckRecipient
 from .frames import AckFrame, AmpduFrame, BarFrame, BlockAckFrame, \
     DataFrame, Mpdu
 from .params import MacParams
-from .qdisc import QdiscStats, make_queue
+from .qdisc import DropTailQueue, QdiscStats, make_queue
 
 
 class MacUpper:
@@ -87,7 +87,7 @@ class MacUpper:
             self.on_mpdu_delivered(mpdu, sender)
 
     def on_data_ppdu(self, frame: Any, sender: str,
-                     readable_mpdus: List[Mpdu]) -> None:
+                     readable_mpdus: Sequence[Mpdu]) -> None:
         """A data PPDU from ``sender`` arrived; ``readable_mpdus`` are
         the FCS-passing MPDUs (duplicates included).  HACK drivers use
         this for MORE DATA latching and implicit-confirmation logic."""
@@ -121,7 +121,8 @@ class _Job:
     batch"."""
 
     __slots__ = ("kind", "dst", "mpdus", "is_batch", "attempts",
-                 "bar_retries", "ready_at", "stat_kind", "materialized")
+                 "bar_retries", "ready_at", "stat_kind", "materialized",
+                 "ampdu_bytes")
 
     def __init__(self, kind: str, dst: str, is_batch: bool,
                  ready_at: int):
@@ -134,6 +135,8 @@ class _Job:
         self.ready_at = ready_at
         self.stat_kind = "control"
         self.materialized = False
+        #: The A-MPDU's length when ``drain_batch`` summed it (0: not).
+        self.ampdu_bytes = 0
 
 
 def _payload_kind(mpdu: Mpdu) -> str:
@@ -210,14 +213,19 @@ class DcfMac(MediumListener):
     # ==================================================================
     def enqueue(self, payload: Any, dst: str) -> bool:
         """Queue a higher-layer packet for ``dst``.  False on tail drop."""
-        queue = self._queue_for(dst)
-        if (self.params.queue_limit is not None
-                and len(queue) >= self.params.queue_limit):
+        queue = self._queues.get(dst)
+        if queue is None:
+            queue = self._queue_for(dst)
+        limit = self.params.queue_limit
+        if limit is not None and len(queue) >= limit:
             self.queue_drops += 1
             return False
         queue.append(payload)
         self.enqueued += 1
-        self._maybe_start_contention()
+        # _maybe_start_contention returns at once while an exchange is
+        # ours; its own first test, made here without the call.
+        if not (self._transmitting or self._awaiting_response):
+            self._maybe_start_contention()
         return True
 
     def queue_depth(self, dst: str) -> int:
@@ -407,14 +415,19 @@ class DcfMac(MediumListener):
         orig = self._originator_for(dst)
         queue = self._queue_for(dst)
         if job.is_batch:
-            address, new_frame_id = self.address, self.sim.new_frame_id
+            if type(queue) is DropTailQueue:
+                batch, job.ampdu_bytes = drain_batch(
+                    orig, queue, self.address, dst, self.sim,
+                    self.params, self.phy, self._rate_for(dst))
+            else:
+                address, new_frame_id = self.address, self.sim.new_frame_id
 
-            def make_mpdu(payload: Any, seq: int) -> Mpdu:
-                return Mpdu(address, dst, seq, payload, False, False, 0,
-                            now, new_frame_id())
+                def make_mpdu(payload: Any, seq: int) -> Mpdu:
+                    return Mpdu(address, dst, seq, payload, False, False,
+                                0, now, new_frame_id())
 
-            batch = build_batch(orig, queue, make_mpdu, self.params,
-                                self.phy, self._rate_for(dst))
+                batch = build_batch(orig, queue, make_mpdu, self.params,
+                                    self.phy, self._rate_for(dst))
             if not batch:
                 return False
             more = bool(queue) or bool(orig.retry_queue)
@@ -423,7 +436,7 @@ class DcfMac(MediumListener):
                 mpdu.more_data = more
                 mpdu.sync = sync
             orig.mark_in_flight(batch)
-            job.mpdus = batch
+            job.mpdus = tuple(batch)
         else:
             if orig.retry_queue:
                 mpdu = orig.retry_queue.pop(0)
@@ -463,6 +476,9 @@ class DcfMac(MediumListener):
                 rate_mbps=self.phy.control_rate_for(rate))
             duration = self.phy.control_duration_ns(frame.byte_length,
                                                     frame.rate_mbps)
+        elif job.ampdu_bytes:
+            frame = AmpduFrame.of_batch(job.mpdus, job.ampdu_bytes, rate)
+            duration = self.phy.frame_airtime_ns(frame, rate)
         elif job.is_batch:
             frame = AmpduFrame(mpdus=job.mpdus, rate_mbps=rate)
             duration = self.phy.frame_airtime_ns(frame, rate)
@@ -682,43 +698,45 @@ class DcfMac(MediumListener):
     # ------------------------------------------------------------------
     def _receive_data(self, frame: Any, sender: Any,
                       sender_addr: str) -> None:
-        recipient = self._recipient_for(sender_addr)
+        recipient = self._recipients.get(sender_addr)
+        if recipient is None:
+            recipient = self._recipient_for(sender_addr)
         is_batch = isinstance(frame, AmpduFrame)
-        rate = frame.rate_mbps
+        readable = frame.mpdus
         # A model that keeps the base class's lossless ``mpdu_lost``
-        # (NoLoss) need not be asked once per MPDU.
+        # (NoLoss) need not be asked once per MPDU: every MPDU of the
+        # frame is readable.  The loss draws take no recipient state,
+        # so drawing them all before recording any changes nothing.
         loss_model = self.loss_model
-        mpdu_lost = None
-        if (loss_model is not None and type(loss_model).mpdu_lost
-                is not LossModel.mpdu_lost):
+        if loses_mpdus(loss_model):
+            rate = frame.rate_mbps
             mpdu_lost = loss_model.mpdu_lost
-        readable: List[Mpdu] = []
+            readable = []
+            for mpdu in frame.mpdus:
+                if mpdu_lost(sender, self, mpdu, rate):
+                    if self.stats is not None:
+                        self.stats.on_mpdu_corrupted(self.address, mpdu)
+                    continue
+                readable.append(mpdu)
+            if not readable:
+                # Nothing decodable: behave as if the PPDU were lost
+                # (no response; the sender's timeout handles it).
+                return
         deliverable: List[Mpdu] = []
-        for mpdu in frame.mpdus:
-            if mpdu_lost is not None and mpdu_lost(sender, self, mpdu,
-                                                   rate):
-                if self.stats is not None:
-                    self.stats.on_mpdu_corrupted(self.address, mpdu)
-                continue
-            readable.append(mpdu)
+        if is_batch:
+            # A-MPDU path: in-order delivery via the reorder buffer
+            # (holes wait for link-layer retries).
+            start = recipient.accept(readable, deliverable)
+        else:
+            mpdu = readable[0]
             if recipient.record(mpdu):
-                if is_batch:
-                    # A-MPDU path: in-order delivery via the reorder
-                    # buffer (holes wait for link-layer retries).
-                    recipient.insert(mpdu, deliverable)
-                else:
-                    deliverable.append(mpdu)
-        if not readable:
-            # Nothing decodable: behave as if the PPDU were lost
-            # (no response; the sender's timeout handles it).
-            return
+                deliverable.append(mpdu)
         # HACK drivers learn MORE DATA / SYNC / seq state here, before
         # responses are built.
         self.upper.on_data_ppdu(frame, sender_addr, readable)
         if deliverable:
             self.upper.on_mpdus_delivered(deliverable, sender_addr)
         if is_batch:
-            start = min(m.seq for m in readable)
             self._schedule_response(
                 sender_addr, kind="block_ack",
                 acked=recipient.acked_set(start),

@@ -140,6 +140,22 @@ class AmpduFrame:
         self.src = mpdus[0].src
         self.dst = first_dst
 
+    @classmethod
+    def of_batch(cls, mpdus: Tuple[Mpdu, ...], byte_length: int,
+                 rate_mbps: float) -> "AmpduFrame":
+        """The A-MPDU of a batch :func:`~repro.mac.aggregation.
+        drain_batch` built: one receiver by construction, and the
+        length it summed while building (each MPDU's subframe bytes),
+        so neither is walked again."""
+        frame = cls.__new__(cls)
+        frame.mpdus = mpdus
+        frame.rate_mbps = rate_mbps
+        frame.is_control = False
+        frame.byte_length = byte_length
+        frame.src = mpdus[0].src
+        frame.dst = mpdus[0].dst
+        return frame
+
     @property
     def more_data(self) -> bool:
         return any(m.more_data for m in self.mpdus)

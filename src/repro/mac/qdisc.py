@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional
 
 from ..obs.metrics import Histogram
@@ -53,21 +54,43 @@ DISCIPLINES = ("droptail", "codel", "fq_codel")
 
 
 class QdiscStats:
-    """Counters shared by every per-destination queue of one MAC."""
+    """Counters shared by every per-destination queue of one MAC.
 
-    __slots__ = ("drops", "sojourn")
+    Sojourns are kept as they come, in nanoseconds, and folded into
+    the histogram ``FOLD_EVERY`` at a time and whenever it is read
+    — the same ``observe`` calls in the same order, for one list append
+    per packet on the dequeue path."""
+
+    __slots__ = ("drops", "_sojourn", "_unfolded")
+
+    FOLD_EVERY = 256
 
     def __init__(self) -> None:
         self.drops = 0          # AQM (head) drops; tail drops are MAC's
-        #: Sojourn (ms) of every packet delivered to the MAC.
-        self.sojourn = Histogram()
+        self._sojourn = Histogram()
+        #: Sojourns (ns) dequeued since the last fold, oldest first.
+        self._unfolded: List[int] = []
+
+    @property
+    def sojourn(self) -> Histogram:
+        """Sojourn (ms) of every packet delivered to the MAC."""
+        if self._unfolded:
+            self._fold()
+        return self._sojourn
+
+    def _fold(self) -> None:
+        self._sojourn.observe_many([ns / MS for ns in self._unfolded])
+        self._unfolded = []
 
     @property
     def dequeued(self) -> int:
         return self.sojourn.count
 
     def on_dequeue(self, sojourn_ns: int) -> None:
-        self.sojourn.observe(sojourn_ns / MS)
+        unfolded = self._unfolded
+        unfolded.append(sojourn_ns)
+        if len(unfolded) >= self.FOLD_EVERY:
+            self._fold()
 
     def merge(self, other: "QdiscStats") -> None:
         self.drops += other.drops
@@ -117,7 +140,17 @@ class DropTailQueue:
         return bool(self._items)
 
     def __iter__(self):
-        return (payload for payload, _ in self._items)
+        return map(itemgetter(0), self._items)
+
+    def take(self, count: int) -> List[Any]:
+        """``count`` :meth:`popleft` calls at once: the oldest payloads,
+        their sojourns folded into the histogram in dequeue order."""
+        items, now, stats = self._items, self.sim.now, self.stats
+        taken = [items.popleft() for _ in range(count)]
+        stats._unfolded += [now - enqueued_ns for _, enqueued_ns in taken]
+        if len(stats._unfolded) >= stats.FOLD_EVERY:
+            stats._fold()
+        return [payload for payload, _ in taken]
 
     def filter_out(self, predicate: Callable[[Any], bool]) -> List[Any]:
         """Withdraw payloads matching ``predicate`` (order preserved)."""
@@ -222,15 +255,29 @@ class FqCodelQueue:
     Simplification vs RFC 8290: a flow whose sub-queue empties is
     forgotten immediately (it re-enters as a new flow on its next
     packet) instead of lingering on the old-flow list for one round.
+
+    The head is found once per simulated instant: :meth:`_schedule`
+    is idempotent at a fixed time (see there), so the key it returns
+    is kept with that time and a peek or pop at the same time reuses
+    it; ``append``, ``popleft`` and ``filter_out`` — the only changes
+    to the queue between two such calls — drop it.  A pop takes the
+    packet straight off the head flow's FIFO: the sub-queue's own
+    ``popleft`` would first run ``_advance`` again at the time
+    ``_schedule`` just ran it at, which changes nothing.
     """
 
     __slots__ = ("sim", "stats", "target_ns", "interval_ns",
-                 "quantum_bytes", "_flows", "_new", "_old", "_len")
+                 "quantum_bytes", "_flows", "_new", "_old", "_len",
+                 "_head", "_head_at")
 
     def __init__(self, sim, stats: QdiscStats,
                  target_ns: int = CODEL_TARGET_NS,
                  interval_ns: int = CODEL_INTERVAL_NS,
                  quantum_bytes: int = FQ_QUANTUM_BYTES) -> None:
+        if interval_ns <= 0:
+            # CoDel's _advance is idempotent at a fixed time only while
+            # a new above-target episode ends strictly later than now.
+            raise ValueError("CoDel interval must be positive")
         self.sim = sim
         self.stats = stats
         self.target_ns = target_ns
@@ -240,6 +287,10 @@ class FqCodelQueue:
         self._new: deque = deque()
         self._old: deque = deque()
         self._len = 0
+        #: The key ``_schedule`` returned at ``_head_at`` (None: none
+        #: kept).
+        self._head: Optional[Any] = None
+        self._head_at = -1
 
     # -- deque contract -------------------------------------------------
     def append(self, payload: Any) -> None:
@@ -252,31 +303,46 @@ class FqCodelQueue:
                 self.quantum_bytes)
             self._flows[key] = flow
             self._new.append(key)
-        before = len(flow.queue)
-        flow.queue.append(payload)
-        self._len += len(flow.queue) - before
+        # CoDelQueue.append, which adds exactly one entry.
+        flow.queue._items.append((payload, self.sim.now))
+        self._len += 1
+        self._head = None
 
     def popleft(self) -> Any:
-        key = self._schedule()
-        if key is None:
-            raise IndexError("pop from an empty FQ-CoDel queue")
+        now = self.sim.now
+        key = self._head
+        if key is None or self._head_at != now:
+            key = self._schedule()
+            if key is None:
+                raise IndexError("pop from an empty FQ-CoDel queue")
+        self._head = None
         flow = self._flows[key]
-        before = len(flow.queue)
-        payload = flow.queue.popleft()
-        self._len -= before - len(flow.queue)
+        items = flow.queue._items
+        payload, enqueued_ns = items.popleft()
+        self._len -= 1
+        # QdiscStats.on_dequeue, written out.
+        stats = self.stats
+        unfolded = stats._unfolded
+        unfolded.append(now - enqueued_ns)
+        if len(unfolded) >= stats.FOLD_EVERY:
+            stats._fold()
         flow.deficit -= getattr(payload, "byte_length", None) \
             or self.quantum_bytes
-        if not flow.queue:
+        if not items:
             self._forget(key)
         return payload
 
     def __getitem__(self, index: int) -> Any:
         if index != 0:
             raise IndexError("qdisc queues only expose the head")
-        key = self._schedule()
-        if key is None:
-            raise IndexError("peek into an empty FQ-CoDel queue")
-        return self._flows[key].queue[0]
+        now = self.sim.now
+        key = self._head
+        if key is None or self._head_at != now:
+            key = self._schedule()
+            if key is None:
+                raise IndexError("peek into an empty FQ-CoDel queue")
+            self._head, self._head_at = key, now
+        return self._flows[key].queue._items[0][0]
 
     def __len__(self) -> int:
         return self._len
@@ -290,6 +356,7 @@ class FqCodelQueue:
                 yield from self._flows[key].queue
 
     def filter_out(self, predicate: Callable[[Any], bool]) -> List[Any]:
+        self._head = None
         removed: List[Any] = []
         for key in list(self._new) + list(self._old):
             flow = self._flows[key]
@@ -303,9 +370,13 @@ class FqCodelQueue:
     # -- DRR scheduler --------------------------------------------------
     def _forget(self, key: Any) -> None:
         del self._flows[key]
-        try:
-            self._new.remove(key)
-        except ValueError:
+        new = self._new
+        if new and new[0] == key:
+            # The usual case: the head flow ran dry.
+            new.popleft()
+        elif key in new:
+            new.remove(key)
+        else:
             self._old.remove(key)
 
     def _schedule(self) -> Optional[Any]:
@@ -315,6 +386,7 @@ class FqCodelQueue:
         head flow is empty (forgotten) or out of deficit (refilled and
         rotated), so peek-then-pop resolves to the same packet.
         """
+        now = self.sim.now
         while True:
             if self._new:
                 lst, key = self._new, self._new[0]
@@ -323,12 +395,20 @@ class FqCodelQueue:
             else:
                 return None
             flow = self._flows[key]
-            before = len(flow.queue)
-            flow.queue._advance(self.sim.now)
-            self._len -= before - len(flow.queue)
-            if not flow.queue:
-                self._forget(key)
-                continue
+            queue = flow.queue
+            items = queue._items
+            if items and (now - items[0][1] < queue.target_ns
+                          or len(items) <= 1):
+                # CoDelQueue._advance's first exit, written out.
+                queue._first_above = 0
+                queue._dropping = False
+            else:
+                before = len(items)
+                queue._advance(now)
+                self._len -= before - len(items)
+                if not items:
+                    self._forget(key)
+                    continue
             if flow.deficit <= 0:
                 flow.deficit += self.quantum_bytes
                 lst.popleft()

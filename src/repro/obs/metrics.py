@@ -35,7 +35,7 @@ second accumulator beside it.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping, Optional
 
 #: The one histogram resolution: log-bins per decade.
 BINS_PER_DECADE = 100
@@ -76,6 +76,27 @@ class Histogram:
                        * BINS_PER_DECADE)
         bins = self.bins
         bins[index] = bins.get(index, 0) + 1
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """:meth:`observe` each value in order, with the accumulators
+        held in locals: the same float additions in the same order, so
+        the same ``total`` to the last bit."""
+        count, total = self.count, self.total
+        low, high = self.min, self.max
+        bins = self.bins
+        for value in values:
+            count += 1
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+            index = _floor(_log10(
+                value if value > MIN_VALUE else MIN_VALUE)
+                * BINS_PER_DECADE)
+            bins[index] = bins.get(index, 0) + 1
+        self.count, self.total = count, total
+        self.min, self.max = low, high
 
     def merge(self, other: "Histogram") -> None:
         self.count += other.count

@@ -49,6 +49,26 @@ class NoLoss(LossModel):
     """Explicitly lossless (alias of the base, for readable configs)."""
 
 
+def _keeps_base(model: Any, name: str) -> bool:
+    """Whether ``model``'s class keeps :class:`LossModel`'s lossless
+    ``name`` method, so a call to it can only answer False.  A class
+    that is no ``LossModel`` (a test double) keeps nothing."""
+    return getattr(type(model), name, None) is getattr(LossModel, name)
+
+
+def loses_ppdus(model: Optional[Any]) -> bool:
+    """Whether ``model`` can lose a whole PPDU: False for None and for
+    a model keeping the base ``is_lost`` and ``ppdu_lost`` (``NoLoss``,
+    ``UniformLossModel`` and ``SnrLossModel`` override ``ppdu_lost``)."""
+    return model is not None and not (_keeps_base(model, "is_lost")
+                                      and _keeps_base(model, "ppdu_lost"))
+
+
+def loses_mpdus(model: Optional[Any]) -> bool:
+    """Whether ``model`` can lose an MPDU inside a decodable PPDU."""
+    return model is not None and not _keeps_base(model, "mpdu_lost")
+
+
 class UniformLossModel(LossModel):
     """Independent uniform per-MPDU loss.
 

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 
 from ..tcp.segment import TcpSegment
 from .context import CompressorContext, cid_for_flow, cid_for_key
-from .packets import CompressedAck, encode_entry
+from .packets import CompressedAck, encode_update
 
 
 class Compressor:
@@ -33,6 +33,9 @@ class Compressor:
         self.init_threshold = init_threshold
         self.contexts: Dict[int, CompressorContext] = {}
         self._flow_of_cid: Dict[int, Tuple] = {}
+        #: Flow key -> its context, for every flow owning its CID:
+        #: ``contexts`` and ``_flow_of_cid`` read from the flow's side.
+        self._context_of_flow: Dict[Tuple, CompressorContext] = {}
         self._blocked_flows = set()
         self._last_cid: Optional[int] = None
         self.next_msn = 0
@@ -58,6 +61,7 @@ class Compressor:
                 dst=segment.dst)
             self.contexts[cid] = context
             self._flow_of_cid[cid] = key
+            self._context_of_flow[key] = context
             return context
         if owner != key:
             # CID collision: the newer flow falls back to vanilla ACKs.
@@ -86,7 +90,11 @@ class Compressor:
         ``init_threshold`` vanilla ACKs of."""
         if not segment.is_pure_ack:
             return None
-        context = self._context_for(segment, create=False)
+        # ``_context_for(segment, create=False)`` without the hash: it
+        # returns the context exactly when the flow owns its CID (a
+        # flow is blocked only while another owns it, so an owner is
+        # never blocked), which is when ``_context_of_flow`` has it.
+        context = self._context_of_flow.get(segment.five_tuple.key())
         if context is None or context.vanilla_seen < self.init_threshold:
             return None
         return context
@@ -109,10 +117,8 @@ class Compressor:
                                  "can_compress)")
         same_cid = self._last_cid == context.cid
         msn = self.next_msn
-        data, new_state = encode_entry(
-            context.state, segment, context.cid, same_cid, msn,
-            force_absolute=context.rebase_needed)
-        context.state = new_state
+        data = encode_update(context.state, segment, context.cid,
+                             same_cid, msn, context.rebase_needed)
         context.rebase_needed = False
         self._last_cid = context.cid
         self.next_msn += 1
@@ -136,6 +142,7 @@ class Compressor:
         released = False
         if self._flow_of_cid.get(cid) == key:
             del self._flow_of_cid[cid]
+            del self._context_of_flow[key]
             self.contexts.pop(cid, None)
             if self._last_cid == cid:
                 # The next entry must carry an explicit CID: "same as

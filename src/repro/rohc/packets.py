@@ -170,6 +170,75 @@ def encode_entry(state: DynamicState, segment, cid: int, same_cid: bool,
     return bytes(out), new_state
 
 
+def encode_update(state: DynamicState, segment, cid: int, same_cid: bool,
+                  msn: int, force_absolute: bool = False) -> bytes:
+    """:func:`encode_entry`'s bytes, with the new state it returns
+    written into ``state`` instead of a fresh object.
+
+    A compressor encodes every ACK against its context's state and then
+    drops the old one, so updating it in place is the same state for
+    one allocation less.  The common entry — a delta entry without
+    SACK blocks — is assembled here in one list; any other entry (an
+    absolute one, SACK blocks, a data segment) is :func:`encode_entry`'s
+    own, copied in.  ``tests/rohc/test_packets.py`` holds the two to
+    the same bytes and states on random states and segments.
+    """
+    ack, ts_val, ts_ecr = segment.ack, segment.ts_val, segment.ts_ecr
+    rwnd = segment.rwnd
+    d_ack = ack - state.ack
+    d_tv = ts_val - state.ts_val
+    d_te = ts_ecr - state.ts_ecr
+    d_wnd = rwnd - state.rwnd
+    # encode_entry's tests for an absolute entry, folded: a value is in
+    # [0, 2**k) exactly when shifting it right by k leaves 0 (a negative
+    # value shifts to -1), and an OR has a bit at k or above, or is
+    # negative, exactly when one of its operands does.
+    if (force_absolute or segment.payload_bytes != 0
+            or segment.sack_blocks or segment.seq != state.seq
+            or d_ack >> 16 or ((ack | ts_val | ts_ecr) >> 32)
+            or (d_wnd + 0x4000 | d_tv + 0x4000 | d_te + 0x4000) >> 15):
+        data, new_state = encode_entry(state, segment, cid, same_cid,
+                                       msn, force_absolute)
+        state.ack, state.ack_delta = new_state.ack, new_state.ack_delta
+        state.ts_val, state.ts_ecr = new_state.ts_val, new_state.ts_ecr
+        state.rwnd, state.seq = new_state.rwnd, new_state.seq
+        return data
+    out = [0, 0] if same_cid else [0, 0, cid & 0xFF]
+    if d_ack == state.ack_delta:
+        ack_mode = ACK_STRIDE
+    elif d_ack <= 0xFF:
+        ack_mode = ACK_D8
+        out.append(d_ack)
+        state.ack_delta = d_ack
+    else:
+        ack_mode = ACK_D16
+        out.append(d_ack >> 8)
+        out.append(d_ack & 0xFF)
+        state.ack_delta = d_ack
+    if d_tv == 0 and d_te == 0:
+        ts_mode = TS_UNCHANGED
+    else:
+        z_tv, z_te = zigzag(d_tv), zigzag(d_te)
+        if z_tv <= 0xFF and z_te <= 0xFF:
+            ts_mode = TS_D8
+            out.append(z_tv)
+            out.append(z_te)
+        else:
+            ts_mode = TS_D16
+            out += (z_tv >> 8, z_tv & 0xFF, z_te >> 8, z_te & 0xFF)
+    if d_wnd:
+        z_wnd = zigzag(d_wnd)
+        out.append(z_wnd >> 8)
+        out.append(z_wnd & 0xFF)
+    # The CRC-3 of the new state's crc_input(), fields in that order.
+    out[0] = (ack_mode << 6) | (ts_mode << 4) | (8 if same_cid else 0) \
+        | crc3_u64x5(ack, ts_val, ts_ecr, rwnd, segment.seq)
+    out[1] = ((msn & 0xF) << 4) | (8 if d_wnd else 0)
+    state.ack, state.ts_val, state.ts_ecr, state.rwnd = \
+        ack, ts_val, ts_ecr, rwnd
+    return bytes(out)
+
+
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
@@ -223,58 +292,58 @@ def parse_entry(data: bytes, offset: int) -> DecodedEntry:
     except IndexError:
         raise ParseError("truncated entry header")
     pos = offset + 2
-    entry = DecodedEntry(
-        (ctrl >> 6) & 0x3, (ctrl >> 4) & 0x3, bool(ctrl & 0x08),
-        ctrl & 0x07, (byte1 >> 4) & 0xF, bool(byte1 & 0x08), None)
-    sack_present = bool(byte1 & 0x04)
+    ack_mode, ts_mode = (ctrl >> 6) & 0x3, (ctrl >> 4) & 0x3
+    same_cid, wnd_present = bool(ctrl & 0x08), bool(byte1 & 0x08)
+    cid = None
+    d_ack = abs_ack = abs_seq = abs_wnd = abs_ts_val = abs_ts_ecr = 0
+    d_tv = d_te = d_wnd = 0
+    sack_blocks: Tuple[Tuple[int, int], ...] = ()
 
-    if not entry.same_cid:
+    if not same_cid:
         if pos + 1 > end:
             raise ParseError("truncated entry body")
-        entry.cid = data[pos]
+        cid = data[pos]
         pos += 1
-    if entry.ack_mode == ACK_ABSOLUTE:
+    if ack_mode == ACK_ABSOLUTE:
         if pos + 20 > end:
             raise ParseError("truncated entry body")
-        entry.abs_ack = int.from_bytes(data[pos:pos + 4], "big")
-        entry.abs_seq = int.from_bytes(data[pos + 4:pos + 8], "big")
-        entry.abs_wnd = int.from_bytes(data[pos + 8:pos + 12], "big")
-        entry.abs_ts_val = int.from_bytes(data[pos + 12:pos + 16],
-                                          "big")
-        entry.abs_ts_ecr = int.from_bytes(data[pos + 16:pos + 20],
-                                          "big")
+        abs_ack = int.from_bytes(data[pos:pos + 4], "big")
+        abs_seq = int.from_bytes(data[pos + 4:pos + 8], "big")
+        abs_wnd = int.from_bytes(data[pos + 8:pos + 12], "big")
+        abs_ts_val = int.from_bytes(data[pos + 12:pos + 16], "big")
+        abs_ts_ecr = int.from_bytes(data[pos + 16:pos + 20], "big")
         pos += 20
     else:
-        if entry.ack_mode == ACK_D8:
+        if ack_mode == ACK_D8:
             if pos + 1 > end:
                 raise ParseError("truncated entry body")
-            entry.d_ack = data[pos]
+            d_ack = data[pos]
             pos += 1
-        elif entry.ack_mode == ACK_D16:
+        elif ack_mode == ACK_D16:
             if pos + 2 > end:
                 raise ParseError("truncated entry body")
-            entry.d_ack = (data[pos] << 8) | data[pos + 1]
+            d_ack = (data[pos] << 8) | data[pos + 1]
             pos += 2
-        if entry.ts_mode == TS_D8:
+        if ts_mode == TS_D8:
             if pos + 2 > end:
                 raise ParseError("truncated entry body")
-            entry.d_tv = unzigzag(data[pos])
-            entry.d_te = unzigzag(data[pos + 1])
+            d_tv = unzigzag(data[pos])
+            d_te = unzigzag(data[pos + 1])
             pos += 2
-        elif entry.ts_mode == TS_D16:
+        elif ts_mode == TS_D16:
             if pos + 4 > end:
                 raise ParseError("truncated entry body")
-            entry.d_tv = unzigzag((data[pos] << 8) | data[pos + 1])
-            entry.d_te = unzigzag((data[pos + 2] << 8) | data[pos + 3])
+            d_tv = unzigzag((data[pos] << 8) | data[pos + 1])
+            d_te = unzigzag((data[pos + 2] << 8) | data[pos + 3])
             pos += 4
-        elif entry.ts_mode == TS_ABSOLUTE:
+        elif ts_mode == TS_ABSOLUTE:
             raise ParseError("absolute timestamps require ack_mode 3")
-        if entry.wnd_present:
+        if wnd_present:
             if pos + 2 > end:
                 raise ParseError("truncated entry body")
-            entry.d_wnd = unzigzag((data[pos] << 8) | data[pos + 1])
+            d_wnd = unzigzag((data[pos] << 8) | data[pos + 1])
             pos += 2
-    if sack_present:
+    if byte1 & 0x04:
         if pos + 1 > end:
             raise ParseError("truncated entry body")
         count = data[pos]
@@ -287,9 +356,11 @@ def parse_entry(data: bytes, offset: int) -> DecodedEntry:
                            int.from_bytes(data[pos + 4:pos + 8],
                                           "big")))
             pos += 8
-        entry.sack_blocks = tuple(blocks)
-    entry.size = pos - offset
-    return entry
+        sack_blocks = tuple(blocks)
+    return DecodedEntry(
+        ack_mode, ts_mode, same_cid, ctrl & 0x07, (byte1 >> 4) & 0xF,
+        wnd_present, cid, d_ack, abs_ack, abs_seq, abs_wnd, abs_ts_val,
+        abs_ts_ecr, d_tv, d_te, d_wnd, sack_blocks, pos - offset)
 
 
 def apply_entry(entry: DecodedEntry, state: DynamicState

@@ -396,6 +396,13 @@ class Simulator:
         self._frame_ids += 1
         return self._frame_ids
 
+    def new_frame_ids(self, count: int) -> range:
+        """The ids ``count`` successive :meth:`new_frame_id` calls
+        would return, allocated at once."""
+        first = self._frame_ids + 1
+        self._frame_ids += count
+        return range(first, first + count)
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

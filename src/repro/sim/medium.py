@@ -116,6 +116,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..phy.errors import loses_ppdus
 from .engine import Simulator
 
 #: The dispatch group stations land in when ``attach`` is not given an
@@ -486,7 +487,6 @@ class Medium:
         # sender's cell (energy-detect OBSS; see module docstring).
         sender = tx.sender
         frame = tx.frame
-        loss_model = self.loss_model
         if tx.collided:
             for listener in listeners:
                 if listener is not sender:
@@ -497,16 +497,28 @@ class Medium:
             if self.tamper is not None:
                 self.tamper(frame)
             target = group.by_address.get(getattr(frame, "dst", None))
-            for listener in group.listeners:
-                if listener is sender:
-                    continue
-                if loss_model is not None and loss_model.is_lost(
-                        sender, listener, frame):
-                    listener.on_frame_error(frame, sender)
-                elif listener is target:
-                    listener.on_frame_received(frame, sender)
-                else:
-                    listener.on_frame_overheard(frame, sender)
+            loss_model = self.loss_model
+            if loses_ppdus(loss_model):
+                for listener in group.listeners:
+                    if listener is sender:
+                        continue
+                    if loss_model.is_lost(sender, listener, frame):
+                        listener.on_frame_error(frame, sender)
+                    elif listener is target:
+                        listener.on_frame_received(frame, sender)
+                    else:
+                        listener.on_frame_overheard(frame, sender)
+            else:
+                # A model keeping the base class's ``is_lost`` /
+                # ``ppdu_lost`` (NoLoss) answers False for every
+                # listener: the loop above with that answer.
+                for listener in group.listeners:
+                    if listener is sender:
+                        continue
+                    if listener is target:
+                        listener.on_frame_received(frame, sender)
+                    else:
+                        listener.on_frame_overheard(frame, sender)
         for observer in self.observers:
             observer(tx)
 

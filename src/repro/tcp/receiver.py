@@ -74,21 +74,24 @@ class TcpReceiver:
             self._send_ack(immediate=True)
             return
         # In order (possibly partially old): advance.
-        had_hole = bool(self._ooo)
         advanced = segment.end_seq - self.rcv_nxt
         self.rcv_nxt = segment.end_seq
-        if had_hole:
+        if self._ooo:
             self._drain_ooo()
-        self._deliver(advanced)
-        if had_hole:
+            self._deliver(advanced)
             # Filling (part of) a hole: ACK immediately so the sender's
             # fast recovery sees the partial/full ACK without delay.
             self._send_ack(immediate=True)
             return
+        # _deliver(advanced): it is positive (the segment ends past
+        # the old rcv_nxt).
+        self.bytes_delivered += advanced
+        if self.on_deliver is not None:
+            self.on_deliver(advanced)
         self._pending_ack_segments += 1
         if not self.delayed_ack or self._pending_ack_segments >= 2:
             self._send_ack(immediate=True)
-        elif not self._delack_timer.armed:
+        elif self._delack_timer.deadline is None:
             self._delack_timer.arm(self.delack_timeout_ns)
 
     def _drain_ooo(self) -> None:
@@ -128,7 +131,8 @@ class TcpReceiver:
 
     def _send_ack(self, immediate: bool = False) -> None:
         self._pending_ack_segments = 0
-        self._delack_timer.cancel()
+        if self._delack_timer.deadline is not None:
+            self._delack_timer.cancel()
         ack = TcpSegment(
             self.flow_id, self.src, self.dst, 0, 0, self.rcv_nxt,
             self.rwnd_bytes, self.sim.now // MS, self._last_ts_val,

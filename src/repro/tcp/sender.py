@@ -178,7 +178,7 @@ class TcpSender:
                                   ts_val, ts_ecr, (), five_tuple))
                 seq += length
                 self.snd_nxt = seq
-        if self.snd_nxt > self.snd_una and not self._rto_timer.armed:
+        if self.snd_nxt > self.snd_una and self._rto_timer.deadline is None:
             self._arm_rto()
 
     def _try_send_gated(self) -> None:
@@ -215,6 +215,79 @@ class TcpSender:
     def on_ack(self, ack_segment: TcpSegment) -> None:
         if self.completed:
             return
+        if (ack_segment.ack > self.snd_una and ack_segment.rwnd
+                and not self.in_recovery and not self.use_sack
+                and not self.pacing and self._cubic is None):
+            self._on_plain_new_ack(ack_segment)
+        else:
+            self._on_ack(ack_segment)
+
+    def _on_plain_new_ack(self, ack_segment: TcpSegment) -> None:
+        """:meth:`_on_ack` for the common ACK: a new cumulative ACK
+        with an open window, outside recovery, on a Reno sender without
+        SACK or pacing (what ``on_ack`` tests).
+
+        Equivalence: under those conditions ``_on_ack`` cancels the
+        persist timer, skips every SACK step, takes ``_on_new_ack``'s
+        no-recovery branch (Reno's ``_grow_cwnd`` has no CUBIC branch
+        to take) and, ``_backoff`` being 1 by then, arms the RTO for
+        ``min(rto_ns, max_rto_ns)``; ``_try_send`` then runs its
+        ungated loop.  This is those steps in that order, with the RTT
+        sample, the window growth and the timer tests written out.
+        ``tests/tcp/test_sender.py`` holds it to ``_on_ack`` on random
+        ACK streams.
+        """
+        if ack_segment.ts_val > self._peer_ts_val:
+            self._peer_ts_val = ack_segment.ts_val
+        self.peer_rwnd = ack_segment.rwnd
+        self._persist_backoff = 1
+        if self._persist_timer.deadline is not None:
+            self._persist_timer.cancel()
+        ack = ack_segment.ack
+        newly_acked = ack - self.snd_una
+        self.snd_una = ack
+        if self.snd_nxt < ack:
+            self.snd_nxt = ack
+        ts_ecr = ack_segment.ts_ecr
+        if ts_ecr > 0:
+            rtt = self.sim.now - ts_ecr * MS
+            if rtt >= 0:
+                srtt = self.srtt_ns
+                if srtt is None:
+                    srtt, rttvar = rtt, rtt // 2
+                else:
+                    rttvar = (3 * self.rttvar_ns + abs(srtt - rtt)) // 4
+                    srtt = (7 * srtt + rtt) // 8
+                self.srtt_ns, self.rttvar_ns = srtt, rttvar
+                rto = srtt + (4 * rttvar if 4 * rttvar > MS else MS)
+                if rto < self.min_rto_ns:
+                    rto = self.min_rto_ns
+                self.rto_ns = rto if rto < self.max_rto_ns \
+                    else self.max_rto_ns
+        self._backoff = 1
+        self.dup_acks = 0
+        cwnd = self.cwnd
+        if cwnd < self.ssthresh:
+            self.cwnd = cwnd + (newly_acked if newly_acked < self.mss
+                                else self.mss)
+        else:
+            self._ca_acked_bytes += newly_acked
+            if self._ca_acked_bytes >= cwnd:
+                self._ca_acked_bytes -= cwnd
+                self.cwnd = cwnd + self.mss
+        if self.snd_nxt > ack:
+            rto = self.rto_ns
+            self._rto_timer.arm(rto if rto < self.max_rto_ns
+                                else self.max_rto_ns)
+        else:
+            self._rto_timer.cancel()
+        self._try_send()
+        total = self.total_bytes
+        if total is not None and self.snd_una >= total:
+            self._check_complete()
+
+    def _on_ack(self, ack_segment: TcpSegment) -> None:
+        """Every ACK's path (the oracle of :meth:`_on_plain_new_ack`)."""
         if ack_segment.ts_val > self._peer_ts_val:
             self._peer_ts_val = ack_segment.ts_val
         # Honor a genuine zero-window advertisement: stall new data and

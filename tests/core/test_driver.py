@@ -4,11 +4,14 @@ These use a fake MAC so each driver rule can be exercised in isolation;
 the end-to-end loss scenarios of Figs 5-8 live in test_loss_recovery.
 """
 
+import os
 from collections import deque
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro.core.driver import HackDriver
+from repro.core.driver import HackDriver, ppdu_flags
 from repro.core.policies import HackConfig, HackPolicy
 from repro.mac.frames import AmpduFrame, DataFrame, Mpdu
 from repro.rohc.packets import parse_frame
@@ -277,3 +280,22 @@ class TestDecompressionPath:
         reinjected = driver.node.received[-1][0]
         assert reinjected.ack == 2920
         assert reinjected.is_pure_ack
+
+
+class TestPpduFlags:
+    """The driver's one pass over a PPDU's MPDUs reads what the three
+    passes it replaced read: ``any`` SYNC, ``any`` MORE DATA, ``max``
+    sequence number."""
+
+    @settings(max_examples=200, deadline=None,
+              derandomize=bool(os.environ.get("CI")))
+    @given(flags=st.lists(st.tuples(st.integers(-3, 200), st.booleans(),
+                                    st.booleans()),
+                          min_size=1, max_size=64))
+    def test_same_flags(self, flags):
+        mpdus = [Mpdu(src="AP", dst="C1", seq=seq, payload=tcp_data(0),
+                      more_data=more, sync=sync)
+                 for seq, sync, more in flags]
+        assert ppdu_flags(mpdus) == (any(m.sync for m in mpdus),
+                                     any(m.more_data for m in mpdus),
+                                     max(m.seq for m in mpdus))

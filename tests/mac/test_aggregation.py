@@ -1,15 +1,20 @@
 """A-MPDU batch construction limits."""
 
+import os
 from collections import deque
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.mac.aggregation import ampdu_byte_budget, build_batch, \
-    max_mpdus_for_txop
+    drain_batch, max_mpdus_for_txop
 from repro.mac.blockack import BlockAckOriginator
 from repro.mac.frames import Mpdu
 from repro.mac.params import MacParams, mpdu_subframe_bytes
+from repro.mac.qdisc import DropTailQueue, QdiscStats
 from repro.phy.params import PHY_11N
+from repro.sim.engine import Simulator
 from repro.sim.units import msec, usec
 
 from tests.helpers import FakePayload
@@ -148,3 +153,122 @@ class TestByteBudget:
                     assert max_mpdus_for_txop(
                         mpdu_bytes, params, PHY_11N, rate) == \
                         stepwise(mpdu_bytes, params, rate)
+
+
+class TestDrainBatchAgainstBuildBatch:
+    """``drain_batch`` (one pass over a drop-tail queue) builds the
+    batch ``build_batch`` builds from the same state, MPDU for MPDU —
+    sequence numbers, frame ids, timestamps — and leaves the queue, its
+    sojourn histogram and the originator as ``build_batch`` does."""
+
+    @staticmethod
+    def world(payloads, gaps, retried, acked, skip):
+        """A queue of ``payloads`` (``gaps`` ns apart), an originator
+        whose ``retried`` MPDUs went out with only ``acked`` of them
+        Block-ACKed (the rest wait as retries), ``skip`` sequence
+        numbers later."""
+        sim = Simulator()
+        queue = DropTailQueue(sim, QdiscStats())
+        origin = BlockAckOriginator()
+        if retried:
+            origin.mark_in_flight([
+                Mpdu("AP", "C1", origin.allocate_seq(), payload,
+                     frame_id=sim.new_frame_id())
+                for payload in retried])
+            origin.on_block_ack(frozenset(
+                seq for seq in range(len(retried)) if seq in acked))
+        origin.next_seq += skip
+        for payload, gap in zip(payloads, gaps):
+            sim.run(until=sim.now + gap)
+            queue.append(payload)
+        sim.run(until=sim.now + 7_000)
+        return sim, queue, origin
+
+    def same_batch(self, sizes, retried, acked, skip, max_mpdus,
+                   max_bytes, txop, rate):
+        params = MacParams(aggregation=True, ampdu_max_mpdus=max_mpdus,
+                           ampdu_max_bytes=max_bytes, txop_limit_ns=txop)
+        payloads = [FakePayload(size) for size in sizes]
+        retries = [FakePayload(900 + 7 * index)
+                   for index in range(retried)]
+        gaps = [3_000] * len(sizes)
+        sim, queue, origin = self.world(payloads, gaps, retries, acked,
+                                        skip)
+        oracle_sim, oracle_queue, oracle_origin = self.world(
+            payloads, gaps, retries, acked, skip)
+
+        def make_mpdu(payload, seq):
+            return Mpdu("AP", "C1", seq, payload, False, False, 0,
+                        oracle_sim.now, oracle_sim.new_frame_id())
+
+        want = build_batch(oracle_origin, oracle_queue, make_mpdu, params,
+                           PHY_11N, rate)
+        got, _ = drain_batch(origin, queue, "AP", "C1", sim, params,
+                             PHY_11N, rate)
+        assert [(m.seq, m.payload, m.frame_id) for m in got] \
+            == [(m.seq, m.payload, m.frame_id) for m in want]
+        assert list(queue._items) == list(oracle_queue._items)
+
+    def test_window_count_and_byte_edges(self):
+        """Every limit at and one either side of where it binds: the
+        originator window (a retry pins its start at 0), the MPDU cap,
+        and a byte budget the 1504-byte subframes fill exactly."""
+        for skip in range(60, 66):
+            for retried in (0, 1, 3):
+                for max_mpdus in (1, 2, 3, 64):
+                    for budget in (3007, 3008, 3009, 4511, 4512, 4513):
+                        self.same_batch([1460] * 6, retried, set(), skip,
+                                        max_mpdus, budget, None, 150.0)
+
+    @settings(max_examples=200, deadline=None,
+              derandomize=bool(os.environ.get("CI")))
+    @given(sizes=st.lists(st.one_of(st.just(1460), st.integers(40, 4000)),
+                          max_size=80),
+           gaps=st.lists(st.integers(0, 50_000), min_size=80,
+                         max_size=80),
+           retried=st.integers(0, 6), acked=st.sets(st.integers(0, 5)),
+           skip=st.integers(0, 70), max_mpdus=st.integers(1, 64),
+           # Budgets a run of 1460-byte payloads (1504-byte subframes)
+           # fills exactly, as well as ones it does not.
+           max_bytes=st.one_of(st.sampled_from([3_000, 20_000, 65_535]),
+                               st.integers(1, 43).map(lambda k: 1504 * k)),
+           txop=st.sampled_from([None, usec(300), msec(4)]),
+           rate=st.sampled_from(PHY_11N.data_rates))
+    def test_same_batch(self, sizes, gaps, retried, acked, skip,
+                        max_mpdus, max_bytes, txop, rate):
+        params = MacParams(aggregation=True, ampdu_max_mpdus=max_mpdus,
+                           ampdu_max_bytes=max_bytes, txop_limit_ns=txop)
+        payloads = [FakePayload(size) for size in sizes]
+        retries = [FakePayload(900 + 7 * index)
+                   for index in range(retried)]
+        sim, queue, origin = self.world(payloads, gaps, retries, acked,
+                                        skip)
+        oracle_sim, oracle_queue, oracle_origin = self.world(
+            payloads, gaps, retries, acked, skip)
+
+        def make_mpdu(payload, seq):
+            return Mpdu("AP", "C1", seq, payload, False, False, 0,
+                        oracle_sim.now, oracle_sim.new_frame_id())
+
+        want = build_batch(oracle_origin, oracle_queue, make_mpdu, params,
+                           PHY_11N, rate)
+        got, length = drain_batch(origin, queue, "AP", "C1", sim, params,
+                                  PHY_11N, rate)
+
+        def fields(batch):
+            return [(m.src, m.dst, m.seq, m.payload, m.more_data, m.sync,
+                     m.retry_count, m.enqueued_at, m.frame_id,
+                     m.byte_length) for m in batch]
+
+        assert fields(got) == fields(want)
+        assert length == sum(mpdu_subframe_bytes(m.byte_length)
+                             for m in want)
+        assert list(queue._items) == list(oracle_queue._items)
+        hist, oracle_hist = queue.stats.sojourn, oracle_queue.stats.sojourn
+        assert (hist.count, hist.total, hist.min, hist.max, hist.bins) \
+            == (oracle_hist.count, oracle_hist.total, oracle_hist.min,
+                oracle_hist.max, oracle_hist.bins)
+        assert origin.next_seq == oracle_origin.next_seq
+        assert [m.seq for m in origin.retry_queue] \
+            == [m.seq for m in oracle_origin.retry_queue]
+        assert sim.new_frame_id() == oracle_sim.new_frame_id()

@@ -1,10 +1,20 @@
 """Block ACK originator/recipient logic (pure, no simulator)."""
 
+import os
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from repro.mac.blockack import BLOCK_ACK_WINDOW, BlockAckOriginator, \
     BlockAckRecipient
 from repro.mac.frames import Mpdu
 
 from tests.helpers import FakePayload
+from tests.mac.set_scoreboard import SetScoreboardRecipient
+
+
+def mpdu(seq):
+    return Mpdu(src="AP", dst="C1", seq=seq, payload=FakePayload())
 
 
 def mpdus(origin, n):
@@ -139,3 +149,64 @@ class TestRecipient:
         assert not self.record(rec, 499)
         # Very old state may be pruned, but recent window is intact.
         assert rec.acked_set(499 - 63)
+
+
+#: GitHub Actions sets CI: a red build there must be reproducible.
+ORACLE = settings(max_examples=200, deadline=None,
+                  derandomize=bool(os.environ.get("CI")))
+
+#: One recipient call: an A-MPDU (``accept``), a single ``record`` +
+#: ``insert``, or a query.  Sequence numbers mostly climb, as an
+#: originator's do, with retransmissions a little behind and the odd
+#: number far below the window (what a prune forgot).
+_OPS = st.one_of(
+    st.tuples(st.just("ampdu"),
+              st.lists(st.integers(-6, 40), min_size=1, max_size=12)),
+    st.tuples(st.just("single"), st.integers(-40, 40)),
+    st.tuples(st.just("far_below"), st.integers(1, 200)),
+    st.tuples(st.just("acked_set"), st.integers(-80, 20)),
+    st.tuples(st.just("has_seen"), st.integers(-80, 20)),
+)
+
+
+class TestScoreboardAgainstTheSet:
+    """The window of flags answers as the set of sequence numbers it
+    replaced (``tests/mac/set_scoreboard.py``) after any sequence of
+    calls; a small ``history`` makes every run prune."""
+
+    @ORACLE
+    @given(ops=st.lists(_OPS, min_size=1, max_size=60),
+           history=st.sampled_from([4, 8, 16, 1024]),
+           window=st.sampled_from([8, 64]))
+    def test_same_answers(self, ops, history, window):
+        flags = BlockAckRecipient(window=window, history=history)
+        oracle = SetScoreboardRecipient(window=window, history=history)
+        top = 0
+        for kind, arg in ops:
+            if kind == "ampdu":
+                batch = [mpdu(top + offset) for offset in arg]
+                top += max(arg) + 1 if max(arg) > 0 else 0
+                got, want = [], []
+                assert flags.accept(batch, got) \
+                    == oracle.accept(batch, want)
+                assert got == want
+            elif kind in ("single", "far_below"):
+                seq = top + arg if kind == "single" else top - 50 * arg
+                m = mpdu(seq)
+                is_new = flags.record(m)
+                assert is_new == oracle.record(m)
+                if is_new:
+                    assert flags.insert(m) == oracle.insert(m)
+            elif kind == "acked_set":
+                assert flags.acked_set(top + arg) \
+                    == oracle.acked_set(top + arg)
+            else:
+                assert flags.has_seen(top + arg) \
+                    == oracle.has_seen(top + arg)
+            assert flags.max_seq == oracle.max_seq
+            assert flags.next_expected == oracle.next_expected
+            assert flags._reorder == oracle._reorder
+            assert flags._count == len(oracle._seen)
+            assert {flags._base + index
+                    for index, flag in enumerate(flags._flags)
+                    if flag} == oracle._seen

@@ -1,14 +1,20 @@
 """Queue disciplines: DropTail timestamps, CoDel head-drop state
 machine, FQ-CoDel DRR, the shared stats block, and the shard merge."""
 
+import os
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.mac.params import MacParams
 from repro.mac.qdisc import CoDelQueue, DropTailQueue, FqCodelQueue, \
     QdiscStats, make_queue
+from repro.sim.engine import Simulator
 from repro.sim.units import MS
 
 from tests.helpers import FakePayload
+from tests.mac.uncached_fq_codel import UncachedFqCodelQueue
 
 
 class FlowPayload(FakePayload):
@@ -212,6 +218,113 @@ class TestFqCodelQueue:
             q.popleft()
         with pytest.raises(IndexError):
             q[0]
+
+
+#: One round of a differential run: queue a burst of one flow's
+#: packets, let time pass (often none, so a peek and a pop share their
+#: instant), peek and pop a few times, and now and then withdraw one
+#: flow's packets.
+_FQ_ROUNDS = st.tuples(
+    st.integers(0, 2), st.integers(0, 6), st.integers(40, 3000),
+    st.sampled_from([0, 0, 1, 1_500, 3_000, 6_000, 40_000]),
+    st.lists(st.sampled_from(["peek", "pop", "peek_pop"]), max_size=3),
+    st.sampled_from([None] * 6 + [0, 1, 2]))
+
+
+class TestFqCodelAgainstTheUncachedQueue:
+    """The queue that keeps its DRR head per instant pops, peeks,
+    drops and times exactly what the uncached one
+    (``tests/mac/uncached_fq_codel.py``) does.  A target of 1 us and an
+    interval of 5 us put the flows in CoDel's dropping state within a
+    few rounds, where a stale head or a skipped ``_advance`` would
+    show."""
+
+    @settings(max_examples=200, deadline=None,
+              derandomize=bool(os.environ.get("CI")))
+    @given(rounds=st.lists(_FQ_ROUNDS, min_size=1, max_size=40),
+           quantum=st.sampled_from([300, 1514]))
+    def test_same_queue(self, rounds, quantum):
+        sim = Simulator()
+        stats, oracle_stats = QdiscStats(), QdiscStats()
+        queue = FqCodelQueue(sim, stats, 1_000, 5_000, quantum)
+        oracle = UncachedFqCodelQueue(sim, oracle_stats, 1_000, 5_000,
+                                      quantum)
+        for flow, count, size, wait, actions, withdrawn in rounds:
+            for _ in range(count):
+                packet = FlowPayload(flow, size)
+                queue.append(packet)
+                oracle.append(packet)
+            sim.run(until=sim.now + wait)
+            for action in actions:
+                if not oracle:
+                    break
+                if action in ("peek", "peek_pop"):
+                    assert queue[0] is oracle[0]
+                if action in ("pop", "peek_pop"):
+                    assert queue.popleft() is oracle.popleft()
+            if withdrawn is not None:
+                assert queue.filter_out(
+                    lambda p: p.flow_id == withdrawn) \
+                    == oracle.filter_out(lambda p: p.flow_id == withdrawn)
+            assert len(queue) == len(oracle)
+            assert bool(queue) == bool(oracle)
+            assert list(queue) == list(oracle)
+            assert stats.drops == oracle_stats.drops
+            assert stats.sojourn.bins == oracle_stats.sojourn.bins
+            assert stats.sojourn.total == oracle_stats.sojourn.total
+
+    def pair(self, sim):
+        return (FqCodelQueue(sim, QdiscStats(), 1_000, 5_000),
+                UncachedFqCodelQueue(sim, QdiscStats(), 1_000, 5_000))
+
+    def test_peek_then_pop_in_a_dropping_state(self, sim):
+        q, oracle = self.pair(sim)
+        for index in range(30):
+            packet = FlowPayload(index % 3)
+            q.append(packet)
+            oracle.append(packet)
+        sim.run(until=20_000)
+        assert q[0] is oracle[0]        # above target: the clock starts
+        sim.run(until=30_000)
+        assert q[0] is oracle[0]        # an interval later: dropping
+        assert q.stats.drops == oracle.stats.drops > 0
+        assert q.popleft() is oracle.popleft()
+        assert q.stats.drops == oracle.stats.drops
+        assert len(q) == len(oracle)
+
+    def test_a_pop_later_than_the_peek_schedules_again(self, sim):
+        """The head kept at a peek is that instant's: by the pop an
+        interval later CoDel has dropped it."""
+        q, oracle = self.pair(sim)
+        for index in range(10):
+            packet = FlowPayload(0)
+            q.append(packet)
+            oracle.append(packet)
+        sim.run(until=20_000)
+        assert q[0] is oracle[0]
+        sim.run(until=30_000)
+        assert q.popleft() is oracle.popleft()
+        assert q.stats.drops == oracle.stats.drops > 0
+
+    def test_an_append_after_the_peek_schedules_again(self, sim):
+        """A flow that arrives after a peek, at the same instant, goes
+        first (new flows have priority over the old flow peeked at)."""
+        q, oracle = self.pair(sim)
+        for _ in range(3):
+            packet = FlowPayload(0)
+            q.append(packet)
+            oracle.append(packet)
+        assert q.popleft() is oracle.popleft()   # flow 0 spends its
+        assert q.popleft() is oracle.popleft()   # quantum: old list
+        assert q[0] is oracle[0]
+        newcomer = FlowPayload(1)
+        q.append(newcomer)
+        oracle.append(newcomer)
+        assert q.popleft() is oracle.popleft() is newcomer
+
+    def test_interval_must_be_positive(self, sim):
+        with pytest.raises(ValueError, match="interval"):
+            FqCodelQueue(sim, QdiscStats(), 1_000, 0)
 
 
 class TestMakeQueue:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mac.qdisc import QdiscStats
-from repro.obs.metrics import BINS_PER_DECADE
+from repro.obs.metrics import BINS_PER_DECADE, Histogram
 from repro.sim.units import MS
 from repro.stats.fct import percentile
 
@@ -48,3 +48,41 @@ def test_percentiles_within_one_bin_and_in_range(reported, spans_ns):
 @CALLERS
 def test_empty_reports_null_percentiles(reported):
     assert set(reported([]).values()) == {None}
+
+
+def _state(histogram):
+    return (histogram.count, histogram.total, histogram.min,
+            histogram.max, histogram.bins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(
+    st.floats(0.0, 1e4, allow_nan=False), st.sampled_from([0.0, 1e-6,
+                                                          1e-7, 5.0])),
+    max_size=60))
+def test_observe_many_is_observe_in_order(values):
+    """One call over a batch leaves the histogram each value's own
+    ``observe`` leaves — ``total`` to the last bit, as the order of the
+    additions is kept."""
+    one_by_one, batched = Histogram(), Histogram()
+    for value in values:
+        one_by_one.observe(value)
+    batched.observe_many(values)
+    assert _state(batched) == _state(one_by_one)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spans_ns=st.lists(st.integers(0, 10 ** 9), max_size=700),
+       reads=st.sets(st.integers(0, 700)))
+def test_qdisc_sojourns_fold_as_if_observed_at_once(spans_ns, reads):
+    """``QdiscStats`` keeps sojourns unfolded for up to ``FOLD_EVERY``
+    packets; whenever it is read (here after the packets in ``reads``)
+    its histogram is the one observing each sojourn at dequeue made."""
+    stats, eager = QdiscStats(), Histogram()
+    for index, span in enumerate(spans_ns):
+        stats.on_dequeue(span)
+        eager.observe(span / MS)
+        if index in reads:
+            assert _state(stats.sojourn) == _state(eager)
+    assert stats.dequeued == len(spans_ns)
+    assert _state(stats.sojourn) == _state(eager)

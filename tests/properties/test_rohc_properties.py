@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from repro.rohc.compressor import Compressor
 from repro.rohc.context import DynamicState
-from repro.rohc.crc import crc3, crc3_u64x5, crc8
+from repro.rohc.crc import _crc3_u64x5_bytewise, crc3, crc3_u64x5, crc8
 from repro.rohc.decompressor import Decompressor
 from repro.rohc.packets import apply_entry, build_frame, encode_entry, \
     parse_entry, unzigzag, zigzag
@@ -162,6 +162,25 @@ class TestCrcProperties:
     def test_crc3_u64x5_is_crc3_of_the_packed_fields(self, values):
         packed = struct.pack(">QQQQQ", *(v & 2**64 - 1 for v in values))
         assert crc3_u64x5(*values) == crc3(packed)
+
+    #: The written-out lookups cover values in [0, 2**32); the edges
+    #: and one step outside them take the bytewise fold.
+    u32ish = st.one_of(
+        st.sampled_from([0, 1, 0xFF, 0x100, 0xFFFF, 0x10000, 2**24,
+                         2**32 - 1]),
+        st.integers(0, 2**32 - 1), st.integers(0, 0xFFFF))
+
+    @settings(max_examples=300)
+    @given(values=st.tuples(u32ish, u32ish, u32ish, u32ish, u32ish),
+           outside=st.sampled_from([None, 2**32, -1, 2**40]),
+           where=st.integers(0, 4))
+    def test_crc3_u64x5_header_values_match_the_bytewise_fold(
+            self, values, outside, where):
+        if outside is not None:
+            values = values[:where] + (outside,) + values[where + 1:]
+        packed = struct.pack(">QQQQQ", *(v & 2**64 - 1 for v in values))
+        assert crc3_u64x5(*values) == _crc3_u64x5_bytewise(*values) \
+            == crc3(packed)
 
     @settings(max_examples=200)
     @given(ack=u64ish, ts_val=u64ish, ts_ecr=u64ish, rwnd=u64ish,

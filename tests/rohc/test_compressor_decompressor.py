@@ -1,6 +1,10 @@
 """Compressor <-> decompressor protocol: contexts, MSN dedup, repair."""
 
+import os
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.rohc.compressor import Compressor
 from repro.rohc.context import cid_for_flow
@@ -284,3 +288,59 @@ class TestFailureContainment:
         decomp = Decompressor()
         assert decomp.decompress_frame(b"\xFF") == []
         assert decomp.parse_errors == 1
+
+
+def _colliding_tuples():
+    """FT1, a second tuple sharing its CID, and one that does not."""
+    target = cid_for_flow(FT1)
+    for port in range(6000, 70_000):
+        other = FiveTuple("10.0.0.1", "10.0.1.9", port, 80)
+        if cid_for_flow(other) == target:
+            return [FT1, other, FT2]
+    raise AssertionError("no CID collision below port 70000")
+
+
+_POOL = _colliding_tuples()
+
+
+def _established_by_cid(comp, segment):
+    """``established_context`` as it read before it kept contexts by
+    flow: through the CID table, hash and owner test included."""
+    if not segment.is_pure_ack:
+        return None
+    context = comp._context_for(segment, create=False)
+    if context is None or context.vanilla_seen < comp.init_threshold:
+        return None
+    return context
+
+
+class TestContextByFlowAgainstTheCidTable:
+    """``established_context`` reads a flow's context from the map the
+    compressor keeps by flow key; after any mix of vanilla ACKs,
+    compressed ACKs, CID collisions and released flows it answers what
+    the CID table (``_context_for``) answers — the same object."""
+
+    @settings(max_examples=300, deadline=None,
+              derandomize=bool(os.environ.get("CI")))
+    @given(ops=st.lists(st.tuples(
+               st.sampled_from(["vanilla", "vanilla", "compress",
+                                "release"]),
+               st.integers(0, len(_POOL) - 1)), max_size=40),
+           threshold=st.integers(1, 2))
+    def test_same_context(self, ops, threshold):
+        comp = Compressor(init_threshold=threshold)
+        ack_no = 0
+        for op, index in ops:
+            ack_no += 1460
+            segment = ack(ft=_POOL[index], ack_no=ack_no)
+            if op == "vanilla":
+                comp.note_vanilla_ack(segment)
+            elif op == "compress":
+                if comp.can_compress(segment):
+                    comp.compress(segment)
+            else:
+                comp.release_flow(_POOL[index])
+            for flow in _POOL:
+                probe = ack(ft=flow, ack_no=ack_no + 1460)
+                assert comp.established_context(probe) \
+                    is _established_by_cid(comp, probe)

@@ -1,12 +1,17 @@
 """Wire-format round trips for compressed ACK entries and frames."""
 
+import os
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.rohc.context import DynamicState
 from repro.rohc.crc import crc3
 from repro.rohc.packets import ACK_ABSOLUTE, ACK_D8, ACK_STRIDE, \
     CompressedAck, EncodingError, ParseError, apply_entry, build_frame, \
-    encode_entry, parse_entry, parse_frame, unzigzag, zigzag
+    encode_entry, encode_update, parse_entry, parse_frame, unzigzag, \
+    zigzag
 from repro.tcp.segment import TcpSegment
 
 
@@ -187,3 +192,88 @@ class TestFrames:
         frame = build_frame(self.entries(2))
         with pytest.raises(ParseError):
             parse_frame(frame + b"\x00")
+
+
+#: Steps of a field between two ACKs, at and around every boundary
+#: the encoding switches modes at, and anywhere else.
+_ACK_STEPS = st.one_of(
+    st.sampled_from([0, 1, 2920, 0xFE, 0xFF, 0x100, 0xFFFF, 0x10000,
+                     0x10001, -1]),
+    st.integers(-0x100, 0x20000))
+_SIGNED_STEPS = st.one_of(
+    st.sampled_from([0, 1, -1, 0x7F, 0x80, -0x80, -0x81, 0x3FFF, 0x4000,
+                     -0x4000, -0x4001]),
+    st.integers(-0x5000, 0x5000))
+
+
+class TestEncodeUpdateAgainstEncodeEntry:
+    """``encode_update`` writes the state ``encode_entry`` returns into
+    the state it was given, and emits the same bytes — for delta
+    entries of every mode, absolute ones, SACK blocks, data segments
+    and values past 32 bits (refused by both)."""
+
+    @settings(max_examples=300, deadline=None,
+              derandomize=bool(os.environ.get("CI")))
+    @given(state=st.tuples(st.integers(0x5000, 2**32 - 0x20000),
+                           st.sampled_from([0, 1, 0xFF, 2920]),
+                           st.integers(0x5000, 2**20),
+                           st.integers(0x5000, 2**20),
+                           st.integers(0x5000, 2**23), st.integers(0, 3)),
+           steps=st.tuples(_ACK_STEPS, _SIGNED_STEPS, _SIGNED_STEPS,
+                           _SIGNED_STEPS),
+           wide=st.sampled_from([None, None, None, 0, 1, 2]),
+           seq_step=st.sampled_from([0, 0, 0, 1]),
+           sack=st.sampled_from([(), (), ((5000, 6460),)]),
+           payload=st.sampled_from([0, 0, 0, 1460]),
+           cid=st.integers(0, 255), same_cid=st.booleans(),
+           msn=st.integers(0, 1000), force=st.sampled_from([False] * 3
+                                                           + [True]))
+    def test_same_bytes_and_state(self, state, steps, wide, seq_step,
+                                  sack, payload, cid, same_cid, msn,
+                                  force):
+        ack, ack_delta, ts_val, ts_ecr, rwnd, seq = state
+        d_ack, d_tv, d_te, d_wnd = steps
+        fields = [ack + d_ack, ts_val + d_tv, ts_ecr + d_te]
+        if wide is not None:
+            fields[wide] += 2**32   # past the 32-bit wire fields
+        segment = TcpSegment(1, "C1", "SRV", seq + seq_step, payload,
+                             fields[0], rwnd + d_wnd, fields[1],
+                             fields[2], sack)
+        reference = DynamicState(*state)
+        updated = DynamicState(*state)
+        try:
+            want, want_state = encode_entry(reference, segment, cid,
+                                            same_cid, msn, force)
+        except (EncodingError, OverflowError) as refused:
+            # A data segment, or a value past 32 bits in an absolute
+            # entry: refused alike, the state untouched.
+            with pytest.raises(type(refused)):
+                encode_update(updated, segment, cid, same_cid, msn, force)
+            assert updated == DynamicState(*state)
+            return
+        assert encode_update(updated, segment, cid, same_cid, msn,
+                             force) == want
+        assert updated == want_state
+
+    def test_every_mode_boundary(self):
+        """Each ack / timestamp / window step at and around the values
+        the encoding switches modes at, against a state whose stride
+        is 2920."""
+        state = (10**6, 2920, 50_000, 40_000, 65_535, 0)
+        ack_steps = (0, 1, 0xFE, 0xFF, 0x100, 2920, 0xFFFF, 0x10000, -1)
+        signed_steps = (0, 0x7F, 0x80, -0x80, -0x81, 0x3FFF, 0x4000,
+                        -0x4000, -0x4001)
+        for d_ack in ack_steps:
+            for d_ts in signed_steps:
+                for d_wnd in signed_steps:
+                    segment = ack_segment(ack=10**6 + d_ack,
+                                          ts_val=50_000 + d_ts,
+                                          ts_ecr=40_000 - d_ts,
+                                          rwnd=65_535 + d_wnd)
+                    for same_cid in (False, True):
+                        updated = DynamicState(*state)
+                        want, want_state = encode_entry(
+                            DynamicState(*state), segment, 7, same_cid, 3)
+                        assert encode_update(updated, segment, 7,
+                                             same_cid, 3) == want
+                        assert updated == want_state

@@ -1,6 +1,10 @@
 """NewReno sender: slow start, CA, fast retransmit/recovery, RTO."""
 
+import os
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, SEC
@@ -198,3 +202,73 @@ class TestCompletion:
         sender.on_ack(ack_for(sender, MSS))  # stale
         assert len(sent) == count
         assert sender.snd_una == 2 * MSS
+
+
+#: What a sender is, for the differential test: its whole visible
+#: state, its timers' deadlines, and the kernel's sequence counter (an
+#: arm takes a sequence number, so a skipped or extra arm shows).
+_STATE = ("snd_una", "snd_nxt", "cwnd", "ssthresh", "peer_rwnd",
+          "_ca_acked_bytes", "dup_acks", "in_recovery", "recover",
+          "_peer_ts_val", "srtt_ns", "rttvar_ns", "rto_ns", "_backoff",
+          "_persist_backoff", "segments_sent", "retransmits", "timeouts",
+          "fast_retransmits", "persist_probes", "completed")
+
+
+def _snapshot(sender, sent):
+    timers = (sender._rto_timer, sender._persist_timer,
+              sender._pacing_timer)
+    return ([getattr(sender, name) for name in _STATE],
+            [timer.deadline for timer in timers],
+            [(s.seq, s.payload_bytes, s.ts_val, s.ts_ecr) for s in sent],
+            sender.sim.sequence, sender.sim.stats.scheduled)
+
+
+class TestPlainAckAgainstTheGeneralPath:
+    """``on_ack`` sends the common ACK — new, cumulative, window open,
+    outside recovery, Reno without SACK or pacing — down
+    ``_on_plain_new_ack``; a twin fed the same ACKs through ``_on_ack``
+    (every ACK's path) must stay in the same state, timers and kernel
+    sequence numbers included, whatever mix of new, duplicate, old and
+    zero-window ACKs, timeouts and completions the stream brings."""
+
+    @settings(max_examples=300, deadline=None,
+              derandomize=bool(os.environ.get("CI")))
+    @given(steps=st.lists(st.tuples(
+               st.sampled_from(["new", "new", "new", "dup", "old"]),
+               st.integers(1, 3),
+               st.sampled_from([0, 3 * MSS, 1 << 20, 1 << 30]),
+               st.integers(0, 400),
+               st.sampled_from([0, 0, 1 * MS, 30 * MS, 900 * MS])),
+               min_size=1, max_size=60),
+           total=st.sampled_from([None, 40 * MSS, 40 * MSS + 100]),
+           ssthresh=st.sampled_from([4 * MSS, 65_535]),
+           variant=st.sampled_from([{}, {}, {"cc": "cubic"},
+                                    {"use_sack": True},
+                                    {"pacing": True}]))
+    def test_same_sender(self, steps, total, ssthresh, variant):
+        pair = []
+        for _ in range(2):
+            sim = Simulator()
+            sender, sent = make_sender(
+                sim, total=total, initial_ssthresh_bytes=ssthresh,
+                min_rto_ns=50 * MS, **variant)
+            sender.start()
+            pair.append((sim, sender, sent))
+        (sim, fast, sent), (oracle_sim, oracle, oracle_sent) = pair
+        for kind, segments, rwnd, echo_ms, wait in steps:
+            if kind == "new":
+                ack = min(fast.snd_una + segments * MSS, fast.snd_nxt)
+            elif kind == "dup":
+                ack = fast.snd_una
+            else:
+                ack = max(0, fast.snd_una - segments * MSS)
+            echo = min(echo_ms, sim.now // MS)
+            segment = TcpSegment(1, "C1", "SRV", 0, 0, ack, rwnd,
+                                 sim.now // MS, echo)
+            fast.on_ack(segment)
+            if not oracle.completed:    # on_ack's own first test
+                oracle._on_ack(segment)
+            assert _snapshot(fast, sent) == _snapshot(oracle, oracle_sent)
+            sim.run(until=sim.now + wait)
+            oracle_sim.run(until=oracle_sim.now + wait)
+            assert _snapshot(fast, sent) == _snapshot(oracle, oracle_sent)

@@ -12,12 +12,19 @@ the deliveries a train made without one, and their sum — the callbacks
 run — is held to what it was before trains existed.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.policies import HackPolicy
+from repro.mac.dcf import DcfMac
+from repro.phy.errors import LossModel
 from repro.experiments.common import steady_state_durations
 from repro.workloads import registry
-from repro.workloads.scenarios import build_simulation, run_scenario
+from repro.traffic.arrivals import ArrivalSpec, SizeSpec
+from repro.workloads.scenarios import LossSpec, build_simulation, \
+    collect, run_scenario
 
 PINNED = {
     HackPolicy.VANILLA: {
@@ -82,3 +89,84 @@ def test_kernel_books_balance_after_a_real_run(cfg):
     behind_a_head = sum(max(len(train) - 1, 0) for train in trains)
     assert behind_a_head > 0            # the run stopped mid-traffic
     assert sim.pending_events == sim._live + behind_a_head
+
+
+#: sha256 of each cell's whole ``metrics_dict()``, outside the keys
+#: that describe how the run executed rather than what it simulated
+#: (the benchmark's ``sim_digest`` leaves out the same three).  The
+#: per-MPDU, per-ACK and per-packet fast paths of the MAC, the medium,
+#: TCP, the HACK driver and ROHC must not move a single number: the
+#: ten-client cells take the drop-tail / Reno / lossless side of each
+#: choice, the churn city the FQ-CoDel / CUBIC / SNR-loss side.
+EXECUTION_KEYS = ("kernel_stats", "telemetry", "shards")
+
+PINNED_DIGESTS = {
+    "VANILLA":
+        "4673a867666f3c9900ccbab8cd36fc8299cafffbcb49298f2c3a946a7e4f76e0",
+    "MORE_DATA":
+        "3ee742ba28b80dab84f31579d52ddd640236f28310cfb27d4fbcb74f08fc9960",
+    "churn-city":
+        "34a1a4a7b2afaa067f8bf68b9c80248d37650913560c5695605d26cb1ac842cd",
+}
+
+
+def short_churn_city():
+    """The benchmark's churn city (three channels, Poisson arrivals,
+    CUBIC over FQ-CoDel, SNR loss) cut to 0.4 s."""
+    return registry.build(
+        "city-20cell", seed=1, traffic="dynamic", n_clients=2,
+        arrivals=ArrivalSpec(
+            kind="poisson", rate_per_s=14.0,
+            size=SizeSpec(kind="lognormal", median_bytes=30_000,
+                          sigma=1.2)),
+        cc="cubic", queue_discipline="fq_codel",
+        loss=LossSpec(kind="snr", snr_db=22.0), data_rate_mbps=90.0,
+        duration_ns=400_000_000, warmup_ns=100_000_000)
+
+
+def simulated_digest(cfg) -> str:
+    metrics = run_scenario(cfg, shard_jobs=1).metrics_dict()
+    return hashlib.sha256(json.dumps(
+        {key: value for key, value in metrics.items()
+         if key not in EXECUTION_KEYS},
+        sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_whole_result_is_pinned(name):
+    cfg = short_churn_city() if name == "churn-city" \
+        else quick_cell(HackPolicy[name])
+    assert simulated_digest(cfg) == PINNED_DIGESTS[name]
+
+
+class AskedNoLoss(LossModel):
+    """Lossless, with methods of its own: the medium has to ask it
+    about every listener of every frame and the MAC about every MPDU —
+    the general paths a model keeping ``LossModel``'s methods skips."""
+
+    def is_lost(self, sender, receiver, frame):
+        return False
+
+    def mpdu_lost(self, sender, receiver, mpdu, rate_mbps):
+        return False
+
+
+@pytest.mark.parametrize("policy", [HackPolicy.VANILLA,
+                                    HackPolicy.MORE_DATA])
+def test_lossless_fast_paths_match_the_general_paths(policy):
+    """The medium's delivery loop and the MAC's A-MPDU receive path
+    under ``NoLoss`` simulate what the general loops do when asked —
+    kernel counts included."""
+    results = []
+    for asked in (False, True):
+        world = build_simulation(quick_cell(policy))
+        if asked:
+            for channel in world.media.channels():
+                medium = world.media.medium(channel)
+                medium.loss_model = AskedNoLoss()
+                for station in medium.listeners:
+                    if isinstance(station, DcfMac):
+                        station.loss_model = medium.loss_model
+        world.run()
+        results.append(collect(world).metrics_dict())
+    assert results[0] == results[1]
