@@ -95,11 +95,9 @@ def main() -> int:
 
     sys.path.insert(0, "src")
     from repro.experiments import runner as experiments_runner
-    from repro.experiments.batch import SweepResult
 
-    with open(args.out) as handle:
-        artifact = json.load(handle)[args.experiment]
-    result = SweepResult.from_json_dict(artifact)
+    [result] = experiments_runner.read_artifacts(
+        args.out, [args.experiment]).values()
     assert result.failed == 0, f"{result.failed} failed points"
     assert not result.interrupted
     assert result.cache_hits > 0, \
@@ -111,9 +109,8 @@ def main() -> int:
     module = experiments_runner.EXPERIMENTS[args.experiment]
     resumed_rows = module.rows_from_sweep(result)
     if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = SweepResult.from_json_dict(
-                json.load(handle)[args.experiment])
+        [baseline] = experiments_runner.read_artifacts(
+            args.baseline, [args.experiment]).values()
         baseline_rows = module.rows_from_sweep(baseline)
         assert json.loads(json.dumps(resumed_rows)) == \
             json.loads(json.dumps(baseline_rows)), \

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from typing import List, Optional
@@ -43,7 +42,6 @@ from typing import List, Optional
 from .adversary import AdversaryConfig
 from .core.policies import HackPolicy
 from .experiments import runner as experiments_runner
-from .experiments.batch import SweepResult
 from .experiments.runner import positive_int
 from .mac.qdisc import DISCIPLINES
 from .sim.units import MS, SEC, usec
@@ -436,19 +434,10 @@ def _check(args: argparse.Namespace) -> int:
     not a loadable artifact.
     """
     try:
-        with open(args.artifact) as handle:
-            artifacts = json.load(handle)
-        if not isinstance(artifacts, dict):
-            raise ValueError("not a sweep --out artifact")
-        unknown = sorted(set(args.names) - set(artifacts))
-        if unknown:
-            raise ValueError(f"no entry {', '.join(unknown)} (holds: "
-                             f"{', '.join(artifacts)})")
-        results = {name: SweepResult.from_json_dict(artifacts[name])
-                   for name in args.names or artifacts}
-    except (OSError, ValueError, KeyError, TypeError,
-            AttributeError) as error:
-        print(f"error: {args.artifact}: {error}", file=sys.stderr)
+        results = experiments_runner.read_artifacts(args.artifact,
+                                                    args.names)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     failures = 0
     for name, result in results.items():

@@ -84,21 +84,21 @@ def _base(quick: bool, seed: int, **kw) -> ScenarioConfig:
     return ScenarioConfig(**defaults)
 
 
-def sweep_spec(quick: bool = False,
+def sweep_spec(quick: bool = False, seeds=None,
                groups: Sequence[str] = ALL_GROUPS) -> SweepSpec:
     spec = SweepSpec("ablations")
     comparisons = dict(COMPARISON_GROUPS)
     for group in groups:
         if group == "policy":
             for label, kw in POLICY_VARIANTS:
-                for seed in seeds_for(quick):
+                for seed in seeds or seeds_for(quick):
                     spec.add_scenario(("policy", label, "goodput"),
                                       _base(quick, seed, **kw))
             continue
         for label, kw in comparisons[group]:
             for scheme, policy in (("tcp", HackPolicy.VANILLA),
                                    ("hack", HackPolicy.MORE_DATA)):
-                for seed in seeds_for(quick):
+                for seed in seeds or seeds_for(quick):
                     spec.add_scenario(
                         (group, label, scheme),
                         _base(quick, seed, policy=policy, **kw))

@@ -112,12 +112,12 @@ def intensities_for(quick: bool):
     return QUICK_INTENSITIES if quick else INTENSITIES
 
 
-def sweep_spec(quick: bool = False, attacks=ATTACKS) -> SweepSpec:
+def sweep_spec(quick: bool = False, seeds=None, attacks=ATTACKS) -> SweepSpec:
     spec = SweepSpec("adversarial")
     for attack in attacks:
         for intensity in intensities_for(quick):
             for label, policy in SCHEMES:
-                for seed in seeds_for(quick):
+                for seed in seeds or seeds_for(quick):
                     spec.add_scenario(
                         (attack, label, intensity),
                         _config(policy, attack, intensity, seed,

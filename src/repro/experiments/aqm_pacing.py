@@ -87,13 +87,13 @@ def _config(policy: HackPolicy, cc: str, pacing: bool, qdisc: str,
         stagger_ns=0, seed=seed)
 
 
-def sweep_spec(quick: bool = False, transports=TRANSPORTS,
+def sweep_spec(quick: bool = False, seeds=None, transports=TRANSPORTS,
                qdiscs=QDISCS, schemes=SCHEMES) -> SweepSpec:
     spec = SweepSpec("aqm_pacing")
     for transport, cc, pacing in transports:
         for qdisc in qdiscs:
             for label, policy in schemes:
-                for seed in seeds_for(quick):
+                for seed in seeds or seeds_for(quick):
                     spec.add_scenario(
                         (transport, qdisc, label),
                         _config(policy, cc, pacing, qdisc, seed,

@@ -59,8 +59,8 @@ import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, \
-    Mapping, Optional, Sequence, Tuple, Union
+from typing import IO, Any, Callable, Dict, Iterable, Iterator, \
+    List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..workloads.scenarios import ScenarioConfig, run_scenario
 from ..workloads.sharding import _exit_with_parent, pool_workers
@@ -265,6 +265,27 @@ def execute_point(point: SweepPoint,
 # ----------------------------------------------------------------------
 # Cache
 # ----------------------------------------------------------------------
+_staging_counter = itertools.count()
+
+
+def write_atomically(path: Union[str, Path],
+                     dump: Callable[[IO[str]], Any]) -> None:
+    """Write ``path`` as ``dump(handle)`` does, all or nothing: stage
+    under a name unique per process and per call, then ``os.replace``.
+    A failed write removes its staging file and re-raises."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{next(_staging_counter)}.tmp")
+    try:
+        with open(tmp, "w") as handle:
+            dump(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class SweepCache:
     """Content-addressed store of per-point metrics on disk.
 
@@ -278,12 +299,10 @@ class SweepCache:
       but did not parse as a JSON dict (counted in ``corrupt``, moved
       aside so it cannot mask the cell as a plain miss forever).
 
-    Writes stage through a name unique per process *and* per call, so
-    several runners sharing one cache directory never interleave or
-    race ``os.replace``.
+    Every write goes through :func:`write_atomically`, so several
+    runners sharing one cache directory never interleave or race
+    ``os.replace``.
     """
-
-    _staging_counter = itertools.count()
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
@@ -296,12 +315,6 @@ class SweepCache:
 
     def _error_path(self, signature: str) -> Path:
         return self.directory / f"{signature}.error.json"
-
-    def _staging_path(self, signature: str) -> Path:
-        """A collision-proof temp name: pid + per-process counter."""
-        serial = next(self._staging_counter)
-        return self.directory / \
-            f"{signature}.{os.getpid()}.{serial}.tmp"
 
     def _quarantine(self, path: Path) -> None:
         self.corrupt += 1
@@ -331,27 +344,16 @@ class SweepCache:
         self.hits += 1
         return metrics
 
-    def _write(self, path: Path, signature: str, payload: Any) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self._staging_path(signature)
-        try:
-            with open(tmp, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, path)
-        except BaseException:
-            # A failed write (ENOSPC, a torn dump) leaves no staging
-            # file behind to litter the directory forever.
-            tmp.unlink(missing_ok=True)
-            raise
-
     def store(self, signature: str, metrics: Metrics) -> None:
-        self._write(self._path(signature), signature, metrics)
+        write_atomically(self._path(signature),
+                         lambda handle: json.dump(metrics, handle))
         self.clear_failure(signature)
 
     def store_failure(self, signature: str,
                       error: Dict[str, Any]) -> None:
         """Record a point's failure (status breadcrumb, not a hit)."""
-        self._write(self._error_path(signature), signature, error)
+        write_atomically(self._error_path(signature),
+                         lambda handle: json.dump(error, handle))
 
     def load_failure(self, signature: str) -> Optional[Dict[str, Any]]:
         try:

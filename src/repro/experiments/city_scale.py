@@ -66,12 +66,12 @@ def _config(cells: int, policy: HackPolicy, seed: int,
         warmup_ns=duration // 2, stagger_ns=0, seed=seed)
 
 
-def sweep_spec(quick: bool = False,
+def sweep_spec(quick: bool = False, seeds=None,
                city_cells=CITY_CELLS) -> SweepSpec:
     spec = SweepSpec("city_scale")
     for cells in city_cells:
         for label, policy in SCHEMES:
-            for seed in seeds_for(quick):
+            for seed in seeds or seeds_for(quick):
                 spec.add_scenario(
                     (cells, label),
                     _config(cells, policy, seed, quick))

@@ -1,16 +1,17 @@
 """Shared helpers for experiment harnesses.
 
-An experiment module *is* its record: ``sweep_spec(quick, **scope)``
-declares the grid, ``rows_from_sweep(result)`` projects records to row
-dicts, ``format_rows(rows)`` renders the paper-style table, ``TITLE`` /
-``PAPER_SAYS`` are its EXPERIMENTS.md heading and paper claim, and
-``check_rows(rows)`` is its pass/fail contract (raises
-``AssertionError`` naming the offending row, returns a one-line
-summary).  :func:`run` executes one module (``runner.main`` and the
-EXPERIMENTS.md generator hand every module's spec to one
-``SweepRunner.run_many`` schedule instead); ``quick=True`` shrinks
-durations/seeds so the whole suite stays runnable in CI, the default
-is the paper-fidelity grid.
+An experiment module *is* its record: ``sweep_spec(quick, seeds,
+**scope)`` declares the grid, ``rows_from_sweep(result)`` projects
+records to row dicts, ``format_rows(rows)`` renders the paper-style
+table, ``TITLE`` / ``PAPER_SAYS`` are its EXPERIMENTS.md heading and
+paper claim, and ``check_rows(rows)`` is its pass/fail contract
+(raises ``AssertionError`` naming the offending row, returns a
+one-line summary).  :func:`run` executes one module (``runner.main``
+hands every target's spec to one ``SweepRunner.run_many`` schedule
+instead); ``quick=True`` shrinks durations/seeds so the whole suite
+stays runnable in CI, the default is the paper-fidelity grid.
+``seeds`` replaces the seeds a grid runs; ``None`` keeps its own
+policy, :func:`seeds_for`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from ..sim.units import MS, SEC
 from .batch import SweepRunner
 
 #: Seeds used for "averaged across five runs" experiments (paper §4).
+#: Constants: a grid runs other seeds as ``sweep_spec(seeds=...)``.
 FULL_SEEDS = (1, 2, 3, 4, 5)
 QUICK_SEEDS = (1,)
 
@@ -41,7 +43,7 @@ def run(module: Any, quick: bool = False,
     """Execute one experiment module's grid and return its rows.
 
     ``scope`` narrows the grid through ``sweep_spec``'s own keyword
-    arguments (e.g. ``client_counts=(1,)`` for fig10).
+    arguments (e.g. ``client_counts=(1,)`` for fig10, or ``seeds``).
     """
     runner = runner or SweepRunner()
     return module.rows_from_sweep(

@@ -47,11 +47,11 @@ def _config(protocol: str, sora: bool, seed: int,
         ack_timeout_extra_ns=usec(60) if sora else 0)
 
 
-def sweep_spec(quick: bool = False) -> SweepSpec:
+def sweep_spec(quick: bool = False, seeds=None) -> SweepSpec:
     spec = SweepSpec("crossval")
     for protocol in LOSS_RATE:
         for label, sora in CONDITIONS:
-            for seed in seeds_for(quick):
+            for seed in seeds or seeds_for(quick):
                 spec.add_scenario((protocol, label),
                                   _config(protocol, sora, seed, quick))
     return spec

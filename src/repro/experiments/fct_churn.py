@@ -84,13 +84,13 @@ def _config(policy: HackPolicy, shape: str, load: str, seed: int,
         stagger_ns=0, seed=seed)
 
 
-def sweep_spec(quick: bool = False, shapes=SHAPES,
+def sweep_spec(quick: bool = False, seeds=None, shapes=SHAPES,
                loads=LOADS) -> SweepSpec:
     spec = SweepSpec("fct_churn")
     for shape in shapes:
         for load in loads:
             for label, policy in SCHEMES:
-                for seed in seeds_for(quick):
+                for seed in seeds or seeds_for(quick):
                     spec.add_scenario(
                         (shape, load, label),
                         _config(policy, shape, load, seed, quick))

@@ -41,7 +41,8 @@ def analytic_point(figure: str, rate_mbps: float,
             "hack_mbps": point.hack_goodput_mbps}
 
 
-def sweep_spec(quick: bool = False) -> SweepSpec:
+def sweep_spec(quick: bool = False, seeds=None) -> SweepSpec:
+    """Closed-form cells: ``quick`` and ``seeds`` are ignored."""
     spec = SweepSpec("fig01")
     for rate in PHY_11A.data_rates:
         spec.add_analytic(("1a", rate),

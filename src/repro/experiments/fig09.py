@@ -61,11 +61,11 @@ def _config(protocol: str, n_clients: int, seed: int,
                           **common)
 
 
-def sweep_spec(quick: bool = False) -> SweepSpec:
+def sweep_spec(quick: bool = False, seeds=None) -> SweepSpec:
     spec = SweepSpec("fig09")
     for n_clients, _ in SETUPS:
         for protocol in PROTOCOLS:
-            for seed in seeds_for(quick):
+            for seed in seeds or seeds_for(quick):
                 spec.add_scenario(
                     (n_clients, protocol),
                     _config(protocol, n_clients, seed, quick))

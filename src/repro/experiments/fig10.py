@@ -53,12 +53,12 @@ def _config(policy: Optional[HackPolicy], n_clients: int, seed: int,
                           **common)
 
 
-def sweep_spec(quick: bool = False,
+def sweep_spec(quick: bool = False, seeds=None,
                client_counts=(1, 2, 4, 10)) -> SweepSpec:
     spec = SweepSpec("fig10")
     for n_clients in client_counts:
         for label, policy in SCHEMES:
-            for seed in seeds_for(quick):
+            for seed in seeds or seeds_for(quick):
                 spec.add_scenario(
                     (n_clients, label),
                     _config(policy, n_clients, seed, quick))

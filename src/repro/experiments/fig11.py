@@ -50,7 +50,7 @@ def _config(policy: HackPolicy, rate: float, snr: float, seed: int,
         **durations)
 
 
-def sweep_spec(quick: bool = False,
+def sweep_spec(quick: bool = False, seeds=None,
                snrs: Sequence[float] = None,
                rates: Sequence[float] = None) -> SweepSpec:
     snrs = snrs or (QUICK_SNRS if quick else FULL_SNRS)
@@ -59,7 +59,7 @@ def sweep_spec(quick: bool = False,
     for snr in snrs:
         for rate in rates:
             for key, policy in SCHEMES:
-                for seed in seeds_for(quick):
+                for seed in seeds or seeds_for(quick):
                     spec.add_scenario(
                         (snr, rate, key),
                         _config(policy, rate, snr, seed, quick))

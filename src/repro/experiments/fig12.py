@@ -43,13 +43,13 @@ def _config(policy: HackPolicy, rate: float, seed: int,
         **durations)
 
 
-def sweep_spec(quick: bool = False,
+def sweep_spec(quick: bool = False, seeds=None,
                rates: Sequence[float] = None) -> SweepSpec:
     rates = rates or (QUICK_RATES if quick else HT40_SGI_RATES_1SS)
     spec = SweepSpec("fig12")
     for rate in rates:
         for key, policy in SCHEMES:
-            for seed in seeds_for(quick):
+            for seed in seeds or seeds_for(quick):
                 spec.add_scenario((rate, key),
                                   _config(policy, rate, seed, quick))
     return spec

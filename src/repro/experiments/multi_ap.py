@@ -80,13 +80,13 @@ def _config(cells: int, policy: HackPolicy, workload: str, seed: int,
     raise ValueError(f"unknown workload {workload!r}")
 
 
-def sweep_spec(quick: bool = False, cell_counts=CELL_COUNTS,
+def sweep_spec(quick: bool = False, seeds=None, cell_counts=CELL_COUNTS,
                workloads=WORKLOADS) -> SweepSpec:
     spec = SweepSpec("multi_ap")
     for workload in workloads:
         for cells in cell_counts:
             for label, policy in SCHEMES:
-                for seed in seeds_for(quick):
+                for seed in seeds or seeds_for(quick):
                     spec.add_scenario(
                         (workload, cells, label),
                         _config(cells, policy, workload, seed, quick))

@@ -15,8 +15,9 @@ by default over a pool of the host's cores (``--jobs 1`` is the serial
 reference path) — prints each target's paper table/figure as text, in
 argv order as soon as its cells resolve, and (with ``--out``) persists
 the raw per-cell sweep records as a JSON artifact that ``repro check``
-gates on.  A ``[name: N cells in X s]`` line follows each table; X is
-the wait since the previous table, so the lines sum to the run's wall.
+gates on and ``scripts/generate_experiments_md.py`` renders.  A
+``[name: N cells in X s]`` line follows each table; X is the wait since
+the previous table, so the lines sum to the run's wall.
 Cells are content-hash cached under ``--cache-dir`` so re-running an
 unchanged sweep is free; ``--no-cache`` forces fresh simulation runs
 and ``--status`` audits the cache without running anything.
@@ -29,7 +30,6 @@ import json
 import signal
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 from ..stats.fct import has_completions
@@ -38,8 +38,8 @@ from . import ablations, adversarial, aqm_pacing, city_scale, \
     crossval, fct_churn, fig01, fig09, fig10, fig11, fig12, multi_ap, \
     table2, table3
 from .batch import SweepCache, SweepInterrupted, SweepResult, \
-    SweepRunner
-from .common import format_table
+    SweepRunner, write_atomically
+from .common import format_table, seeds_for
 from .progress import ProgressReporter, format_status, sweep_status
 
 #: The experiment table, in EXPERIMENTS.md section order ("all" runs
@@ -134,11 +134,12 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
                              "one telemetry JSONL artifact per point "
                              "(<signature>.jsonl) into DIR; metrics "
                              "and cache signatures are unchanged")
-    parser.add_argument("--seeds", type=positive_int, default=5,
+    parser.add_argument("--seeds", type=positive_int, default=None,
                         metavar="N",
-                        help="seeds per scenario sweep (default 5, "
-                             "--quick forces 1; experiments use their "
-                             "own seed policy)")
+                        help="run every target on seeds 1..N, "
+                             "--quick or not (default: each grid's "
+                             "own policy, 5 seeds or 1 under --quick; "
+                             "fig01, table2 and table3 have none)")
     parser.add_argument("--status", action="store_true",
                         help="run nothing: audit --cache-dir against "
                              "the named sweeps and report which cells "
@@ -155,16 +156,15 @@ SCENARIO_COLUMNS = {
     "flows": ".0f", "FCT p50 (ms)": ".1f", "carried (Mbps)": ".2f"}
 
 
-def scenario_sweep(name: str, seeds: int) -> SimpleNamespace:
+def scenario_sweep(name: str) -> SimpleNamespace:
     """A registered scenario's seed sweep, in the experiment-module
     shape (``sweep_spec`` / ``rows_from_sweep`` / ``format_rows``)."""
     key = (name,)
 
-    def sweep_spec(quick: bool = False):
-        # --quick keeps its meaning for scenarios: one seed (scenario
-        # durations come from the registry, not --quick).
-        return registry.sweep_spec(
-            name, (1,) if quick else tuple(range(1, seeds + 1)))
+    def sweep_spec(quick: bool = False, seeds=None):
+        # --quick means one seed here too; scenario durations come from
+        # the registry, not --quick.
+        return registry.sweep_spec(name, seeds or seeds_for(quick))
 
     def rows_from_sweep(result: SweepResult):
         def mean(metric):
@@ -195,7 +195,7 @@ def scenario_sweep(name: str, seeds: int) -> SimpleNamespace:
                            format_rows=format_rows)
 
 
-def resolve_targets(names, seeds: int) -> dict:
+def resolve_targets(names) -> dict:
     """Target names -> ``{artifact label: experiment-shaped module}``
     in argv order; raises ``KeyError`` with a one-line message."""
     targets = {}
@@ -210,7 +210,7 @@ def resolve_targets(names, seeds: int) -> dict:
             scenario = name.removeprefix(SCENARIO_PREFIX)
             registry.get(scenario)      # UnknownScenarioError
             targets[SCENARIO_PREFIX + scenario] = \
-                scenario_sweep(scenario, seeds)
+                scenario_sweep(scenario)
         else:
             raise KeyError(
                 f"unknown sweep target {name!r}: expected an "
@@ -221,11 +221,28 @@ def resolve_targets(names, seeds: int) -> dict:
 
 
 def write_artifacts(path: str, artifacts: dict) -> None:
-    parent = Path(path).parent
-    if parent != Path(""):
-        parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(artifacts, handle, indent=1)
+    write_atomically(
+        path, lambda handle: json.dump(artifacts, handle, indent=1))
+
+
+def read_artifacts(path: str, names=()) -> dict:
+    """The entries ``names`` (default: all) of a ``--out`` artifact as
+    :class:`SweepResult`\\ s; ``ValueError`` naming ``path`` if it is
+    not a loadable artifact, lacks a name or is from another engine."""
+    try:
+        with open(path) as handle:
+            artifacts = json.load(handle)
+        if not isinstance(artifacts, dict):
+            raise ValueError("not a sweep --out artifact")
+        unknown = sorted(set(names) - set(artifacts))
+        if unknown:
+            raise ValueError(f"no entry {', '.join(unknown)} (holds: "
+                             f"{', '.join(artifacts)})")
+        return {name: SweepResult.from_json_dict(artifacts[name])
+                for name in names or artifacts}
+    except (OSError, ValueError, KeyError, TypeError,
+            AttributeError) as error:
+        raise ValueError(f"{path}: {error}") from error
 
 
 def report_failures(name: str, result: SweepResult) -> None:
@@ -277,9 +294,12 @@ def main(argv=None, prog=None) -> int:
     parser = build_parser(prog)
     args = parser.parse_args(argv)
     try:
-        targets = resolve_targets(args.targets, args.seeds)
+        targets = resolve_targets(args.targets)
     except KeyError as error:
         parser.exit(2, f"error: {error.args[0]}\n")
+    seeds = tuple(range(1, args.seeds + 1)) if args.seeds else None
+    specs = [module.sweep_spec(quick=args.quick, seeds=seeds)
+             for module in targets.values()]
 
     if args.status:
         if args.no_cache:
@@ -287,9 +307,7 @@ def main(argv=None, prog=None) -> int:
                   "(drop --no-cache)", file=sys.stderr)
             return 2
         cache = SweepCache(args.cache_dir)
-        statuses = [sweep_status(module.sweep_spec(quick=args.quick),
-                                 cache)
-                    for module in targets.values()]
+        statuses = [sweep_status(spec, cache) for spec in specs]
         for status in statuses:
             print(format_status(status) + "\n")
         return 0 if all(s.complete for s in statuses) else 3
@@ -300,9 +318,7 @@ def main(argv=None, prog=None) -> int:
         retries=args.retries,
         progress=ProgressReporter() if args.progress else None,
         shard_jobs=args.shard_jobs, telemetry_dir=args.telemetry_dir)
-    results = sweep_runner.run_many(
-        [module.sweep_spec(quick=args.quick)
-         for module in targets.values()])
+    results = sweep_runner.run_many(specs)
     artifacts = {}
     exit_code = 0
     started = time.time()

@@ -42,7 +42,8 @@ def _config(policy: HackPolicy, quick: bool) -> ScenarioConfig:
         duration_ns=60 * SEC, warmup_ns=100 * MS, stagger_ns=0)
 
 
-def sweep_spec(quick: bool = False) -> SweepSpec:
+def sweep_spec(quick: bool = False, seeds=None) -> SweepSpec:
+    """One deterministic transfer per protocol: ``seeds`` is ignored."""
     spec = SweepSpec("table3")
     for label, policy in PROTOCOLS:
         spec.add_scenario((label,), _config(policy, quick))

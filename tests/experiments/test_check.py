@@ -3,14 +3,17 @@
 ``runner.EXPERIMENTS`` is the one table: every entry is a module that
 states its grid, rows, table, paper claim and ``check_rows`` contract
 once.  Pinned here: the protocol every entry follows, the generator
-rendering exactly that table, the contracts passing on the golden rows
-(a paper-shape gate that simulates nothing) and naming the row under a
-seeded mutation, ``repro check`` on fresh / doctored / unloadable
-artifacts, and ``repro sweep`` being ``runner.main``.
+rendering exactly that table from the artifact ``repro check`` gates,
+the contracts passing on the golden rows (a paper-shape gate that
+simulates nothing) and naming the row under a seeded mutation, ``repro
+check`` on fresh / doctored / unloadable artifacts, ``repro sweep``
+being ``runner.main``, the one seed rule, and atomic writes.
 """
 
+import errno
 import importlib.util
 import json
+import os
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,7 +22,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.experiments import adversarial, city_scale, common, runner
-from repro.experiments.batch import SweepSpec
+from repro.experiments.batch import ENGINE_VERSION, SweepRecord, \
+    SweepResult
 from repro.experiments.runner import EXPERIMENTS
 
 from tests.experiments.conftest import QUICK_SCOPES
@@ -48,6 +52,39 @@ def mutated(rows, where, changes):
     return [*rows[:index], row, *rows[index + 1:]], row
 
 
+def stub(title):
+    """An experiment-shaped stub whose table is its one value."""
+    return SimpleNamespace(
+        TITLE=title, PAPER_SAYS=f"{title} says so.",
+        rows_from_sweep=lambda result: [
+            r.metrics for r in result.records],
+        format_rows=lambda rows: f"value {rows[0]['value']}")
+
+
+def stub_entry(name, value, seed=1):
+    """One artifact entry: a complete record set of one record."""
+    return SweepResult(name, records=[SweepRecord(
+        key=(0,), seed=seed, signature="",
+        metrics={"value": value})]).to_json_dict()
+
+
+def write_artifact(tmp_path, entries):
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+def stub_document(generator, monkeypatch, tmp_path,
+                  head="# Prose\n\n", tail="\n## More\n"):
+    """A document with a stale generated region, in place of
+    EXPERIMENTS.md."""
+    document = tmp_path / "doc.md"
+    document.write_text(
+        head + generator.BEGIN + "stale\n" + generator.END + tail)
+    monkeypatch.setattr(generator, "DOCUMENT", document)
+    return document
+
+
 class TestExperimentTable:
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_entry_is_a_complete_record(self, name):
@@ -60,37 +97,30 @@ class TestExperimentTable:
 
     def test_generator_renders_the_table_it_is_given(
             self, generator, monkeypatch, tmp_path):
-        def stub(title, value):
-            spec = SweepSpec(title)
-            spec.add_analytic((0,), "tests.helpers:constant_metrics",
-                              value=value)
-            return SimpleNamespace(
-                TITLE=title, PAPER_SAYS=f"{title} says so.",
-                sweep_spec=lambda quick=False: spec,
-                rows_from_sweep=lambda result: [
-                    r.metrics for r in result.records],
-                format_rows=lambda rows: f"value {rows[0]['value']}")
-
-        # Table order, not name order; main() rebinds FULL_SEEDS.
+        # Table order, not the artifact's order; the seeds line is the
+        # records' seeds.
         monkeypatch.setattr(generator, "EXPERIMENTS",
-                            {"zz": stub("Zed", 1.0),
-                             "aa": stub("Ay", 2.0)})
-        monkeypatch.setattr(common, "FULL_SEEDS", common.FULL_SEEDS)
+                            {"zz": stub("Zed"), "aa": stub("Ay")})
+        artifact = write_artifact(tmp_path, {
+            "aa": stub_entry("aa", 2.0, seed=2),
+            "zz": stub_entry("zz", 1.0, seed=1)})
         out = tmp_path / "EXPERIMENTS.md"
-        assert generator.main(["--quick", "--no-cache",
-                               "--out", str(out)]) == 0
+        assert generator.main([artifact, "--out", str(out)]) == 0
         text = out.read_text()
+        assert f"{generator.BEGIN}Simulation seeds: (1, 2).\n\n## Zed" \
+            in text
         body = text[text.index("## Zed"):]
         assert body.startswith(
             "## Zed\n\n```text\nvalue 1.0\n```\n\n"
-            "**Paper says:** Zed says so.\n\n## Ay\n\n")
+            "**Paper says:** Zed says so.\n\n## Ay\n\n"
+            "```text\nvalue 2.0\n```\n\n")
 
     def test_generator_rewrites_only_between_the_markers(
             self, generator, monkeypatch, tmp_path, capsys):
-        """In place, from stub experiments: every byte outside the
+        """In place, from a stub artifact: every byte outside the
         marker pair survives; a document without the pair is refused
-        before anything runs.  The committed document has the pair
-        around exactly the generated sections."""
+        and left alone.  The committed document has the pair around
+        exactly the generated sections."""
         _, _, rest = (ROOT / "EXPERIMENTS.md").read_text().partition(
             generator.BEGIN)
         region, end, after = rest.partition(generator.END)
@@ -99,47 +129,59 @@ class TestExperimentTable:
             assert f"\n## {module.TITLE}\n" in region
             assert module.TITLE not in after
 
-        stub = SimpleNamespace(
-            TITLE="Stub", PAPER_SAYS="so.",
-            sweep_spec=lambda quick=False: SweepSpec("stub"),
-            rows_from_sweep=lambda result: [],
-            format_rows=lambda rows: "no rows")
-        monkeypatch.setattr(generator, "EXPERIMENTS", {"stub": stub})
-        monkeypatch.setattr(common, "FULL_SEEDS", common.FULL_SEEDS)
-        document = tmp_path / "doc.md"
-        monkeypatch.setattr(generator, "DOCUMENT", document)
+        monkeypatch.setattr(generator, "EXPERIMENTS",
+                            {"stub": stub("Stub")})
+        artifact = write_artifact(tmp_path,
+                                  {"stub": stub_entry("stub", 1.0)})
         head, tail = "# Prose\n\nkept {seeds}.\n\n", "\n## More\nkept.\n"
-        document.write_text(
-            head + generator.BEGIN + "stale\n" + generator.END + tail)
-        assert generator.main(["--no-cache", "--seeds", "2"]) == 0
+        document = stub_document(generator, monkeypatch, tmp_path,
+                                 head, tail)
+        assert generator.main([artifact]) == 0
         text = document.read_text()
         assert text.startswith(head + generator.BEGIN
-                               + "Simulation seeds: (1, 2); full ")
-        assert text.endswith("**Paper says:** so.\n\n"
+                               + "Simulation seeds: (1,).\n\n## Stub\n")
+        assert text.endswith("**Paper says:** Stub says so.\n\n"
                              + generator.END + tail)
-        assert "stale" not in text and "## Stub\n" in text
+        assert "stale" not in text
 
         document.write_text(head + generator.BEGIN + "stale\n" + tail)
         capsys.readouterr()
-        assert generator.main(["--no-cache"]) == 2
+        assert generator.main([artifact]) == 2
         error = capsys.readouterr().err
         assert error.startswith("error: ") and error.count("\n") == 1
+        assert "marker pair" in error
         assert document.read_text().endswith("stale\n" + tail)
 
-    @pytest.mark.parametrize("flag", [("--seeds", "0"),
-                                      ("--jobs", "-2")])
-    def test_generator_refuses_what_the_runner_refuses(
-            self, generator, monkeypatch, tmp_path, capsys, flag):
-        """``--seeds 0`` used to run until crossval's KeyError and
-        ``--jobs -2`` to mean one worker per CPU.  With nothing to run,
-        a flag let through would return 0 here at once."""
-        monkeypatch.setattr(generator, "EXPERIMENTS", {})
-        monkeypatch.setattr(common, "FULL_SEEDS", common.FULL_SEEDS)
-        with pytest.raises(SystemExit) as exited:
-            generator.main([*flag, "--no-cache",
-                            "--out", str(tmp_path / "doc.md")])
-        assert exited.value.code == 2
-        assert "must be a" in capsys.readouterr().err
+    @pytest.mark.parametrize("changes, message", [
+        (None, "no entry stub"),
+        ({"failed": 1}, "incomplete record set (1 failed point(s)"),
+        ({"interrupted": True}, "interrupted=True"),
+        ({"engine": ENGINE_VERSION - 1}, "engine version")],
+        ids=["missing", "failed", "interrupted", "stale"])
+    def test_generator_refuses_an_artifact_repro_check_would_fail(
+            self, generator, monkeypatch, tmp_path, capsys, changes,
+            message):
+        """One ``error:`` line naming the defect, exit 2, and the
+        document is not touched: no region is rendered from a record
+        set the gate would refuse."""
+        monkeypatch.setattr(generator, "EXPERIMENTS",
+                            {"other": stub("Other"),
+                             "stub": stub("Stub")})
+        entries = {"other": stub_entry("other", 1.0)}
+        if changes is not None:
+            entries["stub"] = dict(stub_entry("stub", 1.0), **changes)
+        artifact = write_artifact(tmp_path, entries)
+        document = stub_document(generator, monkeypatch, tmp_path)
+        before = document.read_bytes()
+        capsys.readouterr()
+        assert generator.main([artifact]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {artifact}: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+        assert document.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_committed_document_has_every_section_in_table_order(
             self, generator):
@@ -362,3 +404,74 @@ class TestOneCommandLoop:
             assert captured.err.startswith("error: unknown ")
             assert captured.err.count("\n") == 1
             assert hint in captured.err
+
+
+#: The entries whose cells are one deterministic run each: they take
+#: ``seeds`` and ignore it.
+UNSEEDED = {"fig01", "table2", "table3"}
+
+
+class TestOneSeedRule:
+    """A grid's seeds are an argument: ``sweep_spec(seeds=...)``, and
+    ``runner --seeds N`` passes 1..N to every target, ``--quick`` or
+    not.  Nothing here simulates: ``--status`` only audits the
+    cache."""
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_sweep_spec_runs_the_seeds_it_is_given(self, name):
+        module = EXPERIMENTS[name]
+        given = module.sweep_spec(quick=True, seeds=(2, 3))
+        if name in UNSEEDED:
+            assert given.points == module.sweep_spec(quick=True).points
+        else:
+            assert {point.seed for point in given.points} == {2, 3}
+
+    @pytest.mark.parametrize("target, points", [
+        ("crossval", 8), ("scenario:churn-web", 2)])
+    def test_runner_seeds_apply_to_every_target_under_quick(
+            self, tmp_path, capsys, target, points):
+        assert runner.main([target, "--quick", "--seeds", "2",
+                            "--status", "--cache-dir",
+                            str(tmp_path)]) == 3
+        assert f"0/{points} points complete, {points} missing" in \
+            capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scenario_sweeps_keep_their_policy_by_default(self):
+        sweep = runner.scenario_sweep("churn-web")
+        for quick, seeds in ((True, {1}), (False, {1, 2, 3, 4, 5})):
+            assert {point.seed for point in
+                    sweep.sweep_spec(quick=quick).points} == seeds
+
+
+class TestAtomicWrites:
+    """An artifact or the document is replaced whole or not at all."""
+
+    def test_a_raising_dump_keeps_the_previous_artifact(
+            self, tmp_path):
+        path = tmp_path / "sweep.json"
+        runner.write_artifacts(str(path), {"a": {"records": [1, 2]}})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            runner.write_artifacts(
+                str(path), {"a": {"records": [1, object()]}})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+    def test_a_failed_rewrite_keeps_the_document(
+            self, generator, monkeypatch, tmp_path):
+        def no_space(*_args, **_kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(generator, "EXPERIMENTS",
+                            {"stub": stub("Stub")})
+        artifact = write_artifact(tmp_path,
+                                  {"stub": stub_entry("stub", 1.0)})
+        document = stub_document(generator, monkeypatch, tmp_path)
+        before = document.read_bytes()
+        monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OSError, match="No space"):
+            generator.main([artifact])
+        monkeypatch.undo()
+        assert document.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []

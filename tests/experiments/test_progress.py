@@ -143,7 +143,7 @@ class TestSweepStatus:
 
 def _stub_experiment(spec):
     module = types.ModuleType("stub_experiment")
-    module.sweep_spec = lambda quick=False: spec
+    module.sweep_spec = lambda quick=False, seeds=None: spec
     module.rows_from_sweep = lambda result: [
         dict(r.metrics) for r in result.records if r.ok]
     module.format_rows = lambda rows: f"{len(rows)} rows"

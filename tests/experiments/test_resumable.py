@@ -389,7 +389,7 @@ class TestGracefulInterrupt:
             spec = SweepSpec(name)
             spec.add_analytic((0,), fn, **kwargs)
             return SimpleNamespace(
-                sweep_spec=lambda quick=False: spec,
+                sweep_spec=lambda quick=False, seeds=None: spec,
                 rows_from_sweep=lambda result: [],
                 format_rows=lambda rows: name)
 
@@ -422,13 +422,20 @@ class TestGracefulInterrupt:
 # ----------------------------------------------------------------------
 class TestCacheHardening:
     def test_staging_names_are_unique_per_call_and_process(
-            self, tmp_path):
-        cache = SweepCache(tmp_path)
-        a, b = cache._staging_path("sig"), cache._staging_path("sig")
-        assert a != b
+            self, tmp_path, monkeypatch):
+        staged = []
+        replace = os.replace
+
+        def spy(source, target):
+            staged.append(Path(source))
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", spy)
+        SweepCache(tmp_path).store("sig", {"v": 1})
+        SweepCache(tmp_path).store("sig", {"v": 2})
+        a, b = staged
+        assert a != b and a.parent == b.parent == tmp_path
         assert str(os.getpid()) in a.name
-        other = SweepCache(tmp_path)
-        assert other._staging_path("sig") != cache._staging_path("sig")
 
     def test_store_leaves_no_staging_litter(self, tmp_path):
         cache = SweepCache(tmp_path)

@@ -198,11 +198,14 @@ class TestCli:
         (runner_main, ["fig01", "--quick", "--retries", "-1"],
          "non-negative integer"),
         (cli_main, ["report", "run.jsonl", "--top", "0"],
+         "positive integer"),
+        (runner_main, ["fig01", "--quick", "--seeds", "0"],
          "positive integer")])
     def test_counts_are_parsed_as_counts(self, main, argv, expected,
                                          capsys):
         """``--jobs -3`` ran one worker per CPU, ``--retries -1`` ran
-        as 0 and ``--top 0`` printed empty headings."""
+        as 0, ``--top 0`` printed empty headings and ``--seeds 0``
+        (in the old generator) ran until crossval's KeyError."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
