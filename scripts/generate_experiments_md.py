@@ -43,7 +43,7 @@ def main(argv=None) -> int:
                              f"{END.strip()} marker pair")
         results = read_artifacts(args.artifact, list(EXPERIMENTS))
         for name, result in results.items():
-            if result.failed or result.interrupted:
+            if not result.complete:
                 raise ValueError(
                     f"{args.artifact}: {name} is an incomplete record "
                     f"set ({result.failed} failed point(s), "

@@ -427,9 +427,10 @@ def _check(args: argparse.Namespace) -> int:
     """``repro check``: gate a ``sweep --out`` artifact.
 
     Every named entry (default: all) must hold a complete record set —
-    no ``failed`` points, not ``interrupted``, this build's engine
-    version — and, when it is an experiment, rows that pass the
-    module's ``check_rows``.  Exit 0 all green, 1 after checking all
+    no record carrying an ``error``, not ``interrupted``
+    (``SweepResult.complete``), this build's engine version — and,
+    when it is an experiment, rows that pass the module's
+    ``check_rows``.  Exit 0 all green, 1 after checking all
     entries if any failed (one ``FAIL`` line each), 2 when the file is
     not a loadable artifact.
     """
@@ -443,7 +444,7 @@ def _check(args: argparse.Namespace) -> int:
     for name, result in results.items():
         module = experiments_runner.EXPERIMENTS.get(name)
         try:
-            if result.failed or result.interrupted:
+            if not result.complete:
                 raise AssertionError(
                     f"incomplete record set ({result.failed} failed "
                     f"point(s), interrupted={result.interrupted})")

@@ -27,14 +27,21 @@ structure explicit and executable in parallel:
   SHA-256 over its canonical JSON description, so re-running a sweep
   whose cells did not change costs nothing.  Because the runner
   checkpoints per point, *any* killed grid is resumable from its cache
-  by construction.  Corrupt entries are quarantined (counted, moved
-  aside) rather than silently re-missed forever; failures leave
-  ``<signature>.error.json`` breadcrumbs that ``repro sweep --status``
-  reports and a successful re-run clears.
-* :class:`SweepResult` — per-point metric *and error* records plus
-  per-cell mean/stdev aggregation, persistable to/reloadable from a
-  JSON dict (``to_json_dict`` / ``from_json_dict``: one entry of a
-  ``--out`` artifact; ``version`` 2, the only schema read; artifacts from a
+  by construction.  One read of an entry (``SweepCache._read``) gives
+  its verdict to ``repro sweep --status`` and its metrics to the
+  runner.  Corrupt entries are quarantined (counted, moved aside)
+  rather than silently re-missed forever; failures leave
+  ``<signature>.error.json`` breadcrumbs that ``--status`` reports and
+  a successful re-run clears.
+* :class:`SweepRecord` — one point's outcome (metrics or an error),
+  and the only state a sweep keeps: the runner fills one slot per
+  point as it resolves, and the result's counts, the ``--progress``
+  snapshots and the completeness gate (``SweepResult.complete``) are
+  views of those records.  A new per-point fact is one field here.
+* :class:`SweepResult` — the records plus per-cell mean/stdev
+  aggregation, persistable to/reloadable from a JSON dict
+  (``to_json_dict`` / ``from_json_dict``: one entry of a ``--out``
+  artifact; ``version`` 2, the only schema read; artifacts from a
   different ``ENGINE_VERSION`` are rejected unless
   ``allow_stale=True``).
 
@@ -299,9 +306,11 @@ class SweepCache:
       but did not parse as a JSON dict (counted in ``corrupt``, moved
       aside so it cannot mask the cell as a plain miss forever).
 
-    Every write goes through :func:`write_atomically`, so several
-    runners sharing one cache directory never interleave or race
-    ``os.replace``.
+    :meth:`_read` is the one read of an entry: :meth:`probe`
+    (``--status``) returns its verdict, :meth:`load` (the runner) its
+    metrics.  Every write goes through :func:`write_atomically`, so
+    several runners sharing one cache directory never interleave or
+    race ``os.replace``.
     """
 
     def __init__(self, directory: Union[str, Path]):
@@ -316,33 +325,44 @@ class SweepCache:
     def _error_path(self, signature: str) -> Path:
         return self.directory / f"{signature}.error.json"
 
-    def _quarantine(self, path: Path) -> None:
-        self.corrupt += 1
+    def _read(self, signature: str) -> Tuple[str, Optional[Metrics]]:
+        """A point's verdict (one of ``progress.PROBE_STATES``) and,
+        when ``complete``, its metrics; an entry wins over a stale
+        breadcrumb.  Moves and counts nothing."""
         try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:  # pragma: no cover - racing cleanup is fine
-            pass
+            with open(self._path(signature)) as handle:
+                metrics = json.load(handle)
+        except FileNotFoundError:
+            failed = self._error_path(signature).exists()
+            return "failed" if failed else "missing", None
+        except (OSError, ValueError):
+            return "corrupt", None
+        if not isinstance(metrics, dict):
+            return "corrupt", None
+        return "complete", metrics
 
     def load(self, signature: str) -> Optional[Metrics]:
-        path = self._path(signature)
-        try:
-            with open(path) as handle:
-                metrics = json.load(handle)
-        except OSError:
-            self.misses += 1
-            return None
-        except ValueError:
-            # Truncated/corrupt JSON (e.g. a killed pre-atomic-write
-            # run): quarantine instead of re-missing forever.
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        if not isinstance(metrics, dict):
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return metrics
+        """The point's metrics on a hit, else None.  A ``corrupt`` entry
+        (e.g. a torn write) is quarantined, not re-missed forever."""
+        verdict, metrics = self._read(signature)
+        if verdict == "complete":
+            self.hits += 1
+            return metrics
+        if verdict == "corrupt":
+            self.corrupt += 1
+            path = self._path(signature)
+            try:
+                os.replace(path, path.with_name(path.name + ".corrupt"))
+            except OSError:  # pragma: no cover - racing cleanup is fine
+                pass
+        self.misses += 1
+        return None
+
+    def probe(self, signature: str) -> str:
+        """Non-mutating status check: ``complete`` / ``failed`` /
+        ``missing`` / ``corrupt`` (what ``repro sweep --status``
+        runs)."""
+        return self._read(signature)[0]
 
     def store(self, signature: str, metrics: Metrics) -> None:
         write_atomically(self._path(signature),
@@ -355,36 +375,11 @@ class SweepCache:
         write_atomically(self._error_path(signature),
                          lambda handle: json.dump(error, handle))
 
-    def load_failure(self, signature: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self._error_path(signature)) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
     def clear_failure(self, signature: str) -> None:
         try:
             os.remove(self._error_path(signature))
         except OSError:
             pass
-
-    def probe(self, signature: str) -> str:
-        """Non-mutating status check: ``complete`` / ``failed`` /
-        ``missing`` / ``corrupt`` (no counters touched, no files
-        moved — this is what ``repro sweep --status`` runs)."""
-        path = self._path(signature)
-        if path.exists():
-            try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                return "corrupt"
-            return "complete" if isinstance(payload, dict) \
-                else "corrupt"
-        if self._error_path(signature).exists():
-            return "failed"
-        return "missing"
 
 
 # ----------------------------------------------------------------------
@@ -443,16 +438,34 @@ class SweepResult:
 
     ``interrupted`` marks a *partial* artifact: the sweep was stopped
     by SIGINT/SIGTERM after flushing completed work, and points that
-    never started have no record at all.  ``failed`` counts points
-    whose record carries an ``error`` instead of metrics.
+    never started have no record at all.  The counts (``executed``,
+    ``cache_hits``, ``failed``) and :attr:`complete` are views of the
+    records; an artifact's stored counts are written, never read.
     """
 
     spec_name: str
     records: List[SweepRecord] = field(default_factory=list)
-    executed: int = 0
-    cache_hits: int = 0
-    failed: int = 0
     interrupted: bool = False
+
+    @property
+    def executed(self) -> int:
+        """Points this sweep ran to metrics."""
+        return sum(1 for r in self.records if r.ok and not r.cached)
+
+    @property
+    def cache_hits(self) -> int:
+        return sum(1 for r in self.records if r.cached)
+
+    @property
+    def failed(self) -> int:
+        """Points whose record carries an ``error`` instead of metrics."""
+        return sum(1 for r in self.records if not r.ok)
+
+    @property
+    def complete(self) -> bool:
+        """The gate's record-level rule: no failed point, and not an
+        interrupted partial result."""
+        return not (self.failed or self.interrupted)
 
     def keys(self) -> List[Key]:
         seen: Dict[Key, None] = {}
@@ -531,11 +544,8 @@ class SweepResult:
                 f"this build is {ENGINE_VERSION}; its rows would mix "
                 f"incompatible simulator semantics (pass "
                 f"allow_stale=True to load anyway)")
-        result = cls(
+        return cls(
             spec_name=payload["spec"],
-            executed=payload.get("executed", 0),
-            cache_hits=payload.get("cache_hits", 0),
-            failed=payload.get("failed", 0),
             interrupted=payload.get("interrupted", False),
             records=[SweepRecord(
                 key=tuple(r["key"]), seed=r.get("seed"),
@@ -543,7 +553,6 @@ class SweepResult:
                 metrics=r["metrics"], cached=r.get("cached", False),
                 error=r.get("error"))
                 for r in payload["records"]])
-        return result
 
 
 # ----------------------------------------------------------------------
@@ -591,65 +600,50 @@ def error_payload(exc: BaseException, attempts: int) -> Dict[str, Any]:
 
 
 class _RunState:
-    """Mutable bookkeeping for one spec of a ``SweepRunner.run_many``
-    schedule."""
+    """One spec of a ``SweepRunner.run_many`` schedule: a record slot
+    per point, filled when that point resolves."""
 
     def __init__(self, spec: SweepSpec):
         self.spec = spec
         self.signatures = [point_signature(p) for p in spec.points]
-        self.metrics_by_index: Dict[int, Metrics] = {}
-        self.cached: Dict[int, bool] = {}
-        self.errors_by_index: Dict[int, Dict[str, Any]] = {}
+        self.records: List[Optional[SweepRecord]] = \
+            [None] * len(spec.points)
         #: A point of this spec was handed to execution.
         self.begun = False
         self.started_at = time.perf_counter()
 
-    @property
-    def executed(self) -> int:
-        return sum(1 for i, flag in self.cached.items() if not flag)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for flag in self.cached.values() if flag)
+    def fill(self, index: int, metrics: Optional[Metrics],
+             cached: bool = False,
+             error: Optional[Dict[str, Any]] = None) -> None:
+        point = self.spec.points[index]
+        self.records[index] = SweepRecord(
+            key=point.key, seed=point.seed,
+            signature=self.signatures[index], metrics=metrics,
+            cached=cached, error=error)
 
     @property
     def resolved(self) -> bool:
         """Every point has a record (metrics or error)."""
-        return len(self.cached) + len(self.errors_by_index) \
-            == len(self.spec.points)
+        return all(self.records)
 
     @property
     def started(self) -> bool:
-        return self.begun or bool(self.cached or self.errors_by_index)
+        return self.begun or any(self.records)
 
     def progress(self) -> SweepProgress:
+        done = self.result()
         return SweepProgress(
-            spec_name=self.spec.name, total=len(self.spec.points),
-            executed=self.executed, cached=self.cache_hits,
-            failed=len(self.errors_by_index),
+            spec_name=self.spec.name, total=len(self.records),
+            executed=done.executed, cached=done.cache_hits,
+            failed=done.failed,
             elapsed_s=time.perf_counter() - self.started_at)
 
     def result(self, interrupted: bool = False) -> SweepResult:
-        result = SweepResult(spec_name=self.spec.name,
-                             executed=self.executed,
-                             cache_hits=self.cache_hits,
-                             failed=len(self.errors_by_index),
-                             interrupted=interrupted)
-        for index, point in enumerate(self.spec.points):
-            if index in self.metrics_by_index:
-                result.records.append(SweepRecord(
-                    key=point.key, seed=point.seed,
-                    signature=self.signatures[index],
-                    metrics=self.metrics_by_index[index],
-                    cached=self.cached[index]))
-            elif index in self.errors_by_index:
-                result.records.append(SweepRecord(
-                    key=point.key, seed=point.seed,
-                    signature=self.signatures[index], metrics=None,
-                    error=self.errors_by_index[index]))
-            # else: interrupted before this point started — a partial
-            # result simply has no record for it.
-        return result
+        """The filled slots in spec order: a point interrupted before it
+        started simply has no record."""
+        return SweepResult(
+            spec_name=self.spec.name, interrupted=interrupted,
+            records=[r for r in self.records if r is not None])
 
 
 #: One point of a schedule: its spec's state and its index there.
@@ -766,8 +760,7 @@ class SweepRunner:
             for index, signature in enumerate(state.signatures):
                 cached = self.cache.load(signature) if self.cache else None
                 if cached is not None:
-                    state.metrics_by_index[index] = cached
-                    state.cached[index] = True
+                    state.fill(index, cached, cached=True)
                     continue
                 owner = owners.setdefault(signature, (state, index))
                 if self.cache is not None and owner != (state, index):
@@ -783,28 +776,27 @@ class SweepRunner:
         # JSON-normalise so serial, parallel and cache-restored runs
         # expose byte-identical metric structures.
         text = _canonical_json(metrics)
-        state.metrics_by_index[index] = json.loads(text)
-        state.cached[index] = False
+        state.fill(index, json.loads(text))
         if self.cache is not None:
             # The checkpoint: flushed the moment the point completes,
             # which is what makes any killed grid resumable.
             self.cache.store(state.signatures[index],
-                             state.metrics_by_index[index])
+                             state.records[index].metrics)
         self._emit_progress(state)
         # What a serial run records for the same config: a later spec
         # loads the entry just stored (a cache hit), while a copy in
         # this spec missed the cache at the scan and runs again — to
         # the same metrics, as a run is a function of its config.
         for follower, at in self._followers.pop((state, index), ()):
-            follower.metrics_by_index[at] = json.loads(text)
-            follower.cached[at] = follower is not state
+            follower.fill(at, json.loads(text),
+                          cached=follower is not state)
             self._emit_progress(follower)
 
     def _note_failure(self, state: _RunState, index: int,
                       error: Dict[str, Any]) -> List[Item]:
         """Record a failed point; returns its followers, which a serial
         run would have missed in the cache and executed themselves."""
-        state.errors_by_index[index] = error
+        state.fill(index, None, error=error)
         if self.cache is not None:
             self.cache.store_failure(state.signatures[index], error)
         self._emit_progress(state)

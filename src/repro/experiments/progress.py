@@ -9,20 +9,26 @@ Two consumers:
   or failed); the reporter throttles and renders them to a stream.
 * :func:`sweep_status` / :func:`format_status` — ``repro sweep
   --status``: inspect a cache directory against a spec *without
-  running anything* and report which cells are complete, missing,
-  failed, or corrupt.  This is how a killed grid is audited before
-  (or instead of) resuming it.
+  running anything*.  The audit is one tally of probe verdicts per
+  cell (``{key: {verdict: count}}``); the table, the cell's summary
+  verdict (:func:`cell_state`) and the exit code are read from it.
+  This is how a killed grid is audited before (or instead of)
+  resuming it.
+
+The runner counts each snapshot from its per-point records
+(``batch.SweepRecord``), as a ``SweepResult`` counts its own.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, TextIO, Tuple
 
-#: Cache probe verdicts, in the order status tables report them.
-PROBE_STATES = ("complete", "failed", "missing", "corrupt")
+#: Cache probe verdicts (``SweepCache.probe``), in the order status
+#: tables report them.
+PROBE_STATES = ("complete", "missing", "failed", "corrupt")
 
 
 # ----------------------------------------------------------------------
@@ -127,59 +133,9 @@ class ProgressReporter:
 # ----------------------------------------------------------------------
 # Cache status (``repro sweep --status``)
 # ----------------------------------------------------------------------
-@dataclass
-class CellStatus:
-    """Per-cell tally of cache probe verdicts (one entry per point)."""
-
-    key: Tuple[Any, ...]
-    counts: Dict[str, int] = field(
-        default_factory=lambda: {state: 0 for state in PROBE_STATES})
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def complete(self) -> bool:
-        return self.counts["complete"] == self.total
-
-    @property
-    def state(self) -> str:
-        """The cell's summary verdict: complete only when every point
-        is; otherwise the most severe non-complete verdict present."""
-        if self.complete:
-            return "complete"
-        for verdict in ("failed", "corrupt", "missing"):
-            if self.counts[verdict]:
-                return verdict
-        return "missing"
-
-
-@dataclass
-class SpecStatus:
-    """Whole-spec audit of a cache directory."""
-
-    spec_name: str
-    cells: List[CellStatus] = field(default_factory=list)
-
-    def totals(self) -> Dict[str, int]:
-        totals = {state: 0 for state in PROBE_STATES}
-        for cell in self.cells:
-            for state, count in cell.counts.items():
-                totals[state] += count
-        return totals
-
-    @property
-    def total_points(self) -> int:
-        return sum(cell.total for cell in self.cells)
-
-    @property
-    def complete(self) -> bool:
-        return all(cell.complete for cell in self.cells)
-
-
-def sweep_status(spec, cache) -> SpecStatus:
-    """Audit ``cache`` against ``spec``: probe every point's signature.
+def sweep_status(spec, cache) -> Dict[Tuple[Any, ...], Dict[str, int]]:
+    """Audit ``cache`` against ``spec``: ``{cell key: {verdict:
+    count}}`` in spec order, one probe per point.
 
     Pure inspection — no simulation, no cache-counter mutation, no
     file modification.  ``spec`` is a
@@ -189,36 +145,40 @@ def sweep_status(spec, cache) -> SpecStatus:
     """
     from .batch import point_signature
 
-    status = SpecStatus(spec_name=spec.name)
-    by_key: Dict[Tuple[Any, ...], CellStatus] = {}
+    tallies: Dict[Tuple[Any, ...], Dict[str, int]] = {}
     for point in spec.points:
-        cell = by_key.get(point.key)
-        if cell is None:
-            cell = by_key[point.key] = CellStatus(key=point.key)
-            status.cells.append(cell)
-        cell.counts[cache.probe(point_signature(point))] += 1
-    return status
+        tally = tallies.setdefault(point.key,
+                                   dict.fromkeys(PROBE_STATES, 0))
+        tally[cache.probe(point_signature(point))] += 1
+    return tallies
 
 
-def format_status(status: SpecStatus) -> str:
+def cell_state(tally: Dict[str, int]) -> str:
+    """A cell's summary verdict: ``complete`` only when every point is;
+    otherwise the most severe verdict present (failed, corrupt,
+    missing)."""
+    for verdict in ("failed", "corrupt", "missing"):
+        if tally[verdict]:
+            return verdict
+    return "complete"
+
+
+def format_status(spec_name: str,
+                  tallies: Dict[Tuple[Any, ...], Dict[str, int]]) -> str:
     """Text table: one row per cell, plus a totals line."""
     from .common import format_table
 
-    rows = []
-    for cell in status.cells:
-        counts = cell.counts
-        rows.append([
-            "/".join(str(k) for k in cell.key) or "-",
-            cell.state,
-            str(counts["complete"]), str(counts["missing"]),
-            str(counts["failed"]), str(counts["corrupt"]),
-        ])
-    table = format_table(
-        ["cell", "state", "complete", "missing", "failed", "corrupt"],
-        rows, title=f"Sweep status: {status.spec_name}")
-    totals = status.totals()
-    verdict = "COMPLETE" if status.complete else "INCOMPLETE"
-    summary = (f"{verdict}: {totals['complete']}/{status.total_points} "
+    rows = [["/".join(str(k) for k in key) or "-", cell_state(tally),
+             *(str(tally[verdict]) for verdict in PROBE_STATES)]
+            for key, tally in tallies.items()]
+    table = format_table(["cell", "state", *PROBE_STATES], rows,
+                         title=f"Sweep status: {spec_name}")
+    totals = {verdict: sum(tally[verdict] for tally in tallies.values())
+              for verdict in PROBE_STATES}
+    points = sum(totals.values())
+    verdict = "COMPLETE" if totals["complete"] == points \
+        else "INCOMPLETE"
+    summary = (f"{verdict}: {totals['complete']}/{points} "
                f"points complete, {totals['missing']} missing, "
                f"{totals['failed']} failed, "
                f"{totals['corrupt']} corrupt")

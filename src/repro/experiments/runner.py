@@ -40,7 +40,8 @@ from . import ablations, adversarial, aqm_pacing, city_scale, \
 from .batch import SweepCache, SweepInterrupted, SweepResult, \
     SweepRunner, write_atomically
 from .common import format_table, seeds_for
-from .progress import ProgressReporter, format_status, sweep_status
+from .progress import ProgressReporter, cell_state, format_status, \
+    sweep_status
 
 #: The experiment table, in EXPERIMENTS.md section order ("all" runs
 #: it sorted by name).
@@ -307,10 +308,12 @@ def main(argv=None, prog=None) -> int:
                   "(drop --no-cache)", file=sys.stderr)
             return 2
         cache = SweepCache(args.cache_dir)
-        statuses = [sweep_status(spec, cache) for spec in specs]
-        for status in statuses:
-            print(format_status(status) + "\n")
-        return 0 if all(s.complete for s in statuses) else 3
+        tallies = [sweep_status(spec, cache) for spec in specs]
+        for spec, cells in zip(specs, tallies):
+            print(format_status(spec.name, cells) + "\n")
+        return 0 if all(cell_state(tally) == "complete"
+                        for cells in tallies
+                        for tally in cells.values()) else 3
 
     sweep_runner = SweepRunner(
         jobs=args.jobs,

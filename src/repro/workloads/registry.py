@@ -1,10 +1,10 @@
 """Named scenario registry.
 
-Mirrors the runnable stories under ``examples/`` as first-class,
-programmatically addressable scenarios: look one up by name, build its
-:class:`ScenarioConfig` (optionally overriding fields), or expand it
-into a multi-seed :class:`~repro.experiments.batch.SweepSpec` for the
-parallel sweep engine.
+Every runnable story as a first-class, programmatically addressable
+scenario (``repro simulate --scenario <name>``): look one up by name,
+build its :class:`ScenarioConfig` (optionally overriding fields), or
+expand it into a multi-seed :class:`~repro.experiments.batch.SweepSpec`
+for the parallel sweep engine.
 
     from repro.workloads import registry
     cfg = registry.build("quickstart", policy=HackPolicy.MORE_DATA)
@@ -109,11 +109,11 @@ def sweep_spec(name: str, seeds: Sequence[int] = (1,),
 
 
 # ----------------------------------------------------------------------
-# Built-in scenarios (mirror examples/)
+# Built-in scenarios
 # ----------------------------------------------------------------------
 @register("quickstart",
           "one 802.11n client at 150 Mbps, bulk TCP download with "
-          "the MORE DATA HACK policy (examples/quickstart.py)")
+          "the MORE DATA HACK policy")
 def _quickstart() -> ScenarioConfig:
     return ScenarioConfig(
         phy_mode="11n", data_rate_mbps=150.0, n_clients=1,
@@ -123,7 +123,7 @@ def _quickstart() -> ScenarioConfig:
 
 @register("lossy-link",
           "single client on a noisy channel (SNR loss model), the "
-          "Fig 11 regime (examples/lossy_link_sweep.py)")
+          "Fig 11 regime")
 def _lossy_link() -> ScenarioConfig:
     return ScenarioConfig(
         phy_mode="11n", data_rate_mbps=90.0, n_clients=1,
@@ -134,8 +134,7 @@ def _lossy_link() -> ScenarioConfig:
 
 @register("multi-client",
           "several laptops downloading through one AP — the paper's "
-          "motivating Fig 10 contention workload "
-          "(examples/multi_client_contention.py)")
+          "motivating Fig 10 contention workload")
 def _multi_client() -> ScenarioConfig:
     return ScenarioConfig(
         phy_mode="11n", data_rate_mbps=150.0, n_clients=4,
@@ -145,8 +144,7 @@ def _multi_client() -> ScenarioConfig:
 
 @register("wireless-backup",
           "finite upload to LAN storage (the Time Capsule story, "
-          "§3.1): the AP compresses the server's ACKs "
-          "(examples/wireless_backup.py)")
+          "§3.1): the AP compresses the server's ACKs")
 def _wireless_backup() -> ScenarioConfig:
     return ScenarioConfig(
         phy_mode="11n", data_rate_mbps=150.0, n_clients=1,
@@ -181,7 +179,7 @@ def _web_arrivals() -> ArrivalSpec:
 @register("churn-poisson",
           "flow churn: Poisson arrivals (40 flows/s, log-normal "
           "sizes) across two clients with TCP/HACK — FCT instead of "
-          "steady-state goodput (examples/flow_churn.py)")
+          "steady-state goodput")
 def _churn_poisson() -> ScenarioConfig:
     return _churn_base(HackPolicy.MORE_DATA, _poisson_arrivals())
 
@@ -267,7 +265,7 @@ def _udp_background() -> ScenarioConfig:
 @register("multi-ap",
           "two overlapping BSSes (2 APs x 2 clients) contending for "
           "one channel, bulk TCP/HACK downloads in both — inter-cell "
-          "contention (examples/multi_ap_cells.py)")
+          "contention")
 def _multi_ap() -> ScenarioConfig:
     return ScenarioConfig(
         phy_mode="11n", data_rate_mbps=150.0, n_clients=2, cells=2,
@@ -351,7 +349,7 @@ def _adv_mutator() -> ScenarioConfig:
 
 @register("sora-testbed",
           "the §4 SoRa 802.11a testbed: 54 Mbps, per-client loss, "
-          "late LL ACKs (examples/sora_testbed.py)")
+          "late LL ACKs")
 def _sora_testbed() -> ScenarioConfig:
     return ScenarioConfig(
         phy_mode="11a", data_rate_mbps=54.0, n_clients=2,

@@ -12,8 +12,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.experiments import batch
-from repro.experiments.batch import SweepResult, SweepRunner, \
-    SweepSpec, execute_point, point_signature
+from repro.experiments.batch import SweepRecord, SweepResult, \
+    SweepRunner, SweepSpec, execute_point, point_signature
 from repro.sim.units import MS
 from repro.workloads.scenarios import ScenarioConfig
 
@@ -188,6 +188,31 @@ class TestPersistence:
     def test_load_rejects_foreign_json(self):
         with pytest.raises(ValueError, match="sweep-result"):
             SweepResult.from_json_dict({"hello": "world"})
+
+    def test_counts_follow_the_records(self):
+        """The counts are views of the records: a reloaded artifact's
+        stored counters are not read."""
+        result = SweepResult("counts", records=[
+            SweepRecord(key=(0,), seed=1, signature="a",
+                        metrics={"v": 1.0}),
+            SweepRecord(key=(0,), seed=2, signature="b",
+                        metrics={"v": 2.0}, cached=True),
+            SweepRecord(key=(1,), seed=1, signature="c", metrics=None,
+                        error={"type": "RuntimeError"})])
+        assert (result.executed, result.cache_hits, result.failed) \
+            == (1, 1, 1)
+        assert not result.complete
+        payload = result.to_json_dict()
+        assert (payload["executed"], payload["cache_hits"],
+                payload["failed"]) == (1, 1, 1)
+        payload.update(executed=9, cache_hits=9, failed=0)
+        loaded = SweepResult.from_json_dict(payload)
+        assert (loaded.executed, loaded.cache_hits, loaded.failed) \
+            == (1, 1, 1)
+        del result.records[2]
+        assert result.complete and result.failed == 0
+        result.interrupted = True
+        assert not result.complete
 
 
 def analytic_spec(n=3) -> SweepSpec:

@@ -6,7 +6,8 @@ once.  Pinned here: the protocol every entry follows, the generator
 rendering exactly that table from the artifact ``repro check`` gates,
 the contracts passing on the golden rows (a paper-shape gate that
 simulates nothing) and naming the row under a seeded mutation, ``repro
-check`` on fresh / doctored / unloadable artifacts, ``repro sweep``
+check`` on fresh / doctored / unloadable artifacts (a failed record
+fails the gate whatever the entry's stored counts say), ``repro sweep``
 being ``runner.main``, the one seed rule, and atomic writes.
 """
 
@@ -66,6 +67,15 @@ def stub_entry(name, value, seed=1):
     return SweepResult(name, records=[SweepRecord(
         key=(0,), seed=seed, signature="",
         metrics={"value": value})]).to_json_dict()
+
+
+def fail_first_record(entry):
+    """Turn an artifact entry's first record into a failed one, and
+    leave the entry's stored ``failed`` counter as it was: the gate
+    reads the records."""
+    entry["records"][0].update(metrics=None, error={
+        "type": "RuntimeError", "message": "poisoned cell",
+        "attempts": 1})
 
 
 def write_artifact(tmp_path, entries):
@@ -152,14 +162,16 @@ class TestExperimentTable:
         assert "marker pair" in error
         assert document.read_text().endswith("stale\n" + tail)
 
-    @pytest.mark.parametrize("changes, message", [
+    @pytest.mark.parametrize("edit, message", [
         (None, "no entry stub"),
-        ({"failed": 1}, "incomplete record set (1 failed point(s)"),
-        ({"interrupted": True}, "interrupted=True"),
-        ({"engine": ENGINE_VERSION - 1}, "engine version")],
+        (fail_first_record, "incomplete record set (1 failed point(s)"),
+        (lambda entry: entry.update(interrupted=True),
+         "interrupted=True"),
+        (lambda entry: entry.update(engine=ENGINE_VERSION - 1),
+         "engine version")],
         ids=["missing", "failed", "interrupted", "stale"])
     def test_generator_refuses_an_artifact_repro_check_would_fail(
-            self, generator, monkeypatch, tmp_path, capsys, changes,
+            self, generator, monkeypatch, tmp_path, capsys, edit,
             message):
         """One ``error:`` line naming the defect, exit 2, and the
         document is not touched: no region is rendered from a record
@@ -168,8 +180,9 @@ class TestExperimentTable:
                             {"other": stub("Other"),
                              "stub": stub("Stub")})
         entries = {"other": stub_entry("other", 1.0)}
-        if changes is not None:
-            entries["stub"] = dict(stub_entry("stub", 1.0), **changes)
+        if edit is not None:
+            entries["stub"] = stub_entry("stub", 1.0)
+            edit(entries["stub"])
         artifact = write_artifact(tmp_path, entries)
         document = stub_document(generator, monkeypatch, tmp_path)
         before = document.read_bytes()
@@ -325,16 +338,16 @@ class TestReproCheck:
         assert out[1].startswith("FAIL table3: channel acquisition")
         assert "'protocol': 'TCP/802.11a'" in out[1]
 
-    @pytest.mark.parametrize("field, value", [("failed", 1),
-                                              ("interrupted", True)])
+    @pytest.mark.parametrize("edit", [
+        pytest.param(fail_first_record, id="failed-1"),
+        pytest.param(lambda entry: entry.update(interrupted=True),
+                     id="interrupted-True")])
     def test_incomplete_record_set_fails(self, artifact, tmp_path,
-                                         capsys, field, value):
-        def edit(payload):
-            payload["table3"][field] = value
-
+                                         capsys, edit):
         capsys.readouterr()
-        assert cli_main(["check",
-                         doctored(artifact, tmp_path, edit)]) == 1
+        assert cli_main(["check", doctored(
+            artifact, tmp_path,
+            lambda payload: edit(payload["table3"]))]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("ok   fig01:")
         assert out[1].startswith(
@@ -363,6 +376,58 @@ class TestReproCheck:
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1
             assert message in captured.err
+
+
+@pytest.fixture(scope="module")
+def crossval_artifact(tmp_path_factory, sweep_cache_runner):
+    """``runner crossval --quick --seeds 2 --out``: every cell has two
+    seeds (seed 1 shares the golden suites' cache)."""
+    path = tmp_path_factory.mktemp("crossval") / "crossval.json"
+    assert runner.main([
+        "crossval", "--quick", "--seeds", "2", "--cache-dir",
+        str(sweep_cache_runner.cache.directory), "--out",
+        str(path)]) == 0
+    return path
+
+
+class TestGateReadsRecords:
+    """A failed record makes an entry incomplete whatever its stored
+    ``failed`` counter says — here crossval's rows, from the surviving
+    seed, would pass the contract."""
+
+    def test_a_failed_record_fails_check_and_generator(
+            self, crossval_artifact, generator, monkeypatch, tmp_path,
+            capsys):
+        def edit(payload):
+            fail_first_record(payload["crossval"])
+            assert payload["crossval"]["failed"] == 0
+
+        path = doctored(crossval_artifact, tmp_path, edit)
+        result = runner.read_artifacts(path)["crossval"]
+        crossval = EXPERIMENTS["crossval"]
+        assert crossval.check_rows(crossval.rows_from_sweep(result))
+
+        capsys.readouterr()
+        assert cli_main(["check", str(crossval_artifact)]) == 0
+        assert cli_main(["check", path]) == 1
+        ok, fail = capsys.readouterr().out.splitlines()
+        assert ok.startswith("ok   crossval: 5 clause(s) hold")
+        assert fail == ("FAIL crossval: incomplete record set (1 failed "
+                        "point(s), interrupted=False)")
+
+        monkeypatch.setattr(generator, "EXPERIMENTS",
+                            {"crossval": crossval})
+        document = stub_document(generator, monkeypatch, tmp_path)
+        before = document.read_bytes()
+        assert generator.main([path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            f"error: {path}: crossval is an incomplete record set "
+            f"(1 failed point(s), interrupted=False)")
+        assert document.read_bytes() == before
+        assert generator.main([str(crossval_artifact)]) == 0
+        assert "## " + crossval.TITLE in document.read_text()
 
 
 def tables(text):

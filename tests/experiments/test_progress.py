@@ -10,8 +10,9 @@ import pytest
 from repro.cli import main as cli_main
 from repro.experiments import runner as experiments_runner
 from repro.experiments.batch import SweepCache, SweepRunner, SweepSpec
-from repro.experiments.progress import CellStatus, ProgressReporter, \
-    SweepProgress, format_status, render_progress, sweep_status
+from repro.experiments.progress import ProgressReporter, \
+    SweepProgress, cell_state, format_status, render_progress, \
+    sweep_status
 
 
 def snapshot(**kwargs):
@@ -102,22 +103,26 @@ class TestSweepStatus:
         cache.store(point_signature(spec.points[0]), {"v": 1})
         cache.store_failure(point_signature(spec.points[1]),
                             {"type": "RuntimeError"})
-        status = sweep_status(spec, cache)
-        assert [c.state for c in status.cells] == \
+        tallies = sweep_status(spec, cache)
+        assert list(tallies) == [(0,), (1,), (2,)]
+        assert [cell_state(t) for t in tallies.values()] == \
             ["complete", "failed", "missing"]
-        assert status.totals() == {"complete": 1, "failed": 1,
-                                   "missing": 1, "corrupt": 0}
-        assert not status.complete
-        text = format_status(status)
+        assert tallies[(1,)] == {"complete": 0, "failed": 1,
+                                 "missing": 0, "corrupt": 0}
+        text = format_status("audit", tallies)
         assert "INCOMPLETE" in text
-        assert "1/3 points complete" in text
+        assert "1/3 points complete, 1 missing, 1 failed, 0 corrupt" \
+            in text
 
     def test_complete_after_running_the_sweep(self, tmp_path):
         spec = self.spec()
         SweepRunner(cache_dir=tmp_path).run(spec)
-        status = sweep_status(spec, SweepCache(tmp_path))
-        assert status.complete
-        assert "COMPLETE" in format_status(status)
+        tallies = sweep_status(spec, SweepCache(tmp_path))
+        assert all(cell_state(t) == "complete"
+                   for t in tallies.values())
+        assert format_status("audit", tallies).endswith(
+            "COMPLETE: 3/3 points complete, 0 missing, 0 failed, "
+            "0 corrupt")
 
     def test_multi_seed_cells_aggregate_per_key(self, tmp_path):
         from repro.experiments.batch import point_signature
@@ -129,16 +134,19 @@ class TestSweepStatus:
                               seed_tag=seed)
         cache = SweepCache(tmp_path)
         cache.store(point_signature(spec.points[0]), {"v": 1})
-        status = sweep_status(spec, cache)
-        [cell] = status.cells
-        assert cell.total == 2
-        assert cell.counts["complete"] == 1
-        assert cell.state == "missing"      # partially-filled cell
+        [tally] = sweep_status(spec, cache).values()
+        assert sum(tally.values()) == 2
+        assert tally["complete"] == 1
+        assert cell_state(tally) == "missing"   # partially-filled cell
 
     def test_cell_state_severity_order(self):
-        cell = CellStatus(key=("k",))
-        cell.counts.update(complete=1, failed=1, missing=1)
-        assert cell.state == "failed"
+        tally = {"complete": 1, "failed": 1, "missing": 1, "corrupt": 1}
+        states = []
+        for verdict in ("failed", "corrupt", "missing"):
+            states.append(cell_state(tally))
+            tally[verdict] = 0
+        assert states == ["failed", "corrupt", "missing"]
+        assert cell_state(tally) == "complete"
 
 
 def _stub_experiment(spec):

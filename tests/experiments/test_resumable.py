@@ -25,6 +25,7 @@ import pytest
 from repro.experiments.batch import ENGINE_VERSION, RESULT_VERSION, \
     StaleArtifactError, SweepCache, SweepInterrupted, SweepResult, \
     SweepRunner, SweepSpec, point_signature
+from repro.experiments.progress import format_status, sweep_status
 from repro.sim.units import MS
 
 FAST = dict(duration_ns=400 * MS, warmup_ns=200 * MS, stagger_ns=0)
@@ -116,7 +117,9 @@ class TestPoisonedPoint:
         cache = SweepCache(tmp_path)
         assert cache.probe(sig) == "failed"
         assert cache.load(sig) is None           # still re-executed
-        assert cache.load_failure(sig)["type"] == "RuntimeError"
+        breadcrumb = tmp_path / f"{sig}.error.json"
+        assert json.loads(breadcrumb.read_text())["type"] == \
+            "RuntimeError"
         # A rerun retries the poisoned point (and fails again) while
         # the good points come from cache.
         rerun = SweepRunner(cache_dir=tmp_path).run(spec)
@@ -128,7 +131,7 @@ class TestPoisonedPoint:
         assert cache.probe("sig") == "failed"
         cache.store("sig", {"v": 1})
         assert cache.probe("sig") == "complete"
-        assert cache.load_failure("sig") is None
+        assert not (tmp_path / "sig.error.json").exists()
 
     def test_metrics_for_skips_failures(self):
         result = SweepRunner().run(poisoned_spec())
@@ -503,6 +506,44 @@ class TestCacheHardening:
         # probe never mutates: counters untouched, files unmoved.
         assert cache.corrupt == 0
         assert (tmp_path / "mangled.json").exists()
+
+    @pytest.mark.parametrize("entry, breadcrumb, verdict", [
+        ('{"v": 1}', False, "complete"),
+        (None, False, "missing"),
+        (None, True, "failed"),
+        ('{"v": 1', False, "corrupt"),
+        ("[1, 2]", False, "corrupt"),
+        ('{"v": 1}', True, "complete")],
+        ids=["complete", "missing", "failed-breadcrumb", "truncated",
+             "non-dict", "entry-and-stale-breadcrumb"])
+    def test_one_read_serves_status_and_load(self, tmp_path, entry,
+                                             breadcrumb, verdict):
+        """``probe`` gives the verdict ``--status`` prints and moves
+        nothing; ``load`` returns metrics only for ``complete`` and
+        quarantines exactly the ``corrupt`` entries."""
+        spec = SweepSpec("one")
+        spec.add_analytic(("cell",), "tests.helpers:constant_metrics",
+                          value=1.0)
+        sig = point_signature(spec.points[0])
+        if entry is not None:
+            (tmp_path / f"{sig}.json").write_text(entry)
+        if breadcrumb:
+            (tmp_path / f"{sig}.error.json").write_text(
+                '{"type": "RuntimeError"}')
+        files = sorted(tmp_path.iterdir())
+        cache = SweepCache(tmp_path)
+
+        assert cache.probe(sig) == verdict
+        table = format_status("one", sweep_status(spec, cache))
+        assert table.splitlines()[3].split()[:2] == ["cell", verdict]
+        assert sorted(tmp_path.iterdir()) == files
+        assert (cache.hits, cache.misses, cache.corrupt) == (0, 0, 0)
+
+        metrics = cache.load(sig)
+        assert metrics == ({"v": 1} if verdict == "complete" else None)
+        assert cache.corrupt == (verdict == "corrupt")
+        assert (tmp_path / f"{sig}.json.corrupt").exists() \
+            == (verdict == "corrupt")
 
 
 # ----------------------------------------------------------------------

@@ -151,7 +151,6 @@ class StubSweepRunner:
         self.specs.append(spec)
         return SweepResult(
             spec_name=spec.name,
-            executed=len(spec.points),
             records=[SweepRecord(key=p.key, seed=p.seed, signature="",
                                  metrics=dict(self.metrics))
                      for p in spec.points])
