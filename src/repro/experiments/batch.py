@@ -54,7 +54,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
-import hashlib
 import importlib
 import itertools
 import json
@@ -69,11 +68,15 @@ from pathlib import Path
 from typing import IO, Any, Callable, Dict, Iterable, Iterator, \
     List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..obs.metrics import canonical_json, digest
 from ..workloads.scenarios import ScenarioConfig, run_scenario
 from ..workloads.sharding import _exit_with_parent, pool_workers
 from .progress import SweepProgress
 
-#: Bump to invalidate every cached cell (simulator semantics changed).
+#: Bump to invalidate every cached cell: bump when a record changes
+#: (what ``ScenarioResult.record()`` or an analytic point returns for
+#: the same config).  Kernel counts are not in records, so a change
+#: that only moves them bumps nothing.
 #: 2: lazy-backoff kernel + kernel_stats in every metrics record.
 #: 3: re-armable timers — rows unchanged, but the cached kernel_stats
 #:    (fewer scheduled/cancelled events, new timer_rearms) are not.
@@ -91,7 +94,10 @@ from .progress import SweepProgress
 #: 8: the streaming FCT mode and the config-side frame record left
 #:    ``ScenarioConfig`` — rows unchanged, but every scenario point's
 #:    signature (``dataclasses.asdict(config)``) is not.
-ENGINE_VERSION = 8
+#: 9: a record holds what the config simulated — ``kernel_stats`` and
+#:    ``shards`` left it (rows unchanged; a multi-channel record is
+#:    now the same as the whole simulator's).
+ENGINE_VERSION = 9
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``
@@ -146,20 +152,9 @@ class SweepPoint:
         return payload
 
 
-def _canonical_json(payload: Any) -> str:
-    def default(obj: Any) -> Any:
-        if isinstance(obj, enum.Enum):
-            return obj.value
-        raise TypeError(f"not JSON-serialisable: {obj!r}")
-
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=default)
-
-
 def point_signature(point: SweepPoint) -> str:
     """Content hash identifying one point (config + engine version)."""
-    return hashlib.sha256(
-        _canonical_json(point.describe()).encode()).hexdigest()
+    return digest(point.describe())
 
 
 @dataclass
@@ -229,38 +224,20 @@ def _resolve(dotted: str) -> Callable[..., Metrics]:
 def execute_point(point: SweepPoint,
                   shard_jobs: Optional[int] = None,
                   telemetry_dir: Optional[str] = None) -> Metrics:
-    """Produce one point's metrics (the process-pool work function).
+    """Produce one point's record (the process-pool work function).
 
-    ``shard_jobs`` is an *execution* knob, not part of the point's
-    identity: it says how many processes run a multi-channel point's
-    per-channel shards (``run_scenario(cfg, shard_jobs=...)``; None =
-    decide from the host) and never perturbs cache signatures — the
-    metrics record is the same however the shards were run.
-
-    ``telemetry_dir`` (another execution knob) runs each scenario
-    point with the observability sampler on; ``run_scenario`` writes
-    one JSONL artifact per point from its result
-    (``<signature>.jsonl``, the same content hash that keys the
-    cache).  The ``"telemetry"`` block is stripped from the returned
-    metrics so cached records stay byte-identical to telemetry-off
-    runs.
-    """
+    A scenario point's record is ``run_scenario(...).record()``, so
+    the execution knobs change no record and no signature:
+    ``shard_jobs`` runs a multi-channel point's shards (None = decide
+    from the host); ``telemetry_dir`` samples into ``<signature>.jsonl``."""
     if point.config is not None:
         telemetry = None
         if telemetry_dir is not None:
             from ..obs import TelemetryConfig
             telemetry = TelemetryConfig(telemetry_path=os.path.join(
                 telemetry_dir, point_signature(point) + ".jsonl"))
-        metrics = run_scenario(point.config, shard_jobs=shard_jobs,
-                               telemetry=telemetry).metrics_dict()
-        metrics.pop("telemetry", None)
-        if telemetry is not None:
-            # Per-shard telemetry blocks carry host wall times; reset
-            # them so a sharded+telemetry record equals the sharded
-            # telemetry-off record byte for byte.
-            for block in metrics.get("shards", ()):
-                block["telemetry"] = None
-        return metrics
+        return run_scenario(point.config, shard_jobs=shard_jobs,
+                            telemetry=telemetry).record()
     metrics = _resolve(point.fn)(**dict(point.fn_kwargs))
     if not isinstance(metrics, dict):
         raise TypeError(
@@ -775,7 +752,7 @@ class SweepRunner:
                       metrics: Metrics) -> None:
         # JSON-normalise so serial, parallel and cache-restored runs
         # expose byte-identical metric structures.
-        text = _canonical_json(metrics)
+        text = canonical_json(metrics)
         state.fill(index, json.loads(text))
         if self.cache is not None:
             # The checkpoint: flushed the moment the point completes,

@@ -31,9 +31,6 @@ class ApNode:
         driver.node = self
         self.link: Optional[WiredLink] = None
         self._send_up = None  # the uplink pipe's send, once attached
-        self.wifi_tx_drops = 0
-        self.packets_bridged_down = 0
-        self.packets_bridged_up = 0
 
     def attach_link(self, link: WiredLink) -> None:
         self.link = link
@@ -47,15 +44,13 @@ class ApNode:
 
     # ------------------------------------------------------------------
     def receive_wired(self, packet: Any) -> None:
-        """Server -> client packets: queue on the WLAN for packet.dst."""
-        self.packets_bridged_down += 1
-        if not self.driver.send_packet(packet, packet.dst):
-            self.wifi_tx_drops += 1
+        """Server -> client packets: queue on the WLAN for packet.dst
+        (a tail drop is counted once, by the MAC's ``queue_drops``)."""
+        self.driver.send_packet(packet, packet.dst)
 
     def on_packets_received(self, packets: List[Any],
                             sender: str) -> None:
         """Client -> server packets (including decompressed TCP ACKs)."""
         assert self._send_up is not None, "AP wired link not attached"
-        self.packets_bridged_up += len(packets)
         for packet in packets:
             self._send_up(packet)

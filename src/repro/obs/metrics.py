@@ -30,10 +30,16 @@ run's (``tests/obs/test_merge_law.py``; for the whole result,
 telemetry samples, frame records, FCT records — is stored once and
 merged by union; its summaries are views rendered from it, never a
 second accumulator beside it.
+
+**The digest.**  :func:`digest` is the one content hash: the sweep
+cache's key, and the name of what a run simulated (of its record).
 """
 
 from __future__ import annotations
 
+import enum
+import hashlib
+import json
 import math
 from typing import Any, Dict, Iterable, Mapping, Optional
 
@@ -44,6 +50,23 @@ MIN_VALUE = 1e-6
 
 _floor = math.floor
 _log10 = math.log10
+
+
+def _enum_value(obj: Any) -> Any:
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    raise TypeError(f"not JSON-serialisable: {obj!r}")
+
+
+def canonical_json(payload: Any) -> str:
+    """Sorted keys, no whitespace, enums as their values."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=_enum_value)
+
+
+def digest(payload: Any) -> str:
+    """sha256 hex digest of :func:`canonical_json` ``(payload)``."""
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def merge_counts(into: Dict[Any, int], other: Mapping[Any, int]) -> None:

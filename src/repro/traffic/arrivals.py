@@ -73,6 +73,25 @@ class SizeSpec:
     min_bytes: int = 1_460
     max_bytes: int = 20_000_000
 
+    #: kind -> the size fields it draws from.
+    SIZES = {"fixed": ("bytes",), "lognormal": ("median_bytes",),
+             "bimodal": ("small_bytes", "large_bytes")}
+
+    def validate(self) -> None:
+        if self.kind not in self.SIZES:
+            raise ValueError(f"unknown size kind {self.kind!r} "
+                             f"(valid: {', '.join(self.SIZES)})")
+        bad = [f"{name}={getattr(self, name)}"
+               for name in (*self.SIZES[self.kind], "min_bytes")
+               if getattr(self, name) < 1]
+        if self.max_bytes < self.min_bytes:
+            bad.append(f"max_bytes={self.max_bytes} < min_bytes")
+        if self.sigma < 0 or not 0 <= self.p_small <= 1:
+            bad.append(f"sigma={self.sigma}, p_small={self.p_small}")
+        if bad:
+            raise ValueError(f"bad size spec: {', '.join(bad)} (sizes "
+                             f">= 1, sigma >= 0, p_small in [0, 1])")
+
     def sample(self, rng) -> int:
         if self.kind == "fixed":
             size = self.bytes
@@ -110,6 +129,7 @@ class ArrivalSpec:
     stop_ns: Optional[int] = None
 
     def validate(self, n_clients: int) -> None:
+        self.size.validate()
         if self.kind not in ("poisson", "onoff", "web", "trace"):
             raise ValueError(f"unknown arrival kind {self.kind!r}")
         if self.direction not in ("download", "upload"):
@@ -322,7 +342,7 @@ class TraceArrivals(ArrivalProcess):
 def build_processes(sim: Simulator, spec: ArrivalSpec,
                     spawn: SpawnFn, clients: Sequence[str],
                     rngs) -> List[ArrivalProcess]:
-    """Instantiate the processes an :class:`ArrivalSpec` describes.
+    """Instantiate the processes a validated :class:`ArrivalSpec` describes.
 
     ``rngs`` is the scenario's :class:`~repro.sim.rng.RngRegistry`;
     every process receives dedicated streams named after its identity
@@ -330,7 +350,6 @@ def build_processes(sim: Simulator, spec: ArrivalSpec,
     perturb (or be perturbed by) MAC/PHY randomness or other
     processes' draws.
     """
-    spec.validate(len(clients))
     ns = rngs.namespace("traffic")
     if spec.kind == "poisson":
         return [PoissonArrivals(sim, spec, spawn, clients,

@@ -260,6 +260,10 @@ class ScenarioConfig:
         if self.traffic == "dynamic" and self.arrivals is None:
             raise ValueError("traffic='dynamic' requires an "
                              "ArrivalSpec in cfg.arrivals")
+        if self.arrivals is not None:
+            # Trace indices against the smallest cell that runs churn.
+            self.arrivals.validate(min(filter(None, map(
+                self.clients_in_cell, range(self.cells))), default=0))
         if self.udp_background_mbps > 0 \
                 and self.traffic == "udp_download":
             raise ValueError(
@@ -473,6 +477,13 @@ class ScenarioResult:
     #: ``build_simulation(cfg)`` instead.
     world: Optional["CellBuilder"] = field(default=None, repr=False)
 
+    #: The ``metrics_dict()`` blocks that say how the run was executed,
+    #: not what it simulated: kernel counters (they follow the shard
+    #: plan and the sampler's own events), the telemetry block (host
+    #: wall times) and the per-shard blocks.  :meth:`record` is
+    #: ``metrics_dict()`` without them.
+    EXECUTION_KEYS = ("kernel_stats", "telemetry", "shards")
+
     def merge(self, other: "ScenarioResult") -> None:
         """Fold another shard's result of the same run into this one,
         in place; ``other`` is left untouched.
@@ -529,7 +540,7 @@ class ScenarioResult:
     def telemetry(self) -> Optional[Dict[str, Any]]:
         """The ``metrics_dict()["telemetry"]`` block of a telemetry
         run: deterministic except its ``"spans"`` table (host wall
-        times — the one key determinism oracles pop)."""
+        times), and an execution block: never in :meth:`record`."""
         if self.telemetry_config is None:
             return None
         return dict(
@@ -669,35 +680,12 @@ class ScenarioResult:
         return jain_index(block["carried_mbps"]
                           for block in self.cell_blocks)
 
-    def metrics_dict(self) -> Dict[str, Any]:
-        """Full JSON-able flattening of this run (one sweep record).
-
-        This is the superset every experiment harness reads from;
-        keeping it plain data is what makes results picklable,
-        cacheable and identical across serial and parallel execution
-        (all dict keys are strings so a JSON round-trip is lossless).
-
-        Each block is rendered here, once, from the stored fields (the
-        rule: :mod:`repro.obs.metrics`):
-
-        * ``hack_fit_fraction``, ``retry_table``,
-          ``time_breakdown_ms`` — the merged ``MacStats``;
-        * ``aqm`` — the merged ``QdiscStats`` (``block``);
-        * ``fct`` — the per-cell ``FctCollector`` merged in cell order
-          (``summary``);
-        * ``decompressor``, ``rohc``, ``adversary`` — counter dicts
-          summed by ``merge_counts`` (``adversary`` under the config's
-          kind / intensity);
-        * ``telemetry`` — a view of the merged sample stream
-          (``telemetry_summary``) plus the merged ``KernelInstrument``;
-        * ``cells`` / ``channels`` — views of the flows, collectors,
-          background noise and the medium's books (``cell_medium`` /
-          ``channel_medium``);
-        * everything else is per-flow / per-station / per-cell /
-          per-channel data that is reordered or totalled, never
-          merged; ``kernel_stats`` is the sum of the simulators'
-          counters and ``shards`` each one's own, verbatim.
-        """
+    def record(self) -> Dict[str, Any]:
+        """What the run simulated, as plain JSON-able data (string keys,
+        so a JSON round-trip is lossless): one sweep record, a function
+        of the config alone however the run was executed.  Each block
+        is rendered here, once, from the stored fields (the rule:
+        :mod:`repro.obs.metrics`; each field says what it renders)."""
         out = {
             "aggregate_goodput_mbps": self.aggregate_goodput_mbps,
             "per_flow_goodput_mbps": {
@@ -720,7 +708,6 @@ class ScenarioResult:
             "time_breakdown_ms": self.mac_stats.time_breakdown_ms(),
             "drivers": {name: dict(stats) for name, stats
                         in self.driver_metrics.items()},
-            "kernel_stats": dict(self.kernel_stats),
             "fct": self.fct,
             "udp_background_goodput_mbps":
                 dict(self.udp_background_goodput_mbps),
@@ -730,15 +717,24 @@ class ScenarioResult:
             "rohc": dict(self.rohc_counters),
             "aqm": self.aqm_counters,
         }
-        # Conditional keys: absent unless the run opted in, so every
-        # telemetry-off metrics dict (golden rows, cached sweep
-        # records) keeps its historical shape bit-for-bit.
-        if self.telemetry_config is not None:
-            out["telemetry"] = self.telemetry
-        if self.shard_blocks is not None:
-            out["shards"] = [dict(block) for block in self.shard_blocks]
         if self.config.adversary is not None:
             out["adversary"] = self.adversary_counters
+        return out
+
+    def metrics_dict(self) -> Dict[str, Any]:
+        """:meth:`record` plus the execution blocks
+        (:attr:`EXECUTION_KEYS`), in this dict's historical key order."""
+        out = {}
+        for key, value in self.record().items():
+            out[key] = value
+            if key == "drivers":
+                out["kernel_stats"] = dict(self.kernel_stats)
+            elif key == "aqm":
+                if self.telemetry_config is not None:
+                    out["telemetry"] = self.telemetry
+                if self.shard_blocks is not None:
+                    out["shards"] = [dict(block)
+                                     for block in self.shard_blocks]
         return out
 
 
@@ -1164,11 +1160,12 @@ def run_scenario(cfg: ScenarioConfig,
     time-sliced on two cores finish in 1.5·T; the channels in use are
     few (three in 2.4 GHz) and a worker peaks at ~19 MB.
 
-    ``metrics_dict()`` is the same record however the shards were
-    run: ``kernel_stats`` is the sum of the shards' counters, each
-    shard's own ride under ``"shards"``.  A one-shard plan (one
-    channel in use) is the plain in-process run — no pool, no
-    ``"shards"`` key, the live objects under ``result.world``.  For a
+    ``record()`` is the whole simulator's however the shards were
+    run; in ``metrics_dict()``, ``kernel_stats`` is the sum of the
+    shards' counters, each shard's own ride under ``"shards"``.  A
+    one-shard plan (one channel in use) is the plain in-process run —
+    no pool, no ``"shards"`` key, the live objects under
+    ``result.world``.  For a
     multi-shard run ``world`` is None; the seam for a live
     multi-channel world is ``build_simulation(cfg)`` -> ``world.run()``
     -> ``collect(world)``.  What a run records rides the result under

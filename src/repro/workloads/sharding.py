@@ -36,9 +36,9 @@ one independent sub-scenario per channel: a channel is a simulator.
   config alone, kernel view included: ``kernel_stats`` is the sum of
   the shards' counters, each shard's own riding under ``"shards"``.
   (A whole-simulator run — ``build_simulation(cfg)`` -> ``run()`` ->
-  ``collect()``, the oracle the tests keep — agrees on everything but
-  those two keys: it has one heap and one set of horizon events where
-  the shards have one each.)
+  ``collect()``, the oracle the tests keep — has the same ``record()``
+  and differs in those two keys only: it has one heap and one set of
+  horizon events where the shards have one each.)
 
 What a run records follows the same law.  Every telemetry tick emits
 one sample record per channel and a medium's frames are its channel's

@@ -8,9 +8,10 @@ response poll, i.e. the seed's kernel behaviour) — and asserts the
 full flattened metrics are identical, across contention-heavy,
 lossy, device-quirk and upload regimes.
 
-``kernel_stats`` is excluded from the comparison: it is exactly the
-thing that must differ (the lazy kernel executes fewer events for the
-same simulated behaviour), which the last test asserts directly.
+The comparison is of ``record()``, which holds no ``kernel_stats``:
+the kernel counts are exactly the thing that must differ (the lazy
+kernel executes fewer events for the same simulated behaviour), which
+the last test asserts directly.
 """
 
 import pytest
@@ -49,9 +50,7 @@ def run_with_mac(mac_cls, cfg, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(scenarios, "DcfMac", mac_cls)
         result = run_scenario(cfg)
-    metrics = result.metrics_dict()
-    kernel = metrics.pop("kernel_stats")
-    return metrics, kernel
+    return result.record(), result.kernel_stats
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

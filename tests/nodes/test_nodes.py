@@ -1,13 +1,19 @@
 """Node layer: server routing, AP bridging, client stack delay."""
 
+import random
+
 import pytest
 
 from repro.core.driver import HackDriver
 from repro.core.policies import HackConfig, HackPolicy
+from repro.mac.dcf import DcfMac
+from repro.mac.params import MacParams
 from repro.nodes.ap import ApNode
 from repro.nodes.client import ClientNode
 from repro.nodes.server import ServerNode, UdpSource
+from repro.phy.params import PHY_11N
 from repro.sim.engine import Simulator
+from repro.sim.medium import Medium
 from repro.sim.units import MS, SEC, usec
 from repro.sim.wired import WiredLink
 from repro.tcp.receiver import TcpReceiver
@@ -134,15 +140,14 @@ class TestApBridge:
         assert sender.snd_una == 1460
 
     def test_drop_counted(self, sim):
-        driver = vanilla_driver(sim)
-
-        def reject(payload, dst):
-            return False
-
-        driver.mac.enqueue = reject
-        ap = ApNode(sim, driver)
+        """An AP tail drop is counted once, by the AP's MAC."""
+        mac = DcfMac(sim, Medium(sim), PHY_11N, "AP",
+                     MacParams(queue_limit=0), random.Random(1))
+        ap = ApNode(sim, HackDriver(
+            sim, mac, HackConfig.for_policy(HackPolicy.VANILLA)))
         ap.receive_wired(data_segment())
-        assert ap.wifi_tx_drops == 1
+        assert mac.queue_drops == 1
+        assert mac.enqueued == 0
 
 
 class TestClient:

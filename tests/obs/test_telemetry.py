@@ -1,11 +1,11 @@
 """Telemetry integration oracles: the observability layer must watch
 without touching.
 
-The headline determinism oracle: a telemetry-enabled run's scenario
-metrics are bit-identical to the telemetry-off run's — for static,
-churn and sharded workloads alike.  The only permitted differences are
-``kernel_stats`` (the sampler's own events run through the shared
-kernel) and the additional ``"telemetry"`` block itself, whose
+The headline determinism oracle: a telemetry-enabled run's
+``record()`` equals the telemetry-off run's — for static, churn and
+sharded workloads alike.  What differs lives in the execution blocks
+``record()`` leaves out: ``kernel_stats`` (the sampler's own events run
+through the shared kernel) and the ``"telemetry"`` block itself, whose
 ``"spans"`` sub-block is the one nondeterministic (host wall time)
 part.
 
@@ -31,7 +31,7 @@ from repro.workloads.scenarios import build_simulation, collect, \
     run_scenario
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 
-from tests.workloads.test_multi_cell import base_config, normalised
+from tests.workloads.test_multi_cell import base_config
 from tests.workloads.test_sharding import run_whole
 
 INTERVAL = 50 * MS
@@ -45,19 +45,6 @@ CHURN = dict(traffic="dynamic",
 
 def telemetry_config(**overrides) -> TelemetryConfig:
     return TelemetryConfig(sample_interval_ns=INTERVAL, **overrides)
-
-
-def comparable(result):
-    """metrics_dict minus the telemetry-perturbed parts (kernel event
-    counts include the sampler's own events) and minus the telemetry
-    block itself."""
-    metrics = normalised(result.metrics_dict())
-    metrics.pop("kernel_stats")
-    metrics.pop("telemetry", None)
-    for block in metrics.get("shards", ()):
-        block.pop("kernel_stats")
-        block.pop("telemetry")
-    return metrics
 
 
 def deterministic_block(block):
@@ -86,7 +73,7 @@ class TestDeterminism:
         cfg = base_config(n_clients=2, seed=3)
         off = run_scenario(cfg)
         on = run_scenario(cfg, telemetry=telemetry_config())
-        assert comparable(off) == comparable(on)
+        assert off.record() == on.record()
         assert off.telemetry is None
         assert "telemetry" not in off.metrics_dict()
         assert on.telemetry is not None
@@ -95,14 +82,14 @@ class TestDeterminism:
         cfg = base_config(n_clients=1, seed=7, **CHURN)
         off = run_scenario(cfg)
         on = run_scenario(cfg, telemetry=telemetry_config())
-        assert comparable(off) == comparable(on)
+        assert off.record() == on.record()
 
     def test_sharded_metrics_bit_identical(self):
         cfg = base_config(cells=4, channels=2, n_clients=1, seed=3)
         off = run_scenario(cfg, shard_jobs=1)
         on = run_scenario(cfg, shard_jobs=1,
                           telemetry=telemetry_config())
-        assert comparable(off) == comparable(on)
+        assert off.record() == on.record()
 
     def test_telemetry_runs_are_repeatable(self):
         cfg = base_config(n_clients=1, seed=5)
@@ -340,11 +327,7 @@ class TestSweepTelemetry:
         telemetered = execute_point(point,
                                     telemetry_dir=str(tmp_path))
         assert "telemetry" not in telemetered
-        stripped = dict(plain)
-        stripped.pop("kernel_stats")
-        comparable_tele = dict(telemetered)
-        comparable_tele.pop("kernel_stats")
-        assert normalised(stripped) == normalised(comparable_tele)
+        assert plain == telemetered
         artifact = tmp_path / (point_signature(point) + ".jsonl")
         assert artifact.exists()
         parsed = load_telemetry(str(artifact))

@@ -5,20 +5,19 @@ steady-state durations, seed 1) under stock TCP and MORE_DATA HACK.
 The counts are a pure function of the code, so an event-count
 regression — a timer that goes back to cancel-and-push, a new
 per-packet event — fails here instead of waiting for a wall-clock
-benchmark to notice.  A deliberate change re-pins them (and bumps
-``ENGINE_VERSION``: cached rows embed ``kernel_stats``) and says what
-moved: ``events_executed`` counts heap dispatches, ``events_inlined``
-the deliveries a train made without one, and their sum — the callbacks
+benchmark to notice.  A deliberate change re-pins them and says what
+moved; it bumps no ``ENGINE_VERSION``, as a sweep record
+(``ScenarioResult.record()``) holds no kernel counts.
+``events_executed`` counts heap dispatches, ``events_inlined`` the
+deliveries a train made without one, and their sum — the callbacks
 run — is held to what it was before trains existed.
 """
-
-import hashlib
-import json
 
 import pytest
 
 from repro.core.policies import HackPolicy
 from repro.mac.dcf import DcfMac
+from repro.obs.metrics import digest
 from repro.phy.errors import LossModel
 from repro.experiments.common import steady_state_durations
 from repro.workloads import registry
@@ -91,15 +90,13 @@ def test_kernel_books_balance_after_a_real_run(cfg):
     assert sim.pending_events == sim._live + behind_a_head
 
 
-#: sha256 of each cell's whole ``metrics_dict()``, outside the keys
-#: that describe how the run executed rather than what it simulated
-#: (the benchmark's ``sim_digest`` leaves out the same three).  The
-#: per-MPDU, per-ACK and per-packet fast paths of the MAC, the medium,
-#: TCP, the HACK driver and ROHC must not move a single number: the
-#: ten-client cells take the drop-tail / Reno / lossless side of each
-#: choice, the churn city the FQ-CoDel / CUBIC / SNR-loss side.
-EXECUTION_KEYS = ("kernel_stats", "telemetry", "shards")
-
+#: ``digest(result.record())`` of each cell: what it simulated, outside
+#: the blocks that say how it executed (the benchmark's ``sim_digest``
+#: is the same hash).  The per-MPDU, per-ACK and per-packet fast paths
+#: of the MAC, the medium, TCP, the HACK driver and ROHC must not move
+#: a single number: the ten-client cells take the drop-tail / Reno /
+#: lossless side of each choice, the churn city the FQ-CoDel / CUBIC /
+#: SNR-loss side.
 PINNED_DIGESTS = {
     "VANILLA":
         "4673a867666f3c9900ccbab8cd36fc8299cafffbcb49298f2c3a946a7e4f76e0",
@@ -125,11 +122,7 @@ def short_churn_city():
 
 
 def simulated_digest(cfg) -> str:
-    metrics = run_scenario(cfg, shard_jobs=1).metrics_dict()
-    return hashlib.sha256(json.dumps(
-        {key: value for key, value in metrics.items()
-         if key not in EXECUTION_KEYS},
-        sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    return digest(run_scenario(cfg, shard_jobs=1).record())
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))

@@ -1,9 +1,11 @@
 """The key tree of ``ScenarioResult.metrics_dict()``, pinned once.
 
-Every experiment, cached sweep record and benchmark row reads this
-dict by key.  Block key sets are asserted against the tuples of the
-classes that own the counters — adding a counter is one edit there —
-so an accidental rename fails here by name instead of in a digest.
+Every experiment and benchmark row reads this dict by key, and a
+cached sweep record is ``record()``: the same dict without the
+execution blocks (``ScenarioResult.EXECUTION_KEYS``).  Block key sets
+are asserted against the tuples of the classes that own the counters
+— adding a counter is one edit there — so an accidental rename fails
+here by name instead of in a digest.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.rohc.decompressor import Decompressor
 from repro.sim.engine import SimStats
 from repro.sim.units import MS
 from repro.tcp.sender import TcpSender
+from repro.workloads.scenarios import ScenarioResult
 
 from tests.workloads.test_multi_cell import base_config
 from tests.workloads.test_sharding import CHURN, summed_kernels
@@ -42,28 +45,45 @@ TELEMETRY = {"sample_interval_ns", "samples", "metrics", "enabled",
 
 
 @pytest.fixture(scope="module")
-def plain():
+def plain_result():
     return run_scenario(base_config(
-        n_clients=1, duration_ns=300 * MS, warmup_ns=100 * MS)
-    ).metrics_dict()
+        n_clients=1, duration_ns=300 * MS, warmup_ns=100 * MS))
 
 
 @pytest.fixture(scope="module")
-def everything():
+def everything_result():
     """Static flows plus churn on two channels, attacked, sampled and
     sharded: every conditional key at once."""
     cfg = base_config(
         cells=2, channels=2, n_clients=1, duration_ns=300 * MS,
         warmup_ns=100 * MS, arrivals=CHURN["arrivals"],
         adversary=AdversaryConfig(kind="mutator", intensity=0.5))
-    return run_scenario(cfg, shard_jobs=1,
-                        telemetry=TelemetryConfig()).metrics_dict()
+    return run_scenario(cfg, shard_jobs=1, telemetry=TelemetryConfig())
+
+
+@pytest.fixture(scope="module")
+def plain(plain_result):
+    return plain_result.metrics_dict()
+
+
+@pytest.fixture(scope="module")
+def everything(everything_result):
+    return everything_result.metrics_dict()
 
 
 def test_top_level_keys(plain, everything):
     assert set(plain) == TOP_LEVEL
     assert set(everything) == TOP_LEVEL | {"telemetry", "shards",
                                            "adversary"}
+
+
+@pytest.mark.parametrize("run", ["plain_result", "everything_result"])
+def test_record_is_metrics_without_the_execution_blocks(run, request):
+    result = request.getfixturevalue(run)
+    metrics, record = result.metrics_dict(), result.record()
+    assert list(record) == [key for key in metrics
+                            if key not in ScenarioResult.EXECUTION_KEYS]
+    assert record == {key: metrics[key] for key in record}
 
 
 @pytest.mark.parametrize("run", ["plain", "everything"])

@@ -10,6 +10,7 @@ import pytest
 
 from repro import HackPolicy, LossSpec, ScenarioConfig, run_scenario
 from repro.sim.units import MS, SEC, usec
+from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 
 
 def quick(policy=HackPolicy.VANILLA, **kw):
@@ -207,6 +208,35 @@ class TestValidation:
         monkeypatch.setattr(scenarios, "Simulator", no_world)
         with pytest.raises(ValueError, match=field):
             run_scenario(ScenarioConfig(**fields))
+
+    #: Flow churn's specs, checked by ``validate()`` too: each used to
+    #: raise from inside the event loop, from ``build_simulation``
+    #: after the media were built, or (the inverted clamp) to run with
+    #: every flow silently ``min_bytes`` long.
+    UNRUNNABLE_ARRIVALS = [
+        ("size kind", dict(size=SizeSpec(kind="bogus"))),
+        ("median_bytes", dict(size=SizeSpec(median_bytes=0))),
+        ("max_bytes", dict(size=SizeSpec(min_bytes=5000, max_bytes=10))),
+        ("p_small", dict(size=SizeSpec(kind="bimodal", p_small=1.5))),
+        ("rate_per_s", dict(rate_per_s=-1)),
+        # Client 2 exists in the first cell, not in the second.
+        ("trace client index", dict(kind="trace",
+                                    trace=((0.0, 2, 10_000),))),
+    ]
+
+    @pytest.mark.parametrize("field, spec", UNRUNNABLE_ARRIVALS)
+    def test_unrunnable_arrivals_rejected_up_front(self, field, spec,
+                                                   monkeypatch):
+        from repro.workloads import scenarios
+
+        def no_world(*_args, **_kwargs):
+            raise AssertionError("a Simulator was built")
+
+        monkeypatch.setattr(scenarios, "Simulator", no_world)
+        with pytest.raises(ValueError, match=field):
+            run_scenario(ScenarioConfig(
+                cells=2, cell_clients=(3, 1),
+                arrivals=ArrivalSpec(**spec)))
 
     def test_everything_shipped_still_validates(self):
         from repro.experiments.runner import EXPERIMENTS

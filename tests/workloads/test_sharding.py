@@ -6,7 +6,8 @@ serially or side by side in worker processes — and must produce
 metrics identical to the whole-simulator run of the same config
 (``build_simulation(cfg)`` -> ``run()`` -> ``collect()``, the oracle
 ``run_whole`` below).  Cross-channel invisibility makes that an exact,
-bitwise claim for everything except the kernel view: a merged
+bitwise claim for ``record()`` — what the run simulated, and what a
+sweep caches.  The kernel view is execution, not simulation: a merged
 result's ``kernel_stats`` is the sum of its shards' counters, which
 ride under ``metrics_dict()["shards"]`` (the whole-simulator run has no
 such key — per-shard simulators schedule their own snapshot events,
@@ -36,8 +37,9 @@ import pytest
 
 from repro import ScenarioConfig, run_scenario
 from repro.adversary import AdversaryConfig
+from repro.experiments.batch import SweepPoint, execute_point
 from repro.obs import TelemetryConfig
-from repro.obs.metrics import merge_counts
+from repro.obs.metrics import digest, merge_counts
 from repro.sim.units import MS
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 from repro.workloads import registry, scenarios
@@ -54,13 +56,6 @@ CHURN = dict(traffic="dynamic",
                  kind="poisson", rate_per_s=30.0,
                  size=SizeSpec(kind="lognormal",
                                median_bytes=40_000, sigma=1.0)))
-
-
-def metrics_except_kernel(result):
-    metrics = normalised(result.metrics_dict())
-    metrics.pop("kernel_stats")
-    metrics.pop("shards", None)
-    return metrics
 
 
 def without_wall_times(result):
@@ -85,14 +80,14 @@ def frame_record(result, channel=None):
 
 
 def recorded(result):
-    """What the whole-simulator oracle and a merge must agree on:
-    every metric outside the kernel view and the wall times, and what
-    the run recorded."""
-    metrics = without_wall_times(result)
-    metrics.pop("kernel_stats")
-    metrics.pop("shards", None)
+    """What the whole-simulator oracle and a merge must agree on: the
+    record, the telemetry block outside its wall times, and what the
+    run recorded."""
+    telemetry = result.telemetry
     trace = result.trace
-    return (metrics, result.telemetry_samples,
+    return (normalised(result.record()),
+            telemetry and normalised(dict(telemetry, spans=None)),
+            result.telemetry_samples,
             trace and (frame_record(result), trace.dropped))
 
 
@@ -181,8 +176,8 @@ class TestShardEquivalence:
 
     def test_static_metrics_identical(self, static_runs):
         unsharded, sharded = static_runs
-        assert metrics_except_kernel(unsharded) == \
-            metrics_except_kernel(sharded)
+        assert normalised(unsharded.record()) == \
+            normalised(sharded.record())
 
     def test_kernel_stats_are_per_shard_blocks(self, static_runs):
         unsharded, sharded = static_runs
@@ -213,8 +208,8 @@ class TestShardEquivalence:
                           **CHURN)
         unsharded = run_whole(cfg)
         sharded = run_scenario(cfg, shard_jobs=1)
-        assert metrics_except_kernel(unsharded) == \
-            metrics_except_kernel(sharded)
+        assert normalised(unsharded.record()) == \
+            normalised(sharded.record())
 
     def test_aqm_and_adversary_blocks_identical(self):
         """Both blocks are rendered once, from accumulators merged
@@ -508,14 +503,24 @@ class TestDefaultExecution:
         telemetry = TelemetryConfig() if shape == "telemetry" else None
         default = run_scenario(cfg, telemetry=telemetry)
         serial = run_scenario(cfg, shard_jobs=1, telemetry=telemetry)
-        whole = without_wall_times(run_whole(cfg, telemetry))
         assert without_wall_times(default) == without_wall_times(serial)
         assert default.kernel_stats == summed_kernels(default.shard_blocks)
-        merged = without_wall_times(default)
-        for execution_key in ("kernel_stats", "shards"):
-            merged.pop(execution_key)
-            whole.pop(execution_key, None)
-        assert merged == whole
+        assert recorded(default) == recorded(run_whole(cfg, telemetry))
+
+    def test_a_sweep_record_is_the_whole_simulators_record(
+            self, tmp_path):
+        """What a sweep caches for a multi-channel point is the same
+        bytes under every plan, telemetry on or off, and it is the
+        whole simulator's record."""
+        cfg = base_config(cells=3, channels=2, n_clients=1, seed=2,
+                          **QUICK_RUN)
+        point = SweepPoint(key=("city",), config=cfg)
+        records = [execute_point(point),
+                   execute_point(point, shard_jobs=1),
+                   execute_point(point, shard_jobs=2),
+                   execute_point(point, telemetry_dir=str(tmp_path))]
+        assert {digest(record) for record in records} \
+            == {digest(run_whole(cfg).record())}
 
     def test_one_core_host_runs_serial_shards(self, monkeypatch):
         cfg = base_config(cells=3, channels=3, n_clients=1, seed=4,
