@@ -375,9 +375,7 @@ def _simulate(args: argparse.Namespace) -> int:
         kernel = result.kernel_stats
         callbacks = kernel["events_executed"] + kernel["events_inlined"]
         rate = callbacks / wall_s if wall_s > 0 else 0.0
-        stats = result.mac_stats
-        delivered = sum(stats.delivered_first_attempt.values()) \
-            + sum(stats.delivered_after_retry.values())
+        delivered = result.mac_stats.delivered()
         print(f"kernel callbacks  : {callbacks} run "
               f"({rate:,.0f}/s wall): "
               f"{kernel['events_executed']} executed from the "

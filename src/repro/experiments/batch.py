@@ -97,7 +97,11 @@ from .progress import SweepProgress
 #: 9: a record holds what the config simulated — ``kernel_stats`` and
 #:    ``shards`` left it (rows unchanged; a multi-channel record is
 #:    now the same as the whole simulator's).
-ENGINE_VERSION = 9
+#: 10: the ``"rohc"`` block closes its desync book —
+#:    ``released_desyncs`` (flows that ended desynced) and
+#:    ``open_desync_ns_total`` (summed age of the desyncs still open)
+#:    are new keys; rows unchanged.
+ENGINE_VERSION = 10
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``

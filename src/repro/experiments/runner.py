@@ -75,6 +75,19 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_range(text: str) -> tuple:
+    """argparse ``type=`` for ``--seeds``: ``N`` is seeds 1..N and
+    ``FIRST-LAST`` the seeds FIRST..LAST (``2-2``: seed 2 alone)."""
+    first, dash, last = text.partition("-")
+    if not dash:
+        first, last = "1", text
+    first, last = positive_int(first), positive_int(last)
+    if first > last:
+        raise argparse.ArgumentTypeError(
+            f"must be a range FIRST-LAST with FIRST <= LAST, got {text}")
+    return tuple(range(first, last + 1))
+
+
 def non_negative_int(text: str) -> int:
     """argparse ``type=`` for counts that may be 0."""
     value = int(text)
@@ -135,12 +148,14 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
                              "one telemetry JSONL artifact per point "
                              "(<signature>.jsonl) into DIR; metrics "
                              "and cache signatures are unchanged")
-    parser.add_argument("--seeds", type=positive_int, default=None,
-                        metavar="N",
-                        help="run every target on seeds 1..N, "
-                             "--quick or not (default: each grid's "
-                             "own policy, 5 seeds or 1 under --quick; "
-                             "fig01, table2 and table3 have none)")
+    parser.add_argument("--seeds", type=seed_range, default=None,
+                        metavar="N|FIRST-LAST",
+                        help="run every target on seeds 1..N, or "
+                             "FIRST..LAST (2-2: the hold-out seed "
+                             "alone), --quick or not (default: each "
+                             "grid's own policy, 5 seeds or 1 under "
+                             "--quick; fig01, table2 and table3 have "
+                             "none)")
     parser.add_argument("--status", action="store_true",
                         help="run nothing: audit --cache-dir against "
                              "the named sweeps and report which cells "
@@ -298,8 +313,7 @@ def main(argv=None, prog=None) -> int:
         targets = resolve_targets(args.targets)
     except KeyError as error:
         parser.exit(2, f"error: {error.args[0]}\n")
-    seeds = tuple(range(1, args.seeds + 1)) if args.seeds else None
-    specs = [module.sweep_spec(quick=args.quick, seeds=seeds)
+    specs = [module.sweep_spec(quick=args.quick, seeds=args.seeds)
              for module in targets.values()]
 
     if args.status:

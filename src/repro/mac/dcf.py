@@ -65,6 +65,7 @@ from ..phy.errors import loses_mpdus
 from ..phy.params import PhyParams
 from ..sim.engine import Simulator
 from ..sim.medium import DEFAULT_CELL, Medium, MediumListener
+from ..stats.collectors import MacStats
 from .aggregation import build_batch, drain_batch
 from .blockack import BlockAckOriginator, BlockAckRecipient
 from .frames import AckFrame, AmpduFrame, BarFrame, BlockAckFrame, \
@@ -120,9 +121,8 @@ class _Job:
     actually wins the medium — exactly when the paper's AP "forms the
     batch"."""
 
-    __slots__ = ("kind", "dst", "mpdus", "is_batch", "attempts",
-                 "bar_retries", "ready_at", "stat_kind", "materialized",
-                 "ampdu_bytes")
+    __slots__ = ("kind", "dst", "mpdus", "is_batch", "bar_retries",
+                 "ready_at", "stat_kind", "materialized", "ampdu_bytes")
 
     def __init__(self, kind: str, dst: str, is_batch: bool,
                  ready_at: int):
@@ -130,7 +130,6 @@ class _Job:
         self.dst = dst
         self.mpdus: List[Mpdu] = []
         self.is_batch = is_batch
-        self.attempts = 0
         self.bar_retries = 0
         self.ready_at = ready_at
         self.stat_kind = "control"
@@ -148,7 +147,8 @@ class DcfMac(MediumListener):
 
     def __init__(self, sim: Simulator, medium: Medium, phy: PhyParams,
                  address: str, params: MacParams, rng,
-                 upper: Optional[MacUpper] = None, stats=None,
+                 upper: Optional[MacUpper] = None,
+                 stats: Optional[MacStats] = None,
                  loss_model=None, rate_control_factory=None,
                  cell: Any = DEFAULT_CELL):
         self.sim = sim
@@ -158,7 +158,9 @@ class DcfMac(MediumListener):
         self.params = params
         self.rng = rng
         self.upper = upper if upper is not None else MacUpper()
-        self.stats = stats
+        #: The book of MPDU fates (shared by a world's MACs; a MAC
+        #: built without one keeps its own).
+        self.stats = stats if stats is not None else MacStats()
         self.loss_model = loss_model
         #: Co-channel dispatch group (BSS) this station decodes frames
         #: in; stations of other cells only share carrier sense and
@@ -171,7 +173,7 @@ class DcfMac(MediumListener):
 
         # Transmit-side state.  Per-destination queues are built by the
         # configured queue discipline (drop-tail / CoDel / FQ-CoDel);
-        # all of one station's queues share a single stats block.
+        # all of one station's queues share a single queue book.
         self._queues: Dict[str, Any] = {}
         self.qdisc_stats = QdiscStats()
         self._dest_order: List[str] = []
@@ -197,12 +199,6 @@ class DcfMac(MediumListener):
         self._awaiting_response = False
         self._response_timeout_event = None
 
-        # Counters (always kept; richer accounting lives in stats)
-        self.enqueued = 0
-        self.queue_drops = 0
-        self.mpdus_delivered = 0
-        self.mpdus_dropped = 0
-
     def _attach(self) -> None:
         # Overridden by the eager oracle in tests/mac/slotted_reference.py,
         # which does its own carrier sense as a plain listener.
@@ -218,10 +214,10 @@ class DcfMac(MediumListener):
             queue = self._queue_for(dst)
         limit = self.params.queue_limit
         if limit is not None and len(queue) >= limit:
-            self.queue_drops += 1
+            self.qdisc_stats.tail_drops += 1
             return False
         queue.append(payload)
-        self.enqueued += 1
+        self.qdisc_stats.enqueued += 1
         # _maybe_start_contention returns at once while an exchange is
         # ours; its own first test, made here without the call.
         if not (self._transmitting or self._awaiting_response):
@@ -256,7 +252,9 @@ class DcfMac(MediumListener):
             return []
         # Filtering in place (rather than rebuilding the container)
         # preserves the discipline's AQM state and arrival timestamps.
-        return queue.filter_out(predicate)
+        withdrawn = queue.filter_out(predicate)
+        self.qdisc_stats.withdrawn += len(withdrawn)
+        return withdrawn
 
     def _queue_for(self, dst: str):
         if dst not in self._queues:
@@ -485,10 +483,7 @@ class DcfMac(MediumListener):
         else:
             frame = DataFrame(mpdu=job.mpdus[0], rate_mbps=rate)
             duration = self.phy.frame_airtime_ns(frame, rate)
-        job.attempts += 1
-        if self.stats is not None:
-            self.stats.on_tx_start(self.address, job, frame, duration,
-                                   wait_ns=self.sim.now - job.ready_at)
+        self.stats.on_tx_start(job, duration, self.sim.now - job.ready_at)
         self._transmitting = True
         self._contending = False
         self.medium.transmit(self, frame, duration)
@@ -533,8 +528,6 @@ class DcfMac(MediumListener):
         assert job is not None
         self._awaiting_response = False
         self._cancel_response_timeout()
-        if self.stats is not None:
-            self.stats.on_exchange_failed(self.address, job)
         if job.kind == "bar":
             job.bar_retries += 1
             if job.bar_retries > self.params.bar_retry_limit:
@@ -560,10 +553,7 @@ class DcfMac(MediumListener):
         mpdu = job.mpdus[0]
         mpdu.retry_count += 1
         if mpdu.retry_count > self.params.retry_limit:
-            self.mpdus_dropped += 1
             self._mpdu_outcomes((mpdu,), False)
-            if self.stats is not None:
-                self.stats.on_mpdu_dropped(self.address, mpdu)
             self._finish_job(success=False)
             return
         self._double_cw()
@@ -572,9 +562,13 @@ class DcfMac(MediumListener):
         self._maybe_start_contention()
 
     def _mpdu_outcomes(self, mpdus, delivered: bool) -> None:
-        """Tell the upper layer the final fate of ``mpdus``.  The hook
-        is read once per exchange; an upper layer with nobody to tell
-        exposes ``None`` for it."""
+        """Book the final fate of ``mpdus`` and tell the upper layer.
+        The hook is read once per exchange; an upper layer with nobody
+        to tell exposes ``None`` for it."""
+        if delivered:
+            self.stats.on_mpdus_delivered(mpdus)
+        else:
+            self.stats.on_mpdus_dropped(mpdus)
         outcome = self.upper.on_mpdu_outcome
         if outcome is not None:
             for mpdu in mpdus:
@@ -585,13 +579,7 @@ class DcfMac(MediumListener):
         orig = self._originator_for(job.dst)
         requeued, dropped = orig.on_give_up()
         self._mpdu_outcomes(dropped, False)
-        for mpdu in dropped:
-            self.mpdus_dropped += 1
-            if self.stats is not None:
-                self.stats.on_mpdu_dropped(self.address, mpdu)
         self._sync_pending[job.dst] = True
-        if self.stats is not None:
-            self.stats.on_bar_give_up(self.address, job.dst)
         self._finish_job(success=False)
 
     def _finish_job(self, success: bool) -> None:
@@ -671,7 +659,6 @@ class DcfMac(MediumListener):
         self._awaiting_response = False
         self._cancel_response_timeout()
         self.upper.on_ll_ack_rx(response, sender_addr)
-        stats = self.stats
         if isinstance(response, BlockAckFrame):
             orig = self._originator_for(job.dst)
             delivered, requeued, dropped = orig.on_block_ack(
@@ -682,17 +669,8 @@ class DcfMac(MediumListener):
         else:
             delivered, dropped = job.mpdus[:1], ()
             self.rate_controller_for(job.dst).on_success()
-        self.mpdus_delivered += len(delivered)
         self._mpdu_outcomes(delivered, True)
-        if stats is not None:
-            stats.on_mpdus_delivered(self.address, delivered)
         self._mpdu_outcomes(dropped, False)
-        for mpdu in dropped:
-            self.mpdus_dropped += 1
-            if stats is not None:
-                stats.on_mpdu_dropped(self.address, mpdu)
-        if stats is not None and job.kind == "data":
-            stats.on_exchange_succeeded(self.address, job)
         self._finish_job(success=True)
 
     # ------------------------------------------------------------------
@@ -713,11 +691,8 @@ class DcfMac(MediumListener):
             mpdu_lost = loss_model.mpdu_lost
             readable = []
             for mpdu in frame.mpdus:
-                if mpdu_lost(sender, self, mpdu, rate):
-                    if self.stats is not None:
-                        self.stats.on_mpdu_corrupted(self.address, mpdu)
-                    continue
-                readable.append(mpdu)
+                if not mpdu_lost(sender, self, mpdu, rate):
+                    readable.append(mpdu)
             if not readable:
                 # Nothing decodable: behave as if the PPDU were lost
                 # (no response; the sender's timeout handles it).
@@ -782,13 +757,10 @@ class DcfMac(MediumListener):
                 hack_payload=payload, rate_mbps=rate)
         duration = self.phy.control_duration_ns(response.byte_length,
                                                 rate)
-        if self.stats is not None:
-            stock_bytes = response.byte_length - (
-                len(payload) if payload else 0)
-            stock = self.phy.control_duration_ns(stock_bytes, rate)
-            self.stats.on_ll_response(
-                self.address, response, duration, stock,
-                elicited_by, self.phy,
-                extra_delay=self.params.extra_response_delay_ns)
+        stock_bytes = response.byte_length - (
+            len(payload) if payload else 0)
+        self.stats.on_ll_response(
+            duration, self.phy.control_duration_ns(stock_bytes, rate),
+            elicited_by, self.phy, self.params.extra_response_delay_ns)
         self.medium.transmit(self, response, duration)
         self.upper.on_ll_response_tx(peer, response, payload)

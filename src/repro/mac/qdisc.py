@@ -5,9 +5,9 @@ Three disciplines share one deque-shaped contract (``append``,
 ``DcfMac`` and the A-MPDU batcher stay agnostic:
 
 * ``DropTailQueue`` — FIFO, byte-for-byte the behaviour of the plain
-  ``deque`` it replaces (tail drops stay in ``DcfMac.enqueue``), but
-  it timestamps arrivals so sojourn percentiles exist for every
-  discipline.
+  ``deque`` it replaces (the tail-drop test stays in
+  ``DcfMac.enqueue``), but it timestamps arrivals so sojourn
+  percentiles exist for every discipline.
 * ``CoDelQueue`` — CoDel (RFC 8289): head drops at dequeue when the
   head packet's sojourn time has exceeded ``target`` for at least one
   ``interval``, with the ``interval/sqrt(count)`` control law and
@@ -54,19 +54,29 @@ DISCIPLINES = ("droptail", "codel", "fq_codel")
 
 
 class QdiscStats:
-    """Counters shared by every per-destination queue of one MAC.
+    """The queue book of one MAC, shared by its per-destination queues:
+    ``enqueued == dequeued + drops + withdrawn + queued`` at any
+    instant (``drops`` are the AQM's; a ``tail_drops`` packet never
+    entered).  ``DcfMac`` counts what it decides, the queues what they
+    do.
 
     Sojourns are kept as they come, in nanoseconds, and folded into
     the histogram ``FOLD_EVERY`` at a time and whenever it is read
     — the same ``observe`` calls in the same order, for one list append
     per packet on the dequeue path."""
 
-    __slots__ = ("drops", "_sojourn", "_unfolded")
+    __slots__ = ("enqueued", "tail_drops", "drops", "withdrawn",
+                 "_sojourn", "_unfolded")
 
     FOLD_EVERY = 256
+    #: The counters :meth:`merge` sums (``dequeued`` is the histogram's).
+    COUNTERS = ("enqueued", "tail_drops", "drops", "withdrawn")
 
     def __init__(self) -> None:
-        self.drops = 0          # AQM (head) drops; tail drops are MAC's
+        self.enqueued = 0
+        self.tail_drops = 0
+        self.drops = 0          # AQM (head) drops
+        self.withdrawn = 0
         self._sojourn = Histogram()
         #: Sojourns (ns) dequeued since the last fold, oldest first.
         self._unfolded: List[int] = []
@@ -93,7 +103,8 @@ class QdiscStats:
             self._fold()
 
     def merge(self, other: "QdiscStats") -> None:
-        self.drops += other.drops
+        for name in self.COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.sojourn.merge(other.sojourn)
 
     def block(self, discipline: str) -> Dict[str, Any]:

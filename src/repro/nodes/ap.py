@@ -45,7 +45,7 @@ class ApNode:
     # ------------------------------------------------------------------
     def receive_wired(self, packet: Any) -> None:
         """Server -> client packets: queue on the WLAN for packet.dst
-        (a tail drop is counted once, by the MAC's ``queue_drops``)."""
+        (a tail drop is counted once, in the MAC's ``qdisc_stats``)."""
         self.driver.send_packet(packet, packet.dst)
 
     def on_packets_received(self, packets: List[Any],

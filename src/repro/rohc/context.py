@@ -127,8 +127,7 @@ class CompressorContext:
 class DecompressorContext:
     """Receive-side per-CID state."""
 
-    __slots__ = ("cid", "five_tuple", "flow_id", "src", "dst", "state",
-                 "damaged")
+    __slots__ = ("cid", "five_tuple", "flow_id", "src", "dst", "state")
 
     def __init__(self, cid: int, five_tuple: FiveTuple, flow_id: int,
                  src: str, dst: str):
@@ -138,11 +137,10 @@ class DecompressorContext:
         self.src = src
         self.dst = dst
         self.state = DynamicState()
-        #: Set after a CRC failure: deltas are untrusted until an
-        #: absolute (rebase) entry repairs the context.
-        self.damaged = False
 
-    def note_vanilla(self, segment: TcpSegment) -> None:
+    def note_vanilla(self, segment: TcpSegment) -> bool:
+        """Re-anchor the reference state on ``segment``; False when the
+        segment was stale and changed nothing."""
         # Monotone guard: link-layer retries can reorder vanilla ACKs
         # behind newer compressed ones; a stale ACK must not regress
         # the reference state the compressor has already moved past.
@@ -150,11 +148,11 @@ class DecompressorContext:
         # is broken by the (monotone per-host) timestamp.
         state = self.state
         if (segment.ack, segment.ts_val) < (state.ack, state.ts_val):
-            return
+            return False
         state.ack = segment.ack
         state.ack_delta = 0
         state.ts_val = segment.ts_val
         state.ts_ecr = segment.ts_ecr
         state.rwnd = segment.rwnd
         state.seq = segment.seq
-        self.damaged = False
+        return True

@@ -16,11 +16,22 @@ ever propagates into the event loop.  The CRC path is two-staged:
   ACK, so a transient on-air flip gets a free retry before any state
   is condemned;
 * a **second consecutive** mismatch on the same context declares a
-  desynchronization (``desync_events``): the context is marked
-  damaged, delta entries are skipped (``damaged_skips``) until an
+  desynchronization (``desync_events``): the context gets a damage
+  mark, delta entries are skipped (``damaged_skips``) until an
   absolute entry or a snooped vanilla ACK repairs it, and the repair
   latency is measured (``recovery_ns_total`` over ``recoveries``,
   plus ``recovery_frames_total`` HACK frames spent damaged).
+
+A context is desynced exactly while it holds a mark, and a mark ends
+one of three ways, so the desync book balances by construction::
+
+    desync_events == recoveries + open_desyncs + released_desyncs
+
+``released_desyncs`` counts flows that ended while desynced
+(:meth:`Decompressor.release_flow`); ``open_desync_ns_total`` is the
+summed age of the marks still open when the counters are read — a
+bound on the oldest of them, and a sum, so it merges like every other
+counter.
 
 The paper's cooperative claim (Fig. 11: zero decompression CRC
 failures in practice) means none of this machinery runs outside an
@@ -60,7 +71,8 @@ class Decompressor:
     #: This class's keys of ``metrics_dict()["rohc"]``, all zero in
     #: cooperative runs (:meth:`robustness_counters`).
     ROBUSTNESS_KEYS = ("mid_frame_aborts", "desync_events", "recoveries",
-                       "open_desyncs", "recovery_ns_total",
+                       "open_desyncs", "released_desyncs",
+                       "open_desync_ns_total", "recovery_ns_total",
                        "recovery_frames_total", "internal_errors")
 
     def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
@@ -84,12 +96,14 @@ class Decompressor:
         self.mid_frame_aborts = 0
         self.desync_events = 0
         self.recoveries = 0
+        self.released_desyncs = 0
         self.recovery_ns_total = 0
         self.recovery_frames_total = 0
         self.internal_errors = 0
         #: cid -> consecutive CRC-mismatch count (reset by any success).
         self._crc_streaks: Dict[int, int] = {}
-        #: cid -> (declared-at ns, frames_processed then) while desynced.
+        #: cid -> (declared-at ns, frames_processed then) while desynced:
+        #: the one record of a context's desync.
         self._damage_marks: Dict[int, Tuple[int, int]] = {}
 
     def _now(self) -> int:
@@ -108,9 +122,7 @@ class Decompressor:
                 flow_id=segment.flow_id, src=segment.src,
                 dst=segment.dst)
             self.contexts[cid] = context
-        was_damaged = context.damaged
-        context.note_vanilla(segment)
-        if was_damaged and not context.damaged:
+        if context.note_vanilla(segment) and cid in self._damage_marks:
             # A vanilla ACK re-established the context out-of-band —
             # the second of the two §3.3.2 repair paths.
             self._mark_recovered(cid)
@@ -127,7 +139,9 @@ class Decompressor:
             return False
         del self.contexts[cid]
         self._crc_streaks.pop(cid, None)
-        self._damage_marks.pop(cid, None)  # died desynced: no recovery
+        if self._damage_marks.pop(cid, None) is not None:
+            # Died desynced: the mark closes without a recovery.
+            self.released_desyncs += 1
         if self._last_cid == cid:
             self._last_cid = None
         return True
@@ -201,7 +215,9 @@ class Decompressor:
         if context is None:
             self.unknown_cid += 1
             return None
-        if context.damaged and entry.ack_mode != ACK_ABSOLUTE:
+        marks = self._damage_marks
+        desynced = cid in marks if marks else False
+        if desynced and entry.ack_mode != ACK_ABSOLUTE:
             self.damaged_skips += 1
             return None
         new_state = apply_entry(entry, context.state)
@@ -218,18 +234,14 @@ class Decompressor:
             # dead weight until an absolute entry or a vanilla ACK
             # re-anchors the state.
             self._crc_streaks.pop(cid, None)
-            if not context.damaged:
-                context.damaged = True
+            if not desynced:
                 self.desync_events += 1
-                self._damage_marks[cid] = (self._now(),
-                                           self.frames_processed)
+                marks[cid] = (self._now(), self.frames_processed)
             return None
-        was_damaged = context.damaged
         context.state = new_state
-        context.damaged = False
         if self._crc_streaks:
             self._crc_streaks.pop(cid, None)
-        if was_damaged:
+        if desynced:
             # An absolute (rebase) entry repaired the context in-band.
             self._mark_recovered(cid)
         self.acks_reconstructed += 1
@@ -240,18 +252,23 @@ class Decompressor:
 
     # ------------------------------------------------------------------
     def _mark_recovered(self, cid: int) -> None:
-        mark = self._damage_marks.pop(cid, None)
+        declared_ns, declared_frames = self._damage_marks.pop(cid)
         self.recoveries += 1
-        if mark is not None:
-            declared_ns, declared_frames = mark
-            self.recovery_ns_total += self._now() - declared_ns
-            self.recovery_frames_total += (self.frames_processed
-                                           - declared_frames)
+        self.recovery_ns_total += self._now() - declared_ns
+        self.recovery_frames_total += (self.frames_processed
+                                       - declared_frames)
 
     @property
     def open_desyncs(self) -> int:
         """Contexts currently declared desynchronized."""
         return len(self._damage_marks)
+
+    @property
+    def open_desync_ns_total(self) -> int:
+        """Summed age of the open desyncs, now."""
+        now = self._now()
+        return sum(now - declared_ns
+                   for declared_ns, _ in self._damage_marks.values())
 
     def counters(self) -> Dict[str, int]:
         return {key: getattr(self, key) for key in self.COUNTER_KEYS}

@@ -13,6 +13,10 @@ the quantities the paper's tables report:
 * **§3.3.2 footnote** — the fraction of HACK-augmented LL ACKs whose
   appended payload airtime fits within AIFS.
 
+and, beside Table 1's deliveries, the MPDUs the MACs dropped, so the
+book of MPDU fates balances.  The HACK payload bytes a record reports
+are the drivers' ``hack_frame_bytes``, not a MAC count.
+
 Packet kinds are taken from payload ``kind`` attributes
 (``tcp_data`` / ``tcp_ack`` / ``udp``).
 """
@@ -26,52 +30,39 @@ from ..obs.metrics import merge_counts
 
 
 class MacStats:
-    """Shared accumulator for MAC-level events (one per simulation)."""
+    """Shared accumulator for MAC-level events (one per simulation).
+
+    It is the book of MPDU fates: every MPDU a MAC dequeues ends
+    delivered (first attempt or after retries, by destination) or
+    dropped (``mpdus_dropped``, by destination), or is still held by
+    its MAC — the queue side is each MAC's
+    :class:`~repro.mac.qdisc.QdiscStats`."""
 
     def __init__(self) -> None:
         # Airtime + acquisition accounting, keyed by payload kind.
         self.airtime_ns: Dict[str, int] = defaultdict(int)
         self.acquisition_wait_ns: Dict[str, int] = defaultdict(int)
-        self.tx_attempts: Dict[str, int] = defaultdict(int)
-        self.exchange_failures: Dict[str, int] = defaultdict(int)
-        self.exchange_successes: Dict[str, int] = defaultdict(int)
 
-        # Per-destination delivery outcomes (Table 1).
+        # Per-destination MPDU fates (Table 1).
         self.delivered_first_attempt: Dict[str, int] = defaultdict(int)
         self.delivered_after_retry: Dict[str, int] = defaultdict(int)
         self.mpdus_dropped: Dict[str, int] = defaultdict(int)
-        self.mpdus_corrupted: Dict[str, int] = defaultdict(int)
 
         # LL ACK / response accounting (Table 3).
-        self.ll_response_airtime_ns: Dict[str, int] = defaultdict(int)
         self.ll_response_overhead_ns: Dict[str, int] = defaultdict(int)
-        self.ll_responses: Dict[str, int] = defaultdict(int)
         self.hack_extra_airtime_ns = 0
         self.hack_responses = 0
         self.hack_fits_aifs = 0
-        self.hack_payload_bytes = 0
-
-        self.bar_give_ups = 0
 
     # ------------------------------------------------------------------
     # Hooks called by DcfMac
     # ------------------------------------------------------------------
-    def on_tx_start(self, addr: str, job: Any, frame: Any,
-                    duration: int, wait_ns: int) -> None:
+    def on_tx_start(self, job: Any, duration: int, wait_ns: int) -> None:
         kind = "bar" if job.kind == "bar" else job.stat_kind
         self.airtime_ns[kind] += duration
         self.acquisition_wait_ns[kind] += wait_ns
-        self.tx_attempts[kind] += 1
 
-    def on_exchange_failed(self, addr: str, job: Any) -> None:
-        kind = "bar" if job.kind == "bar" else job.stat_kind
-        self.exchange_failures[kind] += 1
-
-    def on_exchange_succeeded(self, addr: str, job: Any) -> None:
-        kind = "bar" if job.kind == "bar" else job.stat_kind
-        self.exchange_successes[kind] += 1
-
-    def on_mpdus_delivered(self, addr: str, mpdus: Iterable[Any]) -> None:
+    def on_mpdus_delivered(self, mpdus: Iterable[Any]) -> None:
         """The MPDUs one acknowledged exchange delivered."""
         for mpdu in mpdus:
             if mpdu.retry_count == 0:
@@ -79,31 +70,22 @@ class MacStats:
             else:
                 self.delivered_after_retry[mpdu.dst] += 1
 
-    def on_mpdu_dropped(self, addr: str, mpdu: Any) -> None:
-        self.mpdus_dropped[mpdu.dst] += 1
+    def on_mpdus_dropped(self, mpdus: Iterable[Any]) -> None:
+        """MPDUs a MAC gave up on (retry limit reached)."""
+        for mpdu in mpdus:
+            self.mpdus_dropped[mpdu.dst] += 1
 
-    def on_mpdu_corrupted(self, addr: str, mpdu: Any) -> None:
-        self.mpdus_corrupted[addr] += 1
-
-    def on_bar_give_up(self, addr: str, dst: str) -> None:
-        self.bar_give_ups += 1
-
-    def on_ll_response(self, addr: str, response: Any, duration: int,
-                       stock_duration: int, elicited_by: Any, phy: Any,
+    def on_ll_response(self, duration: int, stock_duration: int,
+                       elicited_by: Any, phy: Any,
                        extra_delay: int) -> None:
-        kind = self._elicited_kind(elicited_by)
-        self.ll_response_airtime_ns[kind] += duration
         # Total response overhead the eliciting sender experiences:
         # SIFS + (device lateness) + ACK airtime.
-        self.ll_response_overhead_ns[kind] += (
-            phy.sifs_ns + extra_delay + duration)
-        self.ll_responses[kind] += 1
+        self.ll_response_overhead_ns[self._elicited_kind(elicited_by)] \
+            += phy.sifs_ns + extra_delay + duration
         extra = duration - stock_duration
         if extra > 0:
             self.hack_extra_airtime_ns += extra
             self.hack_responses += 1
-            self.hack_payload_bytes += (
-                len(response.hack_payload) if response.hack_payload else 0)
             if extra <= phy.difs_ns:
                 self.hack_fits_aifs += 1
 
@@ -116,16 +98,12 @@ class MacStats:
 
     #: Every defaultdict counter (summed key-wise on merge).
     _DICT_COUNTERS = (
-        "airtime_ns", "acquisition_wait_ns", "tx_attempts",
-        "exchange_failures", "exchange_successes",
+        "airtime_ns", "acquisition_wait_ns",
         "delivered_first_attempt", "delivered_after_retry",
-        "mpdus_dropped", "mpdus_corrupted",
-        "ll_response_airtime_ns", "ll_response_overhead_ns",
-        "ll_responses")
+        "mpdus_dropped", "ll_response_overhead_ns")
     #: Every scalar counter (summed on merge).
     _SCALAR_COUNTERS = (
-        "hack_extra_airtime_ns", "hack_responses", "hack_fits_aifs",
-        "hack_payload_bytes", "bar_give_ups")
+        "hack_extra_airtime_ns", "hack_responses", "hack_fits_aifs")
 
     def merge(self, other: "MacStats") -> None:
         """Fold another simulation's accumulator into this one.
@@ -145,6 +123,11 @@ class MacStats:
     # ------------------------------------------------------------------
     # Report helpers
     # ------------------------------------------------------------------
+    def delivered(self) -> int:
+        """MPDUs delivered, over every destination and attempt."""
+        return sum(self.delivered_first_attempt.values()) \
+            + sum(self.delivered_after_retry.values())
+
     def retry_table(self) -> Dict[str, Dict[str, float]]:
         """Table 1: per destination, fraction delivered with no retries
         vs. one-or-more retries."""

@@ -51,15 +51,12 @@ class TcpReceiver:
 
         # Counters.
         self.bytes_delivered = 0
-        self.acks_sent = 0
         self.dup_acks_sent = 0
-        self.segments_received = 0
         self.duplicates_received = 0
 
     # ------------------------------------------------------------------
     def on_segment(self, segment: TcpSegment) -> None:
         """Process an arriving data segment."""
-        self.segments_received += 1
         if segment.end_seq <= self.rcv_nxt:
             # Entirely old: duplicate — re-ACK immediately.
             self.duplicates_received += 1
@@ -137,7 +134,6 @@ class TcpReceiver:
             self.flow_id, self.src, self.dst, 0, 0, self.rcv_nxt,
             self.rwnd_bytes, self.sim.now // MS, self._last_ts_val,
             self._sack_blocks() if self._ooo else (), self.five_tuple)
-        self.acks_sent += 1
         self.output(ack)
 
     def close(self) -> None:

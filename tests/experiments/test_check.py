@@ -24,8 +24,9 @@ import pytest
 from repro.cli import main as cli_main
 from repro.experiments import adversarial, city_scale, common, runner
 from repro.experiments.batch import ENGINE_VERSION, SweepRecord, \
-    SweepResult
+    SweepResult, SweepRunner
 from repro.experiments.runner import EXPERIMENTS
+from repro.rohc.decompressor import Decompressor
 
 from tests.experiments.conftest import QUICK_SCOPES
 
@@ -276,13 +277,18 @@ class TestContractsOnTrimmedExtensionGrids:
         rows = common.run(adversarial, quick=True, attacks=("mutator",),
                           runner=sweep_cache_runner)
         assert adversarial.check_rows(rows).startswith(
-            "adversarial: 19 clause(s) hold; 6 cells resilient, 2 ")
+            "adversarial: 22 clause(s) hold; 6 cells resilient, 2 ")
         hack = {"scheme": "TCP/HACK More Data"}
         for where, changes, message in (
                 ({**hack, "intensity": 0.5}, {"internal_errors": 1},
                  "a fault escaped"),
                 ({**hack, "intensity": 1.0}, {"recoveries": 0},
-                 "never recovered"),
+                 "desync book does not balance"),
+                ({**hack, "intensity": 1.0},
+                 lambda row: {"recoveries": row["desync_events"] - 1,
+                              "open_desyncs": 1, "released_desyncs": 0,
+                              "open_desync_ms": 1_000.0},
+                 "open desyncs older than"),
                 ({**hack, "intensity": 0.0}, {"desync_events": 1},
                  "baseline desynced")):
             mutant, row = mutated(rows, where, changes)
@@ -290,6 +296,26 @@ class TestContractsOnTrimmedExtensionGrids:
                                match=message) as failure:
                 adversarial.check_rows(mutant)
             assert str(row) in str(failure.value)
+
+    def test_adversarial_catches_a_decompressor_that_never_recovers(
+            self, monkeypatch):
+        """A decompressor that never leaves the desync state after its
+        first desync (its repair is a no-op): the books still balance,
+        the desyncs die with their flows, and the contract says no
+        forced desync was ever recovered.  Simulated afresh (no cache:
+        the mutant's records must not land under the real cells'
+        signatures)."""
+        monkeypatch.setattr(Decompressor, "_mark_recovered",
+                            lambda self, cid: None)
+        rows = common.run(adversarial, quick=True, attacks=("mutator",),
+                          runner=SweepRunner(jobs=1))
+        mutated_hack = [row for row in rows if "HACK" in row["scheme"]
+                        and row["intensity"] > 0]
+        assert all(row["recoveries"] == 0 and row["desync_events"] > 0
+                   for row in mutated_hack)
+        with pytest.raises(AssertionError,
+                           match="no forced desync was ever recovered"):
+            adversarial.check_rows(rows)
 
 
 @pytest.fixture(scope="module")

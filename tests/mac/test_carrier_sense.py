@@ -343,8 +343,8 @@ class TestSubscription:
         n = 25
         sim, medium, macs, order = visiting_world(n)
         sim.run()
-        assert macs["B"].mpdus_delivered == 0 and \
-            macs["A"].mpdus_delivered == n
+        assert macs["B"].stats.delivered() == 0 and \
+            macs["A"].stats.delivered() == n
         assert macs["quiet"].edge_calls == 0
         # n data frames + n ACKs: 2n busy and 2n idle edges, each heard
         # by both plain listeners, the one attached first first.

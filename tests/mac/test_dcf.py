@@ -139,7 +139,7 @@ class TestBasicExchange:
         sim, _, (a, ua), _ = build_pair()
         a.enqueue(FakePayload(100), "B")
         sim.run()
-        assert a.mpdus_delivered == 1
+        assert a.stats.delivered() == 1
         assert ua.outcomes == [(ua.outcomes[0][0], True)]
 
     def test_post_backoff_spaces_second_frame(self):
@@ -176,7 +176,7 @@ class TestRetries:
         a.enqueue(FakePayload(100), "B")
         sim.run()
         assert ub.delivered == []
-        assert a.mpdus_dropped == 1
+        assert dict(a.stats.mpdus_dropped) == {"B": 1}
         assert ua.outcomes[-1][1] is False
 
     def test_duplicate_filtered_but_reacked(self):
@@ -193,7 +193,7 @@ class TestRetries:
         sim.run()
         assert len(ub.delivered) == 1  # delivered exactly once
         assert len(acks) == 2          # but acknowledged twice
-        assert a.mpdus_delivered == 1
+        assert a.stats.delivered() == 1
 
     def test_cw_doubles_then_resets(self):
         loss = TogglingLoss()
@@ -250,7 +250,7 @@ class TestAggregation:
         assert len(bars) == 1
         assert len(block_acks) == 2  # lost one + BAR response
         assert len(ub.bars) == 1
-        assert a.mpdus_delivered == 3  # resolved via the BAR response
+        assert a.stats.delivered() == 3  # resolved via the BAR response
 
     def test_bar_give_up_sets_sync(self):
         loss = TogglingLoss()
@@ -353,7 +353,7 @@ class TestContention:
         # drains; enqueue before running the loop.
         results = [a.enqueue(FakePayload(100), "B") for _ in range(3)]
         assert not all(results)
-        assert a.queue_drops >= 1
+        assert a.qdisc_stats.tail_drops == results.count(False) >= 1
 
 
 class TestDeviceQuirks:
@@ -367,7 +367,7 @@ class TestDeviceQuirks:
         sim.run()
         data, ack = times[0], times[1]
         assert ack[1] - data[2] == PHY_11A.sifs_ns + usec(37)
-        assert a.mpdus_delivered == 1  # extended timeout tolerates it
+        assert a.stats.delivered() == 1  # extended timeout tolerates it
 
     def test_late_ack_without_timeout_extension_retries(self):
         # Without the extended ACK timeout, SoRa-style late ACKs cause
@@ -378,4 +378,4 @@ class TestDeviceQuirks:
         sim.run()
         assert len(ub.delivered) == 1
         # Sender declared failure at least once despite delivery.
-        assert a.mpdus_delivered + a.mpdus_dropped >= 1
+        assert a.stats.delivered() + sum(a.stats.mpdus_dropped.values()) >= 1

@@ -146,8 +146,8 @@ class TestApBridge:
         ap = ApNode(sim, HackDriver(
             sim, mac, HackConfig.for_policy(HackPolicy.VANILLA)))
         ap.receive_wired(data_segment())
-        assert mac.queue_drops == 1
-        assert mac.enqueued == 0
+        assert mac.qdisc_stats.tail_drops == 1
+        assert mac.qdisc_stats.enqueued == 0
 
 
 class TestClient:

@@ -82,10 +82,15 @@ def _render_mac_stats(stats):
 
 
 def _feed_qdisc(stats, op):
-    if op is None:
-        stats.drops += 1
+    if isinstance(op, str):
+        setattr(stats, op, getattr(stats, op) + 1)
     else:
         stats.on_dequeue(op)
+
+
+def _render_qdisc(stats):
+    return (stats.block("fq_codel"),
+            [getattr(stats, name) for name in QdiscStats.COUNTERS])
 
 
 def _feed_fct(collector, op):
@@ -148,8 +153,9 @@ LAWS = [
                   st.integers(0, 10 ** 9)),
         _feed_mac_stats, _render_mac_stats),
     Law("QdiscStats", QdiscStats,
-        st.one_of(st.none(), st.integers(0, 10 ** 10)),
-        _feed_qdisc, lambda stats: stats.block("fq_codel")),
+        st.one_of(st.sampled_from(QdiscStats.COUNTERS),
+                  st.integers(0, 10 ** 10)),
+        _feed_qdisc, _render_qdisc),
     Law("FctCollector", FctCollector, FLOW,
         _feed_fct, lambda collector: collector.summary(10 ** 9)),
     Law("merge_counts", dict,

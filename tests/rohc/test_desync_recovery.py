@@ -76,7 +76,7 @@ class TestTwoStageContainment:
         decomp.decompress_frame(bad)
         assert decomp.desync_events == 1
         assert decomp.open_desyncs == 1
-        assert decomp.contexts[cid_for_flow(FT)].damaged
+        assert set(decomp._damage_marks) == {cid_for_flow(FT)}
 
 
 class TestRecoveryPaths:
@@ -103,7 +103,14 @@ class TestRecoveryPaths:
         decomp.note_vanilla_ack(ack(7300, ts=12))
         assert decomp.recoveries == 1
         assert decomp.open_desyncs == 0
-        assert not decomp.contexts[cid_for_flow(FT)].damaged
+        assert not decomp._damage_marks
+
+    def test_stale_vanilla_ack_does_not_recover(self):
+        """Only a vanilla ACK that re-anchors the state repairs it."""
+        _, decomp = self.desynced_pair()
+        decomp.note_vanilla_ack(ack(1000, ts=5))   # behind the state
+        assert decomp.recoveries == 0
+        assert decomp.open_desyncs == 1
 
     def test_recovery_latency_measured(self):
         clock = FakeClock()
@@ -124,6 +131,47 @@ class TestRecoveryPaths:
         assert decomp.release_flow(FT)
         assert decomp.open_desyncs == 0
         assert decomp.recoveries == 0
+        assert decomp.released_desyncs == 1
+
+    def test_open_desyncs_sum_their_ages(self):
+        clock = FakeClock()
+        clock.now = 1_000_000
+        _, decomp = self.desynced_pair(clock)
+        clock.now = 3_500_000
+        assert decomp.open_desync_ns_total == 2_500_000
+        assert decomp.robustness_counters()["open_desync_ns_total"] \
+            == 2_500_000
+
+
+class TestDesyncBook:
+    def test_every_desync_is_recovered_open_or_released(self):
+        """``desync_events == recoveries + open_desyncs +
+        released_desyncs`` after each step of a three-flow history."""
+        flows = [FiveTuple("10.0.0.1", "10.0.1.1", 5001 + i, 80)
+                 for i in range(3)]
+        comp, decomp = Compressor(), Decompressor()
+
+        def balanced():
+            block = decomp.robustness_counters()
+            return block["desync_events"] == (
+                block["recoveries"] + block["open_desyncs"]
+                + block["released_desyncs"])
+
+        for ft in flows:
+            first = ack(1460, ft=ft)
+            comp.note_vanilla_ack(first)
+            decomp.note_vanilla_ack(first)
+        for ft in flows:
+            bad = corrupt([comp.compress(ack(2920, ft=ft))])
+            decomp.decompress_frame(bad)
+            decomp.decompress_frame(bad)
+            assert balanced()
+        assert decomp.open_desyncs == 3
+        decomp.note_vanilla_ack(ack(7300, ts=12, ft=flows[0]))
+        assert balanced() and decomp.recoveries == 1
+        assert decomp.release_flow(flows[1])
+        assert balanced() and decomp.released_desyncs == 1
+        assert decomp.open_desyncs == 1 and decomp.desync_events == 3
 
 
 class TestInternalErrorContainment:

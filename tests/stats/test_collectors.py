@@ -21,11 +21,6 @@ class Mpdu:
         self.payload = FakePayload(kind=kind)
 
 
-class Response:
-    def __init__(self, payload=None):
-        self.hack_payload = payload
-
-
 class Frame:
     def __init__(self, kind="tcp_data"):
         self.mpdus = [Mpdu(kind=kind)]
@@ -34,23 +29,22 @@ class Frame:
 class TestAirtimeAccounting:
     def test_tx_start_accumulates(self):
         stats = MacStats()
-        stats.on_tx_start("C1", Job(), None, duration=1000, wait_ns=500)
-        stats.on_tx_start("C1", Job(), None, duration=2000, wait_ns=700)
+        stats.on_tx_start(Job(), duration=1000, wait_ns=500)
+        stats.on_tx_start(Job(), duration=2000, wait_ns=700)
         assert stats.airtime_ns["tcp_ack"] == 3000
         assert stats.acquisition_wait_ns["tcp_ack"] == 1200
-        assert stats.tx_attempts["tcp_ack"] == 2
 
     def test_bar_jobs_keyed_separately(self):
         stats = MacStats()
-        stats.on_tx_start("AP", Job(kind="bar"), None, 100, 0)
+        stats.on_tx_start(Job(kind="bar"), 100, 0)
         assert stats.airtime_ns["bar"] == 100
 
 
 class TestRetryTable:
     def test_fractions(self):
         stats = MacStats()
-        stats.on_mpdus_delivered("AP", [Mpdu() for _ in range(9)])
-        stats.on_mpdus_delivered("AP", [Mpdu(retry_count=2)])
+        stats.on_mpdus_delivered([Mpdu() for _ in range(9)])
+        stats.on_mpdus_delivered([Mpdu(retry_count=2)])
         table = stats.retry_table()
         assert table["C1"]["no_retries"] == pytest.approx(0.9)
         assert table["C1"]["one_or_more"] == pytest.approx(0.1)
@@ -58,8 +52,8 @@ class TestRetryTable:
 
     def test_per_destination(self):
         stats = MacStats()
-        stats.on_mpdus_delivered("AP", [Mpdu(dst="C1"),
-                                        Mpdu(dst="C2", retry_count=1)])
+        stats.on_mpdus_delivered([Mpdu(dst="C1"),
+                                  Mpdu(dst="C2", retry_count=1)])
         table = stats.retry_table()
         assert table["C1"]["no_retries"] == 1.0
         assert table["C2"]["no_retries"] == 0.0
@@ -67,11 +61,19 @@ class TestRetryTable:
     def test_empty(self):
         assert MacStats().retry_table() == {}
 
+    def test_every_fate_is_booked_by_destination(self):
+        stats = MacStats()
+        stats.on_mpdus_delivered([Mpdu(dst="C1"),
+                                  Mpdu(dst="C2", retry_count=3)])
+        stats.on_mpdus_dropped([Mpdu(dst="C2", retry_count=7)])
+        assert stats.delivered() == 2
+        assert dict(stats.mpdus_dropped) == {"C2": 1}
+
 
 class TestLlResponseAccounting:
     def test_overhead_includes_sifs_and_delay(self):
         stats = MacStats()
-        stats.on_ll_response("C1", Response(), duration=28_000,
+        stats.on_ll_response(duration=28_000,
                              stock_duration=28_000,
                              elicited_by=Frame("tcp_ack"), phy=PHY_11A,
                              extra_delay=37_000)
@@ -80,22 +82,19 @@ class TestLlResponseAccounting:
 
     def test_hack_extra_airtime(self):
         stats = MacStats()
-        stats.on_ll_response("C1", Response(b"x" * 8), duration=40_000,
+        stats.on_ll_response(duration=40_000,
                              stock_duration=28_000,
                              elicited_by=Frame(), phy=PHY_11A,
                              extra_delay=0)
         assert stats.hack_extra_airtime_ns == 12_000
         assert stats.hack_responses == 1
-        assert stats.hack_payload_bytes == 8
 
     def test_fit_fraction(self):
         stats = MacStats()
         # Extra airtime within AIFS: fits.
-        stats.on_ll_response("C1", Response(b"x"), 30_000, 28_000,
-                             Frame(), PHY_11A, 0)
+        stats.on_ll_response(30_000, 28_000, Frame(), PHY_11A, 0)
         # Extra airtime way beyond AIFS: does not fit.
-        stats.on_ll_response("C1", Response(b"x" * 200), 100_000,
-                             28_000, Frame(), PHY_11A, 0)
+        stats.on_ll_response(100_000, 28_000, Frame(), PHY_11A, 0)
         assert stats.hack_fit_fraction() == pytest.approx(0.5)
 
     def test_fit_fraction_empty(self):
@@ -105,10 +104,9 @@ class TestLlResponseAccounting:
 class TestTimeBreakdown:
     def test_table3_rows(self):
         stats = MacStats()
-        stats.on_tx_start("C1", Job(stat_kind="tcp_ack"), None,
+        stats.on_tx_start(Job(stat_kind="tcp_ack"),
                           duration=2_000_000, wait_ns=5_000_000)
-        stats.on_ll_response("AP", Response(b"xx"), 32_000, 28_000,
-                             Frame("tcp_ack"), PHY_11A, 0)
+        stats.on_ll_response(32_000, 28_000, Frame("tcp_ack"), PHY_11A, 0)
         breakdown = stats.time_breakdown_ms()
         assert breakdown["tcp_ack_airtime"] == pytest.approx(2.0)
         assert breakdown["channel_acquisition"] == pytest.approx(5.0)

@@ -99,11 +99,11 @@ def test_kernel_books_balance_after_a_real_run(cfg):
 #: SNR-loss side.
 PINNED_DIGESTS = {
     "VANILLA":
-        "4673a867666f3c9900ccbab8cd36fc8299cafffbcb49298f2c3a946a7e4f76e0",
+        "5206185806cde888278245c6a04c881dc56938e3121f4e646287ca915e62d72a",
     "MORE_DATA":
-        "3ee742ba28b80dab84f31579d52ddd640236f28310cfb27d4fbcb74f08fc9960",
+        "d166e44643be85287853219cab00512b61fc4c4f7d1794289c901fb5a3787953",
     "churn-city":
-        "34a1a4a7b2afaa067f8bf68b9c80248d37650913560c5695605d26cb1ac842cd",
+        "a3f25532910945b7ad318a4e1526406daa61863e5e81edaa44bb049ec7dfb348",
 }
 
 

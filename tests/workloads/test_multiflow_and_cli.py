@@ -200,7 +200,11 @@ class TestCli:
         (cli_main, ["report", "run.jsonl", "--top", "0"],
          "positive integer"),
         (runner_main, ["fig01", "--quick", "--seeds", "0"],
-         "positive integer")])
+         "positive integer"),
+        (runner_main, ["fig01", "--quick", "--seeds", "0-1"],
+         "positive integer"),
+        (runner_main, ["fig01", "--quick", "--seeds", "3-2"],
+         "range FIRST-LAST with FIRST <= LAST")])
     def test_counts_are_parsed_as_counts(self, main, argv, expected,
                                          capsys):
         """``--jobs -3`` ran one worker per CPU, ``--retries -1`` ran
@@ -213,6 +217,15 @@ class TestCli:
         assert "Traceback" not in err
         assert f"error: argument {argv[-2]}: must be a {expected}" \
             in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("text, seeds", [
+        ("1", (1,)), ("3", (1, 2, 3)), ("2-2", (2,)), ("2-4", (2, 3, 4))])
+    def test_seeds_are_a_count_or_a_range(self, text, seeds):
+        """``--seeds N`` is 1..N; ``FIRST-LAST`` picks a hold-out seed
+        (``2-2``) with the signature that seed always had."""
+        from repro.experiments.runner import build_parser
+        assert build_parser().parse_args(
+            ["fig01", "--seeds", text]).seeds == seeds
 
     def test_jobs_zero_still_means_one_per_cpu(self):
         from repro.experiments.runner import build_parser
