@@ -101,7 +101,13 @@ from .progress import SweepProgress
 #:    ``released_desyncs`` (flows that ended desynced) and
 #:    ``open_desync_ns_total`` (summed age of the desyncs still open)
 #:    are new keys; rows unchanged.
-ENGINE_VERSION = 10
+#: 11: twelve ``ScenarioConfig`` fields that only ever held the
+#:    paper's constants (MSS, initial window and ssthresh, SACK, the
+#:    client stack delay, the backhaul, ``init_vanilla_acks``,
+#:    ``aggregation``) or a test's cell map (``cell_clients``,
+#:    ``cell_channel``) left it for their layers' defaults — rows
+#:    unchanged, but every scenario point's signature is not.
+ENGINE_VERSION = 11
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 
 class LossModel:
@@ -177,7 +177,9 @@ class SnrLossModel(LossModel):
     frames evaluated at their (robust) basic rate.
 
     One SNR applies to all stations by default; per-receiver SNRs model
-    clients at different distances.
+    clients at different distances.  A run meets few distinct (SNR,
+    rate, frame length) triples, so each PER is computed once, for
+    data MPDUs and for control PPDUs separately.
     """
 
     def __init__(self, rng: random.Random, snr_db: float,
@@ -187,6 +189,8 @@ class SnrLossModel(LossModel):
         self.snr_db = snr_db
         self.per_receiver_snr = per_receiver_snr or {}
         self.width_db = width_db
+        self._mpdu_per: Dict[Tuple[float, float, int], float] = {}
+        self._control_per: Dict[Tuple[float, float, int], float] = {}
 
     def _snr_for(self, receiver: Any) -> float:
         key = getattr(receiver, "address", receiver)
@@ -195,16 +199,21 @@ class SnrLossModel(LossModel):
     def ppdu_lost(self, sender: Any, receiver: Any, frame: Any) -> bool:
         if not getattr(frame, "is_control", False):
             return False
-        rate = getattr(frame, "rate_mbps", 24.0)
-        nbytes = getattr(frame, "byte_length", 32)
-        per = per_from_snr(self._snr_for(receiver), rate, nbytes,
-                           midpoints=LEGACY_SNR_MIDPOINT_DB,
-                           width_db=self.width_db)
+        key = (self._snr_for(receiver), getattr(frame, "rate_mbps", 24.0),
+               getattr(frame, "byte_length", 32))
+        per = self._control_per.get(key)
+        if per is None:
+            per = self._control_per[key] = per_from_snr(
+                *key, midpoints=LEGACY_SNR_MIDPOINT_DB,
+                width_db=self.width_db)
         return self.rng.random() < per
 
     def mpdu_lost(self, sender: Any, receiver: Any, mpdu: Any,
                   rate_mbps: float) -> bool:
-        nbytes = getattr(mpdu, "byte_length", _REFERENCE_FRAME_BYTES)
-        per = per_from_snr(self._snr_for(receiver), rate_mbps, nbytes,
-                           width_db=self.width_db)
+        key = (self._snr_for(receiver), rate_mbps,
+               getattr(mpdu, "byte_length", _REFERENCE_FRAME_BYTES))
+        per = self._mpdu_per.get(key)
+        if per is None:
+            per = self._mpdu_per[key] = per_from_snr(
+                *key, width_db=self.width_db)
         return self.rng.random() < per

@@ -71,14 +71,12 @@ class TcpFlow:
 class TcpParams:
     """The TCP knobs a scenario gives every flow it wires — the sibling
     of ``MacParams`` and ``HackConfig``.  Field names are
-    ``ScenarioConfig``'s, which is how the builder fills it."""
+    ``ScenarioConfig``'s, which is how the builder fills it.  The
+    paper's fixed TCP constants (MSS, initial window and ssthresh, no
+    SACK) are not knobs: they are ``TcpSender`` / ``TcpReceiver``
+    defaults."""
 
-    mss: int = 1460
-    initial_cwnd_segments: int = 2
-    initial_ssthresh_bytes: int = 65_535
     delayed_ack: bool = True
-    generate_sack: bool = False
-    sack_recovery: bool = False
     cc: str = "reno"
     pacing: bool = False
 
@@ -103,16 +101,12 @@ def wire_flow(sim, flow_id: int, five_tuple, direction: str,
         ends if direction == "download" else ends[::-1]
     sender = TcpSender(
         sim, flow_id, source.name, sink.name, output=source_output,
-        total_bytes=total_bytes, mss=params.mss,
-        initial_cwnd_segments=params.initial_cwnd_segments,
-        initial_ssthresh_bytes=params.initial_ssthresh_bytes,
-        use_sack=params.sack_recovery, cc=params.cc,
-        pacing=params.pacing, five_tuple=five_tuple)
+        total_bytes=total_bytes, cc=params.cc, pacing=params.pacing,
+        five_tuple=five_tuple)
     source.add_sender(sender)
     receiver = TcpReceiver(
         sim, flow_id, sink.name, source.name, output=sink_output,
         delayed_ack=params.delayed_ack,
-        generate_sack=params.generate_sack or params.sack_recovery,
         five_tuple=five_tuple.reversed())
     sink.add_receiver(receiver)
     return TcpFlow(flow_id, sender, receiver)

@@ -26,9 +26,9 @@ historical single-BSS topology, so single-cell runs are bit-identical
 to what they always were.
 
 ``channels=C`` spreads the cells over C independent collision domains
-(one :class:`~repro.sim.medium.Medium` each; assignment via
-``cell_channel`` or round-robin).  Cells on different channels never
-interact; results gain per-channel blocks.
+(one :class:`~repro.sim.medium.Medium` each, cell *i* on channel *i*
+mod C).  Cells on different channels never interact; results gain
+per-channel blocks.
 
 Every run takes one path: :func:`run_scenario` plans the shards
 (:class:`~repro.workloads.sharding.ShardPlan` — one simulator per
@@ -67,7 +67,7 @@ from ..rohc.decompressor import Decompressor
 from ..sim.engine import Simulator
 from ..sim.medium import ChannelizedMedium, DEFAULT_CHANNEL, Medium
 from ..sim.rng import RngRegistry
-from ..sim.units import MS, SEC, msec, throughput_mbps, usec
+from ..sim.units import MS, SEC, msec, throughput_mbps
 from ..sim.wired import WiredLink
 from ..stats.collectors import MacStats
 from ..stats.fairness import goodput_fairness, jain_index
@@ -88,6 +88,9 @@ from .sharding import ShardPlan, run_shards
 PHY_MODES = {"11a": PHY_11A, "11n": PHY_11N}
 #: ``ScenarioConfig.traffic`` values.
 TRAFFIC_MODES = ("tcp_download", "tcp_upload", "udp_download", "dynamic")
+#: The paper's backhaul between each cell's server and its AP.
+WIRED_RATE_MBPS = 500.0
+WIRED_DELAY_NS = 1 * MS
 
 
 @dataclass
@@ -138,10 +141,6 @@ class ScenarioConfig:
     #: wired server/link + clients + its own traffic) sharing the one
     #: collision domain.  1 = the paper's single-BSS topology.
     cells: int = 1
-    #: Per-cell client counts (length ``cells``); None = ``n_clients``
-    #: clients in every cell.  A 0 entry builds a silent BSS (AP and
-    #: wired plumbing, no stations, no traffic).
-    cell_clients: Optional[Tuple[int, ...]] = None
     #: Distinct radio channels the cells are spread over.  Channels do
     #: not share a collision domain (separate
     #: :class:`~repro.sim.medium.Medium` instances), so a multi-channel
@@ -149,9 +148,6 @@ class ScenarioConfig:
     #: see :mod:`repro.workloads.sharding`.  1 = everything co-channel,
     #: the historical behaviour.
     channels: int = 1
-    #: Explicit cell -> channel assignment (length ``cells``, entries
-    #: in ``range(channels)``); None = round-robin ``cell % channels``.
-    cell_channel: Optional[Tuple[int, ...]] = None
     #: Concurrent TCP flows per client (the AP queue scales with this,
     #: matching the paper's "126 packets per flow" sizing).
     flows_per_client: int = 1
@@ -175,15 +171,7 @@ class ScenarioConfig:
     loss: LossSpec = field(default_factory=LossSpec)
     #: AP transmit-queue bound per client (paper: 126 per flow).
     ap_queue_per_client: int = 126
-    mss: int = 1460
-    initial_cwnd_segments: int = 2
-    initial_ssthresh_bytes: int = 65_535
-    stack_delay_ns: int = usec(100)
     delayed_ack: bool = True
-    #: Receiver generates SACK blocks; with ``sack_recovery`` the
-    #: sender also uses them (simplified RFC 6675).
-    generate_sack: bool = False
-    sack_recovery: bool = False
     #: Congestion control for every TCP sender: "reno" (the paper-era
     #: default, bit-identical to the historical loop) or "cubic".
     cc: str = "reno"
@@ -193,22 +181,17 @@ class ScenarioConfig:
     #: "droptail", "codel" or "fq_codel" (see repro.mac.qdisc).
     queue_discipline: str = "droptail"
     stagger_ns: int = 200 * MS
-    wired_rate_mbps: float = 500.0
-    wired_delay_ns: int = 1 * MS
     #: Device quirks (SoRa emulation).
     extra_response_delay_ns: int = 0
     ack_timeout_extra_ns: int = 0
     #: HACK knobs.
     stall_guard_ns: Optional[int] = None
     explicit_timer_ns: Optional[int] = None
-    init_vanilla_acks: int = 1
     #: §3.3.2: keep each augmented LL ACK's extra airtime within AIFS
     #: by splitting the compressed-ACK buffer across responses.
     hack_split_to_aifs: bool = False
     #: Override the 4 ms TXOP limit (None keeps the default).
     txop_limit_ns: Optional[int] = msec(4)
-    #: Force aggregation on/off (default: on for 11n, off for 11a).
-    aggregation: Optional[bool] = None
     #: Rate adaptation: None = fixed at data_rate_mbps; "aarf" = AARF
     #: over the PHY's rate ladder, starting at data_rate_mbps.
     rate_adaptation: Optional[str] = None
@@ -223,12 +206,6 @@ class ScenarioConfig:
     @property
     def phy(self) -> PhyParams:
         return PHY_MODES[self.phy_mode]
-
-    @property
-    def use_aggregation(self) -> bool:
-        if self.aggregation is not None:
-            return self.aggregation
-        return self.phy_mode == "11n"
 
     def validate(self) -> None:
         """Reject a config no run can honour — before any of the world
@@ -248,8 +225,6 @@ class ScenarioConfig:
                 f"data_rate_mbps {self.data_rate_mbps:g} is not a "
                 f"{self.phy.name} data rate (valid: "
                 f"{', '.join(f'{r:g}' for r in self.phy.data_rates)})")
-        if self.mss < 1:
-            raise ValueError(f"mss must be >= 1, got {self.mss}")
         if self.n_clients < 0:
             raise ValueError(
                 f"n_clients must be >= 0, got {self.n_clients}")
@@ -279,33 +254,14 @@ class ScenarioConfig:
     def validate_cells(self) -> None:
         if self.cells < 1:
             raise ValueError(f"cells must be >= 1, got {self.cells}")
-        if self.cell_clients is not None:
-            if len(self.cell_clients) != self.cells:
-                raise ValueError(
-                    f"cell_clients has {len(self.cell_clients)} "
-                    f"entries for {self.cells} cells")
-            if any(n < 0 for n in self.cell_clients):
-                raise ValueError("cell_clients entries must be >= 0")
         if self.channels < 1:
             raise ValueError(
                 f"channels must be >= 1, got {self.channels}")
-        if self.cell_channel is not None:
-            if len(self.cell_channel) != self.cells:
-                raise ValueError(
-                    f"cell_channel has {len(self.cell_channel)} "
-                    f"entries for {self.cells} cells")
-            bad = [c for c in self.cell_channel
-                   if not 0 <= c < self.channels]
-            if bad:
-                raise ValueError(
-                    f"cell_channel entries {bad} outside "
-                    f"range({self.channels})")
         if self.adversary is not None:
             self.adversary.validate()
 
     def clients_in_cell(self, cell: int) -> int:
-        if self.cell_clients is not None:
-            return self.cell_clients[cell]
+        """Stations in cell ``cell``: ``n_clients`` in every cell."""
         return self.n_clients
 
     def cell_label(self, cell: int) -> str:
@@ -331,10 +287,7 @@ class ScenarioConfig:
 
     # -- multi-channel helpers ----------------------------------------
     def channel_of(self, cell: int) -> int:
-        """The channel cell ``cell`` radiates on (explicit assignment
-        or round-robin)."""
-        if self.cell_channel is not None:
-            return self.cell_channel[cell]
+        """The channel cell ``cell`` radiates on (round-robin)."""
         return cell % self.channels
 
     def ordered_channels(self, cell_indices=None) -> Tuple[int, ...]:
@@ -744,7 +697,6 @@ def _hack_config(cfg: ScenarioConfig) -> HackConfig:
         base.stall_guard_ns = cfg.stall_guard_ns
     if cfg.explicit_timer_ns is not None:
         base.flush_after_ns = cfg.explicit_timer_ns
-    base.init_vanilla_acks = cfg.init_vanilla_acks
     base.split_to_aifs = cfg.hack_split_to_aifs
     return base
 
@@ -846,7 +798,7 @@ class CellBuilder:
         phy = cfg.phy
         params = MacParams(
             data_rate_mbps=cfg.data_rate_mbps,
-            aggregation=cfg.use_aggregation,
+            aggregation=cfg.phy_mode == "11n",
             queue_limit=queue_limit,
             queue_discipline=cfg.queue_discipline,
             extra_response_delay_ns=cfg.extra_response_delay_ns,
@@ -891,8 +843,8 @@ class CellBuilder:
         net.ap = ap
 
         server = ServerNode(sim)
-        link = WiredLink(sim, server, ap, cfg.wired_rate_mbps,
-                         cfg.wired_delay_ns)
+        link = WiredLink(sim, server, ap, WIRED_RATE_MBPS,
+                         WIRED_DELAY_NS)
         server.attach_link(link)
         ap.attach_link(link)
         net.server = server
@@ -903,8 +855,7 @@ class CellBuilder:
             mac = self.make_mac(name, None, cell_index, medium)
             driver = HackDriver(sim, mac, _hack_config(cfg))
             client = ClientNode(sim, driver, name,
-                                ap_name=net.ap_name,
-                                stack_delay_ns=cfg.stack_delay_ns)
+                                ap_name=net.ap_name)
             net.clients[name] = client
             self.clients[name] = client
             net.drivers[name] = driver

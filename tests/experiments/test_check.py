@@ -210,6 +210,34 @@ class TestExperimentTable:
         assert positions == sorted(positions)
 
 
+class TestCommittedDocument:
+    """EXPERIMENTS.md's region is HEAD's: ``golden/full_rows.json``
+    pins every experiment's rows of the full-fidelity artifact the
+    region was rendered from, the region is the generator's render of
+    them byte for byte, and every contract holds on them.  Simulates
+    nothing; CI's full-regeneration job holds the pin to a fresh run."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        with open(ROOT / "tests" / "experiments" / "golden"
+                  / "full_rows.json") as handle:
+            return json.load(handle)
+
+    def test_region_is_the_render_of_the_pinned_rows(self, generator,
+                                                     pinned):
+        _, begin, rest = (ROOT / "EXPERIMENTS.md").read_text().partition(
+            generator.BEGIN)
+        region, end, _ = rest.partition(generator.END)
+        assert begin and end
+        assert generator.render(pinned["rows"], pinned["seeds"]) \
+            == region
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_pinned_rows_hold_the_contract(self, name, pinned):
+        summary = EXPERIMENTS[name].check_rows(pinned["rows"][name])
+        assert re.search(r"\b[1-9]\d* clause\(s\) hold", summary)
+
+
 #: One seeded regression per pinned experiment: (row selector, the
 #: change, what the contract must say).
 MUTATIONS = {

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.phy.errors import HT40_SNR_MIDPOINT_DB, NoLoss, SnrLossModel, \
-    UniformLossModel, per_from_snr, snr_from_distance
+from repro.phy.errors import HT40_SNR_MIDPOINT_DB, LEGACY_SNR_MIDPOINT_DB, \
+    NoLoss, SnrLossModel, UniformLossModel, per_from_snr, \
+    snr_from_distance
 
 from tests.helpers import FakeFrame
 
@@ -130,3 +131,33 @@ class TestSnrLossModel:
         lost = sum(model.ppdu_lost(None, Receiver("C1"), ctrl)
                    for _ in range(1000))
         assert lost < 50
+
+    def test_memoised_per_draws_as_the_formula_does(self):
+        """Each (SNR, rate, length) PER is computed once per model, for
+        MPDUs and control PPDUs apart; every draw must still be the
+        one ``per_from_snr`` gives.  The SNRs and rates sit on the
+        waterfall, where a stale or crossed entry flips draws."""
+        model = SnrLossModel(random.Random(7), snr_db=22.0,
+                             per_receiver_snr={"C2": 6.0})
+        reference = random.Random(7)
+        pick = random.Random(1)
+        draws = []
+        for step in range(1000):
+            receiver = Receiver(pick.choice(("C1", "C2")))
+            snr = model._snr_for(receiver)
+            length = pick.choice((1500, 800, 120))
+            if pick.random() < 0.2:
+                frame = FakeFrame(byte_length=length, is_control=True)
+                frame.rate_mbps = pick.choice((12.0, 24.0))
+                per = per_from_snr(snr, frame.rate_mbps, length,
+                                   midpoints=LEGACY_SNR_MIDPOINT_DB)
+                lost = model.ppdu_lost(None, receiver, frame)
+            else:
+                rate = pick.choice((120.0, 135.0, 150.0))
+                per = per_from_snr(snr, rate, length)
+                lost = model.mpdu_lost(None, receiver,
+                                       FakeFrame(byte_length=length),
+                                       rate)
+            assert lost == (reference.random() < per), step
+            draws.append(lost)
+        assert 0 < sum(draws) < len(draws)

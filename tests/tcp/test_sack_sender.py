@@ -124,13 +124,18 @@ class TestRecovery:
 
 class TestEndToEnd:
     def test_sack_survives_heavy_tcp_visible_loss(self):
-        from repro import HackPolicy, LossSpec, ScenarioConfig, \
-            run_scenario
-        from repro.sim.units import MS, SEC
-        res = run_scenario(ScenarioConfig(
+        from repro import HackPolicy, ScenarioConfig
+        from repro.sim.units import SEC
+        from repro.workloads.scenarios import build_simulation, collect
+        world = build_simulation(ScenarioConfig(
             phy_mode="11n", data_rate_mbps=150.0,
-            policy=HackPolicy.MORE_DATA, sack_recovery=True,
+            policy=HackPolicy.MORE_DATA,
             ap_queue_per_client=30,  # small queue: real TCP drops
             duration_ns=2 * SEC, warmup_ns=1 * SEC, stagger_ns=0))
+        # SACK is no scenario knob: switch it on in the built world.
+        for flow in world.flows:
+            flow.sender.use_sack = flow.receiver.generate_sack = True
+        world.run()
+        res = collect(world)
         assert res.aggregate_goodput_mbps > 40
         assert res.decomp_counters["crc_failures"] == 0

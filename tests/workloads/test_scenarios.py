@@ -12,6 +12,8 @@ from repro import HackPolicy, LossSpec, ScenarioConfig, run_scenario
 from repro.sim.units import MS, SEC, usec
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 
+from tests.workloads.test_multi_cell import CellMap
+
 
 def quick(policy=HackPolicy.VANILLA, **kw):
     defaults = dict(phy_mode="11n", data_rate_mbps=150.0, n_clients=1,
@@ -192,7 +194,6 @@ class TestValidation:
         ("loss probabilities",
          dict(loss=LossSpec(kind="uniform", data_loss=0.01,
                             per_client={"C1": 1.0}))),
-        ("mss", dict(mss=0)),
         ("n_clients", dict(n_clients=-1)),
         ("flows_per_client", dict(flows_per_client=0)),   # ran as 1
     ]
@@ -234,8 +235,8 @@ class TestValidation:
 
         monkeypatch.setattr(scenarios, "Simulator", no_world)
         with pytest.raises(ValueError, match=field):
-            run_scenario(ScenarioConfig(
-                cells=2, cell_clients=(3, 1),
+            run_scenario(CellMap(
+                cells=2, clients=(3, 1),
                 arrivals=ArrivalSpec(**spec)))
 
     def test_everything_shipped_still_validates(self):

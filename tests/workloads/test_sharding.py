@@ -49,7 +49,8 @@ from repro.workloads.sharding import ShardExecutionError, ShardPlan, \
 
 from tests.experiments.test_resumable import children_of, is_running, \
     subprocess_env
-from tests.workloads.test_multi_cell import base_config, normalised
+from tests.workloads.test_multi_cell import CellMap, base_config, \
+    normalised
 
 CHURN = dict(traffic="dynamic",
              arrivals=ArrivalSpec(
@@ -130,8 +131,8 @@ class TestShardPlan:
 
     def test_explicit_map_first_appearance_order(self):
         plan = ShardPlan.from_config(
-            base_config(cells=4, channels=3,
-                        cell_channel=(2, 0, 2, 1)))
+            base_config(CellMap, cells=4, channels=3,
+                        channel_map=(2, 0, 2, 1)))
         assert plan.channels == (2, 0, 1)
         assert plan.cells_by_channel == ((0, 2), (1,), (3,))
 
@@ -147,17 +148,12 @@ class TestShardPlan:
         assert payload["cells_by_channel"] == {"0": [0, 2],
                                                "1": [1, 3]}
 
-    def test_invalid_channel_map_rejected(self):
-        with pytest.raises(ValueError, match="channel"):
-            ShardPlan.from_config(
-                base_config(cells=2, channels=2, cell_channel=(0, 5)))
-
     def test_frame_record_plans_like_any_other(self, tmp_path):
         """What a run records is not the plan's business: the frame
         record is asked for through telemetry, and telemetry is not
         even an input."""
-        cfg = base_config(cells=4, channels=3,
-                          cell_channel=(2, 0, 2, 1))
+        cfg = base_config(CellMap, cells=4, channels=3,
+                          channel_map=(2, 0, 2, 1))
         plan = ShardPlan.from_config(cfg)
         assert plan == ShardPlan.from_config(copy.deepcopy(cfg))
         assert plan.shard_count == 3
@@ -443,8 +439,9 @@ class TestFrameRecord:
     whole simulator's."""
 
     CONFIGS = {
-        "explicit-map": base_config(cells=4, channels=3, n_clients=1,
-                                    seed=3, cell_channel=(2, 0, 2, 1),
+        "explicit-map": base_config(CellMap, cells=4, channels=3,
+                                    n_clients=1, seed=3,
+                                    channel_map=(2, 0, 2, 1),
                                     **QUICK_RUN),
         "city-20cell": registry.build("city-20cell", **QUICK_RUN),
     }
