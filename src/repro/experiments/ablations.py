@@ -1,18 +1,21 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the design choices the paper argues for.
 
 1. **Policy ablation** (§3.2's three designs): MORE DATA vs
    opportunistic vs explicit timers at several timeout values vs stock.
    The paper argues no good explicit-timer value exists; the sweep
    shows why (short timers flush constantly, long timers stall flows).
+   TS_ECHO (§5's future work) needs no AP cooperation and runs on par
+   with MORE DATA, paying stall-guard flushes when its echo heuristic
+   mispredicts.
 2. **TXOP ablation** (§5): with a tighter transmit-opportunity limit,
    batches shrink and per-batch overhead grows; TCP/HACK "claws back
    some of the efficiency loss", so its relative gain increases.
 3. **AP buffer ablation** (§4.3's queue-sizing discussion): HACK needs
    enough buffering for the MORE DATA bit to be set; tiny queues starve
    both schemes, large ones add loss-free latency only.
-
-All four dimensions are declared as one :class:`SweepSpec` grid so the
-whole ablation suite fans out across workers in a single batch.
+4. **Delayed-ACK ablation** (§2.1): with one ACK per segment instead
+   of one per two, stock TCP's ACK stream doubles and HACK's gain
+   widens.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Adversarial robustness: misbehaving stations vs. the HACK stack.
 
 Not a paper artifact: the paper's evaluation is entirely cooperative
-(Fig. 11 reports *zero* decompression CRC failures).  This experiment
-measures what the reproduction does when that assumption is dropped —
-the robustness grid behind the ``repro.adversary`` scenario family:
+(Fig. 11 reports *zero* decompression CRC failures).  This grid drops
+that assumption with the ``repro.adversary`` scenario family:
 
 * ``greedy``  — a CW-cheating station draws backoff from a shrunken
   contention window and steals airtime from honest uploaders;
@@ -14,23 +13,24 @@ the robustness grid behind the ``repro.adversary`` scenario family:
   retry-the-same-bytes recovery and forcing declared context desyncs).
 
 Grid: attack x intensity x HACK policy (MORE DATA vs. stock 802.11n),
-over a near-saturating Poisson churn workload whose direction is
-chosen per attack: *upload* for the greedy cheater (uplink contention
-is what a shrunken CW steals) and *download* for the jammer and the
-mutator (client-side TCP ACKs under queue build-up are what HACK
-compresses, giving the mutator its target).  Reported per cell: carried
-goodput and its *retention* vs. the same scheme's intensity-0 row,
-FCT p99 and its inflation factor, ROHC desync/recovery telemetry, and
-a pass/fail ``resilient`` verdict:
+over near-saturating Poisson churn: *upload* for the greedy cheater
+(uplink contention is what a shrunken CW steals), *download* for the
+jammer and the mutator (client TCP ACKs are what HACK compresses).
+Reported per cell: carried goodput and its *retention* vs. the same
+scheme's intensity-0 row, FCT p99 and its inflation, ROHC
+desyncs/recoveries, and ``resilient``: no injected fault escaped as
+an exception (``internal_errors``, ``tamper_errors``), and short of
+a saturating attack (intensity < 1) the cell retained some goodput.
 
-* no injected fault may escape as an exception
-  (``internal_errors == 0`` and ``tamper_errors == 0``), and
-* short of a saturating attack (intensity < 1), the cell must retain
-  *some* goodput.
-
-The intensity-0 rows double as the determinism oracle: an inert
-adversary plan must reproduce the cooperative scheme's behaviour
-bit-identically (asserted in ``tests/adversary``).
+A CRC-3 mismatch aborts the frame without consuming its MSN, so §3.4
+retention re-offers the same bytes; a second one in a row declares a
+desync, which ends recovered (an absolute entry or a snooped vanilla
+ACK re-anchors the context), still open when the run ends, or released
+with its flow.  The contract holds each mutated HACK cell to that
+book (``desync_events == recoveries + open + released``) with its open
+desyncs younger than 400 ms in sum, and the intensity-0 rows must
+never desync: an inert plan installs nothing and reproduces the
+cooperative run bit for bit (``tests/adversary``).
 """
 
 from __future__ import annotations

@@ -5,11 +5,13 @@ bursting whole windows into a drop-tail AP queue is exactly the regime
 where §3.2's ACK-withholding pathology bites.  This experiment (an
 extension, not a paper artifact) asks how much of HACK's gain — and of
 the FCT tail — survives a *modern* stack: CUBIC congestion control,
-sender pacing (~2*cwnd/SRTT release), and CoDel / FQ-CoDel AQM at
-every station's MAC queue.
+sender pacing (~2*cwnd/SRTT release; the first RTT is unpaced and
+retransmissions bypass the gate), and CoDel (RFC 8289: 5 ms target,
+100 ms interval, head drop at dequeue) / FQ-CoDel (RFC 8290: DRR over
+per-flow sub-queues, 1514 B quantum) at every station's MAC queue.
 
 Load is ``fct_churn``-style mice (Poisson arrivals, log-normal sizes)
-riding on a constant-bit-rate UDP downlink per client.  The CBR floor
+riding on a 50 Mbps UDP CBR downlink per client.  The CBR floor
 keeps a *standing* queue at the AP — the textbook CoDel-vs-drop-tail
 regime: drop-tail lets the standing queue sit at the limit (sojourn =
 full-queue drain time), CoDel holds delivered sojourn near its 5 ms
@@ -17,7 +19,10 @@ target, and FQ-CoDel additionally isolates the mice from the fat UDP
 bucket via DRR.
 
 Reported per cell: completed flows, FCT p50/p99, AQM drops, and
-delivered-packet sojourn p50/p99 from ``metrics_dict()["aqm"]``.
+delivered-packet sojourn p50/p99 from ``metrics_dict()["aqm"]``,
+recorded under every discipline, drop-tail included.  The contract
+asks CoDel to hold stock Reno's sojourn p99 below drop-tail's while
+head-dropping; see "Seed sensitivity" for the seeds where it does not.
 """
 
 from __future__ import annotations

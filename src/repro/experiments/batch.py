@@ -107,7 +107,10 @@ from .progress import SweepProgress
 #:    ``aggregation``) or a test's cell map (``cell_clients``,
 #:    ``cell_channel``) left it for their layers' defaults — rows
 #:    unchanged, but every scenario point's signature is not.
-ENGINE_VERSION = 11
+#: 12: ``hack_split_to_aifs`` left ``ScenarioConfig``: no scenario set
+#:    it (``HackConfig.split_to_aifs`` stays) — rows unchanged, but
+#:    every scenario point's signature is not.
+ENGINE_VERSION = 12
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``

@@ -1,15 +1,15 @@
 """City-scale scenarios: many cells, channel reuse, shard execution.
 
-The paper measures one BSS; :mod:`multi_ap` scales to a few co-channel
+The paper measures one BSS; ``multi_ap`` scales to a few co-channel
 cells; this experiment (an extension, not a paper artifact) opens the
 deployment-scale axis — tens of cells laid out city-style over the
 three non-overlapping 2.4 GHz channels (round-robin
-``ScenarioConfig.channels``).  Cells on different channels share
-nothing, so the scenario factors into one independent sub-scenario per
-channel: the channel-shard pipeline (:mod:`repro.workloads.sharding`)
-executes it as ``channels`` shards, side by side or serially
-(``--shard-jobs``), with the merged record identical either way.
-Grid: city size (cells) x HACK policy (MORE DATA vs. stock 802.11n).
+``ScenarioConfig.channels``).  Each channel is its own medium:
+carrier sense, EIFS, collisions and loss draws are per channel, and
+each channel runs as its own simulator (``repro.workloads.sharding``;
+``--shard-jobs`` runs them side by side or serially, to the same
+record).  Grid: city size (cells) x HACK policy (MORE DATA vs. stock
+802.11n).
 
 Reported per grid cell: combined carried traffic, per-cell mean,
 cross-cell Jain fairness (now *across channels* — contention only

@@ -3,13 +3,15 @@
 An experiment module *is* its record: ``sweep_spec(quick, seeds,
 **scope)`` declares the grid, ``rows_from_sweep(result)`` projects
 records to row dicts, ``format_rows(rows)`` renders the paper-style
-table, ``TITLE`` / ``PAPER_SAYS`` are its EXPERIMENTS.md heading and
-paper claim, and ``check_rows(rows)`` is its pass/fail contract
-(raises ``AssertionError`` naming the offending row, returns a
-one-line summary).  :func:`run` executes one module (``runner.main``
-hands every target's spec to one ``SweepRunner.run_many`` schedule
-instead); ``quick=True`` shrinks durations/seeds so the whole suite
-stays runnable in CI, the default is the paper-fidelity grid.
+table, and ``check_rows(rows)`` is its pass/fail contract (raises
+``AssertionError`` naming the offending row, returns a one-line
+summary).  Its EXPERIMENTS.md section is rendered from it: ``TITLE``
+the heading, then the table, ``PAPER_SAYS`` (the paper's claim) and
+the module docstring, which is the experiment's only prose.
+:func:`run` executes one module (``runner.main`` hands every target's
+spec to one ``SweepRunner.run_many`` schedule instead); ``quick=True``
+shrinks durations/seeds so the whole suite stays runnable in CI, the
+default is the paper-fidelity grid.
 ``seeds`` replaces the seeds a grid runs; ``None`` keeps its own
 policy, :func:`seeds_for`.
 """

@@ -14,7 +14,9 @@ offered load (low/high arrival rate) x workload shape:
 
 Reported per cell: completed-flow counts, FCT p50/p95/p99, and offered
 vs. carried load, all from the ``"fct"`` block every churn run's
-``metrics_dict`` carries (see :mod:`repro.stats.fct`).
+``metrics_dict`` carries (``repro.stats.fct``).  FCTs are exact: each
+flow keeps one record and the percentiles are order statistics.  Each
+arrival process draws from its own RNG stream: rows repeat bit for bit.
 """
 
 from __future__ import annotations

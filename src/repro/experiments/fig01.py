@@ -1,12 +1,10 @@
 """Figure 1: theoretical goodput for 802.11a (a) and 802.11n (b).
 
-Pure closed-form evaluation of the capacity model — no simulation.
+Pure closed-form evaluation of the capacity model
+(``repro.analysis.capacity``) — no simulation: each (figure, rate)
+cell is one deterministic function call, so seeds do not apply.
 The paper's quoted checkpoints: ~8% average HACK improvement below
 100 Mbps on 802.11n, ~20% at 600 Mbps, ~7% at 150 Mbps.
-
-Declared as an *analytic* sweep: each (figure, rate) cell is a pure
-function call, so the sweep engine can cache and parallelise it like
-any simulation cell.
 """
 
 from __future__ import annotations

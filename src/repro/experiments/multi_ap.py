@@ -3,10 +3,10 @@
 The paper evaluates one BSS in isolation; this experiment (an
 extension, not a paper artifact) opens the first scaling axis beyond
 client count — several co-channel cells (AP + 2 clients each) sharing
-one collision domain (``ScenarioConfig.cells``; see
-:mod:`repro.sim.medium` for the inter-cell semantics).  The medium-
-utilisation argument HACK rests on is strongest exactly here, where
-airtime is scarcest.  Grid: cell count (1/2/3) x HACK policy (MORE
+one collision domain (``ScenarioConfig.cells``; the inter-cell
+semantics are ``repro.sim.medium``'s).  The medium-utilisation
+argument HACK rests on is strongest exactly here, where airtime is
+scarcest.  Grid: cell count (1/2/3) x HACK policy (MORE
 DATA vs. stock 802.11n) x workload (static bulk downloads vs. Poisson
 flow churn).
 

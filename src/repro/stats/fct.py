@@ -20,9 +20,9 @@ and bit-identical across serial, parallel and cache-restored execution.
 
 Collection is exact: :class:`FctCollector` keeps every record,
 percentiles are exact linear-interpolation order statistics, and the
-summary carries the full per-flow list.  Memory is O(flows); its cost
-on the largest churn runs is measured in EXPERIMENTS.md ("Cost of
-exact FCT collection").
+summary carries the full per-flow list.  Memory is O(flows), about
+0.7 kB per flow on CPython 3.11 / x86_64: under 5 MB of peak RSS on a
+6 557-flow run, more flows than any shipped churn cell.
 """
 
 from __future__ import annotations

@@ -187,9 +187,6 @@ class ScenarioConfig:
     #: HACK knobs.
     stall_guard_ns: Optional[int] = None
     explicit_timer_ns: Optional[int] = None
-    #: §3.3.2: keep each augmented LL ACK's extra airtime within AIFS
-    #: by splitting the compressed-ACK buffer across responses.
-    hack_split_to_aifs: bool = False
     #: Override the 4 ms TXOP limit (None keeps the default).
     txop_limit_ns: Optional[int] = msec(4)
     #: Rate adaptation: None = fixed at data_rate_mbps; "aarf" = AARF
@@ -697,7 +694,6 @@ def _hack_config(cfg: ScenarioConfig) -> HackConfig:
         base.stall_guard_ns = cfg.stall_guard_ns
     if cfg.explicit_timer_ns is not None:
         base.flush_after_ns = cfg.explicit_timer_ns
-    base.split_to_aifs = cfg.hack_split_to_aifs
     return base
 
 

@@ -58,6 +58,7 @@ def stub(title):
     """An experiment-shaped stub whose table is its one value."""
     return SimpleNamespace(
         TITLE=title, PAPER_SAYS=f"{title} says so.",
+        __doc__=f"{title} in one line.\n\n    {title}'s body.\n    ",
         rows_from_sweep=lambda result: [
             r.metrics for r in result.records],
         format_rows=lambda rows: f"value {rows[0]['value']}")
@@ -121,9 +122,11 @@ class TestExperimentTable:
         assert f"{generator.BEGIN}Simulation seeds: (1, 2).\n\n## Zed" \
             in text
         body = text[text.index("## Zed"):]
+        # The docstring follows the claim, as inspect.cleandoc left it.
         assert body.startswith(
             "## Zed\n\n```text\nvalue 1.0\n```\n\n"
-            "**Paper says:** Zed says so.\n\n## Ay\n\n"
+            "**Paper says:** Zed says so.\n\n"
+            "Zed in one line.\n\nZed's body.\n\n## Ay\n\n"
             "```text\nvalue 2.0\n```\n\n")
 
     def test_generator_rewrites_only_between_the_markers(
@@ -152,6 +155,7 @@ class TestExperimentTable:
         assert text.startswith(head + generator.BEGIN
                                + "Simulation seeds: (1,).\n\n## Stub\n")
         assert text.endswith("**Paper says:** Stub says so.\n\n"
+                             "Stub in one line.\n\nStub's body.\n\n"
                              + generator.END + tail)
         assert "stale" not in text
 
@@ -197,6 +201,22 @@ class TestExperimentTable:
         assert document.read_bytes() == before
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_generator_refuses_a_pin_missing_an_experiment(
+            self, generator, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(generator, "EXPERIMENTS",
+                            {"other": stub("Other"),
+                             "stub": stub("Stub")})
+        pin = tmp_path / "full_rows.json"
+        pin.write_text(json.dumps(
+            {"rows": {"other": [{"value": 1.0}]}, "seeds": [1]}))
+        document = stub_document(generator, monkeypatch, tmp_path)
+        before = document.read_bytes()
+        capsys.readouterr()
+        assert generator.main([str(pin)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {pin}: no rows for stub\n"
+        assert document.read_bytes() == before
+
     def test_committed_document_has_every_section_in_table_order(
             self, generator):
         text = (ROOT / "EXPERIMENTS.md").read_text()
@@ -231,6 +251,30 @@ class TestCommittedDocument:
         assert begin and end
         assert generator.render(pinned["rows"], pinned["seeds"]) \
             == region
+
+    def test_the_pin_re_renders_the_committed_document(self, generator,
+                                                       tmp_path):
+        """The generator reads the pin as it reads an artifact, so a
+        docstring edit re-renders without a regeneration."""
+        out = tmp_path / "EXPERIMENTS.md"
+        assert generator.main([str(ROOT / "tests" / "experiments"
+                                   / "golden" / "full_rows.json"),
+                               "--out", str(out)]) == 0
+        assert out.read_bytes() == (ROOT / "EXPERIMENTS.md").read_bytes()
+
+    def test_each_experiment_is_one_section(self):
+        """Each ``TITLE`` is a heading exactly once, and no other
+        heading names its topic (the title up to `` (`` or `` —``):
+        an experiment's prose is its module's, not a second copy."""
+        headings = [line for line in
+                    (ROOT / "EXPERIMENTS.md").read_text().splitlines()
+                    if line.startswith("#")]
+        for module in EXPERIMENTS.values():
+            assert headings.count(f"## {module.TITLE}") == 1, module.TITLE
+            topic = re.split(r" \(| —", module.TITLE)[0]
+            assert [h for h in headings
+                    if re.match(rf"#+ {re.escape(topic)}\b", h)] \
+                == [f"## {module.TITLE}"], topic
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_pinned_rows_hold_the_contract(self, name, pinned):

@@ -228,13 +228,15 @@ class TestPlainAckAgainstTheGeneralPath:
     outside recovery, Reno without SACK or pacing — down
     ``_on_plain_new_ack``; a twin fed the same ACKs through ``_on_ack``
     (every ACK's path) must stay in the same state, timers and kernel
-    sequence numbers included, whatever mix of new, duplicate, old and
-    zero-window ACKs, timeouts and completions the stream brings."""
+    sequence numbers included, whatever mix of new (whole or part of a
+    segment), duplicate, old and zero-window ACKs, timeouts, RTOs at
+    their ceiling and completions the stream brings."""
 
     @settings(max_examples=300, deadline=None,
               derandomize=bool(os.environ.get("CI")))
     @given(steps=st.lists(st.tuples(
-               st.sampled_from(["new", "new", "new", "dup", "old"]),
+               st.sampled_from(["new", "new", "new", "part", "dup",
+                                "old"]),
                st.integers(1, 3),
                st.sampled_from([0, 3 * MSS, 1 << 20, 1 << 30]),
                st.integers(0, 400),
@@ -242,22 +244,25 @@ class TestPlainAckAgainstTheGeneralPath:
                min_size=1, max_size=60),
            total=st.sampled_from([None, 40 * MSS, 40 * MSS + 100]),
            ssthresh=st.sampled_from([4 * MSS, 65_535]),
+           max_rto=st.sampled_from([60 * SEC, 300 * MS]),
            variant=st.sampled_from([{}, {}, {"cc": "cubic"},
                                     {"use_sack": True},
                                     {"pacing": True}]))
-    def test_same_sender(self, steps, total, ssthresh, variant):
+    def test_same_sender(self, steps, total, ssthresh, max_rto, variant):
         pair = []
         for _ in range(2):
             sim = Simulator()
             sender, sent = make_sender(
                 sim, total=total, initial_ssthresh_bytes=ssthresh,
-                min_rto_ns=50 * MS, **variant)
+                min_rto_ns=50 * MS, max_rto_ns=max_rto, **variant)
             sender.start()
             pair.append((sim, sender, sent))
         (sim, fast, sent), (oracle_sim, oracle, oracle_sent) = pair
         for kind, segments, rwnd, echo_ms, wait in steps:
             if kind == "new":
                 ack = min(fast.snd_una + segments * MSS, fast.snd_nxt)
+            elif kind == "part":    # short of a whole segment
+                ack = min(fast.snd_una + segments * 100, fast.snd_nxt)
             elif kind == "dup":
                 ack = fast.snd_una
             else:

@@ -12,19 +12,24 @@ import pytest
 
 from repro import HackPolicy, LossSpec, ScenarioConfig, run_scenario
 from repro.sim.units import MS, SEC
+from repro.workloads.scenarios import build_simulation, collect
 
 ALL_POLICIES = [HackPolicy.VANILLA, HackPolicy.MORE_DATA,
                 HackPolicy.OPPORTUNISTIC, HackPolicy.EXPLICIT_TIMER,
                 HackPolicy.TS_ECHO]
 
 
-def run_policy(policy, loss, **kw):
+def policy_config(policy, loss, **kw):
     defaults = dict(phy_mode="11n", data_rate_mbps=150.0, n_clients=1,
                     traffic="tcp_download", policy=policy, loss=loss,
                     duration_ns=1500 * MS, warmup_ns=700 * MS,
                     stagger_ns=0)
     defaults.update(kw)
-    return run_scenario(ScenarioConfig(**defaults))
+    return ScenarioConfig(**defaults)
+
+
+def run_policy(policy, loss, **kw):
+    return run_scenario(policy_config(policy, loss, **kw))
 
 
 class TestUniformLoss:
@@ -68,9 +73,14 @@ class TestRateAdaptation:
 
 class TestSplitUnderLoss:
     def test_split_mode_stays_correct(self):
-        res = run_policy(HackPolicy.MORE_DATA,
-                         LossSpec(kind="uniform", data_loss=0.05),
-                         hack_split_to_aifs=True)
+        world = build_simulation(policy_config(
+            HackPolicy.MORE_DATA, LossSpec(kind="uniform", data_loss=0.05)))
+        # The §3.3.2 split is no scenario knob: switch it on in the
+        # built world.
+        for driver in world.drivers.values():
+            driver.config.split_to_aifs = True
+        world.run()
+        res = collect(world)
         assert res.aggregate_goodput_mbps > 40
         assert res.decomp_counters["crc_failures"] == 0
         assert res.mac_stats.hack_fit_fraction() == 1.0
