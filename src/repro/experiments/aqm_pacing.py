@@ -178,8 +178,8 @@ def check_rows(rows: List[Dict]) -> str:
         (codel["sojourn_p99_ms"] < tail["sojourn_p99_ms"]
          and codel["aqm_drops"] > 0,
          "CoDel does not beat drop-tail on sojourn p99"))
-    return (f"aqm smoke: {len(rows)} cells complete ({clauses} "
-            f"clause(s) hold); codel p99 "
+    return (f"aqm_pacing: {clauses} clause(s) hold; {len(rows)} cells "
+            f"complete; codel p99 "
             f"{codel['sojourn_p99_ms']:.2f} ms < droptail "
             f"{tail['sojourn_p99_ms']:.2f} ms "
             f"({codel['aqm_drops']:.0f} head drops)")

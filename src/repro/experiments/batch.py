@@ -19,10 +19,11 @@ structure explicit and executable in parallel:
   metrics, records and artifacts either way.
   Execution is *incremental and fault-isolated*: every point's metrics
   are checkpointed into the cache the moment that point completes, a
-  raising point becomes a first-class error record instead of aborting
-  the sweep (``retries=N`` re-runs transient failures with backoff),
-  and SIGINT/SIGTERM interrupt gracefully — completed work is flushed
-  and :class:`SweepInterrupted` carries the partial results.
+  point runs once and, if it raises, its error is its record — the
+  sweep goes on (a point is a function of its config, so a retry
+  would only raise again) — and SIGINT/SIGTERM interrupt gracefully:
+  completed work is flushed and :class:`SweepInterrupted` carries the
+  partial results.
 * :class:`SweepCache` — content-hash cache: each point is keyed by a
   SHA-256 over its canonical JSON description, so re-running a sweep
   whose cells did not change costs nothing.  Because the runner
@@ -42,8 +43,7 @@ structure explicit and executable in parallel:
   aggregation, persistable to/reloadable from a JSON dict
   (``to_json_dict`` / ``from_json_dict``: one entry of a ``--out``
   artifact; ``version`` 2, the only schema read; artifacts from a
-  different ``ENGINE_VERSION`` are rejected unless
-  ``allow_stale=True``).
+  different ``ENGINE_VERSION`` are rejected).
 
 Workers rebuild the whole simulation from the (picklable) config, so
 nothing stateful crosses process boundaries except plain dicts.
@@ -380,8 +380,8 @@ class SweepRecord:
     """One point's outcome: metrics, or a first-class error.
 
     ``metrics`` is ``None`` exactly when ``error`` is set; a failed
-    point records the exception (type, message, traceback, attempt
-    count) instead of aborting the sweep.
+    point records the exception (type, message, traceback) instead of
+    aborting the sweep.
     """
 
     key: Key
@@ -417,8 +417,7 @@ def mean_stdev(values: Sequence[float]) -> Dict[str, float]:
 class StaleArtifactError(ValueError):
     """A sweep artifact was written under a different ENGINE_VERSION.
 
-    Mixing its rows with fresh ones would mix simulator semantics;
-    pass ``allow_stale=True`` to load it anyway.
+    Mixing its rows with fresh ones would mix simulator semantics.
     """
 
 
@@ -510,15 +509,13 @@ class SweepResult:
         }
 
     @classmethod
-    def from_json_dict(cls, payload: Mapping[str, Any],
-                       allow_stale: bool = False) -> "SweepResult":
+    def from_json_dict(cls, payload: Mapping[str, Any]) -> "SweepResult":
         """Reload an artifact (schema :data:`RESULT_VERSION` only).
 
         Raises :class:`StaleArtifactError` when the artifact's
         ``engine`` differs from the running :data:`ENGINE_VERSION` —
         its rows were produced under different simulator semantics and
-        must not silently mix with fresh ones.  ``allow_stale=True``
-        is the explicit escape hatch.
+        must not silently mix with fresh ones.
         """
         if payload.get("format") != "repro-sweep-result":
             raise ValueError("not a sweep-result JSON document")
@@ -528,12 +525,11 @@ class SweepResult:
                 f"unknown sweep-result version {version!r} "
                 f"(this build reads version {RESULT_VERSION})")
         engine = payload.get("engine")
-        if engine != ENGINE_VERSION and not allow_stale:
+        if engine != ENGINE_VERSION:
             raise StaleArtifactError(
                 f"artifact was produced by engine version {engine!r}, "
                 f"this build is {ENGINE_VERSION}; its rows would mix "
-                f"incompatible simulator semantics (pass "
-                f"allow_stale=True to load anyway)")
+                f"incompatible simulator semantics")
         return cls(
             spec_name=payload["spec"],
             interrupted=payload.get("interrupted", False),
@@ -576,17 +572,6 @@ class SweepInterrupted(RuntimeError):
     @property
     def result(self) -> Optional[SweepResult]:
         return next(iter(self.results.values()), None)
-
-
-def error_payload(exc: BaseException, attempts: int) -> Dict[str, Any]:
-    """JSON-able description of a point failure (the record's error)."""
-    return {
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "traceback": "".join(traceback_module.format_exception(
-            type(exc), exc, exc.__traceback__)),
-        "attempts": attempts,
-    }
 
 
 class _RunState:
@@ -658,12 +643,11 @@ class SweepRunner:
 
     * every point's metrics are checkpointed into the cache *the
       moment it completes* — a killed run resumes from its cache;
-    * a raising point becomes an error record (``SweepRecord.error``)
-      and the sweep keeps going; ``retries=N`` re-runs a failing point
-      up to N extra times (serial retries back off
-      ``retry_backoff_s * attempt``; a broken worker pool is rebuilt
-      after the same backoff and counts one attempt against every
-      point it took down);
+    * each point runs once: a raising point's error is its record
+      (``SweepRecord.error``) and the sweep keeps going.  A worker that
+      dies breaks the pool, which fails every point it still holds
+      with ``BrokenProcessPool``; those are error records too, as is
+      any point handed to the broken pool afterwards;
     * SIGINT/SIGTERM stop the sweep gracefully: in-flight results are
       flushed and :class:`SweepInterrupted` carries the partial
       results (a second SIGINT raises ``KeyboardInterrupt``
@@ -676,8 +660,6 @@ class SweepRunner:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache_dir: Optional[Union[str, Path]] = None,
-                 retries: int = 0,
-                 retry_backoff_s: float = 0.5,
                  progress: Optional[
                      Callable[[SweepProgress], None]] = None,
                  shard_jobs: Optional[int] = None,
@@ -686,8 +668,6 @@ class SweepRunner:
             jobs = os.cpu_count() or 1
         self.jobs = jobs
         self.cache = SweepCache(cache_dir) if cache_dir else None
-        self.retries = max(0, retries)
-        self.retry_backoff_s = retry_backoff_s
         self.progress = progress
         #: Processes per multi-channel point (see ``execute_point``):
         #: None = decide from the host (one worker per shard, or
@@ -783,9 +763,13 @@ class SweepRunner:
             self._emit_progress(follower)
 
     def _note_failure(self, state: _RunState, index: int,
-                      error: Dict[str, Any]) -> List[Item]:
-        """Record a failed point; returns its followers, which a serial
-        run would have missed in the cache and executed themselves."""
+                      exc: BaseException) -> List[Item]:
+        """Record a failed point, its error a JSON-able description of
+        ``exc``; returns its followers, which a serial run would have
+        missed in the cache and executed themselves."""
+        error = {"type": type(exc).__name__, "message": str(exc),
+                 "traceback": "".join(traceback_module.format_exception(
+                     type(exc), exc, exc.__traceback__))}
         state.fill(index, None, error=error)
         if self.cache is not None:
             self.cache.store_failure(state.signatures[index], error)
@@ -825,26 +809,13 @@ class SweepRunner:
         while queue and self._stop_signal is None:
             state, index = queue.popleft()
             state.begun = True
-            last_error: Optional[BaseException] = None
-            for attempt in range(1, self.retries + 2):
-                if attempt > 1:
-                    time.sleep(self.retry_backoff_s * (attempt - 1))
-                try:
-                    metrics = execute_point(state.spec.points[index],
-                                            self.shard_jobs,
-                                            self.telemetry_dir)
-                except Exception as exc:
-                    last_error = exc
-                    if self._stop_signal is not None:
-                        break
-                else:
-                    self._note_success(state, index, metrics)
-                    last_error = None
-                    break
-            if last_error is not None:
-                queue.extend(self._note_failure(
-                    state, index,
-                    error_payload(last_error, self.retries + 1)))
+            try:
+                metrics = execute_point(state.spec.points[index],
+                                        self.shard_jobs, self.telemetry_dir)
+            except Exception as exc:
+                queue.extend(self._note_failure(state, index, exc))
+            else:
+                self._note_success(state, index, metrics)
             yield
 
     def _run_pooled(self, items: List[Item],
@@ -854,66 +825,40 @@ class SweepRunner:
         # Imported here only, as in ``sharding.run_shards``: a process
         # pool's imports cost ~20 ms, which every run that starts no
         # pool (a warm cache, --jobs 1) would otherwise pay at start-up.
-        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, \
+        from concurrent.futures import FIRST_COMPLETED, \
             ProcessPoolExecutor, wait
-        attempts: Dict[Item, int] = {}
-
-        def new_pool() -> Any:
-            return ProcessPoolExecutor(max_workers=jobs,
-                                       initializer=_exit_with_parent,
-                                       initargs=(os.getpid(),))
-
-        pool = new_pool()
+        pool = ProcessPoolExecutor(max_workers=jobs,
+                                   initializer=_exit_with_parent,
+                                   initargs=(os.getpid(),))
         futures: Dict[Any, Item] = {}
 
-        def submit(item: Item) -> None:
-            state, index = item
-            state.begun = True
-            attempts[item] = attempts.get(item, 0) + 1
-            futures[pool.submit(execute_point, state.spec.points[index],
-                                self.shard_jobs,
-                                self.telemetry_dir)] = item
+        def submit(items: Iterable[Item]) -> None:
+            for state, index in items:
+                state.begun = True
+                try:
+                    futures[pool.submit(
+                        execute_point, state.spec.points[index],
+                        self.shard_jobs, self.telemetry_dir)] = \
+                        (state, index)
+                except Exception as exc:    # the pool is broken
+                    submit(self._note_failure(state, index, exc))
 
         try:
-            for item in items:
-                submit(item)
+            submit(items)
             yield
             while futures and self._stop_signal is None:
                 done, _ = wait(list(futures), timeout=0.1,
                                return_when=FIRST_COMPLETED)
                 if self._stop_signal is not None:
                     return
-                retry_queue: List[Item] = []
-                pool_broken = False
                 for future in done:
-                    item = futures.pop(future)
+                    state, index = futures.pop(future)
                     try:
                         metrics = future.result()
-                    except BrokenExecutor as exc:
-                        # A worker died and took the pool with it:
-                        # every outstanding future is poisoned.
-                        pool_broken = True
-                        self._resolve_failure(attempts, item, exc,
-                                              retry_queue)
                     except Exception as exc:
-                        self._resolve_failure(attempts, item, exc,
-                                              retry_queue)
+                        submit(self._note_failure(state, index, exc))
                     else:
-                        self._note_success(*item, metrics)
-                if pool_broken:
-                    for future, item in list(futures.items()):
-                        del futures[future]
-                        self._resolve_failure(
-                            attempts, item,
-                            BrokenExecutor(
-                                "worker pool died mid-sweep"),
-                            retry_queue)
-                    pool.shutdown(wait=False)
-                    if retry_queue:
-                        time.sleep(self.retry_backoff_s)
-                    pool = new_pool()
-                for item in retry_queue:
-                    submit(item)
+                        self._note_success(state, index, metrics)
                 if done:
                     yield
         finally:
@@ -922,15 +867,6 @@ class SweepRunner:
                               cancel_futures=True)
             except Exception:  # pragma: no cover - already broken
                 pass
-
-    def _resolve_failure(self, attempts: Dict[Item, int], item: Item,
-                         exc: BaseException,
-                         retry_queue: List[Item]) -> None:
-        if attempts[item] <= self.retries:
-            retry_queue.append(item)
-        else:
-            retry_queue.extend(self._note_failure(
-                *item, error_payload(exc, attempts[item])))
 
     # -- entry points --------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepResult:

@@ -122,11 +122,6 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
                              f"(default: {DEFAULT_CACHE_DIR})")
     parser.add_argument("--no-cache", action="store_true",
                         help="always re-simulate, ignore the cache")
-    parser.add_argument("--retries", type=non_negative_int, default=0,
-                        metavar="N",
-                        help="re-run a failing point up to N extra "
-                             "times with backoff (transient worker "
-                             "deaths; default 0)")
     parser.add_argument("--progress", action="store_true",
                         help="live progress lines on stderr (points "
                              "done/cached/failed, points/s, ETA)")
@@ -262,12 +257,11 @@ def read_artifacts(path: str, names=()) -> dict:
 
 
 def report_failures(name: str, result: SweepResult) -> None:
-    """Per-failure stderr lines (key, seed, error type, attempts)."""
+    """Per-failure stderr lines (key, seed, error type and message)."""
     for record in result.failures():
         error = record.error or {}
         print(f"[{name}] FAILED cell {record.key} seed {record.seed}: "
-              f"{error.get('type', '?')}: {error.get('message', '')} "
-              f"({error.get('attempts', 1)} attempt(s))",
+              f"{error.get('type', '?')}: {error.get('message', '')}",
               file=sys.stderr)
 
 
@@ -332,7 +326,6 @@ def main(argv=None, prog=None) -> int:
     sweep_runner = SweepRunner(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
-        retries=args.retries,
         progress=ProgressReporter() if args.progress else None,
         shard_jobs=args.shard_jobs, telemetry_dir=args.telemetry_dir)
     results = sweep_runner.run_many(specs)

@@ -48,7 +48,12 @@ class TestHarness:
         """The contract CI applies to the full grid holds on the
         trimmed one."""
         summary = aqm_pacing.check_rows(quick_rows)
-        assert summary.startswith(f"aqm smoke: {len(quick_rows)} cells")
+        # One clause per cell, one more per drop-tail cell, and CoDel's.
+        clauses = len(quick_rows) + 1 + sum(
+            row["qdisc"] == "droptail" for row in quick_rows)
+        assert summary.startswith(
+            f"aqm_pacing: {clauses} clause(s) hold; "
+            f"{len(quick_rows)} cells complete; ")
 
     def test_codel_beats_droptail_sojourn_tail(self, quick_rows):
         """The gate has teeth: it names the row when CoDel's stock

@@ -76,8 +76,7 @@ def fail_first_record(entry):
     leave the entry's stored ``failed`` counter as it was: the gate
     reads the records."""
     entry["records"][0].update(metrics=None, error={
-        "type": "RuntimeError", "message": "poisoned cell",
-        "attempts": 1})
+        "type": "RuntimeError", "message": "poisoned cell"})
 
 
 def write_artifact(tmp_path, entries):

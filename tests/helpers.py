@@ -83,43 +83,14 @@ def slow_metrics_fn(delay_s=0.2, **kwargs):
     return dict(kwargs)
 
 
-def _bump_counter(counter_path):
-    """File-based call counter shared across worker processes."""
-    from pathlib import Path
-
-    path = Path(counter_path)
-    count = int(path.read_text()) + 1 if path.exists() else 1
-    path.write_text(str(count))
-    return count
-
-
-def flaky_metrics_fn(counter_path, fail_times, **kwargs):
-    """Raises on the first ``fail_times`` calls, then succeeds."""
-    count = _bump_counter(counter_path)
-    if count <= fail_times:
-        raise RuntimeError(f"transient failure #{count}")
-    return dict(kwargs, calls=count)
-
-
-def dying_worker_fn(counter_path=None, die_times=None, delay_s=0.0,
-                    **kwargs):
-    """Kills its own process (``os._exit``) — breaks a worker pool.
-
-    With ``counter_path``/``die_times`` it only dies the first
-    ``die_times`` calls, succeeding afterwards (the transient-worker-
-    death retry scenario); without them it always dies.
-    """
+def dying_worker_fn(delay_s=0.0, **_kwargs):
+    """Kills its own process (``os._exit``) — breaks a worker pool."""
     import os
     import time
 
     if delay_s:
         time.sleep(delay_s)
-    if counter_path is None:
-        os._exit(3)
-    count = _bump_counter(counter_path)
-    if count <= die_times:
-        os._exit(3)
-    return dict(kwargs, calls=count)
+    os._exit(3)
 
 
 def interrupting_metrics_fn(**kwargs):

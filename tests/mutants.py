@@ -35,6 +35,7 @@ MERGE = "tests/obs/test_merge_law.py::" \
         "test_sharded_merge_renders_the_unsharded_block"
 BOOKS = "tests/workloads/test_books.py::"
 PINS = "tests/workloads/test_kernel_counts.py::"
+WORKER_DEATH = "tests/experiments/test_resumable.py::TestRetries::"
 
 MUTANTS = (
     # -- Reference oracles kept in tests/ ------------------------------
@@ -149,7 +150,9 @@ MUTANTS = (
            "            entries = entries[:self._aifs_prefix_len(ps)]\n",
            "            entries = entries[:]\n",
            ("tests/core/test_split_to_aifs.py::TestSplitting::"
-            "test_large_buffer_is_limited",)),
+            "test_large_buffer_is_limited",
+            "tests/workloads/test_lossy_policies.py::TestSplitUnderLoss::"
+            "test_split_mode_stays_correct")),
     Mutant("loses-ppdus-ignores-ppdu-lost",
            "src/repro/phy/errors.py",
            "not (_keeps_base(model, \"is_lost\")\n"
@@ -192,6 +195,29 @@ MUTANTS = (
            "        self.recoveries += 2\n",
            (BOOKS + "test_desync_book_balances_on_the_quick_mutator_cells"
             "[1.0-1]",)),
+
+    # -- The sweep engine: a point runs once, its failure its record ---
+    Mutant("failed-point-drops-its-followers",
+           "src/repro/experiments/batch.py",
+           "        return self._followers.pop((state, index), [])\n",
+           "        self._followers.pop((state, index), [])\n"
+           "        return []\n",
+           ("tests/experiments/test_batch.py::TestSchedule::"
+            "test_failed_points_duplicate_runs_on_its_own",)),
+    Mutant("pooled-failure-lets-a-worker-death-escape",
+           "src/repro/experiments/batch.py",
+           "                    except Exception as exc:\n"
+           "                        submit(self._note_failure(",
+           "                    except ValueError as exc:\n"
+           "                        submit(self._note_failure(",
+           (WORKER_DEATH
+            + "test_worker_death_fails_point_without_aborting",)),
+    Mutant("dead-pool-submit-escapes",
+           "src/repro/experiments/batch.py",
+           "except Exception as exc:    # the pool is broken\n",
+           "except ValueError as exc:\n",
+           (WORKER_DEATH
+            + "test_follower_handed_to_the_dead_pool_is_recorded",)),
 
     # -- Pinned digests and golden rows --------------------------------
     Mutant("pinned-digest-cubic-decrease",

@@ -73,17 +73,27 @@ class TestRateAdaptation:
 
 class TestSplitUnderLoss:
     def test_split_mode_stays_correct(self):
-        world = build_simulation(policy_config(
-            HackPolicy.MORE_DATA, LossSpec(kind="uniform", data_loss=0.05)))
-        # The §3.3.2 split is no scenario knob: switch it on in the
-        # built world.
-        for driver in world.drivers.values():
-            driver.config.split_to_aifs = True
-        world.run()
-        res = collect(world)
-        assert res.aggregate_goodput_mbps > 40
-        assert res.decomp_counters["crc_failures"] == 0
-        assert res.mac_stats.hack_fit_fraction() == 1.0
+        """Without delayed ACKs an augmented LL ACK outgrows AIFS on
+        this cell unless the driver splits it (§3.3.2): off, some
+        responses miss AIFS; on, every one fits, and the split loses
+        nothing."""
+        def run(split_to_aifs):
+            world = build_simulation(policy_config(
+                HackPolicy.MORE_DATA,
+                LossSpec(kind="uniform", data_loss=0.05),
+                delayed_ack=False))
+            # The split is no scenario knob: set it in the built world.
+            for driver in world.drivers.values():
+                driver.config.split_to_aifs = split_to_aifs
+            world.run()
+            return collect(world)
+
+        unsplit, split = run(False), run(True)
+        assert unsplit.mac_stats.hack_fit_fraction() < 1.0
+        assert split.mac_stats.hack_fit_fraction() == 1.0
+        for res in (unsplit, split):
+            assert res.aggregate_goodput_mbps > 40
+            assert res.decomp_counters["crc_failures"] == 0
 
 
 class TestSoraPlusLoss:

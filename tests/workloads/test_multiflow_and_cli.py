@@ -195,7 +195,7 @@ class TestCli:
     @pytest.mark.parametrize("main, argv, expected", [
         (runner_main, ["fig01", "--quick", "--jobs", "-3"],
          "non-negative integer"),
-        (runner_main, ["fig01", "--quick", "--retries", "-1"],
+        (cli_main, ["sweep", "fig01", "--quick", "--jobs", "-1"],
          "non-negative integer"),
         (cli_main, ["report", "run.jsonl", "--top", "0"],
          "positive integer"),
@@ -207,9 +207,10 @@ class TestCli:
          "range FIRST-LAST with FIRST <= LAST")])
     def test_counts_are_parsed_as_counts(self, main, argv, expected,
                                          capsys):
-        """``--jobs -3`` ran one worker per CPU, ``--retries -1`` ran
-        as 0, ``--top 0`` printed empty headings and ``--seeds 0``
-        (in the old generator) ran until crossval's KeyError."""
+        """``--jobs -3`` ran one worker per CPU (on the runner and on
+        ``repro sweep``, which forwards to it), ``--top 0`` printed
+        empty headings and ``--seeds 0`` (in the old generator) ran
+        until crossval's KeyError."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
