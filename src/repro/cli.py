@@ -278,26 +278,23 @@ def _simulate(args: argparse.Namespace) -> int:
           f"{result.medium_frames_collided}")
     print(f"medium utilisation: {result.medium_utilisation:8.2%}")
     if len(result.channel_blocks) > 1:
-        shard_walls = (result.shard_info or {}).get("shard_wall_s", {})
+        info = result.shard_info
         for block in result.channel_blocks:
+            wall = info["shard_wall_s"][str(block["channel"])]
             parts = [f"utilisation {block['utilisation']:6.2%}",
                      f"airtime sum {block['airtime_share_sum']:.3f}",
                      f"frames {block['frames_sent']}/"
-                     f"{block['frames_collided']} collided"]
-            wall = shard_walls.get(str(block["channel"]))
-            if wall is not None:
-                parts.append(f"shard {wall:.2f}s")
+                     f"{block['frames_collided']} collided",
+                     f"shard {wall:.2f}s"]
             print(f"  channel {block['channel']}: " + ", ".join(parts))
-        if result.shard_info is not None:
-            info = result.shard_info
-            how = f"jobs {info['jobs']}"
-            if info["requested_jobs"] is None:
-                # The default decided: say what, and why if serial.
-                how = "one worker per shard" if info["jobs"] > 1 \
-                    else "in-process: this host has one core"
-            print(f"shard execution   : {info['plan']['shards']} "
-                  f"shards, {info['mode']} ({how}), "
-                  f"{info['wall_s']:.2f}s")
+        how = f"jobs {info['jobs']}"
+        if info["requested_jobs"] is None:
+            # The default decided: say what, and why if serial.
+            how = "one worker per shard" if info["jobs"] > 1 \
+                else "in-process: this host has one core"
+        print(f"shard execution   : {len(info['shards'])} "
+              f"shards, {info['mode']} ({how}), "
+              f"{info['wall_s']:.2f}s")
     if len(result.cell_blocks) > 1:
         for block in result.cell_blocks:
             parts = [f"carried {block['carried_mbps']:7.2f} Mbps",

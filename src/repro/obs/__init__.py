@@ -9,11 +9,13 @@ telemetry JSONL and Chrome trace, written from a finished result
 ``repro report`` (:mod:`~repro.obs.report`).
 
 Entry point for simulations: pass ``telemetry=TelemetryConfig(...)``
-to :func:`repro.workloads.scenarios.run_scenario`, which calls
-:func:`write_artifacts` once on its result (CLI: ``repro simulate
---telemetry PATH --trace-export PATH --sample-interval MS``).  The
-``build_simulation`` -> ``run()`` -> ``collect()`` seam writes
-nothing; call :func:`write_artifacts` on ``collect(world)`` for files.
+to :func:`repro.workloads.scenarios.run_scenario`, which runs every
+config as its channels' shards, each sampling its own simulator, and
+calls :func:`write_artifacts` once on the merged result (CLI: ``repro
+simulate --telemetry PATH --trace-export PATH --sample-interval MS``).
+The ``build_simulation`` -> ``run()`` -> ``collect()`` seam — the one
+way to a live world — writes nothing; call :func:`write_artifacts` on
+``collect(world)`` for files.
 Telemetry is an execution knob — disabled (the default) it costs one
 local test per dispatched event and leaves every metric and cache
 signature bit-identical.

@@ -30,17 +30,18 @@ to what they always were.
 mod C).  Cells on different channels never interact; results gain
 per-channel blocks.
 
-Every run takes one path: :func:`run_scenario` plans the shards
-(:class:`~repro.workloads.sharding.ShardPlan` — one simulator per
-channel in use, side by side where the host has the cores), and for
-each shard :func:`build_simulation` builds the live world
-(:class:`CellBuilder`), ``world.run()`` executes it and
-:func:`collect` flattens it to a :class:`ScenarioResult` — the one
-result type, and an accumulator: several shards' results fold into the
-run's with :meth:`ScenarioResult.merge`.  Those three steps are the
-seams for anything that wants to inspect or instrument a run; they
-write no file — :func:`run_scenario` writes the telemetry artifacts
-once, from the run's result (:func:`~repro.obs.write_artifacts`).
+Every run takes one path: :func:`run_scenario` runs the config's
+shards (:meth:`ScenarioConfig.shards` — one simulator per channel in
+use, side by side where the host has the cores; a one-channel config
+is a one-shard run), and for each shard :func:`build_simulation`
+builds the live world (:class:`CellBuilder`), ``world.run()``
+executes it and :func:`collect` flattens it to a
+:class:`ScenarioResult` — the one result type, plain data, and an
+accumulator: several shards' results fold into the run's with
+:meth:`ScenarioResult.merge`.  Those three steps are the seams for
+anything that wants to inspect or instrument a live world; they write
+no file — :func:`run_scenario` writes the telemetry artifacts once,
+from the run's result (:func:`~repro.obs.write_artifacts`).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from ..tcp.sender import CONGESTION_CONTROLS
 from ..nodes.ap import ApNode
 from ..nodes.client import ClientNode
 from ..nodes.server import ServerNode, UdpSource
-from .sharding import ShardPlan, run_shards
+from .sharding import run_shards
 
 #: ``ScenarioConfig.phy_mode`` values.
 PHY_MODES = {"11a": PHY_11A, "11n": PHY_11N}
@@ -207,7 +208,13 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Reject a config no run can honour — before any of the world
         is built, against the value sets the layers themselves own."""
-        self.validate_cells()
+        if self.cells < 1:
+            raise ValueError(f"cells must be >= 1, got {self.cells}")
+        if self.channels < 1:
+            raise ValueError(
+                f"channels must be >= 1, got {self.channels}")
+        if self.adversary is not None:
+            self.adversary.validate()
         for name, valid in (
                 ("phy_mode", PHY_MODES), ("traffic", TRAFFIC_MODES),
                 ("cc", CONGESTION_CONTROLS),
@@ -248,15 +255,6 @@ class ScenarioConfig:
                 f"duration_ns={self.duration_ns}")
 
     # -- multi-cell helpers -------------------------------------------
-    def validate_cells(self) -> None:
-        if self.cells < 1:
-            raise ValueError(f"cells must be >= 1, got {self.cells}")
-        if self.channels < 1:
-            raise ValueError(
-                f"channels must be >= 1, got {self.channels}")
-        if self.adversary is not None:
-            self.adversary.validate()
-
     def clients_in_cell(self, cell: int) -> int:
         """Stations in cell ``cell``: ``n_clients`` in every cell."""
         return self.n_clients
@@ -296,6 +294,16 @@ class ScenarioConfig:
         for cell in cell_indices:
             seen.setdefault(self.channel_of(cell), None)
         return tuple(seen)
+
+    def shards(self) -> List[Tuple[int, Tuple[int, ...]]]:
+        """One shard per channel in use: ``(channel, ascending cells)``
+        pairs in :meth:`ordered_channels` order (see
+        :mod:`repro.workloads.sharding`)."""
+        cells: Dict[int, List[int]] = {}
+        for cell in range(self.cells):
+            cells.setdefault(self.channel_of(cell), []).append(cell)
+        return [(channel, tuple(members))
+                for channel, members in cells.items()]
 
     # -- global id layout (shard-stable by construction) --------------
     # Flow ids, UDP pseudo-flow ids and wired /16s are all computed
@@ -401,9 +409,9 @@ class ScenarioResult:
     #: ``{channel, cells, kernel_stats, telemetry}``.  None when one
     #: simulator ran everything.
     shard_blocks: Optional[List[Dict[str, Any]]] = None
-    #: How a multi-shard run was executed (plan + per-shard wall
-    #: clock; not part of metrics).  None when one simulator ran
-    #: everything.
+    #: How ``run_scenario`` executed the shards (mode, jobs, wall
+    #: clock per shard, each shard's cells; not part of metrics).
+    #: None for a result collected from the seam.
     shard_info: Optional[Dict[str, Any]] = None
     #: The frame record, when the run was asked for one
     #: (``telemetry.trace_export_path``); plain data.
@@ -419,14 +427,6 @@ class ScenarioResult:
         default_factory=list, repr=False)
     telemetry_instrument: Optional[KernelInstrument] = field(
         default=None, repr=False)
-    #: The live simulation (:func:`build_simulation`'s return value,
-    #: after the run): flows, clients, drivers, flow managers,
-    #: telemetry session.  Set when the plan had one shard (one channel
-    #: in use); None for a multi-shard run, whose live objects never
-    #: cross a process boundary — build one with
-    #: ``build_simulation(cfg)`` instead.
-    world: Optional["CellBuilder"] = field(default=None, repr=False)
-
     #: The ``metrics_dict()`` blocks that say how the run was executed,
     #: not what it simulated: kernel counters (they follow the shard
     #: plan and the sampler's own events), the telemetry block (host
@@ -456,7 +456,6 @@ class ScenarioResult:
             (dict(block) for result in (self, other)
              for block in result.shard_blocks or [result._shard_block()]),
             key=lambda block: block["cells"][0])
-        self.world = None
         for keyed in ("tcp_flows_by_cell", "udp_flows_by_cell",
                       "completion_times_ns", "sender_counters",
                       "driver_metrics", "udp_background_goodput_mbps",
@@ -777,17 +776,6 @@ class CellBuilder:
                 names[:adv.greedy_stations])
         self.greedy_macs: List[GreedyDcfMac] = []
 
-    @property
-    def traffic_managers(self) -> List[Optional[FlowManager]]:
-        """One FlowManager per cell (None where the cell has no
-        arrivals)."""
-        return [net.flow_manager for net in self.cells]
-
-    @property
-    def traffic_manager(self) -> Optional[FlowManager]:
-        """The first cell's FlowManager."""
-        return self.cells[0].flow_manager
-
     def make_mac(self, address: str, queue_limit: Optional[int],
                  cell: int, medium: Medium) -> DcfMac:
         cfg = self.cfg
@@ -1094,30 +1082,25 @@ def run_scenario(cfg: ScenarioConfig,
                  ) -> ScenarioResult:
     """Build the WLAN(s) described by ``cfg``, run, collect results.
 
-    A run is build -> run -> collect per shard, the shards' results
-    merged, and the plan is one shard per channel in use, always
-    (cells on different channels share nothing; see
-    :mod:`repro.workloads.sharding`).  ``shard_jobs`` only says how
-    many processes run them: ``1`` = serially in-process, ``N`` = a
-    pool of ``min(N, shards)`` workers, ``None`` (the default) =
-    decide — one worker per shard when the host has more than one
-    core and this process is not itself a pool worker, serially
-    in-process otherwise.  One worker per shard rather than per core:
-    three equal shards on two workers run in two rounds (2·T), three
-    time-sliced on two cores finish in 1.5·T; the channels in use are
-    few (three in 2.4 GHz) and a worker peaks at ~19 MB.
+    Validate, run the config's shards — one per channel in use,
+    always; a one-channel config is a one-shard run, in-process — and
+    merge them (:func:`~repro.workloads.sharding.run_shards`).
+    ``shard_jobs`` only says how many processes run them: ``1`` =
+    serially in-process, ``N`` = a pool of ``min(N, shards)``
+    workers, ``None`` (the default) = one worker per shard when the
+    host has more than one core and this process is not itself a pool
+    worker, serially in-process otherwise.
 
     ``record()`` is the whole simulator's however the shards were
     run; in ``metrics_dict()``, ``kernel_stats`` is the sum of the
-    shards' counters, each shard's own ride under ``"shards"``.  A
-    one-shard plan (one channel in use) is the plain in-process run —
-    no pool, no ``"shards"`` key, the live objects under
-    ``result.world``.  For a
-    multi-shard run ``world`` is None; the seam for a live
-    multi-channel world is ``build_simulation(cfg)`` -> ``world.run()``
-    -> ``collect(world)``.  What a run records rides the result under
-    either: the frame record (``telemetry.trace_export_path``) is
-    ``result.trace``.
+    shards' counters, each shard's own riding under ``"shards"`` when
+    there are several.  The result is plain data (the frame record,
+    when asked for, is ``result.trace``); the seam for a live world is
+    ``build_simulation(cfg)`` -> ``world.run()`` -> ``collect(world)``.
+    A shard that raises surfaces as
+    :class:`~repro.workloads.sharding.ShardExecutionError` naming its
+    channel and cells; a config that fails ``validate()`` raises
+    ``ValueError`` before any shard starts.
 
     ``telemetry`` (a :class:`~repro.obs.TelemetryConfig`) turns on the
     observability layer — kernel span timing, the periodic time-series
@@ -1132,14 +1115,7 @@ def run_scenario(cfg: ScenarioConfig,
     cfg.validate()
     if shard_jobs is not None and shard_jobs < 1:
         raise ValueError(f"shard_jobs must be >= 1, got {shard_jobs}")
-    plan = ShardPlan.from_config(cfg)
-    if plan.shard_count > 1:
-        result = run_shards(cfg, plan, shard_jobs, telemetry)
-    else:
-        world = build_simulation(cfg, telemetry=telemetry)
-        world.run()
-        result = collect(world)
-        result.world = world
+    result = run_shards(cfg, shard_jobs, telemetry)
     write_artifacts(result)
     return result
 

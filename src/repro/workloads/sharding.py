@@ -6,28 +6,30 @@ not wired /16s — so a multi-channel scenario *factors exactly* into
 one independent sub-scenario per channel: a channel is a simulator.
 :func:`~repro.workloads.scenarios.run_scenario` is built on that:
 
-* **plan** — :class:`ShardPlan` splits the cells into one shard per
-  channel in use, always: what the run is asked to record (a frame
-  trace, telemetry) changes what each shard carries back, never the
-  plan.
+* **plan** — :meth:`~repro.workloads.scenarios.ScenarioConfig.
+  shards` splits the cells into one shard per channel in use, always
+  (a one-channel config is a one-shard run): what the run is asked to
+  record (a frame trace, telemetry) changes what each shard carries
+  back, never the plan.
 * **run** — a shard is :func:`~repro.workloads.scenarios.
   build_simulation` (a fresh :class:`~repro.sim.engine.Simulator`
   with the shard's cells wired in), ``run()``, then
   :func:`~repro.workloads.scenarios.collect`, which flattens the live
   world into a plain-data
-  :class:`~repro.workloads.scenarios.ScenarioResult`.  Because every id
-  (addresses, static flow ids, UDP pseudo-ids, RNG stream names, IP
-  prefixes) derives from the global cell index, a shard's event
-  sequence is the whole scenario's sub-sequence for those cells.  A
-  one-shard plan runs in-process; :func:`run_shards` runs several
-  side by side, one worker process per shard (:func:`execute_shard` is
-  the pool's work function, with the same submit/poll shape the sweep
-  engine uses), or serially in-process where processes buy nothing: a
-  one-core host, or a caller that is itself a pool worker.  One worker
-  per shard, not ``min(shards, cores)``: three equal shards of wall T
-  on two workers take two rounds (2·T), three processes time-sliced on
-  two cores finish in 1.5·T — and the channels in use are few (three
-  in 2.4 GHz), a worker peaking at ~19 MB.
+  :class:`~repro.workloads.scenarios.ScenarioResult`
+  (:func:`execute_shard`, the one place a run builds a world).
+  Because every id (addresses, static flow ids, UDP pseudo-ids, RNG
+  stream names, IP prefixes) derives from the global cell index, a
+  shard's event sequence is the whole scenario's sub-sequence for
+  those cells.  :func:`run_shards` walks the shards in plan order,
+  side by side over a pool's ``map`` (one worker process per shard),
+  or serially in-process over the builtin ``map`` where processes buy
+  nothing: one shard, a one-core host, or a caller that is itself a
+  pool worker.  One worker per shard, not ``min(shards, cores)``:
+  three equal shards of wall T on two workers take two rounds (2·T),
+  three processes time-sliced on two cores finish in 1.5·T — and the
+  channels in use are few (three in 2.4 GHz), a worker peaking at
+  ~19 MB.
 * **merge** — shard results merge:
   :meth:`~repro.workloads.scenarios.ScenarioResult.merge` folds one
   into another under the one rule of :mod:`repro.obs.metrics`, *merge
@@ -60,55 +62,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import ExitStack
+from typing import Any, List, Optional, Tuple
 
 from ..obs import TelemetryConfig
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """How one scenario's cells are split into shards.
-
-    ``channels`` lists the channels in use in first-appearance order
-    over ascending cell index (for round-robin assignment that is
-    simply 0, 1, ..., C-1); ``cells_by_channel`` is aligned with it,
-    each entry the ascending global cell indices on that channel.
-    """
-
-    channels: Tuple[int, ...]
-    cells_by_channel: Tuple[Tuple[int, ...], ...]
-
-    @classmethod
-    def from_config(cls, cfg) -> "ShardPlan":
-        """One shard per channel in use."""
-        cfg.validate_cells()
-        channels: Dict[int, List[int]] = {}
-        for cell in range(cfg.cells):
-            channels.setdefault(cfg.channel_of(cell), []).append(cell)
-        return cls(channels=tuple(channels),
-                   cells_by_channel=tuple(
-                       tuple(cells) for cells in channels.values()))
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.channels)
-
-    def shards(self) -> List[Tuple[int, Tuple[int, ...]]]:
-        """(channel, ascending cells) pairs, one per shard, in channel
-        order.  The channel keys the shard's outcome."""
-        return list(zip(self.channels, self.cells_by_channel))
-
-    def describe(self) -> Dict[str, Any]:
-        """JSON-able plan summary (CLI output, ``shard_info``)."""
-        return {
-            "shards": self.shard_count,
-            "channels": list(self.channels),
-            "cells_by_channel": {
-                str(channel): list(cells)
-                for channel, cells in zip(self.channels,
-                                          self.cells_by_channel)},
-        }
 
 
 class ShardExecutionError(RuntimeError):
@@ -125,9 +82,11 @@ class ShardExecutionError(RuntimeError):
 
 def execute_shard(cfg, cell_indices: Tuple[int, ...],
                   telemetry: Optional[TelemetryConfig] = None):
-    """Build, run and collect the given cells in a fresh simulator
-    (the pool work function — module-level so it pickles); returns the
-    shard's ``ScenarioResult`` and its wall-clock seconds."""
+    """Build, run and collect the given cells in a fresh simulator —
+    the one place ``run_scenario`` holds a live world, and the work
+    function of both walks (module-level so a pool can pickle it);
+    returns the shard's ``ScenarioResult`` and its wall-clock
+    seconds."""
     from .scenarios import build_simulation, collect
 
     started = time.perf_counter()
@@ -184,72 +143,57 @@ def _effective_jobs(shard_jobs: Optional[int], shard_count: int) -> int:
     return pool_workers(jobs)
 
 
-def run_shards(cfg, plan: ShardPlan, shard_jobs: Optional[int],
+def run_shards(cfg, shard_jobs: Optional[int],
                telemetry: Optional[TelemetryConfig] = None):
-    """Execute every shard of a multi-shard ``plan`` and merge their
-    results into the run's ``ScenarioResult`` (``shard_info`` set).
+    """Execute every shard of ``cfg`` (:meth:`~repro.workloads.
+    scenarios.ScenarioConfig.shards`) and merge their results into the
+    run's ``ScenarioResult`` (``shard_info`` set).
 
-    ``shard_jobs=1`` runs shards serially in-process; ``N > 1`` fans
-    them over a pool of ``min(N, shards)`` processes with the sweep
-    engine's submit/poll shape (``wait(FIRST_COMPLETED)``), so a
-    failing channel is reported without waiting for the others;
-    ``None`` lets :func:`_effective_jobs` decide from the host (one
-    worker per shard, or serial).  Per-shard faults are isolated into
-    :class:`ShardExecutionError` naming the channel and cells.  The
-    merge itself does not care in which order results arrive; they
-    are folded in plan order so that dict insertion order in
-    ``metrics_dict()`` is reproducible run to run.  Workers exit by
-    themselves if this process is killed (:func:`_exit_with_parent`).
+    One walk over the shards in plan order, over the builtin ``map``
+    (serial, in-process) or a pool's (:func:`_effective_jobs` says
+    which).  The first shard in plan order that raises is re-raised as
+    :class:`ShardExecutionError` naming its channel and cells.
+    Results fold in plan order, so that dict insertion order in
+    ``metrics_dict()`` is reproducible run to run.
 
     With ``telemetry`` set, each shard samples and times its own
     kernel; the merged result carries the samples, the frame record
     and the summed timings, from which ``run_scenario`` writes the
     artifacts.  Nothing here writes a file.
     """
-    shards = plan.shards()
+    shards = cfg.shards()
     jobs = _effective_jobs(shard_jobs, len(shards))
     started = time.perf_counter()
-    #: channel -> (the shard's result, its wall seconds)
-    done: Dict[int, Tuple[Any, float]] = {}
-    if jobs <= 1:
+    with ExitStack() as stack:
+        if jobs <= 1:
+            walk = map
+        else:
+            # Imported here only: a process pool's imports cost ~25 ms,
+            # which every serial run would otherwise pay at start-up.
+            from concurrent.futures import ProcessPoolExecutor
+            walk = stack.enter_context(ProcessPoolExecutor(
+                max_workers=jobs, initializer=_exit_with_parent,
+                initargs=(os.getpid(),))).map
+        outcomes = walk(execute_shard, [cfg] * len(shards),
+                        [cells for _, cells in shards],
+                        [telemetry] * len(shards))
+        #: (the shard's result, its wall seconds), in plan order
+        done: List[Tuple[Any, float]] = []
         for channel, cells in shards:
             try:
-                done[channel] = execute_shard(cfg, cells, telemetry)
+                done.append(next(outcomes))
             except Exception as exc:
                 raise ShardExecutionError(channel, cells, exc) from exc
-    else:
-        # Imported here only: a process pool's imports cost ~25 ms,
-        # which every serial run would otherwise pay at start-up.
-        from concurrent.futures import FIRST_COMPLETED, \
-            ProcessPoolExecutor, wait
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 initializer=_exit_with_parent,
-                                 initargs=(os.getpid(),)) as pool:
-            futures = {
-                pool.submit(execute_shard, cfg, cells,
-                            telemetry): (channel, cells)
-                for channel, cells in shards}
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                for future in finished:
-                    channel, cells = futures[future]
-                    try:
-                        done[channel] = future.result()
-                    except Exception as exc:
-                        raise ShardExecutionError(channel, cells,
-                                                  exc) from exc
-    result = done[shards[0][0]][0]
-    for channel, _ in shards[1:]:
-        result.merge(done[channel][0])
+    result = done[0][0]
+    for shard, _ in done[1:]:
+        result.merge(shard)
     result.shard_info = {
         "mode": "serial" if jobs <= 1 else "parallel",
         "jobs": jobs,
         "requested_jobs": shard_jobs,
         "wall_s": time.perf_counter() - started,
-        "shard_wall_s": {str(channel): done[channel][1]
-                         for channel, _ in shards},
-        "plan": plan.describe(),
+        "shard_wall_s": {str(channel): wall for (channel, _), (_, wall)
+                         in zip(shards, done)},
+        "shards": {str(channel): list(cells) for channel, cells in shards},
     }
     return result

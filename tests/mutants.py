@@ -36,6 +36,7 @@ MERGE = "tests/obs/test_merge_law.py::" \
 BOOKS = "tests/workloads/test_books.py::"
 PINS = "tests/workloads/test_kernel_counts.py::"
 WORKER_DEATH = "tests/experiments/test_resumable.py::TestRetries::"
+SHARDS = "tests/workloads/test_sharding.py::"
 
 MUTANTS = (
     # -- Reference oracles kept in tests/ ------------------------------
@@ -218,6 +219,26 @@ MUTANTS = (
            "except ValueError as exc:\n",
            (WORKER_DEATH
             + "test_follower_handed_to_the_dead_pool_is_recorded",)),
+
+    # -- The shard layer: one plan, one walk, one merge ----------------
+    Mutant("shards-ordered-by-channel-number",
+           "src/repro/workloads/scenarios.py",
+           "                for channel, members in cells.items()]\n",
+           "                for channel, members in sorted(cells.items())]\n",
+           (SHARDS + "TestShardPlan::"
+            "test_explicit_map_first_appearance_order",)),
+    Mutant("failing-shard-named-wrong",
+           "src/repro/workloads/sharding.py",
+           "raise ShardExecutionError(channel, cells, exc) from exc\n",
+           "raise ShardExecutionError(*shards[0], exc) from exc\n",
+           (SHARDS + "TestDefaultExecution::"
+            "test_failing_shard_is_named_under_the_default",)),
+    Mutant("merge-skips-the-last-shard",
+           "src/repro/workloads/sharding.py",
+           "    for shard, _ in done[1:]:\n",
+           "    for shard, _ in done[1:-1]:\n",
+           (SHARDS + "TestDefaultExecution::"
+            "test_a_sweep_record_is_the_whole_simulators_record",)),
 
     # -- Pinned digests and golden rows --------------------------------
     Mutant("pinned-digest-cubic-decrease",

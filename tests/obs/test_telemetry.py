@@ -161,7 +161,6 @@ class TestShardEquivalence:
             result = run_scenario(cfg, shard_jobs=jobs,
                                   telemetry=telemetry_config(
                                       trace_export_path=str(path)))
-            assert result.world is None
             document = json.loads(path.read_text())
             kernel = [event for event in document["traceEvents"]
                       if event["cat"] == "kernel"]

@@ -9,6 +9,7 @@ from repro.rohc.compressor import Compressor
 from repro.rohc.decompressor import Decompressor
 from repro.rohc.context import cid_for_flow
 from repro.traffic import ArrivalSpec, SizeSpec
+from repro.workloads.scenarios import build_simulation, collect
 
 
 def churn_config(**overrides):
@@ -24,16 +25,23 @@ def churn_config(**overrides):
     return ScenarioConfig(**base)
 
 
+def run_world(cfg):
+    """The seam: the live world after its run, and its result."""
+    world = build_simulation(cfg)
+    world.run()
+    return world, collect(world)
+
+
 class TestLifecycle:
     def test_flows_complete_and_are_torn_down(self):
-        res = run_scenario(churn_config())
-        manager = res.world.traffic_manager
+        world, res = run_world(churn_config())
+        manager = world.cells[0].flow_manager
         assert manager.flows_spawned == 3
         assert manager.flows_completed == 3
         assert manager.live == {}
         # Endpoint maps are empty again: state was reclaimed.
-        assert res.world.clients["C1"].receivers == {}
-        assert res.world.clients["C2"].receivers == {}
+        assert world.clients["C1"].receivers == {}
+        assert world.clients["C2"].receivers == {}
         assert res.fct["flows_completed"] == 3
         assert res.fct["flows_censored"] == 0
         for record in res.fct["flows"]:
@@ -42,7 +50,7 @@ class TestLifecycle:
             assert record["fct_ms"] > 0
 
     def test_censored_flow_keeps_partial_bytes(self):
-        res = run_scenario(churn_config(
+        world, res = run_world(churn_config(
             arrivals=ArrivalSpec(
                 kind="trace", trace=((0.0, 0, 50_000_000),)),
             duration_ns=300 * MS, warmup_ns=100 * MS))
@@ -53,37 +61,37 @@ class TestLifecycle:
         assert 0 < record["bytes_delivered"] < 50_000_000
         assert res.fct["fct_ms"]["flows"] == 0   # zero-count block
         # Still live at run end, so nothing was reclaimed yet.
-        assert len(res.world.traffic_manager.live) == 1
+        assert len(world.cells[0].flow_manager.live) == 1
         assert res.fct["carried_load_mbps"] < \
             res.fct["offered_load_mbps"]
 
     def test_upload_direction(self):
-        res = run_scenario(churn_config(
+        world, res = run_world(churn_config(
             arrivals=ArrivalSpec(
                 kind="trace", direction="upload",
                 trace=((0.0, 0, 100_000), (10.0, 1, 100_000)))))
         assert res.fct["flows_completed"] == 2
-        assert res.world.clients["C1"].senders == {}
+        assert world.clients["C1"].senders == {}
         # The server-side receiver map was reclaimed too.
-        assert res.world.traffic_manager.server.receivers == {}
+        assert world.cells[0].flow_manager.server.receivers == {}
 
     def test_hack_contexts_released_after_churn(self):
-        res = run_scenario(churn_config(
+        world, res = run_world(churn_config(
             arrivals=ArrivalSpec(
                 kind="poisson", rate_per_s=60.0,
                 size=SizeSpec(kind="fixed", bytes=30_000)),
             duration_ns=1 * SEC))
         assert res.fct["flows_completed"] > 20
-        live = len(res.world.traffic_manager.live)
-        for driver in res.world.drivers.values():
+        live = len(world.cells[0].flow_manager.live)
+        for driver in world.drivers.values():
             for ps in driver._peers.values():
                 assert len(ps.compressor.contexts) <= live
                 assert len(ps.decompressor.contexts) <= live
 
     def test_spawn_rejects_bad_size(self):
-        res = run_scenario(churn_config())
+        world, _ = run_world(churn_config())
         with pytest.raises(ValueError, match="size must be positive"):
-            res.world.traffic_manager.spawn(0, "C1")
+            world.cells[0].flow_manager.spawn(0, "C1")
 
     def test_dynamic_requires_arrivals(self):
         with pytest.raises(ValueError, match="requires an ArrivalSpec"):

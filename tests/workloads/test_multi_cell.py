@@ -18,6 +18,7 @@ from repro.sim.units import MS
 from repro.stats.fct import has_completions
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 from repro.workloads import registry
+from repro.workloads.scenarios import build_simulation, collect
 
 QUICK = dict(duration_ns=900 * MS, warmup_ns=400 * MS)
 
@@ -182,9 +183,14 @@ class TestContention:
 
 class TestMultiCellChurn:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_scenario(
-            registry.build("multi-ap-churn", **QUICK))
+    def world(self):
+        world = build_simulation(registry.build("multi-ap-churn", **QUICK))
+        world.run()
+        return world
+
+    @pytest.fixture(scope="class")
+    def result(self, world):
+        return collect(world)
 
     def test_per_cell_fct_blocks(self, result):
         assert len(result.cell_blocks) == 2
@@ -204,15 +210,12 @@ class TestMultiCellChurn:
                 for b in result.cell_blocks))
         assert has_completions(merged["fct_ms"])
 
-    def test_per_cell_managers_tracked(self, result):
-        assert len(result.world.traffic_managers) == 2
-        assert result.world.traffic_manager is \
-            result.world.traffic_managers[0]
+    def test_per_cell_managers_tracked(self, world):
+        managers = [net.flow_manager for net in world.cells]
+        assert len(managers) == 2
         # Disjoint dynamic-flow id ranges per cell.
-        ids_a = {r.flow_id for r
-                 in result.world.traffic_managers[0].collector.records}
-        ids_b = {r.flow_id for r
-                 in result.world.traffic_managers[1].collector.records}
+        ids_a = {r.flow_id for r in managers[0].collector.records}
+        ids_b = {r.flow_id for r in managers[1].collector.records}
         assert ids_a and ids_b
         assert not ids_a & ids_b
         # Cell ranges are strided far apart: cell A can spawn ten

@@ -8,6 +8,7 @@ from repro import HackPolicy, ScenarioConfig, run_scenario
 from repro.cli import _build_parser, _simulate_config, main as cli_main
 from repro.experiments.runner import main as runner_main
 from repro.sim.units import MS, SEC
+from repro.workloads.scenarios import build_simulation
 
 
 class TestFlowsPerClient:
@@ -39,11 +40,12 @@ class TestFlowsPerClient:
         assert min(res.per_flow_goodput_mbps.values()) > 5
 
     def test_distinct_five_tuples(self):
-        res = run_scenario(ScenarioConfig(
+        world = build_simulation(ScenarioConfig(
             phy_mode="11n", n_clients=1, flows_per_client=2,
             duration_ns=600 * MS, warmup_ns=300 * MS,
             stagger_ns=10 * MS))
-        tuples = {f.sender.five_tuple.key() for f in res.world.flows}
+        world.run()
+        tuples = {f.sender.five_tuple.key() for f in world.flows}
         assert len(tuples) == 2
 
 

@@ -44,8 +44,7 @@ from repro.sim.units import MS
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 from repro.workloads import registry, scenarios
 from repro.workloads.scenarios import build_simulation, collect
-from repro.workloads.sharding import ShardExecutionError, ShardPlan, \
-    execute_shard
+from repro.workloads.sharding import ShardExecutionError, execute_shard
 
 from tests.experiments.test_resumable import children_of, is_running, \
     subprocess_env
@@ -123,30 +122,22 @@ def summed_kernels(shard_blocks):
 
 
 class TestShardPlan:
+    """``cfg.shards()``: one shard per channel in use, in
+    ``ordered_channels()`` order, each with its ascending cells."""
+
     def test_round_robin_partition(self):
-        plan = ShardPlan.from_config(base_config(cells=5, channels=3))
-        assert plan.channels == (0, 1, 2)
-        assert plan.cells_by_channel == ((0, 3), (1, 4), (2,))
-        assert plan.shard_count == 3
+        cfg = base_config(cells=5, channels=3)
+        assert cfg.shards() == [(0, (0, 3)), (1, (1, 4)), (2, (2,))]
 
     def test_explicit_map_first_appearance_order(self):
-        plan = ShardPlan.from_config(
-            base_config(CellMap, cells=4, channels=3,
-                        channel_map=(2, 0, 2, 1)))
-        assert plan.channels == (2, 0, 1)
-        assert plan.cells_by_channel == ((0, 2), (1,), (3,))
+        cfg = base_config(CellMap, cells=4, channels=3,
+                          channel_map=(2, 0, 2, 1))
+        assert cfg.shards() == [(2, (0, 2)), (0, (1,)), (1, (3,))]
+        assert [channel for channel, _ in cfg.shards()] \
+            == list(cfg.ordered_channels())
 
     def test_single_channel_is_one_shard(self):
-        plan = ShardPlan.from_config(base_config(cells=3))
-        assert plan.shard_count == 1
-        assert plan.cells_by_channel == ((0, 1, 2),)
-
-    def test_describe_is_json_able(self):
-        plan = ShardPlan.from_config(base_config(cells=4, channels=2))
-        payload = json.loads(json.dumps(plan.describe()))
-        assert payload["shards"] == 2
-        assert payload["cells_by_channel"] == {"0": [0, 2],
-                                               "1": [1, 3]}
+        assert base_config(cells=3).shards() == [(0, (0, 1, 2))]
 
     def test_frame_record_plans_like_any_other(self, tmp_path):
         """What a run records is not the plan's business: the frame
@@ -154,12 +145,9 @@ class TestShardPlan:
         even an input."""
         cfg = base_config(CellMap, cells=4, channels=3,
                           channel_map=(2, 0, 2, 1))
-        plan = ShardPlan.from_config(cfg)
-        assert plan == ShardPlan.from_config(copy.deepcopy(cfg))
-        assert plan.shard_count == 3
-        assert plan.shards() == [(2, (0, 2)), (0, (1,)), (1, (3,))]
+        assert cfg.shards() == copy.deepcopy(cfg).shards()
         with pytest.raises(TypeError):
-            ShardPlan.from_config(cfg, frame_telemetry(tmp_path))
+            cfg.shards(frame_telemetry(tmp_path))
 
 
 class TestShardEquivalence:
@@ -193,9 +181,9 @@ class TestShardEquivalence:
 
     def test_shard_info_records_the_plan(self, static_runs):
         _, sharded = static_runs
-        info = sharded.shard_info
+        info = json.loads(json.dumps(sharded.shard_info))
         assert info["mode"] == "serial"
-        assert info["plan"]["shards"] == 2
+        assert info["shards"] == {"0": [0, 2], "1": [1, 3]}
         assert set(info["shard_wall_s"]) == {"0", "1"}
 
     def test_churn_metrics_identical(self):
@@ -236,33 +224,18 @@ class TestShardEquivalence:
         assert parallel.shard_info["mode"] == "parallel"
 
     def test_single_channel_sharding_is_identity(self):
-        """One channel -> a one-shard plan whatever ``shard_jobs``
-        says: the same in-process run, live world included."""
+        """One channel -> a one-shard run whatever ``shard_jobs``
+        says: in-process, and the whole simulator's run, kernel
+        counters included."""
         cfg = base_config(cells=2, n_clients=1, seed=2)
         plain = run_scenario(cfg)
         routed = run_scenario(cfg, shard_jobs=4)
         assert normalised(plain.metrics_dict()) == \
-            normalised(routed.metrics_dict())
-        assert routed.shard_info is None
-
-
-    def test_world_is_live_iff_one_simulator_ran(self, static_runs,
-                                                 tmp_path):
-        """``world`` is live iff the plan had one shard."""
-        _, sharded = static_runs
-        assert sharded.world is None and sharded.trace is None
-        # One channel is one shard whatever shard_jobs asks for.
-        single = run_scenario(base_config(cells=2, n_clients=1, seed=2),
-                              shard_jobs=4)
-        world = single.world
-        assert world.channels == (0,)
-        assert [net.index for net in world.cells] == [0, 1]
-        assert world.sim.stats.as_dict() == single.kernel_stats
-        assert set(world.drivers) == set(single.driver_metrics)
-        traced = run_scenario(base_config(n_clients=1),
-                              telemetry=frame_telemetry(tmp_path))
-        assert traced.trace is traced.world.trace
-        assert traced.trace.records
+            normalised(routed.metrics_dict()) == \
+            normalised(run_whole(cfg).metrics_dict())
+        assert routed.shard_info["mode"] == "serial"
+        assert routed.shard_info["shards"] == {"0": [0, 1]}
+        assert "shards" not in routed.metrics_dict()
 
     def test_shard_jobs_below_one_rejected(self):
         cfg = base_config(cells=2, channels=2)
@@ -291,8 +264,7 @@ class TestMergeOrder:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scenarios, "MAX_EXPORT_FRAMES", 700)
             results = [execute_shard(cfg, cells, telemetry)[0]
-                       for _, cells
-                       in ShardPlan.from_config(cfg).shards()]
+                       for _, cells in cfg.shards()]
             return results, recorded(run_whole(cfg, telemetry))
 
     def test_merge_ignores_insertion_order(self, shards):
@@ -311,7 +283,6 @@ class TestMergeOrder:
                     a.merge(b)
                 assert a.kernel_stats == summed_kernels(a.shard_blocks) \
                     == kernel_sum
-                assert a.world is None
                 assert [block["cells"] for block in a.shard_blocks] \
                     == [[0], [1], [2]]
                 assert recorded(a) == unsharded, (order, left_first)
@@ -346,15 +317,15 @@ class TestIsolationOracle:
 
     def assert_cells_match_isolated_runs(self, cfg):
         combined = run_scenario(cfg, shard_jobs=1)
-        plan = ShardPlan.from_config(cfg)
-        for channel, cells in plan.shards():
+        channels = cfg.ordered_channels()
+        for channel, cells in cfg.shards():
             assert len(cells) == 1
             shard, _ = execute_shard(cfg, cells)
             [shard_block] = shard.cell_blocks
             assert normalised(combined.cell_blocks[cells[0]]) == \
                 normalised(shard_block)
             assert shard.channel_blocks == [
-                combined.channel_blocks[plan.channels.index(channel)]]
+                combined.channel_blocks[channels.index(channel)]]
 
     def test_static_cells_isolated(self):
         self.assert_cells_match_isolated_runs(
@@ -422,7 +393,7 @@ SHAPES = {
 }
 MULTI_CHANNEL_SCENARIOS = [
     name for name in registry.names()
-    if ShardPlan.from_config(registry.build(name)).shard_count > 1]
+    if len(registry.build(name).shards()) > 1]
 
 
 def shard_modes_in_this_process(cfg):
@@ -456,8 +427,7 @@ class TestFrameRecord:
         for jobs in (None, 1, 2):
             result = run_scenario(cfg, shard_jobs=jobs,
                                   telemetry=telemetry)
-            assert result.world is None
-            assert result.shard_info["plan"]["shards"] == 3
+            assert len(result.shard_info["shards"]) == 3
             assert frame_record(result) == frame_record(whole) \
                 == result.trace.records
             for channel in cfg.ordered_channels():
@@ -523,7 +493,6 @@ class TestDefaultExecution:
         cfg = base_config(cells=3, channels=3, n_clients=1, seed=4,
                           **QUICK_RUN)
         default = run_scenario(cfg)
-        assert default.world is None
         if (os.cpu_count() or 1) > 1:
             # One worker per shard, not min(shards, cores).
             assert default.shard_info["mode"] == "parallel"
@@ -562,3 +531,33 @@ class TestDefaultExecution:
                                  r"failed: RuntimeError: boom") as caught:
             run_scenario(cfg)
         assert (caught.value.channel, caught.value.cells) == (1, (1, 3))
+
+    def test_first_failing_shard_in_plan_order_is_named(self,
+                                                        monkeypatch):
+        """Shards run side by side, but they are walked in plan order:
+        with every shard failing, the error names the first."""
+        def failing_build(cfg, cell_indices=None, telemetry=None):
+            raise RuntimeError(f"boom {cell_indices}")
+
+        monkeypatch.setattr(scenarios, "build_simulation", failing_build)
+        cfg = base_config(cells=4, channels=2, n_clients=1)
+        with pytest.raises(ShardExecutionError,
+                           match=r"channel 0 \(cells \[0, 2\]\) "
+                                 r"failed: RuntimeError: boom") as caught:
+            run_scenario(cfg)
+        assert (caught.value.channel, caught.value.cells) == (0, (0, 2))
+        assert str(caught.value.__cause__) == "boom (0, 2)"
+
+    def test_one_channel_failure_is_a_shard_failure(self, monkeypatch):
+        """A one-channel run is a one-shard run, failures included."""
+        def failing_build(cfg, cell_indices=None, telemetry=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(scenarios, "build_simulation", failing_build)
+        with pytest.raises(ShardExecutionError,
+                           match=r"channel 0 \(cells \[0, 1, 2\]\) "
+                                 r"failed: RuntimeError: boom") as caught:
+            run_scenario(base_config(cells=3, n_clients=1))
+        assert (caught.value.channel, caught.value.cells) == \
+            (0, (0, 1, 2))
+        assert isinstance(caught.value.__cause__, RuntimeError)
