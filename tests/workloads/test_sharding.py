@@ -139,6 +139,17 @@ class TestShardPlan:
     def test_single_channel_is_one_shard(self):
         assert base_config(cells=3).shards() == [(0, (0, 1, 2))]
 
+    def test_describe_is_json_able(self):
+        """The run records its plan as ``shard_info["shards"]``, a
+        channel -> cells map that survives a JSON round-trip."""
+        cfg = base_config(cells=4, channels=2, n_clients=1)
+        info = run_scenario(cfg, shard_jobs=1).shard_info
+        payload = json.loads(json.dumps(info))
+        assert payload == info
+        assert payload["shards"] == {"0": [0, 2], "1": [1, 3]}
+        assert [(int(channel), tuple(cells)) for channel, cells
+                in payload["shards"].items()] == cfg.shards()
+
     def test_frame_record_plans_like_any_other(self, tmp_path):
         """What a run records is not the plan's business: the frame
         record is asked for through telemetry, and telemetry is not
@@ -181,7 +192,7 @@ class TestShardEquivalence:
 
     def test_shard_info_records_the_plan(self, static_runs):
         _, sharded = static_runs
-        info = json.loads(json.dumps(sharded.shard_info))
+        info = sharded.shard_info
         assert info["mode"] == "serial"
         assert info["shards"] == {"0": [0, 2], "1": [1, 3]}
         assert set(info["shard_wall_s"]) == {"0", "1"}
