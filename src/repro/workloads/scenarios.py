@@ -299,11 +299,9 @@ class ScenarioConfig:
         """One shard per channel in use: ``(channel, ascending cells)``
         pairs in :meth:`ordered_channels` order (see
         :mod:`repro.workloads.sharding`)."""
-        cells: Dict[int, List[int]] = {}
-        for cell in range(self.cells):
-            cells.setdefault(self.channel_of(cell), []).append(cell)
-        return [(channel, tuple(members))
-                for channel, members in cells.items()]
+        return [(channel, tuple(cell for cell in range(self.cells)
+                                if self.channel_of(cell) == channel))
+                for channel in self.ordered_channels()]
 
     # -- global id layout (shard-stable by construction) --------------
     # Flow ids, UDP pseudo-flow ids and wired /16s are all computed

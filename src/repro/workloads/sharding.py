@@ -69,15 +69,23 @@ from ..obs import TelemetryConfig
 
 
 class ShardExecutionError(RuntimeError):
-    """One shard raised; identifies the shard for fault isolation."""
+    """One shard raised; identifies the shard for fault isolation.
 
-    def __init__(self, channel: int, cells: Tuple[int, ...],
-                 cause: BaseException):
-        super().__init__(
-            f"shard for channel {channel} (cells {list(cells)}) "
-            f"failed: {type(cause).__name__}: {cause}")
+    ``cause`` is the shard's error as text (``"RuntimeError: boom"``;
+    the exception itself is chained as ``__cause__``).  The error's
+    args are exactly its constructor's, all plain data, so it pickles
+    back intact out of a sweep's worker process.
+    """
+
+    def __init__(self, channel: int, cells: Tuple[int, ...], cause: str):
+        super().__init__(channel, cells, cause)
         self.channel = channel
         self.cells = cells
+
+    def __str__(self) -> str:
+        channel, cells, cause = self.args
+        return (f"shard for channel {channel} (cells {list(cells)}) "
+                f"failed: {cause}")
 
 
 def execute_shard(cfg, cell_indices: Tuple[int, ...],
@@ -183,7 +191,9 @@ def run_shards(cfg, shard_jobs: Optional[int],
             try:
                 done.append(next(outcomes))
             except Exception as exc:
-                raise ShardExecutionError(channel, cells, exc) from exc
+                raise ShardExecutionError(
+                    channel, cells, f"{type(exc).__name__}: {exc}"
+                ) from exc
     result = done[0][0]
     for shard, _ in done[1:]:
         result.merge(shard)

@@ -223,14 +223,14 @@ MUTANTS = (
     # -- The shard layer: one plan, one walk, one merge ----------------
     Mutant("shards-ordered-by-channel-number",
            "src/repro/workloads/scenarios.py",
-           "                for channel, members in cells.items()]\n",
-           "                for channel, members in sorted(cells.items())]\n",
+           "        return tuple(seen)\n",
+           "        return tuple(sorted(seen))\n",
            (SHARDS + "TestShardPlan::"
             "test_explicit_map_first_appearance_order",)),
     Mutant("failing-shard-named-wrong",
            "src/repro/workloads/sharding.py",
-           "raise ShardExecutionError(channel, cells, exc) from exc\n",
-           "raise ShardExecutionError(*shards[0], exc) from exc\n",
+           "                    channel, cells, f\"{type(exc).__name__}: {exc}\"\n",
+           "                    *shards[0], f\"{type(exc).__name__}: {exc}\"\n",
            (SHARDS + "TestDefaultExecution::"
             "test_failing_shard_is_named_under_the_default",)),
     Mutant("merge-skips-the-last-shard",

@@ -37,7 +37,8 @@ import pytest
 
 from repro import ScenarioConfig, run_scenario
 from repro.adversary import AdversaryConfig
-from repro.experiments.batch import SweepPoint, execute_point
+from repro.experiments.batch import SweepPoint, SweepRunner, \
+    SweepSpec, execute_point
 from repro.obs import TelemetryConfig
 from repro.obs.metrics import digest, merge_counts
 from repro.sim.units import MS
@@ -133,8 +134,6 @@ class TestShardPlan:
         cfg = base_config(CellMap, cells=4, channels=3,
                           channel_map=(2, 0, 2, 1))
         assert cfg.shards() == [(2, (0, 2)), (0, (1,)), (1, (3,))]
-        assert [channel for channel, _ in cfg.shards()] \
-            == list(cfg.ordered_channels())
 
     def test_single_channel_is_one_shard(self):
         assert base_config(cells=3).shards() == [(0, (0, 1, 2))]
@@ -357,9 +356,47 @@ class TestShardGuards:
             # Traffic validation fires before sharding: the config is
             # rejected up front, not wrapped per shard.
             run_scenario(cfg, shard_jobs=1)
-        error = ShardExecutionError(1, (1,), RuntimeError("boom"))
+        error = ShardExecutionError(1, (1,), "RuntimeError: boom")
         assert "channel 1" in str(error)
         assert error.cells == (1,)
+
+    def test_shard_failure_pickles(self):
+        """A sweep's worker hands its point's error back pickled; the
+        parent must rebuild it, not mistake a failed load for a dead
+        pool."""
+        error = ShardExecutionError(0, (0, 2), "RuntimeError: boom")
+        loaded = pickle.loads(pickle.dumps(error))
+        assert type(loaded) is ShardExecutionError
+        assert str(loaded) == str(error) == \
+            "shard for channel 0 (cells [0, 2]) failed: RuntimeError: boom"
+        assert (loaded.channel, loaded.cells) == (0, (0, 2))
+
+    def test_failing_point_in_a_pooled_sweep_fails_alone(self,
+                                                          monkeypatch):
+        """A one-channel scenario point that raises mid-run inside a
+        sweep's worker process is that point's error record, named
+        ``ShardExecutionError``; the point beside it still runs."""
+        build = scenarios.build_simulation
+
+        def failing_build(cfg, cell_indices=None, telemetry=None):
+            world = build(cfg, cell_indices, telemetry)
+            if cfg.seed == 2:
+                def run():
+                    raise RuntimeError("boom mid-run")
+                world.run = run
+            return world
+
+        # Sweep workers are forked per run, so they inherit the patch.
+        monkeypatch.setattr(scenarios, "build_simulation", failing_build)
+        spec = SweepSpec.grid("one-bad", dict(QUICK_RUN, n_clients=1),
+                              {}, seeds=(1, 2))
+        result = SweepRunner(jobs=2).run(spec)
+        by_seed = {record.seed: record for record in result.records}
+        assert by_seed[1].ok
+        assert by_seed[2].error["type"] == "ShardExecutionError"
+        assert by_seed[2].error["message"] == (
+            "shard for channel 0 (cells [0]) failed: "
+            "RuntimeError: boom mid-run")
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
                         reason="reads process parents from /proc")
