@@ -10,13 +10,14 @@ structure explicit and executable in parallel:
   ``ScenarioConfig``, i.e. one simulator run) or **analytic** (a
   dotted reference to a pure function returning a metrics dict, used
   by closed-form artifacts like Figure 1).
-* :class:`SweepRunner` — executes specs as one schedule: by default
-  its scenario points fan out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` sized from the
-  host's cores (``jobs=None``), and ``run_many`` hands every spec of
-  an invocation to that one pool; ``jobs=1`` is the serial reference
-  path, ``jobs=N`` a pool of N.  Identical seeds produce identical
-  metrics, records and artifacts either way.
+* :class:`SweepRunner` — executes specs as one schedule under one
+  worker rule: ``jobs`` workers, or with ``jobs=None``
+  ``min(cores, pending scenario points)``.  At most one, every point
+  runs in-process, one at a time (``jobs=1`` is the serial reference
+  path); more, and ``run_many`` hands every pending point of every
+  spec, analytic ones included, to one
+  :class:`concurrent.futures.ProcessPoolExecutor`.  Identical seeds
+  produce identical metrics, records and artifacts either way.
   Execution is *incremental and fault-isolated*: every point's metrics
   are checkpointed into the cache the moment that point completes, a
   point runs once and, if it raises, its error is its record — the
@@ -30,8 +31,8 @@ structure explicit and executable in parallel:
   checkpoints per point, *any* killed grid is resumable from its cache
   by construction.  One read of an entry (``SweepCache._read``) gives
   its verdict to ``repro sweep --status`` and its metrics to the
-  runner.  Corrupt entries are quarantined (counted, moved aside)
-  rather than silently re-missed forever; failures leave
+  runner.  Corrupt entries are quarantined (moved aside) rather than
+  silently re-missed forever; failures leave
   ``<signature>.error.json`` breadcrumbs that ``--status`` reports and
   a successful re-run clears.
 * :class:`SweepRecord` — one point's outcome (metrics or an error),
@@ -235,22 +236,21 @@ def _resolve(dotted: str) -> Callable[..., Metrics]:
 
 
 def execute_point(point: SweepPoint,
-                  shard_jobs: Optional[int] = None,
                   telemetry_dir: Optional[str] = None) -> Metrics:
     """Produce one point's record (the process-pool work function).
 
     A scenario point's record is ``run_scenario(...).record()``, so
-    the execution knobs change no record and no signature:
-    ``shard_jobs`` runs a multi-channel point's shards (None = decide
-    from the host); ``telemetry_dir`` samples into ``<signature>.jsonl``."""
+    ``telemetry_dir`` (sample into ``<signature>.jsonl``) changes no
+    record and no signature.  Its shards run as ``run_scenario``
+    decides: serially in a pool worker, side by side on a multi-core
+    host in-process."""
     if point.config is not None:
         telemetry = None
         if telemetry_dir is not None:
             from ..obs import TelemetryConfig
             telemetry = TelemetryConfig(telemetry_path=os.path.join(
                 telemetry_dir, point_signature(point) + ".jsonl"))
-        return run_scenario(point.config, shard_jobs=shard_jobs,
-                            telemetry=telemetry).record()
+        return run_scenario(point.config, telemetry=telemetry).record()
     metrics = _resolve(point.fn)(**dict(point.fn_kwargs))
     if not isinstance(metrics, dict):
         raise TypeError(
@@ -293,8 +293,8 @@ class SweepCache:
       execution (never loaded as metrics — the point is re-executed on
       the next run — but surfaced by ``repro sweep --status``);
     * ``<signature>.json.corrupt`` — a quarantined entry that existed
-      but did not parse as a JSON dict (counted in ``corrupt``, moved
-      aside so it cannot mask the cell as a plain miss forever).
+      but did not parse as a JSON dict (moved aside so it cannot mask
+      the cell as a plain miss forever).
 
     :meth:`_read` is the one read of an entry: :meth:`probe`
     (``--status``) returns its verdict, :meth:`load` (the runner) its
@@ -305,9 +305,6 @@ class SweepCache:
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
 
     def _path(self, signature: str) -> Path:
         return self.directory / f"{signature}.json"
@@ -318,7 +315,7 @@ class SweepCache:
     def _read(self, signature: str) -> Tuple[str, Optional[Metrics]]:
         """A point's verdict (one of ``progress.PROBE_STATES``) and,
         when ``complete``, its metrics; an entry wins over a stale
-        breadcrumb.  Moves and counts nothing."""
+        breadcrumb.  Moves nothing."""
         try:
             with open(self._path(signature)) as handle:
                 metrics = json.load(handle)
@@ -335,18 +332,13 @@ class SweepCache:
         """The point's metrics on a hit, else None.  A ``corrupt`` entry
         (e.g. a torn write) is quarantined, not re-missed forever."""
         verdict, metrics = self._read(signature)
-        if verdict == "complete":
-            self.hits += 1
-            return metrics
         if verdict == "corrupt":
-            self.corrupt += 1
             path = self._path(signature)
             try:
                 os.replace(path, path.with_name(path.name + ".corrupt"))
             except OSError:  # pragma: no cover - racing cleanup is fine
                 pass
-        self.misses += 1
-        return None
+        return metrics
 
     def probe(self, signature: str) -> str:
         """Non-mutating status check: ``complete`` / ``failed`` /
@@ -628,14 +620,13 @@ Item = Tuple[_RunState, int]
 class SweepRunner:
     """Executes :class:`SweepSpec`\\ s, optionally in parallel + cached.
 
-    ``jobs``: ``None`` = decide from the host — a pool of
-    ``min(cores, pending scenario points)`` workers when that is at
-    least 2, else serial in-process (one core, at most one pending
-    scenario point, or a caller that is itself a pool worker); analytic
-    points then always run in-process, as they cost less than starting
-    a pool.  ``1`` = serial in-process (the deterministic reference
-    path); ``N > 1`` = a process pool of N workers for every pending
-    point; ``0`` = one worker per CPU.  Results are ordered by spec
+    The worker rule: ``jobs`` (a positive count), or with ``None``
+    ``min(cores, pending scenario points)``, sized once through
+    ``sharding.pool_workers`` (a caller that is itself a pool worker
+    gets one).  One worker runs every point in-process, one at a time
+    (``jobs=1``: the deterministic reference path); more hand every
+    pending point, analytic ones included, to one process pool.  Both
+    go down one loop (:meth:`_execute`).  Results are ordered by spec
     point order regardless of completion order, so aggregates are
     identical across all execution modes.
 
@@ -662,21 +653,13 @@ class SweepRunner:
                  cache_dir: Optional[Union[str, Path]] = None,
                  progress: Optional[
                      Callable[[SweepProgress], None]] = None,
-                 shard_jobs: Optional[int] = None,
                  telemetry_dir: Optional[Union[str, Path]] = None):
-        if jobs is not None and jobs <= 0:
-            jobs = os.cpu_count() or 1
+        if jobs is not None and jobs < 1:
+            raise ValueError(
+                f"jobs must be a positive integer or None, got {jobs}")
         self.jobs = jobs
         self.cache = SweepCache(cache_dir) if cache_dir else None
         self.progress = progress
-        #: Processes per multi-channel point (see ``execute_point``):
-        #: None = decide from the host (one worker per shard, or
-        #: serial); 1 = serial shards; N > 1 = per-point shard pool.
-        #: Purely an execution knob — cache signatures and metrics are
-        #: unchanged by it.  Inside the sweep's worker pool the shard
-        #: layer runs serial shards whatever this says (a pool worker
-        #: never starts a pool: ``sharding.pool_workers``).
-        self.shard_jobs = shard_jobs
         #: Per-point telemetry JSONL output directory (execution knob;
         #: see ``execute_point``).  Cached points are not re-run, so
         #: only freshly executed points leave artifacts.
@@ -776,97 +759,75 @@ class SweepRunner:
         self._emit_progress(state)
         return self._followers.pop((state, index), [])
 
-    # -- execution paths -----------------------------------------------
+    # -- execution -----------------------------------------------------
     def _execute(self, queue: List[Item]) -> Iterator[None]:
-        """Run every queued point; yields once they are handed out,
-        then again whenever some of them have resolved."""
-        if self.jobs is None:
-            wanted = sum(1 for state, index in queue
-                         if state.spec.points[index].kind == "scenario")
-            jobs = pool_workers(min(os.cpu_count() or 1, wanted))
-        else:
-            jobs = pool_workers(self.jobs)
-
-        def pooled(item: Item) -> bool:
-            state, index = item
-            return jobs > 1 and (self.jobs is not None or
-                                 state.spec.points[index].kind
-                                 == "scenario")
-
-        pool_ticks = self._run_pooled(
-            [item for item in queue if pooled(item)], jobs)
-        try:
-            next(pool_ticks, None)      # the pool's points go out first
-            yield
-            yield from self._run_in_process(
-                [item for item in queue if not pooled(item)])
-            yield from pool_ticks
-        finally:
-            pool_ticks.close()
-
-    def _run_in_process(self, items: List[Item]) -> Iterator[None]:
-        queue = collections.deque(items)
-        while queue and self._stop_signal is None:
-            state, index = queue.popleft()
-            state.begun = True
-            try:
-                metrics = execute_point(state.spec.points[index],
-                                        self.shard_jobs, self.telemetry_dir)
-            except Exception as exc:
-                queue.extend(self._note_failure(state, index, exc))
-            else:
-                self._note_success(state, index, metrics)
-            yield
-
-    def _run_pooled(self, items: List[Item],
-                    jobs: int) -> Iterator[None]:
-        if not items:
-            return
-        # Imported here only, as in ``sharding.run_shards``: a process
-        # pool's imports cost ~20 ms, which every run that starts no
-        # pool (a warm cache, --jobs 1) would otherwise pay at start-up.
-        from concurrent.futures import FIRST_COMPLETED, \
-            ProcessPoolExecutor, wait
-        pool = ProcessPoolExecutor(max_workers=jobs,
-                                   initializer=_exit_with_parent,
-                                   initargs=(os.getpid(),))
+        """Run every queued point; yields first, then after each batch
+        resolves.  Every point handed out is a future — a pool's, or one
+        resolved by running the point in-process — and one ``wait`` loop
+        notes each outcome before it checks the stop signal, so a point
+        that finished as SIGINT arrived is still recorded and cached."""
+        # Imported here, as in ``sharding.run_shards``: importing the
+        # runner stays cheap, and only a run that starts a pool pays the
+        # pool's ~20 ms of imports.
+        from concurrent.futures import FIRST_COMPLETED, Future, wait
+        scenarios = sum(1 for state, index in queue
+                        if state.spec.points[index].kind == "scenario")
+        jobs = pool_workers(self.jobs or min(os.cpu_count() or 1,
+                                             scenarios))
+        pool = None
+        if jobs > 1 and queue:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(max_workers=jobs,
+                                       initializer=_exit_with_parent,
+                                       initargs=(os.getpid(),))
+        pending = collections.deque(queue)
         futures: Dict[Any, Item] = {}
 
-        def submit(items: Iterable[Item]) -> None:
-            for state, index in items:
+        def hand_out() -> None:
+            # A pool takes every pending point; in-process, one point
+            # runs at a time and is noted before the next starts.
+            while pending and self._stop_signal is None \
+                    and (pool is not None or not futures):
+                state, index = item = pending.popleft()
                 state.begun = True
+                args = (state.spec.points[index], self.telemetry_dir)
+                future = Future()
                 try:
-                    futures[pool.submit(
-                        execute_point, state.spec.points[index],
-                        self.shard_jobs, self.telemetry_dir)] = \
-                        (state, index)
-                except Exception as exc:    # the pool is broken
-                    submit(self._note_failure(state, index, exc))
+                    if pool is not None:
+                        future = pool.submit(execute_point, *args)
+                    else:
+                        future.set_result(execute_point(*args))
+                except Exception as exc:    # raised, or the pool is broken
+                    future.set_exception(exc)
+                futures[future] = item
 
         try:
-            submit(items)
-            yield
-            while futures and self._stop_signal is None:
-                done, _ = wait(list(futures), timeout=0.1,
-                               return_when=FIRST_COMPLETED)
-                if self._stop_signal is not None:
+            yield                       # the cache scan's hits go first
+            while True:
+                hand_out()
+                if not futures:
                     return
+                done, _ = wait(futures, timeout=0.1,
+                               return_when=FIRST_COMPLETED)
                 for future in done:
                     state, index = futures.pop(future)
                     try:
                         metrics = future.result()
                     except Exception as exc:
-                        submit(self._note_failure(state, index, exc))
+                        pending.extend(
+                            self._note_failure(state, index, exc))
                     else:
                         self._note_success(state, index, metrics)
-                if done:
-                    yield
+                if self._stop_signal is not None:
+                    return
+                yield
         finally:
-            try:
-                pool.shutdown(wait=self._stop_signal is None,
-                              cancel_futures=True)
-            except Exception:  # pragma: no cover - already broken
-                pass
+            if pool is not None:
+                try:
+                    pool.shutdown(wait=self._stop_signal is None,
+                                  cancel_futures=True)
+                except Exception:  # pragma: no cover - already broken
+                    pass
 
     # -- entry points --------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepResult:

@@ -6,10 +6,10 @@ deployment-scale axis — tens of cells laid out city-style over the
 three non-overlapping 2.4 GHz channels (round-robin
 ``ScenarioConfig.channels``).  Each channel is its own medium:
 carrier sense, EIFS, collisions and loss draws are per channel, and
-each channel runs as its own simulator (``repro.workloads.sharding``;
-``--shard-jobs`` runs them side by side or serially, to the same
-record).  Grid: city size (cells) x HACK policy (MORE DATA vs. stock
-802.11n).
+each channel runs as its own simulator (``repro.workloads.sharding``:
+side by side on a multi-core host when a point runs in-process,
+serially in a sweep's pool worker, to the same record).  Grid: city
+size (cells) x HACK policy (MORE DATA vs. stock 802.11n).
 
 Reported per grid cell: combined carried traffic, per-cell mean,
 cross-cell Jain fairness (now *across channels* — contention only

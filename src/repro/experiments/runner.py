@@ -11,8 +11,10 @@ its own record, see :mod:`.common`) and :func:`main` the one command
 loop — ``repro sweep`` and ``repro experiments`` forward their argv
 here.  Each target declares its grid as a :class:`SweepSpec`; one
 :class:`SweepRunner` schedule executes every target's cells together —
-by default over a pool of the host's cores (``--jobs 1`` is the serial
-reference path) — prints each target's paper table/figure as text, in
+``--jobs N`` hands every pending cell to one pool of N workers,
+``--jobs 1`` runs them in-process one at a time (the serial reference
+path), and the default is ``min(cores, pending scenario cells)``
+workers — prints each target's paper table/figure as text, in
 argv order as soon as its cells resolve, and (with ``--out``) persists
 the raw per-cell sweep records as a JSON artifact that ``repro check``
 gates on and ``scripts/generate_experiments_md.py`` renders.  A
@@ -88,15 +90,6 @@ def seed_range(text: str) -> tuple:
     return tuple(range(first, last + 1))
 
 
-def non_negative_int(text: str) -> int:
-    """argparse ``type=`` for counts that may be 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {value}")
-    return value
-
-
 def build_parser(prog=None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
@@ -110,11 +103,12 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
              f"for a seed sweep of one scenario")
     parser.add_argument("--quick", action="store_true",
                         help="shorter runs, single seed")
-    parser.add_argument("--jobs", type=non_negative_int, default=None,
-                        help="worker processes (default: decide from "
-                             "the host — a pool of min(cores, pending "
-                             "scenario points), serial on one core; "
-                             "1 = serial; 0 = one per CPU)")
+    parser.add_argument("--jobs", type=positive_int, default=None,
+                        help="worker processes: 1 runs every point "
+                             "in-process, one at a time; N > 1 hands "
+                             "every pending point to one pool of N "
+                             "(default: min(cores, pending scenario "
+                             "points), in-process when that is 1)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write raw sweep records as JSON")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -125,17 +119,6 @@ def build_parser(prog=None) -> argparse.ArgumentParser:
     parser.add_argument("--progress", action="store_true",
                         help="live progress lines on stderr (points "
                              "done/cached/failed, points/s, ETA)")
-    parser.add_argument("--shard-jobs", type=positive_int,
-                        default=None, metavar="N",
-                        help="processes per multi-channel point, "
-                             "which always runs as one shard per "
-                             "channel: 1 = serial shards, N > 1 = "
-                             "pool of min(N, shards) workers; default "
-                             "= one worker per shard on a multi-core "
-                             "host, serial on one core or inside "
-                             "the sweep's pool (records are identical "
-                             "either way; single-channel points are "
-                             "unaffected)")
     parser.add_argument("--telemetry-dir", default=None,
                         metavar="DIR",
                         help="run every freshly-executed point with "
@@ -327,7 +310,7 @@ def main(argv=None, prog=None) -> int:
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
         progress=ProgressReporter() if args.progress else None,
-        shard_jobs=args.shard_jobs, telemetry_dir=args.telemetry_dir)
+        telemetry_dir=args.telemetry_dir)
     results = sweep_runner.run_many(specs)
     artifacts = {}
     exit_code = 0

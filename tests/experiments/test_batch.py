@@ -105,8 +105,11 @@ class TestExecution:
             parallel.aggregate("aggregate_goodput_mbps")
         assert parallel.executed == len(spec)
 
-    def test_jobs_zero_means_cpu_count(self):
-        assert SweepRunner(jobs=0).jobs >= 1
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        """``jobs=0`` was a second spelling of one worker per CPU."""
+        with pytest.raises(ValueError, match="jobs"):
+            SweepRunner(jobs=jobs)
 
     def test_aggregate_matches_historical_averaged(self):
         result = SweepRunner().run(fast_spec())
@@ -160,7 +163,6 @@ class TestCache:
         runner = SweepRunner(cache_dir=tmp_path)
         result = runner.run(spec)
         assert result.executed == 2 and result.cache_hits == 0
-        assert runner.cache.corrupt == 2
         # Quarantined, re-stored: the third run hits cleanly again.
         assert len(list(tmp_path.glob("*.json.corrupt"))) == 2
         third = SweepRunner(cache_dir=tmp_path).run(spec)
@@ -277,8 +279,9 @@ class TestWorkerRule:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         result = SweepRunner().run(spec)
         assert pools.sizes == [4]
-        # Analytic points cost less than a pool start: in-process.
-        assert all(p.kind == "scenario" for p in pools.submitted)
+        # Once a pool starts it takes every pending point, analytic
+        # ones included.
+        assert pools.submitted == spec.points
         assert result.executed == len(spec) == len(pools.calls)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         SweepRunner().run(spec)
@@ -351,17 +354,24 @@ class TestSchedule:
         assert not any(r.cached for r in b.records)
 
     def test_failed_points_duplicate_runs_on_its_own(self, pools,
-                                                      tmp_path):
+                                                      tmp_path,
+                                                      monkeypatch):
         """A serial run stores no entry for a failed point, so the
-        later spec misses the cache and runs it itself."""
+        later spec misses the cache and runs it itself: in a pool
+        (the default) and in-process (``jobs=1``) alike."""
         first = SweepSpec.grid("first", FAST, {"n_clients": [99]},
                                seeds=(1,))
         second = SweepSpec.grid("second", FAST, {"n_clients": [99, 1]},
                                 seeds=(1,))
-        a, b = SweepRunner(cache_dir=tmp_path).run_many([first, second])
-        assert len(pools.calls) == 3
-        assert (a.failed, b.failed, b.executed, b.cache_hits) == \
-            (1, 1, 1, 0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for jobs in (None, 1):
+            del pools.calls[:]
+            a, b = SweepRunner(jobs=jobs, cache_dir=tmp_path / str(jobs)
+                               ).run_many([first, second])
+            assert len(pools.calls) == 3
+            assert (a.failed, b.failed, b.executed, b.cache_hits) == \
+                (1, 1, 1, 0)
+        assert pools.sizes == [2]       # the default's pool, once
 
     def test_results_arrive_in_order_as_each_spec_resolves(self, pools):
         specs = [analytic_spec(), fast_spec(), SweepSpec("empty"),

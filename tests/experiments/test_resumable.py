@@ -321,6 +321,27 @@ class TestGracefulInterrupt:
         assert [r.metrics for r in resumed.records] == \
             [r.metrics for r in fresh.records]
 
+    def test_sigint_during_an_in_process_point_records_it(
+            self, tmp_path):
+        """The point that was running when SIGINT arrived finished: it
+        is noted (recorded and cached) before the stop is honoured, and
+        the next point never starts."""
+        spec = analytic_spec(n=2)
+        spec.add_analytic(("interrupt",),
+                          "tests.helpers:self_interrupting_metrics_fn",
+                          value=9.0)
+        spec.points.append(spec.points.pop(0))
+        runner = SweepRunner(jobs=1, cache_dir=tmp_path)
+        with pytest.raises(SweepInterrupted) as excinfo:
+            runner.run(spec)
+        assert excinfo.value.signum == signal.SIGINT
+        partial = excinfo.value.result
+        assert [r.key for r in partial.records] == [(1,), ("interrupt",)]
+        assert partial.records[-1].metrics == {"value": 9.0}
+        cache = SweepCache(tmp_path)
+        assert [cache.probe(point_signature(p)) for p in spec.points] \
+            == ["complete", "complete", "missing"]
+
     def test_parallel_sigterm_interrupts_and_reports_signal(self):
         spec = SweepSpec("slow")
         for i in range(8):
@@ -457,13 +478,14 @@ class TestCacheHardening:
         assert cache.probe("sig") == "missing"
 
     def test_truncated_json_is_quarantined_and_counted(self, tmp_path):
+        """The quarantined file is the count of a corrupt entry."""
         cache = SweepCache(tmp_path)
         cache.store("sig", {"v": 1})
         (tmp_path / "sig.json").write_text('{"v": 1')   # truncated
         assert cache.load("sig") is None
-        assert cache.corrupt == 1 and cache.misses == 1
         assert not (tmp_path / "sig.json").exists()
-        assert (tmp_path / "sig.json.corrupt").exists()
+        assert [path.name for path in tmp_path.iterdir()] \
+            == ["sig.json.corrupt"]
         # Quarantined means the next run stores fresh and hits again.
         cache.store("sig", {"v": 2})
         assert cache.load("sig") == {"v": 2}
@@ -473,7 +495,6 @@ class TestCacheHardening:
         cache = SweepCache(tmp_path)
         (tmp_path / "sig.json").write_text("[1, 2, 3]")
         assert cache.load("sig") is None
-        assert cache.corrupt == 1
         assert (tmp_path / "sig.json.corrupt").exists()
 
     def test_probe_reports_all_states(self, tmp_path):
@@ -484,12 +505,12 @@ class TestCacheHardening:
         cache.store_failure("bad", {"type": "RuntimeError"})
         assert cache.probe("bad") == "failed"
         (tmp_path / "mangled.json").write_text("{nope")
-        assert cache.probe("mangled") == "corrupt"
         (tmp_path / "listy.json").write_text("[]")
+        files = sorted(tmp_path.iterdir())
+        assert cache.probe("mangled") == "corrupt"
         assert cache.probe("listy") == "corrupt"
-        # probe never mutates: counters untouched, files unmoved.
-        assert cache.corrupt == 0
-        assert (tmp_path / "mangled.json").exists()
+        # probe never mutates: no file moved, none quarantined.
+        assert sorted(tmp_path.iterdir()) == files
 
     @pytest.mark.parametrize("entry, breadcrumb, verdict", [
         ('{"v": 1}', False, "complete"),
@@ -521,11 +542,9 @@ class TestCacheHardening:
         table = format_status("one", sweep_status(spec, cache))
         assert table.splitlines()[3].split()[:2] == ["cell", verdict]
         assert sorted(tmp_path.iterdir()) == files
-        assert (cache.hits, cache.misses, cache.corrupt) == (0, 0, 0)
 
         metrics = cache.load(sig)
         assert metrics == ({"v": 1} if verdict == "complete" else None)
-        assert cache.corrupt == (verdict == "corrupt")
         assert (tmp_path / f"{sig}.json.corrupt").exists() \
             == (verdict == "corrupt")
 

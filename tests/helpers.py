@@ -107,6 +107,16 @@ def interrupting_metrics_fn(**kwargs):
     return dict(kwargs)
 
 
+def self_interrupting_metrics_fn(**kwargs):
+    """Analytic-point target that sends SIGINT to its own process and
+    still returns (a Ctrl-C landing while an in-process point runs)."""
+    import os
+    import signal
+
+    os.kill(os.getpid(), signal.SIGINT)
+    return dict(kwargs)
+
+
 class StubSweepRunner:
     """Sweep runner double: constant metrics per point, zero sims.
 

@@ -208,17 +208,31 @@ MUTANTS = (
     Mutant("pooled-failure-lets-a-worker-death-escape",
            "src/repro/experiments/batch.py",
            "                    except Exception as exc:\n"
-           "                        submit(self._note_failure(",
+           "                        pending.extend(",
            "                    except ValueError as exc:\n"
-           "                        submit(self._note_failure(",
+           "                        pending.extend(",
            (WORKER_DEATH
             + "test_worker_death_fails_point_without_aborting",)),
     Mutant("dead-pool-submit-escapes",
            "src/repro/experiments/batch.py",
-           "except Exception as exc:    # the pool is broken\n",
+           "except Exception as exc:    # raised, or the pool is broken\n",
            "except ValueError as exc:\n",
            (WORKER_DEATH
             + "test_follower_handed_to_the_dead_pool_is_recorded",)),
+    Mutant("stop-checked-before-noting",
+           "src/repro/experiments/batch.py",
+           "                               return_when=FIRST_COMPLETED)\n",
+           "                               return_when=FIRST_COMPLETED)\n"
+           "                if self._stop_signal is not None:\n"
+           "                    return\n",
+           ("tests/experiments/test_resumable.py::TestGracefulInterrupt::"
+            "test_sigint_during_an_in_process_point_records_it",)),
+    Mutant("a-sweep-of-analytic-points-starts-a-pool",
+           "src/repro/experiments/batch.py",
+           "index].kind == \"scenario\")\n",
+           "index].kind)\n",
+           ("tests/experiments/test_batch.py::TestWorkerRule::"
+            "test_default_runs_in_process",)),
 
     # -- The shard layer: one plan, one walk, one merge ----------------
     Mutant("shards-ordered-by-channel-number",

@@ -186,8 +186,7 @@ class TestCli:
         assert "aggregate goodput" in capsys.readouterr().out
 
     @pytest.mark.parametrize("main, argv", [
-        (cli_main, ["simulate", "--shard-jobs", "0"]),
-        (runner_main, ["fig01", "--quick", "--shard-jobs", "-2"])])
+        (cli_main, ["simulate", "--shard-jobs", "0"])])
     def test_shard_jobs_must_be_positive(self, main, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -196,9 +195,9 @@ class TestCli:
 
     @pytest.mark.parametrize("main, argv, expected", [
         (runner_main, ["fig01", "--quick", "--jobs", "-3"],
-         "non-negative integer"),
+         "positive integer"),
         (cli_main, ["sweep", "fig01", "--quick", "--jobs", "-1"],
-         "non-negative integer"),
+         "positive integer"),
         (cli_main, ["report", "run.jsonl", "--top", "0"],
          "positive integer"),
         (runner_main, ["fig01", "--quick", "--seeds", "0"],
@@ -206,13 +205,15 @@ class TestCli:
         (runner_main, ["fig01", "--quick", "--seeds", "0-1"],
          "positive integer"),
         (runner_main, ["fig01", "--quick", "--seeds", "3-2"],
-         "range FIRST-LAST with FIRST <= LAST")])
+         "range FIRST-LAST with FIRST <= LAST"),
+        (runner_main, ["fig01", "--quick", "--jobs", "0"],
+         "positive integer")])
     def test_counts_are_parsed_as_counts(self, main, argv, expected,
                                          capsys):
         """``--jobs -3`` ran one worker per CPU (on the runner and on
-        ``repro sweep``, which forwards to it), ``--top 0`` printed
-        empty headings and ``--seeds 0`` (in the old generator) ran
-        until crossval's KeyError."""
+        ``repro sweep``, which forwards to it), as ``--jobs 0`` did;
+        ``--top 0`` printed empty headings and ``--seeds 0`` (in the
+        old generator) ran until crossval's KeyError."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -229,8 +230,3 @@ class TestCli:
         from repro.experiments.runner import build_parser
         assert build_parser().parse_args(
             ["fig01", "--seeds", text]).seeds == seeds
-
-    def test_jobs_zero_still_means_one_per_cpu(self):
-        from repro.experiments.runner import build_parser
-        assert build_parser().parse_args(["fig01", "--jobs", "0"]).jobs \
-            == 0

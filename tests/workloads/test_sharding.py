@@ -525,14 +525,16 @@ class TestDefaultExecution:
     def test_a_sweep_record_is_the_whole_simulators_record(
             self, tmp_path):
         """What a sweep caches for a multi-channel point is the same
-        bytes under every plan, telemetry on or off, and it is the
-        whole simulator's record."""
+        bytes in-process (shards side by side on a multi-core host) and
+        in a sweep's pool worker (shards serial), telemetry on or off,
+        and it is the whole simulator's record."""
         cfg = base_config(cells=3, channels=2, n_clients=1, seed=2,
                           **QUICK_RUN)
         point = SweepPoint(key=("city",), config=cfg)
-        records = [execute_point(point),
-                   execute_point(point, shard_jobs=1),
-                   execute_point(point, shard_jobs=2),
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            in_worker = pool.submit(execute_point,
+                                    point).result(timeout=120)
+        records = [execute_point(point), in_worker,
                    execute_point(point, telemetry_dir=str(tmp_path))]
         assert {digest(record) for record in records} \
             == {digest(run_whole(cfg).record())}
