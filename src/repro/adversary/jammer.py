@@ -1,4 +1,4 @@
-"""Energy-only jammer for `Medium`/`ChannelizedMedium`.
+"""Energy-only jammer for one channel's `Medium`.
 
 The jammer transmits undecodable energy bursts.  It attaches to the
 medium in its own dispatch cell (``Jammer.CELL``), which gives exactly
@@ -25,8 +25,10 @@ Two disciplines:
   transmission to force a collision (the classic low-energy reactive
   jammer).
 
-All randomness comes from a dedicated per-channel RNG stream, so
-jammed runs are seed-replayable and channel-shardable.
+:func:`~repro.adversary.runtime.install_adversary` starts one jammer
+per medium of a world's ``{channel: Medium}`` map.  All randomness
+comes from that channel's own RNG stream, so jammed runs are
+seed-replayable and channel-shardable.
 """
 
 from __future__ import annotations

@@ -68,9 +68,10 @@ def adversary_block(config: AdversaryConfig,
 
 
 def install_adversary(config: Optional[AdversaryConfig], sim, rngs,
-                      media, channels, until_ns: int
+                      media: Mapping[int, Any], until_ns: int
                       ) -> Optional[AdversaryRuntime]:
-    """Attach jammers / mutators to each channel's medium.
+    """Attach jammers / mutators to each medium of the world's
+    ``{channel: Medium}`` map, in its order.
 
     Greedy stations are not installed here — they replace honest
     client MACs at build time (see ``CellBuilder.make_mac``); the
@@ -85,18 +86,18 @@ def install_adversary(config: Optional[AdversaryConfig], sim, rngs,
         return None
     runtime = AdversaryRuntime(config)
     if config.kind == "jammer":
-        for channel in channels:
+        for channel, medium in media.items():
             jammer = Jammer(
-                sim, media.medium(channel),
+                sim, medium,
                 rngs.stream(f"adversary:jam:ch{channel}"),
                 config, until_ns)
             jammer.start()
             runtime.jammers.append(jammer)
     elif config.kind == "mutator":
-        for channel in channels:
+        for channel, medium in media.items():
             mutator = AirframeMutator(
                 rngs.stream(f"adversary:mutate:ch{channel}"),
                 config, clock=lambda: sim.now)
-            media.medium(channel).tamper = mutator
+            medium.tamper = mutator
             runtime.mutators.append(mutator)
     return runtime

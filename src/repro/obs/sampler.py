@@ -44,7 +44,7 @@ across unsharded / serial-shard / pool-shard executions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..sim.units import MS
 from .metrics import Histogram
@@ -183,13 +183,14 @@ class TelemetrySession:
     from the finished result (:func:`~repro.obs.export.write_artifacts`).
     """
 
-    def __init__(self, cfg, config: TelemetryConfig, sim, media,
-                 channels: Sequence[int], cells: Sequence[Any]):
+    def __init__(self, cfg, config: TelemetryConfig, sim,
+                 media: Mapping[int, Any], cells: Sequence[Any]):
         self.cfg = cfg
         self.config = config
         self.sim = sim
+        #: channel -> medium, in plan order (the order of each tick's
+        #: records).
         self.media = media
-        self.channels: Tuple[int, ...] = tuple(channels)
         # Raw spans are kept only when an export will read them.
         self.instrument = KernelInstrument(
             MAX_EXPORT_SPANS if config.trace_export_path else 0)
@@ -197,7 +198,7 @@ class TelemetrySession:
         self._cells_by_channel: Dict[int, List[Any]] = {
             channel: [net for net in cells
                       if cfg.channel_of(net.index) == channel]
-            for channel in self.channels}
+            for channel in media}
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -210,15 +211,14 @@ class TelemetrySession:
     # -- sampling ------------------------------------------------------
     def _tick(self) -> None:
         now = self.sim.now
-        for channel in self.channels:
-            self.samples.append(self._sample_channel(channel, now))
+        for channel, medium in self.media.items():
+            self.samples.append(self._sample_channel(channel, medium, now))
         if now + self.config.sample_interval_ns <= self.cfg.duration_ns:
             self.sim.schedule(self.config.sample_interval_ns,
                               self._tick)
 
-    def _sample_channel(self, channel: int,
+    def _sample_channel(self, channel: int, medium,
                         now: int) -> Dict[str, Any]:
-        medium = self.media.medium(channel)
         return {
             "type": "sample",
             "t_ns": now,

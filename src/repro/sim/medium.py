@@ -100,16 +100,16 @@ definition), so summing those credits across cells can never
 double-count an instant — per-cell airtime shares always sum to at
 most the elapsed window.
 
-**Channels.**  A :class:`Medium` is one channel.  Scenarios spanning
-several channels use a :class:`ChannelizedMedium`: an ordered set of
-per-channel ``Medium`` instances over one simulator.  Channels never
-interact — a frame on channel c contributes no energy, no carrier
-sense, no EIFS and no collisions on any other channel, which is
-modelled *by construction* (separate ``Medium`` objects, so there is
-no cross-channel code path to get wrong).  Every per-cell invariant
-above is therefore scoped to a channel: cell airtime shares sum to at
-most 1 *per channel*, while the sum over all cells of a multi-channel
-scenario can legitimately approach the channel count.
+**Channels.**  A :class:`Medium` is one channel.  A world spanning
+several channels holds a plain ``{channel: Medium}`` map over one
+simulator (``CellBuilder.media``).  Channels never interact — a frame
+on channel c contributes no energy, no carrier sense, no EIFS and no
+collisions on any other channel, which is modelled *by construction*
+(separate ``Medium`` objects, so there is no cross-channel code path
+to get wrong).  Every per-cell invariant above is therefore scoped to
+a channel: cell airtime shares sum to at most 1 *per channel*, while
+the sum over all cells of a multi-channel scenario can legitimately
+approach the channel count.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ from .engine import Simulator
 #: attributed to).  Single-cell simulations only ever touch this one.
 DEFAULT_CELL = 0
 
-#: The channel a bare ``Medium`` models (and the one single-channel
-#: scenarios have always run on).
+#: The channel single-channel scenarios have always run on (it keeps
+#: the historical loss stream name).
 DEFAULT_CHANNEL = 0
 
 
@@ -224,13 +224,9 @@ class Medium:
     channel; see the module docstring for the inter-cell semantics.
     """
 
-    def __init__(self, sim: Simulator, loss_model: Optional[Any] = None,
-                 channel: int = DEFAULT_CHANNEL):
+    def __init__(self, sim: Simulator, loss_model: Optional[Any] = None):
         self.sim = sim
         self.loss_model = loss_model
-        #: Which channel this medium models (informational; media of
-        #: different channels share nothing but the simulator clock).
-        self.channel = channel
         self.listeners: List[MediumListener] = []
         #: What a busy/idle edge walks: every listener in attach
         #: order, flagged with whether it is a contender.
@@ -539,60 +535,3 @@ class Medium:
         if self._busy_since is not None:
             busy += self.sim.now - self._busy_since
         return min(1.0, busy / total)
-
-
-class ChannelizedMedium:
-    """An ordered set of independent channels over one simulator.
-
-    Each channel is a full :class:`Medium` (its own collision domain,
-    carrier sense, EIFS and loss model); cross-channel frames are
-    invisible to each other by construction because the media share no
-    state.  A single-channel scenario built through this class runs the
-    exact historical ``Medium`` code paths — the wrapper only holds the
-    mapping and aggregates counters.
-    """
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._media: Dict[int, Medium] = {}
-
-    def add_channel(self, channel: int,
-                    loss_model: Optional[Any] = None) -> Medium:
-        """Create one channel's medium (channels are registered once,
-        in the order scenarios enumerate them)."""
-        if channel in self._media:
-            raise ValueError(f"channel {channel} already exists")
-        medium = Medium(self.sim, loss_model=loss_model,
-                        channel=channel)
-        self._media[channel] = medium
-        return medium
-
-    def medium(self, channel: int) -> Medium:
-        """The :class:`Medium` modelling one channel."""
-        return self._media[channel]
-
-    def channels(self) -> List[int]:
-        """Registered channels, in registration order."""
-        return list(self._media)
-
-    @property
-    def frames_sent(self) -> int:
-        """Frames offered across every channel."""
-        return sum(m.frames_sent for m in self._media.values())
-
-    @property
-    def frames_collided(self) -> int:
-        """Collided frames across every channel (collisions only ever
-        happen within one channel)."""
-        return sum(m.frames_collided for m in self._media.values())
-
-    def utilisation(self, elapsed: Optional[int] = None) -> float:
-        """Mean per-channel busy fraction (each channel in [0, 1]).
-
-        For a single channel this is exactly that channel's
-        :meth:`Medium.utilisation` — the historical headline number.
-        """
-        media = list(self._media.values())
-        if not media:
-            return 0.0
-        return sum(m.utilisation(elapsed) for m in media) / len(media)

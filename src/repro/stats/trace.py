@@ -1,7 +1,8 @@
 """Frame-level tracing.
 
-A :class:`MediumTracer` attaches to a :class:`~repro.sim.medium.Medium`
-as an observer and records one :class:`TraceRecord` per completed
+A :class:`MediumTracer` attaches to each
+:class:`~repro.sim.medium.Medium` of a ``{channel: Medium}`` map as an
+observer and records one :class:`TraceRecord` per completed
 transmission — a lightweight pcap equivalent for debugging protocol
 behaviour and for assertions in tests ("the Block ACK left exactly one
 SIFS after the A-MPDU", "no vanilla TCP ACK was transmitted while the
@@ -20,11 +21,11 @@ into the run's with :meth:`MediumTracer.merge`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 from ..mac.frames import AckFrame, AmpduFrame, BarFrame, BlockAckFrame, \
     DataFrame
-from ..sim.medium import ChannelizedMedium, Medium, Transmission
+from ..sim.medium import Medium, Transmission
 
 
 @dataclass
@@ -78,28 +79,21 @@ def _classify(frame: Any) -> str:
 class MediumTracer:
     """Observer that turns medium transmissions into TraceRecords.
 
-    Accepts a single :class:`Medium` or a
-    :class:`~repro.sim.medium.ChannelizedMedium`; in the channelized
-    case one observer is attached per channel and each record is tagged
-    with the channel id it was heard on.
+    Takes a world's ``{channel: Medium}`` map: one observer is attached
+    per channel and each record is tagged with the channel id it was
+    heard on.
     """
 
-    def __init__(self, medium: "Medium | ChannelizedMedium",
+    def __init__(self, media: Mapping[int, Medium],
                  max_records: Optional[int] = None):
         self.records: List[TraceRecord] = []
         self.max_records = max_records
         self.dropped = 0
-        if isinstance(medium, ChannelizedMedium):
-            for channel in medium.channels():
-                self._attach(medium.medium(channel), channel)
-        else:
-            self._attach(medium, getattr(medium, "channel", 0))
+        for channel, medium in media.items():
+            medium.observers.append(
+                lambda tx, _ch=channel: self._observe(tx, _ch))
 
-    def _attach(self, medium: Medium, channel: int) -> None:
-        medium.observers.append(
-            lambda tx, _ch=channel: self._observe(tx, _ch))
-
-    def _observe(self, tx: Transmission, channel: int = 0) -> None:
+    def _observe(self, tx: Transmission, channel: int) -> None:
         if (self.max_records is not None
                 and len(self.records) >= self.max_records):
             self.dropped += 1

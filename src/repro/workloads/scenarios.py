@@ -66,7 +66,7 @@ from ..phy.errors import LossModel, NoLoss, SnrLossModel, UniformLossModel
 from ..phy.params import PHY_11A, PHY_11N, PhyParams
 from ..rohc.decompressor import Decompressor
 from ..sim.engine import Simulator
-from ..sim.medium import ChannelizedMedium, DEFAULT_CHANNEL, Medium
+from ..sim.medium import DEFAULT_CHANNEL, Medium
 from ..sim.rng import RngRegistry
 from ..sim.units import MS, SEC, msec, throughput_mbps
 from ..sim.wired import WiredLink
@@ -347,8 +347,7 @@ class ScenarioResult:
     when read, so it is the same however the cells were split and in
     whatever order shards were merged.
     What the run recorded (frame trace, telemetry) is fields like the
-    rest.  The exception is ``world``, the live simulation of a
-    one-shard run.
+    rest.
     """
 
     config: ScenarioConfig
@@ -753,8 +752,9 @@ class CellBuilder:
         self.tcp = TcpParams(**{
             f.name: getattr(cfg, f.name)
             for f in dataclasses.fields(TcpParams)})
-        self.channels = cfg.ordered_channels(cell_indices)
-        self.media = ChannelizedMedium(self.sim)
+        #: channel -> its medium, in ``cfg.ordered_channels(
+        #: cell_indices)`` order (filled by :func:`build_simulation`).
+        self.media: Dict[int, Medium] = {}
         #: Frame trace, for the Chrome-trace export.
         self.trace: Optional[MediumTracer] = None
         self.adversary_runtime: Optional[AdversaryRuntime] = None
@@ -810,7 +810,7 @@ class CellBuilder:
         """Wire one cell (global index) onto its channel's medium."""
         cfg = self.cfg
         sim = self.sim
-        medium = self.media.medium(cfg.channel_of(cell_index))
+        medium = self.media[cfg.channel_of(cell_index)]
         net = _CellNet(cell_index, cfg.cell_ap_name(cell_index),
                        cfg.cell_client_names(cell_index))
         self.cells.append(net)
@@ -976,11 +976,11 @@ def build_simulation(cfg: ScenarioConfig,
     if cell_indices is None:
         cell_indices = range(cfg.cells)
     world = CellBuilder(cfg, tuple(cell_indices))
-    for channel in world.channels:
-        world.media.add_channel(channel, cfg.loss.build(
+    for channel in cfg.ordered_channels(world.cell_indices):
+        world.media[channel] = Medium(world.sim, cfg.loss.build(
             world.rngs.stream(_loss_stream_name(channel))))
     # A frame record is kept exactly when a Chrome trace will read it;
-    # the channelized tracer tags every record with its channel id.
+    # the tracer tags every record with its channel id.
     if telemetry is not None and telemetry.trace_export_path:
         world.trace = MediumTracer(world.media, MAX_EXPORT_FRAMES)
     for cell_index in world.cell_indices:
@@ -991,14 +991,13 @@ def build_simulation(cfg: ScenarioConfig,
     # greedy stations were already substituted at MAC build time).
     world.adversary_runtime = install_adversary(
         cfg.adversary, world.sim, world.rngs, world.media,
-        world.channels, cfg.duration_ns)
+        cfg.duration_ns)
     if world.adversary_runtime is not None:
         world.adversary_runtime.greedy_macs = world.greedy_macs
 
     if telemetry is not None:
         world.telemetry_session = TelemetrySession(
-            cfg, telemetry, world.sim, world.media, world.channels,
-            world.cells)
+            cfg, telemetry, world.sim, world.media, world.cells)
         world.telemetry_session.start()
     return world
 
@@ -1039,7 +1038,7 @@ def collect(world: CellBuilder) -> ScenarioResult:
         result.udp_background_goodput_mbps.update(
             (name, mbps) for name in net.background_names
             if (mbps := _sink_mbps(net.clients[name])) is not None)
-        medium = world.media.medium(cfg.channel_of(net.index))
+        medium = world.media[cfg.channel_of(net.index)]
         stats = medium.cell_stats(net.index)
         result.cell_medium[net.index] = {
             "airtime_share": medium.cell_airtime_share(
@@ -1049,8 +1048,7 @@ def collect(world: CellBuilder) -> ScenarioResult:
         }
         if net.flow_manager is not None:
             result.collectors[net.index] = net.flow_manager.collector
-    for channel in world.channels:
-        medium = world.media.medium(channel)
+    for channel, medium in world.media.items():
         result.channel_medium[channel] = {
             "utilisation": medium.utilisation(cfg.duration_ns),
             "frames_sent": medium.frames_sent,

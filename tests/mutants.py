@@ -253,6 +253,21 @@ MUTANTS = (
            "    for shard, _ in done[1:-1]:\n",
            (SHARDS + "TestDefaultExecution::"
             "test_a_sweep_record_is_the_whole_simulators_record",)),
+    # -- Consumers of a world's {channel: Medium} map ------------------
+    Mutant("tracer-observes-only-the-first-channel",
+           "src/repro/stats/trace.py",
+           "        for channel, medium in media.items():\n",
+           "        for channel, medium in list(media.items())[:1]:\n",
+           (SHARDS + "TestFrameRecord::"
+            "test_frame_record_merges_across_shards",)),
+    Mutant("adversary-jams-only-the-first-channel",
+           "src/repro/adversary/runtime.py",
+           "        for channel, medium in media.items():\n"
+           "            jammer = Jammer(\n",
+           "        for channel, medium in list(media.items())[:1]:\n"
+           "            jammer = Jammer(\n",
+           ("tests/adversary/test_attacks.py::TestShardedAttacks::"
+            "test_sharded_jammer_merges_identically",)),
 
     # -- Pinned digests and golden rows --------------------------------
     Mutant("pinned-digest-cubic-decrease",

@@ -34,8 +34,7 @@ from repro.mac.frames import AckFrame
 from repro.mac.qdisc import QdiscStats
 from repro.obs import KernelInstrument
 from repro.obs.metrics import Histogram, merge_counts
-from repro.sim.engine import Simulator
-from repro.sim.medium import ChannelizedMedium, Transmission
+from repro.sim.medium import Transmission
 from repro.stats.collectors import MacStats
 from repro.stats.fct import FctCollector
 from repro.stats.trace import MediumTracer
@@ -120,7 +119,7 @@ TRANSMISSION = st.tuples(st.integers(0, 50), st.integers(0, 2),
 
 
 def _tracer(max_records):
-    return MediumTracer(ChannelizedMedium(Simulator()), max_records)
+    return MediumTracer({}, max_records)
 
 
 def _feed_tracer(tracer, op):

@@ -20,7 +20,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.sim.engine import Simulator
-from repro.sim.medium import ChannelizedMedium, Medium
+from repro.sim.medium import Medium
 
 from tests.helpers import FakeFrame, RecordingListener
 
@@ -142,22 +142,23 @@ class TestBusyWindowProperties:
 
 
 def build_channelized(txs):
-    """Drive one ChannelizedMedium with channel-tagged transmissions."""
+    """Drive a ``{channel: Medium}`` map over one simulator with
+    channel-tagged transmissions."""
     sim = Simulator()
-    media = ChannelizedMedium(sim)
+    media = {}
     senders = {}
     for channel, cell, _, _ in txs:
-        if channel not in media.channels():
-            media.add_channel(channel)
+        if channel not in media:
+            media[channel] = Medium(sim)
         key = (channel, cell)
         if key not in senders:
             senders[key] = RecordingListener(sim,
                                              f"s{channel}-{cell}")
-            media.medium(channel).attach(senders[key], cell=cell)
+            media[channel].attach(senders[key], cell=cell)
 
     def start_tx(channel, cell, duration):
-        media.medium(channel).transmit(senders[(channel, cell)],
-                                       FakeFrame(), duration)
+        media[channel].transmit(senders[(channel, cell)],
+                                FakeFrame(), duration)
 
     for channel, cell, start, duration in txs:
         sim.schedule(start, start_tx, channel, cell, duration)
@@ -178,11 +179,11 @@ class TestMultiChannelProperties:
     @given(txs=st.lists(CH_TX, min_size=1, max_size=14))
     def test_per_channel_busy_union_ignores_other_channels(self, txs):
         media = build_channelized(txs)
-        for channel in media.channels():
+        for channel, medium in media.items():
             expected = interval_union(
                 (start, start + duration)
                 for ch, _, start, duration in txs if ch == channel)
-            assert media.medium(channel).busy_time == expected
+            assert medium.busy_time == expected
 
     @settings(max_examples=100, deadline=None)
     @given(txs=st.lists(CH_TX, min_size=1, max_size=14))
@@ -192,20 +193,21 @@ class TestMultiChannelProperties:
         media = build_channelized(txs)
         window = max(s + d for _, _, s, d in txs)
         total = 0.0
-        for channel in media.channels():
-            medium = media.medium(channel)
+        for medium in media.values():
             shares = sum(medium.cell_airtime_share(c, window)
                          for c in medium.cell_keys())
             assert 0.0 <= shares <= 1.0
             total += shares
-        assert total <= len(media.channels())
+        assert total <= len(media)
 
     @settings(max_examples=100, deadline=None)
     @given(txs=st.lists(CH_TX, min_size=1, max_size=14))
-    def test_aggregates_sum_over_channels(self, txs):
+    def test_per_channel_counters(self, txs):
+        """Each medium counts exactly the frames sent on its channel,
+        and its busy fraction stays in [0, 1]."""
         media = build_channelized(txs)
-        assert media.frames_sent == \
-            sum(media.medium(c).frames_sent for c in media.channels())
-        assert media.frames_sent + media.frames_collided >= len(txs)
         window = max(s + d for _, _, s, d in txs)
-        assert 0.0 <= media.utilisation(window) <= 1.0
+        for channel, medium in media.items():
+            assert medium.frames_sent == \
+                sum(1 for ch, _, _, _ in txs if ch == channel)
+            assert 0.0 <= medium.utilisation(window) <= 1.0

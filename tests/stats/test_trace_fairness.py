@@ -32,7 +32,7 @@ class TestTracer:
 
     def test_records_transmissions(self, sim):
         medium, a, b = self.build(sim)
-        tracer = MediumTracer(medium)
+        tracer = MediumTracer({0: medium})
         medium.transmit(a, data_frame(), usec(100))
         sim.run()
         assert len(tracer.records) == 1
@@ -44,7 +44,7 @@ class TestTracer:
 
     def test_classification(self, sim):
         medium, a, b = self.build(sim)
-        tracer = MediumTracer(medium)
+        tracer = MediumTracer({0: medium})
         frames = [
             data_frame(),
             AmpduFrame(mpdus=[Mpdu(src="AP", dst="C1", seq=1,
@@ -68,7 +68,7 @@ class TestTracer:
 
     def test_collision_flag(self, sim):
         medium, a, b = self.build(sim)
-        tracer = MediumTracer(medium)
+        tracer = MediumTracer({0: medium})
         medium.transmit(a, data_frame(), usec(100))
         medium.transmit(b, data_frame(src="C1", dst="AP"), usec(50))
         sim.run()
@@ -77,7 +77,7 @@ class TestTracer:
 
     def test_filtering(self, sim):
         medium, a, b = self.build(sim)
-        tracer = MediumTracer(medium)
+        tracer = MediumTracer({0: medium})
         medium.transmit(a, data_frame(more=True), usec(10))
         sim.schedule(usec(20), lambda: medium.transmit(
             b, AckFrame(src="C1", dst="AP", acked_seq=0), usec(5)))
@@ -89,7 +89,7 @@ class TestTracer:
 
     def test_response_gap_measurement(self, sim):
         medium, a, b = self.build(sim)
-        tracer = MediumTracer(medium)
+        tracer = MediumTracer({0: medium})
         medium.transmit(a, data_frame(), usec(100))
         sim.schedule(usec(116), lambda: medium.transmit(
             b, AckFrame(src="C1", dst="AP", acked_seq=0), usec(28)))
@@ -98,7 +98,7 @@ class TestTracer:
 
     def test_airtime_by_station(self, sim):
         medium, a, b = self.build(sim)
-        tracer = MediumTracer(medium)
+        tracer = MediumTracer({0: medium})
         medium.transmit(a, data_frame(), usec(100))
         sim.schedule(usec(200), lambda: medium.transmit(
             b, AckFrame(src="C1", dst="AP", acked_seq=0), usec(30)))
@@ -108,7 +108,7 @@ class TestTracer:
 
     def test_record_cap(self, sim):
         medium, a, b = self.build(sim)
-        tracer = MediumTracer(medium, max_records=2)
+        tracer = MediumTracer({0: medium}, max_records=2)
         for i in range(4):
             sim.schedule_at(i * usec(20),
                             lambda: medium.transmit(a, data_frame(),

@@ -154,8 +154,7 @@ def test_lossless_fast_paths_match_the_general_paths(policy):
     for asked in (False, True):
         world = build_simulation(quick_cell(policy))
         if asked:
-            for channel in world.media.channels():
-                medium = world.media.medium(channel)
+            for medium in world.media.values():
                 medium.loss_model = AskedNoLoss()
                 for station in medium.listeners:
                     if isinstance(station, DcfMac):
