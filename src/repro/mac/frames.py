@@ -3,8 +3,9 @@
 MPDU sequence numbers are monotonically increasing integers rather than
 mod-4096 counters: wraparound is a wire-representation detail that has
 no timing consequence, and monotone sequence numbers make window logic
-and duplicate detection transparent.  (DESIGN.md records this
-deviation.)
+and duplicate detection transparent.  This departs from 802.11's
+12-bit sequence field on purpose; no airtime or delivery decision
+reads the difference.
 
 ``hack_payload`` on ACK / Block ACK frames is the serialised compressed
 TCP ACK frame (bytes) that TCP/HACK appends; its length lengthens the

@@ -1,7 +1,7 @@
 """CUBIC congestion avoidance (RFC 8312), as a pluggable window law.
 
 ``TcpSender`` keeps its NewReno loss-recovery machinery (fast
-retransmit, NewReno/SACK recovery, RTO) regardless of the ``cc``
+retransmit, NewReno recovery, RTO) regardless of the ``cc``
 option; CUBIC only replaces the *congestion-avoidance growth* and the
 *multiplicative-decrease* factor.  That mirrors how Linux layers CUBIC
 over the common recovery core, and it keeps the reno-default event

@@ -72,9 +72,9 @@ class TcpParams:
     """The TCP knobs a scenario gives every flow it wires — the sibling
     of ``MacParams`` and ``HackConfig``.  Field names are
     ``ScenarioConfig``'s, which is how the builder fills it.  The
-    paper's fixed TCP constants (MSS, initial window and ssthresh, no
-    SACK) are not knobs: they are ``TcpSender`` / ``TcpReceiver``
-    defaults."""
+    paper's fixed TCP constants (MSS, initial window and ssthresh) are
+    not knobs: they are ``TcpSender`` / ``TcpReceiver`` defaults, and
+    neither endpoint implements SACK."""
 
     delayed_ack: bool = True
     cc: str = "reno"

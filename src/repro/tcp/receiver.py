@@ -5,15 +5,16 @@ delayed-ACK timer), immediate duplicate ACKs for out-of-order arrivals,
 and an immediate ACK when a hole fills — the RFC 5681 behaviours whose
 ACK stream HACK compresses.
 
-The receiver tolerates reordering (the simulator's MAC delivers MPDUs
-as they decode; see DESIGN.md) via a standard out-of-order queue, and
-can optionally generate SACK blocks so the ROHC encoder's SACK support
-is exercised end-to-end.
+The receiver keeps out-of-order data in a standard queue: the MAC's
+Block Ack reorder buffer hides link-layer retries, but a segment
+dropped by a queue or after its last MAC retry still reaches TCP as a
+hole.  Its ACKs are cumulative and carry no SACK blocks (the paper's
+NewReno).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..sim.engine import Simulator, Timer
 from ..sim.units import MS
@@ -28,7 +29,6 @@ class TcpReceiver:
                  rwnd_bytes: int = 4 * 1024 * 1024,
                  delayed_ack: bool = True,
                  delack_timeout_ns: int = 100 * MS,
-                 generate_sack: bool = False,
                  five_tuple: Optional[FiveTuple] = None,
                  on_deliver: Optional[Callable[[int], None]] = None):
         self.sim = sim
@@ -39,7 +39,6 @@ class TcpReceiver:
         self.rwnd_bytes = rwnd_bytes
         self.delayed_ack = delayed_ack
         self.delack_timeout_ns = delack_timeout_ns
-        self.generate_sack = generate_sack
         self.five_tuple = five_tuple or FiveTuple(src, dst, 80, 5001)
         self.on_deliver = on_deliver
 
@@ -114,18 +113,6 @@ class TcpReceiver:
     # ------------------------------------------------------------------
     # ACK generation
     # ------------------------------------------------------------------
-    def _sack_blocks(self) -> Tuple[Tuple[int, int], ...]:
-        if not self.generate_sack or not self._ooo:
-            return ()
-        blocks: List[Tuple[int, int]] = []
-        for seq in sorted(self._ooo):
-            end = seq + self._ooo[seq]
-            if blocks and seq <= blocks[-1][1]:
-                blocks[-1] = (blocks[-1][0], max(blocks[-1][1], end))
-            else:
-                blocks.append((seq, end))
-        return tuple(blocks[:3])
-
     def _send_ack(self, immediate: bool = False) -> None:
         self._pending_ack_segments = 0
         if self._delack_timer.deadline is not None:
@@ -133,7 +120,7 @@ class TcpReceiver:
         ack = TcpSegment(
             self.flow_id, self.src, self.dst, 0, 0, self.rcv_nxt,
             self.rwnd_bytes, self.sim.now // MS, self._last_ts_val,
-            self._sack_blocks() if self._ooo else (), self.five_tuple)
+            (), self.five_tuple)
         self.output(ack)
 
     def close(self) -> None:

@@ -43,7 +43,6 @@ class TcpSender:
                  initial_ssthresh_bytes: int = 65_535,
                  min_rto_ns: int = 200 * MS,
                  max_rto_ns: int = 60 * SEC,
-                 use_sack: bool = False,
                  cc: str = "reno",
                  pacing: bool = False,
                  five_tuple: Optional[FiveTuple] = None,
@@ -78,13 +77,6 @@ class TcpSender:
         self.in_recovery = False
         self.recover = 0
 
-        # SACK recovery state (simplified RFC 6675): a scoreboard of
-        # disjoint SACKed ranges above snd_una, plus the set of holes
-        # already retransmitted this recovery episode.
-        self.use_sack = use_sack
-        self._sack_scoreboard: list = []
-        self._sack_retransmitted: set = set()
-
         # RFC 7323 timestamp echo: the most recent ts_val received from
         # the peer, reflected in every outgoing segment's ts_ecr.  The
         # paper's §5 timestamp-echo mechanism relies on this.
@@ -93,7 +85,9 @@ class TcpSender:
         # RTO state (RFC 6298).
         self.srtt_ns: Optional[int] = None
         self.rttvar_ns: Optional[int] = None
-        self.rto_ns = 1 * SEC
+        # RFC 6298's initial 1 s, held to the ceiling like every
+        # later value.
+        self.rto_ns = min(1 * SEC, max_rto_ns)
         self._rto_timer = Timer(sim, self._on_rto)
         self._backoff = 1
 
@@ -156,8 +150,8 @@ class TcpSender:
         self._try_send()
 
     def _try_send(self) -> None:
-        if self.pacing or (self.use_sack and self.in_recovery):
-            self._try_send_gated()
+        if self.pacing:
+            self._try_send_paced()
         else:
             # The common case: nothing gates a segment but the window.
             # ``output`` never re-enters the sender (it queues the
@@ -181,27 +175,18 @@ class TcpSender:
         if self.snd_nxt > self.snd_una and self._rto_timer.deadline is None:
             self._arm_rto()
 
-    def _try_send_gated(self) -> None:
-        """The general loop: SACK recovery sends on the pipe estimate,
-        pacing may close the gate between any two segments."""
+    def _try_send_paced(self) -> None:
+        """The window loop with the pacing gate, which may close
+        between any two segments."""
         while self._has_data_at(self.snd_nxt):
-            if self.use_sack and self.in_recovery:
-                # Pipe-based sending (RFC 6675): SACKed bytes have left
-                # the network and free window for new data.
-                in_pipe = self._sack_pipe()
-            else:
-                in_pipe = self.flight_size
-            if in_pipe + self.mss > self.effective_window:
+            if self.flight_size + self.mss > self.effective_window:
+                break
+            if not self._pacing_gate():
                 break
             length = self._segment_length(self.snd_nxt)
-            if length <= 0:
-                break
-            if self.pacing and not self._pacing_gate():
-                break
             self._emit(self.snd_nxt, length)
             self.snd_nxt += length
-            if self.pacing:
-                self._note_paced_send()
+            self._note_paced_send()
 
     def _emit(self, seq: int, length: int) -> None:
         self.segments_sent += 1
@@ -216,8 +201,8 @@ class TcpSender:
         if self.completed:
             return
         if (ack_segment.ack > self.snd_una and ack_segment.rwnd
-                and not self.in_recovery and not self.use_sack
-                and not self.pacing and self._cubic is None):
+                and not self.in_recovery and not self.pacing
+                and self._cubic is None):
             self._on_plain_new_ack(ack_segment)
         else:
             self._on_ack(ack_segment)
@@ -225,14 +210,14 @@ class TcpSender:
     def _on_plain_new_ack(self, ack_segment: TcpSegment) -> None:
         """:meth:`_on_ack` for the common ACK: a new cumulative ACK
         with an open window, outside recovery, on a Reno sender without
-        SACK or pacing (what ``on_ack`` tests).
+        pacing (what ``on_ack`` tests).
 
         Equivalence: under those conditions ``_on_ack`` cancels the
-        persist timer, skips every SACK step, takes ``_on_new_ack``'s
-        no-recovery branch (Reno's ``_grow_cwnd`` has no CUBIC branch
-        to take) and, ``_backoff`` being 1 by then, arms the RTO for
+        persist timer, takes ``_on_new_ack``'s no-recovery branch
+        (Reno's ``_grow_cwnd`` has no CUBIC branch to take) and,
+        ``_backoff`` being 1 by then, arms the RTO for
         ``min(rto_ns, max_rto_ns)``; ``_try_send`` then runs its
-        ungated loop.  This is those steps in that order, with the RTT
+        unpaced loop.  This is those steps in that order, with the RTT
         sample, the window growth and the timer tests written out.
         ``tests/tcp/test_sender.py`` holds it to ``_on_ack`` on random
         ACK streams.
@@ -299,98 +284,14 @@ class TcpSender:
         else:
             self._persist_backoff = 1
             self._persist_timer.cancel()
-        if self.use_sack and ack_segment.sack_blocks:
-            self._register_sack(ack_segment.sack_blocks)
         ack = ack_segment.ack
         if ack > self.snd_una:
             self._on_new_ack(ack, ack_segment)
         elif ack == self.snd_una and self.flight_size > 0:
             self._on_dup_ack()
         # Older ACKs (reordered) are ignored.
-        if self.use_sack and self.in_recovery:
-            self._sack_retransmit_holes()
         self._try_send()
         self._check_complete()
-
-    # ------------------------------------------------------------------
-    # SACK scoreboard (simplified RFC 6675)
-    # ------------------------------------------------------------------
-    def _register_sack(self, blocks) -> None:
-        ranges = list(self._sack_scoreboard)
-        for start, end in blocks:
-            if end <= self.snd_una:
-                continue
-            ranges.append((max(start, self.snd_una), end))
-        ranges.sort()
-        merged = []
-        for start, end in ranges:
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        self._sack_scoreboard = merged
-
-    def _prune_sack(self) -> None:
-        self._sack_scoreboard = [
-            (max(start, self.snd_una), end)
-            for start, end in self._sack_scoreboard
-            if end > self.snd_una]
-        self._sack_retransmitted = {
-            seq for seq in self._sack_retransmitted
-            if seq >= self.snd_una}
-
-    def _sacked_bytes(self) -> int:
-        return sum(end - start for start, end in self._sack_scoreboard)
-
-    def _sack_pipe(self) -> int:
-        """Estimate of bytes in the network (RFC 6675 'pipe'):
-        flight, minus SACKed bytes, minus holes presumed lost (un-
-        SACKed sequence below the highest SACK — IsLost), plus
-        retransmissions not themselves SACKed yet."""
-        retx_in_flight = 0
-        for seq in self._sack_retransmitted:
-            if seq < self.snd_una:
-                continue
-            if any(start <= seq < end
-                   for start, end in self._sack_scoreboard):
-                continue
-            retx_in_flight += self.mss
-        lost = sum(length for start, length in self._sack_holes()
-                   if start not in self._sack_retransmitted)
-        # Holes and SACKed ranges can double-count after snd_una moves
-        # (e.g. a stale SACK re-registering ranges beyond a rewound
-        # snd_nxt); a negative pipe would over-inject a burst.
-        return max(0, self.flight_size - self._sacked_bytes() - lost
-                   + retx_in_flight)
-
-    def _sack_holes(self):
-        """Un-SACKed gaps between snd_una and the highest SACKed byte,
-        as (start, length) segment-aligned pieces."""
-        holes = []
-        cursor = self.snd_una
-        for start, end in self._sack_scoreboard:
-            while cursor < start:
-                length = min(self.mss, start - cursor)
-                holes.append((cursor, length))
-                cursor += length
-            cursor = max(cursor, end)
-        return holes
-
-    def _sack_retransmit_holes(self) -> None:
-        """Retransmit un-SACKed holes, bounded by cwnd on the pipe.
-
-        Unlike NewReno's one-hole-per-RTT, this repairs multiple losses
-        per round trip — the point of SACK recovery."""
-        pipe = self._sack_pipe()
-        for start, length in self._sack_holes():
-            if start in self._sack_retransmitted:
-                continue
-            if pipe + length > self.cwnd:
-                break
-            self.retransmits += 1
-            self._emit(start, length)
-            self._sack_retransmitted.add(start)
-            pipe += length
 
     def _on_new_ack(self, ack: int, segment: TcpSegment) -> None:
         newly_acked = ack - self.snd_una
@@ -400,19 +301,16 @@ class TcpSender:
         self._sample_rtt(segment)
         self._backoff = 1
         self.dup_acks = 0
-        if self.use_sack:
-            self._prune_sack()
 
         if self.in_recovery:
             if ack >= self.recover:
                 # Full ACK: leave recovery, deflate to ssthresh.
                 self.in_recovery = False
                 self.cwnd = self.ssthresh
-                self._sack_retransmitted.clear()
-            elif not self.use_sack:
+            else:
                 # Partial ACK (NewReno): retransmit the next hole,
                 # deflate by the amount acked, inflate by one MSS
-                # (RFC 6582).  With SACK the hole loop handles this.
+                # (RFC 6582).
                 self._retransmit_head()
                 self.cwnd = max(self.cwnd - newly_acked + self.mss,
                                 self.mss)
@@ -442,10 +340,9 @@ class TcpSender:
     def _on_dup_ack(self) -> None:
         self.dup_acks += 1
         if self.in_recovery:
-            if not self.use_sack:
-                # NewReno inflation: each dup ACK signals one segment
-                # has left (SACK tracks this explicitly instead).
-                self.cwnd += self.mss
+            # NewReno inflation: each dup ACK signals one segment has
+            # left the network.
+            self.cwnd += self.mss
             return
         if self.dup_acks == 3:
             self._enter_fast_recovery()
@@ -459,17 +356,8 @@ class TcpSender:
         self.recover = self.snd_nxt
         self.in_recovery = True
         self.fast_retransmits += 1
-        if self.use_sack:
-            # Pipe-based: cwnd pins at ssthresh; holes go out via the
-            # scoreboard loop (no inflation, no blind head retransmit
-            # beyond the first hole).
-            self.cwnd = self.ssthresh
-            self._sack_retransmitted.clear()
-            if not self._sack_scoreboard:
-                self._retransmit_head()
-        else:
-            self.cwnd = self.ssthresh + 3 * self.mss
-            self._retransmit_head()
+        self.cwnd = self.ssthresh + 3 * self.mss
+        self._retransmit_head()
         self._arm_rto()
 
     def _retransmit_head(self) -> None:
@@ -566,10 +454,6 @@ class TcpSender:
         self.cwnd = self.mss
         self.in_recovery = False
         self.dup_acks = 0
-        # The scoreboard may be stale after an RTO (the receiver could
-        # have renege'd); go-back-N conservatively discards it.
-        self._sack_scoreboard = []
-        self._sack_retransmitted.clear()
         self._backoff = min(self._backoff * 2, 64)
         # Go-back-N: rewind and retransmit from the last ACKed byte.
         self.snd_nxt = self.snd_una

@@ -4,7 +4,6 @@ These use a fake MAC so each driver rule can be exercised in isolation;
 the end-to-end loss scenarios of Figs 5-8 live in test_loss_recovery.
 """
 
-import os
 from collections import deque
 
 import hypothesis.strategies as st
@@ -287,8 +286,7 @@ class TestPpduFlags:
     passes it replaced read: ``any`` SYNC, ``any`` MORE DATA, ``max``
     sequence number."""
 
-    @settings(max_examples=200, deadline=None,
-              derandomize=bool(os.environ.get("CI")))
+    @settings(max_examples=200, deadline=None)
     @given(flags=st.lists(st.tuples(st.integers(-3, 200), st.booleans(),
                                     st.booleans()),
                           min_size=1, max_size=64))

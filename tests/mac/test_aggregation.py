@@ -1,6 +1,5 @@
 """A-MPDU batch construction limits."""
 
-import os
 from collections import deque
 
 import hypothesis.strategies as st
@@ -220,8 +219,7 @@ class TestDrainBatchAgainstBuildBatch:
                         self.same_batch([1460] * 6, retried, set(), skip,
                                         max_mpdus, budget, None, 150.0)
 
-    @settings(max_examples=200, deadline=None,
-              derandomize=bool(os.environ.get("CI")))
+    @settings(max_examples=200, deadline=None)
     @given(sizes=st.lists(st.one_of(st.just(1460), st.integers(40, 4000)),
                           max_size=80),
            gaps=st.lists(st.integers(0, 50_000), min_size=80,

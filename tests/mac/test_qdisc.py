@@ -1,8 +1,6 @@
 """Queue disciplines: DropTail timestamps, CoDel head-drop state
 machine, FQ-CoDel DRR, the shared stats block, and the shard merge."""
 
-import os
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -239,8 +237,7 @@ class TestFqCodelAgainstTheUncachedQueue:
     few rounds, where a stale head or a skipped ``_advance`` would
     show."""
 
-    @settings(max_examples=200, deadline=None,
-              derandomize=bool(os.environ.get("CI")))
+    @settings(max_examples=200, deadline=None)
     @given(rounds=st.lists(_FQ_ROUNDS, min_size=1, max_size=40),
            quantum=st.sampled_from([300, 1514]))
     def test_same_queue(self, rounds, quantum):

@@ -23,6 +23,7 @@ class Mutant(NamedTuple):
 
 
 SENDER = "tests/tcp/test_sender.py::TestPlainAckAgainstTheGeneralPath"
+RECOVERY = "tests/tcp/test_sender.py::TestFastRetransmit::"
 GOLDEN = "tests/experiments/test_golden_rows.py::" \
          "test_rows_bit_identical_to_seed_kernel"
 SEEDED = "tests/experiments/test_check.py::TestContractsOnGoldenRows::" \
@@ -112,6 +113,33 @@ MUTANTS = (
            "                self.rto_ns = rto\n"
            "        self._backoff = 1\n",
            (SENDER,)),
+    Mutant("fast-recovery-enters-without-inflation",
+           "src/repro/tcp/sender.py",
+           "        self.cwnd = self.ssthresh + 3 * self.mss\n",
+           "        self.cwnd = self.ssthresh\n",
+           (RECOVERY + "test_ssthresh_halves_flight",)),
+    Mutant("partial-ack-skips-deflation",
+           "src/repro/tcp/sender.py",
+           "                self.cwnd = max(self.cwnd - newly_acked"
+           " + self.mss,\n"
+           "                                self.mss)\n",
+           "",
+           (RECOVERY + "test_partial_ack_retransmits_next_hole",)),
+    Mutant("fast-recovery-ssthresh-floor-one-segment",
+           "src/repro/tcp/sender.py",
+           "            self.ssthresh = max(self.flight_size // 2,"
+           " 2 * self.mss)\n"
+           "        self.recover = self.snd_nxt\n",
+           "            self.ssthresh = max(self.flight_size // 2,"
+           " self.mss)\n"
+           "        self.recover = self.snd_nxt\n",
+           (RECOVERY + "test_ssthresh_floor_is_two_segments",)),
+    Mutant("initial-rto-above-its-ceiling",
+           "src/repro/tcp/sender.py",
+           "        self.rto_ns = min(1 * SEC, max_rto_ns)\n",
+           "        self.rto_ns = 1 * SEC\n",
+           ("tests/properties/test_tcp_properties.py::"
+            "TestSenderInvariants",)),
     Mutant("crc3-skips-the-high-bytes-of-ts-ecr",
            "src/repro/rohc/crc.py",
            "        if (b | c) >> 16:\n",

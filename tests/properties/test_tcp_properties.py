@@ -1,16 +1,18 @@
 """Property-based TCP sender invariants.
 
 A model receiver acks a randomly lossy, occasionally reordered copy of
-everything the sender emits; after every ACK the sender must hold its
-structural invariants (non-negative pipe, ordered sequence space, a
-disjoint scoreboard above snd_una, cwnd >= 1 MSS), and every transfer
-must eventually complete with recovery exited."""
+everything the NewReno sender emits with cumulative ACKs only (the
+paper's TCP carries no SACK); after every ACK and every idle stretch
+the sender must hold its structural invariants (ordered sequence
+space, cwnd >= 1 MSS, an RTO and an armed retransmission timer within
+the RTO ceiling), and every transfer must eventually complete with
+recovery exited."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.sim.engine import Simulator
-from repro.sim.units import SEC
+from repro.sim.units import MS, SEC
 from repro.tcp.segment import TcpSegment
 from repro.tcp.sender import TcpSender
 
@@ -18,14 +20,14 @@ MSS = 1460
 TOTAL = 30 * MSS
 
 
-def ack_segment(ack, sack=()):
+def ack_segment(ack, ts_ecr):
     return TcpSegment(flow_id=1, src="C1", dst="SRV", seq=0,
                       payload_bytes=0, ack=ack, rwnd=1 << 30,
-                      sack_blocks=tuple(sack))
+                      ts_ecr=ts_ecr)
 
 
 class ModelReceiver:
-    """Tracks received byte ranges; emits cum ACK + up to 3 SACKs."""
+    """Tracks received byte ranges; its ACK is the cumulative one."""
 
     def __init__(self):
         self.ranges = []
@@ -49,22 +51,14 @@ class ModelReceiver:
             return self.ranges[0][1]
         return 0
 
-    def sack_blocks(self):
-        above = [r for r in self.ranges if r[0] > self.cum_ack or
-                 (self.cum_ack == 0 and r[0] > 0)]
-        return tuple(above[:3])
-
 
 def check_invariants(sender):
     assert sender.snd_una <= sender.snd_nxt
     assert sender.cwnd >= sender.mss
-    assert sender._sack_pipe() >= 0
-    board = sender._sack_scoreboard
-    for start, end in board:
-        assert start < end
-        assert start >= sender.snd_una
-    for (_, end0), (start1, _) in zip(board, board[1:]):
-        assert end0 < start1        # disjoint and sorted
+    assert sender.rto_ns <= sender.max_rto_ns
+    deadline = sender._rto_timer.deadline
+    if deadline is not None:
+        assert deadline - sender.sim.now <= sender.max_rto_ns
 
 
 class TestSenderInvariants:
@@ -72,14 +66,15 @@ class TestSenderInvariants:
     @given(drops=st.lists(st.booleans(), max_size=60),
            swaps=st.lists(st.booleans(), max_size=30),
            cc=st.sampled_from(["reno", "cubic"]),
-           pacing=st.booleans())
+           pacing=st.booleans(),
+           max_rto=st.sampled_from([60 * SEC, 1 * SEC, 300 * MS]))
     def test_invariants_hold_and_transfer_completes(
-            self, drops, swaps, cc, pacing):
+            self, drops, swaps, cc, pacing, max_rto):
         sim = Simulator()
         sent = []
         sender = TcpSender(sim, 1, "SRV", "C1", output=sent.append,
                            total_bytes=TOTAL,
-                           initial_cwnd_segments=10, use_sack=True,
+                           initial_cwnd_segments=10, max_rto_ns=max_rto,
                            cc=cc, pacing=pacing)
         receiver = ModelReceiver()
         sender.start()
@@ -97,8 +92,8 @@ class TestSenderInvariants:
                     if segment.payload_bytes \
                             and not next(drop_iter, False):
                         receiver.deliver(segment)
-                    sender.on_ack(ack_segment(
-                        receiver.cum_ack, receiver.sack_blocks()))
+                    sender.on_ack(
+                        ack_segment(receiver.cum_ack, segment.ts_val))
                     check_invariants(sender)
             else:
                 # Everything acked-or-dropped is in: let the RTO (and

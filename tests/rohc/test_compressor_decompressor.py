@@ -1,7 +1,5 @@
 """Compressor <-> decompressor protocol: contexts, MSN dedup, repair."""
 
-import os
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -320,8 +318,7 @@ class TestContextByFlowAgainstTheCidTable:
     compressed ACKs, CID collisions and released flows it answers what
     the CID table (``_context_for``) answers — the same object."""
 
-    @settings(max_examples=300, deadline=None,
-              derandomize=bool(os.environ.get("CI")))
+    @settings(max_examples=300, deadline=None)
     @given(ops=st.lists(st.tuples(
                st.sampled_from(["vanilla", "vanilla", "compress",
                                 "release"]),

@@ -1,7 +1,5 @@
 """Wire-format round trips for compressed ACK entries and frames."""
 
-import os
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -212,8 +210,7 @@ class TestEncodeUpdateAgainstEncodeEntry:
     entries of every mode, absolute ones, SACK blocks, data segments
     and values past 32 bits (refused by both)."""
 
-    @settings(max_examples=300, deadline=None,
-              derandomize=bool(os.environ.get("CI")))
+    @settings(max_examples=300, deadline=None)
     @given(state=st.tuples(st.integers(0x5000, 2**32 - 0x20000),
                            st.sampled_from([0, 1, 0xFF, 2920]),
                            st.integers(0x5000, 2**20),

@@ -1,7 +1,5 @@
 """NewReno sender: slow start, CA, fast retransmit/recovery, RTO."""
 
-import os
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -71,7 +69,7 @@ class TestCongestionAvoidance:
 
 class TestFastRetransmit:
     def prime(self, sim, segments=10):
-        sender, sent = make_sender(sim, initial_cwnd_segments=10)
+        sender, sent = make_sender(sim, initial_cwnd_segments=segments)
         sender.start()
         assert len(sent) == segments
         return sender, sent
@@ -99,6 +97,17 @@ class TestFastRetransmit:
         for _ in range(3):
             sender.on_ack(ack_for(sender, 0))
         assert sender.ssthresh == flight // 2
+        # RFC 6582: the window is inflated by the three segments the
+        # dup ACKs say have left the network.
+        assert sender.cwnd == sender.ssthresh + 3 * MSS
+
+    def test_ssthresh_floor_is_two_segments(self, sim):
+        sender, _ = self.prime(sim, segments=2)
+        for _ in range(3):
+            sender.on_ack(ack_for(sender, 0))
+        assert sender.in_recovery
+        assert sender.ssthresh == 2 * MSS   # half the flight is 1 MSS
+        assert sender.cwnd == 5 * MSS
 
     def test_full_ack_exits_recovery(self, sim):
         sender, _ = self.prime(sim)
@@ -113,11 +122,13 @@ class TestFastRetransmit:
         sender, sent = self.prime(sim)
         for _ in range(3):
             sender.on_ack(ack_for(sender, 0))
-        before = len(sent)
+        before, cwnd = len(sent), sender.cwnd
         sender.on_ack(ack_for(sender, 2 * MSS))  # partial
         assert sender.in_recovery
         retx = [s for s in sent[before:] if s.seq == 2 * MSS]
         assert len(retx) == 1
+        # RFC 6582 deflation: less what the ACK covered, plus one MSS.
+        assert sender.cwnd == cwnd - 2 * MSS + MSS
 
     def test_dupacks_inflate_cwnd(self, sim):
         sender, _ = self.prime(sim)
@@ -225,15 +236,14 @@ def _snapshot(sender, sent):
 
 class TestPlainAckAgainstTheGeneralPath:
     """``on_ack`` sends the common ACK — new, cumulative, window open,
-    outside recovery, Reno without SACK or pacing — down
+    outside recovery, Reno without pacing — down
     ``_on_plain_new_ack``; a twin fed the same ACKs through ``_on_ack``
     (every ACK's path) must stay in the same state, timers and kernel
     sequence numbers included, whatever mix of new (whole or part of a
     segment), duplicate, old and zero-window ACKs, timeouts, RTOs at
     their ceiling and completions the stream brings."""
 
-    @settings(max_examples=300, deadline=None,
-              derandomize=bool(os.environ.get("CI")))
+    @settings(max_examples=300, deadline=None)
     @given(steps=st.lists(st.tuples(
                st.sampled_from(["new", "new", "new", "part", "dup",
                                 "old"]),
@@ -246,7 +256,6 @@ class TestPlainAckAgainstTheGeneralPath:
            ssthresh=st.sampled_from([4 * MSS, 65_535]),
            max_rto=st.sampled_from([60 * SEC, 300 * MS]),
            variant=st.sampled_from([{}, {}, {"cc": "cubic"},
-                                    {"use_sack": True},
                                     {"pacing": True}]))
     def test_same_sender(self, steps, total, ssthresh, max_rto, variant):
         pair = []

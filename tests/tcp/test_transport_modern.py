@@ -1,6 +1,6 @@
 """Modern-transport sender features and the correctness fixes that
 shipped with them: the RTO-backoff ceiling, zero-window persist
-probes, the non-negative SACK pipe, and sender pacing."""
+probes, and sender pacing."""
 
 import pytest
 
@@ -18,10 +18,10 @@ def make_sender(sim, total=None, **kw):
     return sender, sent
 
 
-def ack_for(ack, ts_ecr=0, rwnd=1 << 30, sack=()):
+def ack_for(ack, ts_ecr=0, rwnd=1 << 30):
     return TcpSegment(flow_id=1, src="C1", dst="SRV", seq=0,
                       payload_bytes=0, ack=ack, rwnd=rwnd,
-                      ts_val=0, ts_ecr=ts_ecr, sack_blocks=tuple(sack))
+                      ts_val=0, ts_ecr=ts_ecr)
 
 
 class TestRtoBackoffCeiling:
@@ -98,36 +98,6 @@ class TestZeroWindowPersist:
         assert not sender._persist_timer.armed
         sim.run(until=10 * SEC)
         assert sender.persist_probes == 0
-
-
-class TestSackPipeNonNegative:
-    """Regression: a stale SACK arriving after an RTO rewound snd_nxt
-    could drive the RFC 6675 pipe estimate negative, over-injecting a
-    burst on the next send opportunity."""
-
-    def test_stale_sack_after_rto(self, sim):
-        sent = []
-        sender = TcpSender(sim, 1, "SRV", "C1", output=sent.append,
-                           initial_cwnd_segments=10, use_sack=True)
-        sender.start()
-        sim.run(until=3 * SEC)          # RTO: go-back-N, snd_nxt = MSS
-        assert sender.timeouts >= 1
-        assert sender.flight_size == MSS
-        # SACK ranges far beyond the rewound snd_nxt (in flight before
-        # the timeout, delivered late).
-        sender.on_ack(ack_for(0, sack=((2 * MSS, 8 * MSS),)))
-        assert sender._sack_pipe() == 0
-
-    def test_pipe_never_negative_during_recovery(self, sim):
-        sent = []
-        sender = TcpSender(sim, 1, "SRV", "C1", output=sent.append,
-                           initial_cwnd_segments=10, use_sack=True)
-        sender.start()
-        sim.run(until=3 * SEC)
-        for _ in range(3):              # dup ACKs enter SACK recovery
-            sender.on_ack(ack_for(0, sack=((2 * MSS, 8 * MSS),)))
-            assert sender._sack_pipe() >= 0
-        assert sender.in_recovery
 
 
 class TestPacing:
