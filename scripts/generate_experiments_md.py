@@ -32,8 +32,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments.batch import write_atomically
 from repro.experiments.runner import EXPERIMENTS, read_artifacts
+from repro.obs.export import write_atomically
 
 DOCUMENT = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 BEGIN = "<!-- BEGIN GENERATED: scripts/generate_experiments_md.py -->\n"

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-KINDS = ("none", "greedy", "jammer", "mutator")
+KINDS = ("greedy", "jammer", "mutator")
 JAM_MODES = ("periodic", "reactive")
 MUTATE_MODES = ("flip", "cid", "storm")
-
-US = 1_000        # ns; local to stay import-free
-MS = 1_000_000    # ns
 
 
 @dataclass(frozen=True)
@@ -33,39 +30,25 @@ class AdversaryConfig:
     * ``mutator`` — per-frame probability that a compressed-ACK
       payload is corrupted in flight.
 
-    ``intensity == 0`` (or ``kind == "none"``) is the inert plan: no
-    actor is installed and the run is bit-identical to ``adversary=None``
-    except for the zeroed ``metrics_dict()["adversary"]`` block.
+    ``intensity == 0`` is the inert plan: no actor is installed and the
+    run is bit-identical to ``adversary=None`` except for the zeroed
+    ``metrics_dict()["adversary"]`` block.  Everything else about an
+    attack (how many stations cheat, the jammer's cycle and pulse, the
+    storm length) is a constant of the actor that runs it.
     """
 
-    kind: str = "none"            # none | greedy | jammer | mutator
+    kind: str                     # greedy | jammer | mutator
     intensity: float = 0.0
-    #: greedy: how many cell-0 clients cheat (the first N by name).
-    greedy_stations: int = 1
     #: jammer: burst scheduling discipline.
     jam_mode: str = "periodic"    # periodic | reactive
-    #: jammer(periodic): duty cycle period.  Each cycle jams for
-    #: ``intensity * jam_cycle_ns`` then stays quiet; the cycle is much
-    #: longer than a frame airtime so honest stations mostly *defer*
-    #: through the burst (carrier sense) instead of losing every frame,
-    #: which keeps degradation graded in intensity rather than cliffed.
-    jam_cycle_ns: int = 20 * MS
-    #: jammer(reactive): energy-burst airtime per pulse.
-    jam_burst_ns: int = 200 * US
-    #: jammer(reactive): sensing-to-pulse turnaround.
-    jam_reaction_ns: int = 10 * US
     #: mutator: corruption flavour (random bit flip, forged CID
     #: collision, or multi-frame desync storm).
     mutate_mode: str = "flip"     # flip | cid | storm
-    #: mutator(storm): consecutive HACK frames corrupted per trigger.
-    storm_frames: int = 8
-    #: all kinds: attack start time (lets warmup stay clean).
-    start_ns: int = 0
 
     @property
     def active(self) -> bool:
         """Whether any actor gets installed at all."""
-        return self.kind != "none" and self.intensity > 0
+        return self.intensity > 0
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -78,13 +61,3 @@ class AdversaryConfig:
         if self.mutate_mode not in MUTATE_MODES:
             raise ValueError(
                 f"unknown mutate_mode {self.mutate_mode!r}")
-        if self.greedy_stations < 1:
-            raise ValueError("greedy_stations must be >= 1")
-        if self.jam_burst_ns <= 0:
-            raise ValueError("jam_burst_ns must be positive")
-        if self.jam_cycle_ns <= 0:
-            raise ValueError("jam_cycle_ns must be positive")
-        if self.storm_frames < 1:
-            raise ValueError("storm_frames must be >= 1")
-        if self.start_ns < 0:
-            raise ValueError("start_ns must be >= 0")

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from ..mac.dcf import DcfMac
 
+#: How many stations cheat: the first client of global cell 0.
+GREEDY_STATIONS = 1
+
 
 class GreedyDcfMac(DcfMac):
     """A `DcfMac` that draws backoff from a shrunken window.

@@ -14,16 +14,19 @@ the physics we want for free from the existing co-channel machinery:
 
 Two disciplines:
 
-* ``periodic`` — duty-cycled energy: each ``jam_cycle_ns`` window
-  starts with one long burst of ``intensity * jam_cycle_ns`` airtime
+* ``periodic`` — duty-cycled energy: each :data:`JAM_CYCLE_NS` window
+  starts with one long burst of ``intensity * JAM_CYCLE_NS`` airtime
   (1.0 = continuous energy).  The cycle is much longer than a frame
   airtime, so the dominant honest-station response is carrier-sense
   *deferral* through the burst — capacity scales roughly with
   ``1 - intensity`` instead of collapsing at the first pulse train;
 * ``reactive`` — listens for busy transitions and, with probability
-  ``intensity``, fires a short ``jam_burst_ns`` pulse into the ongoing
-  transmission to force a collision (the classic low-energy reactive
+  ``intensity``, fires a short :data:`JAM_BURST_NS` pulse
+  :data:`JAM_REACTION_NS` after sensing, into the ongoing
+  transmission, to force a collision (the classic low-energy reactive
   jammer).
+
+Both start at time 0 and stop at the end of the run.
 
 :func:`~repro.adversary.runtime.install_adversary` starts one jammer
 per medium of a world's ``{channel: Medium}`` map.  All randomness
@@ -33,7 +36,18 @@ seed-replayable and channel-shardable.
 
 from __future__ import annotations
 
+from ..sim.units import MS, US
 from .config import AdversaryConfig
+
+#: periodic: the duty-cycle period.  Much longer than a frame airtime,
+#: so honest stations mostly *defer* through a burst (carrier sense)
+#: instead of losing every frame, which keeps degradation graded in
+#: intensity rather than cliffed.
+JAM_CYCLE_NS = 20 * MS
+#: reactive: the airtime of one pulse, and the sensing-to-pulse
+#: turnaround.
+JAM_BURST_NS = 200 * US
+JAM_REACTION_NS = 10 * US
 
 
 class JamFrame:
@@ -79,8 +93,7 @@ class Jammer:
 
     def start(self) -> None:
         if self.config.jam_mode == "periodic":
-            delay = max(0, self.config.start_ns - self.sim.now)
-            self.sim.schedule(delay, self._periodic_fire)
+            self.sim.schedule(0, self._periodic_fire)
 
     # -- burst machinery ----------------------------------------------
     def _fire(self, duration_ns: int) -> None:
@@ -96,7 +109,7 @@ class Jammer:
     def _periodic_fire(self) -> None:
         if self.sim.now >= self.until_ns:
             return
-        cycle = self.config.jam_cycle_ns
+        cycle = JAM_CYCLE_NS
         burst = int(cycle * self.config.intensity)
         if burst > 0:
             self._fire(burst)
@@ -110,21 +123,19 @@ class Jammer:
 
     # -- MediumListener protocol --------------------------------------
     def on_channel_busy(self, now: int) -> None:
-        if self.config.jam_mode != "reactive" or self._own_tx:
-            return
-        if not self.config.start_ns <= now < self.until_ns:
+        if self.config.jam_mode != "reactive" or self._own_tx \
+                or now >= self.until_ns:
             return
         if self.rng.random() < self.config.intensity:
             # Pulse into the transmission we just sensed; the short
             # reaction delay keeps us inside its airtime, forcing a
             # collision for everyone.
-            self.sim.schedule(self.config.jam_reaction_ns,
-                              self._reactive_fire)
+            self.sim.schedule(JAM_REACTION_NS, self._reactive_fire)
 
     def _reactive_fire(self) -> None:
         if self._own_tx or self.sim.now >= self.until_ns:
             return
-        self._fire(self.config.jam_burst_ns)
+        self._fire(JAM_BURST_NS)
 
     def on_channel_idle(self, now: int) -> None:
         pass

@@ -18,9 +18,10 @@ Three flavours (``mutate_mode``):
   CID seen earlier on this channel*, steering the entry into the
   wrong flow's context (a context-collision attack; falls back to a
   bit flip when no entry carries an explicit CID);
-* ``storm`` — each trigger corrupts ``storm_frames`` *consecutive*
-  HACK frames, defeating retention's retry-the-same-bytes recovery
-  and driving the context into declared desync.
+* ``storm`` — each trigger corrupts :data:`STORM_FRAMES`
+  *consecutive* HACK frames, defeating retention's
+  retry-the-same-bytes recovery and driving the context into declared
+  desync.
 
 Mutation happens at delivery time through the managed
 ``hack_payload`` setter with an equal-length payload, so airtime,
@@ -35,14 +36,16 @@ from __future__ import annotations
 from ..rohc.packets import ParseError, parse_frame
 from .config import AdversaryConfig
 
+#: storm: consecutive HACK frames corrupted per trigger.
+STORM_FRAMES = 8
+
 
 class AirframeMutator:
     """Callable for ``Medium.tamper``; one instance per channel."""
 
-    def __init__(self, rng, config: AdversaryConfig, clock=None):
+    def __init__(self, rng, config: AdversaryConfig):
         self.rng = rng
         self.config = config
-        self.clock = clock            # () -> ns; gates start_ns
         self.frames_seen = 0
         self.frames_mutated = 0
         self.bit_flips = 0
@@ -63,16 +66,13 @@ class AirframeMutator:
         payload = getattr(frame, "hack_payload", None)
         if not payload:
             return
-        if self.clock is not None and \
-                self.clock() < self.config.start_ns:
-            return
         self.frames_seen += 1
         self._note_cids(payload)
         if self._storm_left > 0:
             self._storm_left -= 1
         elif self.rng.random() < self.config.intensity:
             if self.config.mutate_mode == "storm":
-                self._storm_left = self.config.storm_frames - 1
+                self._storm_left = STORM_FRAMES - 1
                 self.storm_bursts += 1
         else:
             return

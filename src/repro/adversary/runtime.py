@@ -2,10 +2,10 @@
 
 :func:`install_adversary` is called by the scenario builder
 (:mod:`repro.workloads.scenarios`) after the cooperative world is
-wired.  An inactive plan (``kind == "none"`` or ``intensity == 0``)
-installs *nothing* — no listener, no tamper hook, no scheduled event,
-no RNG stream — which is what makes zero-intensity runs bit-identical
-to ``adversary=None`` runs.
+wired.  An inactive plan (``intensity == 0``) installs *nothing* — no
+listener, no tamper hook, no scheduled event, no RNG stream — which is
+what makes zero-intensity runs bit-identical to ``adversary=None``
+runs.
 
 All randomness flows through dedicated, name-derived RNG streams
 (``adversary:jam:ch<k>``, ``adversary:mutate:ch<k>``), one per
@@ -96,8 +96,7 @@ def install_adversary(config: Optional[AdversaryConfig], sim, rngs,
     elif config.kind == "mutator":
         for channel, medium in media.items():
             mutator = AirframeMutator(
-                rngs.stream(f"adversary:mutate:ch{channel}"),
-                config, clock=lambda: sim.now)
+                rngs.stream(f"adversary:mutate:ch{channel}"), config)
             medium.tamper = mutator
             runtime.mutators.append(mutator)
     return runtime

@@ -44,7 +44,7 @@ from .core.policies import HackPolicy
 from .experiments import runner as experiments_runner
 from .experiments.runner import positive_int
 from .mac.qdisc import DISCIPLINES
-from .sim.units import MS, SEC, usec
+from .sim.units import MS, SEC
 from .stats.fct import has_completions
 from .tcp.sender import CONGESTION_CONTROLS
 from .workloads import registry
@@ -123,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="SNR in dB (overrides --loss)")
     sim.add_argument("--aarf", action="store_true",
                      help="enable AARF rate adaptation")
-    sim.add_argument("--sora", action="store_true",
+    sim.add_argument("--sora", action="store_true", default=None,
                      help="emulate SoRa's late LL ACKs")
     sim.add_argument("--kernel-stats", action="store_true",
                      help="print event-kernel counters (callbacks "
@@ -222,24 +222,23 @@ def _simulate_config(args: argparse.Namespace) -> ScenarioConfig:
             if args.uniform_loss else LossSpec()
     if args.aarf:
         overrides["rate_adaptation"] = "aarf"
-    if args.sora:
-        overrides.update(extra_response_delay_ns=usec(37),
-                         ack_timeout_extra_ns=usec(60))
+    kind = args.adversary_kind or getattr(base.adversary, "kind", None)
     adversary = {"kind": args.adversary_kind,
                  "intensity": args.adversary_intensity}
     if args.adversary_mode is not None:
-        kind = args.adversary_kind or getattr(base.adversary, "kind",
-                                              None)
         mode_field = {"jammer": "jam_mode",
                       "mutator": "mutate_mode"}.get(kind)
         if mode_field is None:
             raise ValueError("--adversary-mode only applies to "
-                             "jammer/mutator")
+                             "--adversary jammer/mutator")
         adversary[mode_field] = args.adversary_mode
     adversary = {k: v for k, v in adversary.items() if v is not None}
     if adversary:
+        if kind is None:
+            raise ValueError("--adversary-intensity needs an attack: "
+                             "--adversary greedy/jammer/mutator")
         overrides["adversary"] = dataclasses.replace(
-            base.adversary or AdversaryConfig(intensity=0.5),
+            base.adversary or AdversaryConfig(kind, intensity=0.5),
             **adversary)
     config = dataclasses.replace(base, **overrides)
     config.validate()

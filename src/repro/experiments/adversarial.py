@@ -74,9 +74,9 @@ QUICK_INTENSITIES = (0.0, 0.5, 1.0)
 
 #: Per-attack knobs beyond the shared intensity dial.
 ATTACK_KWARGS = {
-    "greedy": dict(greedy_stations=1),
+    "greedy": {},
     "jammer": dict(jam_mode="periodic"),
-    "mutator": dict(mutate_mode="storm", storm_frames=8),
+    "mutator": dict(mutate_mode="storm"),
 }
 
 #: Ceiling on a mutated HACK cell's summed open-desync age (ms): the

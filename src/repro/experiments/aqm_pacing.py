@@ -31,11 +31,10 @@ from typing import Dict, List
 
 from ..core.policies import HackPolicy
 from ..sim.units import MS, SEC
-from ..stats.fct import has_completions
 from ..traffic.arrivals import ArrivalSpec, SizeSpec
 from ..workloads.scenarios import ScenarioConfig
 from .batch import SweepResult, SweepSpec
-from .common import format_table, require, seeds_for
+from .common import fct_metric, format_table, require, seeds_for
 
 TITLE = "Modern transport & AQM (extension; cc/pacing/qdisc)"
 PAPER_SAYS = (
@@ -106,16 +105,6 @@ def sweep_spec(quick: bool = False, seeds=None, transports=TRANSPORTS,
     return spec
 
 
-def _fct_metric(field: str):
-    def metric(metrics: Dict) -> float:
-        block = metrics["fct"]["fct_ms"]
-        if not has_completions(block):
-            raise ValueError("cell completed zero flows; raise the "
-                             "run duration or arrival rate")
-        return block[field]
-    return metric
-
-
 def _sojourn_metric(field: str):
     def metric(metrics: Dict) -> float:
         value = metrics["aqm"][field]
@@ -137,8 +126,8 @@ def rows_from_sweep(result: SweepResult) -> List[Dict]:
                 key, lambda m: m["fct"]["flows_completed"])["mean"],
             "flows_censored": result.cell(
                 key, lambda m: m["fct"]["flows_censored"])["mean"],
-            "fct_p50_ms": result.cell(key, _fct_metric("p50"))["mean"],
-            "fct_p99_ms": result.cell(key, _fct_metric("p99"))["mean"],
+            "fct_p50_ms": result.cell(key, fct_metric("p50"))["mean"],
+            "fct_p99_ms": result.cell(key, fct_metric("p99"))["mean"],
             "aqm_drops": result.cell(
                 key, lambda m: m["aqm"]["drops"])["mean"],
             "sojourn_p50_ms": result.cell(

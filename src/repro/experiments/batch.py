@@ -56,7 +56,6 @@ import collections
 import dataclasses
 import enum
 import importlib
-import itertools
 import json
 import os
 import signal
@@ -66,9 +65,10 @@ import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Callable, Dict, Iterable, Iterator, \
-    List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, \
+    Mapping, Optional, Sequence, Tuple, Union
 
+from ..obs.export import write_atomically
 from ..obs.metrics import canonical_json, digest
 from ..workloads.scenarios import ScenarioConfig, run_scenario
 from ..workloads.sharding import _exit_with_parent, pool_workers
@@ -111,7 +111,11 @@ from .progress import SweepProgress
 #: 12: ``hack_split_to_aifs`` left ``ScenarioConfig``: no scenario set
 #:    it (``HackConfig.split_to_aifs`` stays) — rows unchanged, but
 #:    every scenario point's signature is not.
-ENGINE_VERSION = 12
+#: 13: the loss, arrival, size and adversary specs lost the knobs no
+#:    workload varied (now their layers' constants), and SoRa's late
+#:    LL ACK is one ``sora`` switch — rows unchanged, every signature
+#:    is not.
+ENGINE_VERSION = 13
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``
@@ -262,27 +266,6 @@ def execute_point(point: SweepPoint,
 # ----------------------------------------------------------------------
 # Cache
 # ----------------------------------------------------------------------
-_staging_counter = itertools.count()
-
-
-def write_atomically(path: Union[str, Path],
-                     dump: Callable[[IO[str]], Any]) -> None:
-    """Write ``path`` as ``dump(handle)`` does, all or nothing: stage
-    under a name unique per process and per call, then ``os.replace``.
-    A failed write removes its staging file and re-raises."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(
-        f"{path.name}.{os.getpid()}.{next(_staging_counter)}.tmp")
-    try:
-        with open(tmp, "w") as handle:
-            dump(handle)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 class SweepCache:
     """Content-addressed store of per-point metrics on disk.
 

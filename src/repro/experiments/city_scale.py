@@ -23,10 +23,11 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.policies import HackPolicy
-from ..sim.units import MS, SEC
+from ..sim.units import SEC
 from ..workloads.scenarios import ScenarioConfig
 from .batch import SweepResult, SweepSpec
-from .common import format_table, require, seeds_for
+from .common import collision_frac, combined_carried, \
+    format_table, per_cell_carried, require, seeds_for
 
 TITLE = "City-scale channel sharding (extension; channels=C)"
 PAPER_SAYS = (
@@ -78,24 +79,11 @@ def sweep_spec(quick: bool = False, seeds=None,
     return spec
 
 
-def _combined_carried(metrics: Dict) -> float:
-    return sum(block["carried_mbps"] for block in metrics["cells"])
-
-
-def _per_cell_carried(metrics: Dict) -> float:
-    return _combined_carried(metrics) / len(metrics["cells"])
-
-
 def _max_channel_airtime_sum(metrics: Dict) -> float:
     """The busiest channel's clean-airtime sum (the <= 1 invariant
     is per channel; the city-wide sum is allowed to exceed 1)."""
     return max(block["airtime_share_sum"]
                for block in metrics["channels"])
-
-
-def _collision_frac(metrics: Dict) -> float:
-    sent = metrics["medium_frames_sent"]
-    return metrics["medium_frames_collided"] / sent if sent else 0.0
 
 
 def rows_from_sweep(result: SweepResult) -> List[Dict]:
@@ -105,13 +93,13 @@ def rows_from_sweep(result: SweepResult) -> List[Dict]:
         rows.append({
             "figure": "city_scale", "cells": cells,
             "channels": CITY_CHANNELS, "scheme": label,
-            "combined_mbps": result.cell(key, _combined_carried)["mean"],
-            "per_cell_mbps": result.cell(key, _per_cell_carried)["mean"],
+            "combined_mbps": result.cell(key, combined_carried)["mean"],
+            "per_cell_mbps": result.cell(key, per_cell_carried)["mean"],
             "cell_jain": result.cell(
                 key, "cell_fairness_index")["mean"],
             "max_channel_airtime_sum": result.cell(
                 key, _max_channel_airtime_sum)["mean"],
-            "collision_frac": result.cell(key, _collision_frac)["mean"],
+            "collision_frac": result.cell(key, collision_frac)["mean"],
             "utilisation": result.cell(
                 key, "medium_utilisation")["mean"],
         })

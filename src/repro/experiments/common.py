@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..sim.units import MS, SEC
+from ..stats.fct import has_completions
 from .batch import SweepRunner
 
 #: Seeds used for "averaged across five runs" experiments (paper §4).
@@ -38,6 +39,33 @@ def steady_state_durations(quick: bool) -> Dict[str, int]:
     if quick:
         return {"duration_ns": 1500 * MS, "warmup_ns": 700 * MS}
     return {"duration_ns": 4 * SEC, "warmup_ns": 2 * SEC}
+
+
+def combined_carried(metrics: Dict) -> float:
+    """Carried load summed over a record's cells (Mbps)."""
+    return sum(block["carried_mbps"] for block in metrics["cells"])
+
+
+def per_cell_carried(metrics: Dict) -> float:
+    return combined_carried(metrics) / len(metrics["cells"])
+
+
+def collision_frac(metrics: Dict) -> float:
+    """Share of the frames on the air that collided."""
+    sent = metrics["medium_frames_sent"]
+    return metrics["medium_frames_collided"] / sent if sent else 0.0
+
+
+def fct_metric(field: str):
+    """A record's flow-completion-time percentile ``field`` (ms); a
+    cell that completed no flow has none, and says so."""
+    def metric(metrics: Dict) -> float:
+        block = metrics["fct"]["fct_ms"]
+        if not has_completions(block):
+            raise ValueError("cell completed zero flows; raise the "
+                             "run duration or arrival rate")
+        return block[field]
+    return metric
 
 
 def run(module: Any, quick: bool = False,

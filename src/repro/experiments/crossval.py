@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.policies import HackPolicy
-from ..sim.units import MS, SEC, usec
+from ..sim.units import MS, SEC
 from ..workloads.scenarios import LossSpec, ScenarioConfig
 from .batch import SweepResult, SweepSpec
 from .common import format_table, require, seeds_for
@@ -43,8 +43,7 @@ def _config(protocol: str, sora: bool, seed: int,
         warmup_ns=(800 * MS) if quick else (2 * SEC), stagger_ns=0,
         loss=LossSpec(kind="uniform", data_loss=LOSS_RATE[protocol],
                       control_loss=0.0),
-        extra_response_delay_ns=usec(37) if sora else 0,
-        ack_timeout_extra_ns=usec(60) if sora else 0)
+        sora=sora)
 
 
 def sweep_spec(quick: bool = False, seeds=None) -> SweepSpec:

@@ -25,11 +25,10 @@ from typing import Dict, List
 
 from ..core.policies import HackPolicy
 from ..sim.units import MS, SEC
-from ..stats.fct import has_completions
 from ..traffic.arrivals import ArrivalSpec, SizeSpec
 from ..workloads.scenarios import ScenarioConfig
 from .batch import SweepResult, SweepSpec
-from .common import format_table, require, seeds_for
+from .common import fct_metric, format_table, require, seeds_for
 
 TITLE = "Flow churn & FCT (extension; repro.traffic)"
 PAPER_SAYS = (
@@ -99,16 +98,6 @@ def sweep_spec(quick: bool = False, seeds=None, shapes=SHAPES,
     return spec
 
 
-def _fct_metric(field: str):
-    def metric(metrics: Dict) -> float:
-        block = metrics["fct"]["fct_ms"]
-        if not has_completions(block):
-            raise ValueError("cell completed zero flows; raise the "
-                             "run duration or arrival rate")
-        return block[field]
-    return metric
-
-
 def rows_from_sweep(result: SweepResult) -> List[Dict]:
     rows: List[Dict] = []
     for shape, load, label in result.keys():
@@ -120,9 +109,9 @@ def rows_from_sweep(result: SweepResult) -> List[Dict]:
                 key, lambda m: m["fct"]["flows_completed"])["mean"],
             "flows_censored": result.cell(
                 key, lambda m: m["fct"]["flows_censored"])["mean"],
-            "fct_p50_ms": result.cell(key, _fct_metric("p50"))["mean"],
-            "fct_p95_ms": result.cell(key, _fct_metric("p95"))["mean"],
-            "fct_p99_ms": result.cell(key, _fct_metric("p99"))["mean"],
+            "fct_p50_ms": result.cell(key, fct_metric("p50"))["mean"],
+            "fct_p95_ms": result.cell(key, fct_metric("p95"))["mean"],
+            "fct_p99_ms": result.cell(key, fct_metric("p99"))["mean"],
             "offered_mbps": result.cell(
                 key, lambda m: m["fct"]["offered_load_mbps"])["mean"],
             "carried_mbps": result.cell(

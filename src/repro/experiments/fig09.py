@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.policies import HackPolicy
-from ..sim.units import MS, SEC, usec
+from ..sim.units import MS, SEC
 from ..workloads.scenarios import LossSpec, ScenarioConfig
 from .batch import SweepResult, SweepSpec, mean_stdev
 from .common import format_table, require, seeds_for
@@ -31,8 +31,6 @@ PAPER_SAYS = (
 #: Per-client frame loss: "Client 1's throughput is slightly less than
 #: Client 2's because it suffers a greater packet loss rate".
 CLIENT_LOSS = {"C1": 0.02, "C2": 0.01}
-SORA_ACK_DELAY = usec(37)
-SORA_TIMEOUT_EXTRA = usec(60)
 
 SETUPS = ((1, "one client"), (2, "both clients"))
 PROTOCOLS = ("U", "H", "T")
@@ -50,8 +48,7 @@ def _config(protocol: str, n_clients: int, seed: int,
         stagger_ns=100 * MS,
         loss=LossSpec(kind="uniform", data_loss=0.01,
                       control_loss=0.002, per_client=per_client),
-        extra_response_delay_ns=SORA_ACK_DELAY,
-        ack_timeout_extra_ns=SORA_TIMEOUT_EXTRA)
+        sora=True)
     if protocol == "U":
         return ScenarioConfig(traffic="udp_download",
                               udp_rate_mbps=40.0, **common)

@@ -25,11 +25,11 @@ from typing import Dict, List
 
 from ..core.policies import HackPolicy
 from ..sim.units import MS, SEC
-from ..stats.fct import has_completions
 from ..traffic.arrivals import ArrivalSpec, SizeSpec
 from ..workloads.scenarios import ScenarioConfig
 from .batch import SweepResult, SweepSpec
-from .common import format_table, require, seeds_for
+from .common import collision_frac, combined_carried, \
+    fct_metric, format_table, per_cell_carried, require, seeds_for
 
 TITLE = "Multi-AP overlapping cells (extension; cells=N)"
 PAPER_SAYS = (
@@ -93,29 +93,8 @@ def sweep_spec(quick: bool = False, seeds=None, cell_counts=CELL_COUNTS,
     return spec
 
 
-def _combined_carried(metrics: Dict) -> float:
-    return sum(block["carried_mbps"] for block in metrics["cells"])
-
-
-def _per_cell_carried(metrics: Dict) -> float:
-    return _combined_carried(metrics) / len(metrics["cells"])
-
-
 def _airtime_sum(metrics: Dict) -> float:
     return sum(block["airtime_share"] for block in metrics["cells"])
-
-
-def _collision_frac(metrics: Dict) -> float:
-    sent = metrics["medium_frames_sent"]
-    return metrics["medium_frames_collided"] / sent if sent else 0.0
-
-
-def _fct_p50(metrics: Dict) -> float:
-    block = metrics["fct"]["fct_ms"]
-    if not has_completions(block):
-        raise ValueError("cell completed zero flows; raise the run "
-                         "duration or arrival rate")
-    return block["p50"]
 
 
 def rows_from_sweep(result: SweepResult) -> List[Dict]:
@@ -125,19 +104,19 @@ def rows_from_sweep(result: SweepResult) -> List[Dict]:
         row = {
             "figure": "multi_ap", "workload": workload,
             "cells": cells, "scheme": label,
-            "combined_mbps": result.cell(key, _combined_carried)["mean"],
-            "per_cell_mbps": result.cell(key, _per_cell_carried)["mean"],
+            "combined_mbps": result.cell(key, combined_carried)["mean"],
+            "per_cell_mbps": result.cell(key, per_cell_carried)["mean"],
             "cell_jain": result.cell(
                 key, "cell_fairness_index")["mean"],
             "airtime_sum": result.cell(key, _airtime_sum)["mean"],
-            "collision_frac": result.cell(key, _collision_frac)["mean"],
+            "collision_frac": result.cell(key, collision_frac)["mean"],
             "utilisation": result.cell(
                 key, "medium_utilisation")["mean"],
         }
         if workload == "churn":
             row["flows_completed"] = result.cell(
                 key, lambda m: m["fct"]["flows_completed"])["mean"]
-            row["fct_p50_ms"] = result.cell(key, _fct_p50)["mean"]
+            row["fct_p50_ms"] = result.cell(key, fct_metric("p50"))["mean"]
         else:
             row["flows_completed"] = None
             row["fct_p50_ms"] = None

@@ -39,8 +39,9 @@ from ..workloads import registry
 from . import ablations, adversarial, aqm_pacing, city_scale, \
     crossval, fct_churn, fig01, fig09, fig10, fig11, fig12, multi_ap, \
     table2, table3
+from ..obs.export import write_atomically
 from .batch import SweepCache, SweepInterrupted, SweepResult, \
-    SweepRunner, write_atomically
+    SweepRunner
 from .common import format_table, seeds_for
 from .progress import ProgressReporter, cell_state, format_status, \
     sweep_status

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from ..sim.units import msec
+from ..sim.units import msec, usec
 
 #: MAC header + QoS + FCS over an IP datagram, plus LLC/SNAP.
 MAC_DATA_OVERHEAD = 38
@@ -30,6 +30,11 @@ BAR_BYTES = 24
 AMPDU_DELIMITER_BYTES = 4
 AMPDU_MAX_BYTES = 65_535
 AMPDU_MAX_MPDUS = 64
+#: SoRa's device quirk (§4.2): its LL ACK leaves 37 us after SIFS, and
+#: the paper widened the ACK timeout by 60 us to wait for it
+#: (``ScenarioConfig.sora`` sets both on every station).
+SORA_RESPONSE_DELAY_NS = usec(37)
+SORA_ACK_TIMEOUT_EXTRA_NS = usec(60)
 
 
 @dataclass

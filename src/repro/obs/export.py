@@ -28,13 +28,35 @@ Perfetto or ``chrome://tracing``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional
+from pathlib import Path
+from typing import IO, Any, Callable, Dict, Iterable, List, Optional, \
+    Union
 
 from .sampler import telemetry_meta, telemetry_summary
 
 _US = 1000  # ns per trace-event microsecond tick
+_staging_counter = itertools.count()
+
+
+def write_atomically(path: Union[str, Path],
+                     dump: Callable[[IO[str]], Any]) -> None:
+    """Write ``path`` as ``dump(handle)`` does, all or nothing: stage
+    under a name unique per process and per call, then ``os.replace``.
+    A failed write removes its staging file and re-raises."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{next(_staging_counter)}.tmp")
+    try:
+        with open(tmp, "w") as handle:
+            dump(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _frame_events(records: Iterable[Any]) -> List[Dict[str, Any]]:
@@ -135,7 +157,9 @@ def write_artifacts(result) -> None:
     finished (merged) ``ScenarioResult``: the JSONL (meta, samples,
     summary, span table; one sorted-key object per line) and the
     Chrome trace (:func:`chrome_trace`, meta as ``otherData``).  Only
-    the span table and ``kernel`` events carry host wall times.
+    the span table and ``kernel`` events carry host wall times.  Each
+    file is written through :func:`write_atomically`: a run killed
+    mid-write leaves the previous file or none, never a torn one.
     """
     config = result.telemetry_config
     if config is None:
@@ -159,8 +183,5 @@ def write_artifacts(result) -> None:
                               spans=instrument.spans,
                               samples=samples, meta=meta))))
     for path, chunks in documents:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w") as handle:
-            handle.writelines(chunks)
+        write_atomically(path, lambda handle, chunks=chunks:
+                         handle.writelines(chunks))

@@ -7,8 +7,9 @@ a finite object, and leave.  Four arrival shapes are provided:
 * :class:`PoissonArrivals` — open-loop memoryless flow arrivals at a
   fixed rate, spread across clients (the classic FCT-benchmark load).
 * :class:`OnOffSource` — per-client bursts: exponentially distributed
-  ON periods during which flows arrive at the peak rate, separated by
-  silent OFF periods (bursty/heavy-tailed aggregate load).
+  ON periods (mean :data:`MEAN_ON_MS`) during which flows arrive at the
+  peak rate, separated by silent OFF periods (mean :data:`MEAN_OFF_MS`;
+  bursty/heavy-tailed aggregate load).
 * :class:`WebWorkload` — closed-loop request/response users: each user
   thinks for an exponential time, requests one object (log-normal
   size), waits for it to complete, and thinks again.
@@ -27,7 +28,11 @@ Everything a scenario needs is described declaratively by
 :class:`~repro.workloads.scenarios.ScenarioConfig` stays picklable and
 content-hashable for the sweep cache); :func:`build_processes` turns a
 spec into live processes wired to a
-:class:`~repro.traffic.manager.FlowManager`.
+:class:`~repro.traffic.manager.FlowManager`.  A spec holds only what
+some workload varies; the burst timing, the bimodal mix and the size
+clamp are this module's constants.  A process starts when the
+scenario builder schedules its ``start`` (at time 0) and generates
+arrivals for the whole run.
 """
 
 from __future__ import annotations
@@ -44,6 +49,18 @@ from ..sim.units import MS, SEC
 #: the flow completes and its state has been reclaimed.
 SpawnFn = Callable[[int, str, Optional[Callable[[], None]]], object]
 
+#: onoff: mean burst / silence durations (ms).
+MEAN_ON_MS = 150.0
+MEAN_OFF_MS = 250.0
+#: bimodal: mice / elephant sizes and the share of mice.
+SMALL_BYTES = 15_000
+LARGE_BYTES = 1_000_000
+P_SMALL = 0.9
+#: Every sampled size is clamped to [MIN_BYTES, MAX_BYTES], so a heavy
+#: tail cannot produce a flow that outlives any plausible run.
+MIN_BYTES = 1_460
+MAX_BYTES = 20_000_000
+
 
 # ----------------------------------------------------------------------
 # Declarative descriptions (picklable, asdict-able, JSON-canonical)
@@ -56,41 +73,33 @@ class SizeSpec:
       * ``fixed`` — every flow transfers ``bytes``.
       * ``lognormal`` — log-normal around ``median_bytes`` with shape
         ``sigma`` (the paper-adjacent web-object model).
-      * ``bimodal`` — mice/elephants: ``p_small`` of flows transfer
-        ``small_bytes``, the rest ``large_bytes``.
+      * ``bimodal`` — mice/elephants: :data:`P_SMALL` of flows
+        transfer :data:`SMALL_BYTES`, the rest :data:`LARGE_BYTES`.
 
-    Samples are clamped to ``[min_bytes, max_bytes]`` so a heavy tail
-    cannot produce a flow that outlives any plausible run.
+    Samples are clamped to ``[MIN_BYTES, MAX_BYTES]``.
     """
 
     kind: str = "lognormal"        # fixed | lognormal | bimodal
     bytes: int = 100_000
     median_bytes: int = 50_000
     sigma: float = 1.0
-    small_bytes: int = 15_000
-    large_bytes: int = 1_000_000
-    p_small: float = 0.9
-    min_bytes: int = 1_460
-    max_bytes: int = 20_000_000
 
     #: kind -> the size fields it draws from.
     SIZES = {"fixed": ("bytes",), "lognormal": ("median_bytes",),
-             "bimodal": ("small_bytes", "large_bytes")}
+             "bimodal": ()}
 
     def validate(self) -> None:
         if self.kind not in self.SIZES:
             raise ValueError(f"unknown size kind {self.kind!r} "
                              f"(valid: {', '.join(self.SIZES)})")
         bad = [f"{name}={getattr(self, name)}"
-               for name in (*self.SIZES[self.kind], "min_bytes")
+               for name in self.SIZES[self.kind]
                if getattr(self, name) < 1]
-        if self.max_bytes < self.min_bytes:
-            bad.append(f"max_bytes={self.max_bytes} < min_bytes")
-        if self.sigma < 0 or not 0 <= self.p_small <= 1:
-            bad.append(f"sigma={self.sigma}, p_small={self.p_small}")
+        if self.sigma < 0:
+            bad.append(f"sigma={self.sigma}")
         if bad:
             raise ValueError(f"bad size spec: {', '.join(bad)} (sizes "
-                             f">= 1, sigma >= 0, p_small in [0, 1])")
+                             f">= 1, sigma >= 0)")
 
     def sample(self, rng) -> int:
         if self.kind == "fixed":
@@ -99,11 +108,10 @@ class SizeSpec:
             size = int(rng.lognormvariate(
                 math.log(self.median_bytes), self.sigma))
         elif self.kind == "bimodal":
-            size = self.small_bytes if rng.random() < self.p_small \
-                else self.large_bytes
+            size = SMALL_BYTES if rng.random() < P_SMALL else LARGE_BYTES
         else:
             raise ValueError(f"unknown size kind {self.kind!r}")
-        return max(self.min_bytes, min(size, self.max_bytes))
+        return max(MIN_BYTES, min(size, MAX_BYTES))
 
 
 @dataclass
@@ -115,18 +123,11 @@ class ArrivalSpec:
     #: poisson: aggregate flow arrivals/s; onoff: arrivals/s while ON.
     rate_per_s: float = 40.0
     size: SizeSpec = field(default_factory=SizeSpec)
-    #: onoff: mean burst / silence durations.
-    mean_on_ms: float = 200.0
-    mean_off_ms: float = 300.0
     #: web: closed-loop users per client and mean think time.
     users_per_client: int = 2
     think_time_ms: float = 150.0
     #: trace: ((start_ms, client_index, size_bytes), ...).
     trace: Tuple[Tuple[float, int, int], ...] = ()
-    #: Arrivals begin here (flows already in flight keep running).
-    start_ns: int = 0
-    #: Stop generating new arrivals (None = the whole run).
-    stop_ns: Optional[int] = None
 
     def validate(self, n_clients: int) -> None:
         self.size.validate()
@@ -137,9 +138,6 @@ class ArrivalSpec:
                 f"unknown arrival direction {self.direction!r}")
         if self.kind in ("poisson", "onoff") and self.rate_per_s <= 0:
             raise ValueError("rate_per_s must be positive")
-        if self.kind == "onoff" and (self.mean_on_ms <= 0
-                                     or self.mean_off_ms <= 0):
-            raise ValueError("mean_on_ms/mean_off_ms must be positive")
         if self.kind == "web":
             if self.users_per_client < 1:
                 raise ValueError("users_per_client must be >= 1")
@@ -168,23 +166,10 @@ class ArrivalProcess:
         self.spec = spec
         self.spawn = spawn
         self.flows_spawned = 0
-        self._running = False
 
     def start(self) -> None:
-        self._running = True
-        self._begin()
-
-    def stop(self) -> None:
-        self._running = False
-
-    # -- subclass hooks ------------------------------------------------
-    def _begin(self) -> None:
+        """Begin generating arrivals; they run until the run ends."""
         raise NotImplementedError
-
-    # -- shared helpers ------------------------------------------------
-    def _past_stop(self) -> bool:
-        stop = self.spec.stop_ns
-        return stop is not None and self.sim.now >= stop
 
     def _emit(self, size: int, client: str,
               on_done: Optional[Callable[[], None]] = None) -> object:
@@ -201,7 +186,7 @@ class PoissonArrivals(ArrivalProcess):
         self.clients = list(clients)
         self.rng = rng
 
-    def _begin(self) -> None:
+    def start(self) -> None:
         self._schedule_next()
 
     def _interarrival_ns(self) -> int:
@@ -212,8 +197,6 @@ class PoissonArrivals(ArrivalProcess):
         self.sim.schedule(self._interarrival_ns(), self._arrive)
 
     def _arrive(self) -> None:
-        if not self._running or self._past_stop():
-            return
         client = self.clients[self.rng.randrange(len(self.clients))]
         size = self.spec.size.sample(self.rng)
         self._emit(size, client)
@@ -235,29 +218,22 @@ class OnOffSource(ArrivalProcess):
         self._on = False
         self.bursts = 0
 
-    def _begin(self) -> None:
+    def start(self) -> None:
         # Desynchronise clients: start with an OFF tail.
-        self.sim.schedule(self._duration_ns(self.spec.mean_off_ms),
-                          self._turn_on)
+        self.sim.schedule(self._duration_ns(MEAN_OFF_MS), self._turn_on)
 
     def _duration_ns(self, mean_ms: float) -> int:
         return max(1, int(self.rng.expovariate(1.0 / mean_ms) * MS))
 
     def _turn_on(self) -> None:
-        if not self._running or self._past_stop():
-            return
         self._on = True
         self.bursts += 1
-        self.sim.schedule(self._duration_ns(self.spec.mean_on_ms),
-                          self._turn_off)
+        self.sim.schedule(self._duration_ns(MEAN_ON_MS), self._turn_off)
         self._schedule_arrival(self.bursts)
 
     def _turn_off(self) -> None:
         self._on = False
-        if not self._running or self._past_stop():
-            return
-        self.sim.schedule(self._duration_ns(self.spec.mean_off_ms),
-                          self._turn_on)
+        self.sim.schedule(self._duration_ns(MEAN_OFF_MS), self._turn_on)
 
     def _schedule_arrival(self, burst: int) -> None:
         gap = max(1, int(self.rng.expovariate(self.spec.rate_per_s)
@@ -268,8 +244,7 @@ class OnOffSource(ArrivalProcess):
         # The burst tag kills stale chains: an arrival scheduled in
         # burst N that lands after burst N+1 began must not spawn a
         # second concurrent arrival chain (rate creep).
-        if not self._running or not self._on \
-                or burst != self.bursts or self._past_stop():
+        if not self._on or burst != self.bursts:
             return
         self._emit(self.spec.size.sample(self.rng), self.client)
         self._schedule_arrival(burst)
@@ -291,7 +266,7 @@ class WebWorkload(ArrivalProcess):
         self.user_rngs = list(user_rngs)
         self.requests_completed = 0
 
-    def _begin(self) -> None:
+    def start(self) -> None:
         for index in range(len(self.user_rngs)):
             self._think(index)
 
@@ -304,15 +279,11 @@ class WebWorkload(ArrivalProcess):
                           self._request, user)
 
     def _request(self, user: int) -> None:
-        if not self._running or self._past_stop():
-            return
         size = self.spec.size.sample(self.user_rngs[user])
         self._emit(size, self.client, lambda u=user: self._done(u))
 
     def _done(self, user: int) -> None:
         self.requests_completed += 1
-        if not self._running or self._past_stop():
-            return
         self._think(user)
 
 
@@ -324,16 +295,11 @@ class TraceArrivals(ArrivalProcess):
         super().__init__(sim, spec, spawn)
         self.clients = list(clients)
 
-    def _begin(self) -> None:
+    def start(self) -> None:
         for start_ms, client_index, size in self.spec.trace:
-            at = self.spec.start_ns + int(start_ms * MS)
-            delay = max(0, at - self.sim.now)
-            self.sim.schedule(delay, self._arrive, client_index, size)
-
-    def _arrive(self, client_index: int, size: int) -> None:
-        if not self._running or self._past_stop():
-            return
-        self._emit(size, self.clients[client_index])
+            delay = max(0, int(start_ms * MS) - self.sim.now)
+            self.sim.schedule(delay, self._emit, size,
+                              self.clients[client_index])
 
 
 # ----------------------------------------------------------------------

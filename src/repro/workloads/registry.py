@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Sequence
 
 from ..adversary import AdversaryConfig
 from ..core.policies import HackPolicy
-from ..sim.units import MS, SEC, usec
+from ..sim.units import MS, SEC
 from ..traffic.arrivals import ArrivalSpec, SizeSpec
 from .scenarios import LossSpec, ScenarioConfig
 
@@ -211,11 +211,8 @@ def _churn_web_vanilla() -> ScenarioConfig:
 def _churn_bursty() -> ScenarioConfig:
     return _churn_base(
         HackPolicy.MORE_DATA,
-        ArrivalSpec(kind="onoff", rate_per_s=60.0, mean_on_ms=150.0,
-                    mean_off_ms=250.0,
-                    size=SizeSpec(kind="bimodal", small_bytes=15_000,
-                                  large_bytes=1_000_000,
-                                  p_small=0.9)))
+        ArrivalSpec(kind="onoff", rate_per_s=60.0,
+                    size=SizeSpec(kind="bimodal")))
 
 
 @register("churn-cubic-codel",
@@ -358,5 +355,4 @@ def _sora_testbed() -> ScenarioConfig:
         loss=LossSpec(kind="uniform", data_loss=0.01,
                       control_loss=0.002,
                       per_client={"C1": 0.02, "C2": 0.01}),
-        extra_response_delay_ns=usec(37),
-        ack_timeout_extra_ns=usec(60))
+        sora=True)

@@ -51,12 +51,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..adversary import AdversaryConfig, GreedyDcfMac
+from ..adversary.greedy import GREEDY_STATIONS
 from ..adversary.runtime import AdversaryRuntime, adversary_block, \
     install_adversary
 from ..core.driver import HackDriver
 from ..core.policies import HackConfig, HackPolicy
 from ..mac.dcf import DcfMac
-from ..mac.params import MacParams
+from ..mac.params import SORA_ACK_TIMEOUT_EXTRA_NS, \
+    SORA_RESPONSE_DELAY_NS, MacParams
 from ..mac.qdisc import DISCIPLINES, QdiscStats
 from ..mac.rate_control import RATE_CONTROLS
 from ..obs import MAX_EXPORT_FRAMES, KernelInstrument, TelemetryConfig, \
@@ -103,7 +105,6 @@ class LossSpec:
     control_loss: Optional[float] = None
     per_client: Dict[str, float] = field(default_factory=dict)
     snr_db: float = 30.0               # snr: channel quality
-    per_client_snr: Dict[str, float] = field(default_factory=dict)
 
     KINDS = ("none", "uniform", "snr")
 
@@ -125,9 +126,7 @@ class LossSpec:
                 rng, self.data_loss, control_loss=self.control_loss,
                 per_receiver=dict(self.per_client))
         if self.kind == "snr":
-            return SnrLossModel(
-                rng, self.snr_db,
-                per_receiver_snr=dict(self.per_client_snr))
+            return SnrLossModel(rng, self.snr_db)
         return NoLoss()
 
 
@@ -182,9 +181,10 @@ class ScenarioConfig:
     #: "droptail", "codel" or "fq_codel" (see repro.mac.qdisc).
     queue_discipline: str = "droptail"
     stagger_ns: int = 200 * MS
-    #: Device quirks (SoRa emulation).
-    extra_response_delay_ns: int = 0
-    ack_timeout_extra_ns: int = 0
+    #: SoRa's late LL ACK: every station answers
+    #: ``mac.params.SORA_RESPONSE_DELAY_NS`` after SIFS and waits
+    #: ``SORA_ACK_TIMEOUT_EXTRA_NS`` longer for its peer's.
+    sora: bool = False
     #: HACK knobs.
     stall_guard_ns: Optional[int] = None
     explicit_timer_ns: Optional[int] = None
@@ -765,13 +765,13 @@ class CellBuilder:
         self.clients: Dict[str, ClientNode] = {}
         self.drivers: Dict[str, HackDriver] = {}
         # Active greedy plan: which station addresses cheat (the first
-        # N clients of global cell 0) and the cheaters actually built.
+        # GREEDY_STATIONS clients of global cell 0) and the cheaters
+        # actually built.
         adv = cfg.adversary
         self.greedy_names = frozenset()
         if adv is not None and adv.active and adv.kind == "greedy":
-            names = cfg.cell_client_names(0)
             self.greedy_names = frozenset(
-                names[:adv.greedy_stations])
+                cfg.cell_client_names(0)[:GREEDY_STATIONS])
         self.greedy_macs: List[GreedyDcfMac] = []
 
     def make_mac(self, address: str, queue_limit: Optional[int],
@@ -783,9 +783,10 @@ class CellBuilder:
             aggregation=cfg.phy_mode == "11n",
             queue_limit=queue_limit,
             queue_discipline=cfg.queue_discipline,
-            extra_response_delay_ns=cfg.extra_response_delay_ns,
-            ack_timeout_extra_ns=cfg.ack_timeout_extra_ns,
             txop_limit_ns=cfg.txop_limit_ns)
+        if cfg.sora:
+            params.extra_response_delay_ns = SORA_RESPONSE_DELAY_NS
+            params.ack_timeout_extra_ns = SORA_ACK_TIMEOUT_EXTRA_NS
         factory = None
         if cfg.rate_adaptation is not None:
             def factory():
@@ -919,7 +920,7 @@ class CellBuilder:
                                        net.flow_manager.spawn,
                                        net.client_names,
                                        cell_rngs):
-            sim.schedule(cfg.arrivals.start_ns, process.start)
+            sim.schedule(0, process.start)
 
     def _build_background(self, net: _CellNet,
                           server: ServerNode) -> None:

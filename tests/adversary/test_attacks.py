@@ -5,8 +5,6 @@ threat model predicts, and (b) stay fully contained: every injected
 fault lands in a typed counter, never an escaped exception.
 """
 
-import dataclasses
-
 from repro.adversary import AdversaryConfig
 from repro.core.policies import HackPolicy
 from repro.sim.units import MS
@@ -153,12 +151,3 @@ class TestShardedAttacks:
         assert m0["adversary"] == m1["adversary"]
         assert m0["rohc"] == m1["rohc"]
 
-
-class TestAttackWindow:
-    def test_start_ns_delays_the_attack(self):
-        early = run_scenario(config(adversary=AdversaryConfig(
-            kind="mutator", intensity=1.0)))
-        late = run_scenario(config(adversary=AdversaryConfig(
-            kind="mutator", intensity=1.0, start_ns=300 * MS)))
-        assert late.metrics_dict()["adversary"]["frames_mutated"] \
-            < early.metrics_dict()["adversary"]["frames_mutated"]

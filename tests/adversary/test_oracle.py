@@ -1,7 +1,7 @@
 """Adversary determinism oracles.
 
 The load-bearing guarantee of the whole scenario family: an *inert*
-adversary plan (``kind="none"`` or ``intensity == 0``) must install
+adversary plan (``intensity == 0``, whatever the kind) must install
 nothing and reproduce the cooperative run bit-identically — only the
 zeroed ``metrics_dict()["adversary"]`` block may differ.  Anything
 less and every attacked sweep row would be incomparable with the
@@ -36,8 +36,7 @@ def stripped(metrics):
 
 
 class TestZeroIntensityOracle:
-    @pytest.mark.parametrize("kind", ["none", "greedy", "jammer",
-                                      "mutator"])
+    @pytest.mark.parametrize("kind", ["greedy", "jammer", "mutator"])
     def test_inert_plan_bit_identical(self, kind):
         cooperative = run_scenario(base_config())
         attacked = run_scenario(base_config(
@@ -103,7 +102,7 @@ class TestSeedReplay:
 
 class TestConfigValidation:
     def test_valid_plans_pass(self):
-        AdversaryConfig().validate()
+        AdversaryConfig(kind="jammer").validate()
         AdversaryConfig(kind="greedy", intensity=1.0).validate()
 
     @pytest.mark.parametrize("kwargs", [
@@ -112,15 +111,13 @@ class TestConfigValidation:
         dict(intensity=1.5),
         dict(jam_mode="barrage"),
         dict(mutate_mode="scramble"),
-        dict(greedy_stations=0),
-        dict(jam_burst_ns=0),
-        dict(jam_cycle_ns=0),
-        dict(storm_frames=0),
-        dict(start_ns=-1),
+        # No attack is spelled adversary=None or intensity 0.
+        dict(kind="none"),
+        dict(intensity=float("nan")),
     ])
     def test_bad_plans_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            AdversaryConfig(**kwargs).validate()
+            AdversaryConfig(**{"kind": "jammer", **kwargs}).validate()
 
     def test_scenario_validation_covers_adversary(self):
         cfg = base_config(adversary=AdversaryConfig(kind="bogus"))

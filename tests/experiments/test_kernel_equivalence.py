@@ -17,7 +17,7 @@ the last test asserts directly.
 import pytest
 
 from repro.core.policies import HackPolicy
-from repro.sim.units import MS, SEC, usec
+from repro.sim.units import MS, SEC
 from repro.workloads import scenarios
 from repro.workloads.scenarios import LossSpec, ScenarioConfig, \
     run_scenario
@@ -37,8 +37,7 @@ CONFIGS = {
         phy_mode="11a", data_rate_mbps=54.0, n_clients=2,
         loss=LossSpec(kind="uniform", data_loss=0.02,
                       control_loss=0.002),
-        extra_response_delay_ns=usec(37),
-        ack_timeout_extra_ns=usec(60),
+        sora=True,
         duration_ns=800 * MS, warmup_ns=300 * MS, stagger_ns=50 * MS),
     "upload-finite": ScenarioConfig(
         traffic="tcp_upload", file_bytes=2_000_000,

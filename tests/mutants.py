@@ -313,6 +313,12 @@ MUTANTS = (
            "            if extra <= phy.difs_ns:\n",
            "            if extra <= 0:\n",
            (GOLDEN + "[fig10]",)),
+    Mutant("sora-switch-drops-the-timeout-extension",
+           "src/repro/workloads/scenarios.py",
+           "            params.ack_timeout_extra_ns = "
+           "SORA_ACK_TIMEOUT_EXTRA_NS\n",
+           "",
+           (GOLDEN + "[crossval]",)),
 
     # -- Each experiment's check_rows, against its seeded mutation ------
     Mutant("contract-fig01",

@@ -317,6 +317,35 @@ class TestOneWriter:
         assert deterministic_trace(seam_trace)["traceEvents"]
 
 
+    @pytest.mark.parametrize("artifact", ["telemetry_path",
+                                          "trace_export_path"])
+    def test_a_write_that_raises_partway_leaves_no_torn_file(
+            self, tmp_path, artifact):
+        """The JSONL and the trace are written as streams; one that
+        fails after its first lines (here: a last sample or kernel span
+        no JSON encoder takes) leaves neither the artifact nor its
+        staging file, and an artifact already there keeps its bytes."""
+        path = tmp_path / "artifact"
+        world = build_simulation(
+            base_config(n_clients=1, seed=4),
+            telemetry=telemetry_config(**{artifact: str(path)}))
+        world.run()
+        result = collect(world)
+        if artifact == "telemetry_path":
+            result.telemetry_samples.append(
+                dict(result.telemetry_samples[-1], note=object()))
+        else:
+            result.telemetry_instrument.spans.append((0, 0, object()))
+        with pytest.raises(TypeError):
+            write_artifacts(result)
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("the previous run's artifact\n")
+        with pytest.raises(TypeError):
+            write_artifacts(result)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "the previous run's artifact\n"
+
+
 class TestSweepTelemetry:
     def test_execute_point_writes_artifact_and_strips_block(
             self, tmp_path):

@@ -105,8 +105,7 @@ class TestSoraPlusLoss:
             traffic="tcp_download", policy=HackPolicy.MORE_DATA,
             loss=LossSpec(kind="uniform", data_loss=0.01,
                           per_client={"C1": 0.03}),
-            extra_response_delay_ns=37_000,
-            ack_timeout_extra_ns=60_000,
+            sora=True,
             duration_ns=2 * SEC, warmup_ns=1 * SEC,
             stagger_ns=100 * MS))
         assert res.aggregate_goodput_mbps > 15

@@ -140,9 +140,43 @@ class TestCli:
         fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
         assert set(vars(args)) - {"command"} - fields == {
             "scenario", "shard_jobs", "uniform_loss", "snr", "aarf",
-            "sora", "kernel_stats", "adversary_kind",
+            "kernel_stats", "adversary_kind",
             "adversary_intensity", "adversary_mode", "telemetry",
             "trace_export", "sample_interval"}
+
+    @pytest.mark.parametrize("flags", [
+        ["--adversary-intensity", "0.3"],
+        ["--adversary-mode", "reactive"]])
+    def test_adversary_knob_needs_an_attack(self, flags, capsys):
+        """On a base with no adversary, neither knob names an attack
+        (an intensity alone used to build an inert plan silently)."""
+        assert cli_main(["simulate", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "--adversary" in captured.err
+
+    def test_adversary_mode_reaches_the_jammer(self, capsys):
+        argv = ["simulate", "--adversary", "jammer",
+                "--adversary-mode", "reactive"]
+        assert _simulate_config(_build_parser().parse_args(
+            argv)).adversary.jam_mode == "reactive"
+        assert cli_main([*argv, "--duration", "0.3"]) == 0
+        assert "adversary         : jammer @ intensity 0.5" \
+            in capsys.readouterr().out
+
+    def test_sora_flag_keeps_the_registered_switch(self, capsys):
+        """``--sora`` is a switch that defaults to "not given", so a
+        base that sets it keeps it when the flag is left out."""
+        def goodput(*flags):
+            assert cli_main(["simulate", "--scenario", "sora-testbed",
+                             "--duration", "0.6", *flags]) == 0
+            return capsys.readouterr().out.splitlines()[0]
+
+        assert _simulate_config(_build_parser().parse_args(
+            ["simulate", "--scenario", "sora-testbed"])).sora
+        assert goodput() == goodput("--sora")
 
     def test_experiments_forwarding(self, capsys, tmp_path):
         assert cli_main(["experiments", "fig01",

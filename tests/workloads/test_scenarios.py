@@ -9,7 +9,7 @@ magnitudes rather than exact numbers.
 import pytest
 
 from repro import HackPolicy, LossSpec, ScenarioConfig, run_scenario
-from repro.sim.units import MS, SEC, usec
+from repro.sim.units import MS, SEC
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 
 from tests.workloads.test_multi_cell import CellMap
@@ -139,9 +139,7 @@ class TestLossy:
 
     def test_sora_quirks(self):
         res = run_scenario(quick(
-            phy_mode="11a", data_rate_mbps=54.0,
-            extra_response_delay_ns=usec(37),
-            ack_timeout_extra_ns=usec(60)))
+            phy_mode="11a", data_rate_mbps=54.0, sora=True))
         # Late LL ACKs shave throughput but must not break anything.
         assert 14 < res.aggregate_goodput_mbps < 25
 
@@ -211,14 +209,11 @@ class TestValidation:
             run_scenario(ScenarioConfig(**fields))
 
     #: Flow churn's specs, checked by ``validate()`` too: each used to
-    #: raise from inside the event loop, from ``build_simulation``
-    #: after the media were built, or (the inverted clamp) to run with
-    #: every flow silently ``min_bytes`` long.
+    #: raise from inside the event loop or from ``build_simulation``
+    #: after the media were built.
     UNRUNNABLE_ARRIVALS = [
         ("size kind", dict(size=SizeSpec(kind="bogus"))),
         ("median_bytes", dict(size=SizeSpec(median_bytes=0))),
-        ("max_bytes", dict(size=SizeSpec(min_bytes=5000, max_bytes=10))),
-        ("p_small", dict(size=SizeSpec(kind="bimodal", p_small=1.5))),
         ("rate_per_s", dict(rate_per_s=-1)),
         # Client 2 exists in the first cell, not in the second.
         ("trace client index", dict(kind="trace",
