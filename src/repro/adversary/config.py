@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 KINDS = ("greedy", "jammer", "mutator")
 JAM_MODES = ("periodic", "reactive")
-MUTATE_MODES = ("flip", "cid", "storm")
+MUTATE_MODES = ("flip", "storm")
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ class AdversaryConfig:
     intensity: float = 0.0
     #: jammer: burst scheduling discipline.
     jam_mode: str = "periodic"    # periodic | reactive
-    #: mutator: corruption flavour (random bit flip, forged CID
-    #: collision, or multi-frame desync storm).
-    mutate_mode: str = "flip"     # flip | cid | storm
+    #: mutator: corruption flavour (one-frame bit flip, or a
+    #: multi-frame desync storm).
+    mutate_mode: str = "flip"     # flip | storm
 
     @property
     def active(self) -> bool:

@@ -32,6 +32,8 @@ _ZERO_COUNTERS = {
     "hack_frames_seen": 0,
     "frames_mutated": 0,
     "bit_flips": 0,
+    # Always 0 since the CID-forging mode went; kept so every record
+    # keeps the schema it was cached with.
     "cid_forges": 0,
     "storm_bursts": 0,
     "tamper_errors": 0,

@@ -12,7 +12,7 @@ every TCP ACK encapsulated at the measured compressed size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import List
 
 from ..mac.aggregation import max_mpdus_for_txop
 from ..mac.params import ACK_BYTES, BLOCK_ACK_BYTES, MAC_DATA_OVERHEAD, \
@@ -35,12 +35,6 @@ class CapacityPoint:
     rate_mbps: float
     tcp_goodput_mbps: float
     hack_goodput_mbps: float
-
-    @property
-    def improvement(self) -> float:
-        if self.tcp_goodput_mbps == 0:
-            return 0.0
-        return self.hack_goodput_mbps / self.tcp_goodput_mbps - 1.0
 
 
 def _acquisition_ns(phy: PhyParams) -> int:
@@ -165,12 +159,6 @@ def figure_1a_point(rate: float) -> CapacityPoint:
                          hack_goodput_11a(rate))
 
 
-def figure_1a(rates: Iterable[float] = PHY_11A.data_rates
-              ) -> List[CapacityPoint]:
-    """Theoretical goodput for 802.11a rates (Fig 1a)."""
-    return [figure_1a_point(r) for r in rates]
-
-
 def figure_1b_rates(max_streams: int = 4) -> List[float]:
     """The HT rate set Fig 1b sweeps (1..max_streams spatial streams)."""
     from ..phy.params import ht_rates_for_streams
@@ -191,9 +179,3 @@ def figure_1b_point(rate: float,
         rate,
         tcp_goodput_11n(rate, phy=phy, params=params),
         hack_goodput_11n(rate, phy=phy, params=params))
-
-
-def figure_1b(max_streams: int = 4) -> List[CapacityPoint]:
-    """Theoretical goodput for 802.11n rates up to 600 Mbps (Fig 1b)."""
-    return [figure_1b_point(rate, max_streams)
-            for rate in figure_1b_rates(max_streams)]

@@ -121,8 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="uniform per-MPDU loss probability")
     sim.add_argument("--snr", type=float,
                      help="SNR in dB (overrides --loss)")
-    sim.add_argument("--aarf", action="store_true",
-                     help="enable AARF rate adaptation")
     sim.add_argument("--sora", action="store_true", default=None,
                      help="emulate SoRa's late LL ACKs")
     sim.add_argument("--kernel-stats", action="store_true",
@@ -142,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "to the cooperative run")
     sim.add_argument("--adversary-mode", default=None,
                      help="discipline variant: periodic|reactive for "
-                          "the jammer, flip|cid|storm for the mutator "
+                          "the jammer, flip|storm for the mutator "
                           "(defaults: periodic / flip)")
     sim.add_argument("--cc", choices=CONGESTION_CONTROLS,
                      help="TCP congestion control (default reno; "
@@ -220,8 +218,6 @@ def _simulate_config(args: argparse.Namespace) -> ScenarioConfig:
         overrides["loss"] = LossSpec(
             kind="uniform", data_loss=args.uniform_loss) \
             if args.uniform_loss else LossSpec()
-    if args.aarf:
-        overrides["rate_adaptation"] = "aarf"
     kind = args.adversary_kind or getattr(base.adversary, "kind", None)
     adversary = {"kind": args.adversary_kind,
                  "intensity": args.adversary_intensity}

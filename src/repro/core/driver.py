@@ -124,7 +124,6 @@ class HackDriver(MacUpper):
         self.node = node
         self.stats = DriverStats()
         self._peers: Dict[str, _PeerState] = {}
-        self._attached_count = 0
         # Decompressors time their context-recovery latency off the
         # simulator clock (only read while a context is desynced, so
         # cooperative runs never touch it).
@@ -285,9 +284,6 @@ class HackDriver(MacUpper):
                 ps.decompressor.note_vanilla_ack(packet)
         self._packets_up(packets, sender)
 
-    def on_mpdu_delivered(self, mpdu: Mpdu, sender: str) -> None:
-        self.on_mpdus_delivered([mpdu], sender)
-
     # ------------------------------------------------------------------
     # TS_ECHO mechanics (§5)
     # ------------------------------------------------------------------
@@ -364,45 +360,16 @@ class HackDriver(MacUpper):
             self._pull_queued_acks(ps, peer_name)
         if not ps.buffer:
             return None
-        entries = ps.buffer
-        if self.config.split_to_aifs:
-            entries = entries[:self._aifs_prefix_len(ps)]
-        self._attached_count = len(entries)
         try:
-            return build_frame(entries)
+            return build_frame(ps.buffer)
         except ValueError:
             # A broken MSN chain must never abort the MAC's response
             # transmission: count it, fall back to vanilla for the
             # whole buffer (mirroring release_flow_state), and send
             # this response bare.
             self.stats.chain_repairs += 1
-            self._attached_count = 0
             self._flush_buffer(ps, peer_name)
             return None
-
-    def _aifs_prefix_len(self, ps: _PeerState) -> int:
-        """Longest buffer prefix whose appended airtime fits in AIFS.
-
-        At least one entry is always included (an entry cannot be
-        split; the paper's fallback is to risk the long LL ACK)."""
-        phy = getattr(self.mac, "phy", None)
-        params = getattr(self.mac, "params", None)
-        if phy is None or params is None:
-            return len(ps.buffer)
-        from ..mac.params import ACK_BYTES, BLOCK_ACK_BYTES
-        rate = phy.control_rate_for(params.data_rate_mbps)
-        stock = BLOCK_ACK_BYTES if params.aggregation else ACK_BYTES
-        base = phy.control_duration_ns(stock, rate)
-        size = 2  # frame header (count + first MSN)
-        best = 0
-        for index, entry in enumerate(ps.buffer):
-            size += len(entry.data)
-            extra = phy.control_duration_ns(stock + size, rate) - base
-            if extra <= phy.difs_ns:
-                best = index + 1
-            else:
-                break
-        return max(best, 1)
 
     def _pull_queued_acks(self, ps: _PeerState, peer_name: str) -> None:
         """Opportunistic HACK: yank still-queued compressible pure ACKs
@@ -431,8 +398,7 @@ class HackDriver(MacUpper):
         if hack_payload:
             self.stats.hack_frames_attached += 1
             self.stats.hack_frame_bytes += len(hack_payload)
-            attached = self._attached_count or len(ps.buffer)
-            for entry in ps.buffer[:attached]:
+            for entry in ps.buffer:
                 entry.sent_once = True
         if ps.flush_after_response:
             ps.flush_after_response = False

@@ -64,12 +64,6 @@ class HackConfig:
     #: Hard cap on buffered compressed ACK entries (a HACK frame also
     #: cannot exceed 255 entries); overflow flushes vanilla.
     max_buffered: int = 120
-    #: §3.3.2 footnote: when True, the payload appended to one LL ACK
-    #: is limited so its extra airtime fits within AIFS (full
-    #: protection against hidden terminals); the remainder of the
-    #: buffer rides later LL ACKs.  When False (the paper's simulator
-    #: default), everything goes on a single LL ACK.
-    split_to_aifs: bool = False
 
     @property
     def enabled(self) -> bool:

@@ -115,7 +115,10 @@ from .progress import SweepProgress
 #:    workload varied (now their layers' constants), and SoRa's late
 #:    LL ACK is one ``sora`` switch — rows unchanged, every signature
 #:    is not.
-ENGINE_VERSION = 13
+#: 14: ``rate_adaptation`` (AARF) left ``ScenarioConfig``: every run
+#:    sent at ``data_rate_mbps`` — rows unchanged, every signature is
+#:    not.
+ENGINE_VERSION = 14
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``
@@ -190,42 +193,6 @@ class SweepSpec:
         self.points.append(SweepPoint(
             key=_normalise_key(key), fn=fn,
             fn_kwargs=tuple(sorted(kwargs.items()))))
-
-    def keys(self) -> List[Key]:
-        """Distinct cell keys in first-appearance order."""
-        seen: Dict[Key, None] = {}
-        for point in self.points:
-            seen.setdefault(point.key, None)
-        return list(seen)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @classmethod
-    def grid(cls, name: str, base: Mapping[str, Any],
-             axes: Mapping[str, Sequence[Any]],
-             seeds: Sequence[int]) -> "SweepSpec":
-        """Cartesian product of config-field axes crossed with seeds.
-
-        ``axes`` maps :class:`ScenarioConfig` field names to the values
-        to sweep; each cell's key is the tuple of axis values in axis
-        order.  Axis values override any same-named field in ``base``
-        (and the per-point ``seed`` overrides both).  Heterogeneous
-        sweeps should use :meth:`add_scenario`.
-        """
-        spec = cls(name)
-        assignments: List[Dict[str, Any]] = [{}]
-        for field_name, values in axes.items():
-            assignments = [dict(a, **{field_name: v})
-                           for a in assignments for v in values]
-        for assignment in assignments:
-            key = tuple(assignment[f] for f in axes)
-            for seed in seeds:
-                params = dict(base)
-                params.update(assignment)
-                params["seed"] = seed
-                spec.add_scenario(key, ScenarioConfig(**params))
-        return spec
 
 
 # ----------------------------------------------------------------------
@@ -459,11 +426,6 @@ class SweepResult:
                 f"no records for cell {tuple(key)!r} in sweep "
                 f"{self.spec_name!r} (known cells: {self.keys()})")
         return mean_stdev(values)
-
-    def aggregate(self, metric: MetricSpec
-                  ) -> Dict[Key, Dict[str, float]]:
-        """Per-cell mean/stdev of a metric across the whole sweep."""
-        return {key: self.cell(key, metric) for key in self.keys()}
 
     # -- persistence ---------------------------------------------------
     def to_json_dict(self) -> Dict[str, Any]:

@@ -18,11 +18,10 @@ policy, :func:`seeds_for`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
 
 from ..sim.units import MS, SEC
 from ..stats.fct import has_completions
-from .batch import SweepRunner
 
 #: Seeds used for "averaged across five runs" experiments (paper §4).
 #: Constants: a grid runs other seeds as ``sweep_spec(seeds=...)``.
@@ -66,18 +65,6 @@ def fct_metric(field: str):
                              "run duration or arrival rate")
         return block[field]
     return metric
-
-
-def run(module: Any, quick: bool = False,
-        runner: Optional[SweepRunner] = None, **scope: Any) -> List[Dict]:
-    """Execute one experiment module's grid and return its rows.
-
-    ``scope`` narrows the grid through ``sweep_spec``'s own keyword
-    arguments (e.g. ``client_counts=(1,)`` for fig10, or ``seeds``).
-    """
-    runner = runner or SweepRunner()
-    return module.rows_from_sweep(
-        runner.run(module.sweep_spec(quick, **scope)))
 
 
 def require(rows: Iterable[Dict], *claims: Any) -> int:

@@ -254,6 +254,3 @@ class BlockAckRecipient:
         return frozenset(compress(range(low, high),
                                   self._flags[low - base:high - base]))
 
-    def has_seen(self, seq: int) -> bool:
-        index = seq - self._base
-        return 0 <= index < len(self._flags) and self._flags[index] == 1

@@ -77,15 +77,10 @@ from .qdisc import DropTailQueue, QdiscStats, make_queue
 class MacUpper:
     """Upper-layer interface; all methods optional (default no-ops)."""
 
-    def on_mpdu_delivered(self, mpdu: Mpdu, sender: str) -> None:
-        """A new (non-duplicate) data MPDU arrived for this station."""
-
     def on_mpdus_delivered(self, mpdus: List[Mpdu], sender: str) -> None:
-        """The new data MPDUs one PPDU from ``sender`` released to this
-        station, in delivery order — the MAC's one hand-off per PPDU.
-        By default each goes to :meth:`on_mpdu_delivered`."""
-        for mpdu in mpdus:
-            self.on_mpdu_delivered(mpdu, sender)
+        """The new (non-duplicate) data MPDUs one PPDU from ``sender``
+        released to this station, in delivery order — the MAC's one
+        hand-off per PPDU."""
 
     def on_data_ppdu(self, frame: Any, sender: str,
                      readable_mpdus: Sequence[Mpdu]) -> None:
@@ -149,8 +144,7 @@ class DcfMac(MediumListener):
                  address: str, params: MacParams, rng,
                  upper: Optional[MacUpper] = None,
                  stats: Optional[MacStats] = None,
-                 loss_model=None, rate_control_factory=None,
-                 cell: Any = DEFAULT_CELL):
+                 loss_model=None, cell: Any = DEFAULT_CELL):
         self.sim = sim
         self.medium = medium
         self.phy = phy
@@ -166,9 +160,6 @@ class DcfMac(MediumListener):
         #: in; stations of other cells only share carrier sense and
         #: collisions with it (see repro.sim.medium).
         self.cell = cell
-        #: Per-destination transmit-rate policy (FixedRate by default).
-        self.rate_control_factory = rate_control_factory
-        self._rate_controllers: Dict[str, Any] = {}
         self._attach()
 
         # Transmit-side state.  Per-destination queues are built by the
@@ -273,19 +264,6 @@ class DcfMac(MediumListener):
         if src not in self._recipients:
             self._recipients[src] = BlockAckRecipient()
         return self._recipients[src]
-
-    def rate_controller_for(self, dst: str):
-        if dst not in self._rate_controllers:
-            if self.rate_control_factory is not None:
-                self._rate_controllers[dst] = self.rate_control_factory()
-            else:
-                from .rate_control import FixedRate
-                self._rate_controllers[dst] = FixedRate(
-                    self.params.data_rate_mbps)
-        return self._rate_controllers[dst]
-
-    def _rate_for(self, dst: str) -> float:
-        return self.rate_controller_for(dst).current_rate()
 
     # ==================================================================
     # Contention
@@ -416,7 +394,7 @@ class DcfMac(MediumListener):
             if type(queue) is DropTailQueue:
                 batch, job.ampdu_bytes = drain_batch(
                     orig, queue, self.address, dst, self.sim,
-                    self.params, self.phy, self._rate_for(dst))
+                    self.params, self.phy, self.params.data_rate_mbps)
             else:
                 address, new_frame_id = self.address, self.sim.new_frame_id
 
@@ -425,7 +403,7 @@ class DcfMac(MediumListener):
                                 0, now, new_frame_id())
 
                 batch = build_batch(orig, queue, make_mpdu, self.params,
-                                    self.phy, self._rate_for(dst))
+                                    self.phy, self.params.data_rate_mbps)
             if not batch:
                 return False
             more = bool(queue) or bool(orig.retry_queue)
@@ -465,7 +443,7 @@ class DcfMac(MediumListener):
             self._current_job = None
             self._maybe_start_contention()
             return
-        rate = self._rate_for(job.dst)
+        rate = self.params.data_rate_mbps
         if job.kind == "bar":
             orig = self._originator_for(job.dst)
             frame: Any = BarFrame(
@@ -540,7 +518,6 @@ class DcfMac(MediumListener):
             return
         if job.is_batch:
             # Block ACK missing: solicit it with a BAR (same dest).
-            self.rate_controller_for(job.dst).on_failure()
             job.kind = "bar"
             job.bar_retries = 0
             self._double_cw()
@@ -549,7 +526,6 @@ class DcfMac(MediumListener):
             self._maybe_start_contention()
             return
         # Single MPDU: classic retry with CW doubling.
-        self.rate_controller_for(job.dst).on_failure()
         mpdu = job.mpdus[0]
         mpdu.retry_count += 1
         if mpdu.retry_count > self.params.retry_limit:
@@ -661,14 +637,9 @@ class DcfMac(MediumListener):
         self.upper.on_ll_ack_rx(response, sender_addr)
         if isinstance(response, BlockAckFrame):
             orig = self._originator_for(job.dst)
-            delivered, requeued, dropped = orig.on_block_ack(
-                response.acked_seqs)
-            self.rate_controller_for(job.dst).on_ratio(
-                len(delivered),
-                len(delivered) + len(requeued) + len(dropped))
+            delivered, _, dropped = orig.on_block_ack(response.acked_seqs)
         else:
             delivered, dropped = job.mpdus[:1], ()
-            self.rate_controller_for(job.dst).on_success()
         self._mpdu_outcomes(delivered, True)
         self._mpdu_outcomes(dropped, False)
         self._finish_job(success=True)

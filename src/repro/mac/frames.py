@@ -71,10 +71,6 @@ class Mpdu:
         #: flag mutations never change the frame's length).
         self.byte_length = MAC_DATA_OVERHEAD + payload.byte_length
 
-    @property
-    def is_retransmission(self) -> bool:
-        return self.retry_count > 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(c for c, on in (("M", self.more_data),
                                         ("S", self.sync),
@@ -164,11 +160,6 @@ class AmpduFrame:
     @property
     def sync(self) -> bool:
         return any(m.sync for m in self.mpdus)
-
-    @property
-    def seq_range(self) -> Tuple[int, int]:
-        seqs = [m.seq for m in self.mpdus]
-        return min(seqs), max(seqs)
 
 
 class _HackCarrier:

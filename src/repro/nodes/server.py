@@ -79,20 +79,13 @@ class UdpSource:
         self.rate_mbps = rate_mbps
         self.payload_bytes = payload_bytes
         self.packets_sent = 0
-        self._running = False
         datagram_bits = (payload_bytes + 28) * 8
         self.interval_ns = int(datagram_bits * 1000 / rate_mbps)
 
     def start(self) -> None:
-        self._running = True
         self._emit()
 
-    def stop(self) -> None:
-        self._running = False
-
     def _emit(self) -> None:
-        if not self._running:
-            return
         self.server.send(UdpDatagram(
             src=self.server.name, dst=self.dst,
             payload_bytes=self.payload_bytes, seq=self.packets_sent))

@@ -162,15 +162,6 @@ def per_from_snr(snr_db: float, rate_mbps: float, frame_bytes: int,
     return 1.0 - (1.0 - per_ref) ** scale
 
 
-def snr_from_distance(distance_m: float, snr_at_1m_db: float = 40.0,
-                      path_loss_exponent: float = 3.0) -> float:
-    """Log-distance path loss: SNR(d) = SNR(1m) - 10*alpha*log10(d)."""
-    if distance_m <= 0:
-        raise ValueError("distance must be positive")
-    if distance_m < 1.0:
-        return snr_at_1m_db
-    return snr_at_1m_db - 10.0 * path_loss_exponent * math.log10(distance_m)
-
 
 class SnrLossModel(LossModel):
     """SNR-parameterised loss: per-MPDU PER at the data rate, control

@@ -35,7 +35,7 @@ Three kinds of item sit in the heap:
 * a :class:`Train` — a FIFO of timed deliveries to one callback (the
   packets in flight on a wired pipe, the MPDUs of a burst on their way
   up a client's stack).  :meth:`Train.push` takes a sequence number
-  exactly where ``schedule_at()`` would have and appends the very
+  exactly where ``schedule()`` would have and appends the very
   ``(time, 0, seq, arg)`` tuple it would have pushed, but only the
   train's head is in the heap.  When the run loop dispatches it the
   train keeps delivering inline while its next item compares below
@@ -48,7 +48,7 @@ Three kinds of item sit in the heap:
   to 53 850.
 
 The heap is kept hygienic under heavy cancellation: a live counter
-makes :attr:`Simulator.pending_events` O(1), and the heap is compacted
+keeps the count of pending entries O(1), and the heap is compacted
 in place whenever dead entries (cancelled events, stale timer entries)
 outnumber live ones, so a long run that schedules and cancels millions
 of timers keeps a bounded heap instead of accreting garbage until the
@@ -240,19 +240,19 @@ class Timer:
 class Train:
     """A FIFO of timed deliveries with at most one heap entry.
 
-    ``push(time, arg)`` behaves exactly like
-    ``sim.schedule_at(time, deliver, arg)`` — the same sequence number
-    is consumed, so ``deliver(arg)`` runs in the same position — but
+    ``push(time, arg)`` behaves exactly like ``sim.schedule(time -
+    sim.now, deliver, arg)`` — the same sequence number is consumed, so
+    ``deliver(arg)`` runs in the same position — but
     only the head of the queue sits in the heap.  When the run loop
     dispatches that entry the train delivers the head and then keeps
     delivering, advancing the clock itself, for as long as its next
     item sorts before everything in the heap (re-read after every
     delivery: a delivery may schedule something earlier, at a negative
-    priority included), lies before the run's horizon, and the run has
-    not been stopped; otherwise it queues one entry for its new head.
+    priority included) and lies before the run's horizon; otherwise it
+    queues one entry for its new head.
 
     Why the order is exact: an item is the very tuple
-    ``(time, 0, seq, ...)`` ``schedule_at`` would have pushed, and the
+    ``(time, 0, seq, ...)`` ``schedule`` would have pushed, and the
     queue is sorted by it (times are FIFO, sequence numbers grow).  An
     item is delivered either from the heap under that key, or inline
     at a moment when it compares below ``heap[0]`` — and every item of
@@ -300,10 +300,6 @@ class Train:
             return
         sim._live += 1
         sim.stats.scheduled += 1
-
-    def __len__(self) -> int:
-        """Items queued and not yet delivered."""
-        return len(self._items)
 
     def newest_first(self) -> Iterator[Tuple[int, Any]]:
         """``(time, arg)`` of every queued item, latest push first
@@ -353,7 +349,7 @@ class Simulator:
 
         sim = Simulator()
         sim.schedule(usec(10), lambda: print("hello"))
-        sim.run(until=sec(1))
+        sim.run(until=SEC)
     """
 
     def __init__(self) -> None:
@@ -369,7 +365,6 @@ class Simulator:
         self._parked: int = 0
         self._queued: int = 0
         self._running = False
-        self._stopped = False
         self._frame_ids: int = 0
         #: Optional observability hook (see :mod:`repro.obs.spans`).
         self._instrument = None
@@ -411,22 +406,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        # Same push as schedule_at, inlined: this is the hottest call
-        # in the kernel and forwarding would re-pack ``args``.
         time = self.now + delay
-        self._seq = seq = self._seq + 1
-        event = Event(time, priority, seq, callback, args, self)
-        heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
-        self.stats.scheduled += 1
-        return event
-
-    def schedule_at(self, time: int, callback: Callable[..., Any],
-                    *args: Any, priority: int = 0) -> Event:
-        """Schedule ``callback(*args)`` at an absolute timestamp."""
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule in the past: {time} < now {self.now}")
         self._seq = seq = self._seq + 1
         event = Event(time, priority, seq, callback, args, self)
         heappush(self._heap, (time, priority, seq, event))
@@ -486,7 +466,6 @@ class Simulator:
             max_events = float("inf")
         executed = inlined = 0
         self._running = True
-        self._stopped = False
         heap = self._heap
         # Bound once: the per-event cost of the disabled mode is one
         # local ``is None`` test (measured on bench/ledger.json's
@@ -495,8 +474,6 @@ class Simulator:
         record = instrument.record if instrument is not None else None
         try:
             while heap:
-                if self._stopped:
-                    break
                 if executed >= max_events:
                     break
                 time, _, seq, event = heap[0]
@@ -568,8 +545,7 @@ class Simulator:
                 item = items[0]
                 # ``heap[0] < item`` is one C tuple comparison that
                 # stops at the (unique) sequence numbers.
-                if (item[0] >= until or self._stopped
-                        or (heap and heap[0] < item)):
+                if item[0] >= until or (heap and heap[0] < item):
                     break
                 items.popleft()
                 self._queued -= 1
@@ -587,10 +563,6 @@ class Simulator:
                 train._queued_seq = 0
         return inlined
 
-    def stop(self) -> None:
-        """Request the run loop to stop after the current event."""
-        self._stopped = True
-
     @property
     def sequence(self) -> int:
         """Sequence number of the latest ``schedule`` / ``Timer.arm``.
@@ -598,12 +570,7 @@ class Simulator:
         an entry pushed at the first and one pushed at the second."""
         return self._seq
 
-    @property
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled events, armed timers and
-        undelivered train items still queued.  O(1)."""
-        return self._live + self._queued
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Simulator now={self.now} pending={self.pending_events} "
+        return (f"<Simulator now={self.now} pending="
+                f"{self._live + self._queued} "
                 f"heap={len(self._heap)}>")

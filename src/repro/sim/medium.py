@@ -143,10 +143,6 @@ class Transmission:
         self.collided = False
         self.cell = cell
 
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Tx {self.frame!r} {self.start}..{self.end}"
                 f"{' COLLIDED' if self.collided else ''}>")
@@ -288,14 +284,6 @@ class Medium:
         address = getattr(listener, "address", None)
         if address is not None:
             group.by_address[address] = listener
-
-    def cell_keys(self) -> List[Any]:
-        """Every dispatch group created so far (default cell first)."""
-        return list(self._cells)
-
-    def cell_of(self, listener: MediumListener) -> Any:
-        """The dispatch group a listener was attached under."""
-        return self._cell_of.get(listener, DEFAULT_CELL)
 
     def cell_stats(self, cell: Any = DEFAULT_CELL) -> Dict[str, int]:
         """Per-cell counters: clean airtime and frames offered/collided.

@@ -42,10 +42,6 @@ class RngRegistry:
         """
         return RngNamespace(self, prefix)
 
-    def stream_names(self) -> list:
-        """Names of the streams created so far (diagnostics)."""
-        return sorted(self._streams)
-
 
 class RngNamespace:
     """A prefixed view onto an :class:`RngRegistry`.

@@ -31,26 +31,6 @@ def msec(value: float) -> int:
     return round(value * MS)
 
 
-def sec(value: float) -> int:
-    """Convert a value in seconds to integer nanoseconds."""
-    return round(value * SEC)
-
-
-def to_usec(ns: int) -> float:
-    """Convert integer nanoseconds to (float) microseconds."""
-    return ns / US
-
-
-def to_msec(ns: int) -> float:
-    """Convert integer nanoseconds to (float) milliseconds."""
-    return ns / MS
-
-
-def to_sec(ns: int) -> float:
-    """Convert integer nanoseconds to (float) seconds."""
-    return ns / SEC
-
-
 def transmission_time_ns(num_bytes: int, rate_mbps: float) -> int:
     """Serialisation delay for ``num_bytes`` at ``rate_mbps`` (exact, ceil)."""
     if rate_mbps <= 0:

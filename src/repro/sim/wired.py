@@ -46,12 +46,12 @@ class WiredPipe:
     derived on read from the packets still queued in it (serialisation
     end = delivery - delay, start = end - transmission time).
     Delivery times, FIFO order, drop-tail decisions and the counters'
-    timing (``packets_sent`` reflects serialisation completion, not
-    delivery) match the two-event formulation, with one convention
-    pinned down: at the exact instant a serialisation boundary falls,
-    the packet counts as serialised/started — where the old code's
-    answer depended on whether its boundary event had already run
-    within that same timestamp.
+    timing (sent means serialised, not delivered) match the two-event
+    formulation, with one convention pinned down: at the exact instant
+    a serialisation boundary falls, the packet counts as
+    serialised/started — where the old code's answer depended on
+    whether its boundary event had already run within that same
+    timestamp.
     """
 
     def __init__(self, sim: Simulator, rate_mbps: float, delay_ns: int,
@@ -111,17 +111,6 @@ class WiredPipe:
         """Packets accepted but not yet begun serialising."""
         return self._unsent()[2]
 
-    @property
-    def packets_sent(self) -> int:
-        """Packets fully serialised onto the wire (propagation may
-        still be in progress), exactly as the two-event pipe counted."""
-        return self._packets_accepted - self._unsent()[0]
-
-    @property
-    def bytes_sent(self) -> int:
-        """Bytes fully serialised onto the wire."""
-        return self._bytes_accepted - self._unsent()[1]
-
 
 class WiredLink:
     """A full-duplex link between two endpoints.
@@ -147,14 +136,6 @@ class WiredLink:
         if endpoint is self.b:
             return self._b_to_a.send
         raise ValueError("endpoint is not attached to this link")
-
-    def send_from(self, endpoint: Any, packet: Any) -> bool:
-        """Send ``packet`` from one of the two attached endpoints."""
-        return self.sender_for(endpoint)(packet)
-
-    def pipes(self) -> Tuple[WiredPipe, WiredPipe]:
-        """(a->b pipe, b->a pipe), mainly for stats inspection."""
-        return self._a_to_b, self._b_to_a
 
     def queue_depths(self) -> Tuple[int, int]:
         """(a->b depth, b->a depth) — for the server->AP backhaul

@@ -1,10 +1,10 @@
 """Measurement collectors: MAC stats, tracing, fairness, FCT."""
 
 from .collectors import MacStats
-from .fairness import airtime_shares, goodput_fairness, jain_index
+from .fairness import goodput_fairness, jain_index
 from .fct import FctCollector, FctRecord, percentile
 from .trace import MediumTracer, TraceRecord
 
 __all__ = ["MacStats", "MediumTracer", "TraceRecord", "jain_index",
-           "airtime_shares", "goodput_fairness", "FctCollector",
+           "goodput_fairness", "FctCollector",
            "FctRecord", "percentile"]

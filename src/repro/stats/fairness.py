@@ -2,7 +2,7 @@
 
 The paper notes "Both TCP/HACK and TCP/802.11a are fair" (§4.2);
 these helpers quantify that: Jain's fairness index over per-flow
-goodputs, and airtime shares from a trace.
+goodputs.
 """
 
 from __future__ import annotations
@@ -20,18 +20,6 @@ def jain_index(values: Iterable[float]) -> float:
     if squares == 0:
         return 1.0
     return (total * total) / (len(values) * squares)
-
-
-def airtime_shares(airtime_by_station: Dict[str, int],
-                   exclude: Iterable[str] = ()) -> Dict[str, float]:
-    """Normalise per-station airtime to fractional shares."""
-    excluded = set(exclude)
-    filtered = {k: v for k, v in airtime_by_station.items()
-                if k not in excluded}
-    total = sum(filtered.values())
-    if total == 0:
-        return {k: 0.0 for k in filtered}
-    return {k: v / total for k, v in filtered.items()}
 
 
 def goodput_fairness(per_flow_goodput: Dict[int, float]) -> float:

@@ -9,8 +9,8 @@ SIFS after the A-MPDU", "no vanilla TCP ACK was transmitted while the
 MORE DATA latch was set", ...).
 
 Records carry frame classification, addressing, airtime, collision
-status and the HACK payload size, and the tracer offers simple
-filtering and timeline-gap helpers.
+status and the HACK payload size; the Chrome-trace export
+(:mod:`repro.obs.export`) renders them.
 
 Once the run is over a tracer is plain data — records, cap, dropped
 count; its observers live on the media — so it rides the
@@ -21,7 +21,7 @@ into the run's with :meth:`MediumTracer.merge`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
 from ..mac.frames import AckFrame, AmpduFrame, BarFrame, BlockAckFrame, \
     DataFrame
@@ -48,10 +48,6 @@ class TraceRecord:
     @property
     def duration_ns(self) -> int:
         return self.end_ns - self.start_ns
-
-    @property
-    def is_control(self) -> bool:
-        return self.frame_type in ("ack", "block_ack", "bar")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(flag for flag, on in (
@@ -133,92 +129,3 @@ class MediumTracer:
         kept = merged[:self.max_records]
         self.dropped += other.dropped + len(merged) - len(kept)
         self.records = kept
-
-    # ------------------------------------------------------------------
-    def filter(self, frame_type: Optional[str] = None,
-               src: Optional[str] = None, dst: Optional[str] = None,
-               predicate: Optional[Callable[[TraceRecord], bool]] = None
-               ) -> List[TraceRecord]:
-        """Records matching all given criteria."""
-        out = []
-        for record in self.records:
-            if frame_type is not None and record.frame_type != frame_type:
-                continue
-            if src is not None and record.src != src:
-                continue
-            if dst is not None and record.dst != dst:
-                continue
-            if predicate is not None and not predicate(record):
-                continue
-            out.append(record)
-        return out
-
-    def response_gaps_ns(self) -> List[int]:
-        """Gaps between each data/ampdu frame and the next control
-        frame from its receiver (SIFS + device delay, observable)."""
-        gaps = []
-        for i, record in enumerate(self.records[:-1]):
-            if record.frame_type not in ("data", "ampdu"):
-                continue
-            nxt = self.records[i + 1]
-            if nxt.is_control and nxt.src == record.dst:
-                gaps.append(nxt.start_ns - record.end_ns)
-        return gaps
-
-    def airtime_by_station(self) -> dict:
-        """Total airtime (ns) keyed by transmitting station."""
-        totals: dict = {}
-        for record in self.records:
-            key = record.src
-            totals[key] = totals.get(key, 0) + record.duration_ns
-        return totals
-
-    def summary(self) -> dict:
-        """Aggregate counts by frame type plus collision totals."""
-        out: dict = {"total": len(self.records),
-                     "collided": sum(r.collided for r in self.records),
-                     "hack_frames": sum(
-                         r.hack_payload_bytes > 0 for r in self.records)}
-        for record in self.records:
-            key = f"type_{record.frame_type}"
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    def render_timeline(self, start_ns: int = 0,
-                        end_ns: Optional[int] = None,
-                        limit: int = 60) -> str:
-        """Human-readable timeline excerpt, one line per frame::
-
-              1234.0us AP  ->C1   ampdu      x42  65336B  [M]
-              1238.5us C1  ->AP   block_ack         57B  [H25]
-
-        Flags: M = MORE DATA, S = SYNC, X = collided, Hn = n bytes of
-        compressed TCP ACKs appended.
-        """
-        lines = []
-        for record in self.records:
-            if record.start_ns < start_ns:
-                continue
-            if end_ns is not None and record.start_ns >= end_ns:
-                break
-            if len(lines) >= limit:
-                lines.append(f"... ({len(self.records)} records total)")
-                break
-            flags = []
-            if record.more_data:
-                flags.append("M")
-            if record.sync:
-                flags.append("S")
-            if record.collided:
-                flags.append("X")
-            if record.hack_payload_bytes:
-                flags.append(f"H{record.hack_payload_bytes}")
-            mpdus = f"x{record.mpdu_count:<3}" if record.mpdu_count \
-                else "    "
-            flag_text = f"[{','.join(flags)}]" if flags else ""
-            lines.append(
-                f"{record.start_ns / 1000:>10.1f}us "
-                f"{str(record.src):<4}->{str(record.dst):<4} "
-                f"{record.frame_type:<9} {mpdus} "
-                f"{record.byte_length:>6}B {flag_text}")
-        return "\n".join(lines)

@@ -57,10 +57,6 @@ class TcpFlow:
     def snapshot(self, now: int) -> None:
         self.stats.record(now, self.receiver.bytes_delivered)
 
-    @property
-    def bytes_delivered(self) -> int:
-        return self.receiver.bytes_delivered
-
     def completion_time_ns(self) -> Optional[int]:
         if self.started_at is None or self.completed_at is None:
             return None

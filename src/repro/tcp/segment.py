@@ -60,12 +60,6 @@ class FiveTuple:
         return FiveTuple(self.dst_ip, self.src_ip,
                          self.dst_port, self.src_port)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiveTuple) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FiveTuple({self.src_ip!r}, {self.dst_ip!r}, "
                 f"{self.src_port}, {self.dst_port})")

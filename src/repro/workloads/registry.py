@@ -179,30 +179,21 @@ def _web_arrivals() -> ArrivalSpec:
 @register("churn-poisson",
           "flow churn: Poisson arrivals (40 flows/s, log-normal "
           "sizes) across two clients with TCP/HACK — FCT instead of "
-          "steady-state goodput")
+          "steady-state goodput; at this load MORE DATA compresses no "
+          "ACK, so the run is stock TCP's (--policy vanilla gives the "
+          "same record)")
 def _churn_poisson() -> ScenarioConfig:
     return _churn_base(HackPolicy.MORE_DATA, _poisson_arrivals())
-
-
-@register("churn-poisson-vanilla",
-          "the churn-poisson workload on stock TCP/802.11n (the "
-          "baseline HACK is judged against)")
-def _churn_poisson_vanilla() -> ScenarioConfig:
-    return _churn_base(HackPolicy.VANILLA, _poisson_arrivals())
 
 
 @register("churn-web",
           "closed-loop web users (think/request/wait, log-normal "
           "objects) with TCP/HACK — the short-flow regime where "
-          "ACK-per-data overhead dominates")
+          "ACK-per-data overhead dominates; at this load MORE DATA "
+          "compresses no ACK, so the run is stock TCP's (--policy "
+          "vanilla gives the same record)")
 def _churn_web() -> ScenarioConfig:
     return _churn_base(HackPolicy.MORE_DATA, _web_arrivals())
-
-
-@register("churn-web-vanilla",
-          "the churn-web workload on stock TCP/802.11n")
-def _churn_web_vanilla() -> ScenarioConfig:
-    return _churn_base(HackPolicy.VANILLA, _web_arrivals())
 
 
 @register("churn-bursty",

@@ -60,7 +60,6 @@ from ..mac.dcf import DcfMac
 from ..mac.params import SORA_ACK_TIMEOUT_EXTRA_NS, \
     SORA_RESPONSE_DELAY_NS, MacParams
 from ..mac.qdisc import DISCIPLINES, QdiscStats
-from ..mac.rate_control import RATE_CONTROLS
 from ..obs import MAX_EXPORT_FRAMES, KernelInstrument, TelemetryConfig, \
     TelemetrySession, telemetry_summary, write_artifacts
 from ..obs.metrics import merge_counts
@@ -190,9 +189,6 @@ class ScenarioConfig:
     explicit_timer_ns: Optional[int] = None
     #: Override the 4 ms TXOP limit (None keeps the default).
     txop_limit_ns: Optional[int] = msec(4)
-    #: Rate adaptation: None = fixed at data_rate_mbps; "aarf" = AARF
-    #: over the PHY's rate ladder, starting at data_rate_mbps.
-    rate_adaptation: Optional[str] = None
     #: Deterministic fault-injection plan (repro.adversary): a greedy
     #: CW-cheating station, a jammer, or an on-air compressed-ACK
     #: mutator.  None — and any plan with intensity 0 — installs
@@ -218,8 +214,7 @@ class ScenarioConfig:
         for name, valid in (
                 ("phy_mode", PHY_MODES), ("traffic", TRAFFIC_MODES),
                 ("cc", CONGESTION_CONTROLS),
-                ("queue_discipline", DISCIPLINES),
-                ("rate_adaptation", (None, *RATE_CONTROLS))):
+                ("queue_discipline", DISCIPLINES)):
             if getattr(self, name) not in valid:
                 raise ValueError(
                     f"unknown {name} {getattr(self, name)!r} (valid: "
@@ -787,25 +782,18 @@ class CellBuilder:
         if cfg.sora:
             params.extra_response_delay_ns = SORA_RESPONSE_DELAY_NS
             params.ack_timeout_extra_ns = SORA_ACK_TIMEOUT_EXTRA_NS
-        factory = None
-        if cfg.rate_adaptation is not None:
-            def factory():
-                return RATE_CONTROLS[cfg.rate_adaptation](
-                    phy.data_rates, initial_rate=cfg.data_rate_mbps)
         if address in self.greedy_names:
             mac = GreedyDcfMac(
                 self.sim, medium, phy, address, params,
                 self.rngs.stream(f"mac-{address}"),
                 stats=self.mac_stats, loss_model=medium.loss_model,
-                rate_control_factory=factory, cell=cell,
-                cheat=cfg.adversary.intensity)
+                cell=cell, cheat=cfg.adversary.intensity)
             self.greedy_macs.append(mac)
             return mac
         return DcfMac(self.sim, medium, phy, address, params,
                       self.rngs.stream(f"mac-{address}"),
                       stats=self.mac_stats,
-                      loss_model=medium.loss_model,
-                      rate_control_factory=factory, cell=cell)
+                      loss_model=medium.loss_model, cell=cell)
 
     def build(self, cell_index: int) -> _CellNet:
         """Wire one cell (global index) onto its channel's medium."""

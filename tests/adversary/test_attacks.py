@@ -105,18 +105,6 @@ class TestMutator:
         assert stormed.aggregate_goodput_mbps \
             > 0.5 * coop.aggregate_goodput_mbps
 
-    def test_cid_forgery_counted(self):
-        result = run_scenario(config(
-            n_clients=4,
-            adversary=AdversaryConfig(kind="mutator", intensity=0.8,
-                                      mutate_mode="cid")))
-        adv = result.metrics_dict()["adversary"]
-        assert adv["frames_mutated"] > 0
-        # Explicit-CID entries may be rare in a steady stream; the
-        # forger falls back to bit flips when none are present.
-        assert adv["cid_forges"] + adv["bit_flips"] \
-            == adv["frames_mutated"]
-
     def test_vanilla_policy_immune(self):
         result = run_scenario(config(
             policy=HackPolicy.VANILLA,

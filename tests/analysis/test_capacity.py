@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.analysis.capacity import figure_1a, figure_1b, \
-    hack_goodput_11a, hack_goodput_11n, tcp_goodput_11a, tcp_goodput_11n
+from repro.analysis.capacity import hack_goodput_11a, hack_goodput_11n, \
+    tcp_goodput_11a, tcp_goodput_11n
+
+from tests.helpers import figure_1a, figure_1b, improvement
 
 
 class TestFig1a:
@@ -13,7 +15,7 @@ class TestFig1a:
 
     def test_improvement_grows_with_rate(self):
         points = figure_1a()
-        imps = [p.improvement for p in points]
+        imps = [improvement(p) for p in points]
         assert imps == sorted(imps)
 
     def test_54mbps_magnitudes(self):
@@ -41,13 +43,13 @@ class TestFig1b:
     def test_sub_100mbps_improvement_about_8pct(self):
         # Fig 1b caption: ~8% improvement on average below 100 Mbps.
         points = [p for p in figure_1b() if p.rate_mbps < 100]
-        mean = sum(p.improvement for p in points) / len(points)
+        mean = sum(improvement(p) for p in points) / len(points)
         assert mean == pytest.approx(0.08, abs=0.02)
 
     def test_600mbps_improvement_about_20pct(self):
         # Paper §3.2: "a 20% improvement seen at 600 Mbps".
         points = {p.rate_mbps: p for p in figure_1b()}
-        assert points[600.0].improvement == pytest.approx(0.20, abs=0.04)
+        assert improvement(points[600.0]) == pytest.approx(0.20, abs=0.04)
 
     def test_aggregation_beats_11a_efficiency(self):
         # At a comparable rate, 802.11n aggregation wastes far less.

@@ -262,7 +262,7 @@ class TestDecompressionPath:
         _, mac, driver = make_driver()
         # Peer context: snoop a vanilla ACK arriving as an MPDU.
         mpdu = Mpdu(src="C1", dst="AP", seq=0, payload=tcp_ack(1460))
-        driver.on_mpdu_delivered(mpdu, "C1")
+        driver.on_mpdus_delivered([mpdu], "C1")
         # Build a frame as the peer would.
         peer_sim, peer_mac, peer_driver = make_driver()
         frame, mpdus = data_ppdu([0, 1])

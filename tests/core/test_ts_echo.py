@@ -54,7 +54,7 @@ def deliver_data(driver, seq, ts_ecr):
                       payload_bytes=1460, ack=0, rwnd=0, ts_val=0,
                       ts_ecr=ts_ecr, five_tuple=FT.reversed())
     mpdu = Mpdu(src="AP", dst="C1", seq=seq // 1460, payload=data)
-    driver.on_mpdu_delivered(mpdu, "AP")
+    driver.on_mpdus_delivered([mpdu], "AP")
     return data
 
 

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import common
 from repro.experiments.runner import EXPERIMENTS
+
+from tests.helpers import run_experiment
 
 QUICK_SCOPES = {
     "fig01": {},
@@ -65,5 +66,5 @@ def golden():
 
 def pinned_rows(name, runner=None):
     """One pinned experiment's rows at its trimmed quick scope."""
-    return common.run(EXPERIMENTS[name], quick=True, runner=runner,
-                      **QUICK_SCOPES[name])
+    return run_experiment(EXPERIMENTS[name], quick=True, runner=runner,
+                          **QUICK_SCOPES[name])

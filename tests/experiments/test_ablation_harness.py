@@ -1,9 +1,9 @@
 """Ablation harness units (cheap synthetic-row checks plus stubbed
 sweep runs exercising the declarative grid end-to-end)."""
 
-from repro.experiments import ablations, common
+from repro.experiments import ablations
 
-from tests.helpers import StubSweepRunner
+from tests.helpers import StubSweepRunner, run_experiment
 
 
 class TestFormatters:
@@ -34,8 +34,8 @@ class TestFormatters:
 class TestRunAll:
     def test_run_includes_every_dimension(self):
         # Stub the sweep execution so run() is instant.
-        rows = common.run(ablations, quick=True,
-                          runner=StubSweepRunner())
+        rows = run_experiment(ablations, quick=True,
+                              runner=StubSweepRunner())
         dims = {r["ablation"] for r in rows}
         assert dims == {"policy", "txop", "buffer", "delack"}
         policies = [r["variant"] for r in rows
@@ -44,10 +44,10 @@ class TestRunAll:
 
     def test_single_dimension_runners(self):
         stub = StubSweepRunner()
-        rows = common.run(ablations, quick=True, runner=stub,
-                          groups=("txop",))
+        rows = run_experiment(ablations, quick=True, runner=stub,
+                              groups=("txop",))
         assert {r["ablation"] for r in rows} == {"txop"}
         assert all(r["improvement_pct"] == 0.0 for r in rows)
         # One spec, tcp+hack per variant, one quick seed each.
         assert len(stub.specs) == 1
-        assert len(stub.specs[0]) == 2 * len(ablations.TXOP_VARIANTS)
+        assert len(stub.specs[0].points) == 2 * len(ablations.TXOP_VARIANTS)

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.experiments import aqm_pacing, common, runner
+from repro.experiments import aqm_pacing, runner
 from repro.experiments.batch import SweepRunner
+
+from tests.helpers import run_experiment
 
 SCHEMA = {"figure", "transport", "qdisc", "scheme", "flows_completed",
           "flows_censored", "fct_p50_ms", "fct_p99_ms", "aqm_drops",
@@ -18,9 +20,9 @@ TRIM_QDISCS = ("droptail", "codel")
 
 @pytest.fixture(scope="module")
 def quick_rows(sweep_cache_runner):
-    return common.run(aqm_pacing, quick=True,
-                      transports=TRIM_TRANSPORTS, qdiscs=TRIM_QDISCS,
-                      runner=sweep_cache_runner)
+    return run_experiment(aqm_pacing, quick=True,
+                          transports=TRIM_TRANSPORTS, qdiscs=TRIM_QDISCS,
+                          runner=sweep_cache_runner)
 
 
 class TestHarness:
@@ -31,7 +33,7 @@ class TestHarness:
         spec = aqm_pacing.sweep_spec(quick=True)
         assert spec.name == "aqm_pacing"
         # transports x qdiscs x schemes x one quick seed
-        assert len(spec) == 4 * 3 * 2
+        assert len(spec.points) == 4 * 3 * 2
         configs = [p.config for p in spec.points]
         assert all(c.traffic == "dynamic" for c in configs)
         assert all(c.udp_background_mbps == 50.0 for c in configs)
@@ -77,17 +79,17 @@ class TestHarness:
                 aqm_pacing.check_rows(rows)
 
     def test_rows_deterministic(self, quick_rows, sweep_cache_runner):
-        again = common.run(aqm_pacing, quick=True,
-                           transports=TRIM_TRANSPORTS,
-                           qdiscs=TRIM_QDISCS,
-                           runner=sweep_cache_runner)
+        again = run_experiment(aqm_pacing, quick=True,
+                               transports=TRIM_TRANSPORTS,
+                               qdiscs=TRIM_QDISCS,
+                               runner=sweep_cache_runner)
         assert quick_rows == again
 
     def test_parallel_matches_serial(self, quick_rows):
-        parallel = common.run(aqm_pacing, quick=True,
-                              transports=TRIM_TRANSPORTS,
-                              qdiscs=TRIM_QDISCS,
-                              runner=SweepRunner(jobs=2))
+        parallel = run_experiment(aqm_pacing, quick=True,
+                                  transports=TRIM_TRANSPORTS,
+                                  qdiscs=TRIM_QDISCS,
+                                  runner=SweepRunner(jobs=2))
         assert parallel == quick_rows
 
     def test_format_rows_renders(self, quick_rows):

@@ -17,22 +17,24 @@ from repro.experiments.batch import SweepRecord, SweepResult, \
 from repro.sim.units import MS
 from repro.workloads.scenarios import ScenarioConfig
 
+from tests.helpers import aggregate, grid_spec, spec_keys
+
 #: Short but non-trivial windows so four runs stay around a second.
 FAST = dict(duration_ns=400 * MS, warmup_ns=200 * MS, stagger_ns=0)
 
 
 def fast_spec(seeds=(1, 2)) -> SweepSpec:
-    return SweepSpec.grid("unit", FAST, {"n_clients": [1, 2]},
-                          seeds=seeds)
+    return grid_spec("unit", FAST, {"n_clients": [1, 2]},
+                     seeds=seeds)
 
 
 class TestSpec:
     def test_grid_crosses_axes_and_seeds(self):
-        spec = SweepSpec.grid(
+        spec = grid_spec(
             "g", FAST, {"n_clients": [1, 2], "data_rate_mbps": [54.0]},
             seeds=(1, 2, 3))
-        assert len(spec) == 6
-        assert spec.keys() == [(1, 54.0), (2, 54.0)]
+        assert len(spec.points) == 6
+        assert spec_keys(spec) == [(1, 54.0), (2, 54.0)]
         assert {p.config.seed for p in spec.points} == {1, 2, 3}
         assert all(p.kind == "scenario" for p in spec.points)
 
@@ -58,27 +60,27 @@ class TestSpec:
     def test_grid_axis_overrides_base_field(self):
         # Regression: an axis field that also appears in ``base`` used
         # to raise "got multiple values for keyword argument".
-        spec = SweepSpec.grid(
+        spec = grid_spec(
             "x", dict(FAST, n_clients=2), {"n_clients": [1, 2]},
             seeds=(1,))
         assert [p.config.n_clients for p in spec.points] == [1, 2]
-        assert spec.keys() == [(1,), (2,)]
+        assert spec_keys(spec) == [(1,), (2,)]
 
     def test_grid_seed_overrides_base_seed(self):
-        spec = SweepSpec.grid(
+        spec = grid_spec(
             "x", dict(FAST, seed=99), {"n_clients": [1]}, seeds=(1, 2))
         assert [p.config.seed for p in spec.points] == [1, 2]
 
 
 class TestSignatures:
     def test_stable_for_equal_configs(self):
-        a = SweepSpec.grid("s", FAST, {"n_clients": [1]}, seeds=(1,))
-        b = SweepSpec.grid("s", FAST, {"n_clients": [1]}, seeds=(1,))
+        a = grid_spec("s", FAST, {"n_clients": [1]}, seeds=(1,))
+        b = grid_spec("s", FAST, {"n_clients": [1]}, seeds=(1,))
         assert point_signature(a.points[0]) == \
             point_signature(b.points[0])
 
     def test_sensitive_to_any_config_field(self):
-        base = SweepSpec.grid("s", FAST, {"n_clients": [1]}, seeds=(1,))
+        base = grid_spec("s", FAST, {"n_clients": [1]}, seeds=(1,))
         changed = SweepSpec("s")
         changed.add_scenario((1,), ScenarioConfig(
             n_clients=1, seed=1,
@@ -101,9 +103,9 @@ class TestExecution:
             [r.key for r in parallel.records]
         assert [r.metrics for r in serial.records] == \
             [r.metrics for r in parallel.records]
-        assert serial.aggregate("aggregate_goodput_mbps") == \
-            parallel.aggregate("aggregate_goodput_mbps")
-        assert parallel.executed == len(spec)
+        assert aggregate(serial, "aggregate_goodput_mbps") == \
+            aggregate(parallel, "aggregate_goodput_mbps")
+        assert parallel.executed == len(spec.points)
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):
@@ -183,8 +185,8 @@ class TestPersistence:
             json.loads(json.dumps(result.to_json_dict(), indent=1)))
         assert loaded.spec_name == result.spec_name
         assert loaded.keys() == result.keys()
-        assert loaded.aggregate("aggregate_goodput_mbps") == \
-            result.aggregate("aggregate_goodput_mbps")
+        assert aggregate(loaded, "aggregate_goodput_mbps") == \
+            aggregate(result, "aggregate_goodput_mbps")
         assert all(isinstance(r.key, tuple) for r in loaded.records)
 
     def test_load_rejects_foreign_json(self):
@@ -227,8 +229,8 @@ def analytic_spec(n=3) -> SweepSpec:
 
 def second_spec() -> SweepSpec:
     """Shares its n_clients=2 point with ``fast_spec(seeds=(1,))``."""
-    return SweepSpec.grid("second", FAST, {"n_clients": [2, 3]},
-                          seeds=(1,))
+    return grid_spec("second", FAST, {"n_clients": [2, 3]},
+                     seeds=(1,))
 
 
 @pytest.fixture
@@ -282,7 +284,7 @@ class TestWorkerRule:
         # Once a pool starts it takes every pending point, analytic
         # ones included.
         assert pools.submitted == spec.points
-        assert result.executed == len(spec) == len(pools.calls)
+        assert result.executed == len(spec.points) == len(pools.calls)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         SweepRunner().run(spec)
         assert pools.sizes == [4, 2]
@@ -315,7 +317,7 @@ class TestWorkerRule:
         del pools.calls[:]
         result = SweepRunner().run(spec)
         assert pools.sizes == [2]        # no second pool
-        assert result.executed == len(spec) == len(pools.calls)
+        assert result.executed == len(spec.points) == len(pools.calls)
 
 
 class TestSchedule:
@@ -359,10 +361,10 @@ class TestSchedule:
         """A serial run stores no entry for a failed point, so the
         later spec misses the cache and runs it itself: in a pool
         (the default) and in-process (``jobs=1``) alike."""
-        first = SweepSpec.grid("first", FAST, {"n_clients": [99]},
-                               seeds=(1,))
-        second = SweepSpec.grid("second", FAST, {"n_clients": [99, 1]},
-                                seeds=(1,))
+        first = grid_spec("first", FAST, {"n_clients": [99]},
+                          seeds=(1,))
+        second = grid_spec("second", FAST, {"n_clients": [99, 1]},
+                           seeds=(1,))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for jobs in (None, 1):
             del pools.calls[:]

@@ -22,13 +22,15 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cli import main as cli_main
-from repro.experiments import adversarial, city_scale, common, runner
+from repro.experiments import adversarial, city_scale, runner
 from repro.experiments.batch import ENGINE_VERSION, SweepRecord, \
     SweepResult, SweepRunner
 from repro.experiments.runner import EXPERIMENTS
 from repro.rohc.decompressor import Decompressor
 
 from tests.experiments.conftest import QUICK_SCOPES
+
+from tests.helpers import run_experiment
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -334,8 +336,8 @@ class TestContractsOnTrimmedExtensionGrids:
     and mutated in theirs."""
 
     def test_city_scale(self, sweep_cache_runner):
-        rows = common.run(city_scale, quick=True, city_cells=(12,),
-                          runner=sweep_cache_runner)
+        rows = run_experiment(city_scale, quick=True, city_cells=(12,),
+                              runner=sweep_cache_runner)
         assert city_scale.check_rows(rows).startswith(
             "city_scale: 2 clause(s) hold")
         rows, row = mutated(rows, {"scheme": "TCP/802.11"},
@@ -345,8 +347,8 @@ class TestContractsOnTrimmedExtensionGrids:
         assert str(row) in str(failure.value)
 
     def test_adversarial(self, sweep_cache_runner):
-        rows = common.run(adversarial, quick=True, attacks=("mutator",),
-                          runner=sweep_cache_runner)
+        rows = run_experiment(adversarial, quick=True, attacks=("mutator",),
+                              runner=sweep_cache_runner)
         assert adversarial.check_rows(rows).startswith(
             "adversarial: 22 clause(s) hold; 6 cells resilient, 2 ")
         hack = {"scheme": "TCP/HACK More Data"}
@@ -378,8 +380,8 @@ class TestContractsOnTrimmedExtensionGrids:
         signatures)."""
         monkeypatch.setattr(Decompressor, "_mark_recovered",
                             lambda self, cid: None)
-        rows = common.run(adversarial, quick=True, attacks=("mutator",),
-                          runner=SweepRunner(jobs=1))
+        rows = run_experiment(adversarial, quick=True, attacks=("mutator",),
+                              runner=SweepRunner(jobs=1))
         mutated_hack = [row for row in rows if "HACK" in row["scheme"]
                         and row["intensity"] > 0]
         assert all(row["recoveries"] == 0 and row["desync_events"] > 0

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.experiments import common, fct_churn, runner
+from repro.experiments import fct_churn, runner
 from repro.experiments.batch import SweepRunner
+
+from tests.helpers import run_experiment
 
 SCHEMA = {"figure", "shape", "load", "scheme", "flows_completed",
           "flows_censored", "fct_p50_ms", "fct_p95_ms", "fct_p99_ms",
@@ -13,8 +15,8 @@ SCHEMA = {"figure", "shape", "load", "scheme", "flows_completed",
 @pytest.fixture(scope="module")
 def quick_rows(sweep_cache_runner):
     # Trimmed grid: one load level, both shapes, both policies.
-    return common.run(fct_churn, quick=True, loads=("high",),
-                      runner=sweep_cache_runner)
+    return run_experiment(fct_churn, quick=True, loads=("high",),
+                          runner=sweep_cache_runner)
 
 
 class TestHarness:
@@ -25,7 +27,7 @@ class TestHarness:
         spec = fct_churn.sweep_spec(quick=True)
         assert spec.name == "fct_churn"
         # shapes x loads x schemes x one quick seed
-        assert len(spec) == 2 * 2 * 2
+        assert len(spec.points) == 2 * 2 * 2
         assert all(p.config.traffic == "dynamic" for p in spec.points)
 
     def test_row_schema(self, quick_rows):
@@ -47,14 +49,14 @@ class TestHarness:
             fct_churn.check_rows(starved)
 
     def test_rows_deterministic(self, quick_rows, sweep_cache_runner):
-        again = common.run(fct_churn, quick=True, loads=("high",),
-                           runner=sweep_cache_runner)
+        again = run_experiment(fct_churn, quick=True, loads=("high",),
+                               runner=sweep_cache_runner)
         assert quick_rows == again
 
     def test_deterministic_without_cache(self):
         kwargs = dict(quick=True, shapes=("web",), loads=("high",))
-        assert common.run(fct_churn, **kwargs) \
-            == common.run(fct_churn, **kwargs)
+        assert run_experiment(fct_churn, **kwargs) \
+            == run_experiment(fct_churn, **kwargs)
 
     def test_format_rows_renders(self, quick_rows):
         text = fct_churn.format_rows(quick_rows)
@@ -63,6 +65,6 @@ class TestHarness:
         assert "HACK changes p50 FCT" in text
 
     def test_parallel_matches_serial(self, quick_rows):
-        parallel = common.run(fct_churn, quick=True, loads=("high",),
-                              runner=SweepRunner(jobs=2))
+        parallel = run_experiment(fct_churn, quick=True, loads=("high",),
+                                  runner=SweepRunner(jobs=2))
         assert parallel == quick_rows

@@ -41,6 +41,6 @@ def test_fig10_deterministic_without_cache():
 def test_every_experiment_declares_a_sweep():
     for name, module in EXPERIMENTS.items():
         spec = module.sweep_spec(quick=True)
-        assert len(spec) > 0, f"{name}: empty sweep spec"
+        assert len(spec.points) > 0, f"{name}: empty sweep spec"
         assert spec.name == name
         assert all(point.key for point in spec.points)

@@ -10,6 +10,8 @@ import pytest
 from repro.experiments import ablations, common, crossval, fig01, \
     fig09, fig10, fig11, fig12, runner, table2, table3
 
+from tests.helpers import run_experiment
+
 
 class TestCommon:
     def test_seeds(self):
@@ -27,12 +29,12 @@ class TestCommon:
 
 class TestFig01:
     def test_rows_cover_both_figures(self):
-        rows = common.run(fig01)
+        rows = run_experiment(fig01)
         assert {r["figure"] for r in rows} == {"1a", "1b"}
         assert all(r["hack_mbps"] > r["tcp_mbps"] for r in rows)
 
     def test_format(self):
-        out = fig01.format_rows(common.run(fig01))
+        out = fig01.format_rows(run_experiment(fig01))
         assert "Figure 1a" in out and "Figure 1b" in out
 
 
@@ -40,8 +42,8 @@ class TestSimulationHarnesses:
     """One tiny run through each sim-backed harness."""
 
     def test_fig11_minimal(self):
-        rows = common.run(fig11, quick=True, snrs=(26.0,),
-                          rates=(150.0,))
+        rows = run_experiment(fig11, quick=True, snrs=(26.0,),
+                              rates=(150.0,))
         assert len(rows) == 1
         row = rows[0]
         assert row["hack_envelope_mbps"] > 0
@@ -49,13 +51,13 @@ class TestSimulationHarnesses:
         assert "improvement" in fig11.format_rows(rows)
 
     def test_fig12_minimal(self):
-        rows = common.run(fig12, quick=True, rates=(150.0,))
+        rows = run_experiment(fig12, quick=True, rates=(150.0,))
         assert rows[0]["sim_tcp_mbps"] <= \
             1.05 * rows[0]["theory_tcp_mbps"]
         assert "Figure 12" in fig12.format_rows(rows)
 
     def test_fig10_minimal(self):
-        rows = common.run(fig10, quick=True, client_counts=(1,))
+        rows = run_experiment(fig10, quick=True, client_counts=(1,))
         schemes = {r["scheme"] for r in rows}
         assert len(schemes) == 4
         assert "Figure 10" in fig10.format_rows(rows)

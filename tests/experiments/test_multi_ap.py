@@ -10,8 +10,10 @@ churn cells complete flows and a second cell collides more.
 
 import pytest
 
-from repro.experiments import common, multi_ap, runner
+from repro.experiments import multi_ap, runner
 from repro.experiments.batch import SweepRunner
+
+from tests.helpers import run_experiment
 
 SCHEMA = {"figure", "workload", "cells", "scheme", "combined_mbps",
           "per_cell_mbps", "cell_jain", "airtime_sum",
@@ -21,7 +23,7 @@ SCHEMA = {"figure", "workload", "cells", "scheme", "combined_mbps",
 
 @pytest.fixture(scope="module")
 def quick_rows(sweep_cache_runner):
-    return common.run(multi_ap, quick=True, runner=sweep_cache_runner)
+    return run_experiment(multi_ap, quick=True, runner=sweep_cache_runner)
 
 
 class TestHarness:
@@ -32,7 +34,7 @@ class TestHarness:
         spec = multi_ap.sweep_spec(quick=True)
         assert spec.name == "multi_ap"
         # workloads x cell counts x schemes x one quick seed
-        assert len(spec) == 2 * 3 * 2
+        assert len(spec.points) == 2 * 3 * 2
         cells = {p.config.cells for p in spec.points}
         assert cells == {1, 2, 3}
         assert all(p.config.n_clients == multi_ap.CLIENTS_PER_CELL
@@ -72,8 +74,8 @@ class TestHarness:
                 multi_ap.check_rows(rows)
 
     def test_rows_deterministic(self, quick_rows, sweep_cache_runner):
-        again = common.run(multi_ap, quick=True,
-                           runner=sweep_cache_runner)
+        again = run_experiment(multi_ap, quick=True,
+                               runner=sweep_cache_runner)
         assert quick_rows == again
 
     def test_parallel_rows_identical_to_serial(self, quick_rows):
@@ -81,10 +83,10 @@ class TestHarness:
         uncached parallel pass stays CI-sized."""
         kwargs = dict(quick=True, cell_counts=(1, 2),
                       workloads=("static",))
-        serial = common.run(multi_ap, **kwargs,
-                            runner=SweepRunner(jobs=1))
-        parallel = common.run(multi_ap, **kwargs,
-                              runner=SweepRunner(jobs=2))
+        serial = run_experiment(multi_ap, **kwargs,
+                                runner=SweepRunner(jobs=1))
+        parallel = run_experiment(multi_ap, **kwargs,
+                                  runner=SweepRunner(jobs=2))
         assert serial == parallel
         trimmed = [r for r in quick_rows
                    if r["workload"] == "static" and r["cells"] in (1, 2)]

@@ -28,6 +28,8 @@ from repro.experiments.batch import ENGINE_VERSION, RESULT_VERSION, \
 from repro.experiments.progress import format_status, sweep_status
 from repro.sim.units import MS
 
+from tests.helpers import aggregate, grid_spec
+
 FAST = dict(duration_ns=400 * MS, warmup_ns=200 * MS, stagger_ns=0)
 
 
@@ -63,8 +65,8 @@ def is_running(pid: int) -> bool:
 
 
 def scenario_spec(seeds=(1, 2, 3)) -> SweepSpec:
-    return SweepSpec.grid("resume", FAST, {"n_clients": [1, 2]},
-                          seeds=seeds)
+    return grid_spec("resume", FAST, {"n_clients": [1, 2]},
+                     seeds=seeds)
 
 
 def analytic_spec(n=3, **kwargs) -> SweepSpec:
@@ -215,9 +217,10 @@ class TestIncrementalCheckpointing:
         re-execute and the final rows match an uninterrupted run."""
         cache_dir = tmp_path / "cache"
         script = textwrap.dedent(f"""
-            from repro.experiments.batch import SweepRunner, SweepSpec
+            from repro.experiments.batch import SweepRunner
             from repro.sim.units import MS
-            spec = SweepSpec.grid(
+            from tests.helpers import grid_spec
+            spec = grid_spec(
                 "resume",
                 dict(duration_ns=400 * MS, warmup_ns=200 * MS,
                      stagger_ns=0),
@@ -243,14 +246,14 @@ class TestIncrementalCheckpointing:
         spec = scenario_spec(seeds=(1, 2, 3))
         resumed = SweepRunner(cache_dir=cache_dir).run(spec)
         assert resumed.cache_hits >= 1
-        assert resumed.executed == len(spec) - resumed.cache_hits
+        assert resumed.executed == len(spec.points) - resumed.cache_hits
         assert resumed.failed == 0
 
         fresh = SweepRunner().run(spec)
         assert [r.metrics for r in resumed.records] == \
             [r.metrics for r in fresh.records]
-        assert resumed.aggregate("aggregate_goodput_mbps") == \
-            fresh.aggregate("aggregate_goodput_mbps")
+        assert aggregate(resumed, "aggregate_goodput_mbps") == \
+            aggregate(fresh, "aggregate_goodput_mbps")
 
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
@@ -316,7 +319,7 @@ class TestGracefulInterrupt:
         # Resume: the flushed points come from cache, the rest run.
         resumed = SweepRunner(cache_dir=tmp_path).run(spec)
         assert resumed.cache_hits == 2
-        assert resumed.executed == len(spec) - 2
+        assert resumed.executed == len(spec.points) - 2
         fresh = SweepRunner().run(spec)
         assert [r.metrics for r in resumed.records] == \
             [r.metrics for r in fresh.records]
@@ -354,7 +357,7 @@ class TestGracefulInterrupt:
         assert excinfo.value.signum == signal.SIGTERM
         partial = excinfo.value.result
         assert partial.interrupted is True
-        assert 1 <= partial.executed < len(spec)
+        assert 1 <= partial.executed < len(spec.points)
 
     def test_partial_artifact_is_marked_interrupted(self, tmp_path):
         spec = scenario_spec(seeds=(1, 2))

@@ -7,7 +7,7 @@ from repro.mac.blockack import BLOCK_ACK_WINDOW, BlockAckOriginator, \
     BlockAckRecipient
 from repro.mac.frames import Mpdu
 
-from tests.helpers import FakePayload
+from tests.helpers import FakePayload, has_seen
 from tests.mac.set_scoreboard import SetScoreboardRecipient
 
 
@@ -143,7 +143,7 @@ class TestRecipient:
         rec = BlockAckRecipient(history=64)
         for seq in range(500):
             self.record(rec, seq)
-        assert rec.has_seen(499)
+        assert has_seen(rec, 499)
         assert not self.record(rec, 499)
         # Very old state may be pruned, but recent window is intact.
         assert rec.acked_set(499 - 63)
@@ -197,7 +197,7 @@ class TestScoreboardAgainstTheSet:
                 assert flags.acked_set(top + arg) \
                     == oracle.acked_set(top + arg)
             else:
-                assert flags.has_seen(top + arg) \
+                assert has_seen(flags, top + arg) \
                     == oracle.has_seen(top + arg)
             assert flags.max_seq == oracle.max_seq
             assert flags.next_expected == oracle.next_expected

@@ -29,7 +29,8 @@ from repro.sim.engine import Simulator, Timer
 from repro.sim.medium import Medium
 from repro.sim.units import msec, usec
 
-from tests.helpers import FakeFrame, FakePayload, RecordingListener
+from tests.helpers import FakeFrame, FakePayload, RecordingListener, \
+    schedule_at
 from tests.mac.slotted_reference import EagerDcfMac
 from tests.mac.test_dcf import ScriptedRng
 
@@ -116,7 +117,7 @@ def run_world(kinds, setup, ops, medium_cls=Medium):
         if via is None:
             sim.schedule(at, act, action)
         elif via == "event":
-            sim.schedule(early, sim.schedule_at, at, act, action)
+            sim.schedule(early, schedule_at, sim, at, act, action)
         else:
             # Armed for ``at`` now, re-armed for ``at`` then: the timer
             # fires under the later sequence number.

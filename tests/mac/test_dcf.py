@@ -43,8 +43,8 @@ class RecordingUpper(MacUpper):
         self.responses = []
         self.payload = None  # bytes to attach to responses
 
-    def on_mpdu_delivered(self, mpdu, sender):
-        self.delivered.append((mpdu, sender))
+    def on_mpdus_delivered(self, mpdus, sender):
+        self.delivered += [(mpdu, sender) for mpdu in mpdus]
 
     def on_data_ppdu(self, frame, sender, readable):
         self.ppdus.append((frame, sender, list(readable)))

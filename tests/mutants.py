@@ -174,14 +174,6 @@ MUTANTS = (
            "        readable = frame.mpdus\n",
            "        readable = frame.mpdus[1:] or frame.mpdus\n",
            (PINS + "test_lossless_fast_paths_match_the_general_paths",)),
-    Mutant("split-to-aifs-attaches-the-whole-buffer",
-           "src/repro/core/driver.py",
-           "            entries = entries[:self._aifs_prefix_len(ps)]\n",
-           "            entries = entries[:]\n",
-           ("tests/core/test_split_to_aifs.py::TestSplitting::"
-            "test_large_buffer_is_limited",
-            "tests/workloads/test_lossy_policies.py::TestSplitUnderLoss::"
-            "test_split_mode_stays_correct")),
     Mutant("loses-ppdus-ignores-ppdu-lost",
            "src/repro/phy/errors.py",
            "not (_keeps_base(model, \"is_lost\")\n"

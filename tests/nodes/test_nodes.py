@@ -95,27 +95,6 @@ class TestUdpSource:
         gaps = {b - a for a, b in zip(sent_times, sent_times[1:])}
         assert len(gaps) == 1  # constant bit rate
 
-    def test_stop(self, sim):
-        server = ServerNode(sim)
-
-        class Link:
-            def __init__(self):
-                self.count = 0
-
-            def sender_for(self, endpoint):
-                return self.send
-
-            def send(self, packet):
-                self.count += 1
-
-        link = Link()
-        server.attach_link(link)
-        source = UdpSource(sim, server, "C1", rate_mbps=100.0)
-        source.start()
-        sim.schedule(1 * MS, source.stop)
-        sim.run(until=10 * MS)
-        assert link.count < 15
-
 
 class TestApBridge:
     def test_wired_to_wifi(self, sim):

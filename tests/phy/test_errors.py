@@ -5,10 +5,9 @@ import random
 import pytest
 
 from repro.phy.errors import HT40_SNR_MIDPOINT_DB, LEGACY_SNR_MIDPOINT_DB, \
-    NoLoss, SnrLossModel, UniformLossModel, per_from_snr, \
-    snr_from_distance
+    NoLoss, SnrLossModel, UniformLossModel, per_from_snr
 
-from tests.helpers import FakeFrame
+from tests.helpers import FakeFrame, snr_from_distance
 
 
 class Receiver:

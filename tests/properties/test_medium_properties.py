@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
 
-from tests.helpers import FakeFrame, RecordingListener
+from tests.helpers import FakeFrame, RecordingListener, cell_keys
 
 #: One scheduled transmission: (cell, start_ns, duration_ns).
 TX = st.tuples(st.integers(0, 2), st.integers(0, 2000),
@@ -119,13 +119,13 @@ class TestBusyWindowProperties:
         for i, (cell, start, duration) in enumerate(txs):
             if not overlaps_another(i):
                 expected[cell] = expected.get(cell, 0) + duration
-        for cell in medium.cell_keys():
+        for cell in cell_keys(medium):
             assert medium.cell_stats(cell)["airtime_ns"] == \
                 expected.get(cell, 0)
         # Clean airtime is globally disjoint: cells can never jointly
         # claim more than the busy union.
         assert sum(medium.cell_stats(c)["airtime_ns"]
-                   for c in medium.cell_keys()) <= medium.busy_time
+                   for c in cell_keys(medium)) <= medium.busy_time
 
     @settings(max_examples=80, deadline=None)
     @given(txs=st.lists(TX, min_size=1, max_size=14),
@@ -133,7 +133,7 @@ class TestBusyWindowProperties:
     def test_cell_shares_sum_below_one(self, txs, window):
         medium, _ = build_and_run(txs)
         shares = [medium.cell_airtime_share(c, window)
-                  for c in medium.cell_keys()]
+                  for c in cell_keys(medium)]
         assert all(0.0 <= share <= 1.0 for share in shares)
         # Shares are exact (un-clamped) whenever the window covers the
         # run, so the disjointness argument bounds their sum by 1.
@@ -195,7 +195,7 @@ class TestMultiChannelProperties:
         total = 0.0
         for medium in media.values():
             shares = sum(medium.cell_airtime_share(c, window)
-                         for c in medium.cell_keys())
+                         for c in cell_keys(medium))
             assert 0.0 <= shares <= 1.0
             total += shares
         assert total <= len(media)

@@ -8,7 +8,7 @@ from repro.sim.medium import Medium
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.segment import TcpSegment
 
-from tests.helpers import FakeFrame, RecordingListener
+from tests.helpers import FakeFrame, RecordingListener, schedule_at
 
 MSS = 1460
 
@@ -59,7 +59,7 @@ class TestMediumProperties:
         for i, (start, duration) in enumerate(txs):
             frame = FakeFrame(f"f{i}")
             frames.append((frame, start, start + duration))
-            sim.schedule_at(start,
+            schedule_at(sim, start,
                             lambda s=senders[i], f=frame, d=duration:
                             medium.transmit(s, f, d))
         sim.run()

@@ -12,6 +12,8 @@ from typing import Any, Callable
 
 from repro.sim.engine import Simulator
 
+from tests.helpers import schedule_at
+
 
 class EagerTrain:
     def __init__(self, sim: Simulator, deliver: Callable[[Any], Any]):
@@ -19,4 +21,4 @@ class EagerTrain:
         self.deliver = deliver
 
     def push(self, time: int, arg: Any) -> None:
-        self.sim.schedule_at(time, self.deliver, arg)
+        schedule_at(self.sim, time, self.deliver, arg)

@@ -8,6 +8,8 @@ import pytest
 from repro.sim.engine import Simulator, Timer
 from repro.sim.units import SEC, usec
 
+from tests.helpers import pending_events, schedule_at
+
 
 class TestScheduling:
     def test_runs_in_time_order(self, sim):
@@ -52,7 +54,7 @@ class TestScheduling:
         sim.schedule(100, lambda: None)
         sim.run()
         with pytest.raises(ValueError):
-            sim.schedule_at(50, lambda: None)
+            schedule_at(sim, 50, lambda: None)
 
     def test_events_scheduled_during_run(self, sim):
         log = []
@@ -84,7 +86,7 @@ class TestCancellation:
         sim.schedule(10, lambda: None)
         event = sim.schedule(20, lambda: None)
         event.cancel()
-        assert sim.pending_events == 1
+        assert pending_events(sim) == 1
 
 
 class TestRunControl:
@@ -111,14 +113,6 @@ class TestRunControl:
         assert executed == 3
         assert log == [0, 1, 2]
 
-    def test_stop_from_callback(self, sim):
-        log = []
-        sim.schedule(1, lambda: (log.append("a"), sim.stop()))
-        sim.schedule(2, lambda: log.append("b"))
-        sim.run()
-        assert log[0][0] == "a" if isinstance(log[0], tuple) else True
-        assert "b" not in log
-
     def test_clock_advances_to_horizon_when_drained(self, sim):
         sim.schedule(10, lambda: None)
         sim.run(until=1 * SEC)
@@ -132,7 +126,7 @@ class TestRunControl:
         sim.run(until=50)
         assert sim.now == 100
         with pytest.raises(ValueError, match="in the past"):
-            sim.schedule_at(60, lambda: None)
+            schedule_at(sim, 60, lambda: None)
         assert sim.run() == 1 and sim.now == 200
 
     def test_run_returns_event_count(self, sim):
@@ -167,7 +161,7 @@ class TestHeapHygiene:
         assert peak <= 2 * 64 + 2  # compaction threshold, not 10^6
         assert sim.stats.cancelled == 1_000_000
         assert sim.stats.compactions > 1_000
-        assert sim.pending_events == 1
+        assert pending_events(sim) == 1
 
     def test_compaction_does_not_lose_or_reorder_events(self, sim):
         log = []
@@ -194,15 +188,15 @@ class TestHeapHygiene:
                 sim.run(max_events=rng.randint(1, 5))
                 live = [e for e in live
                         if not e.cancelled and e.time > sim.now]
-            assert sim.pending_events == brute_force_pending(sim)
+            assert pending_events(sim) == brute_force_pending(sim)
 
     def test_cancel_after_execution_is_harmless(self, sim):
         event = sim.schedule(10, lambda: None)
         sim.schedule(20, lambda: None)
         sim.run()
-        before = sim.pending_events
+        before = pending_events(sim)
         event.cancel()  # already ran; must not corrupt live counts
-        assert sim.pending_events == before == 0
+        assert pending_events(sim) == before == 0
         assert sim.stats.cancelled == 0
 
     def test_stats_counters(self, sim):

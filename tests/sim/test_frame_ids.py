@@ -22,8 +22,8 @@ class _IdRecorder(MacUpper):
     def __init__(self):
         self.frame_ids = []
 
-    def on_mpdu_delivered(self, mpdu, sender):
-        self.frame_ids.append(mpdu.frame_id)
+    def on_mpdus_delivered(self, mpdus, sender):
+        self.frame_ids += [mpdu.frame_id for mpdu in mpdus]
 
 
 class _Rng:

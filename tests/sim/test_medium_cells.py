@@ -7,7 +7,7 @@ import pytest
 from repro.sim.medium import DEFAULT_CELL, Medium
 from repro.sim.units import usec
 
-from tests.helpers import FakeFrame, RecordingListener
+from tests.helpers import FakeFrame, RecordingListener, cell_keys, cell_of
 
 
 class AddressedListener(RecordingListener):
@@ -108,7 +108,7 @@ class TestCellAccounting:
             medium.attach(ap_a, cell=1)
         with pytest.raises(ValueError, match=repr(ap_a)):
             medium.attach(ap_a, cell=0)
-        assert medium.cell_of(ap_a) == 0
+        assert cell_of(medium, ap_a) == 0
         assert medium.listeners.count(ap_a) == 1
         medium.transmit(object(), FakeFrame(dst="nobody"), usec(10))
         sim.run()
@@ -117,10 +117,10 @@ class TestCellAccounting:
 
     def test_cell_keys_and_cell_of(self, sim):
         medium, (ap_a, _), (ap_b, _) = two_cells(sim)
-        assert medium.cell_keys() == [0, 1]
-        assert medium.cell_of(ap_a) == 0
-        assert medium.cell_of(ap_b) == 1
-        assert medium.cell_of(object()) == DEFAULT_CELL
+        assert cell_keys(medium) == [0, 1]
+        assert cell_of(medium, ap_a) == 0
+        assert cell_of(medium, ap_b) == 1
+        assert cell_of(medium, object()) == DEFAULT_CELL
 
     def test_clean_airtime_credited_to_sender_cell(self, sim):
         medium, (ap_a, _), (ap_b, _) = two_cells(sim)

@@ -2,6 +2,8 @@
 
 from repro.sim.rng import RngRegistry, _stable_hash
 
+from tests.helpers import stream_names
+
 
 class TestStreams:
     def test_same_seed_same_sequence(self):
@@ -57,7 +59,7 @@ class TestNamespace:
         reg = RngRegistry(1)
         reg.stream("mac-AP")
         reg.namespace("traffic").stream("poisson")
-        assert reg.stream_names() == ["mac-AP", "traffic:poisson"]
+        assert stream_names(reg) == ["mac-AP", "traffic:poisson"]
 
 
 class TestStableHash:

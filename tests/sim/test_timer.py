@@ -20,6 +20,8 @@ from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
 from repro.tcp.segment import TcpSegment
 
+from tests.helpers import pending_events
+
 
 class EagerTimer:
     """The reference: every arm is a cancel and a fresh event."""
@@ -80,7 +82,7 @@ def execute(timer_cls, program):
     refires = [list(delays) for delays in refires]
 
     def fired(index):
-        log.append((sim.now, f"T{index}", sim.pending_events))
+        log.append((sim.now, f"T{index}", pending_events(sim)))
         if refires[index]:
             timers[index].arm(refires[index].pop(0))
 
@@ -94,8 +96,8 @@ def execute(timer_cls, program):
             timers[op[1]].cancel()
         else:
             sim.schedule(op[1], lambda: log.append(
-                (sim.now, f"E{number}", sim.pending_events)))
-        log.append((sim.now, f"op{number}", sim.pending_events,
+                (sim.now, f"E{number}", pending_events(sim))))
+        log.append((sim.now, f"op{number}", pending_events(sim),
                     tuple(timer.armed for timer in timers)))
 
     for number, (at, op) in enumerate(ops):
@@ -103,8 +105,8 @@ def execute(timer_cls, program):
     counts = []
     for chunk in chunks:
         counts.append((sim.run(max_events=chunk), sim.now,
-                       sim.pending_events))
-    counts.append((sim.run(), sim.now, sim.pending_events))
+                       pending_events(sim)))
+    counts.append((sim.run(), sim.now, pending_events(sim)))
     return log, counts, sim.stats.executed
 
 
@@ -121,10 +123,10 @@ class TestTimer:
         assert not timer.armed and timer.deadline is None
         timer.arm(10)
         assert timer.armed and timer.deadline == 10
-        assert sim.pending_events == 1
+        assert pending_events(sim) == 1
         assert sim.run() == 1
         assert fired == [(10, False)]
-        assert timer.deadline is None and sim.pending_events == 0
+        assert timer.deadline is None and pending_events(sim) == 0
 
     def test_rearm_later_is_absorbed_without_a_push(self, sim):
         fired = []
@@ -145,7 +147,7 @@ class TestTimer:
         timer.arm(100)
         timer.arm(10)
         assert timer.deadline == 10
-        assert sim.pending_events == 1 and len(sim._heap) == 2
+        assert pending_events(sim) == 1 and len(sim._heap) == 2
         sim.run()
         assert fired == [10]
         assert sim.stats.executed == 1
@@ -183,7 +185,7 @@ class TestTimer:
             timer.cancel()
             sim.run(until=sim.now + 10)
         assert sim.stats.scheduled == 1 and sim.stats.timer_rearms == 4
-        assert sim.pending_events == 0 and fired == []
+        assert pending_events(sim) == 0 and fired == []
         timer.arm(100)
         sim.run()
         assert fired == [150]
@@ -195,21 +197,21 @@ class TestTimer:
         sim.run(max_events=1)
         timer.cancel()
         timer.cancel()
-        assert sim.pending_events == 1
+        assert pending_events(sim) == 1
         assert sim.stats.cancelled == 0
 
     def test_negative_delay_rejected(self, sim):
         timer = Timer(sim, lambda: None)
         with pytest.raises(ValueError, match="negative delay"):
             timer.arm(-1)
-        assert not timer.armed and sim.pending_events == 0
+        assert not timer.armed and pending_events(sim) == 0
 
     def test_closed_timer_cannot_be_armed(self, sim):
         timer = Timer(sim, lambda: None)
         timer.arm(5)
         timer.close()
         timer.close()
-        assert not timer.armed and sim.pending_events == 0
+        assert not timer.armed and pending_events(sim) == 0
         with pytest.raises(RuntimeError, match="closed"):
             timer.arm(5)
         assert sim.run() == 0
@@ -235,13 +237,13 @@ class TestStaleEntries:
             timer.arm(30)                    # stand-ins pop at t=10
         timers[3].cancel()
         sim.schedule(20, lambda: log.append("E"))
-        assert sim.pending_events == 4
+        assert pending_events(sim) == 4
         assert sim.run(max_events=1) == 1    # four stale pops, then E
         assert log == ["E"] and sim.now == 20
-        assert sim.pending_events == 3
+        assert pending_events(sim) == 3
         assert sim.run(max_events=2) == 2
         assert log == ["E", "T0", "T1"]
-        assert sim.pending_events == 1
+        assert pending_events(sim) == 1
 
     def test_stale_pops_leave_the_clock_alone(self, sim):
         timer = Timer(sim, lambda: None)
@@ -270,7 +272,7 @@ class TestStaleEntries:
             stats = sim.stats
             assert stats.scheduled == (stats.executed + stats.cancelled
                                        + sim._live + sim._parked)
-            assert sim.pending_events == \
+            assert pending_events(sim) == \
                 sum(timer.armed for timer in timers)
 
     def test_compaction_keeps_timers_and_reclaims_closed_ones(self, sim):
@@ -296,7 +298,7 @@ class TestStaleEntries:
         parked[1].arm(3_000)                 # rides its entry
         sim.run()
         assert fired == ["parked"] + list(range(10)) + ["parked"]
-        assert sim.pending_events == 0
+        assert pending_events(sim) == 0
 
 
 MSS = 1460
@@ -337,6 +339,6 @@ class TestClosedFlowsAreNotPinned:
         ref = weakref.ref(receiver)
         del receiver
         gc.collect()
-        assert len(sim._heap) == 1 and sim.pending_events == 0
+        assert len(sim._heap) == 1 and pending_events(sim) == 0
         assert ref() is None
         assert sim.run() == 0

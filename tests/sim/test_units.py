@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim.units import MS, NS, SEC, US, msec, sec, throughput_mbps, \
-    to_msec, to_sec, to_usec, transmission_time_ns, usec
+from repro.sim.units import MS, NS, SEC, US, msec, throughput_mbps, \
+    transmission_time_ns, usec
 
 
 class TestConstants:
@@ -25,14 +25,6 @@ class TestConversions:
 
     def test_msec(self):
         assert msec(1.5) == 1_500_000
-
-    def test_sec(self):
-        assert sec(2) == 2_000_000_000
-
-    def test_roundtrips(self):
-        assert to_usec(usec(110.5)) == pytest.approx(110.5)
-        assert to_msec(msec(4)) == pytest.approx(4.0)
-        assert to_sec(sec(1.25)) == pytest.approx(1.25)
 
 
 class TestTransmissionTime:

@@ -7,7 +7,8 @@ from repro.sim.engine import Simulator
 from repro.sim.units import MS, transmission_time_ns, usec
 from repro.sim.wired import WiredLink, WiredPipe
 
-from tests.helpers import FakeFrame
+from tests.helpers import FakeFrame, bytes_sent, packets_sent, pending_events, \
+    pipes
 
 
 class Sink:
@@ -59,16 +60,16 @@ class TestWiredPipe:
         pipe = WiredPipe(sim, 100.0, 0, lambda p: None)
         pipe.send(FakeFrame(byte_length=500))
         sim.run()
-        assert pipe.packets_sent == 1
-        assert pipe.bytes_sent == 500
+        assert packets_sent(pipe) == 1
+        assert bytes_sent(pipe) == 500
 
     def test_counters_reflect_serialisation_not_delivery(self, sim):
         # 8000 bits @ 8 Mbps serialise by 1 ms; propagation adds 1 ms.
         pipe = WiredPipe(sim, 8.0, MS, lambda p: None)
         pipe.send(FakeFrame(byte_length=1000))
         sim.run(until=MS + usec(1))
-        assert pipe.packets_sent == 1  # on the wire, not yet delivered
-        assert pipe.bytes_sent == 1000
+        assert packets_sent(pipe) == 1  # on the wire, not yet delivered
+        assert bytes_sent(pipe) == 1000
 
     def test_bookkeeping_stays_bounded_without_queue_limit(self, sim):
         # After its last delivery a pipe holds no per-packet state,
@@ -79,13 +80,13 @@ class TestWiredPipe:
         for _ in range(100):
             for _ in range(1000):
                 pipe.send(FakeFrame(byte_length=1000))
-            assert pipe.queue_depth == 999 and pipe.packets_sent == \
+            assert pipe.queue_depth == 999 and packets_sent(pipe) == \
                 len(delivered)
             sim.run()
             assert pipe.queue_depth == 0
-        assert len(delivered) == pipe.packets_sent == 100_000
-        assert pipe.bytes_sent == 100_000_000
-        assert sim.pending_events == 0 and len(pipe._train) == 0
+        assert len(delivered) == packets_sent(pipe) == 100_000
+        assert bytes_sent(pipe) == 100_000_000
+        assert pending_events(sim) == 0 and len(pipe._train._items) == 0
 
     def test_invalid_params(self, sim):
         with pytest.raises(ValueError):
@@ -152,7 +153,7 @@ def test_counters_and_drops_match_the_two_event_pipe(steps, delay_ns,
     delivered = []
 
     def same_counters():
-        assert (pipe.packets_sent, pipe.bytes_sent, pipe.queue_depth,
+        assert (packets_sent(pipe), bytes_sent(pipe), pipe.queue_depth,
                 pipe.packets_dropped) == (
             model.packets_sent(sim.now), model.bytes_sent(sim.now),
             model.queue_depth(sim.now), model.dropped)
@@ -173,15 +174,15 @@ def test_counters_and_drops_match_the_two_event_pipe(steps, delay_ns,
     sim.run()
     same_counters()
     assert delivered == model.deliveries()
-    assert pipe.queue_depth == 0 and len(pipe._train) == 0
+    assert pipe.queue_depth == 0 and len(pipe._train._items) == 0
 
 
 class TestWiredLink:
     def test_bidirectional(self, sim):
         a, b = Sink(), Sink()
         link = WiredLink(sim, a, b, 100.0, usec(10))
-        link.send_from(a, FakeFrame("to-b"))
-        link.send_from(b, FakeFrame("to-a"))
+        link.sender_for(a)(FakeFrame("to-b"))
+        link.sender_for(b)(FakeFrame("to-a"))
         sim.run()
         assert b.received[0].name == "to-b"
         assert a.received[0].name == "to-a"
@@ -189,8 +190,6 @@ class TestWiredLink:
     def test_foreign_endpoint_rejected(self, sim):
         a, b, c = Sink(), Sink(), Sink()
         link = WiredLink(sim, a, b, 100.0, 0)
-        with pytest.raises(ValueError):
-            link.send_from(c, FakeFrame())
         with pytest.raises(ValueError):
             link.sender_for(c)
 
@@ -206,8 +205,8 @@ class TestWiredLink:
     def test_pipes_accessor(self, sim):
         a, b = Sink(), Sink()
         link = WiredLink(sim, a, b, 100.0, 0)
-        ab, ba = link.pipes()
-        link.send_from(a, FakeFrame())
+        ab, ba = pipes(link)
+        link.sender_for(a)(FakeFrame())
         sim.run()
-        assert ab.packets_sent == 1
-        assert ba.packets_sent == 0
+        assert packets_sent(ab) == 1
+        assert packets_sent(ba) == 0

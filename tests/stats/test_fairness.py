@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from repro.stats.fairness import airtime_shares, goodput_fairness, \
-    jain_index
+from repro.stats.fairness import goodput_fairness, jain_index
 
 
 class TestJainBounds:
@@ -45,13 +44,3 @@ class TestGoodputFairness:
 
     def test_only_udp_flows_defaults_to_one(self):
         assert goodput_fairness({-1: 5.0, -2: 9.0}) == 1.0
-
-
-class TestAirtimeShares:
-    def test_normalises_and_excludes(self):
-        shares = airtime_shares({"AP": 60, "C1": 30, "C2": 10},
-                                exclude=("AP",))
-        assert shares == {"C1": 0.75, "C2": 0.25}
-
-    def test_zero_total(self):
-        assert airtime_shares({"C1": 0}) == {"C1": 0.0}

@@ -8,6 +8,8 @@ from repro.sim.units import MS, SEC
 from repro.tcp.segment import TcpSegment
 from repro.tcp.sender import TcpSender
 
+from tests.helpers import pending_events
+
 MSS = 1460
 
 
@@ -151,7 +153,7 @@ class TestPacing:
         sender.on_ack(ack_for(12 * MSS))
         assert sender.completed
         assert not sender._pacing_timer.armed
-        assert sim.pending_events == 0
+        assert pending_events(sim) == 0
 
     def test_paced_transfer_still_completes(self, sim):
         done = []

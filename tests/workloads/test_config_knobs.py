@@ -46,7 +46,6 @@ FLAG_ARGVS = {
     "--seed": ["--seed", "7"],
     "--loss": ["--loss", "0.05"],
     "--snr": ["--snr", "12"],
-    "--aarf": ["--aarf"],
     "--sora": ["--sora"],
     "--adversary": ["--adversary", "greedy"],
     "--adversary-intensity": ["--adversary", "jammer",

@@ -25,6 +25,8 @@ from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 from repro.workloads.scenarios import LossSpec, build_simulation, \
     collect, run_scenario
 
+from tests.helpers import pending_events, pipes
+
 PINNED = {
     HackPolicy.VANILLA: {
         "events_scheduled": 17_833, "events_executed": 12_749,
@@ -83,11 +85,11 @@ def test_kernel_books_balance_after_a_real_run(cfg):
     assert stats.scheduled == (stats.executed + stats.cancelled
                                + sim._live + sim._parked)
     trains = [pipe._train for net in world.cells
-              for pipe in net.server.link.pipes()]
+              for pipe in pipes(net.server.link)]
     trains += [client._stack for client in world.clients.values()]
-    behind_a_head = sum(max(len(train) - 1, 0) for train in trains)
+    behind_a_head = sum(max(len(train._items) - 1, 0) for train in trains)
     assert behind_a_head > 0            # the run stopped mid-traffic
-    assert sim.pending_events == sim._live + behind_a_head
+    assert pending_events(sim) == sim._live + behind_a_head
 
 
 #: ``digest(result.record())`` of each cell: what it simulated, outside

@@ -6,13 +6,10 @@ floor, and no permanently stalled flows — across all HACK policies and
 both loss models.
 """
 
-import statistics
-
 import pytest
 
 from repro import HackPolicy, LossSpec, ScenarioConfig, run_scenario
 from repro.sim.units import MS, SEC
-from repro.workloads.scenarios import build_simulation, collect
 
 ALL_POLICIES = [HackPolicy.VANILLA, HackPolicy.MORE_DATA,
                 HackPolicy.OPPORTUNISTIC, HackPolicy.EXPLICIT_TIMER,
@@ -52,48 +49,6 @@ class TestSnrLoss:
         res = run_policy(policy, LossSpec(kind="snr", snr_db=23.0))
         assert res.aggregate_goodput_mbps > 20
         assert res.decomp_counters["crc_failures"] == 0
-
-
-class TestRateAdaptation:
-    def test_hack_stabilises_aarf(self):
-        """An emergent synergy the paper does not evaluate: under
-        stock TCP, AARF misreads data/ACK collisions as channel noise
-        (spurious downshifts); TCP/HACK removes those collisions, so
-        the same adapter carries more across the mid-SNR range."""
-        def aarf_goodput(policy, snr):
-            return run_policy(policy, LossSpec(kind="snr", snr_db=snr),
-                              rate_adaptation="aarf"
-                              ).aggregate_goodput_mbps
-
-        assert statistics.fmean(
-            aarf_goodput(HackPolicy.MORE_DATA, snr)
-            - aarf_goodput(HackPolicy.VANILLA, snr)
-            for snr in (18.0, 22.0, 26.0)) > 0
-
-
-class TestSplitUnderLoss:
-    def test_split_mode_stays_correct(self):
-        """Without delayed ACKs an augmented LL ACK outgrows AIFS on
-        this cell unless the driver splits it (§3.3.2): off, some
-        responses miss AIFS; on, every one fits, and the split loses
-        nothing."""
-        def run(split_to_aifs):
-            world = build_simulation(policy_config(
-                HackPolicy.MORE_DATA,
-                LossSpec(kind="uniform", data_loss=0.05),
-                delayed_ack=False))
-            # The split is no scenario knob: set it in the built world.
-            for driver in world.drivers.values():
-                driver.config.split_to_aifs = split_to_aifs
-            world.run()
-            return collect(world)
-
-        unsplit, split = run(False), run(True)
-        assert unsplit.mac_stats.hack_fit_fraction() < 1.0
-        assert split.mac_stats.hack_fit_fraction() == 1.0
-        for res in (unsplit, split):
-            assert res.aggregate_goodput_mbps > 40
-            assert res.decomp_counters["crc_failures"] == 0
 
 
 class TestSoraPlusLoss:

@@ -67,9 +67,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "HACK ACKs" not in out
 
-    def test_simulate_with_loss_and_aarf(self, capsys):
+    def test_simulate_with_loss(self, capsys):
         code = cli_main([
-            "simulate", "--snr", "20", "--aarf", "--duration", "1",
+            "simulate", "--snr", "20", "--duration", "1",
             "--warmup", "0.5"])
         assert code == 0
 
@@ -139,7 +139,7 @@ class TestCli:
         args = _build_parser().parse_args(["simulate"])
         fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
         assert set(vars(args)) - {"command"} - fields == {
-            "scenario", "shard_jobs", "uniform_loss", "snr", "aarf",
+            "scenario", "shard_jobs", "uniform_loss", "snr",
             "kernel_stats", "adversary_kind",
             "adversary_intensity", "adversary_mode", "telemetry",
             "trace_export", "sample_interval"}

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.core.policies import HackPolicy
+from repro.obs.metrics import digest
+from repro.sim.units import MS
 from repro.workloads import UnknownScenarioError, registry
-from repro.workloads.scenarios import ScenarioConfig
+from repro.workloads.scenarios import ScenarioConfig, run_scenario
+
+from tests.helpers import spec_keys
 
 
 class TestLookup:
@@ -70,11 +74,32 @@ class TestSweepBridge:
     def test_sweep_spec_expands_seeds(self):
         spec = registry.sweep_spec("lossy-link", seeds=(1, 2, 3))
         assert spec.name == "scenario:lossy-link"
-        assert len(spec) == 3
-        assert spec.keys() == [("lossy-link",)]
+        assert len(spec.points) == 3
+        assert spec_keys(spec) == [("lossy-link",)]
         assert [p.config.seed for p in spec.points] == [1, 2, 3]
 
     def test_sweep_spec_applies_overrides(self):
         spec = registry.sweep_spec("quickstart", seeds=(1,),
                                    n_clients=2)
         assert spec.points[0].config.n_clients == 2
+
+
+#: Every registered ``X`` / ``X-vanilla`` pair.
+TWINS = [(name[:-len("-vanilla")], name) for name in registry.names()
+         if name.endswith("-vanilla")]
+
+
+class TestVanillaTwins:
+    def test_twins_exist(self):
+        assert TWINS == [("multi-ap", "multi-ap-vanilla")]
+
+    @pytest.mark.parametrize("hack, stock", TWINS)
+    def test_a_twin_simulates_something_else(self, hack, stock):
+        """A ``-vanilla`` twin earns its registry entry only if its
+        record differs from its HACK scenario's: where MORE DATA
+        compresses nothing the two are one run (``--policy vanilla``
+        is the baseline)."""
+        short = dict(duration_ns=600 * MS, warmup_ns=300 * MS)
+        records = [run_scenario(registry.build(name, **short)).record()
+                   for name in (hack, stock)]
+        assert digest(records[0]) != digest(records[1])

@@ -182,7 +182,6 @@ class TestValidation:
         ("data_rate_mbps", dict(phy_mode="11a")),     # 150 is HT-only
         ("cc", dict(cc="bbr")),
         ("queue_discipline", dict(queue_discipline="red")),
-        ("rate_adaptation", dict(rate_adaptation="minstrel")),
         ("loss.kind", dict(loss=LossSpec(kind="fading"))),
         ("loss probabilities",
          dict(loss=LossSpec(kind="uniform", data_loss=1.5))),

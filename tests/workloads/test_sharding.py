@@ -38,7 +38,7 @@ import pytest
 from repro import ScenarioConfig, run_scenario
 from repro.adversary import AdversaryConfig
 from repro.experiments.batch import SweepPoint, SweepRunner, \
-    SweepSpec, execute_point
+    execute_point
 from repro.obs import TelemetryConfig
 from repro.obs.metrics import digest, merge_counts
 from repro.sim.units import MS
@@ -51,6 +51,8 @@ from tests.experiments.test_resumable import children_of, is_running, \
     subprocess_env
 from tests.workloads.test_multi_cell import CellMap, base_config, \
     normalised
+
+from tests.helpers import grid_spec
 
 CHURN = dict(traffic="dynamic",
              arrivals=ArrivalSpec(
@@ -388,8 +390,8 @@ class TestShardGuards:
 
         # Sweep workers are forked per run, so they inherit the patch.
         monkeypatch.setattr(scenarios, "build_simulation", failing_build)
-        spec = SweepSpec.grid("one-bad", dict(QUICK_RUN, n_clients=1),
-                              {}, seeds=(1, 2))
+        spec = grid_spec("one-bad", dict(QUICK_RUN, n_clients=1),
+                         {}, seeds=(1, 2))
         result = SweepRunner(jobs=2).run(spec)
         by_seed = {record.seed: record for record in result.records}
         assert by_seed[1].ok
