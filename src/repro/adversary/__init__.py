@@ -10,17 +10,17 @@ first-class, deterministic, seed-replayable scenario ingredients:
 * :class:`~repro.adversary.config.AdversaryConfig` — a frozen, fully
   declarative fault-injection plan embedded in ``ScenarioConfig`` (so
   sweep caching, sharding and replay treat attacked runs exactly like
-  cooperative ones): the attack's kind, its intensity and the jammer's
-  or mutator's mode; each actor owns the rest of its attack as module
+  cooperative ones): the attack's kind, its intensity and the
+  mutator's mode; each actor owns the rest of its attack as module
   constants;
 * :class:`~repro.adversary.greedy.GreedyDcfMac` — a CW-cheating
   station that shrinks its contention window (MAC-layer selfishness;
   :data:`~repro.adversary.greedy.GREEDY_STATIONS` of them);
-* :class:`~repro.adversary.jammer.Jammer` — periodic or reactive
-  energy-only interference on a :class:`~repro.sim.medium.Medium`;
+* :class:`~repro.adversary.jammer.Jammer` — duty-cycled energy-only
+  interference on a :class:`~repro.sim.medium.Medium`;
 * :class:`~repro.adversary.mutator.AirframeMutator` — an on-air
-  mutator for compressed-ACK payloads (bit flips, forged CID
-  collisions, desync storms) installed via ``Medium.tamper``.
+  mutator for compressed-ACK payloads (one-frame bit flips or
+  multi-frame desync storms) installed via ``Medium.tamper``.
 
 A zero-intensity adversary installs *nothing* — runs are bit-identical
 to cooperative ones (the oracle test pins this).  Under attack, every

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 KINDS = ("greedy", "jammer", "mutator")
-JAM_MODES = ("periodic", "reactive")
 MUTATE_MODES = ("flip", "storm")
 
 
@@ -25,8 +24,8 @@ class AdversaryConfig:
 
     * ``greedy``  — contention-window shrink factor: the cheater draws
       backoff from ``cw * (1 - intensity)`` (1.0 = always zero slots);
-    * ``jammer``  — target jamming duty cycle (periodic) or the
-      probability of reacting to a busy transition (reactive);
+    * ``jammer``  — the share of each jam cycle spent jamming (1.0 =
+      continuous energy);
     * ``mutator`` — per-frame probability that a compressed-ACK
       payload is corrupted in flight.
 
@@ -39,8 +38,6 @@ class AdversaryConfig:
 
     kind: str                     # greedy | jammer | mutator
     intensity: float = 0.0
-    #: jammer: burst scheduling discipline.
-    jam_mode: str = "periodic"    # periodic | reactive
     #: mutator: corruption flavour (one-frame bit flip, or a
     #: multi-frame desync storm).
     mutate_mode: str = "flip"     # flip | storm
@@ -56,8 +53,6 @@ class AdversaryConfig:
         if not 0.0 <= self.intensity <= 1.0:
             raise ValueError("adversary intensity must be in [0, 1], "
                              f"got {self.intensity!r}")
-        if self.jam_mode not in JAM_MODES:
-            raise ValueError(f"unknown jam_mode {self.jam_mode!r}")
         if self.mutate_mode not in MUTATE_MODES:
             raise ValueError(
                 f"unknown mutate_mode {self.mutate_mode!r}")

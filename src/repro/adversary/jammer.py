@@ -12,21 +12,13 @@ the physics we want for free from the existing co-channel machinery:
   jammer's own (otherwise empty) cell — pure wasted airtime, decoded
   by nobody.
 
-Two disciplines:
-
-* ``periodic`` — duty-cycled energy: each :data:`JAM_CYCLE_NS` window
-  starts with one long burst of ``intensity * JAM_CYCLE_NS`` airtime
-  (1.0 = continuous energy).  The cycle is much longer than a frame
-  airtime, so the dominant honest-station response is carrier-sense
-  *deferral* through the burst — capacity scales roughly with
-  ``1 - intensity`` instead of collapsing at the first pulse train;
-* ``reactive`` — listens for busy transitions and, with probability
-  ``intensity``, fires a short :data:`JAM_BURST_NS` pulse
-  :data:`JAM_REACTION_NS` after sensing, into the ongoing
-  transmission, to force a collision (the classic low-energy reactive
-  jammer).
-
-Both start at time 0 and stop at the end of the run.
+The jam is duty-cycled energy: each :data:`JAM_CYCLE_NS` window starts
+with one long burst of ``intensity * JAM_CYCLE_NS`` airtime (1.0 =
+continuous energy).  The cycle is much longer than a frame airtime, so
+the dominant honest-station response is carrier-sense *deferral*
+through the burst — capacity scales roughly with ``1 - intensity``
+instead of collapsing at the first pulse train.  It starts at time 0
+and stops at the end of the run.
 
 :func:`~repro.adversary.runtime.install_adversary` starts one jammer
 per medium of a world's ``{channel: Medium}`` map.  All randomness
@@ -36,18 +28,14 @@ seed-replayable and channel-shardable.
 
 from __future__ import annotations
 
-from ..sim.units import MS, US
+from ..sim.units import MS
 from .config import AdversaryConfig
 
-#: periodic: the duty-cycle period.  Much longer than a frame airtime,
-#: so honest stations mostly *defer* through a burst (carrier sense)
-#: instead of losing every frame, which keeps degradation graded in
-#: intensity rather than cliffed.
+#: The duty-cycle period.  Much longer than a frame airtime, so honest
+#: stations mostly *defer* through a burst (carrier sense) instead of
+#: losing every frame, which keeps degradation graded in intensity
+#: rather than cliffed.
 JAM_CYCLE_NS = 20 * MS
-#: reactive: the airtime of one pulse, and the sensing-to-pulse
-#: turnaround.
-JAM_BURST_NS = 200 * US
-JAM_REACTION_NS = 10 * US
 
 
 class JamFrame:
@@ -72,8 +60,8 @@ class Jammer:
     """Schedules jam pulses onto one :class:`~repro.sim.medium.Medium`.
 
     Implements the :class:`~repro.sim.medium.MediumListener` protocol
-    (attachment puts it in the listener list); everything except the
-    reactive trigger is a no-op.
+    (attachment puts it in the listener list) with no-ops: the jammer
+    transmits on a schedule and listens to nothing.
     """
 
     #: Dedicated dispatch cell: clean jam pulses decode nowhere.
@@ -88,23 +76,10 @@ class Jammer:
         self.until_ns = until_ns
         self.bursts = 0
         self.jam_airtime_ns = 0
-        self._own_tx = False      # reactive: never react to ourselves
         medium.attach(self, cell=self.CELL)
 
     def start(self) -> None:
-        if self.config.jam_mode == "periodic":
-            self.sim.schedule(0, self._periodic_fire)
-
-    # -- burst machinery ----------------------------------------------
-    def _fire(self, duration_ns: int) -> None:
-        self._own_tx = True
-        self.medium.transmit(self, JamFrame(duration_ns), duration_ns)
-        self.bursts += 1
-        self.jam_airtime_ns += duration_ns
-        self.sim.schedule(duration_ns, self._burst_done)
-
-    def _burst_done(self) -> None:
-        self._own_tx = False
+        self.sim.schedule(0, self._periodic_fire)
 
     def _periodic_fire(self) -> None:
         if self.sim.now >= self.until_ns:
@@ -112,7 +87,9 @@ class Jammer:
         cycle = JAM_CYCLE_NS
         burst = int(cycle * self.config.intensity)
         if burst > 0:
-            self._fire(burst)
+            self.medium.transmit(self, JamFrame(burst), burst)
+            self.bursts += 1
+            self.jam_airtime_ns += burst
         idle = cycle - burst
         if idle > 4:
             # +/-25% jitter on the quiet phase so the cycle does not
@@ -123,19 +100,7 @@ class Jammer:
 
     # -- MediumListener protocol --------------------------------------
     def on_channel_busy(self, now: int) -> None:
-        if self.config.jam_mode != "reactive" or self._own_tx \
-                or now >= self.until_ns:
-            return
-        if self.rng.random() < self.config.intensity:
-            # Pulse into the transmission we just sensed; the short
-            # reaction delay keeps us inside its airtime, forcing a
-            # collision for everyone.
-            self.sim.schedule(JAM_REACTION_NS, self._reactive_fire)
-
-    def _reactive_fire(self) -> None:
-        if self._own_tx or self.sim.now >= self.until_ns:
-            return
-        self._fire(JAM_BURST_NS)
+        pass
 
     def on_channel_idle(self, now: int) -> None:
         pass

@@ -44,7 +44,6 @@ class AirframeMutator:
         self.config = config
         self.frames_seen = 0
         self.frames_mutated = 0
-        self.bit_flips = 0
         self.storm_bursts = 0
         self.tamper_errors = 0
         self._storm_left = 0
@@ -74,13 +73,11 @@ class AirframeMutator:
         data[index] ^= 1 << self.rng.randint(0, 7)
         frame.hack_payload = bytes(data)
         self.frames_mutated += 1
-        self.bit_flips += 1
 
     def counters(self) -> dict:
         return {
             "hack_frames_seen": self.frames_seen,
             "frames_mutated": self.frames_mutated,
-            "bit_flips": self.bit_flips,
             "storm_bursts": self.storm_bursts,
             "tamper_errors": self.tamper_errors,
         }

@@ -40,6 +40,7 @@ import time
 from typing import List, Optional
 
 from .adversary import AdversaryConfig
+from .adversary.config import MUTATE_MODES
 from .core.policies import HackPolicy
 from .experiments import runner as experiments_runner
 from .experiments.runner import positive_int
@@ -139,9 +140,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           "0 installs nothing and is bit-identical "
                           "to the cooperative run")
     sim.add_argument("--adversary-mode", default=None,
-                     help="discipline variant: periodic|reactive for "
-                          "the jammer, flip|storm for the mutator "
-                          "(defaults: periodic / flip)")
+                     choices=MUTATE_MODES,
+                     help="the mutator's corruption: flip (one frame, "
+                          "the default) or storm (a multi-frame "
+                          "desync storm)")
     sim.add_argument("--cc", choices=CONGESTION_CONTROLS,
                      help="TCP congestion control (default reno; "
                           "cubic = RFC 8312 window growth)")
@@ -222,12 +224,10 @@ def _simulate_config(args: argparse.Namespace) -> ScenarioConfig:
     adversary = {"kind": args.adversary_kind,
                  "intensity": args.adversary_intensity}
     if args.adversary_mode is not None:
-        mode_field = {"jammer": "jam_mode",
-                      "mutator": "mutate_mode"}.get(kind)
-        if mode_field is None:
+        if kind != "mutator":
             raise ValueError("--adversary-mode only applies to "
-                             "--adversary jammer/mutator")
-        adversary[mode_field] = args.adversary_mode
+                             "--adversary mutator")
+        adversary["mutate_mode"] = args.adversary_mode
     adversary = {k: v for k, v in adversary.items() if v is not None}
     if adversary:
         if kind is None:

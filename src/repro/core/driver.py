@@ -72,12 +72,11 @@ class _PeerState:
                  "flush_reason", "flush_after_response", "ack_ts_sent",
                  "echo_seen")
 
-    def __init__(self, init_vanilla_acks: int, flush_timer: Timer,
-                 clock=None):
+    def __init__(self, flush_timer: Timer, clock=None):
         self.more_data_latched = False
         self.buffer: List[CompressedAck] = []
         self.last_seen_seq = -1
-        self.compressor = Compressor(init_threshold=init_vanilla_acks)
+        self.compressor = Compressor()
         self.decompressor = Decompressor(clock=clock)
         #: Flush-to-vanilla timer and why it was armed ("timer" /
         #: "stall_guard": the first to arm it wins).
@@ -140,14 +139,10 @@ class HackDriver(MacUpper):
         # The node's hooks are looked up here, once, not per packet.
         self._node = node
         self._packets_up = getattr(node, "on_packets_received", _ignore)
-        # MacUpper's hook for MPDU fates is the node's own if it has
-        # one; None otherwise, and the MAC skips the per-MPDU calls.
-        self.on_mpdu_outcome = getattr(node, "on_mpdu_outcome", None)
 
     def peer(self, name: str) -> _PeerState:
         if name not in self._peers:
             self._peers[name] = _PeerState(
-                self.config.init_vanilla_acks,
                 Timer(self.sim, lambda: self._flush_fires(name)),
                 clock=self._clock)
         return self._peers[name]
@@ -374,7 +369,7 @@ class HackDriver(MacUpper):
     def _pull_queued_acks(self, ps: _PeerState, peer_name: str) -> None:
         """Opportunistic HACK: yank still-queued compressible pure ACKs
         out of the MAC transmit queue and compress them now."""
-        threshold = self.config.init_vanilla_acks
+        threshold = ps.compressor.init_threshold
         pulled = self.mac.remove_from_queue(
             peer_name,
             lambda p: (isinstance(p, TcpSegment) and p.is_pure_ack

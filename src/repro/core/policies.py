@@ -52,9 +52,6 @@ class HackConfig:
     """Driver configuration derived from a policy choice."""
 
     policy: HackPolicy = HackPolicy.MORE_DATA
-    #: Vanilla ACKs required before a flow's ACKs may be compressed
-    #: (context establishment; paper §3.3.2 item 1).
-    init_vanilla_acks: int = 1
     #: EXPLICIT_TIMER: flush buffered ACKs to vanilla after this delay.
     flush_after_ns: Optional[int] = None
     #: Defensive stall guard for MORE_DATA (None = trust the bit, as

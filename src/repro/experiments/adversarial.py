@@ -52,10 +52,9 @@ PAPER_SAYS = (
     "Nothing — the paper evaluates cooperative stations only; its "
     "robustness argument is §3.3's CRC-3 check plus §3.4 "
     "retention.  This extension stress-tests that argument: a "
-    "CW-cheating greedy station, a periodic/reactive jammer and "
-    "an on-air compressed-ACK mutator (bit flips, CID forgery, "
-    "corruption storms) at three-plus intensities, HACK on vs "
-    "off.  Expectation from the paper's mechanism: HACK adds "
+    "CW-cheating greedy station, a duty-cycled jammer and an "
+    "on-air compressed-ACK mutator (bit flips, corruption "
+    "storms) at three-plus intensities, HACK on vs off.  Expectation from the paper's mechanism: HACK adds "
     "attack surface (the compressed-ACK path), so the mutator "
     "must cost it goodput/FCT that stock TCP does not pay — but "
     "every corruption must land in a typed counter, declared "
@@ -75,7 +74,7 @@ QUICK_INTENSITIES = (0.0, 0.5, 1.0)
 #: Per-attack knobs beyond the shared intensity dial.
 ATTACK_KWARGS = {
     "greedy": {},
-    "jammer": dict(jam_mode="periodic"),
+    "jammer": {},
     "mutator": dict(mutate_mode="storm"),
 }
 

@@ -118,7 +118,12 @@ from .progress import SweepProgress
 #: 14: ``rate_adaptation`` (AARF) left ``ScenarioConfig``: every run
 #:    sent at ``data_rate_mbps`` — rows unchanged, every signature is
 #:    not.
-ENGINE_VERSION = 14
+#: 15: the reactive jammer and ``AdversaryConfig.jam_mode`` went, and
+#:    the ``"adversary"`` block lost ``bit_flips`` (always equal to
+#:    ``frames_mutated``) and ``cid_forges`` (always 0) — rows
+#:    unchanged, every signature and every attacked record's keys are
+#:    not.
+ENGINE_VERSION = 15
 
 #: SweepResult artifact schema version.
 #: 2: per-record ``error`` payloads, ``failed`` count, ``interrupted``

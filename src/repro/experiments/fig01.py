@@ -23,16 +23,12 @@ PAPER_SAYS = (
     "Mbps, rising to ~20% at 600 Mbps; Fig 1a shows the same "
     "divergence on 802.11a (TCP ≈23, HACK ≈27 at 54 Mbps).")
 
-MAX_STREAMS = 4  # Fig 1b sweeps HT rates up to 4 spatial streams.
-
-
-def analytic_point(figure: str, rate_mbps: float,
-                   max_streams: int = MAX_STREAMS) -> Dict[str, float]:
+def analytic_point(figure: str, rate_mbps: float) -> Dict[str, float]:
     """Closed-form goodput at one PHY rate (the sweep work function)."""
     if figure == "1a":
         point = figure_1a_point(rate_mbps)
     elif figure == "1b":
-        point = figure_1b_point(rate_mbps, max_streams)
+        point = figure_1b_point(rate_mbps)
     else:
         raise ValueError(f"unknown figure {figure!r}")
     return {"tcp_mbps": point.tcp_goodput_mbps,
@@ -46,7 +42,7 @@ def sweep_spec(quick: bool = False, seeds=None) -> SweepSpec:
         spec.add_analytic(("1a", rate),
                           "repro.experiments.fig01:analytic_point",
                           figure="1a", rate_mbps=rate)
-    for rate in figure_1b_rates(MAX_STREAMS):
+    for rate in figure_1b_rates():
         spec.add_analytic(("1b", rate),
                           "repro.experiments.fig01:analytic_point",
                           figure="1b", rate_mbps=rate)

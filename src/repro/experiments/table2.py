@@ -12,7 +12,7 @@ from typing import Dict, List
 
 from ..core.policies import HackPolicy
 from ..sim.units import MS, SEC
-from ..tcp.segment import IP_HEADER_BYTES, TCP_HEADER_BYTES, \
+from ..tcp.segment import IP_HEADER_BYTES, MSS, TCP_HEADER_BYTES, \
     TIMESTAMP_OPTION_BYTES
 from ..workloads.scenarios import ScenarioConfig
 from .batch import SweepResult, SweepSpec
@@ -79,7 +79,7 @@ def check_rows(rows: List[Dict]) -> str:
     a ratio near the paper's 12x."""
     stock = next(r for r in rows if r["protocol"] == "TCP/802.11a")
     hack = next(r for r in rows if r["protocol"] == "TCP/HACK")
-    expected = stock["transfer_bytes"] / 1460 / 2
+    expected = stock["transfer_bytes"] / MSS / 2
     clauses = require(
         (stock, hack),
         (stock["compressed_count"] == 0, "stock TCP compressed ACKs"),

@@ -102,10 +102,6 @@ class MacUpper:
     def on_bar_rx(self, bar: BarFrame, sender: str) -> None:
         """A Block ACK Request arrived from ``sender``."""
 
-    def on_mpdu_outcome(self, mpdu: Mpdu, delivered: bool) -> None:
-        """Sender-side: final fate of a transmitted MPDU.  May be
-        ``None`` on an upper layer that has nobody to tell."""
-
 
 class _Job:
     """The MAC's single head-of-line transmission exchange.
@@ -529,7 +525,7 @@ class DcfMac(MediumListener):
         mpdu = job.mpdus[0]
         mpdu.retry_count += 1
         if mpdu.retry_count > self.params.retry_limit:
-            self._mpdu_outcomes((mpdu,), False)
+            self.stats.on_mpdus_dropped((mpdu,))
             self._finish_job(success=False)
             return
         self._double_cw()
@@ -537,24 +533,11 @@ class DcfMac(MediumListener):
         job.ready_at = self.sim.now
         self._maybe_start_contention()
 
-    def _mpdu_outcomes(self, mpdus, delivered: bool) -> None:
-        """Book the final fate of ``mpdus`` and tell the upper layer.
-        The hook is read once per exchange; an upper layer with nobody
-        to tell exposes ``None`` for it."""
-        if delivered:
-            self.stats.on_mpdus_delivered(mpdus)
-        else:
-            self.stats.on_mpdus_dropped(mpdus)
-        outcome = self.upper.on_mpdu_outcome
-        if outcome is not None:
-            for mpdu in mpdus:
-                outcome(mpdu, delivered)
-
     def _give_up_bar(self, job: _Job) -> None:
         """BAR retries exhausted: paper Fig 8 — move on, set SYNC."""
         orig = self._originator_for(job.dst)
         requeued, dropped = orig.on_give_up()
-        self._mpdu_outcomes(dropped, False)
+        self.stats.on_mpdus_dropped(dropped)
         self._sync_pending[job.dst] = True
         self._finish_job(success=False)
 
@@ -640,8 +623,8 @@ class DcfMac(MediumListener):
             delivered, _, dropped = orig.on_block_ack(response.acked_seqs)
         else:
             delivered, dropped = job.mpdus[:1], ()
-        self._mpdu_outcomes(delivered, True)
-        self._mpdu_outcomes(dropped, False)
+        self.stats.on_mpdus_delivered(delivered)
+        self.stats.on_mpdus_dropped(dropped)
         self._finish_job(success=True)
 
     # ------------------------------------------------------------------

@@ -81,13 +81,12 @@ class Mpdu:
 class DataFrame:
     """A PPDU carrying a single MPDU (802.11a-style operation)."""
 
-    __slots__ = ("mpdu", "rate_mbps", "is_control", "byte_length")
+    __slots__ = ("mpdu", "rate_mbps", "byte_length")
+    is_control = False
 
-    def __init__(self, mpdu: Mpdu, rate_mbps: float,
-                 is_control: bool = False):
+    def __init__(self, mpdu: Mpdu, rate_mbps: float):
         self.mpdu = mpdu
         self.rate_mbps = rate_mbps
-        self.is_control = is_control
         self.byte_length = mpdu.byte_length
 
     @property
@@ -114,11 +113,10 @@ class DataFrame:
 class AmpduFrame:
     """A PPDU aggregating several MPDUs to one receiver (802.11n)."""
 
-    __slots__ = ("mpdus", "rate_mbps", "is_control", "byte_length",
-                 "src", "dst")
+    __slots__ = ("mpdus", "rate_mbps", "byte_length", "src", "dst")
+    is_control = False
 
-    def __init__(self, mpdus, rate_mbps: float,
-                 is_control: bool = False):
+    def __init__(self, mpdus, rate_mbps: float):
         mpdus = tuple(mpdus)
         if not mpdus:
             raise ValueError("A-MPDU must contain at least one MPDU")
@@ -131,7 +129,6 @@ class AmpduFrame:
         #: length below can never go stale.
         self.mpdus = mpdus
         self.rate_mbps = rate_mbps
-        self.is_control = is_control
         self.byte_length = sum(
             mpdu_subframe_bytes(m.byte_length) for m in mpdus)
         self.src = mpdus[0].src
@@ -147,7 +144,6 @@ class AmpduFrame:
         frame = cls.__new__(cls)
         frame.mpdus = mpdus
         frame.rate_mbps = rate_mbps
-        frame.is_control = False
         frame.byte_length = byte_length
         frame.src = mpdus[0].src
         frame.dst = mpdus[0].dst
@@ -170,6 +166,7 @@ class _HackCarrier:
 
     __slots__ = ()
     _STOCK_BYTES = 0
+    is_control = True
 
     @property
     def hack_payload(self) -> Optional[bytes]:
@@ -186,17 +183,16 @@ class AckFrame(_HackCarrier):
     """Single link-layer ACK; may carry a HACK compressed-ACK payload."""
 
     __slots__ = ("src", "dst", "acked_seq", "_hack_payload",
-                 "rate_mbps", "is_control", "byte_length")
+                 "rate_mbps", "byte_length")
     _STOCK_BYTES = ACK_BYTES
 
     def __init__(self, src: Any, dst: Any, acked_seq: int,
                  hack_payload: Optional[bytes] = None,
-                 rate_mbps: float = 24.0, is_control: bool = True):
+                 rate_mbps: float = 24.0):
         self.src = src
         self.dst = dst
         self.acked_seq = acked_seq
         self.rate_mbps = rate_mbps
-        self.is_control = is_control
         self.hack_payload = hack_payload   # setter caches byte_length
 
 
@@ -204,34 +200,31 @@ class BlockAckFrame(_HackCarrier):
     """Block ACK reporting per-MPDU reception; may carry HACK payload."""
 
     __slots__ = ("src", "dst", "win_start", "acked_seqs",
-                 "_hack_payload", "rate_mbps", "is_control",
-                 "byte_length")
+                 "_hack_payload", "rate_mbps", "byte_length")
     _STOCK_BYTES = BLOCK_ACK_BYTES
 
     def __init__(self, src: Any, dst: Any, win_start: int,
                  acked_seqs: frozenset,
                  hack_payload: Optional[bytes] = None,
-                 rate_mbps: float = 24.0, is_control: bool = True):
+                 rate_mbps: float = 24.0):
         self.src = src
         self.dst = dst
         self.win_start = win_start
         self.acked_seqs = acked_seqs
         self.rate_mbps = rate_mbps
-        self.is_control = is_control
         self.hack_payload = hack_payload   # setter caches byte_length
 
 
 class BarFrame:
     """Block ACK Request: solicits a Block ACK after one was lost."""
 
-    __slots__ = ("src", "dst", "win_start", "rate_mbps", "is_control",
-                 "byte_length")
+    __slots__ = ("src", "dst", "win_start", "rate_mbps", "byte_length")
+    is_control = True
 
     def __init__(self, src: Any, dst: Any, win_start: int,
-                 rate_mbps: float = 24.0, is_control: bool = True):
+                 rate_mbps: float = 24.0):
         self.src = src
         self.dst = dst
         self.win_start = win_start
         self.rate_mbps = rate_mbps
-        self.is_control = is_control
         self.byte_length = BAR_BYTES

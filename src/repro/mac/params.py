@@ -58,14 +58,9 @@ class MacParams:
     #: Per-destination transmit queue bound (packets); None = unbounded.
     queue_limit: Optional[int] = None
     #: Queue discipline for the per-destination transmit queues:
-    #: "droptail" (classic FIFO), "codel", or "fq_codel".
+    #: "droptail" (classic FIFO), "codel", or "fq_codel" (at the
+    #: RFC defaults, ``qdisc.CODEL_*`` and ``qdisc.FQ_QUANTUM_BYTES``).
     queue_discipline: str = "droptail"
-    #: CoDel acceptable standing-queue sojourn target (RFC 8289).
-    codel_target_ns: int = msec(5)
-    #: CoDel sliding observation window.
-    codel_interval_ns: int = msec(100)
-    #: FQ-CoDel DRR byte quantum (one full Ethernet frame).
-    fq_quantum_bytes: int = 1514
     #: Extra delay a (buggy/slow) device adds before its LL ACK response,
     #: beyond SIFS.  SoRa showed ~37 us; commercial NICs 10.4-13.4 us.
     extra_response_delay_ns: int = 0

@@ -434,10 +434,7 @@ def make_queue(sim, params, stats: QdiscStats):
     if discipline == "droptail":
         return DropTailQueue(sim, stats)
     if discipline == "codel":
-        return CoDelQueue(sim, stats, params.codel_target_ns,
-                          params.codel_interval_ns)
+        return CoDelQueue(sim, stats)
     if discipline == "fq_codel":
-        return FqCodelQueue(sim, stats, params.codel_target_ns,
-                            params.codel_interval_ns,
-                            params.fq_quantum_bytes)
+        return FqCodelQueue(sim, stats)
     raise ValueError(f"unknown queue discipline {discipline!r}")

@@ -3,11 +3,12 @@
 Models the host side of the paper's client: a protocol stack whose
 processing delay is why TCP ACKs can never ride the Block ACK of the
 A-MPDU that elicited them (§3.2) — received segments are handed to TCP
-only after ``stack_delay_ns``, far longer than SIFS.  A burst (the
+only after :data:`STACK_DELAY_NS`, far longer than SIFS.  A burst (the
 MPDUs one PPDU released) goes up in one hand-off and rides one
 :class:`~repro.sim.engine.Train`: each packet is still processed at
-``stack_delay_ns`` plus its place in the burst times the per-packet
-cost, but as a queue entry where it used to be a scheduled event.
+:data:`STACK_DELAY_NS` plus its place in the burst times
+:data:`PER_PACKET_COST_NS`, but as a queue entry where it used to be
+a scheduled event.
 
 Holds TCP receivers (downloads), TCP senders (uploads), and a UDP sink.
 """
@@ -23,21 +24,22 @@ from ..tcp.receiver import TcpReceiver
 from ..tcp.segment import TcpSegment, UdpDatagram
 from ..tcp.sender import TcpSender
 
+#: Host stack processing delay before a received packet reaches TCP.
+STACK_DELAY_NS = usec(100)
+#: Added per packet of a burst, so a burst is processed one by one.
+PER_PACKET_COST_NS = usec(1)
+
 
 class ClientNode:
     """A wireless station attached to one AP."""
 
     def __init__(self, sim: Simulator, driver: HackDriver,
-                 name: str, ap_name: str = "AP",
-                 stack_delay_ns: int = usec(100),
-                 per_packet_cost_ns: int = usec(1)):
+                 name: str, ap_name: str = "AP"):
         self.sim = sim
         self.name = name
         self.ap_name = ap_name
         self.driver = driver
         driver.node = self
-        self.stack_delay_ns = stack_delay_ns
-        self.per_packet_cost_ns = per_packet_cost_ns
         self.receivers: Dict[int, TcpReceiver] = {}
         self.senders: Dict[int, TcpSender] = {}
         # UDP sink accounting: cumulative bytes plus snapshots.
@@ -82,10 +84,10 @@ class ClientNode:
         index = self._burst_index
         self._burst_index = index + len(packets)
         push = self._stack.push
-        due = now + self.stack_delay_ns + index * self.per_packet_cost_ns
+        due = now + STACK_DELAY_NS + index * PER_PACKET_COST_NS
         for packet in packets:
             push(due, packet)
-            due += self.per_packet_cost_ns
+            due += PER_PACKET_COST_NS
 
     def _stack_process(self, packet: Any) -> None:
         if type(packet) is TcpSegment:

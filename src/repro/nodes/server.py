@@ -19,9 +19,9 @@ from ..tcp.sender import TcpSender
 class ServerNode:
     """Hosts TCP senders (downloads), receivers (uploads), UDP sources."""
 
-    def __init__(self, sim: Simulator, name: str = "SRV"):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.name = name
+        self.name = "SRV"
         self.link: Optional[WiredLink] = None
         self._send = None  # the downlink pipe's send, once attached
         self.senders: Dict[int, TcpSender] = {}
@@ -68,18 +68,22 @@ class ServerNode:
         # UDP arriving at the server is not used by any experiment.
 
 
+#: A UDP datagram's payload: a 1500-byte IP packet less the IP and
+#: UDP headers.
+UDP_PAYLOAD_BYTES = 1472
+
+
 class UdpSource:
     """Constant-bit-rate UDP generator (the paper's UDP baseline)."""
 
     def __init__(self, sim: Simulator, server: ServerNode, dst: str,
-                 rate_mbps: float, payload_bytes: int = 1472):
+                 rate_mbps: float):
         self.sim = sim
         self.server = server
         self.dst = dst
         self.rate_mbps = rate_mbps
-        self.payload_bytes = payload_bytes
         self.packets_sent = 0
-        datagram_bits = (payload_bytes + 28) * 8
+        datagram_bits = (UDP_PAYLOAD_BYTES + 28) * 8
         self.interval_ns = int(datagram_bits * 1000 / rate_mbps)
 
     def start(self) -> None:
@@ -88,6 +92,6 @@ class UdpSource:
     def _emit(self) -> None:
         self.server.send(UdpDatagram(
             src=self.server.name, dst=self.dst,
-            payload_bytes=self.payload_bytes, seq=self.packets_sent))
+            payload_bytes=UDP_PAYLOAD_BYTES, seq=self.packets_sent))
         self.packets_sent += 1
         self.sim.schedule(self.interval_ns, self._emit)

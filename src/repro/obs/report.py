@@ -105,8 +105,7 @@ def format_report(artifact: Dict[str, Any], top: int = 10) -> str:
         lines.append(
             f"  adversary {adversary['kind']} "
             f"@ intensity {adversary['intensity']:g} "
-            f"(jam {adversary['jam_mode']}, "
-            f"mutate {adversary['mutate_mode']})")
+            f"(mutate {adversary['mutate_mode']})")
 
     if spans and spans.get("owners"):
         total = spans["total_wall_ns"] or 1

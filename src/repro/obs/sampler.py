@@ -110,7 +110,6 @@ def telemetry_meta(cfg, config: TelemetryConfig) -> Dict[str, Any]:
         meta["adversary"] = {
             "kind": adversary.kind,
             "intensity": adversary.intensity,
-            "jam_mode": adversary.jam_mode,
             "mutate_mode": adversary.mutate_mode,
         }
     return meta

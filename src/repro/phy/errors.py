@@ -17,8 +17,7 @@ Provided models:
   the SoRa cross-validation runs (the paper injects the measured 12% /
   2% loss rates into ns-3, §4.2).
 * :class:`SnrLossModel` — SNR-driven per-rate PER with frame-length
-  scaling, used for the Fig 11 SNR sweep.  A log-distance path-loss
-  helper maps the paper's "client at varying distances" setup onto SNR.
+  scaling, used for the Fig 11 SNR sweep (one SNR for every station).
 """
 
 from __future__ import annotations
@@ -127,11 +126,13 @@ LEGACY_SNR_MIDPOINT_DB = {
 }
 
 _REFERENCE_FRAME_BYTES = 1500
+#: Width of the logistic PER waterfall (dB per e-fold of the odds).
+WATERFALL_WIDTH_DB = 1.2
 
 
 def per_from_snr(snr_db: float, rate_mbps: float, frame_bytes: int,
-                 midpoints: Optional[Dict[float, float]] = None,
-                 width_db: float = 1.2) -> float:
+                 midpoints: Optional[Dict[float, float]] = None
+                 ) -> float:
     """Packet error rate from SNR via a logistic waterfall per rate.
 
     The reference curve gives 10% PER for a 1500-byte frame at the
@@ -147,7 +148,7 @@ def per_from_snr(snr_db: float, rate_mbps: float, frame_bytes: int,
         raise ValueError(f"no SNR midpoint known for {rate_mbps} Mbps")
     # Logistic waterfall positioned so PER(mid) = 0.1 at reference length:
     # PER(s) = 1 / (1 + exp((s - mid)/width + ln 9)).
-    exponent = (snr_db - mid) / width_db + math.log(9.0)
+    exponent = (snr_db - mid) / WATERFALL_WIDTH_DB + math.log(9.0)
     if exponent > 60:
         per_ref = 0.0
     elif exponent < -60:
@@ -167,44 +168,33 @@ class SnrLossModel(LossModel):
     """SNR-parameterised loss: per-MPDU PER at the data rate, control
     frames evaluated at their (robust) basic rate.
 
-    One SNR applies to all stations by default; per-receiver SNRs model
-    clients at different distances.  A run meets few distinct (SNR,
-    rate, frame length) triples, so each PER is computed once, for
-    data MPDUs and for control PPDUs separately.
+    One SNR applies to every station.  A run meets few distinct (rate,
+    frame length) pairs, so each PER is computed once, for data MPDUs
+    and for control PPDUs separately.
     """
 
-    def __init__(self, rng: random.Random, snr_db: float,
-                 per_receiver_snr: Optional[Dict[Any, float]] = None,
-                 width_db: float = 1.2):
+    def __init__(self, rng: random.Random, snr_db: float):
         self.rng = rng
         self.snr_db = snr_db
-        self.per_receiver_snr = per_receiver_snr or {}
-        self.width_db = width_db
-        self._mpdu_per: Dict[Tuple[float, float, int], float] = {}
-        self._control_per: Dict[Tuple[float, float, int], float] = {}
-
-    def _snr_for(self, receiver: Any) -> float:
-        key = getattr(receiver, "address", receiver)
-        return self.per_receiver_snr.get(key, self.snr_db)
+        self._mpdu_per: Dict[Tuple[float, int], float] = {}
+        self._control_per: Dict[Tuple[float, int], float] = {}
 
     def ppdu_lost(self, sender: Any, receiver: Any, frame: Any) -> bool:
         if not getattr(frame, "is_control", False):
             return False
-        key = (self._snr_for(receiver), getattr(frame, "rate_mbps", 24.0),
+        key = (getattr(frame, "rate_mbps", 24.0),
                getattr(frame, "byte_length", 32))
         per = self._control_per.get(key)
         if per is None:
             per = self._control_per[key] = per_from_snr(
-                *key, midpoints=LEGACY_SNR_MIDPOINT_DB,
-                width_db=self.width_db)
+                self.snr_db, *key, midpoints=LEGACY_SNR_MIDPOINT_DB)
         return self.rng.random() < per
 
     def mpdu_lost(self, sender: Any, receiver: Any, mpdu: Any,
                   rate_mbps: float) -> bool:
-        key = (self._snr_for(receiver), rate_mbps,
+        key = (rate_mbps,
                getattr(mpdu, "byte_length", _REFERENCE_FRAME_BYTES))
         per = self._mpdu_per.get(key)
         if per is None:
-            per = self._mpdu_per[key] = per_from_snr(
-                *key, width_db=self.width_db)
+            per = self._mpdu_per[key] = per_from_snr(self.snr_db, *key)
         return self.rng.random() < per

@@ -29,7 +29,8 @@ class Compressor:
 
     def __init__(self, init_threshold: int = 1):
         #: Vanilla ACKs that must precede compression of a new flow
-        #: (gives the decompressor its context; >=1 mirrors the paper).
+        #: (gives the decompressor its context; paper §3.3.2 item 1:
+        #: the default, 1, is the paper's).
         self.init_threshold = init_threshold
         self.contexts: Dict[int, CompressorContext] = {}
         self._flow_of_cid: Dict[int, Tuple] = {}

@@ -55,7 +55,7 @@ and runs the IFS wait for the stations, instead of telling each of N
 stations about every edge and letting each push — and, 16 us later when
 the SIFS response starts, cancel — a defer event of its own:
 
-* *Plain listeners* (``attach(listener)``: the reactive jammer,
+* *Plain listeners* (``attach(listener)``: the jammer,
   tracers, test doubles, the eager reference station of
   ``tests/mac/slotted_reference.py``) get ``on_channel_busy`` /
   ``on_channel_idle`` on every edge, in attach order.

@@ -2,14 +2,15 @@
 
 The paper's simulated topology attaches the TCP server to the AP over a
 500 Mbit/s wired link with 1 ms one-way latency.  We model a full-duplex
-link as two independent unidirectional pipes, each a FIFO with a
-serialisation rate, propagation delay and a drop-tail packet-count
-bound.
+link as two independent unidirectional pipes, each an unbounded FIFO
+with a serialisation rate and a propagation delay: the paper's
+backhaul is far faster than the wireless hop, so its queue never
+builds and no drop policy is modelled.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 from .engine import Simulator, Train
 from .units import transmission_time_ns
@@ -42,21 +43,19 @@ class WiredPipe:
     where each packet used to cost one simulator event (its delivery;
     historically a serialisation-complete + propagation pair), a burst
     now costs one heap entry and ``deliver`` is the train's callback.
-    The train is also the only per-packet state: the counters are
+    The train is also the only per-packet state: the queue depth is
     derived on read from the packets still queued in it (serialisation
     end = delivery - delay, start = end - transmission time).
-    Delivery times, FIFO order, drop-tail decisions and the counters'
-    timing (sent means serialised, not delivered) match the two-event
-    formulation, with one convention pinned down: at the exact instant
-    a serialisation boundary falls, the packet counts as
+    Delivery times, FIFO order and the depth's timing match the
+    two-event formulation, with one convention pinned down: at the
+    exact instant a serialisation boundary falls, the packet counts as
     serialised/started — where the old code's answer depended on
     whether its boundary event had already run within that same
     timestamp.
     """
 
     def __init__(self, sim: Simulator, rate_mbps: float, delay_ns: int,
-                 deliver: Callable[[Any], None],
-                 queue_limit: Optional[int] = None):
+                 deliver: Callable[[Any], None]):
         if rate_mbps <= 0:
             raise ValueError("rate must be positive")
         if delay_ns < 0:
@@ -64,71 +63,52 @@ class WiredPipe:
         self.sim = sim
         self.rate_mbps = rate_mbps
         self.delay_ns = delay_ns
-        self.queue_limit = queue_limit
         #: When the last accepted packet finishes serialising.
         self._busy_until = 0
         self._train = Train(sim, deliver)
         self._tx_time_ns = _TxTimes(rate_mbps)
-        #: Stats
-        self._packets_accepted = 0
-        self._bytes_accepted = 0
-        self.packets_dropped = 0
 
-    def send(self, packet: Any) -> bool:
-        """Enqueue a packet; returns False (and drops) if the queue is full."""
-        if (self.queue_limit is not None
-                and self.queue_depth >= self.queue_limit):
-            self.packets_dropped += 1
-            return False
+    def send(self, packet: Any) -> None:
+        """Enqueue a packet (the pipe is unbounded)."""
         start = self._busy_until
         if start < self.sim.now:
             start = self.sim.now
-        num_bytes = packet.byte_length
-        self._busy_until = end = start + self._tx_time_ns[num_bytes]
-        self._packets_accepted += 1
-        self._bytes_accepted += num_bytes
+        self._busy_until = end = start + self._tx_time_ns[
+            packet.byte_length]
         self._train.push(end + self.delay_ns, packet)
-        return True
-
-    def _unsent(self) -> Tuple[int, int, int]:
-        """(packets, bytes, packets not yet begun) among the accepted
-        packets whose serialisation ends after ``now``.  Serialisation
-        is FIFO-contiguous, so those are the newest ones."""
-        now = self.sim.now
-        packets = num_bytes = waiting = 0
-        for delivery, packet in self._train.newest_first():
-            end = delivery - self.delay_ns
-            if end <= now:
-                break
-            packets += 1
-            num_bytes += packet.byte_length
-            if end - self._tx_time_ns[packet.byte_length] > now:
-                waiting += 1
-        return packets, num_bytes, waiting
 
     @property
     def queue_depth(self) -> int:
-        """Packets accepted but not yet begun serialising."""
-        return self._unsent()[2]
+        """Packets accepted but not yet begun serialising.
+        Serialisation is FIFO-contiguous, so those are the newest
+        ones."""
+        now = self.sim.now
+        waiting = 0
+        for delivery, packet in self._train.newest_first():
+            if delivery - self.delay_ns \
+                    - self._tx_time_ns[packet.byte_length] <= now:
+                break
+            waiting += 1
+        return waiting
 
 
 class WiredLink:
     """A full-duplex link between two endpoints.
 
-    Endpoints are objects with a ``receive_wired(packet)`` method; use
-    :meth:`endpoint_a` / :meth:`endpoint_b` handles to send.
+    Endpoints are objects with a ``receive_wired(packet)`` method;
+    each sends through the pipe :meth:`sender_for` gives it.
     """
 
     def __init__(self, sim: Simulator, a: Any, b: Any, rate_mbps: float,
-                 delay_ns: int, queue_limit: Optional[int] = None):
+                 delay_ns: int):
         self.a = a
         self.b = b
         self._a_to_b = WiredPipe(sim, rate_mbps, delay_ns,
-                                 b.receive_wired, queue_limit)
+                                 b.receive_wired)
         self._b_to_a = WiredPipe(sim, rate_mbps, delay_ns,
-                                 a.receive_wired, queue_limit)
+                                 a.receive_wired)
 
-    def sender_for(self, endpoint: Any) -> Callable[[Any], bool]:
+    def sender_for(self, endpoint: Any) -> Callable[[Any], None]:
         """The ``send(packet)`` of the pipe leaving ``endpoint`` — for
         a node to bind once instead of dispatching per packet."""
         if endpoint is self.a:

@@ -20,27 +20,27 @@ from ..sim.engine import Simulator, Timer
 from ..sim.units import MS
 from .segment import FiveTuple, TcpSegment
 
+#: Advertised receive window: large enough never to limit a flow.
+RWND_BYTES = 4 * 1024 * 1024
+#: Delayed-ACK fallback timer (an ACK for a lone segment waits this
+#: long for a second one).
+DELACK_TIMEOUT_NS = 100 * MS
+
 
 class TcpReceiver:
     """One direction of a TCP connection (the data sink)."""
 
     def __init__(self, sim: Simulator, flow_id: int, src: str, dst: str,
                  output: Callable[[TcpSegment], None],
-                 rwnd_bytes: int = 4 * 1024 * 1024,
                  delayed_ack: bool = True,
-                 delack_timeout_ns: int = 100 * MS,
-                 five_tuple: Optional[FiveTuple] = None,
-                 on_deliver: Optional[Callable[[int], None]] = None):
+                 five_tuple: Optional[FiveTuple] = None):
         self.sim = sim
         self.flow_id = flow_id
         self.src = src          # this endpoint (the ACK source)
         self.dst = dst          # the data sender
         self.output = output
-        self.rwnd_bytes = rwnd_bytes
         self.delayed_ack = delayed_ack
-        self.delack_timeout_ns = delack_timeout_ns
         self.five_tuple = five_tuple or FiveTuple(src, dst, 80, 5001)
-        self.on_deliver = on_deliver
 
         self.rcv_nxt = 0
         self._ooo: Dict[int, int] = {}     # seq -> length
@@ -70,45 +70,29 @@ class TcpReceiver:
             self._send_ack(immediate=True)
             return
         # In order (possibly partially old): advance.
-        advanced = segment.end_seq - self.rcv_nxt
+        self.bytes_delivered += segment.end_seq - self.rcv_nxt
         self.rcv_nxt = segment.end_seq
         if self._ooo:
             self._drain_ooo()
-            self._deliver(advanced)
             # Filling (part of) a hole: ACK immediately so the sender's
             # fast recovery sees the partial/full ACK without delay.
             self._send_ack(immediate=True)
             return
-        # _deliver(advanced): it is positive (the segment ends past
-        # the old rcv_nxt).
-        self.bytes_delivered += advanced
-        if self.on_deliver is not None:
-            self.on_deliver(advanced)
         self._pending_ack_segments += 1
         if not self.delayed_ack or self._pending_ack_segments >= 2:
             self._send_ack(immediate=True)
         elif self._delack_timer.deadline is None:
-            self._delack_timer.arm(self.delack_timeout_ns)
+            self._delack_timer.arm(DELACK_TIMEOUT_NS)
 
     def _drain_ooo(self) -> None:
-        moved = 0
         while self.rcv_nxt in self._ooo:
             length = self._ooo.pop(self.rcv_nxt)
             self.rcv_nxt += length
-            moved += length
-        if moved:
-            self._deliver(moved)
+            self.bytes_delivered += length
         # Discard any queued segments now wholly below rcv_nxt.
         stale = [s for s in self._ooo if s + self._ooo[s] <= self.rcv_nxt]
         for s in stale:
             del self._ooo[s]
-
-    def _deliver(self, nbytes: int) -> None:
-        if nbytes <= 0:
-            return
-        self.bytes_delivered += nbytes
-        if self.on_deliver is not None:
-            self.on_deliver(nbytes)
 
     # ------------------------------------------------------------------
     # ACK generation
@@ -119,7 +103,7 @@ class TcpReceiver:
             self._delack_timer.cancel()
         ack = TcpSegment(
             self.flow_id, self.src, self.dst, 0, 0, self.rcv_nxt,
-            self.rwnd_bytes, self.sim.now // MS, self._last_ts_val,
+            RWND_BYTES, self.sim.now // MS, self._last_ts_val,
             (), self.five_tuple)
         self.output(ack)
 

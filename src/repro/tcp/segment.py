@@ -30,6 +30,8 @@ from typing import Optional, Tuple
 IP_HEADER_BYTES = 20
 TCP_HEADER_BYTES = 20
 TIMESTAMP_OPTION_BYTES = 12
+#: The paper's maximum segment size (TCP payload bytes per segment).
+MSS = 1460
 #: SACK option: 2 bytes kind/len + 8 per block, padded to 4.
 SACK_BLOCK_BYTES = 8
 SACK_BASE_BYTES = 4

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional
 from ..sim.engine import Simulator, Timer
 from ..sim.units import MS, SEC
 from .cubic import CubicState
-from .segment import FiveTuple, TcpSegment
+from .segment import MSS, FiveTuple, TcpSegment
 
 
 #: The ``cc=`` values a sender implements.
@@ -38,7 +38,7 @@ class TcpSender:
     def __init__(self, sim: Simulator, flow_id: int, src: str, dst: str,
                  output: Callable[[TcpSegment], None],
                  total_bytes: Optional[int] = None,
-                 mss: int = 1460,
+                 mss: int = MSS,
                  initial_cwnd_segments: int = 2,
                  initial_ssthresh_bytes: int = 65_535,
                  min_rto_ns: int = 200 * MS,

@@ -235,9 +235,8 @@ class ScenarioConfig:
             raise ValueError("traffic='dynamic' requires an "
                              "ArrivalSpec in cfg.arrivals")
         if self.arrivals is not None:
-            # Trace indices against the smallest cell that runs churn.
-            self.arrivals.validate(min(filter(None, map(
-                self.clients_in_cell, range(self.cells))), default=0))
+            # Trace indices against a cell's stations.
+            self.arrivals.validate(self.n_clients)
         if self.udp_background_mbps > 0 \
                 and self.traffic == "udp_download":
             raise ValueError(
@@ -250,10 +249,6 @@ class ScenarioConfig:
                 f"duration_ns={self.duration_ns}")
 
     # -- multi-cell helpers -------------------------------------------
-    def clients_in_cell(self, cell: int) -> int:
-        """Stations in cell ``cell``: ``n_clients`` in every cell."""
-        return self.n_clients
-
     def cell_label(self, cell: int) -> str:
         """Stable metrics key for one cell ("cell1" is the legacy BSS)."""
         return f"cell{cell + 1}"
@@ -265,11 +260,11 @@ class ScenarioConfig:
 
     def cell_client_names(self, cell: int) -> List[str]:
         """Station addresses are unique across the whole channel:
-        cell 0 keeps "C1".."Cn", cell k (k >= 1) gets "C1.<k+1>"..."""
-        count = self.clients_in_cell(cell)
+        cell 0 keeps "C1".."Cn", cell k (k >= 1) gets "C1.<k+1>"...
+        Every cell has ``n_clients`` stations."""
         if cell == 0:
-            return [f"C{i + 1}" for i in range(count)]
-        return [f"C{i + 1}.{cell + 1}" for i in range(count)]
+            return [f"C{i + 1}" for i in range(self.n_clients)]
+        return [f"C{i + 1}.{cell + 1}" for i in range(self.n_clients)]
 
     def cell_ip_prefix(self, cell: int) -> str:
         """Each cell's wired island gets its own /16 ("10.<cell>")."""
@@ -303,27 +298,17 @@ class ScenarioConfig:
     # from the *global* cell index rather than from per-run counters,
     # so a shard rebuilding a subset of cells mints exactly the ids
     # the unsharded run would have given those cells.
-    def static_flow_count(self, cell: int) -> int:
-        """TCP flow ids one cell's static traffic consumes."""
-        if self.traffic in ("dynamic", "udp_download"):
-            return 0
-        return self.clients_in_cell(cell) * self.flows_per_client
-
     def static_flow_id_base(self, cell: int) -> int:
-        """First static flow id of one cell (ids start at 1 and run in
-        cell order, exactly as the historical global counter did)."""
-        return 1 + sum(self.static_flow_count(j) for j in range(cell))
-
-    def udp_sink_count(self, cell: int) -> int:
-        """``udp_download`` sinks one cell contributes."""
-        if self.traffic != "udp_download":
-            return 0
-        return self.clients_in_cell(cell)
+        """First static TCP flow id of one cell (ids start at 1 and run
+        in cell order, ``n_clients * flows_per_client`` per cell,
+        exactly as the historical global counter did)."""
+        return 1 + cell * self.n_clients * self.flows_per_client
 
     def udp_index_base(self, cell: int) -> int:
-        """First global UDP-sink index of one cell (sink *i* reports
-        under pseudo-flow id ``-(i + 1)``)."""
-        return sum(self.udp_sink_count(j) for j in range(cell))
+        """First global ``udp_download`` sink index of one cell (one
+        sink per station; sink *i* reports under pseudo-flow id
+        ``-(i + 1)``)."""
+        return cell * self.n_clients
 
 
 @dataclass

@@ -68,16 +68,6 @@ class TestJammer:
             for i in (0.25, 0.75)]
         assert goodputs[0] > goodputs[1]
 
-    def test_reactive_jam_forces_collisions(self):
-        coop = run_scenario(config())
-        jammed = run_scenario(config(adversary=AdversaryConfig(
-            kind="jammer", intensity=0.5, jam_mode="reactive")))
-        assert jammed.metrics_dict()["adversary"]["jam_bursts"] > 0
-        assert jammed.medium_frames_collided \
-            > coop.medium_frames_collided
-        assert jammed.aggregate_goodput_mbps \
-            < coop.aggregate_goodput_mbps
-
 
 class TestMutator:
     def test_corruption_contained_as_typed_counters(self):

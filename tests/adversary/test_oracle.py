@@ -109,7 +109,6 @@ class TestConfigValidation:
         dict(kind="ddos"),
         dict(intensity=-0.1),
         dict(intensity=1.5),
-        dict(jam_mode="barrage"),
         dict(mutate_mode="scramble"),
         # No attack is spelled adversary=None or intensity 0.
         dict(kind="none"),

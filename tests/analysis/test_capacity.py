@@ -62,18 +62,14 @@ class TestFig1b:
 
     def test_batch_size_42_at_150(self):
         # The 64 KiB A-MPDU bound yields the paper's 42-packet batches.
-        from repro.analysis.capacity import _batch_size
-        from repro.mac.params import MacParams
+        from repro.analysis.capacity import _setup_11n
         from repro.phy.params import PHY_11N
-        params = MacParams(data_rate_mbps=150.0, aggregation=True)
-        assert _batch_size(150.0, 1460, PHY_11N, params) == 42
+        assert _setup_11n(150.0, PHY_11N)[1] == 42
 
     def test_txop_limits_batch_at_low_rates(self):
-        from repro.analysis.capacity import _batch_size
-        from repro.mac.params import MacParams
+        from repro.analysis.capacity import _setup_11n
         from repro.phy.params import PHY_11N
-        params = MacParams(data_rate_mbps=15.0, aggregation=True)
-        assert _batch_size(15.0, 1460, PHY_11N, params) < 42
+        assert _setup_11n(15.0, PHY_11N)[1] < 42
 
 
 class TestEdgeCases:
@@ -82,6 +78,3 @@ class TestEdgeCases:
         from repro.analysis.capacity import _acquisition_ns
         from repro.phy.params import PHY_11N
         assert _acquisition_ns(PHY_11N) == 110_500
-
-    def test_custom_mss(self):
-        assert tcp_goodput_11a(54.0, mss=500) < tcp_goodput_11a(54.0)

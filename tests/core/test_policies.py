@@ -1,6 +1,7 @@
 """HackConfig presets."""
 
 from repro.core.policies import HackConfig, HackPolicy
+from repro.rohc.compressor import Compressor
 from repro.sim.units import msec
 
 
@@ -25,8 +26,8 @@ class TestPresets:
         assert config.policy is HackPolicy.OPPORTUNISTIC
 
     def test_init_vanilla_default(self):
-        assert HackConfig.for_policy(HackPolicy.MORE_DATA
-                                     ).init_vanilla_acks == 1
+        """One vanilla ACK establishes a flow's context (§3.3.2)."""
+        assert Compressor().init_threshold == 1
 
     def test_max_buffered_within_frame_limit(self):
         # HACK frames carry at most 255 entries.

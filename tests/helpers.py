@@ -177,15 +177,25 @@ def cell_of(medium, listener):
     return medium._cell_of.get(listener, DEFAULT_CELL)
 
 
-def packets_sent(pipe) -> int:
-    """Packets a ``WiredPipe`` has fully serialised onto the wire
-    (propagation may still be in progress)."""
-    return pipe._packets_accepted - pipe._unsent()[0]
+def _on_the_wire(pipe):
+    """Packets a ``WiredPipe`` has serialised but not yet delivered
+    (still propagating in its train)."""
+    now = pipe.sim.now
+    return [packet for delivery, packet in pipe._train.newest_first()
+            if delivery - pipe.delay_ns <= now]
 
 
-def bytes_sent(pipe) -> int:
+def packets_sent(pipe, delivered) -> int:
+    """Packets a ``WiredPipe`` has fully serialised onto the wire:
+    ``delivered`` (what its deliver callback got) plus those whose
+    propagation is still in progress."""
+    return len(delivered) + len(_on_the_wire(pipe))
+
+
+def bytes_sent(pipe, delivered) -> int:
     """Bytes a ``WiredPipe`` has fully serialised onto the wire."""
-    return pipe._bytes_accepted - pipe._unsent()[1]
+    return sum(packet.byte_length
+               for packet in [*delivered, *_on_the_wire(pipe)])
 
 
 def pipes(link):
@@ -222,10 +232,9 @@ def figure_1a(rates=PHY_11A.data_rates):
     return [figure_1a_point(r) for r in rates]
 
 
-def figure_1b(max_streams: int = 4):
+def figure_1b():
     """Theoretical goodput for 802.11n rates up to 600 Mbps (Fig 1b)."""
-    return [figure_1b_point(rate, max_streams)
-            for rate in figure_1b_rates(max_streams)]
+    return [figure_1b_point(rate) for rate in figure_1b_rates()]
 
 
 def run_experiment(module, quick: bool = False, runner=None, **scope):

@@ -39,7 +39,6 @@ class RecordingUpper(MacUpper):
         self.ppdus = []
         self.ll_acks = []
         self.bars = []
-        self.outcomes = []
         self.responses = []
         self.payload = None  # bytes to attach to responses
 
@@ -60,9 +59,6 @@ class RecordingUpper(MacUpper):
 
     def on_bar_rx(self, bar, sender):
         self.bars.append((bar, sender))
-
-    def on_mpdu_outcome(self, mpdu, delivered):
-        self.outcomes.append((mpdu, delivered))
 
 
 class TogglingLoss:
@@ -139,8 +135,9 @@ class TestBasicExchange:
         sim, _, (a, ua), _ = build_pair()
         a.enqueue(FakePayload(100), "B")
         sim.run()
+        assert dict(a.stats.delivered_first_attempt) == {"B": 1}
         assert a.stats.delivered() == 1
-        assert ua.outcomes == [(ua.outcomes[0][0], True)]
+        assert not a.stats.mpdus_dropped
 
     def test_post_backoff_spaces_second_frame(self):
         sim, medium, (a, _), (b, ub) = build_pair(backoffs_a=(5,))
@@ -167,7 +164,8 @@ class TestRetries:
         sim.run()
         assert len(ub.delivered) == 1
         assert ub.delivered[0][0].retry_count == 1
-        assert ua.outcomes[-1][1] is True
+        assert dict(a.stats.delivered_after_retry) == {"B": 1}
+        assert a.stats.delivered() == 1 and not a.stats.mpdus_dropped
 
     def test_drop_after_retry_limit(self):
         loss = TogglingLoss()
@@ -177,7 +175,7 @@ class TestRetries:
         sim.run()
         assert ub.delivered == []
         assert dict(a.stats.mpdus_dropped) == {"B": 1}
-        assert ua.outcomes[-1][1] is False
+        assert a.stats.delivered() == 0
 
     def test_duplicate_filtered_but_reacked(self):
         # Data arrives, but its LL ACK is lost: sender retries, receiver

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.mac.params import MacParams
-from repro.mac.qdisc import CoDelQueue, DropTailQueue, FqCodelQueue, \
-    QdiscStats, make_queue
+from repro.mac.qdisc import CODEL_INTERVAL_NS, CODEL_TARGET_NS, \
+    CoDelQueue, DropTailQueue, FqCodelQueue, QdiscStats, make_queue
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
 
@@ -342,10 +342,11 @@ class TestMakeQueue:
                        QdiscStats())
 
     def test_codel_knobs_forwarded(self, sim):
-        params = MacParams(queue_discipline="codel",
-                           codel_target_ns=2 * MS,
-                           codel_interval_ns=50 * MS)
-        q = make_queue(sim, params, QdiscStats())
+        q = make_queue(sim, MacParams(queue_discipline="codel"),
+                       QdiscStats())
+        assert q.target_ns == CODEL_TARGET_NS
+        assert q.interval_ns == CODEL_INTERVAL_NS
+        q = CoDelQueue(sim, QdiscStats(), 2 * MS, 50 * MS)
         assert q.target_ns == 2 * MS
         assert q.interval_ns == 50 * MS
 

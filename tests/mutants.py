@@ -388,6 +388,18 @@ MUTANTS = (
            "row[\"open_desync_ms\"] <= 10 * OPEN_DESYNC_BOUND_MS,\n",
            (TRIMMED + "::test_adversarial",)),
 
+    # -- Every layer option is set by production -----------------------
+    Mutant("test-only-knob-comes-back",
+           "src/repro/nodes/server.py",
+           "    def __init__(self, sim: Simulator):\n"
+           "        self.sim = sim\n"
+           "        self.name = \"SRV\"\n",
+           "    def __init__(self, sim: Simulator, name: str = \"SRV\"):\n"
+           "        self.sim = sim\n"
+           "        self.name = name\n",
+           ("tests/test_layer_options.py::"
+            "test_every_option_is_set_by_production_or_listed",)),
+
     # -- EXPERIMENTS.md is the render of the pinned rows ----------------
     Mutant("document-table-digit",
            "EXPERIMENTS.md",

@@ -9,7 +9,7 @@ from repro.core.policies import HackConfig, HackPolicy
 from repro.mac.dcf import DcfMac
 from repro.mac.params import MacParams
 from repro.nodes.ap import ApNode
-from repro.nodes.client import ClientNode
+from repro.nodes.client import STACK_DELAY_NS, ClientNode
 from repro.nodes.server import ServerNode, UdpSource
 from repro.phy.params import PHY_11N
 from repro.sim.engine import Simulator
@@ -86,8 +86,7 @@ class TestUdpSource:
                 return lambda packet: sent_times.append(sim.now)
 
         server.attach_link(Link())
-        source = UdpSource(sim, server, "C1", rate_mbps=12.0,
-                           payload_bytes=1472)
+        source = UdpSource(sim, server, "C1", rate_mbps=12.0)
         source.start()
         sim.run(until=10 * MS)
         # 12 Mbps / 12000 bits per datagram = 1000 pkts/s = 10 in 10ms.
@@ -130,31 +129,31 @@ class TestApBridge:
 
 
 class TestClient:
-    def make(self, sim, stack_delay=usec(100)):
+    def make(self, sim):
         driver = vanilla_driver(sim)
-        client = ClientNode(sim, driver, "C1",
-                            stack_delay_ns=stack_delay)
+        client = ClientNode(sim, driver, "C1")
         return client, driver
 
     def test_stack_delay_applied(self, sim):
-        client, _ = self.make(sim, stack_delay=usec(150))
+        client, _ = self.make(sim)
         acks = []
         receiver = TcpReceiver(sim, 1, "C1", "SRV", output=acks.append,
                                delayed_ack=False)
         client.add_receiver(receiver)
         client.on_packets_received([data_segment()], "AP")
-        sim.run(until=usec(149))
+        sim.run(until=STACK_DELAY_NS - 1)
         assert receiver.bytes_delivered == 0
-        sim.run(until=usec(200))
+        sim.run(until=STACK_DELAY_NS + 1)
         assert receiver.bytes_delivered == 1460
         assert len(acks) == 1
 
     def test_burst_staggering(self, sim):
         client, _ = self.make(sim)
         times = []
-        receiver = TcpReceiver(
-            sim, 1, "C1", "SRV", output=lambda a: None,
-            on_deliver=lambda n: times.append(sim.now))
+        receiver = TcpReceiver(sim, 1, "C1", "SRV", output=lambda a: None)
+        on_segment = receiver.on_segment
+        receiver.on_segment = lambda segment: (times.append(sim.now),
+                                               on_segment(segment))
         client.add_receiver(receiver)
         client.on_packets_received(
             [data_segment(seq=i * 1460) for i in range(3)], "AP")

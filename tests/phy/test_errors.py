@@ -115,12 +115,6 @@ class TestSnrLossModel:
                    for _ in range(1000))
         assert lost > 900
 
-    def test_per_receiver_snr(self, rng):
-        model = SnrLossModel(rng, snr_db=35.0,
-                             per_receiver_snr={"C2": 0.0})
-        assert model.mpdu_lost(None, Receiver("C2"),
-                               FakeFrame(byte_length=1500), 150.0)
-
     def test_control_frames_use_basic_rate_robustness(self, rng):
         # At 12 dB a 150 Mbps data MPDU is hopeless but a 24 Mbps
         # control frame is fine.
@@ -132,18 +126,17 @@ class TestSnrLossModel:
         assert lost < 50
 
     def test_memoised_per_draws_as_the_formula_does(self):
-        """Each (SNR, rate, length) PER is computed once per model, for
+        """Each (rate, length) PER is computed once per model, for
         MPDUs and control PPDUs apart; every draw must still be the
-        one ``per_from_snr`` gives.  The SNRs and rates sit on the
+        one ``per_from_snr`` gives.  The SNR and rates sit on the
         waterfall, where a stale or crossed entry flips draws."""
-        model = SnrLossModel(random.Random(7), snr_db=22.0,
-                             per_receiver_snr={"C2": 6.0})
+        snr = 22.0
+        model = SnrLossModel(random.Random(7), snr_db=snr)
         reference = random.Random(7)
         pick = random.Random(1)
         draws = []
         for step in range(1000):
             receiver = Receiver(pick.choice(("C1", "C2")))
-            snr = model._snr_for(receiver)
             length = pick.choice((1500, 800, 120))
             if pick.random() < 0.2:
                 frame = FakeFrame(byte_length=length, is_control=True)

@@ -1,4 +1,4 @@
-"""Wired link: serialisation, propagation, FIFO, drop-tail."""
+"""Wired link: serialisation, propagation, FIFO."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,45 +47,38 @@ class TestWiredPipe:
         sim.run()
         assert times == [MS, 2 * MS]
 
-    def test_queue_limit_drop_tail(self, sim):
-        pipe = WiredPipe(sim, 1.0, 0, lambda p: None, queue_limit=2)
-        # First packet starts transmitting immediately (leaves queue).
-        assert pipe.send(FakeFrame(byte_length=10_000))
-        assert pipe.send(FakeFrame(byte_length=10_000))
-        assert pipe.send(FakeFrame(byte_length=10_000))
-        assert not pipe.send(FakeFrame(byte_length=10_000))
-        assert pipe.packets_dropped == 1
-
     def test_counters(self, sim):
-        pipe = WiredPipe(sim, 100.0, 0, lambda p: None)
+        got = []
+        pipe = WiredPipe(sim, 100.0, 0, got.append)
         pipe.send(FakeFrame(byte_length=500))
         sim.run()
-        assert packets_sent(pipe) == 1
-        assert bytes_sent(pipe) == 500
+        assert packets_sent(pipe, got) == 1
+        assert bytes_sent(pipe, got) == 500
 
     def test_counters_reflect_serialisation_not_delivery(self, sim):
         # 8000 bits @ 8 Mbps serialise by 1 ms; propagation adds 1 ms.
-        pipe = WiredPipe(sim, 8.0, MS, lambda p: None)
+        got = []
+        pipe = WiredPipe(sim, 8.0, MS, got.append)
         pipe.send(FakeFrame(byte_length=1000))
         sim.run(until=MS + usec(1))
-        assert packets_sent(pipe) == 1  # on the wire, not yet delivered
-        assert bytes_sent(pipe) == 1000
+        assert got == []
+        assert packets_sent(pipe, got) == 1  # on the wire
+        assert bytes_sent(pipe, got) == 1000
 
     def test_bookkeeping_stays_bounded_without_queue_limit(self, sim):
-        # After its last delivery a pipe holds no per-packet state,
-        # with or without a queue limit for a read to prune by: the
-        # counters are totals, and a read walks only what is queued.
+        # After its last delivery a pipe holds no per-packet state (it
+        # has no queue limit to prune by): a depth read walks only
+        # what is queued.
         delivered = []
         pipe = WiredPipe(sim, 100.0, usec(10), delivered.append)
         for _ in range(100):
             for _ in range(1000):
                 pipe.send(FakeFrame(byte_length=1000))
-            assert pipe.queue_depth == 999 and packets_sent(pipe) == \
-                len(delivered)
+            assert pipe.queue_depth == 999
             sim.run()
             assert pipe.queue_depth == 0
-        assert len(delivered) == packets_sent(pipe) == 100_000
-        assert bytes_sent(pipe) == 100_000_000
+        assert len(delivered) == packets_sent(pipe, delivered) == 100_000
+        assert bytes_sent(pipe, delivered) == 100_000_000
         assert pending_events(sim) == 0 and len(pipe._train._items) == 0
 
     def test_invalid_params(self, sim):
@@ -102,24 +95,17 @@ class TwoEventPipe:
     serialisation boundary falls the packet counts as serialised (and
     the next one as started)."""
 
-    def __init__(self, rate_mbps, delay_ns, queue_limit):
+    def __init__(self, rate_mbps, delay_ns):
         self.rate_mbps = rate_mbps
         self.delay_ns = delay_ns
-        self.queue_limit = queue_limit
         self.accepted = []          # (start, end, bytes, name)
-        self.dropped = 0
 
     def send(self, now, packet):
-        if (self.queue_limit is not None
-                and self.queue_depth(now) >= self.queue_limit):
-            self.dropped += 1
-            return False
         start = max([now] + [end for _, end, _, _ in self.accepted])
         end = start + transmission_time_ns(packet.byte_length,
                                            self.rate_mbps)
         self.accepted.append((start, end, packet.byte_length,
                               packet.name))
-        return True
 
     def queue_depth(self, now):
         return sum(1 for start, _, _, _ in self.accepted if start > now)
@@ -144,32 +130,33 @@ STEPS = st.lists(st.tuples(GAPS, st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(STEPS, st.sampled_from([0, 1_000, 2_500]),
-       st.one_of(st.none(), st.integers(0, 3)))
-def test_counters_and_drops_match_the_two_event_pipe(steps, delay_ns,
-                                                     queue_limit):
+@given(STEPS, st.sampled_from([0, 1_000, 2_500]))
+def test_counters_match_the_two_event_pipe(steps, delay_ns):
     sim = Simulator()
-    model = TwoEventPipe(8.0, delay_ns, queue_limit)
+    model = TwoEventPipe(8.0, delay_ns)
     delivered = []
+    packets = []
 
     def same_counters():
-        assert (packets_sent(pipe), bytes_sent(pipe), pipe.queue_depth,
-                pipe.packets_dropped) == (
+        assert (packets_sent(pipe, packets), bytes_sent(pipe, packets),
+                pipe.queue_depth) == (
             model.packets_sent(sim.now), model.bytes_sent(sim.now),
-            model.queue_depth(sim.now), model.dropped)
+            model.queue_depth(sim.now))
 
     def deliver(packet):
         delivered.append((sim.now, packet.name))
+        packets.append(packet)
         same_counters()             # read at a delivery instant too
 
-    pipe = WiredPipe(sim, 8.0, delay_ns, deliver, queue_limit)
+    pipe = WiredPipe(sim, 8.0, delay_ns, deliver)
     at = 0
     for number, (gap, step) in enumerate(steps):
         at += gap
         sim.run(until=at)
         if step != "read":
             packet = FakeFrame(name=number, byte_length=step)
-            assert pipe.send(packet) == model.send(at, packet)
+            pipe.send(packet)
+            model.send(at, packet)
         same_counters()
     sim.run()
     same_counters()
@@ -197,7 +184,8 @@ class TestWiredLink:
         a, b = Sink(), Sink()
         link = WiredLink(sim, a, b, 100.0, usec(10))
         to_b, to_a = link.sender_for(a), link.sender_for(b)
-        assert to_b(FakeFrame("to-b")) and to_a(FakeFrame("to-a"))
+        to_b(FakeFrame("to-b"))
+        to_a(FakeFrame("to-a"))
         sim.run()
         assert [p.name for p in b.received] == ["to-b"]
         assert [p.name for p in a.received] == ["to-a"]
@@ -208,5 +196,5 @@ class TestWiredLink:
         ab, ba = pipes(link)
         link.sender_for(a)(FakeFrame())
         sim.run()
-        assert packets_sent(ab) == 1
-        assert packets_sent(ba) == 0
+        assert packets_sent(ab, b.received) == 1
+        assert packets_sent(ba, a.received) == 0

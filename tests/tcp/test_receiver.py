@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.units import MS, SEC
-from repro.tcp.receiver import TcpReceiver
+from repro.sim.units import SEC
+from repro.tcp.receiver import DELACK_TIMEOUT_NS, RWND_BYTES, TcpReceiver
 from repro.tcp.segment import TcpSegment
 
 MSS = 1460
@@ -31,8 +31,10 @@ class TestDelayedAck:
         assert acks[0].ack == 2 * MSS
 
     def test_delack_timer_fires(self, sim):
-        receiver, acks = make_receiver(sim, delack_timeout_ns=40 * MS)
+        receiver, acks = make_receiver(sim)
         receiver.on_segment(data(0))
+        sim.run(until=DELACK_TIMEOUT_NS - 1)
+        assert acks == []
         sim.run(until=SEC)
         assert len(acks) == 1
         assert acks[0].ack == MSS
@@ -43,10 +45,10 @@ class TestDelayedAck:
         assert len(acks) == 1
 
     def test_ack_carries_rwnd_and_ts(self, sim):
-        receiver, acks = make_receiver(sim, rwnd_bytes=123_456)
+        receiver, acks = make_receiver(sim)
         receiver.on_segment(data(0, ts_val=99))
         receiver.on_segment(data(MSS, ts_val=100))
-        assert acks[0].rwnd == 123_456
+        assert acks[0].rwnd == RWND_BYTES
         assert acks[0].ts_ecr == 100
         assert acks[0].is_pure_ack
 
@@ -84,13 +86,14 @@ class TestReordering:
         receiver.on_segment(data(0))        # fills part of hole
         assert acks[-1].ack == MSS
 
-    def test_deliver_callback(self, sim):
-        got = []
-        receiver = TcpReceiver(sim, 1, "C1", "SRV",
-                               output=lambda a: None,
-                               on_deliver=got.append)
+    def test_delivered_bytes_counted(self, sim):
+        receiver, _ = make_receiver(sim)
         receiver.on_segment(data(0))
-        assert got == [MSS]
+        assert receiver.bytes_delivered == MSS
+        receiver.on_segment(data(2 * MSS))      # out of order: held
+        assert receiver.bytes_delivered == MSS
+        receiver.on_segment(data(MSS))          # fills the hole
+        assert receiver.bytes_delivered == 3 * MSS
 
 
 class TestSack:

@@ -23,9 +23,6 @@ QDISC = ("qdisc interface: the MAC's general path uses it on the other "
 #: Defs no production surface reaches, kept on purpose: ``module:qualname``
 #: -> why it stays.
 ALLOWED: Dict[str, str] = {
-    "repro.adversary.jammer:Jammer._reactive_fire":
-        "`simulate --adversary-mode reactive`, a mode no grid runs; "
-        "TestJammer::test_reactive_jam_forces_collisions checks it",
     "repro.adversary.jammer:Jammer.on_frame_overheard": NO_OP,
     "repro.adversary.jammer:Jammer.on_frame_received": NO_OP,
     "repro.core.driver:_ignore": NO_OP,
@@ -45,7 +42,6 @@ ALLOWED: Dict[str, str] = {
     "repro.mac.dcf:MacUpper.on_data_ppdu": NO_OP,
     "repro.mac.dcf:MacUpper.on_ll_ack_rx": NO_OP,
     "repro.mac.dcf:MacUpper.on_ll_response_tx": NO_OP,
-    "repro.mac.dcf:MacUpper.on_mpdu_outcome": NO_OP,
     "repro.mac.dcf:MacUpper.on_mpdus_delivered": NO_OP,
     "repro.mac.frames:Mpdu.__repr__": DEBUG,
     "repro.mac.qdisc:DropTailQueue.__getitem__":
@@ -88,9 +84,6 @@ ALLOWED: Dict[str, str] = {
     "repro.traffic.arrivals:TraceArrivals.start":
         "trace-replay arrivals (see TraceArrivals.__init__)",
     "repro.workloads.registry:UnknownScenarioError.__init__": ERROR,
-    "repro.workloads.scenarios:ScenarioConfig.udp_sink_count":
-        "udp_index_base sums it over the cells before a udp_download "
-        "sink's own; every run of udp_download here is one cell",
     "repro.workloads.sharding:ShardExecutionError.__init__": ERROR,
     "repro.workloads.sharding:ShardExecutionError.__str__": ERROR,
 }

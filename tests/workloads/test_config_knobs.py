@@ -50,8 +50,8 @@ FLAG_ARGVS = {
     "--adversary": ["--adversary", "greedy"],
     "--adversary-intensity": ["--adversary", "jammer",
                               "--adversary-intensity", "0.3"],
-    "--adversary-mode": ["--adversary", "jammer",
-                         "--adversary-mode", "reactive"],
+    "--adversary-mode": ["--adversary", "mutator",
+                         "--adversary-mode", "storm"],
     "--cc": ["--cc", "cubic"],
     "--pacing": ["--pacing"],
     "--qdisc": ["--qdisc", "fq_codel"],

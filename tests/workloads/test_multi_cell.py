@@ -9,7 +9,7 @@ the paper's topologies.
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -33,17 +33,21 @@ CELL_KEYS = {"label", "ap", "clients", "channel",
 class CellMap(ScenarioConfig):
     """Uneven cells for the oracles: per-cell client counts and an
     explicit cell -> channel map, fed to the builder through its own
-    ``clients_in_cell`` / ``channel_of`` seams (None keeps the uniform
-    law: ``n_clients`` everywhere, round-robin channels).  A 0 count
-    builds a silent BSS (AP and wired plumbing, no stations)."""
+    ``cell_client_names`` / ``channel_of`` seams (None keeps the
+    uniform law: ``n_clients`` everywhere, round-robin channels).  A 0
+    count builds a silent BSS (AP and wired plumbing, no stations).  A
+    count is at most ``n_clients``: flow ids are laid out for
+    ``n_clients`` stations per cell."""
 
     clients: Optional[Tuple[int, ...]] = None
     channel_map: Optional[Tuple[int, ...]] = None
 
-    def clients_in_cell(self, cell: int) -> int:
+    def cell_client_names(self, cell: int) -> List[str]:
+        names = super().cell_client_names(cell)
         if self.clients is None:
-            return super().clients_in_cell(cell)
-        return self.clients[cell]
+            return names
+        assert self.clients[cell] <= self.n_clients
+        return names[:self.clients[cell]]
 
     def channel_of(self, cell: int) -> int:
         if self.channel_map is None:

@@ -146,7 +146,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [
         ["--adversary-intensity", "0.3"],
-        ["--adversary-mode", "reactive"]])
+        ["--adversary-mode", "storm"]])
     def test_adversary_knob_needs_an_attack(self, flags, capsys):
         """On a base with no adversary, neither knob names an attack
         (an intensity alone used to build an inert plan silently)."""
@@ -157,13 +157,13 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert "--adversary" in captured.err
 
-    def test_adversary_mode_reaches_the_jammer(self, capsys):
-        argv = ["simulate", "--adversary", "jammer",
-                "--adversary-mode", "reactive"]
+    def test_adversary_mode_reaches_the_mutator(self, capsys):
+        argv = ["simulate", "--adversary", "mutator",
+                "--adversary-mode", "storm"]
         assert _simulate_config(_build_parser().parse_args(
-            argv)).adversary.jam_mode == "reactive"
+            argv)).adversary.mutate_mode == "storm"
         assert cli_main([*argv, "--duration", "0.3"]) == 0
-        assert "adversary         : jammer @ intensity 0.5" \
+        assert "adversary         : mutator @ intensity 0.5" \
             in capsys.readouterr().out
 
     def test_sora_flag_keeps_the_registered_switch(self, capsys):

@@ -12,8 +12,6 @@ from repro import HackPolicy, LossSpec, ScenarioConfig, run_scenario
 from repro.sim.units import MS, SEC
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 
-from tests.workloads.test_multi_cell import CellMap
-
 
 def quick(policy=HackPolicy.VANILLA, **kw):
     defaults = dict(phy_mode="11n", data_rate_mbps=150.0, n_clients=1,
@@ -214,7 +212,7 @@ class TestValidation:
         ("size kind", dict(size=SizeSpec(kind="bogus"))),
         ("median_bytes", dict(size=SizeSpec(median_bytes=0))),
         ("rate_per_s", dict(rate_per_s=-1)),
-        # Client 2 exists in the first cell, not in the second.
+        # Client 2 exists in no cell: each has two stations.
         ("trace client index", dict(kind="trace",
                                     trace=((0.0, 2, 10_000),))),
     ]
@@ -229,9 +227,8 @@ class TestValidation:
 
         monkeypatch.setattr(scenarios, "Simulator", no_world)
         with pytest.raises(ValueError, match=field):
-            run_scenario(CellMap(
-                cells=2, clients=(3, 1),
-                arrivals=ArrivalSpec(**spec)))
+            run_scenario(ScenarioConfig(
+                cells=2, n_clients=2, arrivals=ArrivalSpec(**spec)))
 
     def test_everything_shipped_still_validates(self):
         from repro.experiments.runner import EXPERIMENTS
